@@ -1,0 +1,285 @@
+"""Golden report corpus: the case list, the renderer, and the writer.
+
+Every case renders to one text file under ``tests/golden/``.  The CLI cases
+run ``algebroids.cli.main`` in-process on every command, every bundled spec
+and three report modes (``text``, ``structured``, ``text`` under
+``--field gf:7``), recording the argv, the exit code, stdout, stderr and any
+``--out`` document.  The library cases pin reports and constructions the
+bundled specs never reach: corrupted inputs, the right-handed verifiers on
+every catalog fixture, degenerate right-integral candidates, and the names
+and matrices of reconstructed Hopf algebroids.
+
+``tests/test_golden.py`` compares every file byte for byte.  This script is
+the only way to rewrite them; run it from the repository root after a change
+that is meant to alter reports, and review the diff:
+
+    PYTHONPATH=src python3 tests/golden/regen.py
+"""
+
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+ROOT = GOLDEN.parents[1]
+for _p in (ROOT / "src", ROOT / "tests"):
+    if str(_p) not in sys.path:
+        sys.path.insert(0, str(_p))
+
+SPECS = ("kz2", "kz2-twisted", "kz3-rb", "m2-groupoid")
+OUT = "{out}"
+
+# (case name, argv before the spec path, argv after it)
+COMMANDS = (
+    ("check-algebra", ["check"], ["--level", "algebra"]),
+    ("check-left-bialgebroid", ["check"], ["--level", "left-bialgebroid"]),
+    ("check-right-bialgebroid", ["check"], ["--level", "right-bialgebroid"]),
+    ("check-hopf", ["check"], ["--level", "hopf"]),
+    ("check-weak-hopf", ["check"], ["--level", "weak-hopf"]),
+    ("check-lu", ["check"], ["--level", "lu"]),
+    ("integrals", ["integrals"], []),
+    ("ls-antipode", ["ls-antipode"], ["--out", OUT]),
+    ("twist-verify", ["twist", "verify"], []),
+    ("twist-apply", ["twist", "apply"], ["--out", OUT]),
+    ("twist-recover", ["twist", "recover"], ["--out", OUT]),
+    ("dualize", ["dualize"], ["--out", OUT]),
+    ("wha-decide", ["wha-decide"], []),
+    ("diagram", ["diagram"], []),
+)
+
+MODES = (
+    ("text", ["--report", "text"]),
+    ("structured", ["--report", "structured"]),
+    ("gf7", ["--report", "text", "--field", "gf:7"]),
+)
+
+# certificates are pinned in full, not only the first few per check
+NO_LIMIT = 10 ** 6
+
+
+def run_cli(argv):
+    """Run the CLI in-process from the repository root; return the record."""
+    from algebroids.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "out.spec")
+        argv = [out_path if a == OUT else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(ROOT)
+        try:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    status = f"exit: {main(argv)}"
+                except Exception as exc:  # pinned like any other outcome
+                    status = f"raised: {type(exc).__name__}: {exc}"
+        finally:
+            os.chdir(cwd)
+        parts = [f"argv: {' '.join(a if a != out_path else OUT for a in argv)}",
+                 status, "--- stdout", stdout.getvalue(),
+                 "--- stderr", stderr.getvalue()]
+        if OUT in [a if a != out_path else OUT for a in argv]:
+            doc = Path(out_path)
+            parts += ["--- out",
+                      doc.read_text(encoding="utf-8") if doc.exists()
+                      else "(not written)\n"]
+    return "\n".join(parts)
+
+
+def _cli_case(spec, pre, post, mode_args):
+    argv = pre + [f"specs/{spec}.spec"] + post + mode_args
+    return lambda: run_cli(argv)
+
+
+# ---------------------------------------------------------------------------
+# library cases
+
+
+def fmt_matrix(m):
+    rows = [" ".join(m.field.fmt(x) for x in row) for row in m.rows]
+    return f"{m.nrows}x{m.ncols}\n" + "\n".join(rows)
+
+
+def render(report):
+    return report.render_text(NO_LIMIT) + "\n"
+
+
+def describe_hopf(h):
+    """Names and structure matrices of a Hopf algebroid, one block each."""
+    lines = [f"hopf: {h.name}"]
+    for side, bgd in (("lb", h.lb), ("rb", h.rb)):
+        lines += [f"{side}: {bgd.name} ({type(bgd).__name__})",
+                  f"{side}.total: {bgd.total.name}",
+                  f"{side}.base: {bgd.base.name}"]
+        for label, amap in (("s", bgd.s), ("t", bgd.t)):
+            lines += [f"{side}.{label}: {amap.name} {amap.kind} "
+                      f"{amap.source.name} -> {amap.target.name}",
+                      fmt_matrix(amap.matrix)]
+        lines += [f"{side}.gamma_lift:", fmt_matrix(bgd.gamma_lift),
+                  f"{side}.counit:", fmt_matrix(bgd.counit)]
+    lines += ["S:", fmt_matrix(h.S), "S_inv:", fmt_matrix(h.S_inv)]
+    if h.chi is None:
+        lines.append("chi: None")
+    else:
+        lines += [f"chi: {h.chi.name} {h.chi.kind} {h.chi.source.name} -> "
+                  f"{h.chi.target.name}", fmt_matrix(h.chi.matrix)]
+    return "\n".join(lines) + "\n"
+
+
+def _raises(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return f"raised: {type(exc).__name__}: {exc}\n"
+    return "returned without raising\n"
+
+
+def _library_cases():
+    from algebroids import QQ
+    from algebroids.bialgebroid import RightBialgebroid, verify_right_bialgebroid
+    from algebroids.catalog import (
+        FiniteGroup,
+        all_fixtures,
+        group_hopf_algebroid,
+        group_sum_integral,
+        matrix_sum_integral,
+        pair_groupoid_hopf_algebroid,
+    )
+    from algebroids.hopfcore import reconstruct_left
+    from algebroids.integrallab import ls_right, verify_bgdnd_right
+    from test_acceptance import _corruptions, _perturb
+
+    cases = {}
+    for n, build in enumerate(_corruptions(), 1):
+        cases[f"corruption-{n:02d}-{build.__name__}"] = \
+            lambda build=build: render(build()[0])
+
+    one = QQ.one
+
+    def kz2_rb():
+        return group_hopf_algebroid(FiniteGroup.cyclic(2), QQ).rb
+
+    def m2():
+        return pair_groupoid_hopf_algebroid(2, QQ)
+
+    def corrupt(rb, gamma=None, counit=None, s=None, t=None):
+        return RightBialgebroid(
+            rb.total, rb.base, rb.s if s is None else s,
+            rb.t if t is None else t,
+            rb.gamma_lift if gamma is None else gamma,
+            rb.counit if counit is None else counit, name="bad")
+
+    def with_matrix(amap, matrix):
+        return type(amap)(amap.source, amap.target, matrix, amap.kind,
+                          amap.name)
+
+    right = {
+        # the mirror of acceptance fixture 4
+        "kz2-counit": lambda: corrupt(
+            kz2_rb(), counit=_perturb(kz2_rb().counit, 0, 1, one)),
+        "m2-gamma": lambda: corrupt(
+            m2().rb, gamma=_perturb(m2().rb.gamma_lift, 5, 1, one)),
+        "m2-counit": lambda: corrupt(
+            m2().rb, counit=_perturb(m2().rb.counit, 1, 2, one)),
+        "m2-source": lambda: corrupt(
+            m2().rb, s=with_matrix(m2().rb.s, _perturb(m2().rb.s.matrix,
+                                                       0, 1, one))),
+        "m2-target": lambda: corrupt(
+            m2().rb, t=with_matrix(m2().rb.t, _perturb(m2().rb.t.matrix,
+                                                       3, 0, one))),
+    }
+    for name, build in right.items():
+        cases[f"right-corrupt-{name}"] = \
+            lambda build=build: render(verify_right_bialgebroid(build()))
+
+    for fx in all_fixtures():
+        cases[f"right-fixture-{fx['name']}"] = \
+            lambda fx=fx: render(verify_right_bialgebroid(fx["hopf"].rb))
+
+    def hopf(name):
+        return {fx["name"]: fx["hopf"] for fx in all_fixtures()}[name]
+
+    def vec(*xs):
+        return tuple(QQ.of(x) for x in xs)
+
+    candidates = {
+        "kz2-zero": ("kz2", vec(0, 0)),
+        "kz2-unit": ("kz2", vec(1, 0)),
+        "kz2-skew": ("kz2", vec(1, 2)),
+        "kz2-sum": ("kz2", None),
+        "kz2-twisted-skew": ("kz2-twisted", vec(1, 2)),
+        "kz3-rank2": ("kz3", vec(1, 2, 0)),
+        "kz3-skew": ("kz3", vec(1, 1, 2)),
+        "kz3-sum": ("kz3", None),
+        "m2-e11": ("m2-groupoid", vec(1, 0, 0, 0)),
+        "m2-diagonal": ("m2-groupoid", vec(1, 0, 0, 1)),
+        "m2-skew": ("m2-groupoid", vec(1, 1, 1, 2)),
+        "m2-sum": ("m2-groupoid", None),
+    }
+
+    def upsilon(h, given):
+        if given is not None:
+            return given
+        if h.total.dim == 4:
+            return matrix_sum_integral(h)
+        return group_sum_integral(h)
+
+    for name, (fx, given) in candidates.items():
+        cases[f"bgdnd-right-{name}"] = lambda fx=fx, given=given: render(
+            verify_bgdnd_right(hopf(fx).lb, upsilon(hopf(fx), given)))
+
+    for name in ("kz2-zero", "kz2-unit", "kz2-skew", "m2-e11", "m2-skew"):
+        fx, given = candidates[name]
+        cases[f"ls-right-{name}"] = lambda fx=fx, given=given: _raises(
+            lambda: ls_right(hopf(fx).lb, given))
+    for name in ("kz2-sum", "kz3-sum", "m2-sum"):
+        fx, given = candidates[name]
+        cases[f"ls-right-{name}"] = lambda fx=fx, given=given: describe_hopf(
+            ls_right(hopf(fx).lb, upsilon(hopf(fx), given)))
+
+    for fx in all_fixtures():
+        cases[f"reconstruct-left-{fx['name']}"] = lambda fx=fx: describe_hopf(
+            reconstruct_left(fx["hopf"].rb, fx["hopf"].S))
+    return cases
+
+
+def cases():
+    """Map each golden file name (relative to this directory) to the
+    function that renders its content."""
+    out = {}
+    for spec in SPECS:
+        for cmd, pre, post in COMMANDS:
+            for mode, mode_args in MODES:
+                out[f"cli/{spec}/{cmd}.{mode}.txt"] = \
+                    _cli_case(spec, pre, post, mode_args)
+    for name, fn in _library_cases().items():
+        out[f"lib/{name}.txt"] = fn
+    return out
+
+
+def existing_files():
+    return sorted(str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*.txt"))
+
+
+def main():
+    table = cases()
+    for stale in set(existing_files()) - set(table):
+        (GOLDEN / stale).unlink()
+        print(f"removed {stale}")
+    for rel, fn in sorted(table.items()):
+        path = GOLDEN / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        text = fn()
+        old = path.read_bytes() if path.exists() else None
+        new = text.encode("utf-8")
+        if old != new:
+            path.write_bytes(new)
+            print(f"{'wrote' if old is None else 'changed'} {rel}")
+    print(f"{len(table)} golden files")
+
+
+if __name__ == "__main__":
+    main()
