@@ -6,6 +6,8 @@ that basis.  Maps between algebras are matrices tagged as multiplicative
 honest when opposites get involved.
 """
 
+from math import prod
+
 from .exactfield import Matrix, vec_add, vec_is_zero, unit_vector
 from .report import Report
 
@@ -141,32 +143,7 @@ class Algebra:
 
     def fmt_vec(self, vec):
         """Human-readable form of a coefficient vector, e.g. ``e - 2*t``."""
-        terms = []
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            name = self.basis_names[i]
-            cs = self.field.fmt(c)
-            if cs == "1":
-                term = name
-            elif cs == "-1":
-                term = f"-{name}"
-            elif "/" in cs or cs.startswith("-"):
-                term = f"({cs})*{name}"
-            else:
-                term = f"{cs}*{name}"
-            terms.append(term)
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            elif t.startswith("(-"):
-                out += " + " + t
-            else:
-                out += " + " + t
-        return out
+        return fmt_terms(self.field, zip(self.basis_names, vec))
 
 
 class AlgebraElement:
@@ -388,18 +365,6 @@ def tensor_vec(dim_b, u, v):
     return tuple(out)
 
 
-def tensor_entries(u, v):
-    """Sparse Kronecker product as {(i, j): u_i * v_j}, nonzeros only."""
-    out = {}
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                out[(i, j)] = a * b
-    return out
-
-
 def tensor_square_product(alg_a, alg_b, w1, w2):
     """Componentwise product on A ⊗ B: (a⊗b)(a'⊗b') = aa' ⊗ bb'."""
     da, db = alg_a.dim, alg_b.dim
@@ -470,16 +435,14 @@ def flip_tensor(dim_a, dim_b, vec):
     return tuple(out)
 
 
-def fmt_tensor(alg_a, alg_b, vec):
-    """Readable form of a vector in A ⊗ B, e.g. ``e⊗t - t⊗e``."""
-    db = alg_b.dim
-    terms = []
-    for idx, c in enumerate(vec):
+def fmt_terms(field, terms):
+    """Join (name, coefficient) pairs into ``a + 2*b - (1/2)*c``; zero
+    coefficients are skipped and an empty sum is ``0``."""
+    out = ""
+    for name, c in terms:
         if not c:
             continue
-        i, j = divmod(idx, db)
-        name = f"{alg_a.basis_names[i]}⊗{alg_b.basis_names[j]}"
-        cs = alg_a.field.fmt(c)
+        cs = field.fmt(c)
         if cs == "1":
             term = name
         elif cs == "-1":
@@ -488,51 +451,26 @@ def fmt_tensor(alg_a, alg_b, vec):
             term = f"({cs})*{name}"
         else:
             term = f"{cs}*{name}"
-        terms.append(term)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
         else:
-            out += " + " + t
-    return out
+            out += " + " + term
+    return out or "0"
 
 
 def fmt_tensor_multi(algebras, vec):
     """Readable form of a vector in A_1 ⊗ ... ⊗ A_m (row-major index)."""
-    dims = [a.dim for a in algebras]
-    total = 1
-    for d in dims:
-        total *= d
-    if len(vec) != total:
+    if len(vec) != prod(a.dim for a in algebras):
         raise ValueError("fmt_tensor_multi length mismatch")
-    terms = []
-    for idx, c in enumerate(vec):
-        if not c:
-            continue
-        rem = idx
+
+    def name(idx):
         parts = []
-        for d in reversed(dims):
-            rem, r = divmod(rem, d)
-            parts.append(r)
-        parts.reverse()
-        name = "⊗".join(a.basis_names[p] for a, p in zip(algebras, parts))
-        cs = algebras[0].field.fmt(c)
-        if cs == "1":
-            term = name
-        elif cs == "-1":
-            term = f"-{name}"
-        else:
-            term = f"({cs})*{name}" if ("/" in cs or cs.startswith("-")) else f"{cs}*{name}"
-        terms.append(term)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+        for a in reversed(algebras):
+            idx, r = divmod(idx, a.dim)
+            parts.append(a.basis_names[r])
+        return "⊗".join(reversed(parts))
+
+    return fmt_terms(algebras[0].field,
+                     ((name(idx), c) for idx, c in enumerate(vec) if c))

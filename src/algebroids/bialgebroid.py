@@ -13,12 +13,24 @@ stable id, with explicit counterexamples on failure:
 * ``coassoc``, counit laws, and the bimodule-map conditions on both
   structure maps.
 
-Right bialgebroids mirror everything with the actions on the other side.
+A right bialgebroid is a left one read through the opposite algebra, so one
+verifier body serves both chiralities.  A small table (``_LEFT``,
+``_RIGHT``) says how each side states the axioms: the side the structure
+maps multiply on (s(l)a versus a s(r)), the coproduct leg the source acts
+on, the base letter and leg notation of the certificates, and the id of the
+commuting-images check (``elbim``/``erbim``).  The emit order of the two
+counit laws follows from the leg table: the law acting on the first leg
+comes first.
+
 Coproducts are stored as a chosen linear lift into the plain tensor square;
 all quotient-valued identities are evaluated through the canonical echelon
 normal form, so verdicts never depend on the stored representative whenever
 the relevant well-definedness checks pass.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import NamedTuple
 
 from .exactfield import Matrix
 from .algebra import (
@@ -44,54 +56,28 @@ from .report import Report
 
 
 # ---------------------------------------------------------------------------
-# contractions of a tensor-square vector against a linear endomap
+# contraction of a tensor-square vector against a linear endomap
 # (w is dense of length d*d; blocks are rows of the first factor)
 
 
-def mul_map_first(algebra, m, w):
-    """sum_i m(a^(1)) * a^(2) over the legs of w."""
-    d = algebra.dim
-    acc = algebra.zero_vec()
-    for i in range(d):
-        block = w[i * d:(i + 1) * d]
-        if any(block):
-            acc = tuple(x + y for x, y in
-                        zip(acc, algebra.mul_vec(m.col(i), block)))
-    return acc
+def contract_leg(algebra, m, w, leg, side):
+    """Sum over the legs of w of m applied to leg ``leg`` (0 or 1) times the
+    other leg, with the m-value multiplying from ``side``.
 
-def mul_first_map_second(algebra, m, w):
-    """sum_i a^(1) * m(a^(2)) over the legs of w."""
+    For example ``leg=0, side=PRE`` is m(a_(1)) a_(2) and ``leg=1,
+    side=POST`` is a_(1) m(a_(2)).
+    """
     d = algebra.dim
     acc = algebra.zero_vec()
     for i in range(d):
         block = w[i * d:(i + 1) * d]
         if any(block):
-            acc = tuple(x + y for x, y in
-                        zip(acc, algebra.mul_vec(algebra.basis_vec(i),
-                                                 m.apply(block))))
-    return acc
-
-def mul_second_map_first(algebra, m, w):
-    """sum_i a^(2) * m(a^(1)) over the legs of w."""
-    d = algebra.dim
-    acc = algebra.zero_vec()
-    for i in range(d):
-        block = w[i * d:(i + 1) * d]
-        if any(block):
-            acc = tuple(x + y for x, y in
-                        zip(acc, algebra.mul_vec(block, m.col(i))))
-    return acc
-
-def mul_map_second_first(algebra, m, w):
-    """sum_i m(a^(2)) * a^(1) over the legs of w."""
-    d = algebra.dim
-    acc = algebra.zero_vec()
-    for i in range(d):
-        block = w[i * d:(i + 1) * d]
-        if any(block):
-            acc = tuple(x + y for x, y in
-                        zip(acc, algebra.mul_vec(m.apply(block),
-                                                 algebra.basis_vec(i))))
+            if leg == 0:
+                x, y = m.col(i), block
+            else:
+                x, y = m.apply(block), algebra.basis_vec(i)
+            prod = algebra.mul_vec(x, y) if side == PRE else algebra.mul_vec(y, x)
+            acc = tuple(u + v for u, v in zip(acc, prod))
     return acc
 
 
@@ -170,6 +156,20 @@ class _BialgebroidBase:
     def counit_apply(self, vec):
         return self.counit.apply(vec)
 
+    def shared_op(self):
+        """``op()``, reusing this structure's quotients.
+
+        Pre-multiplication in A^op is post-multiplication in A, so the
+        opposite has the same junction relations and the same coproduct
+        lift: its balanced tensor powers and canonical coproduct are this
+        structure's, and building them again would repeat the same
+        elimination.
+        """
+        op = self.op()
+        op._space, op._gamma_q = self.tensor_space, self.gamma_q
+        op._canon_lift, op._triple = self.canonical_gamma_lift, self._triple
+        return op
+
 
 class LeftBialgebroid(_BialgebroidBase):
     """Total algebra A over base L with a . l = t(l) a, l . a = s(l) a."""
@@ -241,98 +241,142 @@ class RightBialgebroid(_BialgebroidBase):
                 f"{self.base.name})")
 
 
-def lb_op(lb):
-    return lb.op()
-
-def lb_cop(lb):
-    return lb.cop()
-
-def rb_op(rb):
-    return rb.op()
-
-def rb_cop(rb):
-    return rb.cop()
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-def _cert_el(algebra, label, vec):
-    return f"{label} = {algebra.fmt_vec(vec)}"
+class _Chirality(NamedTuple):
+    """How one side states the bialgebroid axioms."""
+
+    name: str     # "left" or "right", for the default report title
+    side: str     # where s and t multiply: PRE (s(l)a) or POST (a s(r))
+    s_leg: int    # the coproduct leg the source acts on: γ(s·a) = ...
+    letter: str   # the base element in certificates
+    legs: tuple   # notation of the two coproduct legs
+    bim_id: str   # id of the commuting-images check
 
 
-def verify_left_bialgebroid(lb, title=None):
-    """Run every left-bialgebroid axiom on the basis; report per identity."""
-    rep = Report(title or f"left bialgebroid {lb.name}")
-    A, L = lb.total, lb.base
-    d, dl = A.dim, L.dim
+_LEFT = _Chirality("left", PRE, 0, "l", ("a_(1)", "a_(2)"), "elbim")
+_RIGHT = _Chirality("right", POST, 1, "r", ("a^(1)", "a^(2)"), "erbim")
 
-    rep.extend(verify_algebra(A), prefix="total-")
-    rep.extend(verify_algebra(L), prefix="base-")
-    rep.extend(verify_map(lb.s), prefix="src-")
-    rep.extend(verify_map(lb.t), prefix="tgt-")
 
-    # (elbim): the images of s and t commute, so l . a . l' = s(l) t(l') a
-    # really is a bimodule action.
+def _juxt(x, y, side):
+    """Notation for x multiplying y from ``side``; a bare element name is
+    kept apart from what follows it (``a s(r)``)."""
+    if side == PRE:
+        return f"{x}{y}"
+    return f"{y} {x}" if len(y) == 1 else f"{y}{x}"
+
+
+# verify_hopf checks two bialgebroids on one total algebra; inside
+# ``sharing_total_checks()`` the second verifier reuses the first one's
+# algebra checks instead of running them again.
+_TOTAL_CHECKS = ContextVar("total_checks", default=None)
+
+
+@contextmanager
+def sharing_total_checks():
+    token = _TOTAL_CHECKS.set([])
+    try:
+        yield
+    finally:
+        _TOTAL_CHECKS.reset(token)
+
+
+def _total_checks(algebra):
+    seen = _TOTAL_CHECKS.get()
+    if seen is None:
+        return verify_algebra(algebra)
+    for other, rep in seen:
+        if other == algebra and other.basis_names == algebra.basis_names:
+            return rep
+    rep = verify_algebra(algebra)
+    seen.append((algebra, rep))
+    return rep
+
+
+def _verify_bialgebroid(bgd, ch, title):
+    """Run every axiom of chirality ``ch`` on the basis; report per identity."""
+    rep = Report(title or f"{ch.name} bialgebroid {bgd.name}")
+    A, B = bgd.total, bgd.base
+    d, db = A.dim, B.dim
+    x, legs, side = ch.letter, ch.legs, ch.side
+    other = POST if side == PRE else PRE
+    # (name, map, the coproduct leg it acts on in gamma-*-linear)
+    maps = (("s", bgd.s, ch.s_leg), ("t", bgd.t, 1 - ch.s_leg))
+
+    def mul(u, v, on):
+        """u multiplying v from side ``on``."""
+        return A.mul_vec(u, v) if on == PRE else A.mul_vec(v, u)
+
+    def at_leg(k, text):
+        return "⊗".join(text if n == k else legs[n] for n in (0, 1))
+
+    rep.extend(_total_checks(A), prefix="total-")
+    rep.extend(verify_algebra(B), prefix="base-")
+    rep.extend(verify_map(bgd.s), prefix="src-")
+    rep.extend(verify_map(bgd.t), prefix="tgt-")
+
+    # (elbim)/(erbim): the images of s and t commute, so the two base
+    # actions make A a bimodule.
     bad = []
-    for i in range(dl):
-        si = lb.s.apply(L.basis_vec(i))
-        for j in range(dl):
-            tj = lb.t.apply(L.basis_vec(j))
+    for i in range(db):
+        si = bgd.s.apply(B.basis_vec(i))
+        for j in range(db):
+            tj = bgd.t.apply(B.basis_vec(j))
             if A.mul_vec(si, tj) != A.mul_vec(tj, si):
                 bad.append(
-                    f"l = {L.basis_names[i]}, l' = {L.basis_names[j]}: "
-                    f"s(l)t(l') = {A.fmt_vec(A.mul_vec(si, tj))} but "
-                    f"t(l')s(l) = {A.fmt_vec(A.mul_vec(tj, si))}")
-    rep.add("elbim", "source and target images commute", not bad, bad)
+                    f"{x} = {B.basis_names[i]}, {x}' = {B.basis_names[j]}: "
+                    f"s({x})t({x}') = {A.fmt_vec(A.mul_vec(si, tj))} but "
+                    f"t({x}')s({x}) = {A.fmt_vec(A.mul_vec(tj, si))}")
+    rep.add(ch.bim_id, "source and target images commute", not bad, bad)
 
-    space = lb.tensor_space
+    space = bgd.tensor_space
     dims = [d, d]
-    lifts = [lb.coproduct_lift(A.basis_vec(i)) for i in range(d)]
+    lifts = [bgd.coproduct_lift(A.basis_vec(i)) for i in range(d)]
 
-    # bimodule-map conditions on the coproduct
-    bad_s, bad_t = [], []
+    # bimodule-map conditions on the coproduct: γ(s(l)a) = s(l)a_(1)⊗a_(2)
+    # and γ(t(l)a) = a_(1)⊗t(l)a_(2) on the left, mirrored on the right
+    bad = {"s": [], "t": []}
     for i in range(d):
         a = A.basis_vec(i)
-        for j in range(dl):
-            sl = lb.s.apply(L.basis_vec(j))
-            tl = lb.t.apply(L.basis_vec(j))
-            # gamma(s(l) a) = s(l) a_(1) ⊗ a_(2)
-            lhs = lb.coproduct(A.mul_vec(sl, a))
-            rhs = space.project(mult_at_factor(A, dims, 0, lifts[i], sl, PRE))
-            if lhs != rhs:
-                bad_s.append(
-                    f"a = {A.basis_names[i]}, l = {L.basis_names[j]}: "
-                    f"γ(s(l)a) = {space.fmt_q(lhs)} but s(l)a_(1)⊗a_(2) = "
-                    f"{space.fmt_q(rhs)}")
-            # gamma(t(l) a) = a_(1) ⊗ t(l) a_(2)
-            lhs = lb.coproduct(A.mul_vec(tl, a))
-            rhs = space.project(mult_at_factor(A, dims, 1, lifts[i], tl, PRE))
-            if lhs != rhs:
-                bad_t.append(
-                    f"a = {A.basis_names[i]}, l = {L.basis_names[j]}: "
-                    f"γ(t(l)a) = {space.fmt_q(lhs)} but a_(1)⊗t(l)a_(2) = "
-                    f"{space.fmt_q(rhs)}")
+        for j in range(db):
+            for m, amap, leg in maps:
+                img = amap.apply(B.basis_vec(j))
+                lhs = bgd.coproduct(mul(img, a, side))
+                rhs = space.project(
+                    mult_at_factor(A, dims, leg, lifts[i], img, side))
+                if lhs != rhs:
+                    act = f"{m}({x})"
+                    bad[m].append(
+                        f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
+                        f"γ({_juxt(act, 'a', side)}) = "
+                        f"{space.fmt_q(lhs)} but "
+                        f"{at_leg(leg, _juxt(act, legs[leg], side))} = "
+                        f"{space.fmt_q(rhs)}")
     rep.add("gamma-s-linear", "coproduct intertwines the source action",
-            not bad_s, bad_s)
+            not bad["s"], bad["s"])
     rep.add("gamma-t-linear", "coproduct intertwines the target action",
-            not bad_t, bad_t)
+            not bad["t"], bad["t"])
 
-    # (cros): a_(1) t(l) ⊗ a_(2) = a_(1) ⊗ a_(2) s(l) — the image of the
-    # coproduct commutes across the junction, which is what makes the
-    # multiplicativity test below meaningful on the quotient.
+    # (cros): a_(1)t(l)⊗a_(2) = a_(1)⊗a_(2)s(l) on the left: each map acts
+    # from the other side, on the leg the other map acted on above.  The
+    # image of the coproduct commutes across the junction, which is what
+    # makes the multiplicativity test below meaningful on the quotient.
+    on_leg = {leg: (m, amap) for m, amap, leg in maps}
+    (m0, map0), (m1, map1) = on_leg[1], on_leg[0]
     bad = []
     for i in range(d):
-        for j in range(dl):
-            tl = lb.t.apply(L.basis_vec(j))
-            sl = lb.s.apply(L.basis_vec(j))
-            u = mult_at_factor(A, dims, 0, lifts[i], tl, POST)
-            v = mult_at_factor(A, dims, 1, lifts[i], sl, POST)
+        for j in range(db):
+            bvec = B.basis_vec(j)
+            u = mult_at_factor(A, dims, 0, lifts[i], map0.apply(bvec), other)
+            v = mult_at_factor(A, dims, 1, lifts[i], map1.apply(bvec), other)
             if not space.equal(u, v):
                 bad.append(
-                    f"a = {A.basis_names[i]}, l = {L.basis_names[j]}: "
-                    f"a_(1)t(l)⊗a_(2) = {space.fmt(u)} but a_(1)⊗a_(2)s(l) = "
+                    f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
+                    f"{at_leg(0, _juxt(f'{m0}({x})', legs[0], other))} = "
+                    f"{space.fmt(u)} but "
+                    f"{at_leg(1, _juxt(f'{m1}({x})', legs[1], other))} = "
                     f"{space.fmt(v)}")
     cros_ok = not bad
     rep.add("cros", "coproduct image commutes across the junction",
@@ -342,11 +386,11 @@ def verify_left_bialgebroid(lb, title=None):
     # representatives (meaningful as a quotient statement when cros holds).
     note = "" if cros_ok else "evaluated on canonical representatives; cros failed"
     bad = []
-    g1 = lb.coproduct(A.unit)
+    g1 = bgd.coproduct(A.unit)
     u11 = space.project(tensor_apply(
-        Matrix.from_cols(lb.field, [A.unit], d),
-        Matrix.from_cols(lb.field, [A.unit], d),
-        (lb.field.one,)))
+        Matrix.from_cols(bgd.field, [A.unit], d),
+        Matrix.from_cols(bgd.field, [A.unit], d),
+        (bgd.field.one,)))
     if g1 != u11:
         bad.append(f"γ(1) = {space.fmt_q(g1)} but 1⊗1 = {space.fmt_q(u11)}")
     rep.add("gmp-unit", "coproduct preserves the unit", not bad, bad, note=note)
@@ -355,7 +399,7 @@ def verify_left_bialgebroid(lb, title=None):
     for i in range(d):
         for j in range(d):
             prod = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-            lhs = lb.coproduct(prod)
+            lhs = bgd.coproduct(prod)
             rhs = space.project(
                 tensor_square_product(A, A, lifts[i], lifts[j]))
             if lhs != rhs:
@@ -366,270 +410,102 @@ def verify_left_bialgebroid(lb, title=None):
     rep.add("gmp", "coproduct is multiplicative", not bad, bad, note=note)
 
     # coassociativity in the balanced triple power
-    triple = lb.coassoc_space
-    idm = Matrix.identity(lb.field, d)
+    triple = bgd.coassoc_space
+    idm = Matrix.identity(bgd.field, d)
     bad = []
     for i in range(d):
-        lhs = tensor_apply(lb.canonical_gamma_lift, idm, lifts[i])
-        rhs = tensor_apply(idm, lb.canonical_gamma_lift, lifts[i])
+        lhs = tensor_apply(bgd.canonical_gamma_lift, idm, lifts[i])
+        rhs = tensor_apply(idm, bgd.canonical_gamma_lift, lifts[i])
         if not triple.equal(lhs, rhs):
             bad.append(
                 f"a = {A.basis_names[i]}: (γ⊗id)γ(a) = {triple.fmt(lhs)} "
                 f"but (id⊗γ)γ(a) = {triple.fmt(rhs)}")
     rep.add("coassoc", "coproduct is coassociative", not bad, bad)
 
-    # counit bimodule-map conditions
-    bad_s, bad_t = [], []
+    # counit bimodule-map conditions: π(s(l)a) = lπ(a) and π(t(l)a) = π(a)l
+    # on the left; the base multiplies through s on the structure maps'
+    # side and through t on the other
+    bad = {"s": [], "t": []}
     for i in range(d):
         a = A.basis_vec(i)
-        pia = lb.counit_apply(a)
-        for j in range(dl):
-            lvec = L.basis_vec(j)
-            sl = lb.s.apply(lvec)
-            tl = lb.t.apply(lvec)
-            lhs = lb.counit_apply(A.mul_vec(sl, a))
-            rhs = L.mul_vec(lvec, pia)
-            if lhs != rhs:
-                bad_s.append(
-                    f"a = {A.basis_names[i]}, l = {L.basis_names[j]}: "
-                    f"π(s(l)a) = {L.fmt_vec(lhs)} but lπ(a) = {L.fmt_vec(rhs)}")
-            lhs = lb.counit_apply(A.mul_vec(tl, a))
-            rhs = L.mul_vec(pia, lvec)
-            if lhs != rhs:
-                bad_t.append(
-                    f"a = {A.basis_names[i]}, l = {L.basis_names[j]}: "
-                    f"π(t(l)a) = {L.fmt_vec(lhs)} but π(a)l = {L.fmt_vec(rhs)}")
+        pia = bgd.counit_apply(a)
+        for j in range(db):
+            bvec = B.basis_vec(j)
+            for m, amap, _ in maps:
+                on = side if m == "s" else other
+                lhs = bgd.counit_apply(mul(amap.apply(bvec), a, side))
+                rhs = B.mul_vec(bvec, pia) if on == PRE else B.mul_vec(pia, bvec)
+                if lhs != rhs:
+                    bad[m].append(
+                        f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
+                        f"π({_juxt(f'{m}({x})', 'a', side)}) = "
+                        f"{B.fmt_vec(lhs)} but {_juxt(x, 'π(a)', on)} = "
+                        f"{B.fmt_vec(rhs)}")
     rep.add("pi-s-linear", "counit intertwines the source action",
-            not bad_s, bad_s)
+            not bad["s"], bad["s"])
     rep.add("pi-t-linear", "counit intertwines the target action",
-            not bad_t, bad_t)
+            not bad["t"], bad["t"])
 
-    # counit laws
-    s_pi = lb.s.matrix @ lb.counit
-    t_pi = lb.t.matrix @ lb.counit
-    bad_s, bad_t = [], []
+    # counit laws: s(π(a_(1)))a_(2) = a = t(π(a_(2)))a_(1) on the left; the
+    # law on the first leg is the left counit law and comes first
+    laws = {m: _juxt(f"{m}(π({legs[leg]}))", legs[1 - leg], side)
+            for m, _, leg in maps}
+    through_counit = {m: amap.matrix @ bgd.counit for m, amap, _ in maps}
+    bad = {"s": [], "t": []}
     for i in range(d):
         a = A.basis_vec(i)
-        got = mul_map_first(A, s_pi, lifts[i])
-        if got != a:
-            bad_s.append(
-                f"a = {A.basis_names[i]}: s(π(a_(1)))a_(2) = {A.fmt_vec(got)}")
-        got = mul_map_second_first(A, t_pi, lifts[i])
-        if got != a:
-            bad_t.append(
-                f"a = {A.basis_names[i]}: t(π(a_(2)))a_(1) = {A.fmt_vec(got)}")
-    rep.add("counit-s", "left counit law s(π(a_(1)))a_(2) = a", not bad_s, bad_s)
-    rep.add("counit-t", "right counit law t(π(a_(2)))a_(1) = a", not bad_t, bad_t)
+        for m, _, leg in maps:
+            got = contract_leg(A, through_counit[m], lifts[i], leg, side)
+            if got != a:
+                bad[m].append(
+                    f"a = {A.basis_names[i]}: {laws[m]} = {A.fmt_vec(got)}")
+    for m, _, leg in sorted(maps, key=lambda entry: entry[2]):
+        rep.add(f"counit-{m}", f"{('left', 'right')[leg]} counit law "
+                f"{laws[m]} = a", not bad[m], bad[m])
 
     # unit/products under the counit
-    ok = lb.counit_apply(A.unit) == L.unit
+    ok = bgd.counit_apply(A.unit) == B.unit
     rep.add("pi-unit", "counit preserves the unit", ok,
-            [] if ok else [f"π(1) = {L.fmt_vec(lb.counit_apply(A.unit))}"])
+            [] if ok else [f"π(1) = {B.fmt_vec(bgd.counit_apply(A.unit))}"])
 
-    bad_s, bad_t = [], []
+    # π(a s(π(b))) = π(ab) on the left, π(s(π(a))b) = π(ab) on the right;
+    # c indexes the element of (a, b) whose counit is taken
+    c = 1 if side == PRE else 0
+    acted, counited = "ab"[1 - c], "ab"[c]
+    rules = {m: f"π({_juxt(f'{m}(π({counited}))', acted, other)})"
+             for m, _, _ in maps}
+    bad = {"s": [], "t": []}
     for i in range(d):
-        a = A.basis_vec(i)
         for j in range(d):
-            b = A.basis_vec(j)
-            pib = lb.counit_apply(b)
-            base_val = lb.counit_apply(A.mul_vec(a, b))
-            got = lb.counit_apply(A.mul_vec(a, lb.s.apply(pib)))
-            if got != base_val:
-                bad_s.append(
-                    f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"π(a s(π(b))) = {L.fmt_vec(got)} but π(ab) = "
-                    f"{L.fmt_vec(base_val)}")
-            got = lb.counit_apply(A.mul_vec(a, lb.t.apply(pib)))
-            if got != base_val:
-                bad_t.append(
-                    f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"π(a t(π(b))) = {L.fmt_vec(got)} but π(ab) = "
-                    f"{L.fmt_vec(base_val)}")
+            pair = (A.basis_vec(i), A.basis_vec(j))
+            pi_c = bgd.counit_apply(pair[c])
+            base_val = bgd.counit_apply(A.mul_vec(*pair))
+            for m, amap, _ in maps:
+                got = bgd.counit_apply(mul(amap.apply(pi_c), pair[1 - c], other))
+                if got != base_val:
+                    bad[m].append(
+                        f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
+                        f"{rules[m]} = {B.fmt_vec(got)} but π(ab) = "
+                        f"{B.fmt_vec(base_val)}")
     rep.add("pi-mult-s", "counit product rule through the source",
-            not bad_s, bad_s)
+            not bad["s"], bad["s"])
     rep.add("pi-mult-t", "counit product rule through the target",
-            not bad_t, bad_t)
+            not bad["t"], bad["t"])
     return rep
+
+
+def verify_left_bialgebroid(lb, title=None):
+    """Run every left-bialgebroid axiom on the basis; report per identity."""
+    return _verify_bialgebroid(lb, _LEFT, title)
 
 
 def verify_right_bialgebroid(rb, title=None):
-    """Run every right-bialgebroid axiom on the basis; mirror of the left case."""
-    rep = Report(title or f"right bialgebroid {rb.name}")
-    A, R = rb.total, rb.base
-    d, dr = A.dim, R.dim
+    """Run every right-bialgebroid axiom on the basis; report per identity.
 
-    rep.extend(verify_algebra(A), prefix="total-")
-    rep.extend(verify_algebra(R), prefix="base-")
-    rep.extend(verify_map(rb.s), prefix="src-")
-    rep.extend(verify_map(rb.t), prefix="tgt-")
-
-    # (erbim): commuting images make r . a . r' = a s(r') t(r) a bimodule action
-    bad = []
-    for i in range(dr):
-        si = rb.s.apply(R.basis_vec(i))
-        for j in range(dr):
-            tj = rb.t.apply(R.basis_vec(j))
-            if A.mul_vec(si, tj) != A.mul_vec(tj, si):
-                bad.append(
-                    f"r = {R.basis_names[i]}, r' = {R.basis_names[j]}: "
-                    f"s(r)t(r') = {A.fmt_vec(A.mul_vec(si, tj))} but "
-                    f"t(r')s(r) = {A.fmt_vec(A.mul_vec(tj, si))}")
-    rep.add("erbim", "source and target images commute", not bad, bad)
-
-    space = rb.tensor_space
-    dims = [d, d]
-    lifts = [rb.coproduct_lift(A.basis_vec(i)) for i in range(d)]
-
-    bad_s, bad_t = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        for j in range(dr):
-            sr = rb.s.apply(R.basis_vec(j))
-            tr = rb.t.apply(R.basis_vec(j))
-            # gamma(a s(r)) = a^(1) ⊗ a^(2) s(r)
-            lhs = rb.coproduct(A.mul_vec(a, sr))
-            rhs = space.project(mult_at_factor(A, dims, 1, lifts[i], sr, POST))
-            if lhs != rhs:
-                bad_s.append(
-                    f"a = {A.basis_names[i]}, r = {R.basis_names[j]}: "
-                    f"γ(a s(r)) = {space.fmt_q(lhs)} but a^(1)⊗a^(2)s(r) = "
-                    f"{space.fmt_q(rhs)}")
-            # gamma(a t(r)) = a^(1) t(r) ⊗ a^(2)
-            lhs = rb.coproduct(A.mul_vec(a, tr))
-            rhs = space.project(mult_at_factor(A, dims, 0, lifts[i], tr, POST))
-            if lhs != rhs:
-                bad_t.append(
-                    f"a = {A.basis_names[i]}, r = {R.basis_names[j]}: "
-                    f"γ(a t(r)) = {space.fmt_q(lhs)} but a^(1)t(r)⊗a^(2) = "
-                    f"{space.fmt_q(rhs)}")
-    rep.add("gamma-s-linear", "coproduct intertwines the source action",
-            not bad_s, bad_s)
-    rep.add("gamma-t-linear", "coproduct intertwines the target action",
-            not bad_t, bad_t)
-
-    # (cros), right version: s(r) a^(1) ⊗ a^(2) = a^(1) ⊗ t(r) a^(2)
-    bad = []
-    for i in range(d):
-        for j in range(dr):
-            sr = rb.s.apply(R.basis_vec(j))
-            tr = rb.t.apply(R.basis_vec(j))
-            u = mult_at_factor(A, dims, 0, lifts[i], sr, PRE)
-            v = mult_at_factor(A, dims, 1, lifts[i], tr, PRE)
-            if not space.equal(u, v):
-                bad.append(
-                    f"a = {A.basis_names[i]}, r = {R.basis_names[j]}: "
-                    f"s(r)a^(1)⊗a^(2) = {space.fmt(u)} but a^(1)⊗t(r)a^(2) = "
-                    f"{space.fmt(v)}")
-    cros_ok = not bad
-    rep.add("cros", "coproduct image commutes across the junction",
-            cros_ok, bad)
-
-    note = "" if cros_ok else "evaluated on canonical representatives; cros failed"
-    bad = []
-    g1 = rb.coproduct(A.unit)
-    u11 = space.project(tensor_apply(
-        Matrix.from_cols(rb.field, [A.unit], d),
-        Matrix.from_cols(rb.field, [A.unit], d),
-        (rb.field.one,)))
-    if g1 != u11:
-        bad.append(f"γ(1) = {space.fmt_q(g1)} but 1⊗1 = {space.fmt_q(u11)}")
-    rep.add("gmp-unit", "coproduct preserves the unit", not bad, bad, note=note)
-
-    bad = []
-    for i in range(d):
-        for j in range(d):
-            prod = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-            lhs = rb.coproduct(prod)
-            rhs = space.project(
-                tensor_square_product(A, A, lifts[i], lifts[j]))
-            if lhs != rhs:
-                bad.append(
-                    f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"γ(ab) = {space.fmt_q(lhs)} but γ(a)γ(b) = "
-                    f"{space.fmt_q(rhs)}")
-    rep.add("gmp", "coproduct is multiplicative", not bad, bad, note=note)
-
-    triple = rb.coassoc_space
-    idm = Matrix.identity(rb.field, d)
-    bad = []
-    for i in range(d):
-        lhs = tensor_apply(rb.canonical_gamma_lift, idm, lifts[i])
-        rhs = tensor_apply(idm, rb.canonical_gamma_lift, lifts[i])
-        if not triple.equal(lhs, rhs):
-            bad.append(
-                f"a = {A.basis_names[i]}: (γ⊗id)γ(a) = {triple.fmt(lhs)} "
-                f"but (id⊗γ)γ(a) = {triple.fmt(rhs)}")
-    rep.add("coassoc", "coproduct is coassociative", not bad, bad)
-
-    bad_s, bad_t = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        pia = rb.counit_apply(a)
-        for j in range(dr):
-            rvec = R.basis_vec(j)
-            sr = rb.s.apply(rvec)
-            tr = rb.t.apply(rvec)
-            lhs = rb.counit_apply(A.mul_vec(a, sr))
-            rhs = R.mul_vec(pia, rvec)
-            if lhs != rhs:
-                bad_s.append(
-                    f"a = {A.basis_names[i]}, r = {R.basis_names[j]}: "
-                    f"π(a s(r)) = {R.fmt_vec(lhs)} but π(a)r = {R.fmt_vec(rhs)}")
-            lhs = rb.counit_apply(A.mul_vec(a, tr))
-            rhs = R.mul_vec(rvec, pia)
-            if lhs != rhs:
-                bad_t.append(
-                    f"a = {A.basis_names[i]}, r = {R.basis_names[j]}: "
-                    f"π(a t(r)) = {R.fmt_vec(lhs)} but rπ(a) = {R.fmt_vec(rhs)}")
-    rep.add("pi-s-linear", "counit intertwines the source action",
-            not bad_s, bad_s)
-    rep.add("pi-t-linear", "counit intertwines the target action",
-            not bad_t, bad_t)
-
-    s_pi = rb.s.matrix @ rb.counit
-    t_pi = rb.t.matrix @ rb.counit
-    bad_s, bad_t = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        got = mul_second_map_first(A, t_pi, lifts[i])
-        if got != a:
-            bad_t.append(
-                f"a = {A.basis_names[i]}: a^(2)t(π(a^(1))) = {A.fmt_vec(got)}")
-        got = mul_first_map_second(A, s_pi, lifts[i])
-        if got != a:
-            bad_s.append(
-                f"a = {A.basis_names[i]}: a^(1)s(π(a^(2))) = {A.fmt_vec(got)}")
-    rep.add("counit-t", "left counit law a^(2)t(π(a^(1))) = a", not bad_t, bad_t)
-    rep.add("counit-s", "right counit law a^(1)s(π(a^(2))) = a", not bad_s, bad_s)
-
-    ok = rb.counit_apply(A.unit) == R.unit
-    rep.add("pi-unit", "counit preserves the unit", ok,
-            [] if ok else [f"π(1) = {R.fmt_vec(rb.counit_apply(A.unit))}"])
-
-    bad_s, bad_t = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        pia = rb.counit_apply(a)
-        for j in range(d):
-            b = A.basis_vec(j)
-            base_val = rb.counit_apply(A.mul_vec(a, b))
-            got = rb.counit_apply(A.mul_vec(rb.s.apply(pia), b))
-            if got != base_val:
-                bad_s.append(
-                    f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"π(s(π(a))b) = {R.fmt_vec(got)} but π(ab) = "
-                    f"{R.fmt_vec(base_val)}")
-            got = rb.counit_apply(A.mul_vec(rb.t.apply(pia), b))
-            if got != base_val:
-                bad_t.append(
-                    f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"π(t(π(a))b) = {R.fmt_vec(got)} but π(ab) = "
-                    f"{R.fmt_vec(base_val)}")
-    rep.add("pi-mult-s", "counit product rule through the source",
-            not bad_s, bad_s)
-    rep.add("pi-mult-t", "counit product rule through the target",
-            not bad_t, bad_t)
-    return rep
+    The axioms are the left ones read through the opposite algebra, stated
+    on ``rb`` itself in right-handed notation (see ``_RIGHT``).
+    """
+    return _verify_bialgebroid(rb, _RIGHT, title)
 
 
 # ---------------------------------------------------------------------------

@@ -140,22 +140,6 @@ def mult_at_factor(algebra, dims, p, vec, elem_vec, side):
     return apply_at_factor(dims, p, m, vec)
 
 
-def tensor_index(dims, indices):
-    idx = 0
-    for d, i in zip(dims, indices):
-        idx = idx * d + i
-    return idx
-
-
-def tensor_unindex(dims, flat):
-    parts = []
-    for d in reversed(dims):
-        flat, r = divmod(flat, d)
-        parts.append(r)
-    parts.reverse()
-    return tuple(parts)
-
-
 class BalancedTensorSpace:
     """A quotient of A^{⊗m} by junction relations, with canonical coordinates.
 

@@ -22,14 +22,8 @@ formulas swap their factors.
 
 from .exactfield import Matrix, Subspace
 from .algebra import HOM, ANTI, Algebra, AlgebraMap, verify_algebra
-from .bialgebroid import (
-    LeftBialgebroid,
-    RightBialgebroid,
-    mul_map_first,
-    mul_first_map_second,
-    mul_second_map_first,
-    mul_map_second_first,
-)
+from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
+from .bimodtensor import PRE, POST
 from .report import Report
 
 LOWER_STAR = "lower-star"    # φ(t_L(l) a) = φ(a) l   on a left bialgebroid
@@ -194,26 +188,26 @@ class DualModule:
 
 def act_lower_star(lb, avec, phi):
     """a ↼ φ = s_L(φ(a_(1))) a_(2), for φ in the lower-star dual."""
-    return mul_map_first(lb.total, lb.s.matrix @ phi,
-                         lb.coproduct_lift(avec))
+    return contract_leg(lb.total, lb.s.matrix @ phi,
+                        lb.coproduct_lift(avec), 0, PRE)
 
 
 def act_star_lower(lb, avec, phi):
     """a ⇂ φ = t_L(φ(a_(2))) a_(1), for φ in the star-lower dual."""
-    return mul_map_second_first(lb.total, lb.t.matrix @ phi,
-                                lb.coproduct_lift(avec))
+    return contract_leg(lb.total, lb.t.matrix @ phi,
+                        lb.coproduct_lift(avec), 1, PRE)
 
 
 def act_upper_star(rb, phi, avec):
     """φ ⇀ a = a^(2) t_R(φ(a^(1))), for φ in the upper-star dual."""
-    return mul_second_map_first(rb.total, rb.t.matrix @ phi,
-                                rb.coproduct_lift(avec))
+    return contract_leg(rb.total, rb.t.matrix @ phi,
+                        rb.coproduct_lift(avec), 0, POST)
 
 
 def act_star_upper(rb, phi, avec):
     """φ ⇁ a = a^(1) s_R(φ(a^(2))), for φ in the star-upper dual."""
-    return mul_first_map_second(rb.total, rb.s.matrix @ phi,
-                                rb.coproduct_lift(avec))
+    return contract_leg(rb.total, rb.s.matrix @ phi,
+                        rb.coproduct_lift(avec), 1, POST)
 
 
 def transpose_left(phi, algebra, avec):

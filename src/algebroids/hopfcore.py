@@ -38,8 +38,8 @@ from .bimodtensor import PRE, POST, ActionSpec, Junction, BalancedTensorSpace
 from .bialgebroid import (
     LeftBialgebroid,
     RightBialgebroid,
-    mul_map_first,
-    mul_first_map_second,
+    contract_leg,
+    sharing_total_checks,
     verify_left_bialgebroid,
     verify_right_bialgebroid,
     verify_left_morphism,
@@ -115,13 +115,6 @@ class HopfAlgebroid:
         return f"HopfAlgebroid({self.name!r} on {self.total.name})"
 
 
-def hopf_op(h):
-    return h.op()
-
-def hopf_cop(h):
-    return h.cop()
-
-
 def solve_base_antiiso(lb, rb):
     """Solve s_L ∘ χ = t_R for χ: R → L; None when no solution exists."""
     sol = lb.s.matrix.solve_matrix(rb.t.matrix)
@@ -145,8 +138,9 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     d = A.dim
 
     if include_bialgebroids:
-        rep.extend(verify_left_bialgebroid(lb), prefix="lb-")
-        rep.extend(verify_right_bialgebroid(rb), prefix="rb-")
+        with sharing_total_checks():
+            rep.extend(verify_left_bialgebroid(lb), prefix="lb-")
+            rep.extend(verify_right_bialgebroid(rb), prefix="rb-")
 
     ok = lb.total == rb.total
     rep.add("same-total", "both bialgebroids live on one algebra", ok,
@@ -271,13 +265,13 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     bad_l, bad_r = [], []
     for i in range(d):
         a = A.basis_vec(i)
-        got = mul_map_first(A, h.S, lb.coproduct_lift(a))
+        got = contract_leg(A, h.S, lb.coproduct_lift(a), 0, PRE)
         want = sr_pir.apply(a)
         if got != want:
             bad_l.append(
                 f"a = {A.basis_names[i]}: S(a_(1))a_(2) = {A.fmt_vec(got)} "
                 f"but s_R(π_R(a)) = {A.fmt_vec(want)}")
-        got = mul_first_map_second(A, h.S, rb.coproduct_lift(a))
+        got = contract_leg(A, h.S, rb.coproduct_lift(a), 1, POST)
         want = sl_pil.apply(a)
         if got != want:
             bad_r.append(
@@ -421,39 +415,43 @@ def reconstruct_right(lb, antipode, antipode_inv=None, nu=None):
 def reconstruct_left(rb, antipode, antipode_inv=None, mu=None):
     """Rebuild the left bialgebroid of a Hopf algebroid from (rb, S).
 
-    Mirror of reconstruct_right: the new base is the opposite of the right
-    base (via ``mu`` when supplied), the source is t_R, the target S⁻¹∘t_R,
-    the coproduct flip(S⁻¹⊗S⁻¹)∘γ_R∘S and the counit π_R∘S.
+    The opposite of rb is a left bialgebroid on A^op with antipode S⁻¹, so
+    reconstruct_right builds the opposite of the wanted Hopf algebroid; read
+    back through op it gives, over the opposite of the right base (via
+    ``mu`` when supplied), the source t_R, the target S⁻¹∘t_R, the
+    coproduct flip(S⁻¹⊗S⁻¹)∘γ_R∘S and the counit π_R∘S.
     """
-    A = rb.total
-    d = A.dim
-    field = rb.field
-    S = antipode
-    S_inv = antipode_inv if antipode_inv is not None else S.inverse()
+    S_inv = antipode_inv if antipode_inv is not None else antipode.inverse()
     if S_inv is None:
         raise ValueError("antipode must be invertible to reconstruct")
-    if mu is None:
-        L = opposite(rb.base)
-        mu = AlgebraMap(L, L, Matrix.identity(field, L.dim), HOM, "μ")
-        mu_inv_mat = mu.matrix
+    mirror = reconstruct_right(rb.shared_op(), S_inv, antipode, nu=mu)
+    return from_opposite(mirror, rb)
+
+
+def from_opposite(mirror, given):
+    """The opposite of ``mirror``, a Hopf algebroid built from
+    ``given.op()``, rebuilt around the caller's own bialgebroid.
+
+    ``mirror.op()`` holds a copy of ``given`` on a double-opposite algebra
+    under a suffixed name; keep ``given`` itself instead, move the other
+    side onto ``given``'s total algebra under the names a direct
+    construction gives it, and keep χ pointing from the right base to the
+    left base.
+    """
+    h = mirror.op()
+    A = given.total
+    if isinstance(given, RightBialgebroid):
+        built, cls, side, suffix = h.lb, LeftBialgebroid, "L", "_left"
     else:
-        L = mu.target
-        mu_inv_mat = mu.matrix.inverse()
-        if mu_inv_mat is None:
-            raise ValueError("base identification must be invertible")
-    s_l = AlgebraMap(L, A, rb.t.matrix @ mu_inv_mat, HOM, "s_L")
-    t_l = AlgebraMap(L, A, S_inv @ rb.t.matrix @ mu_inv_mat, ANTI, "t_L")
-    gamma_cols = []
-    for j in range(d):
-        w = rb.canonical_gamma_lift.apply(S.col(j))
-        gamma_cols.append(flip_tensor(d, d, tensor_apply(S_inv, S_inv, w)))
-    gamma_l = Matrix.from_cols(field, gamma_cols, d * d)
-    counit_l = mu.matrix @ rb.counit @ S
-    lb = LeftBialgebroid(A, L, s_l, t_l, gamma_l, counit_l,
-                         name=f"{rb.name}_left")
-    chi = AlgebraMap(rb.base, L, mu.matrix, ANTI, "χ")
-    return HopfAlgebroid(lb, rb, S, S_inv, base_antiiso=chi,
-                         name=f"{rb.name}_hopf")
+        built, cls, side, suffix = h.rb, RightBialgebroid, "R", "_right"
+    s = AlgebraMap(built.base, A, built.s.matrix, built.s.kind, f"s_{side}")
+    t = AlgebraMap(built.base, A, built.t.matrix, built.t.kind, f"t_{side}")
+    new = cls(A, built.base, s, t, built.gamma_lift, built.counit,
+              name=f"{given.name}{suffix}")
+    lb, rb = (new, given) if cls is LeftBialgebroid else (given, new)
+    chi = AlgebraMap(rb.base, lb.base, h.chi.matrix, ANTI, "χ")
+    return HopfAlgebroid(lb, rb, h.S, h.S_inv, base_antiiso=chi,
+                         name=f"{given.name}_hopf")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,7 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     bad = []
     for i in range(d):
         a = A.basis_vec(i)
-        got = mul_map_first(A, S, lb.coproduct_lift(a))
+        got = contract_leg(A, S, lb.coproduct_lift(a), 0, PRE)
         want = t_pi_s.apply(a)
         if got != want:
             bad.append(
@@ -605,7 +603,7 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     bad = []
     for i in range(d):
         a = A.basis_vec(i)
-        got = mul_map_first(A, S, lb.coproduct_lift(a))
+        got = contract_leg(A, S, lb.coproduct_lift(a), 0, PRE)
         want = t_pi_s.apply(a)
         if got != want:
             bad.append(
@@ -629,7 +627,7 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     for i in range(d):
         a = A.basis_vec(i)
         w = section.apply(lb.coproduct(a))
-        got = mul_first_map_second(A, S, w)
+        got = contract_leg(A, S, w, 1, POST)
         want = s_pi.apply(a)
         if got != want:
             bad.append(

@@ -13,6 +13,7 @@ possible, and every claimed identity is replayed on a full basis.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
 from .algebra import ANTI, HOM, AlgebraMap, tensor_apply, flip_tensor, verify_map
@@ -40,7 +41,7 @@ from .dualspace import (
     transpose_left,
     transpose_right,
 )
-from .hopfcore import reconstruct_left, reconstruct_right, verify_hopf
+from .hopfcore import from_opposite, reconstruct_left, verify_hopf
 
 LEFT = "left"
 RIGHT = "right"
@@ -793,6 +794,99 @@ def _right_bgdnd_data(rb, ell):
     return data
 
 
+class _IntegralNotation(NamedTuple):
+    """How one side states the non-degeneracy of an integral.
+
+    The statements are made about a right bialgebroid; the right integrals
+    of a left bialgebroid are decided on its opposite, where ℓ_R and ᵣℓ
+    read as Υ_L and ₗΥ and the two exchange identities trade places.
+    """
+
+    # (id, label, failure) for the bijectivity of ℓ_R and of ᵣℓ
+    bijective: tuple
+    # (identity on the right bialgebroid, (id, label, skip note,
+    # certificate)), in emit order
+    exchange: tuple
+    refusal: str       # ValueError text when the precondition fails
+    not_inverse: str   # when the two candidate antipodes are not inverse
+
+
+_ON_RIGHT = _IntegralNotation(
+    (("bgdnd-ell-r", "ℓ_R : 𝒜* → A is bijective",
+      "dim 𝒜* = {dim}, rank ℓ_R = {rank} of {d}"),
+     ("bgdnd-r-ell", "ᵣℓ : *𝒜 → A is bijective",
+      "dim *𝒜 = {dim}, rank ᵣℓ = {rank} of {d}")),
+    (("sf", ("sf", "ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ = [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾ ⊗ ℓ⁽²⁾",
+             "*λ unavailable: ᵣℓ is not bijective",
+             "ℓ⁽¹⁾⊗aℓ⁽²⁾ = {} but [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾⊗ℓ⁽²⁾ = {}")),
+     ("sb", ("sb", "aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾",
+             "λ* unavailable: ℓ_R is not bijective",
+             "aℓ⁽¹⁾⊗ℓ⁽²⁾ = {} but ℓ⁽¹⁾⊗[(λ*↼a)⇀ℓ]ℓ⁽²⁾ = {}"))),
+    "not a non-degenerate integral for the right bialgebroid: ",
+    "(*λ⇂a)⇁ℓ and (λ*↼a)⇀ℓ are not mutually inverse")
+
+_ON_LEFT = _IntegralNotation(
+    (("bgdnd-ups-l", "Υ_L : 𝒜_* → A is bijective",
+      "dim 𝒜_* = {dim}, rank Υ_L = {rank} of {d}"),
+     ("bgdnd-l-ups", "ₗΥ : ₍*₎𝒜 → A is bijective",
+      "dim ₍*₎𝒜 = {dim}, rank ₗΥ = {rank} of {d}")),
+    (("sb", ("sf", "Υ₍1₎a ⊗ Υ₍2₎ = Υ₍1₎ ⊗ Υ₍2₎[Υ↼(a⇀ρ*)]",
+             "ρ* unavailable: Υ_L is not bijective",
+             "Υ₍1₎a⊗Υ₍2₎ = {} but Υ₍1₎⊗Υ₍2₎[Υ↼(a⇀ρ*)] = {}")),
+     ("sf", ("sb", "Υ₍1₎ ⊗ Υ₍2₎a = Υ₍1₎[Υ⇂(a⇁*ρ)] ⊗ Υ₍2₎",
+             "*ρ unavailable: ₗΥ is not bijective",
+             "Υ₍1₎⊗Υ₍2₎a = {} but Υ₍1₎[Υ⇂(a⇁*ρ)]⊗Υ₍2₎ = {}"))),
+    "not a non-degenerate right integral for the left bialgebroid: ",
+    "Υ↼(a⇀ρ*) and Υ⇂(a⇁*ρ) are not mutually inverse")
+
+# (sf) moves a from the second leg with *λ, (sb) from the first with λ*:
+# (dual element, its action, the leg a multiplies)
+_EXCHANGES = {"sf": ("star_lambda", act_star_upper, 1),
+              "sb": ("lambda_star", act_upper_star, 0)}
+
+
+def _verify_bgdnd(rb, ell, title, notation):
+    """The checks of ``verify_bgdnd``, reported in ``notation``."""
+    rep = Report(title)
+    A = rb.total
+    d = A.dim
+    ell = tuple(ell)
+    data = _right_bgdnd_data(rb, ell)
+
+    for (cid, label, failure), key, module, action in zip(
+            notation.bijective, ("lambda_star", "star_lambda"),
+            ("upper", "star_upper"), ("ellR", "Rell")):
+        ok = data[key] is not None
+        rep.add(cid, label, ok,
+                [] if ok else [failure.format(dim=data[module].dim,
+                                              rank=data[action].rank(), d=d)])
+
+    space = rb.tensor_space
+    lift = rb.coproduct_lift(ell)
+    ident = Matrix.identity(rb.field, d)
+    for law, (cid, label, skip, certificate) in notation.exchange:
+        key, act, leg = _EXCHANGES[law]
+        lam = data[key]
+        if lam is None:
+            rep.add_skip(cid, label, note=skip)
+            continue
+        bad = []
+        for i in range(d):
+            avec = A.basis_vec(i)
+            here = [ident, ident]
+            here[leg] = A.left_mult_matrix(avec)
+            moved = act(rb, transpose_right(lam, A, avec), ell)
+            there = [ident, ident]
+            there[1 - leg] = A.left_mult_matrix(moved)
+            lhs = tensor_apply(*here, lift)
+            rhs = tensor_apply(*there, lift)
+            if not space.equal(lhs, rhs):
+                bad.append(f"a = {A.basis_names[i]}: "
+                           + certificate.format(space.fmt(lhs), space.fmt(rhs)))
+        rep.add(cid, label, not bad, bad)
+    return rep
+
+
 def verify_bgdnd(rb, ell, title=None):
     """Decide whether ℓ is a non-degenerate integral for a right
     bialgebroid (no antipode assumed):
@@ -802,61 +896,8 @@ def verify_bgdnd(rb, ell, title=None):
         (sf)  ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ = [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾ ⊗ ℓ⁽²⁾
         (sb)  aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾
     """
-    rep = Report(title or f"integral non-degeneracy in {rb.name}")
-    A = rb.total
-    d = A.dim
-    ell = tuple(ell)
-    data = _right_bgdnd_data(rb, ell)
-
-    ok = data["lambda_star"] is not None
-    rep.add("bgdnd-ell-r", "ℓ_R : 𝒜* → A is bijective", ok,
-            [] if ok else [f"dim 𝒜* = {data['upper'].dim}, "
-                           f"rank ℓ_R = {data['ellR'].rank()} of {d}"])
-    ok = data["star_lambda"] is not None
-    rep.add("bgdnd-r-ell", "ᵣℓ : *𝒜 → A is bijective", ok,
-            [] if ok else [f"dim *𝒜 = {data['star_upper'].dim}, "
-                           f"rank ᵣℓ = {data['Rell'].rank()} of {d}"])
-
-    space = rb.tensor_space
-    lift = rb.coproduct_lift(ell)
-    ident = Matrix.identity(rb.field, d)
-
-    if data["star_lambda"] is None:
-        rep.add_skip("sf", "ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ = [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾ ⊗ ℓ⁽²⁾",
-                     note="*λ unavailable: ᵣℓ is not bijective")
-    else:
-        bad = []
-        for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = tensor_apply(ident, A.left_mult_matrix(avec), lift)
-            moved = act_star_upper(
-                rb, transpose_right(data["star_lambda"], A, avec), ell)
-            rhs = tensor_apply(A.left_mult_matrix(moved), ident, lift)
-            if not space.equal(lhs, rhs):
-                bad.append(f"a = {A.basis_names[i]}: ℓ⁽¹⁾⊗aℓ⁽²⁾ = "
-                           f"{space.fmt(lhs)} but [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾⊗ℓ⁽²⁾ = "
-                           f"{space.fmt(rhs)}")
-        rep.add("sf", "ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ = [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾ ⊗ ℓ⁽²⁾",
-                not bad, bad)
-
-    if data["lambda_star"] is None:
-        rep.add_skip("sb", "aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾",
-                     note="λ* unavailable: ℓ_R is not bijective")
-    else:
-        bad = []
-        for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = tensor_apply(A.left_mult_matrix(avec), ident, lift)
-            moved = act_upper_star(
-                rb, transpose_right(data["lambda_star"], A, avec), ell)
-            rhs = tensor_apply(ident, A.left_mult_matrix(moved), lift)
-            if not space.equal(lhs, rhs):
-                bad.append(f"a = {A.basis_names[i]}: aℓ⁽¹⁾⊗ℓ⁽²⁾ = "
-                           f"{space.fmt(lhs)} but ℓ⁽¹⁾⊗[(λ*↼a)⇀ℓ]ℓ⁽²⁾ = "
-                           f"{space.fmt(rhs)}")
-        rep.add("sb", "aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾",
-                not bad, bad)
-    return rep
+    return _verify_bgdnd(rb, ell, title or f"integral non-degeneracy in "
+                         f"{rb.name}", _ON_RIGHT)
 
 
 def lac_check(rb, k_elem, title=None):
@@ -919,10 +960,18 @@ def ls_antipode(rb, ell, name=None):
     γ_R(S⁻¹(a)) = (λ*↼a)⇀ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ are asserted along the way, the result
     passes the full verifier, and ℓ stays non-degenerate in the result.
     """
-    pre = verify_bgdnd(rb, ell)
+    h = _ls(rb, ell, _ON_RIGHT)
+    if name:
+        h.name = name
+    return h
+
+
+def _ls(rb, ell, notation):
+    """The construction of ``ls_antipode``; its precondition is reported
+    and refused in ``notation``."""
+    pre = _verify_bgdnd(rb, ell, "", notation)
     if not pre.passed:
-        raise ValueError("not a non-degenerate integral for the right "
-                         "bialgebroid: " + _fail_lines(pre))
+        raise ValueError(notation.refusal + _fail_lines(pre))
     A = rb.total
     d = A.dim
     ell = tuple(ell)
@@ -938,7 +987,7 @@ def ls_antipode(rb, ell, name=None):
     ident = Matrix.identity(rb.field, d)
     _require(antipode @ antipode_inv == ident
              and antipode_inv @ antipode == ident,
-             "(*λ⇂a)⇁ℓ and (λ*↼a)⇀ℓ are not mutually inverse")
+             notation.not_inverse)
 
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
@@ -960,8 +1009,6 @@ def ls_antipode(rb, ell, name=None):
                  f"(grsi) fails at a = {A.basis_names[i]}")
 
     h = reconstruct_left(rb, antipode, antipode_inv)
-    if name:
-        h.name = name
 
     # the reconstructed left coproduct agrees with the directly mirrored
     # lift flip(S ⊗ S)γ_R(S⁻¹(a)) as classes in A ⊗_L A
@@ -982,119 +1029,34 @@ def ls_antipode(rb, ell, name=None):
 
 
 def verify_bgdnd_right(lb, upsilon, title=None):
-    """Mirror of ``verify_bgdnd`` for a right integral candidate in a left
+    """Decide whether Υ is a non-degenerate right integral for a left
     bialgebroid: Υ_L : 𝒜_* → A, φ ↦ Υ↼φ and ₗΥ : ₍*₎𝒜 → A, φ ↦ Υ⇂φ must be
     bijective, and the exchange identities hold in A ⊗_L A:
 
         (sf)  Υ₍1₎a ⊗ Υ₍2₎ = Υ₍1₎ ⊗ Υ₍2₎[Υ↼(a⇀ρ*)]
         (sb)  Υ₍1₎ ⊗ Υ₍2₎a = Υ₍1₎[Υ⇂(a⇁*ρ)] ⊗ Υ₍2₎
+
+    This is ``verify_bgdnd`` on the opposite right bialgebroid, where ℓ_R
+    and ᵣℓ are Υ_L and ₗΥ and its (sb) and (sf) are these (sf) and (sb).
     """
-    rep = Report(title or f"right-integral non-degeneracy in {lb.name}")
-    A = lb.total
-    d = A.dim
-    upsilon = tuple(upsilon)
-
-    lower = DualModule(lb, LOWER_STAR)
-    star_lower = DualModule(lb, STAR_LOWER)
-    ups_l = _action_matrix(act_lower_star, lb, lower, upsilon)
-    l_ups = _action_matrix(act_star_lower, lb, star_lower, upsilon)
-
-    rho = None
-    if lower.dim == d and ups_l.rank() == d:
-        rho = lower.element(ups_l.inverse().apply(A.unit))
-    rep.add("bgdnd-ups-l", "Υ_L : 𝒜_* → A is bijective", rho is not None,
-            [] if rho is not None else
-            [f"dim 𝒜_* = {lower.dim}, rank Υ_L = {ups_l.rank()} of {d}"])
-    srho = None
-    if star_lower.dim == d and l_ups.rank() == d:
-        srho = star_lower.element(l_ups.inverse().apply(A.unit))
-    rep.add("bgdnd-l-ups", "ₗΥ : ₍*₎𝒜 → A is bijective", srho is not None,
-            [] if srho is not None else
-            [f"dim ₍*₎𝒜 = {star_lower.dim}, rank ₗΥ = {l_ups.rank()} of {d}"])
-
-    space = lb.tensor_space
-    lift = lb.coproduct_lift(upsilon)
-    ident = Matrix.identity(lb.field, d)
-
-    if rho is None:
-        rep.add_skip("sf", "Υ₍1₎a ⊗ Υ₍2₎ = Υ₍1₎ ⊗ Υ₍2₎[Υ↼(a⇀ρ*)]",
-                     note="ρ* unavailable: Υ_L is not bijective")
-    else:
-        bad = []
-        for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = tensor_apply(A.right_mult_matrix(avec), ident, lift)
-            moved = act_lower_star(lb, upsilon,
-                                   transpose_left(rho, A, avec))
-            rhs = tensor_apply(ident, A.right_mult_matrix(moved), lift)
-            if not space.equal(lhs, rhs):
-                bad.append(f"a = {A.basis_names[i]}: Υ₍1₎a⊗Υ₍2₎ = "
-                           f"{space.fmt(lhs)} but Υ₍1₎⊗Υ₍2₎[Υ↼(a⇀ρ*)] = "
-                           f"{space.fmt(rhs)}")
-        rep.add("sf", "Υ₍1₎a ⊗ Υ₍2₎ = Υ₍1₎ ⊗ Υ₍2₎[Υ↼(a⇀ρ*)]", not bad, bad)
-
-    if srho is None:
-        rep.add_skip("sb", "Υ₍1₎ ⊗ Υ₍2₎a = Υ₍1₎[Υ⇂(a⇁*ρ)] ⊗ Υ₍2₎",
-                     note="*ρ unavailable: ₗΥ is not bijective")
-    else:
-        bad = []
-        for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = tensor_apply(ident, A.right_mult_matrix(avec), lift)
-            moved = act_star_lower(lb, upsilon,
-                                   transpose_left(srho, A, avec))
-            rhs = tensor_apply(A.right_mult_matrix(moved), ident, lift)
-            if not space.equal(lhs, rhs):
-                bad.append(f"a = {A.basis_names[i]}: Υ₍1₎⊗Υ₍2₎a = "
-                           f"{space.fmt(lhs)} but Υ₍1₎[Υ⇂(a⇁*ρ)]⊗Υ₍2₎ = "
-                           f"{space.fmt(rhs)}")
-        rep.add("sb", "Υ₍1₎ ⊗ Υ₍2₎a = Υ₍1₎[Υ⇂(a⇁*ρ)] ⊗ Υ₍2₎", not bad, bad)
-    return rep
+    return _verify_bgdnd(lb.shared_op(), upsilon,
+                         title or f"right-integral non-degeneracy in "
+                         f"{lb.name}", _ON_LEFT)
 
 
 def ls_right(lb, upsilon, name=None):
-    """Mirror of ``ls_antipode``: construct the antipode of a left
-    bialgebroid from a non-degenerate right integral Υ,
+    """Construct the antipode of a left bialgebroid from a non-degenerate
+    right integral Υ,
 
         S(a) = Υ↼(a⇀ρ*),          S⁻¹(a) = Υ⇂(a⇁*ρ),
 
-    with ρ* = Υ_L⁻¹(1) and *ρ = ₗΥ⁻¹(1), assembling the right bialgebroid
-    by reconstruction.  Agrees with ``ls_antipode`` applied to the opposite
-    right bialgebroid."""
-    pre = verify_bgdnd_right(lb, upsilon)
-    if not pre.passed:
-        raise ValueError("not a non-degenerate right integral for the left "
-                         "bialgebroid: " + _fail_lines(pre))
-    A = lb.total
-    d = A.dim
-    upsilon = tuple(upsilon)
-
-    lower = DualModule(lb, LOWER_STAR)
-    star_lower = DualModule(lb, STAR_LOWER)
-    ups_l = _action_matrix(act_lower_star, lb, lower, upsilon)
-    l_ups = _action_matrix(act_star_lower, lb, star_lower, upsilon)
-    rho = lower.element(ups_l.inverse().apply(A.unit))
-    srho = star_lower.element(l_ups.inverse().apply(A.unit))
-
-    s_cols = [act_lower_star(lb, upsilon,
-                             transpose_left(rho, A, A.basis_vec(i)))
-              for i in range(d)]
-    antipode = Matrix.from_cols(lb.field, s_cols, d)
-    si_cols = [act_star_lower(lb, upsilon,
-                              transpose_left(srho, A, A.basis_vec(i)))
-               for i in range(d)]
-    antipode_inv = Matrix.from_cols(lb.field, si_cols, d)
-    ident = Matrix.identity(lb.field, d)
-    _require(antipode @ antipode_inv == ident
-             and antipode_inv @ antipode == ident,
-             "Υ↼(a⇀ρ*) and Υ⇂(a⇁*ρ) are not mutually inverse")
-
-    h = reconstruct_right(lb, antipode, antipode_inv)
+    with ρ* = Υ_L⁻¹(1) and *ρ = ₗΥ⁻¹(1), and assemble the right
+    bialgebroid by reconstruction.  This is ``ls_antipode`` on the opposite
+    right bialgebroid (whose antipode is S⁻¹), read back onto ``lb``.
+    """
+    h = from_opposite(_ls(lb.shared_op(), upsilon, _ON_LEFT), lb)
     if name:
         h.name = name
-    rep = verify_hopf(h)
-    _require(rep.passed, "the reconstructed Hopf algebroid failed "
-             "verification: " + _fail_lines(rep))
     return h
 
 
