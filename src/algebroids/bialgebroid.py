@@ -124,11 +124,11 @@ class _BialgebroidBase:
 
     @property
     def coassoc_space(self):
-        """The balanced triple power for the coassociativity check (cached)."""
+        """The balanced triple power for the coassociativity check (cached),
+        built on ``tensor_space``."""
         if self._triple is None:
-            j = self.junction()
             self._triple = BalancedTensorSpace(
-                [self.total, self.total, self.total], [j, j])
+                [self.tensor_space, self.total], [self.junction()])
         return self._triple
 
     @property

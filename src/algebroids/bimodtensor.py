@@ -147,23 +147,55 @@ class BalancedTensorSpace:
     columns of the relation span's reduced echelon form; ``lift`` places
     quotient coordinates back at those columns, which is the canonical linear
     section of ``project``.
+
+    A space of three or more factors is built on its *head*, the quotient
+    of all factors but the last: it is (head ⊗ A) modulo the last junction's
+    relations, eliminated in the q·d coordinates of that product (q the
+    head's dimension) instead of in the full tensor power.  The first factor
+    may be an existing head space, which is then shared rather than rebuilt:
+    ``BalancedTensorSpace([pair, A], [j])`` is pair ⊗_j A.  Staging changes
+    no coordinate.  Free column (f, k) of the staged product sits at column
+    ``head.free_cols[f] * d + k`` of the tensor power, a monotone map, so
+    the reduced echelon pivots of the whole relation span are the head's
+    pivots at every k together with the embedded pivots of the staged span,
+    and every normal form is the one a single elimination over A^{⊗m} gives.
     """
 
     def __init__(self, algebras, junctions):
-        algebras = list(algebras)
+        factors = list(algebras)
         junctions = list(junctions)
-        if len(junctions) != len(algebras) - 1:
+        if len(junctions) != len(factors) - 1:
             raise ValueError("need exactly one junction between adjacent factors")
-        self.algebras = algebras
-        self.field = algebras[0].field
-        self.dims = [a.dim for a in algebras]
+        if isinstance(factors[0], BalancedTensorSpace) and len(factors) == 2:
+            head = factors[0]
+        elif len(factors) > 2:
+            head = BalancedTensorSpace(factors[:-1], junctions[:-1])
+        else:
+            head = None
+        if head is not None:
+            factors = head.algebras + factors[-1:]
+            junctions = head.junctions + junctions[-1:]
+            if len(junctions) != len(factors) - 1:
+                raise ValueError("a head space must carry its own junctions")
+        self.algebras = factors
+        self.field = factors[0].field
+        self.dims = [a.dim for a in factors]
         self.total_dim = prod(self.dims)
         self.junctions = junctions
-        self.echelon = SparseEchelon(self.field, self.total_dim)
+        self.head = head
+        if head is None:
+            self.echelon = SparseEchelon(self.field, self.total_dim)
+        else:
+            # the head-quotient coordinates of each leading basis tensor
+            one = self.field.one
+            self._head_cols = [head._coords({c: one})
+                               for c in range(head.total_dim)]
+            self.echelon = SparseEchelon(self.field,
+                                         head.dim * self.dims[-1])
         self._build_relations()
-        pivot_set = set(self.echelon.rows)
-        self.free_cols = tuple(c for c in range(self.total_dim)
-                               if c not in pivot_set)
+        rows = self.echelon.rows
+        self.free_cols = tuple(self._embed(s) for s in range(self.echelon.ncols)
+                               if s not in rows)
         self._free_index = {c: i for i, c in enumerate(self.free_cols)}
         self._projection = None
         self._section = None
@@ -171,39 +203,75 @@ class BalancedTensorSpace:
     # -- construction ---------------------------------------------------------
 
     def _build_relations(self):
-        dims = self.dims
-        strides = [prod(dims[q + 1:], start=1) for q in range(len(dims))]
-        for p, junc in enumerate(self.junctions):
-            dl, dr = dims[p], dims[p + 1]
-            base_dim = junc.base.dim
-            # pairwise relations over factor pair (p, p+1), sparse over (i, j)
-            pair_rels = []
-            for b in range(base_dim):
-                for i in range(dl):
-                    acted_l = junc.right.act_basis(b, self.algebras[p].basis_vec(i))
-                    for j in range(dr):
-                        acted_r = junc.left.act_basis(b, self.algebras[p + 1].basis_vec(j))
-                        rel = {}
-                        for k, c in enumerate(acted_l):
-                            if c:
-                                rel[(k, j)] = rel.get((k, j), self.field.zero) + c
-                        for k, c in enumerate(acted_r):
-                            if c:
-                                rel[(i, k)] = rel.get((i, k), self.field.zero) - c
-                        rel = {key: v for key, v in rel.items() if v}
-                        if rel:
-                            pair_rels.append(rel)
-            # embed each pairwise relation at every combination of the other factors
-            other = [q for q in range(len(dims)) if q not in (p, p + 1)]
-            offsets = [0]
-            for q in other:
-                offsets = [off + t * strides[q]
-                           for off in offsets for t in range(dims[q])]
-            sl, sr = strides[p], strides[p + 1]
-            for rel in pair_rels:
-                for off in offsets:
-                    vec = {off + i * sl + j * sr: c for (i, j), c in rel.items()}
-                    self.echelon.insert(vec)
+        """Eliminate the last junction's relations at every index of the
+        factors before it; the earlier junctions are the head's."""
+        if not self.junctions:
+            return
+        junc = self.junctions[-1]
+        left, right = self.algebras[-2:]
+        dl, dr = self.dims[-2:]
+        zero = self.field.zero
+        pair_rels = []
+        for b in range(junc.base.dim):
+            acted_r = [junc.left.act_basis(b, right.basis_vec(j))
+                       for j in range(dr)]
+            for i in range(dl):
+                acted_l = junc.right.act_basis(b, left.basis_vec(i))
+                for j in range(dr):
+                    rel = {}
+                    for k, c in enumerate(acted_l):
+                        if c:
+                            rel[k * dr + j] = rel.get(k * dr + j, zero) + c
+                    for k, c in enumerate(acted_r[j]):
+                        if c:
+                            rel[i * dr + k] = rel.get(i * dr + k, zero) - c
+                    rel = {key: v for key, v in rel.items() if v}
+                    if rel:
+                        pair_rels.append(rel)
+        block = dl * dr
+        for rel in pair_rels:
+            for off in range(0, self.total_dim, block):
+                vec = {off + key: c for key, c in rel.items()}
+                if self.head is not None:
+                    vec = self._stage(vec)
+                self.echelon.insert(vec)
+
+    def _stage(self, sparse):
+        """Coordinates in head ⊗ A of a sparse tensor-power vector: every
+        entry's leading factors are reduced through the head's quotient."""
+        last = self.dims[-1]
+        head_cols = self._head_cols
+        zero = self.field.zero
+        out = {}
+        for col, a in sparse.items():
+            c, k = divmod(col, last)
+            for f, b in head_cols[c].items():
+                key = f * last + k
+                val = out.get(key, zero) + a * b
+                if val:
+                    out[key] = val
+                else:
+                    out.pop(key, None)
+        return out
+
+    def _embed(self, s):
+        """The tensor-power column of echelon column ``s``."""
+        if self.head is None:
+            return s
+        f, k = divmod(s, self.dims[-1])
+        return self.head.free_cols[f] * self.dims[-1] + k
+
+    def _reduce(self, sparse):
+        """Normal form of a sparse vector, as a sparse vector."""
+        if self.head is None:
+            return self.echelon.reduce(sparse)
+        red = self.echelon.reduce(self._stage(sparse))
+        return {self._embed(s): a for s, a in red.items()}
+
+    def _coords(self, sparse):
+        """Sparse quotient coordinates of a sparse vector."""
+        index = self._free_index
+        return {index[c]: a for c, a in self._reduce(sparse).items()}
 
     # -- quotient interface -----------------------------------------------------
 
@@ -213,12 +281,11 @@ class BalancedTensorSpace:
 
     @property
     def relation_rank(self):
-        return self.echelon.rank
+        return self.total_dim - self.dim
 
     def normal_form(self, vec):
         """Canonical dense representative of the class of ``vec``."""
-        sparse = {i: c for i, c in enumerate(vec) if c}
-        red = self.echelon.reduce(sparse)
+        red = self._reduce({i: c for i, c in enumerate(vec) if c})
         zero = self.field.zero
         out = [zero] * self.total_dim
         for i, c in red.items():
@@ -227,8 +294,7 @@ class BalancedTensorSpace:
 
     def project(self, vec):
         """Quotient coordinates of a dense total-space vector."""
-        sparse = {i: c for i, c in enumerate(vec) if c}
-        red = self.echelon.reduce(sparse)
+        red = self._reduce({i: c for i, c in enumerate(vec) if c})
         zero = self.field.zero
         return tuple(red.get(c, zero) for c in self.free_cols)
 
@@ -244,29 +310,25 @@ class BalancedTensorSpace:
         return tuple(out)
 
     def is_zero_class(self, vec):
-        sparse = {i: c for i, c in enumerate(vec) if c}
-        return not self.echelon.reduce(sparse)
+        return not self._reduce({i: c for i, c in enumerate(vec) if c})
 
     def equal(self, v1, v2):
-        diff = {i: a - b for i, (a, b) in enumerate(zip(v1, v2)) if a != b}
-        return not self.echelon.reduce(diff)
+        diff = {}
+        for i, (a, b) in enumerate(zip(v1, v2)):
+            if (a or b) and a != b:
+                diff[i] = a - b
+        return not self._reduce(diff)
 
     def projection_matrix(self):
         """dim x total_dim matrix of ``project`` (cached)."""
         if self._projection is not None:
             return self._projection
-        zero = self.field.zero
+        zero, one = self.field.zero, self.field.one
         cols = []
         for c in range(self.total_dim):
             col = [zero] * self.dim
-            if c in self._free_index:
-                col[self._free_index[c]] = self.field.one
-            else:
-                row = self.echelon.rows[c]
-                # e_c reduces to e_c - row_c, supported on free columns
-                for j, a in row.items():
-                    if j != c:
-                        col[self._free_index[j]] = -a
+            for f, a in self._coords({c: one}).items():
+                col[f] = a
             cols.append(tuple(col))
         self._projection = Matrix.from_cols(self.field, cols, self.dim)
         return self._projection
@@ -304,6 +366,7 @@ def plain_tensor_space(algebras):
     space.dims = [a.dim for a in space.algebras]
     space.total_dim = prod(space.dims)
     space.junctions = []
+    space.head = None
     space.echelon = SparseEchelon(space.field, space.total_dim)
     space.free_cols = tuple(range(space.total_dim))
     space._free_index = {c: c for c in space.free_cols}

@@ -29,7 +29,7 @@ from .integrallab import (
     intpr_equivalences,
     ls_antipode,
     nondegeneracy,
-    verify_bgdnd,
+    recording_ls_reports,
 )
 from .report import DEFAULT_CERTIFICATE_LIMIT, Report
 from .specfile import SpecBuilder, SpecError, parse_field
@@ -145,12 +145,19 @@ def cmd_ls_antipode(spec, args):
     nm, rb = spec.right_bialgebroid(args.name)
     el, ell = spec.element_for(rb.total, args.integral)
     rep = Report(f"antipode construction on {nm} from {el}")
-    pre = verify_bgdnd(rb, ell)
-    rep.extend(pre, prefix="pre-")
-    if not pre.passed:
+    with recording_ls_reports() as decided:
+        try:
+            h = ls_antipode(rb, ell, name=f"{nm}-hopf")
+        except ValueError:
+            # a refused precondition is reported, not raised
+            pre = decided.get("pre")
+            if pre is None or pre.passed:
+                raise
+            h = None
+    rep.extend(decided["pre"], prefix="pre-")
+    if h is None:
         return rep, None
-    h = ls_antipode(rb, ell, name=f"{nm}-hopf")
-    rep.extend(verify_hopf(h), prefix="hopf-")
+    rep.extend(decided["hopf"], prefix="hopf-")
     text = specfile.spec_from_hopf(h, name=f"{nm}-hopf", integral=ell,
                                    integral_name=el)
     return rep, text

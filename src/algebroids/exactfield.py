@@ -316,12 +316,14 @@ class Matrix:
         """Matrix-vector product (vec has length ncols)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
+        terms = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         zero = self.field.zero
         for row in self.rows:
             acc = zero
-            for a, x in zip(row, vec):
-                if a and x:
+            for j, x in terms:
+                a = row[j]
+                if a:
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
@@ -577,16 +579,22 @@ class Subspace:
 class SparseEchelon:
     """Incremental reduced echelon over sparse vectors (dict col -> scalar).
 
-    Used for the relation spans of balanced tensor products, where ambient
-    dimension reaches the total-algebra dimension cubed but each relation
-    touches only a handful of coordinates.  Rows are kept fully inter-reduced
-    so reduction is a single pass and the final basis is canonical.
+    Used for the relation spans of balanced tensor products, where each
+    relation touches only a handful of coordinates.  The ambient dimension
+    is d² for a tensor square of a d-dimensional algebra and q·d for a
+    triple, which eliminates its second junction in the coordinates of its
+    q-dimensional pair quotient tensored with the last factor; the full d³
+    is never reached.  Rows are kept fully inter-reduced so reduction is a
+    single pass and the final basis is canonical.  ``cols`` indexes each
+    non-pivot column to the pivots of the rows that hold it, so a new pivot
+    back-reduces only the rows it occurs in.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
         self.rows = {}  # pivot column -> {column: scalar}, pivot coeff 1
+        self.cols = {}  # non-pivot column -> set of pivots whose row holds it
 
     @property
     def rank(self):
@@ -595,14 +603,14 @@ class SparseEchelon:
     def reduce(self, vec):
         """Return vec minus its projection onto the row span (sparse dict)."""
         v = dict(vec)
-        hits = [p for p in v if p in self.rows]
-        for p in hits:
-            c = v.get(p)
+        rows = self.rows
+        zero = self.field.zero
+        for p in [p for p in v if p in rows]:
+            c = v[p]
             if not c:
                 continue
-            row = self.rows[p]
-            for col, a in row.items():
-                newval = v.get(col, self.field.zero) - c * a
+            for col, a in rows[p].items():
+                newval = v.get(col, zero) - c * a
                 if newval:
                     v[col] = newval
                 else:
@@ -617,15 +625,29 @@ class SparseEchelon:
         p = min(r)
         inv = self.field.one / r[p]
         row = {c: inv * a for c, a in r.items()}
-        for q, other in self.rows.items():
-            if p in other:
-                c = other[p]
-                for col, a in row.items():
-                    newval = other.get(col, self.field.zero) - c * a
-                    if newval:
-                        other[col] = newval
-                    else:
-                        other.pop(col, None)
+        zero = self.field.zero
+        cols = self.cols
+        for q in cols.pop(p, ()):
+            other = self.rows[q]
+            c = other.pop(p)
+            for col, a in row.items():
+                if col == p:
+                    continue
+                old = other.get(col)
+                newval = (old or zero) - c * a
+                if newval:
+                    if old is None:
+                        cols.setdefault(col, set()).add(q)
+                    other[col] = newval
+                else:
+                    del other[col]
+                    holders = cols[col]
+                    holders.discard(q)
+                    if not holders:
+                        del cols[col]
+        for col in row:
+            if col != p:
+                cols.setdefault(col, set()).add(p)
         self.rows[p] = row
         return True
 

@@ -78,20 +78,20 @@ class HopfAlgebroid:
 
     @property
     def llr_space(self):
-        """Balanced triple with a left junction then a right junction."""
+        """Balanced triple with a left junction then a right junction,
+        built on ``lb.tensor_space``."""
         if self._llr is None:
             self._llr = BalancedTensorSpace(
-                [self.total, self.total, self.total],
-                [self.lb.junction(), self.rb.junction()])
+                [self.lb.tensor_space, self.total], [self.rb.junction()])
         return self._llr
 
     @property
     def rrl_space(self):
-        """Balanced triple with a right junction then a left junction."""
+        """Balanced triple with a right junction then a left junction,
+        built on ``rb.tensor_space``."""
         if self._rrl is None:
             self._rrl = BalancedTensorSpace(
-                [self.total, self.total, self.total],
-                [self.rb.junction(), self.lb.junction()])
+                [self.rb.tensor_space, self.total], [self.lb.junction()])
         return self._rrl
 
     def antipode_map(self):
@@ -546,8 +546,8 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
                 False, [str(exc)])
         return rep
     idm = Matrix.identity(field, d)
-    llr = BalancedTensorSpace([A, A, A], [lb.junction(), junction])
-    rrl = BalancedTensorSpace([A, A, A], [junction, lb.junction()])
+    llr = BalancedTensorSpace([lb.tensor_space, A], [junction])
+    rrl = BalancedTensorSpace([space, A], [lb.junction()])
     bad1, bad2 = [], []
     for i in range(d):
         a = A.basis_vec(i)

@@ -12,6 +12,8 @@ maps ℓ_R, ᵣℓ, ℓ_L, ₗℓ are assembled as explicit matrices, inverted w
 possible, and every claimed identity is replayed on a full basis.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -846,7 +848,8 @@ _EXCHANGES = {"sf": ("star_lambda", act_star_upper, 1),
 
 
 def _verify_bgdnd(rb, ell, title, notation):
-    """The checks of ``verify_bgdnd``, reported in ``notation``."""
+    """The checks of ``verify_bgdnd``, reported in ``notation``, and the
+    dual data they were decided on (``_right_bgdnd_data``)."""
     rep = Report(title)
     A = rb.total
     d = A.dim
@@ -884,7 +887,7 @@ def _verify_bgdnd(rb, ell, title, notation):
                 bad.append(f"a = {A.basis_names[i]}: "
                            + certificate.format(space.fmt(lhs), space.fmt(rhs)))
         rep.add(cid, label, not bad, bad)
-    return rep
+    return rep, data
 
 
 def verify_bgdnd(rb, ell, title=None):
@@ -897,7 +900,7 @@ def verify_bgdnd(rb, ell, title=None):
         (sb)  aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾
     """
     return _verify_bgdnd(rb, ell, title or f"integral non-degeneracy in "
-                         f"{rb.name}", _ON_RIGHT)
+                         f"{rb.name}", _ON_RIGHT)[0]
 
 
 def lac_check(rb, k_elem, title=None):
@@ -966,16 +969,36 @@ def ls_antipode(rb, ell, name=None):
     return h
 
 
+_LS_REPORTS = ContextVar("ls_reports", default=None)
+
+
+@contextmanager
+def recording_ls_reports():
+    """Inside this context ``ls_antipode`` leaves the reports it decided on
+    in the yielded dict: ``pre``, its precondition (the checks of
+    ``verify_bgdnd``), and ``hopf``, the ``verify_hopf`` report of the
+    result, so a caller that prints them does not decide them again."""
+    record = {}
+    token = _LS_REPORTS.set(record)
+    try:
+        yield record
+    finally:
+        _LS_REPORTS.reset(token)
+
+
 def _ls(rb, ell, notation):
     """The construction of ``ls_antipode``; its precondition is reported
     and refused in ``notation``."""
-    pre = _verify_bgdnd(rb, ell, "", notation)
+    record = _LS_REPORTS.get()
+    if record is None:
+        record = {}
+    ell = tuple(ell)
+    pre, data = _verify_bgdnd(rb, ell, "", notation)
+    record["pre"] = pre
     if not pre.passed:
         raise ValueError(notation.refusal + _fail_lines(pre))
     A = rb.total
     d = A.dim
-    ell = tuple(ell)
-    data = _right_bgdnd_data(rb, ell)
     lam, slam = data["lambda_star"], data["star_lambda"]
 
     s_cols = [act_star_upper(rb, transpose_right(slam, A, A.basis_vec(i)),
@@ -1020,6 +1043,7 @@ def _ls(rb, ell, notation):
                  f"left coproduct mismatch at a = {A.basis_names[i]}")
 
     rep = verify_hopf(h)
+    record["hopf"] = rep
     _require(rep.passed, "the reconstructed Hopf algebroid failed "
              "verification: " + _fail_lines(rep))
     nd = nondegeneracy(h, ell)
@@ -1041,7 +1065,7 @@ def verify_bgdnd_right(lb, upsilon, title=None):
     """
     return _verify_bgdnd(lb.shared_op(), upsilon,
                          title or f"right-integral non-degeneracy in "
-                         f"{lb.name}", _ON_LEFT)
+                         f"{lb.name}", _ON_LEFT)[0]
 
 
 def ls_right(lb, upsilon, name=None):

@@ -2,7 +2,9 @@
 
 import random
 
-from algebroids.exactfield import RationalField
+from algebroids.algebra import ANTI, HOM, Algebra, AlgebraMap, opposite
+from algebroids.catalog import pair_groupoid_hopf_algebroid
+from algebroids.exactfield import Matrix, PrimeField, RationalField, SparseEchelon
 from algebroids.bimodtensor import (
     PRE,
     POST,
@@ -116,8 +118,7 @@ def test_permuted_basis_same_dimension(qq):
 
     from algebroids.exactfield import Matrix
     from algebroids.algebra import Algebra, AlgebraMap, HOM, ANTI
-    from algebroids.bialgebroid import LeftBialgebroid
-
+    
     A = h.total
     perm = list(range(A.dim))
     _r.Random(99).shuffle(perm)
@@ -137,3 +138,142 @@ def test_permuted_basis_same_dimension(qq):
     junction = Junction(ActionSpec(t2, PRE), ActionSpec(s2, PRE))
     space = BalancedTensorSpace([A2, A2], [junction])
     assert space.dim == base_dim
+
+
+# ---------------------------------------------------------------------------
+# triples are built on a pair quotient; they must agree with one elimination
+# of every relation of both junctions over the full cube
+
+
+def reference_echelon(A, junctions):
+    """Every relation of both junctions of A ⊗ A ⊗ A, eliminated in d³."""
+    d = A.dim
+    zero = A.field.zero
+    ech = SparseEchelon(A.field, d ** 3)
+    for p, junc in enumerate(junctions):
+        for b in range(junc.base.dim):
+            for i in range(d):
+                for j in range(d):
+                    acted_l = junc.right.act_basis(b, A.basis_vec(i))
+                    acted_r = junc.left.act_basis(b, A.basis_vec(j))
+                    pair = {}
+                    for k in range(d):
+                        pair[k, j] = pair.get((k, j), zero) + acted_l[k]
+                        pair[i, k] = pair.get((i, k), zero) - acted_r[k]
+                    for other in range(d):
+                        ech.insert({(other * d * d + x * d + y if p else
+                                     x * d * d + y * d + other): c
+                                    for (x, y), c in pair.items() if c})
+    return ech
+
+
+def candidate_junction(s_l, S):
+    """The candidate right-handed junction ``check_luiiv`` builds from s_L
+    and S."""
+    A = s_l.target
+    R = opposite(s_l.source)
+    s_r = AlgebraMap(R, A, S @ s_l.matrix, HOM, "s_R")
+    t_r = AlgebraMap(R, A, s_l.matrix, ANTI, "t_R")
+    return Junction(ActionSpec(s_r, POST), ActionSpec(t_r, POST))
+
+
+def verifier_triples(h):
+    """name -> (staged space, its two junctions), as the verifiers build them."""
+    lb, rb, A = h.lb, h.rb, h.total
+    cand = candidate_junction(lb.s, h.S)
+    return {
+        "coassoc": (lb.coassoc_space, [lb.junction(), lb.junction()]),
+        "llr": (h.llr_space, [lb.junction(), rb.junction()]),
+        "rrl": (h.rrl_space, [rb.junction(), lb.junction()]),
+        "luiv-llr": (BalancedTensorSpace([lb.tensor_space, A], [cand]),
+                   [lb.junction(), cand]),
+        "luiv-rrl": (BalancedTensorSpace(
+            [BalancedTensorSpace([A, A], [cand]), A], [lb.junction()]),
+            [cand, lb.junction()]),
+    }
+
+
+def rebased_triples(h):
+    """The same five junction pairs on h's algebra in the basis
+    b_i = e_i + e_(i+1), where the pair quotients' echelon rows carry
+    several free entries instead of one."""
+    A, field, d = h.total, h.field, h.total.dim
+    P = Matrix.from_cols(field, [tuple(field.one if k in (i, i + 1)
+                                       else field.zero for k in range(d))
+                                 for i in range(d)], d)
+    back = P.inverse()
+    struct = {}
+    for i in range(d):
+        for j in range(d):
+            prod = back.apply(A.mul_vec(P.col(i), P.col(j)))
+            struct.update({(i, j, k): c for k, c in enumerate(prod) if c})
+    B = Algebra.from_struct(field, A.basis_names, struct, name="rebased")
+
+    def moved(m):
+        return AlgebraMap(m.source, B, back @ m.matrix, m.kind, m.name)
+
+    s_l = moved(h.lb.s)
+    lj = Junction(ActionSpec(moved(h.lb.t), PRE), ActionSpec(s_l, PRE))
+    rj = Junction(ActionSpec(moved(h.rb.s), POST),
+                  ActionSpec(moved(h.rb.t), POST))
+    cand = candidate_junction(s_l, back @ h.S @ P)
+    pairs = {"coassoc": [lj, lj], "llr": [lj, rj], "rrl": [rj, lj],
+             "luiv-llr": [lj, cand], "luiv-rrl": [cand, lj]}
+    return {name: (BalancedTensorSpace(
+        [BalancedTensorSpace([B, B], js[:1]), B], js[1:]), js)
+        for name, js in pairs.items()}
+
+
+@pytest.mark.parametrize("n,field,rebase", [
+    (2, QQ, False), (3, QQ, False), (2, PrimeField(101), False),
+    (2, QQ, True), (3, PrimeField(101), True)],
+    ids=["pair2", "pair3", "pair2-gf101", "pair2-rebased",
+         "pair3-rebased-gf101"])
+def test_staged_triples_match_the_cube_elimination(n, field, rebase):
+    h = pair_groupoid_hopf_algebroid(n, field)
+    triples = rebased_triples(h) if rebase else verifier_triples(h)
+    d = h.total.dim
+    rng = random.Random(31 + n)
+    zero = field.zero
+
+    def dense(sparse):
+        return tuple(sparse.get(i, zero) for i in range(d ** 3))
+
+    for name, (space, junctions) in triples.items():
+        A = space.algebras[0]
+        ref = reference_echelon(A, junctions)
+        unshared = BalancedTensorSpace([A, A, A], junctions)
+        if rebase:
+            assert max(len(r) for r in space.head.echelon.rows.values()) > 2
+        for sp in (space, unshared):
+            assert sp.total_dim == d ** 3, name
+            assert sp.free_cols == tuple(c for c in range(d ** 3)
+                                         if c not in ref.rows), name
+            assert sp.relation_rank == ref.rank == d ** 3 - sp.dim, name
+        pivots = sorted(ref.rows)
+        for _ in range(6):
+            v = dense({rng.randrange(d ** 3): field.of(rng.randrange(-3, 4))
+                       for _ in range(rng.randrange(1, 3 * d))})
+            rel = {}
+            for p in rng.sample(pivots, min(4, len(pivots))):
+                c = field.of(rng.randrange(1, 4))
+                for col, a in ref.rows[p].items():
+                    rel[col] = rel.get(col, zero) + c * a
+            w = tuple(a + b for a, b in zip(v, dense(rel)))
+            nf = dense(ref.reduce({i: a for i, a in enumerate(v) if a}))
+            for sp in (space, unshared):
+                assert sp.normal_form(v) == sp.normal_form(w) == nf, name
+                assert sp.equal(v, w) and sp.is_zero_class(dense(rel)), name
+                assert sp.is_zero_class(v) == (not any(nf)), name
+                assert sp.equal(v, nf) and sp.project(w) == sp.project(nf)
+                bumped = list(v)
+                bumped[sp.free_cols[0]] += field.one
+                assert not sp.equal(v, tuple(bumped)), name
+
+
+def test_triples_share_the_pair_quotient(m2):
+    h = m2
+    assert h.lb.coassoc_space.head is h.lb.tensor_space
+    assert h.llr_space.head is h.lb.tensor_space
+    assert h.rrl_space.head is h.rb.tensor_space
+    assert h.lb.tensor_space.head is None

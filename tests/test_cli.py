@@ -180,6 +180,31 @@ def test_ls_antipode_precondition_failure(capsys, tmp_path, kz2):
     assert "[FAIL]" in out
 
 
+def test_ls_antipode_decides_each_report_once(capsys, monkeypatch):
+    import algebroids.cli as cli_module
+    import algebroids.hopfcore as hopfcore
+    import algebroids.integrallab as integrallab
+
+    calls = {"verify_hopf": 0, "_right_bgdnd_data": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("verify_hopf", hopfcore),
+                        ("_right_bgdnd_data", integrallab)):
+        original = getattr(owner, name)
+        for module in (cli_module, hopfcore, integrallab):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    code, _, report = run(capsys, "ls-antipode", M2)
+    assert code == 0
+    assert "[PASS] pre-sf" in report and "[PASS] hopf-defii-lr" in report
+    assert calls == {"verify_hopf": 1, "_right_bgdnd_data": 1}
+
+
 # ---------------------------------------------------------------------------
 # twist
 

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids.exactfield import (
     GFElement,
@@ -226,3 +227,38 @@ def test_sparse_echelon_matches_subspace():
         in_sub = sub.contains(w)
         red = ech.reduce({i: x for i, x in enumerate(w) if x})
         assert in_sub == (not red)
+
+
+@st.composite
+def insert_sequences(draw):
+    field = draw(st.sampled_from((QQ, F7)))
+    ncols = draw(st.integers(1, 7))
+    entries = st.lists(st.tuples(st.integers(0, ncols - 1),
+                                 st.integers(-3, 3)), max_size=4)
+    vecs = draw(st.lists(entries, max_size=10))
+    return field, ncols, [{j: field.of(c) for j, c in vec if c}
+                          for vec in vecs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(insert_sequences())
+def test_indexed_echelon_is_the_reduced_echelon_form(case):
+    field, ncols, vecs = case
+    ech = SparseEchelon(field, ncols)
+    zero = field.zero
+    dense = []
+    for vec in vecs:
+        rank = ech.rank
+        grew = ech.insert(vec)
+        dense.append(tuple(vec.get(j, zero) for j in range(ncols)))
+        assert grew == (ech.rank > rank)
+        assert ech.rank == Subspace.from_vectors(field, ncols, dense).dim
+        holders = {}
+        for p, row in ech.rows.items():
+            assert row[p] == field.one
+            for col in row:
+                assert col == p or col not in ech.rows
+                if col != p:
+                    holders.setdefault(col, set()).add(p)
+        assert ech.cols == holders
+    assert ech.to_subspace() == Subspace.from_vectors(field, ncols, dense)
