@@ -97,16 +97,30 @@ class Algebra:
     def mul_vec(self, u, v):
         """Product of two coefficient vectors."""
         out = [self.field.zero] * self.dim
+        terms = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
             row = self.table[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
+            for j, b in terms:
                 ab = a * b
                 for k, c in row[j].items():
                     out[k] = out[k] + ab * c
+        return tuple(out)
+
+    def mul_sparse(self, u, v):
+        """Product of two sparse vectors ``{index: coefficient}``, read from
+        ``table``; the result is sparse too."""
+        table = self.table
+        return combine(self.field.zero, ((a * b, table[i][j])
+                                         for i, a in u.items()
+                                         for j, b in v.items()))
+
+    def dense(self, terms):
+        """The coefficient vector of a sparse vector ``{index: coefficient}``."""
+        out = [self.field.zero] * self.dim
+        for k, c in terms.items():
+            out[k] = c
         return tuple(out)
 
     def element(self, coeffs):
@@ -122,20 +136,31 @@ class Algebra:
         return [self.basis_element(i) for i in range(self.dim)]
 
     def left_mult_matrix(self, u):
-        """Matrix of x -> u * x in the fixed basis."""
-        cols = [self.mul_vec(u, self.basis_vec(j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, self.dim)
+        """Matrix of x -> u * x in the fixed basis, read from ``table``."""
+        return self._mult_matrix(u, True)
 
     def right_mult_matrix(self, u):
-        """Matrix of x -> x * u in the fixed basis."""
-        cols = [self.mul_vec(self.basis_vec(j), u) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, self.dim)
+        """Matrix of x -> x * u in the fixed basis, read from ``table``."""
+        return self._mult_matrix(u, False)
+
+    def _mult_matrix(self, u, left):
+        # column j is u * e_j (left) or e_j * u, a combination of table entries
+        d = self.dim
+        table = self.table
+        rows = [[self.field.zero] * d for _ in range(d)]
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j in range(d):
+                for k, c in (table[i][j] if left else table[j][i]).items():
+                    rows[k][j] = rows[k][j] + a * c
+        return Matrix(self.field, d, d, rows)
 
     def is_commutative(self):
+        table = self.table
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                if (self.mul_vec(self.basis_vec(i), self.basis_vec(j))
-                        != self.mul_vec(self.basis_vec(j), self.basis_vec(i))):
+                if nonzero(table[i][j]) != nonzero(table[j][i]):
                     return False
         return True
 
@@ -201,33 +226,65 @@ def opposite(algebra):
     return Algebra(algebra.field, algebra.basis_names, table, algebra.unit, name)
 
 
+def combine(zero, terms):
+    """The nonzero entries of the sum of ``c * row`` over ``(c, row)`` pairs
+    of sparse vectors ``{index: coefficient}``."""
+    out = {}
+    for c, row in terms:
+        for k, x in row.items():
+            out[k] = out.get(k, zero) + c * x
+    return nonzero(out)
+
+
+def nonzero(sparse):
+    """A sparse vector without its zero entries."""
+    return {k: x for k, x in sparse.items() if x}
+
+
+def sparse(vec):
+    """The nonzero entries ``{index: coefficient}`` of a dense vector."""
+    return {k: x for k, x in enumerate(vec) if x}
+
+
 def verify_algebra(algebra, report_title=None):
-    """Check unit laws and associativity on all basis triples."""
+    """Check unit laws and associativity on all basis triples.
+
+    Both laws are read from the structure constants ``table``: (e_i e_j) e_k
+    and e_i (e_j e_k) are sparse combinations of its entries, and dense
+    vectors are built only for a failing triple's certificate.
+    """
     rep = Report(report_title or f"algebra {algebra.name}")
     d = algebra.dim
+    table = algebra.table
+    zero = algebra.field.zero
+    names = algebra.basis_names
+    unit = [(m, c) for m, c in enumerate(algebra.unit) if c]
 
     bad = []
     for i in range(d):
-        e = algebra.basis_vec(i)
-        if algebra.mul_vec(algebra.unit, e) != e:
-            bad.append(f"1*{algebra.basis_names[i]} != {algebra.basis_names[i]}")
-        if algebra.mul_vec(e, algebra.unit) != e:
-            bad.append(f"{algebra.basis_names[i]}*1 != {algebra.basis_names[i]}")
+        e = {i: algebra.field.one}
+        if combine(zero, ((c, table[m][i]) for m, c in unit)) != e:
+            bad.append(f"1*{names[i]} != {names[i]}")
+        if combine(zero, ((c, table[i][m]) for m, c in unit)) != e:
+            bad.append(f"{names[i]}*1 != {names[i]}")
     rep.add("unit", "two-sided unit law on basis", not bad, bad)
 
     bad = []
     for i in range(d):
+        row_i = table[i]
         for j in range(d):
-            ij = algebra.mul_vec(algebra.basis_vec(i), algebra.basis_vec(j))
+            ij = row_i[j].items()
+            row_j = table[j]
             for k in range(d):
-                lhs = algebra.mul_vec(ij, algebra.basis_vec(k))
-                jk = algebra.mul_vec(algebra.basis_vec(j), algebra.basis_vec(k))
-                rhs = algebra.mul_vec(algebra.basis_vec(i), jk)
+                lhs = combine(zero, ((c, table[m][k]) for m, c in ij))
+                rhs = combine(zero, ((c, row_i[m]) for m, c in row_j[k].items()))
                 if lhs != rhs:
-                    ni, nj, nk = (algebra.basis_names[x] for x in (i, j, k))
+                    ni, nj, nk = names[i], names[j], names[k]
                     bad.append(
-                        f"({ni}*{nj})*{nk} = {algebra.fmt_vec(lhs)} but "
-                        f"{ni}*({nj}*{nk}) = {algebra.fmt_vec(rhs)}")
+                        f"({ni}*{nj})*{nk} = "
+                        f"{algebra.fmt_vec(algebra.dense(lhs))} but "
+                        f"{ni}*({nj}*{nk}) = "
+                        f"{algebra.fmt_vec(algebra.dense(rhs))}")
     rep.add("assoc", "associativity on basis triples", not bad, bad)
     return rep
 
@@ -329,21 +386,23 @@ def verify_map(f, report_title=None):
     rep.add("map-unit", f"{f.name}(1) = 1",
             ok, [] if ok else [f"{f.name}(1) = {tgt.fmt_vec(img_one)}"])
 
+    # images of the source basis as sparse vectors: the columns of the matrix
+    zero = tgt.field.zero
+    images = [sparse(col) for col in f.matrix.columns()]
     bad = []
     for i in range(src.dim):
-        fi = f.apply(src.basis_vec(i))
+        row_i = src.table[i]
         for j in range(src.dim):
-            fj = f.apply(src.basis_vec(j))
-            lhs = f.apply(src.mul_vec(src.basis_vec(i), src.basis_vec(j)))
+            lhs = combine(zero, ((c, images[m]) for m, c in row_i[j].items()))
             if f.kind == HOM:
-                rhs = tgt.mul_vec(fi, fj)
+                rhs = tgt.mul_sparse(images[i], images[j])
             else:
-                rhs = tgt.mul_vec(fj, fi)
+                rhs = tgt.mul_sparse(images[j], images[i])
             if lhs != rhs:
                 ni, nj = src.basis_names[i], src.basis_names[j]
                 bad.append(
-                    f"{f.name}({ni}*{nj}) = {tgt.fmt_vec(lhs)} but expected "
-                    f"{tgt.fmt_vec(rhs)}")
+                    f"{f.name}({ni}*{nj}) = {tgt.fmt_vec(tgt.dense(lhs))} but "
+                    f"expected {tgt.fmt_vec(tgt.dense(rhs))}")
     word = "multiplicative" if f.kind == HOM else "anti-multiplicative"
     rep.add("map-mult", f"{f.name} is {word} on basis pairs", not bad, bad)
     return rep

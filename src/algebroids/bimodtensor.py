@@ -12,7 +12,7 @@ section of the projection.
 from math import prod
 
 from .exactfield import Matrix, SparseEchelon, unit_vector
-from .algebra import HOM, ANTI, fmt_tensor_multi
+from .algebra import HOM, ANTI, combine, fmt_tensor_multi
 
 PRE = "pre"
 POST = "post"
@@ -130,14 +130,41 @@ def apply_at_factor(dims, p, m, vec):
 
 
 def mult_at_factor(algebra, dims, p, vec, elem_vec, side):
-    """Multiply tensor factor ``p`` by a fixed algebra element on one side."""
-    if side == PRE:
-        m = algebra.left_mult_matrix(elem_vec)
-    elif side == POST:
-        m = algebra.right_mult_matrix(elem_vec)
-    else:
+    """Multiply tensor factor ``p`` by a fixed algebra element on one side.
+
+    Reads ``table`` directly: a basis vector e_i at factor ``p`` becomes
+    u e_i (``pre``) or e_i u (``post``), a combination of table entries over
+    the nonzero entries of u, computed once per i that occurs in ``vec``.
+    """
+    if side not in (PRE, POST):
         raise ValueError(f"side must be {PRE!r} or {POST!r}")
-    return apply_at_factor(dims, p, m, vec)
+    if len(vec) != prod(dims):
+        raise ValueError("mult_at_factor length mismatch")
+    if algebra.dim != dims[p]:
+        raise ValueError("algebra does not fit factor dimension")
+    table = algebra.table
+    zero = algebra.field.zero
+    elem = [(a, c) for a, c in enumerate(elem_vec) if c]
+    stride = prod(dims[p + 1:], start=1)
+    images = {}
+    out = [zero] * len(vec)
+    for pos, x in enumerate(vec):
+        if not x:
+            continue
+        i = pos // stride % dims[p]
+        img = images.get(i)
+        if img is None:
+            if side == PRE:
+                img = combine(zero, ((c, table[a][i]) for a, c in elem))
+            else:
+                img = combine(zero, ((c, table[i][a]) for a, c in elem))
+            images[i] = img
+        # e_i at factor p sits at pos; e_k sits (k - i) strides away
+        base = pos - i * stride
+        for k, c in img.items():
+            at = base + k * stride
+            out[at] = out[at] + c * x
+    return tuple(out)
 
 
 class BalancedTensorSpace:

@@ -378,7 +378,9 @@ def main(argv=None):
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a construction's precondition failed
+        # (integrallab._require), a verdict about the input, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

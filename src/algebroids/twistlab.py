@@ -17,8 +17,10 @@ from .algebra import (
     ANTI,
     Algebra,
     AlgebraMap,
+    combine,
+    nonzero,
+    sparse,
     tensor_apply,
-    tensor_square_product,
     verify_algebra,
     verify_map,
 )
@@ -254,178 +256,152 @@ class WeakHopfAlgebra:
     def cap_l(self):
         """⊓^L(x) = ε(1_[1] x) 1_[2]."""
         if self._capl is None:
-            A = self.algebra
-            d = A.dim
-            u = self.delta1()
-            cols = []
-            for b in range(d):
-                acc = A.zero_vec()
-                for i in range(d):
-                    for j in range(d):
-                        c = u[i * d + j]
-                        if not c:
-                            continue
-                        val = self.counit_val(
-                            A.mul_vec(A.basis_vec(i), A.basis_vec(b)))
-                        if val:
-                            acc = tuple(x + c * val * y for x, y in
-                                        zip(acc, A.basis_vec(j)))
-                cols.append(acc)
-            self._capl = Matrix.from_cols(self.field, cols, d)
+            self._capl = self._cap(True)
         return self._capl
 
     def cap_r(self):
         """⊓^R(x) = 1_[1] ε(x 1_[2])."""
         if self._capr is None:
-            A = self.algebra
-            d = A.dim
-            u = self.delta1()
-            cols = []
-            for b in range(d):
-                acc = A.zero_vec()
-                for i in range(d):
-                    for j in range(d):
-                        c = u[i * d + j]
-                        if not c:
-                            continue
-                        val = self.counit_val(
-                            A.mul_vec(A.basis_vec(b), A.basis_vec(j)))
-                        if val:
-                            acc = tuple(x + c * val * y for x, y in
-                                        zip(acc, A.basis_vec(i)))
-                cols.append(acc)
-            self._capr = Matrix.from_cols(self.field, cols, d)
+            self._capr = self._cap(False)
         return self._capr
+
+    def _cap(self, left):
+        table = self.algebra.table
+        d = self.dim
+        zero = self.field.zero
+        eps = self.counit.rows[0]
+        units = [(*divmod(idx, d), c)
+                 for idx, c in enumerate(self.delta1()) if c]
+        cols = []
+        for b in range(d):
+            acc = [zero] * d
+            for i, j, c in units:
+                if left:
+                    val, out = _evaluate(eps, table[i][b], zero), j
+                else:
+                    val, out = _evaluate(eps, table[b][j], zero), i
+                if val:
+                    acc[out] = acc[out] + c * val
+            cols.append(acc)
+        return Matrix.from_cols(self.field, cols, d)
 
     def __repr__(self):
         return f"WeakHopfAlgebra({self.name}, dim {self.dim})"
 
 
-def _delta2(w):
-    """(Δ⊗id)Δ and (id⊗Δ)Δ as matrices H → H⊗H⊗H."""
-    d = w.algebra.dim
-    field = w.field
-    ident = Matrix.identity(field, d)
-    left = Matrix.from_cols(
-        field, [tensor_apply(w.delta, ident, w.delta.col(j))
-                for j in range(d)], d ** 3)
-    right = Matrix.from_cols(
-        field, [tensor_apply(ident, w.delta, w.delta.col(j))
-                for j in range(d)], d ** 3)
-    return left, right
-
-
 def verify_weak_hopf(w, title=None, full_antipode_checks=True):
-    """The weak Hopf algebra axioms, each as a named check."""
+    """The weak Hopf algebra axioms, each as a named check.
+
+    Every law is evaluated on basis elements from the structure constants
+    ``A.table`` and the entries of Δ, ε and S; a sum over Δ(x) runs over the
+    nonzero entries of its column only.
+    """
     rep = Report(title or f"weak Hopf algebra {w.name}")
     A = w.algebra
     d = A.dim
-    field = w.field
+    zero = w.field.zero
+    table = A.table
+    names = A.basis_names
     rep.extend(verify_algebra(A), prefix="alg-")
 
-    left2, right2 = _delta2(w)
-    ok = left2.rows == right2.rows
+    # Δ(e_b) as sparse {i*d + j: c} and as (i, j, c) triples
+    cols = [sparse(w.delta.col(b)) for b in range(d)]
+    deltas = [[(*divmod(idx, d), c) for idx, c in col.items()] for col in cols]
+    eps = w.counit.rows[0]
+
+    # (Δ⊗id)Δ(e_b) and (id⊗Δ)Δ(e_b), sparse in A⊗A⊗A coordinates
+    left2, right2 = [], []
+    for b in range(d):
+        lft, rgt = {}, {}
+        for i, j, c in deltas[b]:
+            for idx, x in cols[i].items():
+                key = idx * d + j
+                lft[key] = lft.get(key, zero) + c * x
+            for idx, x in cols[j].items():
+                key = i * d * d + idx
+                rgt[key] = rgt.get(key, zero) + c * x
+        left2.append(nonzero(lft))
+        right2.append(nonzero(rgt))
+    ok = left2 == right2
     rep.add("coassoc", "(Δ⊗id)Δ = (id⊗Δ)Δ", ok,
             [] if ok else ["coassociativity fails"])
 
     bad = []
     for b in range(d):
-        col = w.delta.col(b)
-        lvec = A.zero_vec()
-        rvec = A.zero_vec()
-        for i in range(d):
-            for j in range(d):
-                c = col[i * d + j]
-                if not c:
-                    continue
-                ei = w.counit_val(A.basis_vec(i))
-                ej = w.counit_val(A.basis_vec(j))
-                if ej:
-                    lvec = tuple(x + c * ej * y for x, y in
-                                 zip(lvec, A.basis_vec(i)))
-                if ei:
-                    rvec = tuple(x + c * ei * y for x, y in
-                                 zip(rvec, A.basis_vec(j)))
-        if lvec != A.basis_vec(b) or rvec != A.basis_vec(b):
-            bad.append(A.basis_names[b])
+        lvec = [zero] * d
+        rvec = [zero] * d
+        for i, j, c in deltas[b]:
+            lvec[i] = lvec[i] + c * eps[j]
+            rvec[j] = rvec[j] + c * eps[i]
+        e = A.basis_vec(b)
+        if tuple(lvec) != e or tuple(rvec) != e:
+            bad.append(names[b])
     rep.add("counit", "(id⊗ε)Δ = id = (ε⊗id)Δ", not bad, bad)
 
     bad = []
-    for i in range(d):
-        di = w.delta.col(i)
-        for j in range(d):
-            lhs = tensor_square_product(A, A, di, w.delta.col(j))
-            rhs = w.delta.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            if lhs != rhs:
-                bad.append(f"x = {A.basis_names[i]}, y = {A.basis_names[j]}")
+    for x in range(d):
+        for y in range(d):
+            lhs = {}
+            for i1, j1, c1 in deltas[x]:
+                for i2, j2, c2 in deltas[y]:
+                    c = c1 * c2
+                    right = table[j1][j2].items()
+                    for ka, ca in table[i1][i2].items():
+                        cca = c * ca
+                        for kb, cb in right:
+                            key = ka * d + kb
+                            lhs[key] = lhs.get(key, zero) + cca * cb
+            rhs = combine(zero, ((c, cols[m]) for m, c in table[x][y].items()))
+            if nonzero(lhs) != rhs:
+                bad.append(f"x = {names[x]}, y = {names[y]}")
     rep.add("delta-mult", "Δ(xy) = Δ(x)Δ(y)", not bad, bad)
 
     # weakened unit law: (Δ(1)⊗1)(1⊗Δ(1)) = Δ²(1) = (1⊗Δ(1))(Δ(1)⊗1)
-    u = w.delta1()
-    u2 = left2.apply(A.unit)
-    d3 = d ** 3
-    lhs = [field.zero] * d3
-    rhs = [field.zero] * d3
-    for i in range(d):
-        for j in range(d):
-            c1 = u[i * d + j]
-            if not c1:
-                continue
-            for p in range(d):
-                for q in range(d):
-                    c2 = u[p * d + q]
-                    if not c2:
-                        continue
-                    # (e_i⊗e_j⊗1)(1⊗e_p⊗e_q) = e_i ⊗ e_j e_p ⊗ e_q
-                    mid = A.mul_vec(A.basis_vec(j), A.basis_vec(p))
-                    for m, x in enumerate(mid):
-                        if x:
-                            idx = (i * d + m) * d + q
-                            lhs[idx] = lhs[idx] + c1 * c2 * x
-                    # (1⊗e_i⊗e_j)(e_p⊗e_q⊗1) = e_p ⊗ e_i e_q ⊗ e_j
-                    mid2 = A.mul_vec(A.basis_vec(i), A.basis_vec(q))
-                    for m, x in enumerate(mid2):
-                        if x:
-                            idx = (p * d + m) * d + j
-                            rhs[idx] = rhs[idx] + c1 * c2 * x
-    okl = tuple(lhs) == u2
-    okr = tuple(rhs) == u2
+    unit_terms = [(*divmod(idx, d), c)
+                  for idx, c in enumerate(w.delta1()) if c]
+    u2 = combine(zero, ((c, left2[b]) for b, c in enumerate(A.unit) if c))
+    lhs, rhs = {}, {}
+    for i, j, c1 in unit_terms:
+        for p, q, c2 in unit_terms:
+            c = c1 * c2
+            # (e_i⊗e_j⊗1)(1⊗e_p⊗e_q) = e_i ⊗ e_j e_p ⊗ e_q
+            for m, x in table[j][p].items():
+                idx = (i * d + m) * d + q
+                lhs[idx] = lhs.get(idx, zero) + c * x
+            # (1⊗e_i⊗e_j)(e_p⊗e_q⊗1) = e_p ⊗ e_i e_q ⊗ e_j
+            for m, x in table[i][q].items():
+                idx = (p * d + m) * d + j
+                rhs[idx] = rhs.get(idx, zero) + c * x
+    okl = nonzero(lhs) == u2
+    okr = nonzero(rhs) == u2
     rep.add("weak-unit-left", "(Δ(1)⊗1)(1⊗Δ(1)) = (Δ⊗id)Δ(1)", okl,
             [] if okl else ["left weakened unit law fails"])
     rep.add("weak-unit-right", "(1⊗Δ(1))(Δ(1)⊗1) = (Δ⊗id)Δ(1)", okr,
             [] if okr else ["right weakened unit law fails"])
 
-    # weakened counit law: ε(xy_(1))ε(y_(2)z) = ε(xyz) = ε(xy_(2))ε(y_(1)z)
+    # weakened counit law: ε(xy_(1))ε(y_(2)z) = ε(xyz) = ε(xy_(2))ε(y_(1)z),
+    # with eps2[m][z] = ε(e_m e_z)
     bad_l, bad_r = [], []
-    eps_right = [w.counit @ A.right_mult_matrix(A.basis_vec(z))
-                 for z in range(d)]
+    eps2 = [[_evaluate(eps, table[m][z], zero) for z in range(d)]
+            for m in range(d)]
     for x in range(d):
-        row_x = w.counit @ A.left_mult_matrix(A.basis_vec(x))
+        eps_x = eps2[x]
         for y in range(d):
-            dy = w.delta.col(y)
+            xy = table[x][y].items()
+            dy = deltas[y]
             for z in range(d):
-                target = w.counit_val(A.mul_vec(
-                    A.mul_vec(A.basis_vec(x), A.basis_vec(y)),
-                    A.basis_vec(z)))
-                acc_l = field.zero
-                acc_r = field.zero
-                for i in range(d):
-                    for j in range(d):
-                        c = dy[i * d + j]
-                        if not c:
-                            continue
-                        acc_l = acc_l + c * row_x.apply(
-                            A.basis_vec(i))[0] * eps_right[z].apply(
-                            A.basis_vec(j))[0]
-                        acc_r = acc_r + c * row_x.apply(
-                            A.basis_vec(j))[0] * eps_right[z].apply(
-                            A.basis_vec(i))[0]
+                target = zero
+                for m, c in xy:
+                    target = target + c * eps2[m][z]
+                acc_l = zero
+                acc_r = zero
+                for i, j, c in dy:
+                    acc_l = acc_l + c * eps_x[i] * eps2[j][z]
+                    acc_r = acc_r + c * eps_x[j] * eps2[i][z]
                 if acc_l != target:
-                    bad_l.append(f"x,y,z = {A.basis_names[x]}, "
-                                 f"{A.basis_names[y]}, {A.basis_names[z]}")
+                    bad_l.append(f"x,y,z = {names[x]}, {names[y]}, {names[z]}")
                 if acc_r != target:
-                    bad_r.append(f"x,y,z = {A.basis_names[x]}, "
-                                 f"{A.basis_names[y]}, {A.basis_names[z]}")
+                    bad_r.append(f"x,y,z = {names[x]}, {names[y]}, {names[z]}")
     rep.add("weak-counit-left", "ε(xy_(1))ε(y_(2)z) = ε(xyz)",
             not bad_l, bad_l)
     rep.add("weak-counit-right", "ε(xy_(2))ε(y_(1)z) = ε(xyz)",
@@ -439,49 +415,41 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
             [] if okb else ["S is singular"])
 
     capl, capr = w.cap_l(), w.cap_r()
+    s_cols = [sparse(w.antipode.col(j)) for j in range(d)]
+    # s_then[i][j] = S(e_i) e_j
+    s_then = [[combine(zero, ((c, table[m][j]) for m, c in s_cols[i].items()))
+               for j in range(d)] for i in range(d)]
     bad_l, bad_r, bad_m = [], [], []
     for b in range(d):
-        col = w.delta.col(b)
         # x_(1) S(x_(2)) = ⊓^L(x)
-        acc = A.zero_vec()
-        for i in range(d):
-            for j in range(d):
-                c = col[i * d + j]
-                if c:
-                    term = A.mul_vec(A.basis_vec(i),
-                                     w.antipode.col(j))
-                    acc = tuple(p + c * q for p, q in zip(acc, term))
-        if acc != capl.col(b):
-            bad_l.append(A.basis_names[b])
+        acc = combine(zero, ((c * s, table[i][m]) for i, j, c in deltas[b]
+                             for m, s in s_cols[j].items()))
+        if A.dense(acc) != capl.col(b):
+            bad_l.append(names[b])
         # S(x_(1)) x_(2) = ⊓^R(x)
-        acc = A.zero_vec()
-        for i in range(d):
-            for j in range(d):
-                c = col[i * d + j]
-                if c:
-                    term = A.mul_vec(w.antipode.col(i), A.basis_vec(j))
-                    acc = tuple(p + c * q for p, q in zip(acc, term))
-        if acc != capr.col(b):
-            bad_r.append(A.basis_names[b])
+        acc = combine(zero, ((c, s_then[i][j]) for i, j, c in deltas[b]))
+        if A.dense(acc) != capr.col(b):
+            bad_r.append(names[b])
         # S(x_(1)) x_(2) S(x_(3)) = S(x)
-        col3 = tensor_apply(w.delta, Matrix.identity(field, d), col)
-        acc = A.zero_vec()
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    c = col3[(i * d + j) * d + k]
-                    if c:
-                        term = A.mul_vec(
-                            A.mul_vec(w.antipode.col(i), A.basis_vec(j)),
-                            w.antipode.col(k))
-                        acc = tuple(p + c * q for p, q in zip(acc, term))
-        if acc != tuple(w.antipode.col(b)):
-            bad_m.append(A.basis_names[b])
+        acc = combine(zero, (
+            (c, A.mul_sparse(s_then[idx // d // d][idx // d % d],
+                             s_cols[idx % d]))
+            for idx, c in left2[b].items()))
+        if A.dense(acc) != w.antipode.col(b):
+            bad_m.append(names[b])
     rep.add("antipode-l", "x_(1) S(x_(2)) = ⊓^L(x)", not bad_l, bad_l)
     rep.add("antipode-r", "S(x_(1)) x_(2) = ⊓^R(x)", not bad_r, bad_r)
     rep.add("antipode-mid", "S(x_(1)) x_(2) S(x_(3)) = S(x)",
             not bad_m, bad_m)
     return rep
+
+
+def _evaluate(row, terms, zero):
+    """The row vector ``row`` applied to a sparse vector."""
+    acc = zero
+    for k, c in terms.items():
+        acc = acc + c * row[k]
+    return acc
 
 
 def _subalgebra(A, vectors, names_prefix, name):

@@ -1,0 +1,50 @@
+"""The traced benchmark's layer table still names the package's kernels.
+
+``bench/layers.py`` wraps each layer by its attribute path, and
+``bench/run.py`` demands calls on named layers per workload.  A renamed or
+removed kernel would only show when a traced benchmark run fails; here it
+fails the suite.  The two modules are imported, nothing is run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    """``layers`` and ``run`` as ``run.py`` imports them, with ``bench/`` on
+    the path; the modules they add are dropped again afterwards."""
+    before = set(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("layers"), importlib.import_module("run")
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in set(sys.modules) - before:
+            if not name.startswith("algebroids"):
+                del sys.modules[name]
+
+
+def test_every_layer_path_resolves(bench_modules):
+    layers, _ = bench_modules
+    for name, (modname, paths, *_) in layers.LAYERS.items():
+        module = importlib.import_module(f"{layers.PACKAGE}.{modname}")
+        for path in paths:
+            *owner_path, attr = path.split(".")
+            owner = module
+            for part in owner_path:
+                owner = getattr(owner, part)
+            # the tracer patches the attribute where it is defined
+            assert callable(vars(owner).get(attr)), f"{name}: {path}"
+
+
+def test_expected_layers_are_traced_layers(bench_modules):
+    layers, run = bench_modules
+    for workload, names in run.EXPECTED_LAYERS.items():
+        missing = set(names) - set(layers.LAYERS)
+        assert not missing, (workload, sorted(missing))

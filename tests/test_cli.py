@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from algebroids import cli
 from algebroids.cli import emit_report, main
 from algebroids.exactfield import Matrix, RationalField
 from algebroids.hopfcore import verify_hopf
@@ -350,6 +351,19 @@ def test_emit_report_matches_to_dict():
     assert [c["id"] for c in doc["checks"]] == ["a", "b"]
     text = emit_report(rep, "text")
     assert "demo: FAIL" in text
+
+
+def test_failed_construction_exits_one(capsys, monkeypatch):
+    # integrallab._require raises ArithmeticError when a construction's
+    # precondition fails; it is a verdict on the input, not a traceback
+    def refuse(*args, **kwargs):
+        raise ArithmeticError("~S is not bijective")
+
+    monkeypatch.setattr(cli, "dual_hopf_algebroid", refuse)
+    code, out, err = run(capsys, "dualize", M2)
+    assert code == 1
+    assert out == ""
+    assert err == "error: ~S is not bijective\n"
 
 
 # ---------------------------------------------------------------------------

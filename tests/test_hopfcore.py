@@ -3,6 +3,8 @@ Galois-map bijectivity route."""
 
 import pytest
 
+from algebroids.bimodtensor import BalancedTensorSpace
+from algebroids.catalog import pair_groupoid_hopf_algebroid
 from algebroids.exactfield import Matrix, RationalField
 from algebroids.hopfcore import (
     GaloisMaps,
@@ -90,6 +92,27 @@ def test_luiiv(m2, kz2, kz2_twisted):
     for h in (m2, kz2, kz2_twisted):
         rep = check_luiiv(h.lb, h.S)
         assert rep.passed, [c.check_id for c in rep.failures()]
+
+
+def test_luiiv_builds_the_candidate_square_once(monkeypatch):
+    # the candidate right bialgebroid's balanced square is also the space
+    # (luiii) is checked in; with lb's own square already built, one
+    # two-factor quotient of A ⊗ A is eliminated per check_luiiv
+    h = pair_groupoid_hopf_algebroid(3, QQ)
+    assert h.lb.tensor_space.dim == 27
+    builds = []
+    init = BalancedTensorSpace.__init__
+
+    def counting(self, algebras, junctions):
+        if not any(isinstance(a, BalancedTensorSpace) for a in algebras) \
+                and len(algebras) == 2:
+            builds.append(algebras)
+        init(self, algebras, junctions)
+
+    monkeypatch.setattr(BalancedTensorSpace, "__init__", counting)
+    rep = check_luiiv(h.lb, h.S)
+    assert rep.passed, [c.check_id for c in rep.failures()]
+    assert len(builds) == 1
 
 
 def test_lu_axioms_default_and_explicit_section(m2):
