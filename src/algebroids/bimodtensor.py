@@ -99,42 +99,51 @@ class Junction:
         return self.right.base
 
 
+def _map_factor(dims, p, vec, out_dim, image, zero):
+    """Replace each basis vector e_i at tensor factor ``p`` of ``vec`` by
+    ``image(i)``, a list of terms (k, c) on an ``out_dim``-dimensional factor.
+
+    Only the nonzero entries of ``vec`` are visited, and ``image`` is called
+    once for each i that occurs among them.
+    """
+    stride = prod(dims[p + 1:], start=1)
+    block_in = dims[p] * stride
+    block_out = out_dim * stride
+    out = [zero] * (len(vec) // block_in * block_out)
+    images = {}
+    for pos, x in enumerate(vec):
+        if not x:
+            continue
+        blk, r = divmod(pos, block_in)
+        i, t = divmod(r, stride)
+        img = images.get(i)
+        if img is None:
+            img = images[i] = image(i)
+        base = blk * block_out + t
+        for k, c in img:
+            at = base + k * stride
+            out[at] = out[at] + c * x
+    return tuple(out)
+
+
 def apply_at_factor(dims, p, m, vec):
     """Apply a matrix to tensor factor ``p`` of a dense multi-tensor vector."""
     if len(vec) != prod(dims):
         raise ValueError("apply_at_factor length mismatch")
     if m.ncols != dims[p]:
         raise ValueError("matrix does not fit factor dimension")
-    stride = prod(dims[p + 1:], start=1)
-    block_in = dims[p] * stride
-    nblocks = len(vec) // block_in
-    block_out = m.nrows * stride
-    field = m.field
-    zero = field.zero
-    out = [zero] * (nblocks * block_out)
-    for blk in range(nblocks):
-        base_in = blk * block_in
-        base_out = blk * block_out
-        for i in range(dims[p]):
-            seg_base = base_in + i * stride
-            for t in range(stride):
-                x = vec[seg_base + t]
-                if not x:
-                    continue
-                for k in range(m.nrows):
-                    c = m.rows[k][i]
-                    if c:
-                        pos = base_out + k * stride + t
-                        out[pos] = out[pos] + c * x
-    return tuple(out)
+    return _map_factor(
+        dims, p, vec, m.nrows,
+        lambda i: [(k, row[i]) for k, row in enumerate(m.rows) if row[i]],
+        m.field.zero)
 
 
 def mult_at_factor(algebra, dims, p, vec, elem_vec, side):
-    """Multiply tensor factor ``p`` by a fixed algebra element on one side.
+    """Multiply tensor factor ``p`` by a fixed algebra element u on one side.
 
-    Reads ``table`` directly: a basis vector e_i at factor ``p`` becomes
-    u e_i (``pre``) or e_i u (``post``), a combination of table entries over
-    the nonzero entries of u, computed once per i that occurs in ``vec``.
+    Reads ``table`` directly: e_i at factor ``p`` becomes u e_i (``pre``) or
+    e_i u (``post``), combined from the table entries of the nonzero
+    coefficients of u, for each i that occurs in ``vec``.
     """
     if side not in (PRE, POST):
         raise ValueError(f"side must be {PRE!r} or {POST!r}")
@@ -145,26 +154,15 @@ def mult_at_factor(algebra, dims, p, vec, elem_vec, side):
     table = algebra.table
     zero = algebra.field.zero
     elem = [(a, c) for a, c in enumerate(elem_vec) if c]
-    stride = prod(dims[p + 1:], start=1)
-    images = {}
-    out = [zero] * len(vec)
-    for pos, x in enumerate(vec):
-        if not x:
-            continue
-        i = pos // stride % dims[p]
-        img = images.get(i)
-        if img is None:
-            if side == PRE:
-                img = combine(zero, ((c, table[a][i]) for a, c in elem))
-            else:
-                img = combine(zero, ((c, table[i][a]) for a, c in elem))
-            images[i] = img
-        # e_i at factor p sits at pos; e_k sits (k - i) strides away
-        base = pos - i * stride
-        for k, c in img.items():
-            at = base + k * stride
-            out[at] = out[at] + c * x
-    return tuple(out)
+
+    def image(i):
+        if side == PRE:
+            terms = ((c, table[a][i]) for a, c in elem)
+        else:
+            terms = ((c, table[i][a]) for a, c in elem)
+        return combine(zero, terms).items()
+
+    return _map_factor(dims, p, vec, algebra.dim, image, zero)
 
 
 class BalancedTensorSpace:

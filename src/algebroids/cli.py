@@ -23,6 +23,7 @@ from .integrallab import (
     RIGHT,
     Degenerate,
     NondegenerateIntegral,
+    PreconditionError,
     dual_hopf_algebroid,
     duality_diagram,
     integral_space,
@@ -378,9 +379,7 @@ def main(argv=None):
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a construction's precondition failed
-        # (integrallab._require), a verdict about the input, not a crash
+    except (ValueError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

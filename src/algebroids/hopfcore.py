@@ -509,19 +509,14 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     R = opposite(lb.base)
     s_r = AlgebraMap(R, A, S @ lb.s.matrix, HOM, "s_R")
     t_r = AlgebraMap(R, A, lb.s.matrix, ANTI, "t_R")
-    junction = Junction(ActionSpec(s_r, POST), ActionSpec(t_r, POST))
     gamma_r_cols = [flip_tensor(d, d, tensor_apply(
         S, S, lb.coproduct_lift(S_inv.col(j)))) for j in range(d)]
     gamma_r = Matrix.from_cols(field, gamma_r_cols, d * d)
     counit_r = lb.counit @ S_inv
-    try:
-        rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
-                              name=f"{lb.name}_cand")
-    except ValueError as exc:
-        rb, rb_error = None, str(exc)
-    # (luiii) is stated in the candidate's balanced square over this junction
-    space = (rb.tensor_space if rb is not None
-             else BalancedTensorSpace([A, A], [junction]))
+    rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
+                          name=f"{lb.name}_cand")
+    # (luiii) is stated in the candidate's balanced square
+    space = rb.tensor_space
     bad = []
     for i in range(d):
         a = A.basis_vec(i)
@@ -545,12 +540,8 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     rep.add("luiv-wd", "candidate base images match crosswise (t_L(L) = S(s_L(L)))",
             not bad, bad)
 
-    if rb is None:
-        rep.add("luiv", "mixed coassociativity for the candidate coproduct",
-                False, [rb_error])
-        return rep
     idm = Matrix.identity(field, d)
-    llr = BalancedTensorSpace([lb.tensor_space, A], [junction])
+    llr = BalancedTensorSpace([lb.tensor_space, A], [rb.junction()])
     rrl = BalancedTensorSpace([space, A], [lb.junction()])
     bad1, bad2 = [], []
     for i in range(d):

@@ -70,9 +70,13 @@ def _side_bialgebroid(parent, side):
     raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
 
 
+class PreconditionError(ArithmeticError):
+    """A construction's precondition does not hold for its input."""
+
+
 def _require(ok, message):
     if not ok:
-        raise ArithmeticError(message)
+        raise PreconditionError(message)
 
 
 def _fail_lines(report, limit=3):

@@ -9,6 +9,7 @@ from algebroids import cli
 from algebroids.cli import emit_report, main
 from algebroids.exactfield import Matrix, RationalField
 from algebroids.hopfcore import verify_hopf
+from algebroids.integrallab import PreconditionError
 from algebroids.report import Report
 from algebroids.specfile import SpecBuilder, parse, parse_text, spec_from_hopf
 from algebroids.catalog import pair_groupoid_weak_hopf
@@ -354,16 +355,23 @@ def test_emit_report_matches_to_dict():
 
 
 def test_failed_construction_exits_one(capsys, monkeypatch):
-    # integrallab._require raises ArithmeticError when a construction's
-    # precondition fails; it is a verdict on the input, not a traceback
+    # a failed construction precondition is a verdict on the input, not a
+    # traceback; other arithmetic errors are faults and still propagate
     def refuse(*args, **kwargs):
-        raise ArithmeticError("~S is not bijective")
+        raise PreconditionError("~S is not bijective")
 
     monkeypatch.setattr(cli, "dual_hopf_algebroid", refuse)
     code, out, err = run(capsys, "dualize", M2)
     assert code == 1
     assert out == ""
     assert err == "error: ~S is not bijective\n"
+
+    def divide(*args, **kwargs):
+        raise ZeroDivisionError("division by zero in GF(7)")
+
+    monkeypatch.setattr(cli, "dual_hopf_algebroid", divide)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["dualize", M2])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ weakened counit law of ``verify_weak_hopf`` is compared with a brute-force
 sum on corrupted weak Hopf algebras.
 """
 
+from itertools import product
 from math import prod
 
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,18 @@ def dense_mul(A, u, v):
             for k, c in A.table[i][j].items():
                 out[k] = out[k] + u[i] * v[j] * c
     return tuple(out)
+
+
+def dense_at_factor(dims, p, m, vec):
+    """m applied to tensor factor p, entry by entry over all multi-indices."""
+    out_dims = list(dims)
+    out_dims[p] = m.nrows
+    out = {idx: m.field.zero for idx in product(*map(range, out_dims))}
+    for idx, x in zip(product(*map(range, dims)), vec):
+        for k in range(m.nrows):
+            at = idx[:p] + (k,) + idx[p + 1:]
+            out[at] = out[at] + m.rows[k][idx[p]] * x
+    return tuple(out.values())
 
 
 def unit_vector_verify_algebra(A):
@@ -249,10 +262,30 @@ def test_mult_at_factor_matches_the_multiplication_matrices(data):
     vec = data.draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)),
                              min_size=prod(dims), max_size=prod(dims)))
     vec = tuple(A.field.of(x) for x in vec)
+    left, right = A.left_mult_matrix(u), A.right_mult_matrix(u)
     assert (mult_at_factor(A, dims, p, vec, u, PRE)
-            == apply_at_factor(dims, p, A.left_mult_matrix(u), vec))
+            == apply_at_factor(dims, p, left, vec)
+            == dense_at_factor(dims, p, left, vec))
     assert (mult_at_factor(A, dims, p, vec, u, POST)
-            == apply_at_factor(dims, p, A.right_mult_matrix(u), vec))
+            == apply_at_factor(dims, p, right, vec)
+            == dense_at_factor(dims, p, right, vec))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_apply_at_factor_matches_the_dense_reference(data):
+    # rectangular matrices change the dimension of factor p
+    field = data.draw(st.sampled_from((QQ, F7)))
+    n = data.draw(st.sampled_from((2, 3)))
+    p = data.draw(st.integers(0, n - 1))
+    dims = [data.draw(st.integers(1, 3)) for _ in range(n)]
+    nrows = data.draw(st.integers(1, 3))
+    entries = st.sampled_from((0, 0, 1, -1, 3))
+    m = Matrix(field, nrows, dims[p],
+               [[field.of(data.draw(entries)) for _ in range(dims[p])]
+                for _ in range(nrows)])
+    vec = tuple(field.of(data.draw(entries)) for _ in range(prod(dims)))
+    assert apply_at_factor(dims, p, m, vec) == dense_at_factor(dims, p, m, vec)
 
 
 # ---------------------------------------------------------------------------
