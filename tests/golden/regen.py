@@ -6,8 +6,10 @@ and three report modes (``text``, ``structured``, ``text`` under
 ``--field gf:7``), recording the argv, the exit code, stdout, stderr and any
 ``--out`` document.  The library cases pin reports and constructions the
 bundled specs never reach: corrupted inputs, the right-handed verifiers on
-every catalog fixture, degenerate right-integral candidates, and the names
-and matrices of reconstructed Hopf algebroids.
+every catalog fixture, degenerate right-integral candidates, the names
+and matrices of reconstructed Hopf algebroids, and the lower-star dual
+bialgebroid (report, ring table, solved coproduct) of every catalog fixture
+and of corrupted inputs that fail each of its ring and membership checks.
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -129,6 +131,27 @@ def describe_hopf(h):
     return "\n".join(lines) + "\n"
 
 
+def describe_dual(dual):
+    """Report, ring table and solved coproduct of one dual construction."""
+    lines = [render(dual.report) +
+             f"module: {dual.module.kind}, dim {dual.module.dim}"]
+    ring = dual.ring
+    if ring is None:
+        lines.append("ring: None")
+    else:
+        lines.append(f"ring: {ring.name}, unit {ring.fmt_vec(ring.unit)}")
+        names = ring.basis_names
+        for i in range(ring.dim):
+            for j in range(ring.dim):
+                lines.append(f"{names[i]} * {names[j]} = "
+                             f"{ring.fmt_vec(ring.dense(ring.table[i][j]))}")
+    if dual.bgd is None:
+        lines.append("gamma_lift: None")
+    else:
+        lines += ["gamma_lift:", fmt_matrix(dual.bgd.gamma_lift)]
+    return "\n".join(lines) + "\n"
+
+
 def _raises(fn):
     try:
         fn()
@@ -139,7 +162,11 @@ def _raises(fn):
 
 def _library_cases():
     from algebroids import QQ
-    from algebroids.bialgebroid import RightBialgebroid, verify_right_bialgebroid
+    from algebroids.bialgebroid import (
+        LeftBialgebroid,
+        RightBialgebroid,
+        verify_right_bialgebroid,
+    )
     from algebroids.catalog import (
         FiniteGroup,
         all_fixtures,
@@ -148,6 +175,7 @@ def _library_cases():
         matrix_sum_integral,
         pair_groupoid_hopf_algebroid,
     )
+    from algebroids.dualspace import dual_lower_star
     from algebroids.hopfcore import reconstruct_left
     from algebroids.integrallab import ls_right, verify_bgdnd_right
     from test_acceptance import _corruptions, _perturb
@@ -243,6 +271,31 @@ def _library_cases():
     for fx in all_fixtures():
         cases[f"reconstruct-left-{fx['name']}"] = lambda fx=fx: describe_hopf(
             reconstruct_left(fx["hopf"].rb, fx["hopf"].S))
+
+    for fx in all_fixtures():
+        cases[f"dual-lower-star-{fx['name']}"] = lambda fx=fx: describe_dual(
+            dual_lower_star(fx["hopf"].lb))
+
+    def corrupt_left(gamma=(), counit=()):
+        # one entry of the pair groupoid's coproduct lift or counit, plus one
+        lb = m2().lb
+        return LeftBialgebroid(
+            lb.total, lb.base, lb.s, lb.t,
+            _perturb(lb.gamma_lift, *gamma, one) if gamma else lb.gamma_lift,
+            _perturb(lb.counit, *counit, one) if counit else lb.counit,
+            name="bad")
+
+    # the checks they fail, in order: ring-unit; ring-unit and ring-assoc;
+    # dual-closed; dual-unit-member
+    dual_corrupt = {
+        "m2-gamma-00": lambda: corrupt_left(gamma=(0, 0)),
+        "m2-gamma-01": lambda: corrupt_left(gamma=(0, 1)),
+        "m2-gamma-02": lambda: corrupt_left(gamma=(0, 2)),
+        "m2-counit-02": lambda: corrupt_left(counit=(0, 2)),
+    }
+    for name, build in dual_corrupt.items():
+        cases[f"dual-lower-star-corrupt-{name}"] = \
+            lambda build=build: describe_dual(dual_lower_star(build()))
     return cases
 
 
