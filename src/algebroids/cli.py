@@ -16,7 +16,6 @@ import sys
 from . import specfile
 from .algebra import verify_algebra
 from .bialgebroid import verify_left_bialgebroid, verify_right_bialgebroid
-from .dualspace import dual_lower_star
 from .hopfcore import check_lu_axioms, verify_hopf
 from .integrallab import (
     LEFT,
@@ -30,7 +29,7 @@ from .integrallab import (
     intpr_equivalences,
     ls_antipode,
     nondegeneracy,
-    recording_ls_reports,
+    recording_reports,
 )
 from .report import DEFAULT_CERTIFICATE_LIMIT, Report
 from .specfile import SpecBuilder, SpecError, parse_field
@@ -146,7 +145,7 @@ def cmd_ls_antipode(spec, args):
     nm, rb = spec.right_bialgebroid(args.name)
     el, ell = spec.element_for(rb.total, args.integral)
     rep = Report(f"antipode construction on {nm} from {el}")
-    with recording_ls_reports() as decided:
+    with recording_reports() as decided:
         try:
             h = ls_antipode(rb, ell, name=f"{nm}-hopf")
         except ValueError:
@@ -242,11 +241,11 @@ def cmd_dualize(spec, args):
                 [nd.reason])
         return rep, None
     rep.extend(nd.report, prefix="nd-")
-    hd = dual_hopf_algebroid(h, nd, name=f"{nm}-dual")
-    rep.extend(verify_hopf(hd), prefix="dual-")
-    kappa_coords = dual_lower_star(h.lb).module.coords(nd.kappa)
+    with recording_reports() as decided:
+        hd = dual_hopf_algebroid(h, nd, name=f"{nm}-dual")
+    rep.extend(decided["hopf"], prefix="dual-")
     text = specfile.spec_from_hopf(hd, name=f"{nm}-dual",
-                                   integral=kappa_coords,
+                                   integral=decided["kappa"],
                                    integral_name="kappa")
     return rep, text
 

@@ -4,7 +4,12 @@ A left bialgebroid has two distinguished duals of module maps into the base,
 one for each of the two base actions carried by the target/source maps; a
 right bialgebroid likewise.  Each dual is a subspace of the linear maps
 A → base cut out by one intertwining constraint, and each carries a
-convolution-style ring structure transported through the coproduct.
+convolution-style ring structure transported through the coproduct: a
+functional acts on the total algebra through one leg of the coproduct
+(a ↼ φ, a ⇂ φ, φ ⇀ a, φ ⇁ a), and every convolution product composes one
+factor with the action matrix of the other.  Action matrices are read from
+the columns of the canonical coproduct lift and the structure constants, as
+are the pairing and right-hand side of the coproduct equations below.
 
 The distinguished one here is the ``lower-star`` dual of a left bialgebroid:
 it becomes a right bialgebroid over the same base, with coproduct determined
@@ -20,8 +25,9 @@ ring products come out opposite exactly the way the direct convolution
 formulas swap their factors.
 """
 
-from .exactfield import Matrix, Subspace
-from .algebra import HOM, ANTI, Algebra, AlgebraMap, verify_algebra
+from .exactfield import Matrix
+from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, sparse,
+                      verify_algebra)
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
 from .bimodtensor import PRE, POST
 from .report import Report
@@ -34,6 +40,16 @@ STAR_UPPER = "star-upper"    # φ(a t_R(r)) = r φ(a)   on a right bialgebroid
 _LEFT_KINDS = (LOWER_STAR, STAR_LOWER)
 _RIGHT_KINDS = (UPPER_STAR, STAR_UPPER)
 
+# per kind: the structure map carrying a functional's values into the total
+# algebra, the coproduct leg the functional reads, and the side its value
+# multiplies the other leg from
+_ACTIONS = {
+    LOWER_STAR: ("s", 0, PRE),     # a ↼ φ = s_L(φ(a_(1))) a_(2)
+    STAR_LOWER: ("t", 1, PRE),     # a ⇂ φ = t_L(φ(a_(2))) a_(1)
+    UPPER_STAR: ("t", 0, POST),    # φ ⇀ a = a^(2) t_R(φ(a^(1)))
+    STAR_UPPER: ("s", 1, POST),    # φ ⇁ a = a^(1) s_R(φ(a^(2)))
+}
+
 
 class DualModule:
     """One of the four base-valued duals, as an explicit constraint subspace.
@@ -42,7 +58,11 @@ class DualModule:
     matrix, flattened row-major into the ambient coordinate space.
     """
 
-    def __init__(self, bgd, kind):
+    def __init__(self, bgd, kind, space=None):
+        """``space`` is the constraint space when it is solved already: the
+        derived duals are lower-star duals of an opposite or co-opposite,
+        whose equations are the ``kind`` equations of ``bgd`` row for row.
+        """
         if kind not in _LEFT_KINDS + _RIGHT_KINDS:
             raise ValueError(f"unknown dual kind {kind!r}")
         if kind in _LEFT_KINDS and not isinstance(bgd, LeftBialgebroid):
@@ -54,7 +74,7 @@ class DualModule:
         self.total = bgd.total
         self.base = bgd.base
         self.field = bgd.field
-        self.space = self._solve_constraints()
+        self.space = self._solve_constraints() if space is None else space
         self.basis = [self._unflatten(row)
                       for row in self.space.basis.rows]
 
@@ -64,26 +84,21 @@ class DualModule:
         return Matrix(self.field, dl, da, rows)
 
     def _flatten(self, matrix):
-        out = []
-        for row in matrix.rows:
-            out.extend(row)
-        return tuple(out)
+        return tuple(x for row in matrix.rows for x in row)
 
     def _solve_constraints(self):
         A, B = self.total, self.base
         da, dl = A.dim, B.dim
         zero = self.field.zero
+        # the constraint of each kind, as commented where it is defined
+        amap = (self.bgd.t if self.kind in (LOWER_STAR, STAR_UPPER)
+                else self.bgd.s)
+        left = self.kind in _LEFT_KINDS
+        base_right = self.kind in (LOWER_STAR, UPPER_STAR)   # φ(a) l
         rows = []
         for lidx in range(dl):
-            lvec = B.basis_vec(lidx)
-            if self.kind == LOWER_STAR:
-                mult = A.left_mult_matrix(self.bgd.t.apply(lvec))
-            elif self.kind == STAR_LOWER:
-                mult = A.left_mult_matrix(self.bgd.s.apply(lvec))
-            elif self.kind == UPPER_STAR:
-                mult = A.right_mult_matrix(self.bgd.s.apply(lvec))
-            else:
-                mult = A.right_mult_matrix(self.bgd.t.apply(lvec))
+            x = amap.matrix.col(lidx)
+            mult = A.left_mult_matrix(x) if left else A.right_mult_matrix(x)
             for aidx in range(da):
                 moved = mult.col(aidx)   # the acted-on algebra element
                 for m in range(dl):
@@ -93,20 +108,13 @@ class DualModule:
                         if c:
                             row[m * da + i] = row[m * da + i] + c
                     for mp in range(dl):
-                        if self.kind in (LOWER_STAR, UPPER_STAR):
-                            # φ(a) l  (multiply by l on the right)
-                            c = B.table[mp][lidx].get(m, zero)
-                        else:
-                            # l φ(a)
-                            c = B.table[lidx][mp].get(m, zero)
+                        c = (B.table[mp][lidx] if base_right
+                             else B.table[lidx][mp]).get(m, zero)
                         if c:
                             row[mp * da + aidx] = row[mp * da + aidx] - c
                     if any(row):
                         rows.append(tuple(row))
-        if not rows:
-            return Subspace.full(self.field, dl * da)
-        m = Matrix.from_rows(self.field, rows, dl * da)
-        return m.kernel()
+        return Matrix.from_rows(self.field, rows, dl * da).kernel()
 
     @property
     def dim(self):
@@ -131,51 +139,23 @@ class DualModule:
         return self.bgd.counit
 
     def product(self, phi, psi):
-        """Convolution product of two functionals (base-valued matrices)."""
-        A = self.total
-        d = A.dim
-        out_cols = []
-        for aidx in range(d):
-            if self.kind == LOWER_STAR:
-                # (φψ)(a) = ψ(s_L(φ(a_(1))) a_(2))
-                w = self.bgd.coproduct_lift(A.basis_vec(aidx))
-                acc = self.base.zero_vec()
-                for k in range(d):
-                    block = w[k * d:(k + 1) * d]
-                    if any(block):
-                        moved = A.mul_vec(self.bgd.s.apply(phi.col(k)), block)
-                        acc = tuple(x + y for x, y in zip(acc, psi.apply(moved)))
-            elif self.kind == STAR_LOWER:
-                # (φψ)(a) = ψ(t_L(φ(a_(2))) a_(1))
-                w = self.bgd.coproduct_lift(A.basis_vec(aidx))
-                acc = self.base.zero_vec()
-                for k in range(d):
-                    block = w[k * d:(k + 1) * d]
-                    if any(block):
-                        moved = A.mul_vec(self.bgd.t.apply(phi.apply(block)),
-                                          A.basis_vec(k))
-                        acc = tuple(x + y for x, y in zip(acc, psi.apply(moved)))
-            elif self.kind == UPPER_STAR:
-                # (φψ)(a) = φ(a^(2) t_R(ψ(a^(1))))
-                w = self.bgd.coproduct_lift(A.basis_vec(aidx))
-                acc = self.base.zero_vec()
-                for k in range(d):
-                    block = w[k * d:(k + 1) * d]
-                    if any(block):
-                        moved = A.mul_vec(block, self.bgd.t.apply(psi.col(k)))
-                        acc = tuple(x + y for x, y in zip(acc, phi.apply(moved)))
-            else:
-                # (φψ)(a) = φ(a^(1) s_R(ψ(a^(2))))
-                w = self.bgd.coproduct_lift(A.basis_vec(aidx))
-                acc = self.base.zero_vec()
-                for k in range(d):
-                    block = w[k * d:(k + 1) * d]
-                    if any(block):
-                        moved = A.mul_vec(A.basis_vec(k),
-                                          self.bgd.s.apply(psi.apply(block)))
-                        acc = tuple(x + y for x, y in zip(acc, phi.apply(moved)))
-            out_cols.append(acc)
-        return Matrix.from_cols(self.field, out_cols, self.base.dim)
+        """Convolution product of two functionals (base-valued matrices): one
+        factor composed with the action matrix of the other,
+
+            lower-star  φψ = ψ ∘ (− ↼ φ)      upper-star  φψ = φ ∘ (ψ ⇀ −)
+            star-lower  φψ = ψ ∘ (− ⇂ φ)      star-upper  φψ = φ ∘ (ψ ⇁ −)
+        """
+        if self.kind in _LEFT_KINDS:
+            return psi @ action_matrix(self.bgd, self.kind, phi)
+        return phi @ action_matrix(self.bgd, self.kind, psi)
+
+    def products(self, phi, psis):
+        """``[product(phi, psi) for psi in psis]``; on a left-sided dual φ's
+        action matrix is built once for all of them."""
+        if self.kind in _RIGHT_KINDS:
+            return [self.product(phi, psi) for psi in psis]
+        act = action_matrix(self.bgd, self.kind, phi)
+        return [psi @ act for psi in psis]
 
     def __repr__(self):
         return f"DualModule({self.kind}, dim {self.dim})"
@@ -186,28 +166,40 @@ class DualModule:
 # machinery) and transpose actions of the algebra on functionals
 
 
+def action_matrix(bgd, kind, phi):
+    """The matrix of the action of a functional φ of the ``kind`` dual on the
+    total algebra: column a is e_a ↼ φ, e_a ⇂ φ, φ ⇀ e_a or φ ⇁ e_a, read
+    from column a of the canonical coproduct lift."""
+    lift = bgd.canonical_gamma_lift
+    return Matrix.from_cols(bgd.field, _act(bgd, kind, phi, lift.columns()),
+                            bgd.total.dim)
+
+
+def _act(bgd, kind, phi, lifts):
+    # φ acting on each coproduct lift of ``lifts``
+    amap, leg, side = _ACTIONS[kind]
+    m = getattr(bgd, amap).matrix @ phi
+    return [contract_leg(bgd.total, m, w, leg, side) for w in lifts]
+
+
 def act_lower_star(lb, avec, phi):
     """a ↼ φ = s_L(φ(a_(1))) a_(2), for φ in the lower-star dual."""
-    return contract_leg(lb.total, lb.s.matrix @ phi,
-                        lb.coproduct_lift(avec), 0, PRE)
+    return _act(lb, LOWER_STAR, phi, [lb.coproduct_lift(avec)])[0]
 
 
 def act_star_lower(lb, avec, phi):
     """a ⇂ φ = t_L(φ(a_(2))) a_(1), for φ in the star-lower dual."""
-    return contract_leg(lb.total, lb.t.matrix @ phi,
-                        lb.coproduct_lift(avec), 1, PRE)
+    return _act(lb, STAR_LOWER, phi, [lb.coproduct_lift(avec)])[0]
 
 
 def act_upper_star(rb, phi, avec):
     """φ ⇀ a = a^(2) t_R(φ(a^(1))), for φ in the upper-star dual."""
-    return contract_leg(rb.total, rb.t.matrix @ phi,
-                        rb.coproduct_lift(avec), 0, POST)
+    return _act(rb, UPPER_STAR, phi, [rb.coproduct_lift(avec)])[0]
 
 
 def act_star_upper(rb, phi, avec):
     """φ ⇁ a = a^(1) s_R(φ(a^(2))), for φ in the star-upper dual."""
-    return contract_leg(rb.total, rb.s.matrix @ phi,
-                        rb.coproduct_lift(avec), 1, POST)
+    return _act(rb, STAR_UPPER, phi, [rb.coproduct_lift(avec)])[0]
 
 
 def transpose_left(phi, algebra, avec):
@@ -257,15 +249,14 @@ def dual_lower_star(lb, name=None):
     A, L = lb.total, lb.base
     field = lb.field
     n = module.dim
-    d = A.dim
     dl = L.dim
 
-    # ring structure constants
+    # ring structure constants: f_i f_j = f_j ∘ (− ↼ f_i)
     struct = {}
     closed_bad = []
     for i in range(n):
-        for j in range(n):
-            prod = module.product(module.basis[i], module.basis[j])
+        prods = module.products(module.basis[i], module.basis)
+        for j, prod in enumerate(prods):
             coords = module.coords(prod)
             if coords is None:
                 closed_bad.append(
@@ -298,8 +289,7 @@ def dual_lower_star(lb, name=None):
     member_bad = []
     for lidx in range(dl):
         lvec = L.basis_vec(lidx)
-        sl = lb.s.apply(lvec)
-        cand = lb.counit @ A.right_mult_matrix(sl)
+        cand = lb.counit @ A.right_mult_matrix(lb.s.apply(lvec))
         coords = module.coords(cand)
         if coords is None:
             member_bad.append(f"ŝ({L.basis_names[lidx]}) is not in the dual")
@@ -323,34 +313,8 @@ def dual_lower_star(lb, name=None):
 
     # the coproduct, solved from the pairing identity
     #   ⟨γ̂(φ), a⊗b⟩ = φ(ab)  with  ⟨u⊗v, a⊗b⟩ = u(a t_L(v(b)))
-    # pairing matrix: row index (a, b, m) over basis pairs of A and base
-    # coordinates; column index (u, v) over basis pairs of the dual
-    t_of_val = [[lb.t.apply(module.basis[v].col(bidx)) for bidx in range(d)]
-                for v in range(n)]
-    pairing_cols = []
-    for u in range(n):
-        for v in range(n):
-            # column of values u(e_a · t_L(v(e_b)))
-            col = []
-            for aidx in range(d):
-                avec = A.basis_vec(aidx)
-                for bidx in range(d):
-                    col.extend(module.basis[u].apply(
-                        A.mul_vec(avec, t_of_val[v][bidx])))
-            pairing_cols.append(tuple(col))
-    pairing = Matrix.from_cols(field, pairing_cols, d * d * dl)
-
-    rhs_cols = []
-    for w in range(n):
-        col = []
-        for aidx in range(d):
-            for bidx in range(d):
-                prod = A.mul_vec(A.basis_vec(aidx), A.basis_vec(bidx))
-                col.extend(module.basis[w].apply(prod))
-        rhs_cols.append(tuple(col))
-    rhs = Matrix.from_cols(field, rhs_cols, d * d * dl)
-
-    sol = pairing.solve_matrix(rhs)
+    pairing, rhs = pairing_system(lb, module)
+    sol, kern = pairing.solve_matrix_kernel(rhs)
     rep.add("dual-coproduct-solvable",
             "the pairing identity for γ̂ has a solution", sol is not None,
             [] if sol is not None else
@@ -362,7 +326,6 @@ def dual_lower_star(lb, name=None):
 
     # uniqueness of γ̂ modulo the dual junction: the pairing kernel must lie
     # inside the junction relation span
-    kern = pairing.kernel()
     bad = []
     tspace = rbd.tensor_space
     for row in kern.basis.rows:
@@ -372,6 +335,42 @@ def dual_lower_star(lb, name=None):
     rep.add("dual-coproduct-wd",
             "γ̂ is unique modulo the dual junction relations", not bad, bad)
     return DualBialgebroid(module, ring, rbd, rep)
+
+
+def pairing_system(lb, module):
+    """The pairing matrix and right-hand side of the coproduct equations
+    ⟨γ̂(φ_w), e_a ⊗ e_b⟩ = φ_w(e_a e_b) of the lower-star dual ``module``,
+    read from the structure constants.  Row (a, b, m) is base coordinate m;
+    column (u, v) of the pairing holds u(e_a t_L(v(e_b))), and column w of
+    the right-hand side φ_w(e_a e_b) = Σ_k table[a][b][k] φ_w(e_k)."""
+    A = lb.total
+    d, dl, n = A.dim, lb.base.dim, module.dim
+    table = A.table
+    zero = lb.field.zero
+    size = d * d * dl
+    values = [[sparse(phi.col(k)) for k in range(d)] for phi in module.basis]
+
+    def add(col, top, terms, vals):
+        # col[top + m] += Σ_k terms[k] φ(e_k)_m, φ(e_k) = vals[k]
+        for k, x in terms.items():
+            for m, y in vals[k].items():
+                col[top + m] = col[top + m] + x * y
+
+    pairing = [[zero] * size for _ in range(n * n)]
+    for v in range(n):
+        for b in range(d):
+            tv = sparse(lb.t.apply(module.basis[v].col(b)))
+            for a in range(d):    # e_a t_L(v(e_b)), once for every u
+                moved = combine(zero, ((c, table[a][p]) for p, c in tv.items()))
+                for u in range(n):
+                    add(pairing[u * n + v], (a * d + b) * dl, moved, values[u])
+    rhs = [[zero] * size for _ in range(n)]
+    for a in range(d):
+        for b in range(d):
+            for w in range(n):
+                add(rhs[w], (a * d + b) * dl, table[a][b], values[w])
+    return (Matrix.from_cols(lb.field, pairing, size),
+            Matrix.from_cols(lb.field, rhs, size))
 
 
 def _rebase(bgd, base, name):
@@ -387,6 +386,17 @@ def _rebase(bgd, base, name):
                      name=name)
 
 
+def _derived(inner, bgd, kind, back):
+    """The ``kind`` dual of ``bgd`` from ``inner``, the lower-star dual of
+    its opposite or co-opposite, whose constraint space it shares;
+    ``back`` carries inner's bialgebroid back."""
+    module = DualModule(bgd, kind, inner.module.space)
+    if inner.bgd is None:
+        return DualBialgebroid(module, inner.ring, None, inner.report)
+    outer = back(inner.bgd)
+    return DualBialgebroid(module, outer.total, outer, inner.report)
+
+
 def dual_star_lower(lb, name=None):
     """The star-lower dual of a left bialgebroid: a right bialgebroid over
     the same base.
@@ -400,12 +410,8 @@ def dual_star_lower(lb, name=None):
     bialgebroid isomorphisms on every catalog example.
     """
     name = name or f"{lb.name}_{{*}}"
-    inner = dual_lower_star(lb.cop(), name=name)
-    module = DualModule(lb, STAR_LOWER)
-    if inner.bgd is None:
-        return DualBialgebroid(module, inner.ring, None, inner.report)
-    outer = _rebase(inner.bgd.cop(), lb.base, name)
-    return DualBialgebroid(module, inner.ring, outer, inner.report)
+    return _derived(dual_lower_star(lb.cop(), name=name), lb, STAR_LOWER,
+                    lambda inner: _rebase(inner.cop(), lb.base, name))
 
 
 def dual_upper_star(rb, name=None):
@@ -418,12 +424,8 @@ def dual_upper_star(rb, name=None):
     the direct formula.
     """
     name = name or f"{rb.name}^*"
-    inner = dual_lower_star(rb.op(), name=name)
-    module = DualModule(rb, UPPER_STAR)
-    if inner.bgd is None:
-        return DualBialgebroid(module, inner.ring, None, inner.report)
-    outer = inner.bgd.op()
-    return DualBialgebroid(module, outer.total, outer, inner.report)
+    return _derived(dual_lower_star(rb.op(), name=name), rb, UPPER_STAR,
+                    lambda inner: inner.op())
 
 
 def dual_star_upper(rb, name=None):
@@ -435,9 +437,5 @@ def dual_star_upper(rb, name=None):
     arrows are honest bialgebroid morphisms.
     """
     name = name or f"^*{rb.name}"
-    inner = dual_lower_star(rb.op().cop(), name=name)
-    module = DualModule(rb, STAR_UPPER)
-    if inner.bgd is None:
-        return DualBialgebroid(module, inner.ring, None, inner.report)
-    outer = _rebase(inner.bgd.op().cop(), rb.base, name)
-    return DualBialgebroid(module, outer.total, outer, inner.report)
+    return _derived(dual_lower_star(rb.op().cop(), name=name), rb, STAR_UPPER,
+                    lambda inner: _rebase(inner.op().cop(), rb.base, name))

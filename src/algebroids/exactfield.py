@@ -417,7 +417,11 @@ class Matrix:
 
     def kernel(self):
         """Null space {x : M x = 0} as a canonical Subspace."""
-        red, pivots = self.rref_pivots()
+        return self._kernel_from(*self.rref_pivots())
+
+    def _kernel_from(self, red, pivots):
+        # ``red`` is a reduced echelon form whose first ncols columns are
+        # this matrix's, with pivots ``pivots`` among them
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         zero = self.field.zero
@@ -447,12 +451,20 @@ class Matrix:
 
     def solve_matrix(self, rhs):
         """Solve M X = rhs column by column in one elimination; None if any fails."""
+        return self.solve_matrix_kernel(rhs)[0]
+
+    def solve_matrix_kernel(self, rhs):
+        """``(solve_matrix(rhs), kernel())`` from the one elimination of
+        [M | rhs], or ``(None, None)`` if any column fails: the reduced form
+        is unique, so its first ncols columns are the reduced form of M."""
         if rhs.nrows != self.nrows:
             raise ValueError("rhs shape mismatch")
         aug = self.hstack(rhs)
         red, pivots = aug.rref_pivots()
+        # rows past the pivots are zero, so a pivot in rhs is the only way
+        # a column can fail
         if pivots and pivots[-1] >= self.ncols:
-            return None
+            return None, None
         zero = self.field.zero
         cols = []
         for j in range(rhs.ncols):
@@ -460,12 +472,8 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 x[pc] = red.rows[i][self.ncols + j]
             cols.append(tuple(x))
-        # a column may still be inconsistent if its residual rows are nonzero
-        for i in range(len(pivots), self.nrows):
-            for j in range(rhs.ncols):
-                if red.rows[i][self.ncols + j]:
-                    return None
-        return Matrix.from_cols(self.field, cols, self.ncols)
+        return (Matrix.from_cols(self.field, cols, self.ncols),
+                self._kernel_from(red, pivots))
 
     def inverse(self):
         if self.nrows != self.ncols:

@@ -594,11 +594,12 @@ def dual_hopf_algebroid(h, nd, name=None):
     hd = reconstruct_left(dual.bgd, s_star)
     hd.name = name or f"{h.name}_*"
 
-    rep = verify_hopf(hd)
+    record = _DECIDED.get({})
+    rep = record["hopf"] = verify_hopf(hd)
     _require(rep.passed, "the dual Hopf algebroid failed verification: "
              + _fail_lines(rep))
 
-    kc = dual.module.coords(kappa)
+    kc = record["kappa"] = dual.module.coords(kappa)
     _require(kc is not None, "κ is not a member of the dual ring")
     _require(integral_space(hd, LEFT).contains(kc),
              "κ is not a left integral of the dual")
@@ -973,29 +974,30 @@ def ls_antipode(rb, ell, name=None):
     return h
 
 
-_LS_REPORTS = ContextVar("ls_reports", default=None)
+# unset outside ``recording_reports``: ``_DECIDED.get({})`` is a throwaway
+_DECIDED = ContextVar("decided")
 
 
 @contextmanager
-def recording_ls_reports():
-    """Inside this context ``ls_antipode`` leaves the reports it decided on
-    in the yielded dict: ``pre``, its precondition (the checks of
+def recording_reports():
+    """Inside this context the constructions leave what they decided on in
+    the yielded dict, so a caller that prints it does not decide it again:
+    ``ls_antipode`` leaves ``pre``, its precondition (the checks of
     ``verify_bgdnd``), and ``hopf``, the ``verify_hopf`` report of the
-    result, so a caller that prints them does not decide them again."""
+    result; ``dual_hopf_algebroid`` leaves ``hopf``, the ``verify_hopf``
+    report of the dual, and ``kappa``, the coordinates of κ in its ring."""
     record = {}
-    token = _LS_REPORTS.set(record)
+    token = _DECIDED.set(record)
     try:
         yield record
     finally:
-        _LS_REPORTS.reset(token)
+        _DECIDED.reset(token)
 
 
 def _ls(rb, ell, notation):
     """The construction of ``ls_antipode``; its precondition is reported
     and refused in ``notation``."""
-    record = _LS_REPORTS.get()
-    if record is None:
-        record = {}
+    record = _DECIDED.get({})
     ell = tuple(ell)
     pre, data = _verify_bgdnd(rb, ell, "", notation)
     record["pre"] = pre
@@ -1109,8 +1111,8 @@ def double_dual_evaluation(h, nd, title=None):
     field = h.field
 
     hd = dual_hopf_algebroid(h, nd)
-    dual = dual_lower_star(h.lb)
-    kc = dual.module.coords(nd.kappa)
+    module = DualModule(h.lb, LOWER_STAR)
+    kc = module.coords(nd.kappa)
     nd_dual = nondegeneracy(hd, kc)
     ok = isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok
     rep.add("dd-dual-integral", "κ is a non-degenerate integral of the "
@@ -1120,32 +1122,32 @@ def double_dual_evaluation(h, nd, title=None):
     hdd = dual_hopf_algebroid(hd, nd_dual)
     rep.add("dd-assembles", "the double dual assembles and verifies",
             True, [])
-    dual2 = dual_lower_star(hd.lb)
+    module2 = DualModule(hd.lb, LOWER_STAR)
 
     s_star = hd.S
     bad = []
     cols = []
     for i in range(d):
         target = h.S.col(i)
-        ev_cols = [dual.module.element(s_star.col(j)).apply(target)
-                   for j in range(dual.module.dim)]
+        ev_cols = [module.element(s_star.col(j)).apply(target)
+                   for j in range(module.dim)]
         ev = Matrix.from_cols(field, ev_cols, hd.lb.base.dim)
-        coords = dual2.module.coords(ev)
+        coords = module2.coords(ev)
         if coords is None:
             bad.append(f"a = {A.basis_names[i]}: the twisted evaluation "
                        "functional leaves the constraint subspace")
-            coords = (field.zero,) * dual2.module.dim
+            coords = (field.zero,) * module2.dim
         cols.append(coords)
     rep.add("dd-member", "φ ↦ S₍*₎(φ)(S(a)) lies in the double-dual module",
             not bad, bad)
     if bad:
         return rep
 
-    phi_total = Matrix.from_cols(field, cols, dual2.module.dim)
-    ok = dual2.module.dim == d and phi_total.rank() == d
+    phi_total = Matrix.from_cols(field, cols, module2.dim)
+    ok = module2.dim == d and phi_total.rank() == d
     rep.add("dd-bijective", "the twisted evaluation is bijective", ok,
             [] if ok else [f"rank {phi_total.rank()} of {d}, "
-                           f"dim {dual2.module.dim}"])
+                           f"dim {module2.dim}"])
     if not ok:
         return rep
     rep.extend(verify_right_morphism(h.rb, hdd.rb, phi_total), prefix="dd-")

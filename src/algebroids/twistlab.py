@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .bimodtensor import PRE, POST, ActionSpec, BalancedTensorSpace, Junction
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
-from .dualspace import DualModule, LOWER_STAR, act_lower_star
+from .dualspace import DualModule, LOWER_STAR, act_lower_star, action_matrix
 from .hopfcore import HopfAlgebroid, reconstruct_right
 from .report import Report
 
@@ -35,16 +35,9 @@ from .report import Report
 # twists of (A_L, S)
 
 
-def action_matrix(lb, g):
-    """The matrix of a ↦ a ↼ g for a lower-star functional g."""
-    A = lb.total
-    cols = [act_lower_star(lb, A.basis_vec(i), g) for i in range(A.dim)]
-    return Matrix.from_cols(lb.field, cols, A.dim)
-
-
 def twisted_antipode(lb, antipode, g):
     """S_g(a) = S(a ↼ g)."""
-    return antipode @ action_matrix(lb, g)
+    return antipode @ action_matrix(lb, LOWER_STAR, g)
 
 
 def convolution_inverse(module, phi):
@@ -56,8 +49,7 @@ def convolution_inverse(module, phi):
     field = module.field
     # left-multiplication matrix of phi in the dual ring
     cols = []
-    for j in range(n):
-        prod = module.product(phi, module.basis[j])
+    for prod in module.products(phi, module.basis):
         c = module.coords(prod)
         if c is None:
             return None
@@ -133,7 +125,7 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
             [] if ok1 else [f"1 ↼ g = {A.fmt_vec(moved)}"])
 
     # (tw2) (a ↼ g)(b ↼ g) = ab ↼ g
-    act = action_matrix(lb, g)
+    act = action_matrix(lb, LOWER_STAR, g)
     bad = []
     for i in range(d):
         ai = act.col(i)
@@ -154,7 +146,7 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
     deformed = AlgebraMap(L, A, lb.s.matrix @ gs_inv, HOM, "s∘(g∘s)⁻¹")
     junction = Junction(ActionSpec(lb.s, POST), ActionSpec(deformed, PRE))
     space = BalancedTensorSpace([A, A], [junction])
-    act_inv = action_matrix(lb, g_inv)
+    act_inv = action_matrix(lb, LOWER_STAR, g_inv)
     bad = []
     for aidx in range(d):
         w = lb.coproduct_lift(A.basis_vec(aidx))
@@ -198,7 +190,7 @@ def apply_twist(lb, antipode, g, g_inv=None, name=None):
     s_inv = antipode.inverse()
     if s_inv is None:
         raise ValueError("the reference antipode is not bijective")
-    s_g_inv = action_matrix(lb, g_inv) @ s_inv
+    s_g_inv = action_matrix(lb, LOWER_STAR, g_inv) @ s_inv
     h = reconstruct_right(lb, s_g, antipode_inv=s_g_inv)
     if name:
         h.name = name

@@ -207,6 +207,32 @@ def test_ls_antipode_decides_each_report_once(capsys, monkeypatch):
     assert calls == {"verify_hopf": 1, "_right_bgdnd_data": 1}
 
 
+def test_dualize_decides_each_report_once(capsys, monkeypatch):
+    import algebroids.cli as cli_module
+    import algebroids.dualspace as dualspace
+    import algebroids.hopfcore as hopfcore
+    import algebroids.integrallab as integrallab
+
+    calls = {"verify_hopf": 0, "dual_lower_star": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("verify_hopf", hopfcore),
+                        ("dual_lower_star", dualspace)):
+        original = getattr(owner, name)
+        for module in (cli_module, dualspace, hopfcore, integrallab):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    code, _, report = run(capsys, "dualize", M2)
+    assert code == 0
+    assert "[PASS] nd-nd-ell-r" in report and "[PASS] dual-defii-lr" in report
+    assert calls == {"verify_hopf": 1, "dual_lower_star": 1}
+
+
 # ---------------------------------------------------------------------------
 # twist
 

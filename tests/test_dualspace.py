@@ -145,12 +145,24 @@ def test_reduction_ring_matches_direct_formula(kz2, m2):
                     assert direct.rows == via_ring.rows
 
 
-def test_upper_duals_share_constraint_space(m2):
+def test_upper_duals_share_constraint_space(kz2, kz2_twisted, m2, ks3,
+                                           fn_s3):
     # the op-reduction builds the same echelon basis as the direct
     # constraint solve
     direct = DualModule(m2.rb, UPPER_STAR)
     via_op = DualModule(m2.rb.op(), LOWER_STAR)
     assert direct.space.basis.rows == via_op.space.basis.rows
+    # and each derived dual's module, taken over from its inner lower-star
+    # construction, is the direct solve of its own constraints
+    for h in (kz2, kz2_twisted, m2, ks3, fn_s3):
+        for build, bgd, kind in ((dual_star_lower, h.lb, STAR_LOWER),
+                                 (dual_upper_star, h.rb, UPPER_STAR),
+                                 (dual_star_upper, h.rb, STAR_UPPER)):
+            module = build(bgd).module
+            direct = DualModule(bgd, kind)
+            assert (module.bgd, module.kind) == (bgd, kind)
+            assert module.space == direct.space
+            assert module.basis == direct.basis
 
 
 def test_actions_on_kz2(kz2):

@@ -18,7 +18,6 @@ from algebroids.hopfcore import verify_hopf, check_lu_axioms
 from algebroids.twistlab import (
     SeparabilityStructure,
     WeakHopfAlgebra,
-    action_matrix,
     ahat_algebra,
     apply_twist,
     convolution_inverse,
