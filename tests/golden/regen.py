@@ -7,9 +7,11 @@ and three report modes (``text``, ``structured``, ``text`` under
 ``--out`` document.  The library cases pin reports and constructions the
 bundled specs never reach: corrupted inputs, the right-handed verifiers on
 every catalog fixture, degenerate right-integral candidates, the names
-and matrices of reconstructed Hopf algebroids, and the lower-star dual
+and matrices of reconstructed Hopf algebroids, the lower-star dual
 bialgebroid (report, ring table, solved coproduct) of every catalog fixture
-and of corrupted inputs that fail each of its ring and membership checks.
+and of corrupted inputs that fail each of its ring and membership checks,
+and the integral layer's action maps: the ~S matrix, the (lac) identities
+with and without κ*, and singular ℓ_R witnesses.
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -177,7 +179,14 @@ def _library_cases():
     )
     from algebroids.dualspace import dual_lower_star
     from algebroids.hopfcore import reconstruct_left
-    from algebroids.integrallab import ls_right, verify_bgdnd_right
+    from algebroids.integrallab import (
+        lac_check,
+        ls_right,
+        nondegeneracy,
+        twap,
+        verify_bgdnd,
+        verify_bgdnd_right,
+    )
     from test_acceptance import _corruptions, _perturb
 
     cases = {}
@@ -296,6 +305,31 @@ def _library_cases():
     for name, build in dual_corrupt.items():
         cases[f"dual-lower-star-corrupt-{name}"] = \
             lambda build=build: describe_dual(dual_lower_star(build()))
+
+    def describe_twap(fx):
+        h = hopf(fx)
+        amap = twap(h, nondegeneracy(h, upsilon(h, None)))
+        return f"{amap.name} {amap.kind}\n{fmt_matrix(amap.matrix)}\n"
+
+    for fx in ("kz3", "m2-groupoid", "m3-groupoid"):
+        cases[f"twap-{fx}"] = lambda fx=fx: describe_twap(fx)
+
+    # κ* and *κ exist for the sums; on the zero element both action maps
+    # are singular and both identities are skipped
+    for name in ("kz2-sum", "m2-sum", "kz2-zero"):
+        fx, given = candidates[name]
+        cases[f"lac-{name}"] = lambda fx=fx, given=given: render(
+            lac_check(hopf(fx).rb, upsilon(hopf(fx), given)))
+
+    def describe_degenerate():
+        # e11 + e21 is a left integral of M2 whose ℓ_R is singular
+        out = nondegeneracy(hopf("m2-groupoid"), vec(1, 0, 1, 0))
+        return (f"{type(out).__name__}\nreason: {out.reason}\n"
+                f"rank: {out.rank}\n{fmt_matrix(out.matrix)}\n")
+
+    cases["nondegeneracy-m2-partial"] = describe_degenerate
+    cases["bgdnd-m2-degenerate-row"] = lambda: render(
+        verify_bgdnd(hopf("m2-groupoid").rb, vec(1, 1, 0, 0)))
     return cases
 
 
