@@ -6,10 +6,14 @@ right bialgebroid likewise.  Each dual is a subspace of the linear maps
 A → base cut out by one intertwining constraint, and each carries a
 convolution-style ring structure transported through the coproduct: a
 functional acts on the total algebra through one leg of the coproduct
-(a ↼ φ, a ⇂ φ, φ ⇀ a, φ ⇁ a), and every convolution product composes one
-factor with the action matrix of the other.  Action matrices are read from
-the columns of the canonical coproduct lift and the structure constants, as
-are the pairing and right-hand side of the coproduct equations below.
+(a ↼ φ, a ⇂ φ, φ ⇀ a, φ ⇁ a).  The action is bilinear, and it is built as
+a matrix in either argument, from one table of structure map, leg and side:
+``action_matrix`` fixes φ and runs over every basis element a (every
+convolution product composes one factor with the action matrix of the
+other), and ``acting_on`` fixes a and runs over every flattened functional
+φ (the maps ℓ_R, ᵣℓ, ℓ_L and ₗℓ of the integral theory).  Both are read from
+the canonical coproduct lift and the structure constants, as are the
+pairing and right-hand side of the coproduct equations below.
 
 The distinguished one here is the ``lower-star`` dual of a left bialgebroid:
 it becomes a right bialgebroid over the same base, with coproduct determined
@@ -83,9 +87,6 @@ class DualModule:
         rows = [flat[m * da:(m + 1) * da] for m in range(dl)]
         return Matrix(self.field, dl, da, rows)
 
-    def _flatten(self, matrix):
-        return tuple(x for row in matrix.rows for x in row)
-
     def _solve_constraints(self):
         A, B = self.total, self.base
         da, dl = A.dim, B.dim
@@ -121,10 +122,10 @@ class DualModule:
         return self.space.dim
 
     def contains(self, matrix):
-        return self.space.contains(self._flatten(matrix))
+        return self.space.contains(flatten(matrix))
 
     def coords(self, matrix):
-        return self.space.coords_of(self._flatten(matrix))
+        return self.space.coords_of(flatten(matrix))
 
     def element(self, coords):
         dl, da = self.base.dim, self.total.dim
@@ -157,8 +158,19 @@ class DualModule:
         act = action_matrix(self.bgd, self.kind, phi)
         return [psi @ act for psi in psis]
 
+    def acting_on(self, vec):
+        """The matrix of φ ↦ (φ acting on ``vec``) over this module's basis:
+        ``acting_on`` restricted to the constraint subspace."""
+        return (acting_on(self.bgd, self.kind, vec)
+                @ self.space.basis.transpose())
+
     def __repr__(self):
         return f"DualModule({self.kind}, dim {self.dim})"
+
+
+def flatten(phi):
+    """A base-valued functional (matrix) as its row-major coordinate vector."""
+    return tuple(x for row in phi.rows for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +185,26 @@ def action_matrix(bgd, kind, phi):
     lift = bgd.canonical_gamma_lift
     return Matrix.from_cols(bgd.field, _act(bgd, kind, phi, lift.columns()),
                             bgd.total.dim)
+
+
+def acting_on(bgd, kind, vec):
+    """The matrix of φ ↦ (φ acting on ``vec``) on flattened functionals of
+    the ``kind`` dual, read from one coproduct lift of ``vec``.  Column
+    (m, k) acts with the functional sending e_k to the m-th base basis
+    element and every other e_j to 0: it multiplies x_m, the m-th column
+    of the structure map, from the kind's side into the other leg of the
+    lift against e_k in the read leg."""
+    amap, leg, side = _ACTIONS[kind]
+    A = bgd.total
+    d = A.dim
+    w = bgd.coproduct_lift(vec)
+    parts = [w[k * d:(k + 1) * d] if leg == 0 else w[k::d] for k in range(d)]
+    mult = A.left_mult_matrix if side == PRE else A.right_mult_matrix
+    cols = []
+    for x in getattr(bgd, amap).matrix.columns():
+        m = mult(x)
+        cols.extend(m.apply(part) for part in parts)
+    return Matrix.from_cols(bgd.field, cols, d)
 
 
 def _act(bgd, kind, phi, lifts):

@@ -8,8 +8,9 @@ an anti-automorphism ~S of A, makes the dual ring a Hopf algebroid again, and
 properties on a plain right bialgebroid *produces* the antipode.
 
 Everything here is finite linear algebra over an exact field: the action
-maps ℓ_R, ᵣℓ, ℓ_L, ₗℓ are assembled as explicit matrices, inverted when
-possible, and every claimed identity is replayed on a full basis.
+maps ℓ_R, ᵣℓ, ℓ_L, ₗℓ are assembled as explicit matrices from one coproduct
+lift of ℓ (``dualspace.acting_on``), inverted when possible, and every
+claimed identity is replayed on a full basis.
 """
 
 from contextlib import contextmanager
@@ -32,14 +33,13 @@ from .dualspace import (
     STAR_LOWER,
     UPPER_STAR,
     STAR_UPPER,
-    act_lower_star,
-    act_star_lower,
-    act_star_upper,
-    act_upper_star,
+    acting_on,
+    action_matrix,
     dual_lower_star,
     dual_star_lower,
     dual_star_upper,
     dual_upper_star,
+    flatten,
     transpose_left,
     transpose_right,
 )
@@ -119,22 +119,18 @@ def integral_space(parent, side):
     every a (left), or Υ with Υa = Υs_Rπ_R(a) (right).
 
     Both conditions are linear in a, so running over a basis of the total
-    algebra is exhaustive; the space is the intersection of the per-basis
-    kernels.
+    algebra is exhaustive; the space is the kernel of the per-basis blocks
+    stacked into one matrix.
     """
     bgd = _side_bialgebroid(parent, side)
     A = bgd.total
-    space = Subspace.full(bgd.field, A.dim)
+    mult = A.left_mult_matrix if side == LEFT else A.right_mult_matrix
+    rows = []
     for i in range(A.dim):
         avec = A.basis_vec(i)
         through = bgd.s.apply(bgd.counit.apply(avec))
-        if side == LEFT:
-            m = A.left_mult_matrix(avec) - A.left_mult_matrix(through)
-        else:
-            m = A.right_mult_matrix(avec) - A.right_mult_matrix(through)
-        space = space.intersect(m.kernel())
-        if space.dim == 0:
-            break
+        rows.extend((mult(avec) - mult(through)).rows)
+    space = Matrix.from_rows(bgd.field, rows, A.dim).kernel()
     return IntegralSpace(bgd, side, space)
 
 
@@ -242,15 +238,15 @@ class NondegenerateIntegral:
     """
 
     def __init__(self, parent, ell, upper, star_upper, ellR, Rell,
-                 lambda_star, star_lambda, report):
+                 ellR_inv, Rell_inv, lambda_star, star_lambda, report):
         self.parent = parent
         self.ell = tuple(ell)
         self.upper = upper
         self.star_upper = star_upper
         self.ellR = ellR
         self.Rell = Rell
-        self.ellR_inv = ellR.inverse()
-        self.Rell_inv = Rell.inverse()
+        self.ellR_inv = ellR_inv
+        self.Rell_inv = Rell_inv
         self.lambda_star = lambda_star
         self.star_lambda = star_lambda
         self.report = report
@@ -274,13 +270,11 @@ class NondegenerateIntegral:
                 f"ℓ = {self.parent.total.fmt_vec(self.ell)})")
 
 
-def _action_matrix(actor, bgd, module, vec):
-    """Matrix of φ ↦ (action of φ on vec) over the module's basis."""
-    if actor in (act_upper_star, act_star_upper):
-        cols = [actor(bgd, phi, vec) for phi in module.basis]
-    else:
-        cols = [actor(bgd, vec, phi) for phi in module.basis]
-    return Matrix.from_cols(bgd.field, cols, bgd.total.dim)
+def _transposes(transpose, phi, A):
+    """The matrix of a ↦ transpose(φ, A, a) on flattened functionals."""
+    return Matrix.from_cols(
+        A.field, [flatten(transpose(phi, A, A.basis_vec(i)))
+                  for i in range(A.dim)], phi.nrows * A.dim)
 
 
 def nondegeneracy(h, ell, title=None):
@@ -304,9 +298,10 @@ def nondegeneracy(h, ell, title=None):
     if upper.dim != d:
         return Degenerate(
             f"dim 𝒜* = {upper.dim} ≠ dim A = {d}; ℓ_R cannot be bijective")
-    ellR = _action_matrix(act_upper_star, rb, upper, ell)
-    r = ellR.rank()
-    if r != d:
+    ellR = upper.acting_on(ell)
+    ellR_inv = ellR.inverse()
+    if ellR_inv is None:
+        r = ellR.rank()
         return Degenerate(
             f"ℓ_R : φ ↦ φ⇀ℓ has rank {r} of {d}", matrix=ellR, rank=r)
 
@@ -314,9 +309,10 @@ def nondegeneracy(h, ell, title=None):
     if star_upper.dim != d:
         return Degenerate(
             f"dim *𝒜 = {star_upper.dim} ≠ dim A = {d}; ᵣℓ cannot be bijective")
-    Rell = _action_matrix(act_star_upper, rb, star_upper, ell)
-    r = Rell.rank()
-    if r != d:
+    Rell = star_upper.acting_on(ell)
+    Rell_inv = Rell.inverse()
+    if Rell_inv is None:
+        r = Rell.rank()
         return Degenerate(
             f"ᵣℓ : φ ↦ φ⇁ℓ has rank {r} of {d}", matrix=Rell, rank=r)
 
@@ -324,8 +320,6 @@ def nondegeneracy(h, ell, title=None):
     rep.add("nd-ell-r", "ℓ_R : 𝒜* → A is bijective", True, [])
     rep.add("nd-r-ell", "ᵣℓ : *𝒜 → A is bijective", True, [])
 
-    ellR_inv = ellR.inverse()
-    Rell_inv = Rell.inverse()
     lambda_star = upper.element(ellR_inv.apply(A.unit))
     star_lambda = star_upper.element(Rell_inv.apply(A.unit))
 
@@ -353,11 +347,11 @@ def nondegeneracy(h, ell, title=None):
         bad = []
         if not rint.contains(vec):
             bad.append(f"{label} = {A.fmt_vec(vec)} is not a right integral")
-        up_l = _action_matrix(act_lower_star, lb, lower, vec)
+        up_l = lower.acting_on(vec)
         if lower.dim != d or up_l.rank() != d:
             bad.append(f"Υ_L : φ ↦ {label}↼φ has rank "
                        f"{up_l.rank()} of {d}")
-        l_up = _action_matrix(act_star_lower, lb, star_lower, vec)
+        l_up = star_lower.acting_on(vec)
         if star_lower.dim != d or l_up.rank() != d:
             bad.append(f"_LΥ : φ ↦ {label}⇂φ has rank "
                        f"{l_up.rank()} of {d}")
@@ -365,7 +359,8 @@ def nondegeneracy(h, ell, title=None):
                 not bad, bad)
 
     return NondegenerateIntegral(h, ell, upper, star_upper, ellR, Rell,
-                                 lambda_star, star_lambda, rep)
+                                 ellR_inv, Rell_inv, lambda_star, star_lambda,
+                                 rep)
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +465,9 @@ def twap(h, nd):
     Verified to be a bijective anti-homomorphism of the total algebra before
     returning.
     """
-    lb, A = h.lb, h.total
-    kappa = nd.kappa
-    cols = []
-    for i in range(A.dim):
-        phi = transpose_left(kappa, A, A.basis_vec(i))
-        cols.append(act_lower_star(lb, nd.ell, phi))
-    m = Matrix.from_cols(h.field, cols, A.dim)
+    A = h.total
+    m = (acting_on(h.lb, LOWER_STAR, nd.ell)
+         @ _transposes(transpose_left, nd.kappa, A))
     amap = AlgebraMap(A, A, m, ANTI, "~S")
     rep = verify_map(amap)
     _require(rep.passed, "~S is not an anti-homomorphism: "
@@ -514,11 +505,11 @@ def duality_diagram(h, nd, title=None):
     if bad:
         return rep
 
-    ell_l = _action_matrix(act_lower_star, lb, d_ls.module, nd.ell)
+    ell_l = d_ls.module.acting_on(nd.ell)
     ok_l = d_ls.module.dim == d and ell_l.rank() == d
     rep.add("ell-l-bijective", "ℓ_L : 𝒜_* → A, φ ↦ ℓ↼φ is bijective",
             ok_l, [] if ok_l else [f"rank {ell_l.rank()} of {d}"])
-    l_ell = _action_matrix(act_star_lower, lb, d_sl.module, nd.ell)
+    l_ell = d_sl.module.acting_on(nd.ell)
     ok_r = d_sl.module.dim == d and l_ell.rank() == d
     rep.add("l-ell-bijective", "ₗℓ : ₍*₎𝒜 → A, φ ↦ ℓ⇂φ is bijective",
             ok_r, [] if ok_r else [f"rank {l_ell.rank()} of {d}"])
@@ -583,8 +574,7 @@ def dual_hopf_algebroid(h, nd, name=None):
              + _fail_lines(dual.report))
     kappa = nd.kappa
     cols = []
-    for phi in dual.module.basis:
-        moved = act_lower_star(lb, nd.ell, phi)
+    for moved in dual.module.acting_on(nd.ell).columns():
         func = transpose_left(kappa, A, moved)
         coords = dual.module.coords(func)
         _require(coords is not None,
@@ -786,18 +776,14 @@ def _right_bgdnd_data(rb, ell):
     """The two right-dual action matrices of ℓ and, when invertible, the
     dual elements λ* and *λ."""
     A = rb.total
-    upper = DualModule(rb, UPPER_STAR)
-    star_upper = DualModule(rb, STAR_UPPER)
-    ellR = _action_matrix(act_upper_star, rb, upper, ell)
-    Rell = _action_matrix(act_star_upper, rb, star_upper, ell)
-    data = {"upper": upper, "star_upper": star_upper,
-            "ellR": ellR, "Rell": Rell,
-            "lambda_star": None, "star_lambda": None}
-    d = A.dim
-    if upper.dim == d and ellR.rank() == d:
-        data["lambda_star"] = upper.element(ellR.inverse().apply(A.unit))
-    if star_upper.dim == d and Rell.rank() == d:
-        data["star_lambda"] = star_upper.element(Rell.inverse().apply(A.unit))
+    data = {}
+    for module, action, elem, kind in (
+            ("upper", "ellR", "lambda_star", UPPER_STAR),
+            ("star_upper", "Rell", "star_lambda", STAR_UPPER)):
+        dual = data[module] = DualModule(rb, kind)
+        m = data[action] = dual.acting_on(ell)
+        inv = m.inverse()
+        data[elem] = None if inv is None else dual.element(inv.apply(A.unit))
     return data
 
 
@@ -847,14 +833,17 @@ _ON_LEFT = _IntegralNotation(
     "Υ↼(a⇀ρ*) and Υ⇂(a⇁*ρ) are not mutually inverse")
 
 # (sf) moves a from the second leg with *λ, (sb) from the first with λ*:
-# (dual element, its action, the leg a multiplies)
-_EXCHANGES = {"sf": ("star_lambda", act_star_upper, 1),
-              "sb": ("lambda_star", act_upper_star, 0)}
+# (dual element, the dual kind it acts as, the leg a multiplies)
+_EXCHANGES = {"sf": ("star_lambda", STAR_UPPER, 1),
+              "sb": ("lambda_star", UPPER_STAR, 0)}
 
 
 def _verify_bgdnd(rb, ell, title, notation):
     """The checks of ``verify_bgdnd``, reported in ``notation``, and the
-    dual data they were decided on (``_right_bgdnd_data``)."""
+    dual data they were decided on: ``_right_bgdnd_data`` and, for each
+    exchange law that was stated, the matrix of the elements it moves a to,
+    under the law's name (columns (*λ⇂a)⇁ℓ under ``sf`` and (λ*↼a)⇀ℓ under
+    ``sb``)."""
     rep = Report(title)
     A = rb.total
     d = A.dim
@@ -873,19 +862,19 @@ def _verify_bgdnd(rb, ell, title, notation):
     lift = rb.coproduct_lift(ell)
     ident = Matrix.identity(rb.field, d)
     for law, (cid, label, skip, certificate) in notation.exchange:
-        key, act, leg = _EXCHANGES[law]
+        key, kind, leg = _EXCHANGES[law]
         lam = data[key]
         if lam is None:
             rep.add_skip(cid, label, note=skip)
             continue
+        moved = data[law] = (acting_on(rb, kind, ell)
+                             @ _transposes(transpose_right, lam, A))
         bad = []
         for i in range(d):
-            avec = A.basis_vec(i)
             here = [ident, ident]
-            here[leg] = A.left_mult_matrix(avec)
-            moved = act(rb, transpose_right(lam, A, avec), ell)
+            here[leg] = A.left_mult_matrix(A.basis_vec(i))
             there = [ident, ident]
-            there[1 - leg] = A.left_mult_matrix(moved)
+            there[1 - leg] = A.left_mult_matrix(moved.col(i))
             lhs = tensor_apply(*here, lift)
             rhs = tensor_apply(*there, lift)
             if not space.equal(lhs, rhs):
@@ -919,40 +908,23 @@ def lac_check(rb, k_elem, title=None):
     """
     rep = Report(title or f"integral action identities in {rb.name}")
     A = rb.total
-    d = A.dim
     data = _right_bgdnd_data(rb, tuple(k_elem))
-
-    if data["lambda_star"] is None:
-        rep.add_skip("lac-s", "κ*⇀a = s_R(κ*(a))",
-                     note="k_R is not bijective")
-    else:
-        kap = data["lambda_star"]
-        bad = []
-        for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = act_upper_star(rb, kap, avec)
-            rhs = rb.s.apply(kap.apply(avec))
-            if lhs != rhs:
-                bad.append(f"a = {A.basis_names[i]}: κ*⇀a = "
-                           f"{A.fmt_vec(lhs)} ≠ s_R(κ*(a)) = "
-                           f"{A.fmt_vec(rhs)}")
-        rep.add("lac-s", "κ*⇀a = s_R(κ*(a))", not bad, bad)
-
-    if data["star_lambda"] is None:
-        rep.add_skip("lac-t", "*κ⇁a = t_R(*κ(a))",
-                     note="ᵣk is not bijective")
-    else:
-        kap = data["star_lambda"]
-        bad = []
-        for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = act_star_upper(rb, kap, avec)
-            rhs = rb.t.apply(kap.apply(avec))
-            if lhs != rhs:
-                bad.append(f"a = {A.basis_names[i]}: *κ⇁a = "
-                           f"{A.fmt_vec(lhs)} ≠ t_R(*κ(a)) = "
-                           f"{A.fmt_vec(rhs)}")
-        rep.add("lac-t", "*κ⇁a = t_R(*κ(a))", not bad, bad)
+    for cid, key, kind, amap, acts, lands, skip in (
+            ("lac-s", "lambda_star", UPPER_STAR, rb.s, "κ*⇀a", "s_R(κ*(a))",
+             "k_R is not bijective"),
+            ("lac-t", "star_lambda", STAR_UPPER, rb.t, "*κ⇁a", "t_R(*κ(a))",
+             "ᵣk is not bijective")):
+        label = f"{acts} = {lands}"
+        kap = data[key]
+        if kap is None:
+            rep.add_skip(cid, label, note=skip)
+            continue
+        lhs = action_matrix(rb, kind, kap).columns()
+        rhs = (amap.matrix @ kap).columns()
+        bad = [f"a = {name}: {acts} = {A.fmt_vec(x)} ≠ {lands} = "
+               f"{A.fmt_vec(y)}"
+               for name, x, y in zip(A.basis_names, lhs, rhs) if x != y]
+        rep.add(cid, label, not bad, bad)
     return rep
 
 
@@ -1006,13 +978,8 @@ def _ls(rb, ell, notation):
     A = rb.total
     d = A.dim
     lam, slam = data["lambda_star"], data["star_lambda"]
-
-    s_cols = [act_star_upper(rb, transpose_right(slam, A, A.basis_vec(i)),
-                             ell) for i in range(d)]
-    antipode = Matrix.from_cols(rb.field, s_cols, d)
-    si_cols = [act_upper_star(rb, transpose_right(lam, A, A.basis_vec(i)),
-                              ell) for i in range(d)]
-    antipode_inv = Matrix.from_cols(rb.field, si_cols, d)
+    # S(a) = (*λ⇂a)⇁ℓ and S⁻¹(a) = (λ*↼a)⇀ℓ, as (sf) and (sb) moved a
+    antipode, antipode_inv = data["sf"], data["sb"]
     ident = Matrix.identity(rb.field, d)
     _require(antipode @ antipode_inv == ident
              and antipode_inv @ antipode == ident,
@@ -1022,17 +989,11 @@ def _ls(rb, ell, notation):
     lift = rb.coproduct_lift(ell)
     for i in range(d):
         avec = A.basis_vec(i)
-        phi = transpose_right(slam, A, avec)
-        act = Matrix.from_cols(
-            rb.field, [act_star_upper(rb, phi, A.basis_vec(j))
-                       for j in range(d)], d)
+        act = action_matrix(rb, STAR_UPPER, transpose_right(slam, A, avec))
         _require(space.equal(rb.coproduct_lift(antipode.col(i)),
                              tensor_apply(ident, act, lift)),
                  f"(grs) fails at a = {A.basis_names[i]}")
-        phi = transpose_right(lam, A, avec)
-        act = Matrix.from_cols(
-            rb.field, [act_upper_star(rb, phi, A.basis_vec(j))
-                       for j in range(d)], d)
+        act = action_matrix(rb, UPPER_STAR, transpose_right(lam, A, avec))
         _require(space.equal(rb.coproduct_lift(antipode_inv.col(i)),
                              tensor_apply(act, ident, lift)),
                  f"(grsi) fails at a = {A.basis_names[i]}")

@@ -1,7 +1,9 @@
 """The dual-space kernels against unit-vector references.
 
 ``DualModule.product`` composes one factor with an action matrix read from
-the canonical coproduct lift and ``Algebra.table``; ``pairing_system``
+the canonical coproduct lift and ``Algebra.table``; ``acting_on`` builds the
+same action as a matrix in the functional, for one fixed element;
+``pairing_system``
 reads the pairing and right-hand side of the coproduct equations from
 ``table``; ``Matrix.solve_matrix_kernel`` takes the pairing kernel from the
 elimination that solves them.  Each is compared here with the evaluation
@@ -29,7 +31,9 @@ from algebroids.dualspace import (
     act_star_lower,
     act_star_upper,
     act_upper_star,
+    acting_on,
     action_matrix,
+    flatten,
     pairing_system,
 )
 from algebroids.exactfield import Matrix, PrimeField, RationalField
@@ -201,6 +205,12 @@ def test_action_matrix_columns_are_the_actions(data):
     act = action_matrix(bgd, kind, phi)
     for a in range(A.dim):
         assert act.col(a) == ACTS[kind](bgd, phi, A.basis_vec(a))
+    # the same action with the element fixed and the functional running
+    field = bgd.field
+    avec = tuple(field.of(data.draw(st.sampled_from((0, 0, 1, -1, 2))))
+                 for _ in range(A.dim))
+    assert (acting_on(bgd, kind, avec).apply(flatten(phi))
+            == ACTS[kind](bgd, phi, avec))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
