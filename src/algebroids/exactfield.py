@@ -13,6 +13,9 @@ class RationalField:
 
     characteristic = 0
     name = "rational"
+    # Fractions are immutable, so every QQ shares one zero and one one
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -22,14 +25,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -158,6 +153,9 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = f"gf:{p}"
+        # residues are never mutated, so one zero and one one are shared
+        self.zero = GFElement(0, p)
+        self.one = GFElement(1, p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -167,14 +165,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
 
     def of(self, x):
         if isinstance(x, GFElement):
@@ -508,11 +498,6 @@ class Subspace:
         return cls(field, ambient, Matrix.from_rows(field, rows, ambient) if rows
                    else Matrix.zeros(field, 0, ambient), pivots)
 
-    @classmethod
-    def full(cls, field, ambient):
-        return cls(field, ambient, Matrix.identity(field, ambient),
-                   tuple(range(ambient)))
-
     @property
     def dim(self):
         return self.basis.nrows
@@ -554,34 +539,6 @@ class Subspace:
         if tuple(recon) != tuple(vec):
             return None
         return coords
-
-    def plus(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return Subspace.from_vectors(
-            self.field, self.ambient,
-            list(self.basis.rows) + list(other.basis.rows))
-
-    def intersect(self, other):
-        """Intersection via the kernel of [U^T | -W^T]."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
-            return Subspace.from_vectors(self.field, self.ambient, [])
-        ut = self.basis.transpose()
-        wt = other.basis.transpose().scale(-self.field.one)
-        combined = ut.hstack(wt)
-        sols = combined.kernel()
-        vecs = []
-        for row in sols.basis.rows:
-            alpha = row[:p]
-            v = [self.field.zero] * self.ambient
-            for c, bas in zip(alpha, self.basis.rows):
-                if c:
-                    v = [a + c * b for a, b in zip(v, bas)]
-            vecs.append(tuple(v))
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
 
 
 class SparseEchelon:

@@ -199,19 +199,6 @@ def test_subspace_membership_and_coords():
     assert u.coords_of((QQ.one, QQ.zero, QQ.zero)) is None
 
 
-def test_subspace_sum_and_intersection():
-    e1 = (QQ.one, QQ.zero, QQ.zero)
-    e2 = (QQ.zero, QQ.one, QQ.zero)
-    e3 = (QQ.zero, QQ.zero, QQ.one)
-    # two planes in k^3 meeting in a line
-    u = Subspace.from_vectors(QQ, 3, [e1, e2])
-    w = Subspace.from_vectors(QQ, 3, [e2, e3])
-    cap = u.intersect(w)
-    assert cap.dim == 1
-    assert cap.contains(e2)
-    assert u.plus(w).dim == 3
-
-
 def test_sparse_echelon_matches_subspace():
     rng = random.Random(3)
     vecs = []
