@@ -126,14 +126,8 @@ class Algebra:
     def element(self, coeffs):
         return AlgebraElement(self, tuple(self.field.of(c) for c in coeffs))
 
-    def basis_element(self, i):
-        return AlgebraElement(self, self.basis_vec(i))
-
     def one(self):
         return AlgebraElement(self, self.unit)
-
-    def basis_elements(self):
-        return [self.basis_element(i) for i in range(self.dim)]
 
     def left_mult_matrix(self, u):
         """Matrix of x -> u * x in the fixed basis, read from ``table``."""
