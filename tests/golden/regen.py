@@ -10,8 +10,11 @@ every catalog fixture, degenerate right-integral candidates, the names
 and matrices of reconstructed Hopf algebroids, the lower-star dual
 bialgebroid (report, ring table, solved coproduct) of every catalog fixture
 and of corrupted inputs that fail each of its ring and membership checks,
-and the integral layer's action maps: the ~S matrix, the (lac) identities
-with and without κ*, and singular ℓ_R witnesses.
+the integral layer's action maps (the ~S matrix, the (lac) identities
+with and without κ*, and singular ℓ_R witnesses), and ``verify_hopf`` and
+``check_luiiv`` on pair-groupoid coproducts shifted at one entry, which
+fail the balanced-tensor checks (gamma-s/t-linear, cros, coassoc, defii,
+luiv).
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -178,7 +181,12 @@ def _library_cases():
         pair_groupoid_hopf_algebroid,
     )
     from algebroids.dualspace import dual_lower_star
-    from algebroids.hopfcore import reconstruct_left
+    from algebroids.hopfcore import (
+        HopfAlgebroid,
+        check_luiiv,
+        reconstruct_left,
+        verify_hopf,
+    )
     from algebroids.integrallab import (
         lac_check,
         ls_right,
@@ -305,6 +313,31 @@ def _library_cases():
     for name, build in dual_corrupt.items():
         cases[f"dual-lower-star-corrupt-{name}"] = \
             lambda build=build: describe_dual(dual_lower_star(build()))
+
+    def shifted_hopf(side, at):
+        # the pair groupoid with one entry of one coproduct lift plus one
+        h = m2()
+        bgd = getattr(h, side)
+        bad = type(bgd)(bgd.total, bgd.base, bgd.s, bgd.t,
+                        _perturb(bgd.gamma_lift, *at, one), bgd.counit,
+                        name="bad")
+        lb, rb = (bad, h.rb) if side == "lb" else (h.lb, bad)
+        return HopfAlgebroid(lb, rb, h.S, h.S_inv, base_antiiso=h.chi,
+                             name=h.name)
+
+    # the checks they fail: coassoc and defii; cros; gamma-s/t-linear; on
+    # the right side rb-cros; rb-coassoc; rb-gamma-s/t-linear and defii
+    hopf_corrupt = {
+        "lb-01": ("lb", (0, 1)), "lb-10": ("lb", (1, 0)),
+        "lb-02": ("lb", (0, 2)), "rb-20": ("rb", (2, 0)),
+        "rb-02": ("rb", (0, 2)), "rb-01": ("rb", (0, 1)),
+    }
+    for name, (side, at) in hopf_corrupt.items():
+        cases[f"hopf-corrupt-m2-gamma-{name}"] = \
+            lambda side=side, at=at: render(verify_hopf(shifted_hopf(side, at)))
+    # fails luiv-lr and luiv-rl
+    cases["luiiv-corrupt-m2-gamma-lb-01"] = lambda: render(check_luiiv(
+        shifted_hopf("lb", (0, 1)).lb, m2().S, m2().S_inv))
 
     def describe_twap(fx):
         h = hopf(fx)
