@@ -403,89 +403,80 @@ def verify_map(f, report_title=None):
 
 
 # ---------------------------------------------------------------------------
-# tensor-square helpers (coordinates: index i*dimB + j for e_i ⊗ f_j)
+# tensor vectors are sparse: {index: coefficient} with no zero entries, the
+# index of e_i ⊗ f_j being i*dimB + j (row-major over more factors)
 
 
 def tensor_vec(dim_b, u, v):
-    """Kronecker product of coefficient vectors: (u ⊗ v)[i*dim_b + j] = u_i v_j."""
-    out = []
-    for a in u:
-        if a:
-            out.extend(a * b for b in v)
-        else:
-            zero = a  # a is the field zero here
-            out.extend(zero for _ in v)
-    return tuple(out)
+    """Kronecker product of coefficient vectors as a sparse vector:
+    (u ⊗ v)[i*dim_b + j] = u_i v_j."""
+    return {i * dim_b + j: a * b for i, a in enumerate(u) if a
+            for j, b in enumerate(v) if b}
+
+
+def map_at_factor(dims, p, vec, out_dim, image):
+    """Replace each basis vector e_i at tensor factor ``p`` of the sparse
+    vector ``vec`` by ``image(i)``, a sparse vector on an
+    ``out_dim``-dimensional factor.
+
+    Only the entries of ``vec`` are visited, and ``image`` is called once
+    for each i that occurs among them.
+    """
+    stride = prod(dims[p + 1:], start=1)
+    block_in = dims[p] * stride
+    block_out = out_dim * stride
+    out = {}
+    images = {}
+    for pos, x in vec.items():
+        blk, r = divmod(pos, block_in)
+        i, t = divmod(r, stride)
+        img = images.get(i)
+        if img is None:
+            img = images[i] = image(i)
+        base = blk * block_out + t
+        for k, c in img.items():
+            at = base + k * stride
+            old = out.get(at)
+            out[at] = c * x if old is None else old + c * x
+    return nonzero(out)
 
 
 def tensor_square_product(alg_a, alg_b, w1, w2):
-    """Componentwise product on A ⊗ B: (a⊗b)(a'⊗b') = aa' ⊗ bb'."""
-    da, db = alg_a.dim, alg_b.dim
-    field = alg_a.field
-    out = [field.zero] * (da * db)
-    nz1 = [(idx, c) for idx, c in enumerate(w1) if c]
-    nz2 = [(idx, c) for idx, c in enumerate(w2) if c]
-    for idx1, c1 in nz1:
+    """Componentwise product on A ⊗ B: (a⊗b)(a'⊗b') = aa' ⊗ bb', of sparse
+    vectors, read from both tables."""
+    db = alg_b.dim
+    table_a, table_b = alg_a.table, alg_b.table
+    zero = alg_a.field.zero
+    terms2 = [divmod(idx, db) + (c,) for idx, c in w2.items()]
+    out = {}
+    for idx1, c1 in w1.items():
         i1, j1 = divmod(idx1, db)
-        row_a = alg_a.table[i1]
-        row_b = alg_b.table[j1]
-        for idx2, c2 in nz2:
-            i2, j2 = divmod(idx2, db)
+        row_a = table_a[i1]
+        row_b = table_b[j1]
+        for i2, j2, c2 in terms2:
             c = c1 * c2
-            prod_a = row_a[i2]
-            prod_b = row_b[j2]
-            for ka, ca in prod_a.items():
+            prod_b = row_b[j2].items()
+            for ka, ca in row_a[i2].items():
                 cca = c * ca
                 base = ka * db
-                for kb, cb in prod_b.items():
-                    out[base + kb] = out[base + kb] + cca * cb
-    return tuple(out)
+                for kb, cb in prod_b:
+                    out[base + kb] = out.get(base + kb, zero) + cca * cb
+    return nonzero(out)
 
 
 def tensor_apply(m1, m2, vec):
-    """Apply m1 ⊗ m2 to a vector in A⊗B coordinates without forming the Kronecker.
-
-    ``vec`` has length m1.ncols * m2.ncols; the result has length
-    m1.nrows * m2.nrows.  Two-stage contraction keeps this at O(n^3).
-    """
-    n1_in, n2_in = m1.ncols, m2.ncols
-    n1_out, n2_out = m1.nrows, m2.nrows
-    if len(vec) != n1_in * n2_in:
-        raise ValueError("tensor_apply vector length mismatch")
-    field = m1.field
-    zero = field.zero
-    # stage 1: contract the second index with m2
-    mid = [[zero] * n2_out for _ in range(n1_in)]
-    for i in range(n1_in):
-        seg = vec[i * n2_in:(i + 1) * n2_in]
-        if any(seg):
-            mid[i] = list(m2.apply(seg))
-    # stage 2: contract the first index with m1
-    out = [zero] * (n1_out * n2_out)
-    for i in range(n1_in):
-        row_mid = mid[i]
-        if not any(row_mid):
-            continue
-        for k in range(n1_out):
-            c = m1.rows[k][i]
-            if not c:
-                continue
-            base = k * n2_out
-            for l, x in enumerate(row_mid):
-                if x:
-                    out[base + l] = out[base + l] + c * x
-    return tuple(out)
+    """(m1 ⊗ m2)(vec) for a sparse vector of A⊗B (length m1.ncols *
+    m2.ncols), applied one factor at a time from the matrices' columns;
+    the result is sparse, of length m1.nrows * m2.nrows."""
+    dims = (m1.ncols, m2.ncols)
+    mid = map_at_factor(dims, 1, vec, m2.nrows, lambda j: sparse(m2.col(j)))
+    return map_at_factor((m1.ncols, m2.nrows), 0, mid, m1.nrows,
+                         lambda i: sparse(m1.col(i)))
 
 
 def flip_tensor(dim_a, dim_b, vec):
-    """Swap tensor factors: e_i ⊗ f_j  ->  f_j ⊗ e_i."""
-    if len(vec) != dim_a * dim_b:
-        raise ValueError("flip_tensor length mismatch")
-    out = [None] * (dim_a * dim_b)
-    for i in range(dim_a):
-        for j in range(dim_b):
-            out[j * dim_a + i] = vec[i * dim_b + j]
-    return tuple(out)
+    """Swap tensor factors of a sparse vector: e_i ⊗ f_j  ->  f_j ⊗ e_i."""
+    return {(k % dim_b) * dim_a + k // dim_b: c for k, c in vec.items()}
 
 
 def fmt_terms(field, terms):
@@ -514,9 +505,7 @@ def fmt_terms(field, terms):
 
 
 def fmt_tensor_multi(algebras, vec):
-    """Readable form of a vector in A_1 ⊗ ... ⊗ A_m (row-major index)."""
-    if len(vec) != prod(a.dim for a in algebras):
-        raise ValueError("fmt_tensor_multi length mismatch")
+    """Readable form of a sparse vector in A_1 ⊗ ... ⊗ A_m."""
 
     def name(idx):
         parts = []
@@ -526,4 +515,4 @@ def fmt_tensor_multi(algebras, vec):
         return "⊗".join(reversed(parts))
 
     return fmt_terms(algebras[0].field,
-                     ((name(idx), c) for idx, c in enumerate(vec) if c))
+                     ((name(idx), vec[idx]) for idx in sorted(vec)))

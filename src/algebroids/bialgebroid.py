@@ -22,10 +22,16 @@ commuting-images check (``elbim``/``erbim``).  The emit order of the two
 counit laws follows from the leg table: the law acting on the first leg
 comes first.
 
-Coproducts are stored as a chosen linear lift into the plain tensor square;
-all quotient-valued identities are evaluated through the canonical echelon
-normal form, so verdicts never depend on the stored representative whenever
-the relevant well-definedness checks pass.
+Coproducts are given as a chosen linear lift into the plain tensor square,
+a dense d² × d matrix ``gamma_lift``.  From it each structure derives, once
+and lazily: ``gamma_q``, the coproduct in quotient coordinates, reduced
+column by column through the tensor square's echelon; and
+``canonical_gamma_lift``, the canonical representative of the coproduct of
+each basis element, a sparse tensor-square vector supported on the free
+columns.  Every quotient-valued identity is evaluated on those sparse
+canonical columns and through the canonical echelon normal form, so
+verdicts never depend on the stored representative whenever the relevant
+well-definedness checks pass.
 """
 
 from contextlib import contextmanager
@@ -37,7 +43,10 @@ from .algebra import (
     HOM,
     ANTI,
     AlgebraMap,
+    combine,
+    map_at_factor,
     opposite,
+    sparse,
     tensor_apply,
     tensor_square_product,
     flip_tensor,
@@ -56,29 +65,35 @@ from .report import Report
 
 
 # ---------------------------------------------------------------------------
-# contraction of a tensor-square vector against a linear endomap
-# (w is dense of length d*d; blocks are rows of the first factor)
+# contraction of a sparse tensor-square vector against a linear endomap
 
 
 def contract_leg(algebra, m, w, leg, side):
-    """Sum over the legs of w of m applied to leg ``leg`` (0 or 1) times the
-    other leg, with the m-value multiplying from ``side``.
+    """Sum over the legs of the sparse vector w of m applied to leg ``leg``
+    (0 or 1) times the other leg, with the m-value multiplying from
+    ``side``; a dense coefficient vector.
 
     For example ``leg=0, side=PRE`` is m(a_(1)) a_(2) and ``leg=1,
-    side=POST`` is a_(1) m(a_(2)).
+    side=POST`` is a_(1) m(a_(2)).  Read from the columns of m and
+    ``table``.
     """
     d = algebra.dim
-    acc = algebra.zero_vec()
-    for i in range(d):
-        block = w[i * d:(i + 1) * d]
-        if any(block):
-            if leg == 0:
-                x, y = m.col(i), block
-            else:
-                x, y = m.apply(block), algebra.basis_vec(i)
-            prod = algebra.mul_vec(x, y) if side == PRE else algebra.mul_vec(y, x)
-            acc = tuple(u + v for u, v in zip(acc, prod))
-    return acc
+    table = algebra.table
+    zero = algebra.field.zero
+    cols = {}
+    acc = {}
+    for idx, c in w.items():
+        i, j = divmod(idx, d)
+        if leg:
+            i, j = j, i
+        x = cols.get(i)
+        if x is None:
+            x = cols[i] = sparse(m.col(i))
+        for k, a in x.items():
+            ca = c * a
+            for r, y in (table[k][j] if side == PRE else table[j][k]).items():
+                acc[r] = acc.get(r, zero) + ca * y
+    return algebra.dense(acc)
 
 
 class _BialgebroidBase:
@@ -133,16 +148,25 @@ class _BialgebroidBase:
 
     @property
     def gamma_q(self):
-        """Coproduct as a matrix into quotient coordinates (cached)."""
+        """Coproduct as a matrix into quotient coordinates (cached), each
+        column reduced from the sparse column of ``gamma_lift``."""
         if self._gamma_q is None:
-            self._gamma_q = self.tensor_space.projection_matrix() @ self.gamma_lift
+            space = self.tensor_space
+            self._gamma_q = Matrix.from_cols(
+                self.field, [space.project(sparse(col))
+                             for col in self.gamma_lift.columns()],
+                space.dim)
         return self._gamma_q
 
     @property
     def canonical_gamma_lift(self):
-        """The coproduct recomposed through the canonical section (cached)."""
+        """The canonical representative of the coproduct of each basis
+        element: one sparse tensor-square vector per column, supported on
+        the free columns (cached)."""
         if self._canon_lift is None:
-            self._canon_lift = self.tensor_space.section_matrix() @ self.gamma_q
+            space = self.tensor_space
+            self._canon_lift = tuple(space.lift(q)
+                                     for q in self.gamma_q.columns())
         return self._canon_lift
 
     def coproduct(self, vec):
@@ -150,11 +174,29 @@ class _BialgebroidBase:
         return self.gamma_q.apply(vec)
 
     def coproduct_lift(self, vec):
-        """Canonical dense representative of the coproduct of ``vec``."""
-        return self.canonical_gamma_lift.apply(vec)
+        """Canonical representative of the coproduct of a coefficient
+        vector, as a sparse tensor-square vector."""
+        cols = self.canonical_gamma_lift
+        return combine(self.field.zero,
+                       ((c, cols[j]) for j, c in enumerate(vec) if c))
+
+    def coproduct_on_leg(self, w, leg):
+        """(γ⊗id)(w) for ``leg`` 0 and (id⊗γ)(w) for ``leg`` 1: the
+        canonical coproduct applied to one leg of a sparse tensor-square
+        vector, giving a sparse vector of the triple power."""
+        d = self.total.dim
+        return map_at_factor((d, d), leg, w, d * d,
+                             self.canonical_gamma_lift.__getitem__)
 
     def counit_apply(self, vec):
         return self.counit.apply(vec)
+
+    def _flipped_gamma(self):
+        """``gamma_lift`` with the two legs of every column swapped."""
+        d = self.total.dim
+        return Matrix.from_sparse_cols(
+            self.field, [flip_tensor(d, d, sparse(col))
+                         for col in self.gamma_lift.columns()], d * d)
 
     def shared_op(self):
         """``op()``, reusing this structure's quotients.
@@ -191,15 +233,10 @@ class LeftBialgebroid(_BialgebroidBase):
     def cop(self):
         """The co-opposite structure, a left bialgebroid on A over the opposite base."""
         lop = opposite(self.base)
-        d = self.total.dim
-        flipped = Matrix.from_cols(
-            self.field,
-            [flip_tensor(d, d, self.gamma_lift.col(j)) for j in range(d)],
-            d * d)
         return LeftBialgebroid(
             self.total, lop,
             self.t.from_opposite_source(lop), self.s.from_opposite_source(lop),
-            flipped, self.counit, name=f"{self.name}_cop")
+            self._flipped_gamma(), self.counit, name=f"{self.name}_cop")
 
     def __repr__(self):
         return (f"LeftBialgebroid({self.name!r}: {self.total.name} over "
@@ -226,15 +263,10 @@ class RightBialgebroid(_BialgebroidBase):
     def cop(self):
         """The co-opposite structure, a right bialgebroid on A over the opposite base."""
         rop = opposite(self.base)
-        d = self.total.dim
-        flipped = Matrix.from_cols(
-            self.field,
-            [flip_tensor(d, d, self.gamma_lift.col(j)) for j in range(d)],
-            d * d)
         return RightBialgebroid(
             self.total, rop,
             self.t.from_opposite_source(rop), self.s.from_opposite_source(rop),
-            flipped, self.counit, name=f"{self.name}_cop")
+            self._flipped_gamma(), self.counit, name=f"{self.name}_cop")
 
     def __repr__(self):
         return (f"RightBialgebroid({self.name!r}: {self.total.name} over "
@@ -317,13 +349,18 @@ def _verify_bialgebroid(bgd, ch, title):
     rep.extend(verify_map(bgd.s), prefix="src-")
     rep.extend(verify_map(bgd.t), prefix="tgt-")
 
+    # the structure maps' columns: the images of the base basis, dense and
+    # sparse, and the counit's columns
+    images = {m: amap.matrix.columns() for m, amap, _ in maps}
+    sparse_images = {m: [sparse(col) for col in cols]
+                     for m, cols in images.items()}
+    counits = bgd.counit.columns()
+
     # (elbim)/(erbim): the images of s and t commute, so the two base
     # actions make A a bimodule.
     bad = []
-    for i in range(db):
-        si = bgd.s.apply(B.basis_vec(i))
-        for j in range(db):
-            tj = bgd.t.apply(B.basis_vec(j))
+    for i, si in enumerate(images["s"]):
+        for j, tj in enumerate(images["t"]):
             if A.mul_vec(si, tj) != A.mul_vec(tj, si):
                 bad.append(
                     f"{x} = {B.basis_names[i]}, {x}' = {B.basis_names[j]}: "
@@ -331,29 +368,42 @@ def _verify_bialgebroid(bgd, ch, title):
                     f"t({x}')s({x}) = {A.fmt_vec(A.mul_vec(tj, si))}")
     rep.add(ch.bim_id, "source and target images commute", not bad, bad)
 
+    # quotient-valued identities compare canonical representatives: the
+    # coproduct of an element is a combination of the canonical columns,
+    # the other side is brought to its normal form
     space = bgd.tensor_space
     dims = [d, d]
-    lifts = [bgd.coproduct_lift(A.basis_vec(i)) for i in range(d)]
+    lifts = bgd.canonical_gamma_lift
+    table, zero = A.table, bgd.field.zero
+
+    def gamma(u):
+        """Canonical coproduct of a sparse element."""
+        return combine(zero, ((c, lifts[k]) for k, c in u.items()))
+
+    def times_basis(u, i, on):
+        """The sparse element u multiplying e_i from side ``on``."""
+        if on == PRE:
+            return combine(zero, ((c, table[k][i]) for k, c in u.items()))
+        return combine(zero, ((c, table[i][k]) for k, c in u.items()))
 
     # bimodule-map conditions on the coproduct: γ(s(l)a) = s(l)a_(1)⊗a_(2)
     # and γ(t(l)a) = a_(1)⊗t(l)a_(2) on the left, mirrored on the right
     bad = {"s": [], "t": []}
     for i in range(d):
-        a = A.basis_vec(i)
         for j in range(db):
-            for m, amap, leg in maps:
-                img = amap.apply(B.basis_vec(j))
-                lhs = bgd.coproduct(mul(img, a, side))
-                rhs = space.project(
+            for m, _, leg in maps:
+                img = sparse_images[m][j]
+                lhs = gamma(times_basis(img, i, side))
+                rhs = space.normal_form(
                     mult_at_factor(A, dims, leg, lifts[i], img, side))
                 if lhs != rhs:
                     act = f"{m}({x})"
                     bad[m].append(
                         f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
                         f"γ({_juxt(act, 'a', side)}) = "
-                        f"{space.fmt_q(lhs)} but "
+                        f"{space.fmt(lhs)} but "
                         f"{at_leg(leg, _juxt(act, legs[leg], side))} = "
-                        f"{space.fmt_q(rhs)}")
+                        f"{space.fmt(rhs)}")
     rep.add("gamma-s-linear", "coproduct intertwines the source action",
             not bad["s"], bad["s"])
     rep.add("gamma-t-linear", "coproduct intertwines the target action",
@@ -363,14 +413,15 @@ def _verify_bialgebroid(bgd, ch, title):
     # from the other side, on the leg the other map acted on above.  The
     # image of the coproduct commutes across the junction, which is what
     # makes the multiplicativity test below meaningful on the quotient.
-    on_leg = {leg: (m, amap) for m, amap, leg in maps}
-    (m0, map0), (m1, map1) = on_leg[1], on_leg[0]
+    on_leg = {leg: m for m, _, leg in maps}
+    m0, m1 = on_leg[1], on_leg[0]
     bad = []
     for i in range(d):
         for j in range(db):
-            bvec = B.basis_vec(j)
-            u = mult_at_factor(A, dims, 0, lifts[i], map0.apply(bvec), other)
-            v = mult_at_factor(A, dims, 1, lifts[i], map1.apply(bvec), other)
+            u = mult_at_factor(A, dims, 0, lifts[i], sparse_images[m0][j],
+                               other)
+            v = mult_at_factor(A, dims, 1, lifts[i], sparse_images[m1][j],
+                               other)
             if not space.equal(u, v):
                 bad.append(
                     f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
@@ -386,36 +437,33 @@ def _verify_bialgebroid(bgd, ch, title):
     # representatives (meaningful as a quotient statement when cros holds).
     note = "" if cros_ok else "evaluated on canonical representatives; cros failed"
     bad = []
-    g1 = bgd.coproduct(A.unit)
-    u11 = space.project(tensor_apply(
-        Matrix.from_cols(bgd.field, [A.unit], d),
-        Matrix.from_cols(bgd.field, [A.unit], d),
-        (bgd.field.one,)))
+    unit = sparse(A.unit)
+    g1 = gamma(unit)
+    u11 = space.normal_form({i * d + j: a * b for i, a in unit.items()
+                             for j, b in unit.items()})
     if g1 != u11:
-        bad.append(f"γ(1) = {space.fmt_q(g1)} but 1⊗1 = {space.fmt_q(u11)}")
+        bad.append(f"γ(1) = {space.fmt(g1)} but 1⊗1 = {space.fmt(u11)}")
     rep.add("gmp-unit", "coproduct preserves the unit", not bad, bad, note=note)
 
     bad = []
     for i in range(d):
         for j in range(d):
-            prod = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-            lhs = bgd.coproduct(prod)
-            rhs = space.project(
+            lhs = gamma(table[i][j])
+            rhs = space.normal_form(
                 tensor_square_product(A, A, lifts[i], lifts[j]))
             if lhs != rhs:
                 bad.append(
                     f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"γ(ab) = {space.fmt_q(lhs)} but γ(a)γ(b) = "
-                    f"{space.fmt_q(rhs)}")
+                    f"γ(ab) = {space.fmt(lhs)} but γ(a)γ(b) = "
+                    f"{space.fmt(rhs)}")
     rep.add("gmp", "coproduct is multiplicative", not bad, bad, note=note)
 
     # coassociativity in the balanced triple power
     triple = bgd.coassoc_space
-    idm = Matrix.identity(bgd.field, d)
     bad = []
     for i in range(d):
-        lhs = tensor_apply(bgd.canonical_gamma_lift, idm, lifts[i])
-        rhs = tensor_apply(idm, bgd.canonical_gamma_lift, lifts[i])
+        lhs = bgd.coproduct_on_leg(lifts[i], 0)
+        rhs = bgd.coproduct_on_leg(lifts[i], 1)
         if not triple.equal(lhs, rhs):
             bad.append(
                 f"a = {A.basis_names[i]}: (γ⊗id)γ(a) = {triple.fmt(lhs)} "
@@ -428,12 +476,12 @@ def _verify_bialgebroid(bgd, ch, title):
     bad = {"s": [], "t": []}
     for i in range(d):
         a = A.basis_vec(i)
-        pia = bgd.counit_apply(a)
+        pia = counits[i]
         for j in range(db):
             bvec = B.basis_vec(j)
-            for m, amap, _ in maps:
+            for m, _, _ in maps:
                 on = side if m == "s" else other
-                lhs = bgd.counit_apply(mul(amap.apply(bvec), a, side))
+                lhs = bgd.counit_apply(mul(images[m][j], a, side))
                 rhs = B.mul_vec(bvec, pia) if on == PRE else B.mul_vec(pia, bvec)
                 if lhs != rhs:
                     bad[m].append(
@@ -478,7 +526,7 @@ def _verify_bialgebroid(bgd, ch, title):
     for i in range(d):
         for j in range(d):
             pair = (A.basis_vec(i), A.basis_vec(j))
-            pi_c = bgd.counit_apply(pair[c])
+            pi_c = counits[(i, j)[c]]
             base_val = bgd.counit_apply(A.mul_vec(*pair))
             for m, amap, _ in maps:
                 got = bgd.counit_apply(mul(amap.apply(pi_c), pair[1 - c], other))
@@ -575,10 +623,9 @@ def verify_left_morphism(src, tgt, phi_total, phi_base=None, title=None):
 
     tspace = tgt.tensor_space
     bad = []
-    for i in range(A.dim):
-        w = src.coproduct_lift(A.basis_vec(i))
+    for i, w in enumerate(src.canonical_gamma_lift):
         moved = tensor_apply(phi_total.matrix, phi_total.matrix, w)
-        lhs_q = tgt.coproduct(phi_total.apply(A.basis_vec(i)))
+        lhs_q = tgt.coproduct(phi_total.matrix.col(i))
         rhs_q = tspace.project(moved)
         if lhs_q != rhs_q:
             bad.append(

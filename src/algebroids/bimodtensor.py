@@ -7,12 +7,21 @@ usual interchange relations.  Quotients are represented by the reduced echelon
 form of the relation span, which fixes a canonical normal form, a canonical
 coordinate system (values at non-pivot columns), and a canonical linear
 section of the projection.
+
+Tensor vectors are sparse at this interface: a dict ``{index: scalar}``
+holding only nonzero entries, the index of e_i ⊗ e_j ⊗ ... being row-major
+over the factors.  ``project``, ``equal``, ``normal_form``,
+``is_zero_class`` and ``fmt`` take such vectors, ``normal_form`` and
+``lift`` return them, and the relation build, the reductions and the
+factor kernels below touch only nonzero entries.  Quotient coordinates
+(``project``, ``lift``, ``fmt_q``) stay dense tuples of length ``dim``.
 """
 
 from math import prod
 
-from .exactfield import Matrix, SparseEchelon, unit_vector
-from .algebra import HOM, ANTI, combine, fmt_tensor_multi
+from .exactfield import Matrix, SparseEchelon
+from .algebra import (HOM, ANTI, combine, fmt_tensor_multi, map_at_factor,
+                      nonzero, sparse)
 
 PRE = "pre"
 POST = "post"
@@ -40,18 +49,18 @@ class ActionSpec:
     def total(self):
         return self.amap.target
 
-    def act_basis(self, base_idx, vec):
-        """Act by the base basis element of index ``base_idx`` on ``vec``."""
-        img = self.amap.apply(self.base.basis_vec(base_idx))
+    def basis_images(self, base_idx):
+        """The sparse images of the total algebra's basis vectors under the
+        base basis element of index ``base_idx``, read from column
+        ``base_idx`` of the structure map and from ``table``."""
+        x = sparse(self.amap.matrix.col(base_idx)).items()
+        total = self.total
+        table, zero = total.table, total.field.zero
         if self.side == PRE:
-            return self.total.mul_vec(img, vec)
-        return self.total.mul_vec(vec, img)
-
-    def act(self, base_vec, vec):
-        img = self.amap.apply(base_vec)
-        if self.side == PRE:
-            return self.total.mul_vec(img, vec)
-        return self.total.mul_vec(vec, img)
+            return [combine(zero, ((c, table[a][i]) for a, c in x))
+                    for i in range(total.dim)]
+        return [combine(zero, ((c, table[i][a]) for a, c in x))
+                for i in range(total.dim)]
 
     def expects_kind(self, role):
         """The map kind a valid action of this shape requires.
@@ -99,70 +108,28 @@ class Junction:
         return self.right.base
 
 
-def _map_factor(dims, p, vec, out_dim, image, zero):
-    """Replace each basis vector e_i at tensor factor ``p`` of ``vec`` by
-    ``image(i)``, a list of terms (k, c) on an ``out_dim``-dimensional factor.
-
-    Only the nonzero entries of ``vec`` are visited, and ``image`` is called
-    once for each i that occurs among them.
-    """
-    stride = prod(dims[p + 1:], start=1)
-    block_in = dims[p] * stride
-    block_out = out_dim * stride
-    out = [zero] * (len(vec) // block_in * block_out)
-    images = {}
-    for pos, x in enumerate(vec):
-        if not x:
-            continue
-        blk, r = divmod(pos, block_in)
-        i, t = divmod(r, stride)
-        img = images.get(i)
-        if img is None:
-            img = images[i] = image(i)
-        base = blk * block_out + t
-        for k, c in img:
-            at = base + k * stride
-            out[at] = out[at] + c * x
-    return tuple(out)
-
-
-def apply_at_factor(dims, p, m, vec):
-    """Apply a matrix to tensor factor ``p`` of a dense multi-tensor vector."""
-    if len(vec) != prod(dims):
-        raise ValueError("apply_at_factor length mismatch")
-    if m.ncols != dims[p]:
-        raise ValueError("matrix does not fit factor dimension")
-    return _map_factor(
-        dims, p, vec, m.nrows,
-        lambda i: [(k, row[i]) for k, row in enumerate(m.rows) if row[i]],
-        m.field.zero)
-
-
-def mult_at_factor(algebra, dims, p, vec, elem_vec, side):
-    """Multiply tensor factor ``p`` by a fixed algebra element u on one side.
+def mult_at_factor(algebra, dims, p, vec, elem, side):
+    """Multiply tensor factor ``p`` of the sparse vector ``vec`` by a fixed
+    algebra element u, given as a sparse vector ``elem``, on one side.
 
     Reads ``table`` directly: e_i at factor ``p`` becomes u e_i (``pre``) or
-    e_i u (``post``), combined from the table entries of the nonzero
-    coefficients of u, for each i that occurs in ``vec``.
+    e_i u (``post``), combined from the table entries of the coefficients
+    of u, for each i that occurs in ``vec``.  The result is sparse.
     """
     if side not in (PRE, POST):
         raise ValueError(f"side must be {PRE!r} or {POST!r}")
-    if len(vec) != prod(dims):
-        raise ValueError("mult_at_factor length mismatch")
     if algebra.dim != dims[p]:
         raise ValueError("algebra does not fit factor dimension")
     table = algebra.table
     zero = algebra.field.zero
-    elem = [(a, c) for a, c in enumerate(elem_vec) if c]
+    elem = elem.items()
 
     def image(i):
         if side == PRE:
-            terms = ((c, table[a][i]) for a, c in elem)
-        else:
-            terms = ((c, table[i][a]) for a, c in elem)
-        return combine(zero, terms).items()
+            return combine(zero, ((c, table[a][i]) for a, c in elem))
+        return combine(zero, ((c, table[i][a]) for a, c in elem))
 
-    return _map_factor(dims, p, vec, algebra.dim, image, zero)
+    return map_at_factor(dims, p, vec, algebra.dim, image)
 
 
 class BalancedTensorSpace:
@@ -229,37 +196,39 @@ class BalancedTensorSpace:
 
     def _build_relations(self):
         """Eliminate the last junction's relations at every index of the
-        factors before it; the earlier junctions are the head's."""
+        factors before it; the earlier junctions are the head's.
+
+        The relations are (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j) for every base basis
+        element l, read from the structure maps' columns and ``table``.  A
+        staged space eliminates them once in the coordinates of the last
+        two factors, then stages only that echelon basis at each leading
+        index: offsetting and staging are linear, so the span is the same.
+        """
         if not self.junctions:
             return
         junc = self.junctions[-1]
-        left, right = self.algebras[-2:]
         dl, dr = self.dims[-2:]
         zero = self.field.zero
-        pair_rels = []
+        pair = (self.echelon if self.head is None
+                else SparseEchelon(self.field, dl * dr))
         for b in range(junc.base.dim):
-            acted_r = [junc.left.act_basis(b, right.basis_vec(j))
-                       for j in range(dr)]
+            acted_l = junc.right.basis_images(b)
+            acted_r = junc.left.basis_images(b)
             for i in range(dl):
-                acted_l = junc.right.act_basis(b, left.basis_vec(i))
                 for j in range(dr):
-                    rel = {}
-                    for k, c in enumerate(acted_l):
-                        if c:
-                            rel[k * dr + j] = rel.get(k * dr + j, zero) + c
-                    for k, c in enumerate(acted_r[j]):
-                        if c:
-                            rel[i * dr + k] = rel.get(i * dr + k, zero) - c
-                    rel = {key: v for key, v in rel.items() if v}
+                    rel = {k * dr + j: c for k, c in acted_l[i].items()}
+                    for k, c in acted_r[j].items():
+                        rel[i * dr + k] = rel.get(i * dr + k, zero) - c
+                    rel = nonzero(rel)
                     if rel:
-                        pair_rels.append(rel)
+                        pair.insert(rel)
+        if self.head is None:
+            return
         block = dl * dr
-        for rel in pair_rels:
-            for off in range(0, self.total_dim, block):
-                vec = {off + key: c for key, c in rel.items()}
-                if self.head is not None:
-                    vec = self._stage(vec)
-                self.echelon.insert(vec)
+        for off in range(0, self.total_dim, block):
+            for row in pair.rows.values():
+                self.echelon.insert(
+                    self._stage({off + key: c for key, c in row.items()}))
 
     def _stage(self, sparse):
         """Coordinates in head ⊗ A of a sparse tensor-power vector: every
@@ -309,67 +278,60 @@ class BalancedTensorSpace:
         return self.total_dim - self.dim
 
     def normal_form(self, vec):
-        """Canonical dense representative of the class of ``vec``."""
-        red = self._reduce({i: c for i, c in enumerate(vec) if c})
-        zero = self.field.zero
-        out = [zero] * self.total_dim
-        for i, c in red.items():
-            out[i] = c
-        return tuple(out)
+        """Canonical representative of the class of a sparse vector, as a
+        sparse vector."""
+        return self._reduce(vec)
 
     def project(self, vec):
-        """Quotient coordinates of a dense total-space vector."""
-        red = self._reduce({i: c for i, c in enumerate(vec) if c})
-        zero = self.field.zero
-        return tuple(red.get(c, zero) for c in self.free_cols)
-
-    def lift(self, qvec):
-        """Canonical section: place quotient coordinates at the free columns."""
-        if len(qvec) != self.dim:
-            raise ValueError("quotient coordinate length mismatch")
-        zero = self.field.zero
-        out = [zero] * self.total_dim
-        for c, val in zip(self.free_cols, qvec):
-            if val:
-                out[c] = val
+        """Quotient coordinates of a sparse total-space vector."""
+        out = [self.field.zero] * self.dim
+        for f, a in self._coords(vec).items():
+            out[f] = a
         return tuple(out)
 
+    def lift(self, qvec):
+        """Canonical section: the sparse vector holding the quotient
+        coordinates at the free columns."""
+        if len(qvec) != self.dim:
+            raise ValueError("quotient coordinate length mismatch")
+        return {c: val for c, val in zip(self.free_cols, qvec) if val}
+
     def is_zero_class(self, vec):
-        return not self._reduce({i: c for i, c in enumerate(vec) if c})
+        return not self._reduce(vec)
 
     def equal(self, v1, v2):
-        diff = {}
-        for i, (a, b) in enumerate(zip(v1, v2)):
-            if (a or b) and a != b:
-                diff[i] = a - b
+        diff = dict(v1)
+        zero = self.field.zero
+        for i, b in v2.items():
+            val = diff.get(i, zero) - b
+            if val:
+                diff[i] = val
+            else:
+                diff.pop(i, None)
         return not self._reduce(diff)
 
     def projection_matrix(self):
         """dim x total_dim matrix of ``project`` (cached)."""
-        if self._projection is not None:
-            return self._projection
-        zero, one = self.field.zero, self.field.one
-        cols = []
-        for c in range(self.total_dim):
-            col = [zero] * self.dim
-            for f, a in self._coords({c: one}).items():
-                col[f] = a
-            cols.append(tuple(col))
-        self._projection = Matrix.from_cols(self.field, cols, self.dim)
+        if self._projection is None:
+            one = self.field.one
+            self._projection = Matrix.from_sparse_cols(
+                self.field, [self._coords({c: one})
+                             for c in range(self.total_dim)], self.dim)
         return self._projection
 
     def section_matrix(self):
         """total_dim x dim matrix of ``lift`` (cached)."""
-        if self._section is not None:
-            return self._section
-        cols = [unit_vector(self.field, self.total_dim, c) for c in self.free_cols]
-        self._section = Matrix.from_cols(self.field, cols, self.total_dim)
+        if self._section is None:
+            one = self.field.one
+            self._section = Matrix.from_sparse_cols(
+                self.field, [{c: one} for c in self.free_cols],
+                self.total_dim)
         return self._section
 
     # -- formatting ----------------------------------------------------------
 
     def fmt(self, vec):
-        """Readable canonical representative of a total-space vector's class."""
+        """Readable canonical representative of a sparse vector's class."""
         return fmt_tensor_multi(self.algebras, self.normal_form(vec))
 
     def fmt_q(self, qvec):

@@ -182,9 +182,9 @@ def action_matrix(bgd, kind, phi):
     """The matrix of the action of a functional φ of the ``kind`` dual on the
     total algebra: column a is e_a ↼ φ, e_a ⇂ φ, φ ⇀ e_a or φ ⇁ e_a, read
     from column a of the canonical coproduct lift."""
-    lift = bgd.canonical_gamma_lift
-    return Matrix.from_cols(bgd.field, _act(bgd, kind, phi, lift.columns()),
-                            bgd.total.dim)
+    return Matrix.from_cols(
+        bgd.field, _act(bgd, kind, phi, bgd.canonical_gamma_lift),
+        bgd.total.dim)
 
 
 def acting_on(bgd, kind, vec):
@@ -197,18 +197,24 @@ def acting_on(bgd, kind, vec):
     amap, leg, side = _ACTIONS[kind]
     A = bgd.total
     d = A.dim
-    w = bgd.coproduct_lift(vec)
-    parts = [w[k * d:(k + 1) * d] if leg == 0 else w[k::d] for k in range(d)]
-    mult = A.left_mult_matrix if side == PRE else A.right_mult_matrix
+    # parts[k]: the other leg of the lift against e_k in the read leg
+    parts = [{} for _ in range(d)]
+    for idx, c in bgd.coproduct_lift(vec).items():
+        i, j = divmod(idx, d)
+        if leg == 0:
+            parts[i][j] = c
+        else:
+            parts[j][i] = c
     cols = []
     for x in getattr(bgd, amap).matrix.columns():
-        m = mult(x)
-        cols.extend(m.apply(part) for part in parts)
-    return Matrix.from_cols(bgd.field, cols, d)
+        x = sparse(x)
+        cols.extend(A.mul_sparse(x, part) if side == PRE
+                    else A.mul_sparse(part, x) for part in parts)
+    return Matrix.from_sparse_cols(bgd.field, cols, d)
 
 
 def _act(bgd, kind, phi, lifts):
-    # φ acting on each coproduct lift of ``lifts``
+    # φ acting on each sparse coproduct lift of ``lifts``
     amap, leg, side = _ACTIONS[kind]
     m = getattr(bgd, amap).matrix @ phi
     return [contract_leg(bgd.total, m, w, leg, side) for w in lifts]
@@ -361,6 +367,7 @@ def dual_lower_star(lb, name=None):
     bad = []
     tspace = rbd.tensor_space
     for row in kern.basis.rows:
+        row = sparse(row)
         if not tspace.is_zero_class(row):
             bad.append("a pairing-kernel vector is nonzero in the dual "
                        "tensor square: " + tspace.fmt(row))

@@ -272,6 +272,16 @@ class Matrix:
         rows = [tuple(c[i] for c in cols) for i in range(nrows)]
         return cls(field, nrows, len(cols), rows)
 
+    @classmethod
+    def from_sparse_cols(cls, field, cols, nrows):
+        """The matrix whose columns are the sparse vectors ``cols``
+        (``{row: scalar}``)."""
+        rows = [[field.zero] * len(cols) for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return cls(field, nrows, len(cols), rows)
+
     # -- basics -------------------------------------------------------------
 
     def __eq__(self, other):

@@ -30,11 +30,19 @@ from .algebra import (
     ANTI,
     AlgebraMap,
     opposite,
+    sparse,
     tensor_apply,
     flip_tensor,
     verify_map,
 )
-from .bimodtensor import PRE, POST, ActionSpec, Junction, BalancedTensorSpace
+from .bimodtensor import (
+    PRE,
+    POST,
+    ActionSpec,
+    Junction,
+    BalancedTensorSpace,
+    mult_at_factor,
+)
 from .bialgebroid import (
     LeftBialgebroid,
     RightBialgebroid,
@@ -130,6 +138,23 @@ def _column_span(matrix):
     return Subspace.from_vectors(matrix.field, matrix.nrows, matrix.columns())
 
 
+def _mixed_coassociativity(lb, rb, llr, rrl):
+    """Where the two mixed coassociativity identities fail on the basis:
+    (γ_L⊗id)γ_R = (id⊗γ_R)γ_L in ``llr`` and (γ_R⊗id)γ_L = (id⊗γ_L)γ_R in
+    ``rrl``.  Returns one list per identity of (index, lhs, rhs) for each
+    failing basis element, both sides sparse vectors of the triple."""
+    bad_lr, bad_rl = [], []
+    for i, (wl, wr) in enumerate(zip(lb.canonical_gamma_lift,
+                                     rb.canonical_gamma_lift)):
+        lhs, rhs = lb.coproduct_on_leg(wr, 0), rb.coproduct_on_leg(wl, 1)
+        if not llr.equal(lhs, rhs):
+            bad_lr.append((i, lhs, rhs))
+        lhs, rhs = rb.coproduct_on_leg(wl, 0), lb.coproduct_on_leg(wr, 1)
+        if not rrl.equal(lhs, rhs):
+            bad_rl.append((i, lhs, rhs))
+    return bad_lr, bad_rl
+
+
 def verify_hopf(h, title=None, include_bialgebroids=True):
     """Verify the full Hopf algebroid axiom set for ``h``."""
     rep = Report(title or f"hopf algebroid {h.name}")
@@ -195,25 +220,13 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
                 [] if ok else ["matrix identity s_L∘χ = t_R fails"])
 
     # (defii): mixed coassociativity in both mixed triple quotients
-    idm = Matrix.identity(h.field, d)
-    llr, rrl = h.llr_space, h.rrl_space
-    bad1, bad2 = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        wl = lb.coproduct_lift(a)
-        wr = rb.coproduct_lift(a)
-        lhs = tensor_apply(lb.canonical_gamma_lift, idm, wr)
-        rhs = tensor_apply(idm, rb.canonical_gamma_lift, wl)
-        if not llr.equal(lhs, rhs):
-            bad1.append(
-                f"a = {A.basis_names[i]}: (γ_L⊗id)γ_R(a) = {llr.fmt(lhs)} "
-                f"but (id⊗γ_R)γ_L(a) = {llr.fmt(rhs)}")
-        lhs = tensor_apply(rb.canonical_gamma_lift, idm, wl)
-        rhs = tensor_apply(idm, lb.canonical_gamma_lift, wr)
-        if not rrl.equal(lhs, rhs):
-            bad2.append(
-                f"a = {A.basis_names[i]}: (γ_R⊗id)γ_L(a) = {rrl.fmt(lhs)} "
-                f"but (id⊗γ_L)γ_R(a) = {rrl.fmt(rhs)}")
+    bad_lr, bad_rl = _mixed_coassociativity(lb, rb, h.llr_space, h.rrl_space)
+    bad1 = [f"a = {A.basis_names[i]}: (γ_L⊗id)γ_R(a) = {h.llr_space.fmt(lhs)} "
+            f"but (id⊗γ_R)γ_L(a) = {h.llr_space.fmt(rhs)}"
+            for i, lhs, rhs in bad_lr]
+    bad2 = [f"a = {A.basis_names[i]}: (γ_R⊗id)γ_L(a) = {h.rrl_space.fmt(lhs)} "
+            f"but (id⊗γ_L)γ_R(a) = {h.rrl_space.fmt(rhs)}"
+            for i, lhs, rhs in bad_rl]
     rep.add("defii-lr", "(γ_L⊗id)γ_R = (id⊗γ_R)γ_L", not bad1, bad1)
     rep.add("defii-rl", "(γ_R⊗id)γ_L = (id⊗γ_L)γ_R", not bad2, bad2)
 
@@ -232,10 +245,9 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     bad_l, bad_r = [], []
     for i in range(d):
         a = A.basis_vec(i)
-        sa = h.S.apply(a)
-        for j in range(lb.base.dim):
-            tl = lb.t.apply(lb.base.basis_vec(j))
-            sl = lb.s.apply(lb.base.basis_vec(j))
+        sa = h.S.col(i)
+        for j, (tl, sl) in enumerate(zip(lb.t.matrix.columns(),
+                                         lb.s.matrix.columns())):
             lhs = h.S.apply(A.mul_vec(tl, a))
             rhs = A.mul_vec(sa, sl)
             if lhs != rhs:
@@ -243,9 +255,8 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
                     f"a = {A.basis_names[i]}, l = {lb.base.basis_names[j]}: "
                     f"S(t_L(l)a) = {A.fmt_vec(lhs)} but S(a)s_L(l) = "
                     f"{A.fmt_vec(rhs)}")
-        for j in range(rb.base.dim):
-            tr = rb.t.apply(rb.base.basis_vec(j))
-            sr = rb.s.apply(rb.base.basis_vec(j))
+        for j, (tr, sr) in enumerate(zip(rb.t.matrix.columns(),
+                                         rb.s.matrix.columns())):
             lhs = h.S.apply(A.mul_vec(a, tr))
             rhs = A.mul_vec(sr, sa)
             if lhs != rhs:
@@ -266,13 +277,13 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     for i in range(d):
         a = A.basis_vec(i)
         got = contract_leg(A, h.S, lb.coproduct_lift(a), 0, PRE)
-        want = sr_pir.apply(a)
+        want = sr_pir.col(i)
         if got != want:
             bad_l.append(
                 f"a = {A.basis_names[i]}: S(a_(1))a_(2) = {A.fmt_vec(got)} "
                 f"but s_R(π_R(a)) = {A.fmt_vec(want)}")
         got = contract_leg(A, h.S, rb.coproduct_lift(a), 1, POST)
-        want = sl_pil.apply(a)
+        want = sl_pil.col(i)
         if got != want:
             bad_r.append(
                 f"a = {A.basis_names[i]}: a^(1)S(a^(2)) = {A.fmt_vec(got)} "
@@ -338,17 +349,15 @@ def verify_sisom(h, title=None):
     # the coproduct identities, in the right bialgebroid's quotient
     space = rb.tensor_space
     bad4, bad8 = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        lhs = flip_tensor(d, d, tensor_apply(h.S, h.S, lb.coproduct_lift(a)))
-        rhs = rb.coproduct_lift(h.S.apply(a))
+    for i, w in enumerate(lb.canonical_gamma_lift):
+        lhs = flip_tensor(d, d, tensor_apply(h.S, h.S, w))
+        rhs = rb.coproduct_lift(h.S.col(i))
         if not space.equal(lhs, rhs):
             bad4.append(
                 f"a = {A.basis_names[i]}: flip(S⊗S)γ_L(a) = {space.fmt(lhs)} "
                 f"but γ_R(S(a)) = {space.fmt(rhs)}")
-        lhs = flip_tensor(d, d, tensor_apply(h.S_inv, h.S_inv,
-                                             lb.coproduct_lift(a)))
-        rhs = rb.coproduct_lift(h.S_inv.apply(a))
+        lhs = flip_tensor(d, d, tensor_apply(h.S_inv, h.S_inv, w))
+        rhs = rb.coproduct_lift(h.S_inv.col(i))
         if not space.equal(lhs, rhs):
             bad8.append(
                 f"a = {A.basis_names[i]}: flip(S⁻¹⊗S⁻¹)γ_L(a) = "
@@ -399,11 +408,9 @@ def reconstruct_right(lb, antipode, antipode_inv=None, nu=None):
     # maps out of R (νinv lands in L, read through s_L / S∘s_L)
     s_r = AlgebraMap(R, A, S @ lb.s.matrix @ nu_inv_mat, HOM, "s_R")
     t_r = AlgebraMap(R, A, lb.s.matrix @ nu_inv_mat, ANTI, "t_R")
-    gamma_cols = []
-    for j in range(d):
-        w = lb.canonical_gamma_lift.apply(S_inv.col(j))
-        gamma_cols.append(flip_tensor(d, d, tensor_apply(S, S, w)))
-    gamma_r = Matrix.from_cols(field, gamma_cols, d * d)
+    gamma_cols = [flip_tensor(d, d, tensor_apply(
+        S, S, lb.coproduct_lift(S_inv.col(j)))) for j in range(d)]
+    gamma_r = Matrix.from_sparse_cols(field, gamma_cols, d * d)
     counit_r = nu.matrix @ lb.counit @ S_inv
     rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
                           name=f"{lb.name}_right")
@@ -511,7 +518,7 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     t_r = AlgebraMap(R, A, lb.s.matrix, ANTI, "t_R")
     gamma_r_cols = [flip_tensor(d, d, tensor_apply(
         S, S, lb.coproduct_lift(S_inv.col(j)))) for j in range(d)]
-    gamma_r = Matrix.from_cols(field, gamma_r_cols, d * d)
+    gamma_r = Matrix.from_sparse_cols(field, gamma_r_cols, d * d)
     counit_r = lb.counit @ S_inv
     rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
                           name=f"{lb.name}_cand")
@@ -519,11 +526,10 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     space = rb.tensor_space
     bad = []
     for i in range(d):
-        a = A.basis_vec(i)
         lhs = flip_tensor(d, d, tensor_apply(
-            S, S, lb.coproduct_lift(S_inv.apply(a))))
+            S, S, lb.coproduct_lift(S_inv.col(i))))
         rhs = flip_tensor(d, d, tensor_apply(
-            S_inv, S_inv, lb.coproduct_lift(S.apply(a))))
+            S_inv, S_inv, lb.coproduct_lift(S.col(i))))
         if not space.equal(lhs, rhs):
             bad.append(
                 f"a = {A.basis_names[i]}: flip(S⊗S)γ_L(S⁻¹(a)) = "
@@ -540,24 +546,13 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     rep.add("luiv-wd", "candidate base images match crosswise (t_L(L) = S(s_L(L)))",
             not bad, bad)
 
-    idm = Matrix.identity(field, d)
     llr = BalancedTensorSpace([lb.tensor_space, A], [rb.junction()])
     rrl = BalancedTensorSpace([space, A], [lb.junction()])
-    bad1, bad2 = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        wl = lb.coproduct_lift(a)
-        wr = rb.coproduct_lift(a)
-        lhs = tensor_apply(lb.canonical_gamma_lift, idm, wr)
-        rhs = tensor_apply(idm, rb.canonical_gamma_lift, wl)
-        if not llr.equal(lhs, rhs):
-            bad1.append(f"a = {A.basis_names[i]}: the two composites differ "
-                        f"in the left-right triple")
-        lhs = tensor_apply(rb.canonical_gamma_lift, idm, wl)
-        rhs = tensor_apply(idm, lb.canonical_gamma_lift, wr)
-        if not rrl.equal(lhs, rhs):
-            bad2.append(f"a = {A.basis_names[i]}: the two composites differ "
-                        f"in the right-left triple")
+    bad_lr, bad_rl = _mixed_coassociativity(lb, rb, llr, rrl)
+    bad1 = [f"a = {A.basis_names[i]}: the two composites differ in the "
+            f"left-right triple" for i, _, _ in bad_lr]
+    bad2 = [f"a = {A.basis_names[i]}: the two composites differ in the "
+            f"right-left triple" for i, _, _ in bad_rl]
     rep.add("luiv-lr", "(γ_L⊗id)γ_R = (id⊗γ_R)γ_L for the candidate",
             not bad1, bad1)
     rep.add("luiv-rl", "(γ_R⊗id)γ_L = (id⊗γ_L)γ_R for the candidate",
@@ -621,7 +616,7 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     bad = []
     for i in range(d):
         a = A.basis_vec(i)
-        w = section.apply(lb.coproduct(a))
+        w = sparse(section.apply(lb.coproduct(a)))
         got = contract_leg(A, S, w, 1, POST)
         want = s_pi.apply(a)
         if got != want:
@@ -653,22 +648,15 @@ def antipode_uniqueness(h1, h2, title=None):
     lb = h1.lb
     A = lb.total
     s_pi = lb.s.matrix @ lb.counit
+    ident = Matrix.identity(lb.field, A.dim)
     bad = []
-    for i in range(A.dim):
-        a = A.basis_vec(i)
-        w = lb.coproduct_lift(a)
-        # sum S1(a_(1)) s_L(π_L(a_(2)))
-        acc = A.zero_vec()
-        d = A.dim
-        for k in range(d):
-            block = w[k * d:(k + 1) * d]
-            if any(block):
-                acc = tuple(x + y for x, y in zip(
-                    acc, A.mul_vec(h1.S.col(k), s_pi.apply(block))))
-        if acc != h2.S.apply(a):
+    for i, w in enumerate(lb.canonical_gamma_lift):
+        # S(a_(1)) s_L(π_L(a_(2)))
+        acc = contract_leg(A, h1.S, tensor_apply(ident, s_pi, w), 0, PRE)
+        if acc != h2.S.col(i):
             bad.append(
                 f"a = {A.basis_names[i]}: S(a_(1))s_L(π_L(a_(2))) = "
-                f"{A.fmt_vec(acc)} but S'(a) = {A.fmt_vec(h2.S.apply(a))}")
+                f"{A.fmt_vec(acc)} but S'(a) = {A.fmt_vec(h2.S.col(i))}")
     rep.add("unique", "S'(a) = S(a_(1))s_L(π_L(a_(2)))", not bad, bad)
     ok = h1.S == h2.S
     rep.add("antipodes-equal", "the two antipodes coincide", ok,
@@ -708,65 +696,24 @@ class GaloisMaps:
         self.beta_cod = BalancedTensorSpace(
             [A, A], [Junction(ActionSpec(s_op, PRE), ActionSpec(t_op, PRE))])
 
-        glift = lb.canonical_gamma_lift
-        # total-space matrices of the four maps
+        # total-space matrices of the four maps: e_i ⊗ e_j goes to a
+        # coproduct of e_i, legs optionally swapped and moved, times e_j
+        ident = Matrix.identity(field, d)
         cols_a, cols_ai, cols_b, cols_bi = [], [], [], []
-        rb_lift = h.rb.canonical_gamma_lift
-        for i in range(d):
-            w = glift.col(i)   # γ(e_i)
-            wr = rb_lift.col(i)
+        for w, wr in zip(lb.canonical_gamma_lift, h.rb.canonical_gamma_lift):
+            # e_i_(1) ⊗ e_i_(2), e_i^(1) ⊗ S(e_i^(2)), e_i_(2) ⊗ e_i_(1)
+            # and e_i^(2) ⊗ S⁻¹(e_i^(1))
+            images = (w, tensor_apply(ident, h.S, wr), flip_tensor(d, d, w),
+                      tensor_apply(ident, h.S_inv, flip_tensor(d, d, wr)))
             for j in range(d):
-                ej = A.basis_vec(j)
-                # alpha(e_i ⊗ e_j) = e_i_(1) ⊗ e_i_(2) e_j
-                out = [field.zero] * (d * d)
-                for k in range(d):
-                    blk = w[k * d:(k + 1) * d]
-                    if any(blk):
-                        prod = A.mul_vec(blk, ej)
-                        for m, c in enumerate(prod):
-                            if c:
-                                out[k * d + m] = out[k * d + m] + c
-                cols_a.append(tuple(out))
-                # alpha^{-1}(e_i ⊗ e_j) = e_i^(1) ⊗ S(e_i^(2)) e_j
-                out = [field.zero] * (d * d)
-                for k in range(d):
-                    blk = wr[k * d:(k + 1) * d]
-                    if any(blk):
-                        prod = A.mul_vec(h.S.apply(blk), ej)
-                        for m, c in enumerate(prod):
-                            if c:
-                                out[k * d + m] = out[k * d + m] + c
-                cols_ai.append(tuple(out))
-                # beta(e_i ⊗ e_j) = e_i_(2) ⊗ e_i_(1) e_j
-                out = [field.zero] * (d * d)
-                for k in range(d):
-                    blk = w[k * d:(k + 1) * d]
-                    if any(blk):
-                        prod = A.mul_vec(A.basis_vec(k), ej)
-                        for m2, c2 in enumerate(blk):
-                            if c2:
-                                for m, c in enumerate(prod):
-                                    if c:
-                                        pos = m2 * d + m
-                                        out[pos] = out[pos] + c2 * c
-                cols_b.append(tuple(out))
-                # beta^{-1}(e_i ⊗ e_j) = e_i^(2) ⊗ S⁻¹(e_i^(1)) e_j
-                out = [field.zero] * (d * d)
-                for k in range(d):
-                    blk = wr[k * d:(k + 1) * d]
-                    if any(blk):
-                        prod = A.mul_vec(h.S_inv.apply(A.basis_vec(k)), ej)
-                        for m2, c2 in enumerate(blk):
-                            if c2:
-                                for m, c in enumerate(prod):
-                                    if c:
-                                        pos = m2 * d + m
-                                        out[pos] = out[pos] + c2 * c
-                cols_bi.append(tuple(out))
-        alpha_total = Matrix.from_cols(field, cols_a, d * d)
-        alphainv_total = Matrix.from_cols(field, cols_ai, d * d)
-        beta_total = Matrix.from_cols(field, cols_b, d * d)
-        betainv_total = Matrix.from_cols(field, cols_bi, d * d)
+                ej = {j: field.one}
+                for cols, img in zip((cols_a, cols_ai, cols_b, cols_bi),
+                                     images):
+                    cols.append(mult_at_factor(A, [d, d], 1, img, ej, POST))
+        alpha_total = Matrix.from_sparse_cols(field, cols_a, d * d)
+        alphainv_total = Matrix.from_sparse_cols(field, cols_ai, d * d)
+        beta_total = Matrix.from_sparse_cols(field, cols_b, d * d)
+        betainv_total = Matrix.from_sparse_cols(field, cols_bi, d * d)
 
         self.alpha_total = alpha_total
         self.beta_total = beta_total
@@ -794,7 +741,7 @@ def verify_galois(h, title=None):
         vec = [field.zero] * g.alpha_dom.total_dim
         for c, v in row.items():
             vec[c] = v
-        img = g.alpha_total.apply(vec)
+        img = sparse(g.alpha_total.apply(vec))
         if not g.alpha_cod.is_zero_class(img):
             bad.append(f"a relation maps to the nonzero class "
                        f"{g.alpha_cod.fmt(img)}")
@@ -805,7 +752,7 @@ def verify_galois(h, title=None):
         vec = [field.zero] * g.beta_dom.total_dim
         for c, v in row.items():
             vec[c] = v
-        img = g.beta_total.apply(vec)
+        img = sparse(g.beta_total.apply(vec))
         if not g.beta_cod.is_zero_class(img):
             bad.append(f"a relation maps to the nonzero class "
                        f"{g.beta_cod.fmt(img)}")

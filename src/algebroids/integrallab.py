@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
-from .algebra import ANTI, HOM, AlgebraMap, tensor_apply, flip_tensor, verify_map
+from .algebra import (ANTI, HOM, AlgebraMap, flip_tensor, sparse, tensor_apply,
+                      verify_map)
 from .report import Report
 from .bialgebroid import (
     LeftBialgebroid,
@@ -287,30 +288,37 @@ def nondegeneracy(h, ell, title=None):
     S(ℓ) and S⁻¹(ℓ) are non-degenerate right integrals (their action maps
     from the left-sided duals are bijective).
     """
-    lb, rb, A = h.lb, h.rb, h.total
-    ell = tuple(ell)
+    return _nondegeneracy(h, tuple(ell), None, title)
+
+
+def _nondegeneracy(h, ell, data, title=None):
+    """The body of ``nondegeneracy``.  ``data`` is
+    ``_right_bgdnd_data(h.rb, ell)`` when the caller holds it already, so
+    the two right duals and the action maps are not built again; ``None``
+    builds it once ℓ is known to be a left integral."""
+    lb, A = h.lb, h.total
     if not integral_space(h, LEFT).contains(ell):
         raise ValueError(f"{A.fmt_vec(ell)} is not a left integral of "
                          f"{h.name}")
     d = A.dim
+    if data is None:
+        data = _right_bgdnd_data(h.rb, ell)
 
-    upper = DualModule(rb, UPPER_STAR)
+    upper = data["upper"]
     if upper.dim != d:
         return Degenerate(
             f"dim 𝒜* = {upper.dim} ≠ dim A = {d}; ℓ_R cannot be bijective")
-    ellR = upper.acting_on(ell)
-    ellR_inv = ellR.inverse()
+    ellR, ellR_inv = data["ellR"], data["ellR_inv"]
     if ellR_inv is None:
         r = ellR.rank()
         return Degenerate(
             f"ℓ_R : φ ↦ φ⇀ℓ has rank {r} of {d}", matrix=ellR, rank=r)
 
-    star_upper = DualModule(rb, STAR_UPPER)
+    star_upper = data["star_upper"]
     if star_upper.dim != d:
         return Degenerate(
             f"dim *𝒜 = {star_upper.dim} ≠ dim A = {d}; ᵣℓ cannot be bijective")
-    Rell = star_upper.acting_on(ell)
-    Rell_inv = Rell.inverse()
+    Rell, Rell_inv = data["Rell"], data["Rell_inv"]
     if Rell_inv is None:
         r = Rell.rank()
         return Degenerate(
@@ -320,8 +328,7 @@ def nondegeneracy(h, ell, title=None):
     rep.add("nd-ell-r", "ℓ_R : 𝒜* → A is bijective", True, [])
     rep.add("nd-r-ell", "ᵣℓ : *𝒜 → A is bijective", True, [])
 
-    lambda_star = upper.element(ellR_inv.apply(A.unit))
-    star_lambda = star_upper.element(Rell_inv.apply(A.unit))
+    lambda_star, star_lambda = data["lambda_star"], data["star_lambda"]
 
     bad = []
     for i in range(d):
@@ -381,9 +388,11 @@ def frobenius_system(nd, h=None):
     """The Frobenius system induced by a non-degenerate integral."""
     h = h or nd.parent
     lift = h.rb.coproduct_lift(nd.ell)
-    ident = Matrix.identity(h.field, h.total.dim)
-    quasi = tensor_apply(ident, h.S, lift)
-    return FrobeniusSystem(nd.lambda_star, tuple(quasi))
+    d = h.total.dim
+    quasi = tensor_apply(Matrix.identity(h.field, d), h.S, lift)
+    return FrobeniusSystem(nd.lambda_star,
+                           tuple(quasi.get(k, h.field.zero)
+                                 for k in range(d * d)))
 
 
 def frobenius_check(nd, h=None, title=None):
@@ -720,11 +729,10 @@ def weak_dual_iso(w, h, nd, title=None):
     sep_l = separability_from_weak(w, lb)
     sep = None
     for delta in (sep_l.delta,
-                  Matrix.from_cols(
+                  Matrix.from_sparse_cols(
                       field,
-                      [flip_tensor(lb.base.dim, lb.base.dim,
-                                   sep_l.delta.col(j))
-                       for j in range(lb.base.dim)],
+                      [flip_tensor(lb.base.dim, lb.base.dim, sparse(col))
+                       for col in sep_l.delta.columns()],
                       lb.base.dim ** 2)):
         cand = SeparabilityStructure(hd.lb.base, delta, sep_l.psi)
         if verify_separability(cand).passed:
@@ -749,9 +757,9 @@ def weak_dual_iso(w, h, nd, title=None):
 
     bad = []
     for j in range(d):
-        lhs = what.delta.apply(phi_total.col(j))
-        rhs = tensor_apply(phi_total, phi_total, wd.delta.col(j))
-        if tuple(lhs) != tuple(rhs):
+        lhs = sparse(what.delta.apply(phi_total.col(j)))
+        rhs = tensor_apply(phi_total, phi_total, sparse(wd.delta.col(j)))
+        if lhs != rhs:
             bad.append(f"basis functional {j}: Δ̂(Φ(ψ)) ≠ (Φ⊗Φ)Δ(ψ)")
     rep.add("dualiso-wha-coproduct", "Φ intertwines the coproducts",
             not bad, bad)
@@ -773,8 +781,8 @@ def weak_dual_iso(w, h, nd, title=None):
 
 
 def _right_bgdnd_data(rb, ell):
-    """The two right-dual action matrices of ℓ and, when invertible, the
-    dual elements λ* and *λ."""
+    """The two right duals, the action matrices ℓ_R and ᵣℓ of ℓ and their
+    inverses and, when invertible, the dual elements λ* and *λ."""
     A = rb.total
     data = {}
     for module, action, elem, kind in (
@@ -782,7 +790,7 @@ def _right_bgdnd_data(rb, ell):
             ("star_upper", "Rell", "star_lambda", STAR_UPPER)):
         dual = data[module] = DualModule(rb, kind)
         m = data[action] = dual.acting_on(ell)
-        inv = m.inverse()
+        inv = data[action + "_inv"] = m.inverse()
         data[elem] = None if inv is None else dual.element(inv.apply(A.unit))
     return data
 
@@ -1006,14 +1014,15 @@ def _ls(rb, ell, notation):
     for i in range(d):
         alt = flip_tensor(d, d, tensor_apply(
             antipode, antipode, rb.coproduct_lift(antipode_inv.col(i))))
-        _require(lspace.equal(alt, h.lb.gamma_lift.col(i)),
+        _require(lspace.equal(alt, sparse(h.lb.gamma_lift.col(i))),
                  f"left coproduct mismatch at a = {A.basis_names[i]}")
 
     rep = verify_hopf(h)
     record["hopf"] = rep
     _require(rep.passed, "the reconstructed Hopf algebroid failed "
              "verification: " + _fail_lines(rep))
-    nd = nondegeneracy(h, ell)
+    # h.rb is rb itself, so the precondition's dual data is h's
+    nd = _nondegeneracy(h, ell, data)
     _require(isinstance(nd, NondegenerateIntegral) and nd.ok,
              f"ℓ is not a non-degenerate integral of the result: {nd!r}")
     return h

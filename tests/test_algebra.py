@@ -13,6 +13,7 @@ from algebroids.algebra import (
     AlgebraMap,
     flip_tensor,
     opposite,
+    sparse,
     tensor_apply,
     tensor_square_product,
     tensor_vec,
@@ -135,8 +136,10 @@ def test_tensor_apply_matches_componentwise():
 
 def test_flip_tensor_involution():
     rng = random.Random(4)
-    v = tuple(QQ.of(rng.randrange(-5, 6)) for _ in range(6))
+    v = sparse(QQ.of(rng.randrange(-5, 6)) for _ in range(6))
     flipped = flip_tensor(2, 3, v)
+    assert flipped == {j * 2 + i: c for i in range(2) for j in range(3)
+                       if (c := v.get(i * 3 + j))}
     assert flip_tensor(3, 2, flipped) == v
 
 
@@ -145,7 +148,7 @@ def test_tensor_square_product_unit(kz3):
     d = A.dim
     unit2 = tensor_vec(d, A.unit, A.unit)
     rng = random.Random(12)
-    w = tuple(QQ.of(rng.randrange(-2, 3)) for _ in range(d * d))
+    w = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(d * d))
     assert tensor_square_product(A, A, unit2, w) == w
     assert tensor_square_product(A, A, w, unit2) == w
 

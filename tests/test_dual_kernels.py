@@ -72,7 +72,8 @@ def unit_vector_product(module, phi, psi):
     d = A.dim
     cols = []
     for aidx in range(d):
-        w = bgd.coproduct_lift(A.basis_vec(aidx))
+        lift = bgd.coproduct_lift(A.basis_vec(aidx))
+        w = [lift.get(k, A.field.zero) for k in range(d * d)]
         acc = bgd.base.zero_vec()
         for k in range(d):
             block = w[k * d:(k + 1) * d]

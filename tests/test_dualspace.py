@@ -4,7 +4,7 @@ bialgebroids, and the action calculus."""
 import pytest
 
 from algebroids.exactfield import Matrix, RationalField
-from algebroids.algebra import tensor_vec
+from algebroids.algebra import sparse
 from algebroids.bialgebroid import (
     LeftBialgebroid,
     verify_left_bialgebroid,
@@ -75,13 +75,10 @@ def test_m2_dual_coproduct_is_matrix_coproduct(m2):
     # module basis order is f11, f12, f21, f22
     pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
     for idx, (i, j) in enumerate(pairs):
-        lift = D.bgd.gamma_lift.col(idx)
-        expect = [QQ.zero] * 16
-        for k in (1, 2):
-            u = pairs.index((i, k))
-            v = pairs.index((k, j))
-            expect[u * 4 + v] = QQ.one
-        assert D.bgd.tensor_space.equal(lift, tuple(expect))
+        lift = sparse(D.bgd.gamma_lift.col(idx))
+        expect = {pairs.index((i, k)) * 4 + pairs.index((k, j)): QQ.one
+                  for k in (1, 2)}
+        assert D.bgd.tensor_space.equal(lift, expect)
 
 
 def test_pairing_identity_holds(ks3, m2):

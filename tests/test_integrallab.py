@@ -16,6 +16,7 @@ from algebroids.catalog import (
     pair_groupoid_weak_hopf,
     group_sum_integral,
     matrix_sum_integral,
+    pair_groupoid_hopf_algebroid,
 )
 from algebroids.dualspace import DualModule, UPPER_STAR, STAR_UPPER
 from algebroids.integrallab import (
@@ -575,6 +576,24 @@ def test_ls_antipode_output_is_verified_hopf(m2):
     out = ls_antipode(m2.rb, matrix_sum_integral(m2))
     assert verify_hopf(out).passed
     assert out.rb.gamma_lift == m2.rb.gamma_lift
+
+
+def test_ls_antipode_builds_each_right_dual_once(monkeypatch):
+    # the closing non-degeneracy check reuses the precondition's dual
+    # modules, action maps and inverses instead of building them again
+    h = pair_groupoid_hopf_algebroid(3, QQ)
+    builds = []
+    init = DualModule.__init__
+
+    def counting(self, bgd, kind, *args, **kwargs):
+        builds.append(kind)
+        init(self, bgd, kind, *args, **kwargs)
+
+    monkeypatch.setattr(DualModule, "__init__", counting)
+    out = ls_antipode(h.rb, matrix_sum_integral(h))
+    assert out.S == h.S
+    assert builds.count(UPPER_STAR) == 1
+    assert builds.count(STAR_UPPER) == 1
 
 
 def test_verify_bgdnd_right_passes(kz2, kz3, m2):

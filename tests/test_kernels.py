@@ -6,8 +6,12 @@ directly.  Each is compared here with a dense evaluation that builds unit
 vectors and multiplies coefficient by coefficient, on random structure
 constants over ℚ and GF(7): associative algebras in a random basis, the
 same with a corrupted structure constant, and arbitrary constants.  The
-weakened counit law of ``verify_weak_hopf`` is compared with a brute-force
-sum on corrupted weak Hopf algebras.
+sparse tensor-vector kernels of the bialgebroid verifiers, (γ⊗id),
+(id⊗γ), ``tensor_square_product``, ``project`` and ``equal``, are compared
+with dense definitions on pair-groupoid and group bialgebroids whose
+coproduct lifts are shifted by relation-span vectors.  The weakened counit
+law of ``verify_weak_hopf`` is compared with a brute-force sum on
+corrupted weak Hopf algebras.
 """
 
 from itertools import product
@@ -20,14 +24,18 @@ from algebroids.algebra import (
     HOM,
     Algebra,
     AlgebraMap,
+    sparse,
+    tensor_square_product,
     verify_algebra,
     verify_map,
 )
-from algebroids.bimodtensor import POST, PRE, apply_at_factor, mult_at_factor
+from algebroids.bimodtensor import POST, PRE, mult_at_factor
 from algebroids.catalog import (
     FiniteGroup,
     group_algebra,
+    group_hopf_algebroid,
     group_weak_hopf,
+    pair_groupoid_hopf_algebroid,
     pair_groupoid_weak_hopf,
 )
 from algebroids.exactfield import Matrix, PrimeField, RationalField, unit_vector
@@ -263,29 +271,163 @@ def test_mult_at_factor_matches_the_multiplication_matrices(data):
                              min_size=prod(dims), max_size=prod(dims)))
     vec = tuple(A.field.of(x) for x in vec)
     left, right = A.left_mult_matrix(u), A.right_mult_matrix(u)
-    assert (mult_at_factor(A, dims, p, vec, u, PRE)
-            == apply_at_factor(dims, p, left, vec)
-            == dense_at_factor(dims, p, left, vec))
-    assert (mult_at_factor(A, dims, p, vec, u, POST)
-            == apply_at_factor(dims, p, right, vec)
-            == dense_at_factor(dims, p, right, vec))
+    assert (mult_at_factor(A, dims, p, sparse(vec), sparse(u), PRE)
+            == sparse(dense_at_factor(dims, p, left, vec)))
+    assert (mult_at_factor(A, dims, p, sparse(vec), sparse(u), POST)
+            == sparse(dense_at_factor(dims, p, right, vec)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# ---------------------------------------------------------------------------
+# sparse tensor vectors of the bialgebroid verifiers against dense
+# definitions: relations from unit-vector products, normal forms from the
+# dense reduced echelon form, composites entry by entry
+
+
+def dense_relations(A, junctions):
+    """Every junction relation of A^{⊗m}, m = len(junctions) + 1, as dense
+    vectors: (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j) at each pair of adjacent factors
+    and every index of the other factors."""
+    d, field = A.dim, A.field
+    m = len(junctions) + 1
+    e = [unit_vector(field, d, i) for i in range(d)]
+
+    def act(action, b, x):
+        img = action.amap.apply(unit_vector(field, action.base.dim, b))
+        return dense_mul(A, img, x) if action.side == PRE else dense_mul(A, x, img)
+
+    rels = []
+    for p, junc in enumerate(junctions):
+        for b in range(junc.base.dim):
+            for i in range(d):
+                for j in range(d):
+                    left, right = act(junc.right, b, e[i]), act(junc.left, b, e[j])
+                    for idx in product(range(d), repeat=m - 2):
+                        rel = [field.zero] * d ** m
+                        for k in range(d):
+                            for (x, y), c in (((k, j), left[k]),
+                                              ((i, k), -right[k])):
+                                at = idx[:p] + (x, y) + idx[p:]
+                                pos = sum(a * d ** (m - 1 - q)
+                                          for q, a in enumerate(at))
+                                rel[pos] = rel[pos] + c
+                        rels.append(tuple(rel))
+    return rels
+
+
+class DenseQuotient:
+    """A^{⊗m} modulo the junction relations, by the dense reduced echelon
+    form of all of them."""
+
+    def __init__(self, A, junctions):
+        self.field = A.field
+        self.rels = dense_relations(A, junctions)
+        self.size = A.dim ** (len(junctions) + 1)
+        red, pivots = Matrix.from_rows(self.field, self.rels,
+                                       self.size).rref_pivots()
+        self.rows = dict(zip(pivots, red.rows))
+        self.free = [c for c in range(self.size) if c not in self.rows]
+
+    def normal_form(self, vec):
+        out = list(vec)
+        for p, row in self.rows.items():
+            c = out[p]
+            if c:
+                out = [a - c * b for a, b in zip(out, row)]
+        return tuple(out)
+
+    def project(self, vec):
+        nf = self.normal_form(vec)
+        return tuple(nf[c] for c in self.free)
+
+    def equal(self, v, w):
+        return not any(self.normal_form(tuple(a - b for a, b in zip(v, w))))
+
+
+def dense_product(A, w1, w2):
+    """(a⊗b)(a'⊗b') = aa' ⊗ bb' on dense vectors, over all index pairs."""
+    d, zero = A.dim, A.field.zero
+    out = [zero] * (d * d)
+    for p1, c1 in enumerate(w1):
+        for p2, c2 in enumerate(w2):
+            i1, j1 = divmod(p1, d)
+            i2, j2 = divmod(p2, d)
+            for ka, ca in A.table[i1][i2].items():
+                for kb, cb in A.table[j1][j2].items():
+                    out[ka * d + kb] = out[ka * d + kb] + c1 * c2 * ca * cb
+    return tuple(out)
+
+
+def dense_coproduct_on_leg(gamma, w, leg):
+    """(γ⊗id)(w) for leg 0 and (id⊗γ)(w) for leg 1, from the columns of a
+    dense lift ``gamma``, entry by entry."""
+    d = gamma.ncols
+    out = [gamma.field.zero] * d ** 3
+    for pos, c in enumerate(w):
+        i, j = divmod(pos, d)
+        for k, g in enumerate(gamma.col(j if leg else i)):
+            at = i * d * d + k if leg else k * d + j
+            out[at] = out[at] + c * g
+    return tuple(out)
+
+
+SPARSE_FIXTURES = {
+    "pair2-left": lambda f: pair_groupoid_hopf_algebroid(2, f).lb,
+    "pair2-right": lambda f: pair_groupoid_hopf_algebroid(2, f).rb,
+    "kz3-left": lambda f: group_hopf_algebroid(FiniteGroup.cyclic(3), f).lb,
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
-def test_apply_at_factor_matches_the_dense_reference(data):
-    # rectangular matrices change the dimension of factor p
+def test_sparse_tensor_kernels_match_the_dense_definitions(data):
     field = data.draw(st.sampled_from((QQ, F7)))
-    n = data.draw(st.sampled_from((2, 3)))
-    p = data.draw(st.integers(0, n - 1))
-    dims = [data.draw(st.integers(1, 3)) for _ in range(n)]
-    nrows = data.draw(st.integers(1, 3))
-    entries = st.sampled_from((0, 0, 1, -1, 3))
-    m = Matrix(field, nrows, dims[p],
-               [[field.of(data.draw(entries)) for _ in range(dims[p])]
-                for _ in range(nrows)])
-    vec = tuple(field.of(data.draw(entries)) for _ in range(prod(dims)))
-    assert apply_at_factor(dims, p, m, vec) == dense_at_factor(dims, p, m, vec)
+    bgd = SPARSE_FIXTURES[data.draw(st.sampled_from(sorted(SPARSE_FIXTURES)))](field)
+    A, d = bgd.total, bgd.total.dim
+    pair = DenseQuotient(A, [bgd.junction()])
+    triple = DenseQuotient(A, [bgd.junction(), bgd.junction()])
+    coeffs = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+    def dense_vec(size):
+        return tuple(field.of(x) for x in data.draw(
+            st.lists(coeffs, min_size=size, max_size=size)))
+
+    def relation(q):
+        # a random combination of a few relation vectors of ``q``
+        out = (field.zero,) * q.size
+        for _ in range(data.draw(st.integers(0, 3))):
+            c = field.of(data.draw(st.integers(1, 3)))
+            rel = q.rels[data.draw(st.integers(0, len(q.rels) - 1))]
+            out = tuple(a + c * b for a, b in zip(out, rel))
+        return out
+
+    # the same coproduct through a lift shifted by relation-span vectors
+    shifted = Matrix.from_cols(field, [
+        tuple(a + b for a, b in zip(col, relation(pair)))
+        for col in bgd.gamma_lift.columns()], d * d)
+    bgd = type(bgd)(A, bgd.base, bgd.s, bgd.t, shifted, bgd.counit)
+    space, cube = bgd.tensor_space, bgd.coassoc_space
+    canonical = Matrix.from_cols(field, [pair.normal_form(col)
+                                         for col in shifted.columns()], d * d)
+    assert [sparse(col) for col in canonical.columns()] == \
+        list(bgd.canonical_gamma_lift)
+
+    w1, w2 = dense_vec(d * d), dense_vec(d * d)
+    moved = tuple(a + b for a, b in zip(w1, relation(pair)))
+    assert space.project(sparse(w1)) == pair.project(w1)
+    assert space.normal_form(sparse(w1)) == sparse(pair.normal_form(w1))
+    assert space.equal(sparse(w1), sparse(moved))
+    assert space.equal(sparse(w1), sparse(w2)) == pair.equal(w1, w2)
+    assert (tensor_square_product(A, A, sparse(w1), sparse(w2))
+            == sparse(dense_product(A, w1, w2)))
+    for leg in (0, 1):
+        got = bgd.coproduct_on_leg(sparse(w1), leg)
+        assert got == sparse(dense_coproduct_on_leg(canonical, w1, leg))
+        # any representative of γ gives the same class in the triple
+        other = dense_coproduct_on_leg(shifted, w1, leg)
+        assert cube.equal(got, sparse(other))
+        assert cube.project(got) == triple.project(other)
+        assert cube.equal(got, sparse(tuple(
+            a + b for a, b in zip(other, relation(triple)))))
 
 
 # ---------------------------------------------------------------------------
