@@ -60,6 +60,7 @@ from .bimodtensor import (
     Junction,
     BalancedTensorSpace,
     mult_at_factor,
+    side_product,
 )
 from .report import Report
 
@@ -78,7 +79,6 @@ def contract_leg(algebra, m, w, leg, side):
     ``table``.
     """
     d = algebra.dim
-    table = algebra.table
     zero = algebra.field.zero
     cols = {}
     acc = {}
@@ -89,10 +89,8 @@ def contract_leg(algebra, m, w, leg, side):
         x = cols.get(i)
         if x is None:
             x = cols[i] = sparse(m.col(i))
-        for k, a in x.items():
-            ca = c * a
-            for r, y in (table[k][j] if side == PRE else table[j][k]).items():
-                acc[r] = acc.get(r, zero) + ca * y
+        for r, y in side_product(algebra, x, j, side).items():
+            acc[r] = acc.get(r, zero) + c * y
     return algebra.dense(acc)
 
 
@@ -380,12 +378,6 @@ def _verify_bialgebroid(bgd, ch, title):
         """Canonical coproduct of a sparse element."""
         return combine(zero, ((c, lifts[k]) for k, c in u.items()))
 
-    def times_basis(u, i, on):
-        """The sparse element u multiplying e_i from side ``on``."""
-        if on == PRE:
-            return combine(zero, ((c, table[k][i]) for k, c in u.items()))
-        return combine(zero, ((c, table[i][k]) for k, c in u.items()))
-
     # bimodule-map conditions on the coproduct: γ(s(l)a) = s(l)a_(1)⊗a_(2)
     # and γ(t(l)a) = a_(1)⊗t(l)a_(2) on the left, mirrored on the right
     bad = {"s": [], "t": []}
@@ -393,7 +385,7 @@ def _verify_bialgebroid(bgd, ch, title):
         for j in range(db):
             for m, _, leg in maps:
                 img = sparse_images[m][j]
-                lhs = gamma(times_basis(img, i, side))
+                lhs = gamma(side_product(A, img, i, side))
                 rhs = space.normal_form(
                     mult_at_factor(A, dims, leg, lifts[i], img, side))
                 if lhs != rhs:

@@ -53,14 +53,9 @@ class ActionSpec:
         """The sparse images of the total algebra's basis vectors under the
         base basis element of index ``base_idx``, read from column
         ``base_idx`` of the structure map and from ``table``."""
-        x = sparse(self.amap.matrix.col(base_idx)).items()
-        total = self.total
-        table, zero = total.table, total.field.zero
-        if self.side == PRE:
-            return [combine(zero, ((c, table[a][i]) for a, c in x))
-                    for i in range(total.dim)]
-        return [combine(zero, ((c, table[i][a]) for a, c in x))
-                for i in range(total.dim)]
+        x = sparse(self.amap.matrix.col(base_idx))
+        return [side_product(self.total, x, i, self.side)
+                for i in range(self.total.dim)]
 
     def expects_kind(self, role):
         """The map kind a valid action of this shape requires.
@@ -108,28 +103,29 @@ class Junction:
         return self.right.base
 
 
+def side_product(algebra, u, i, side):
+    """The sparse element u times e_i (``pre``) or e_i times u (``post``),
+    combined from the ``table`` entries of the coefficients of u."""
+    table = algebra.table
+    if side == PRE:
+        terms = ((c, table[a][i]) for a, c in u.items())
+    else:
+        terms = ((c, table[i][a]) for a, c in u.items())
+    return combine(algebra.field.zero, terms)
+
+
 def mult_at_factor(algebra, dims, p, vec, elem, side):
     """Multiply tensor factor ``p`` of the sparse vector ``vec`` by a fixed
-    algebra element u, given as a sparse vector ``elem``, on one side.
-
-    Reads ``table`` directly: e_i at factor ``p`` becomes u e_i (``pre``) or
-    e_i u (``post``), combined from the table entries of the coefficients
-    of u, for each i that occurs in ``vec``.  The result is sparse.
+    algebra element u, given as a sparse vector ``elem``, on one side:
+    e_i at factor ``p`` becomes u e_i (``pre``) or e_i u (``post``), for
+    each i that occurs in ``vec``.  The result is sparse.
     """
     if side not in (PRE, POST):
         raise ValueError(f"side must be {PRE!r} or {POST!r}")
     if algebra.dim != dims[p]:
         raise ValueError("algebra does not fit factor dimension")
-    table = algebra.table
-    zero = algebra.field.zero
-    elem = elem.items()
-
-    def image(i):
-        if side == PRE:
-            return combine(zero, ((c, table[a][i]) for a, c in elem))
-        return combine(zero, ((c, table[i][a]) for a, c in elem))
-
-    return map_at_factor(dims, p, vec, algebra.dim, image)
+    return map_at_factor(dims, p, vec, algebra.dim,
+                         lambda i: side_product(algebra, elem, i, side))
 
 
 class BalancedTensorSpace:
