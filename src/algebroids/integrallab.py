@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
-from .algebra import (ANTI, HOM, AlgebraMap, flip_tensor, sparse, tensor_apply,
+from .algebra import (ANTI, AlgebraMap, flip_tensor, sparse, tensor_apply,
                       verify_map)
 from .report import Report
 from .bialgebroid import (
