@@ -14,7 +14,11 @@ the integral layer's action maps (the ~S matrix, the (lac) identities
 with and without κ*, and singular ℓ_R witnesses), and ``verify_hopf`` and
 ``check_luiiv`` on pair-groupoid coproducts shifted at one entry, which
 fail the balanced-tensor checks (gamma-s/t-linear, cros, coassoc, defii,
-luiv).
+luiv).  The exact-elimination layer is pinned through its consumers: the
+left and right integral spaces (echelon bases) of every catalog fixture, a
+pair-groupoid antipode of rank 3 (``verify_hopf`` s-bijective and defiv,
+``check_lu_axioms`` lu1-bijective), and a target map for which
+s_L∘χ = t_R has no solution (defi-chi).
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -167,6 +171,7 @@ def _raises(fn):
 
 def _library_cases():
     from algebroids import QQ
+    from algebroids.exactfield import Matrix
     from algebroids.bialgebroid import (
         LeftBialgebroid,
         RightBialgebroid,
@@ -183,11 +188,15 @@ def _library_cases():
     from algebroids.dualspace import dual_lower_star
     from algebroids.hopfcore import (
         HopfAlgebroid,
+        check_lu_axioms,
         check_luiiv,
         reconstruct_left,
         verify_hopf,
     )
     from algebroids.integrallab import (
+        LEFT,
+        RIGHT,
+        integral_space,
         lac_check,
         ls_right,
         nondegeneracy,
@@ -363,6 +372,49 @@ def _library_cases():
     cases["nondegeneracy-m2-partial"] = describe_degenerate
     cases["bgdnd-m2-degenerate-row"] = lambda: render(
         verify_bgdnd(hopf("m2-groupoid").rb, vec(1, 1, 0, 0)))
+
+    def describe_integrals(h):
+        lines = []
+        for side in (LEFT, RIGHT):
+            space = integral_space(h, side)
+            lines += [f"{side}: dim {space.dim}",
+                      fmt_matrix(space.space.basis)]
+        return "\n".join(lines) + "\n"
+
+    # the CLI reaches only the four bundled specs
+    for fx in all_fixtures():
+        cases[f"integral-space-{fx['name']}"] = \
+            lambda fx=fx: describe_integrals(fx["hopf"])
+
+    def singular_antipode():
+        # the pair groupoid's antipode with column 1 zeroed: rank 3 of 4
+        S = m2().S
+        rows = [list(r) for r in S.rows]
+        for r in rows:
+            r[1] = QQ.zero
+        return Matrix.from_rows(QQ, rows, S.ncols)
+
+    # fails s-bijective and defiv
+    cases["hopf-singular-antipode-m2"] = lambda: render(verify_hopf(
+        HopfAlgebroid(m2().lb, m2().rb, singular_antipode(),
+                      base_antiiso=m2().chi, name="bad")))
+    # fails lu1-bijective
+    cases["lu-singular-antipode-m2"] = lambda: render(check_lu_axioms(
+        m2().lb, singular_antipode()))
+
+    def unsolvable_chi():
+        # t_R with entry (1, 0) set to 1: s_L∘χ = t_R has no solution
+        h = m2()
+        rows = [list(r) for r in h.rb.t.matrix.rows]
+        rows[1][0] = one
+        bad_t = with_matrix(h.rb.t, Matrix.from_rows(QQ, rows,
+                                                     h.rb.t.matrix.ncols))
+        return HopfAlgebroid(h.lb, corrupt(h.rb, t=bad_t), h.S, h.S_inv,
+                             name="bad")
+
+    # fails defi-chi with no linear solution
+    cases["hopf-unsolvable-chi-m2"] = lambda: render(
+        verify_hopf(unsolvable_chi()))
     return cases
 
 
