@@ -13,6 +13,9 @@ from .report import Report
 
 HOM = "hom"
 ANTI = "anti"
+# the side an element multiplies on: u e_i (pre) or e_i u (post)
+PRE = "pre"
+POST = "post"
 
 
 class Algebra:
@@ -131,24 +134,18 @@ class Algebra:
 
     def left_mult_matrix(self, u):
         """Matrix of x -> u * x in the fixed basis, read from ``table``."""
-        return self._mult_matrix(u, True)
+        return self._mult_matrix(u, PRE)
 
     def right_mult_matrix(self, u):
         """Matrix of x -> x * u in the fixed basis, read from ``table``."""
-        return self._mult_matrix(u, False)
+        return self._mult_matrix(u, POST)
 
-    def _mult_matrix(self, u, left):
-        # column j is u * e_j (left) or e_j * u, a combination of table entries
-        d = self.dim
-        table = self.table
-        rows = [[self.field.zero] * d for _ in range(d)]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j in range(d):
-                for k, c in (table[i][j] if left else table[j][i]).items():
-                    rows[k][j] = rows[k][j] + a * c
-        return Matrix(self.field, d, d, rows)
+    def _mult_matrix(self, u, side):
+        # column j is u * e_j (pre) or e_j * u (post)
+        u = sparse(u)
+        return Matrix.from_sparse_cols(
+            self.field, [side_product(self, u, j, side)
+                         for j in range(self.dim)], self.dim)
 
     def is_commutative(self):
         table = self.table
@@ -238,6 +235,17 @@ def nonzero(sparse):
 def sparse(vec):
     """The nonzero entries ``{index: coefficient}`` of a dense vector."""
     return {k: x for k, x in enumerate(vec) if x}
+
+
+def side_product(algebra, u, i, side):
+    """The sparse element u times e_i (``pre``) or e_i times u (``post``),
+    combined from the ``table`` entries of the coefficients of u."""
+    table = algebra.table
+    if side == PRE:
+        terms = ((c, table[a][i]) for a, c in u.items())
+    else:
+        terms = ((c, table[i][a]) for a, c in u.items())
+    return combine(algebra.field.zero, terms)
 
 
 def verify_algebra(algebra, report_title=None):

@@ -46,6 +46,7 @@ from .algebra import (
     combine,
     map_at_factor,
     opposite,
+    side_product,
     sparse,
     tensor_apply,
     tensor_square_product,
@@ -60,7 +61,6 @@ from .bimodtensor import (
     Junction,
     BalancedTensorSpace,
     mult_at_factor,
-    side_product,
 )
 from .report import Report
 

@@ -20,11 +20,8 @@ factor kernels below touch only nonzero entries.  Quotient coordinates
 from math import prod
 
 from .exactfield import Matrix, SparseEchelon
-from .algebra import (HOM, ANTI, combine, fmt_tensor_multi, map_at_factor,
-                      nonzero, sparse)
-
-PRE = "pre"
-POST = "post"
+from .algebra import (HOM, ANTI, POST, PRE, fmt_tensor_multi, map_at_factor,
+                      nonzero, side_product, sparse)
 
 
 class ActionSpec:
@@ -102,16 +99,12 @@ class Junction:
     def base(self):
         return self.right.base
 
-
-def side_product(algebra, u, i, side):
-    """The sparse element u times e_i (``pre``) or e_i times u (``post``),
-    combined from the ``table`` entries of the coefficients of u."""
-    table = algebra.table
-    if side == PRE:
-        terms = ((c, table[a][i]) for a, c in u.items())
-    else:
-        terms = ((c, table[i][a]) for a, c in u.items())
-    return combine(algebra.field.zero, terms)
+    def same_actions(self, other):
+        """True iff ``other`` acts through the same structure maps on the
+        same sides, so that both junctions have the same relations."""
+        return all(a.amap is b.amap and a.side == b.side
+                   for a, b in ((self.right, other.right),
+                                (self.left, other.left)))
 
 
 def mult_at_factor(algebra, dims, p, vec, elem, side):
@@ -199,14 +192,35 @@ class BalancedTensorSpace:
         staged space eliminates them once in the coordinates of the last
         two factors, then stages only that echelon basis at each leading
         index: offsetting and staging are linear, so the span is the same.
+        When the head is the two-factor quotient of the same junction, as
+        for a coassociativity triple, its echelon is that pair echelon.
         """
         if not self.junctions:
             return
         junc = self.junctions[-1]
         dl, dr = self.dims[-2:]
-        zero = self.field.zero
-        pair = (self.echelon if self.head is None
-                else SparseEchelon(self.field, dl * dr))
+        head = self.head
+        if head is not None and head.head is None \
+                and head.junctions[0].same_actions(junc):
+            # the head is this junction's own pair quotient
+            pair = head.echelon
+        else:
+            pair = (self.echelon if head is None
+                    else SparseEchelon(self.field, dl * dr))
+            self._insert_pair_relations(pair, junc, dl, dr)
+        if head is None:
+            return
+        block = dl * dr
+        for off in range(0, self.total_dim, block):
+            for row in pair.rows.values():
+                self.echelon.insert(
+                    self._stage({off + key: c for key, c in row.items()}))
+
+    @staticmethod
+    def _insert_pair_relations(pair, junc, dl, dr):
+        """Insert the relations of ``junc`` between factors of dimensions
+        ``dl`` and ``dr`` into the echelon ``pair``."""
+        zero = pair.field.zero
         for b in range(junc.base.dim):
             acted_l = junc.right.basis_images(b)
             acted_r = junc.left.basis_images(b)
@@ -218,13 +232,6 @@ class BalancedTensorSpace:
                     rel = nonzero(rel)
                     if rel:
                         pair.insert(rel)
-        if self.head is None:
-            return
-        block = dl * dr
-        for off in range(0, self.total_dim, block):
-            for row in pair.rows.values():
-                self.echelon.insert(
-                    self._stage({off + key: c for key, c in row.items()}))
 
     def _stage(self, sparse):
         """Coordinates in head ⊗ A of a sparse tensor-power vector: every

@@ -1,8 +1,11 @@
-"""Exact scalars and dense linear algebra over the rationals or a prime field.
+"""Exact scalars and linear algebra over the rationals or a prime field.
 
 Everything downstream (axiom checks, quotient constructions, certificates)
 depends on this arithmetic being exact, so floating point is never used.
 Vectors are plain tuples of scalars; matrices are immutable row tuples.
+``SparseEchelon`` is the one elimination engine: reduced echelon forms,
+ranks, kernels, solutions, inverses and ``Subspace`` membership are all
+read from it.
 """
 
 from fractions import Fraction
@@ -362,12 +365,6 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols + other.ncols,
                       [a + b for a, b in zip(self.rows, other.rows)])
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("vstack column mismatch")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols,
-                      self.rows + other.rows)
-
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
@@ -378,76 +375,76 @@ class Matrix:
 
     # -- elimination --------------------------------------------------------
 
+    def _echelon(self, rhs_rows=(), width=0):
+        """The SparseEchelon of the rows of [M | rhs]: row i of rhs is the
+        sparse ``rhs_rows[i]`` ({column: scalar}, ``width`` columns),
+        placed past column ncols."""
+        n = self.ncols
+        ech = SparseEchelon(self.field, n + width)
+        for i, row in enumerate(self.rows):
+            vec = {j: a for j, a in enumerate(row) if a}
+            if width:
+                for k, b in rhs_rows[i].items():
+                    vec[n + k] = b
+            if vec:
+                ech.insert(vec)
+        return ech
+
     def rref_pivots(self):
         """Reduced row echelon form and its pivot columns (cached)."""
-        if self._rref is not None:
-            return self._rref
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if rows[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = self.field.one / rows[pr][pc]
-            if inv != self.field.one:
-                rows[pr] = [inv * a for a in rows[pr]]
-            for i in range(self.nrows):
-                if i != pr and rows[i][pc]:
-                    c = rows[i][pc]
-                    rows[i] = [a - c * b for a, b in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        result = (Matrix(self.field, self.nrows, self.ncols, rows), tuple(pivots))
-        self._rref = result
-        return result
-
-    def rref(self):
-        return self.rref_pivots()[0]
+        if self._rref is None:
+            ech = self._echelon()
+            rows = ech.dense_rows()
+            rows += [(self.field.zero,) * self.ncols] * (self.nrows - len(rows))
+            self._rref = (Matrix(self.field, self.nrows, self.ncols, rows),
+                          ech.pivot_columns())
+        return self._rref
 
     def rank(self):
         return len(self.rref_pivots()[1])
 
     def kernel(self):
         """Null space {x : M x = 0} as a canonical Subspace."""
-        return self._kernel_from(*self.rref_pivots())
+        return self._kernel_from(self._echelon())
 
-    def _kernel_from(self, red, pivots):
-        # ``red`` is a reduced echelon form whose first ncols columns are
-        # this matrix's, with pivots ``pivots`` among them
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        zero = self.field.zero
+    def _kernel_from(self, ech):
+        # ``ech`` is a reduced echelon form whose first ncols columns are
+        # this matrix's and whose pivots all lie among them; free column f
+        # gives the kernel vector e_f minus f's entries of the pivot rows
         one = self.field.one
-        basis = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = -red.rows[i][f]
-            basis.append(tuple(v))
-        return Subspace.from_vectors(self.field, self.ncols, basis)
+        kern = SparseEchelon(self.field, self.ncols)
+        for f in range(self.ncols):
+            if f not in ech.rows:
+                vec = {p: -ech.rows[p][f] for p in ech.cols.get(f, ())}
+                vec[f] = one
+                kern.insert(vec)
+        return Subspace(self.field, self.ncols, kern)
+
+    def _solve_rows(self, rhs_rows, width):
+        """Solve M X = rhs, the right-hand side given by its sparse rows
+        (``width`` columns), in one elimination of [M | rhs]: the rows of
+        X (free variables zero) and the echelon, or None and the echelon if
+        a column has no solution."""
+        if len(rhs_rows) != self.nrows:
+            raise ValueError("rhs shape mismatch")
+        n = self.ncols
+        ech = self._echelon(rhs_rows, width)
+        rows = ech.rows
+        # the rows are fully reduced, so a pivot in rhs is the only way a
+        # column can fail; otherwise pivot row p holds row p of X
+        if any(p >= n for p in rows):
+            return None, ech
+        zero = self.field.zero
+        free = (zero,) * width
+        return [tuple(rows[p].get(c, zero) for c in range(n, n + width))
+                if p in rows else free for p in range(n)], ech
 
     def solve(self, b):
         """One solution of M x = b (free variables zero), or None."""
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = self.hstack(Matrix.from_cols(self.field, [b], self.nrows))
-        red, pivots = aug.rref_pivots()
-        if pivots and pivots[-1] == self.ncols:
-            return None
-        zero = self.field.zero
-        x = [zero] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = red.rows[i][self.ncols]
-        return tuple(x)
+        x = self._solve_rows([{0: v} if v else {} for v in b], 1)[0]
+        return None if x is None else tuple(r[0] for r in x)
 
     def solve_matrix(self, rhs):
         """Solve M X = rhs column by column in one elimination; None if any fails."""
@@ -457,67 +454,60 @@ class Matrix:
         """``(solve_matrix(rhs), kernel())`` from the one elimination of
         [M | rhs], or ``(None, None)`` if any column fails: the reduced form
         is unique, so its first ncols columns are the reduced form of M."""
-        if rhs.nrows != self.nrows:
-            raise ValueError("rhs shape mismatch")
-        aug = self.hstack(rhs)
-        red, pivots = aug.rref_pivots()
-        # rows past the pivots are zero, so a pivot in rhs is the only way
-        # a column can fail
-        if pivots and pivots[-1] >= self.ncols:
+        x, ech = self._solve_rows([{j: a for j, a in enumerate(row) if a}
+                                   for row in rhs.rows], rhs.ncols)
+        if x is None:
             return None, None
-        zero = self.field.zero
-        cols = []
-        for j in range(rhs.ncols):
-            x = [zero] * self.ncols
-            for i, pc in enumerate(pivots):
-                x[pc] = red.rows[i][self.ncols + j]
-            cols.append(tuple(x))
-        return (Matrix.from_cols(self.field, cols, self.ncols),
-                self._kernel_from(red, pivots))
+        return (Matrix(self.field, self.ncols, rhs.ncols, x),
+                self._kernel_from(ech))
 
     def inverse(self):
+        # [M | I] has full row rank, so M is singular iff a pivot lands in I
         if self.nrows != self.ncols:
             return None
-        aug = self.hstack(Matrix.identity(self.field, self.nrows))
-        red, pivots = aug.rref_pivots()
-        if len(pivots) != self.nrows or any(p >= self.nrows for p in pivots):
-            return None
-        rows = [r[self.nrows:] for r in red.rows]
-        return Matrix(self.field, self.nrows, self.ncols, rows)
+        one = self.field.one
+        x = self._solve_rows([{i: one} for i in range(self.nrows)],
+                             self.nrows)[0]
+        return None if x is None else Matrix(self.field, self.nrows,
+                                             self.ncols, x)
 
 
 class Subspace:
-    """A subspace of k^n held as its unique reduced-echelon basis."""
+    """A subspace of k^n held as the SparseEchelon of its unique
+    reduced-echelon basis."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "echelon")
 
-    def __init__(self, field, ambient, basis, pivots):
+    def __init__(self, field, ambient, echelon):
         self.field = field
         self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
+        self.echelon = echelon
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        vectors = [tuple(v) for v in vectors]
-        if not vectors:
-            return cls(field, ambient, Matrix.zeros(field, 0, ambient), ())
-        m = Matrix.from_rows(field, vectors, ambient)
-        red, pivots = m.rref_pivots()
-        rows = [red.rows[i] for i in range(len(pivots))]
-        return cls(field, ambient, Matrix.from_rows(field, rows, ambient) if rows
-                   else Matrix.zeros(field, 0, ambient), pivots)
+        ech = SparseEchelon(field, ambient)
+        for v in vectors:
+            vec = {j: a for j, a in enumerate(v) if a}
+            if vec:
+                ech.insert(vec)
+        return cls(field, ambient, ech)
 
     @property
     def dim(self):
-        return self.basis.nrows
+        return self.echelon.rank
+
+    @property
+    def basis(self):
+        """The echelon basis as the rows of a dim x ambient matrix."""
+        return Matrix(self.field, self.dim, self.ambient,
+                      self.echelon.dense_rows())
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.echelon.rows == other.echelon.rows
         )
 
     def __hash__(self):
@@ -526,40 +516,30 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
-    def reduce(self, vec):
-        """Subtract off the basis span; result is zero iff vec is contained."""
-        v = list(vec)
-        for i, pc in enumerate(self.pivots):
-            if v[pc]:
-                c = v[pc]
-                row = self.basis.rows[i]
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
-
     def contains(self, vec):
-        return vec_is_zero(self.reduce(vec))
+        return not self.echelon.reduce({j: a for j, a in enumerate(vec) if a})
 
     def coords_of(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside."""
-        coords = tuple(vec[pc] for pc in self.pivots)
-        recon = [self.field.zero] * self.ambient
-        for c, row in zip(coords, self.basis.rows):
-            if c:
-                recon = [a + c * b for a, b in zip(recon, row)]
-        if tuple(recon) != tuple(vec):
+        """Coordinates of vec in the echelon basis, or None if outside: each
+        basis row is 1 at its pivot and 0 at the others."""
+        if not self.contains(vec):
             return None
-        return coords
+        return tuple(vec[p] for p in self.echelon.pivot_columns())
 
 
 class SparseEchelon:
     """Incremental reduced echelon over sparse vectors (dict col -> scalar).
 
-    Used for the relation spans of balanced tensor products, where each
-    relation touches only a handful of coordinates.  The ambient dimension
-    is d² for a tensor square of a d-dimensional algebra and q·d for a
-    triple, which eliminates its second junction in the coordinates of its
-    q-dimensional pair quotient tensored with the last factor; the full d³
-    is never reached.  Rows are kept fully inter-reduced so reduction is a
+    This is the package's one exact elimination engine: ``Matrix`` reads
+    its reduced form, ranks, kernels, solutions and inverses from it,
+    ``Subspace`` holds one, and the relation spans of balanced tensor
+    products are built in it, each relation touching only a handful of
+    coordinates.  There the ambient dimension is d² for a tensor square of
+    a d-dimensional algebra and q·d for a triple, which eliminates its
+    second junction in the coordinates of its q-dimensional pair quotient
+    tensored with the last factor; the full d³ is never reached.  The
+    pivot of a row is its first nonzero column, as in the reduced row
+    echelon form.  Rows are kept fully inter-reduced so reduction is a
     single pass and the final basis is canonical.  ``cols`` indexes each
     non-pivot column to the pivots of the rows that hold it, so a new pivot
     back-reduces only the rows it occurs in.
@@ -598,8 +578,12 @@ class SparseEchelon:
         if not r:
             return False
         p = min(r)
-        inv = self.field.one / r[p]
-        row = {c: inv * a for c, a in r.items()}
+        one = self.field.one
+        if r[p] == one:
+            row = r
+        else:
+            inv = one / r[p]
+            row = {c: inv * a for c, a in r.items()}
         zero = self.field.zero
         cols = self.cols
         for q in cols.pop(p, ()):
@@ -626,18 +610,16 @@ class SparseEchelon:
         self.rows[p] = row
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def pivot_columns(self):
         return tuple(sorted(self.rows))
 
-    def to_subspace(self):
+    def dense_rows(self):
+        """The rows as dense tuples, in pivot order."""
         zero = self.field.zero
-        dense = []
+        out = []
         for p in sorted(self.rows):
-            row = self.rows[p]
-            dense.append(tuple(row.get(j, zero) for j in range(self.ncols)))
-        basis = (Matrix.from_rows(self.field, dense, self.ncols)
-                 if dense else Matrix.zeros(self.field, 0, self.ncols))
-        return Subspace(self.field, self.ncols, basis, self.pivot_columns())
+            dense = [zero] * self.ncols
+            for c, a in self.rows[p].items():
+                dense[c] = a
+            out.append(tuple(dense))
+        return out

@@ -24,7 +24,7 @@ section-dependent convolution-style axioms, and the two Galois maps with
 their closed-form inverses.
 """
 
-from .exactfield import Matrix
+from .exactfield import Matrix, Subspace
 from .algebra import (
     HOM,
     ANTI,
@@ -134,7 +134,6 @@ def solve_base_antiiso(lb, rb):
 
 
 def _column_span(matrix):
-    from .exactfield import Subspace
     return Subspace.from_vectors(matrix.field, matrix.nrows, matrix.columns())
 
 

@@ -48,3 +48,25 @@ def test_expected_layers_are_traced_layers(bench_modules):
     for workload, names in run.EXPECTED_LAYERS.items():
         missing = set(names) - set(layers.LAYERS)
         assert not missing, (workload, sorted(missing))
+
+
+def test_stale_caches_sees_the_lazy_slots(bench_modules):
+    """``common.stale_caches`` is the benchmark's check that every op starts
+    from inputs with no lazy cache filled.  It finds caches by their slot
+    names, so a renamed slot would let it pass without checking anything:
+    a fresh pair groupoid has none filled, and one ``verify_hopf`` fills
+    every slot it names."""
+    import algebroids
+    from algebroids.catalog import pair_groupoid_hopf_algebroid
+    from algebroids.hopfcore import verify_hopf
+
+    common = importlib.import_module("common")
+    h = common.fresh_hopf(algebroids,
+                          pair_groupoid_hopf_algebroid(2, algebroids.QQ))
+    assert common.stale_caches((h,)) == []
+    verify_hopf(h)
+    found = common.stale_caches((h,))
+    slots = {path.rsplit(".", 1)[1] for path in found}
+    assert {"_space", "_triple", "_gamma_q", "_canon_lift", "_llr",
+            "_rrl"} <= slots, found
+    assert any(path.endswith("._rref") for path in found), found

@@ -3,7 +3,9 @@
 The rank computations are cross-checked against an independent oracle:
 rank of a matrix over GF(7) recomputed by brute-force search for the largest
 non-vanishing minor (Laplace expansion), never touching the row-reduction
-code under test.
+code under test.  ``SparseEchelon`` and everything ``Matrix`` and
+``Subspace`` read from it are compared with the dense Gauss–Jordan loop of
+``dense_reference``, which shares no code with the engine.
 """
 
 import random
@@ -20,6 +22,14 @@ from algebroids.exactfield import (
     Subspace,
     SparseEchelon,
     field_from_name,
+)
+from dense_reference import (
+    coords_in_span,
+    dense_rref,
+    inverse,
+    kernel_basis,
+    solve_with_kernel,
+    span_basis,
 )
 
 QQ = RationalField()
@@ -91,7 +101,7 @@ def _mat(field, rows):
 
 def test_rref_frozen_example():
     m = _mat(QQ, [[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    r = m.rref()
+    r = m.rref_pivots()[0]
     assert r.rows == _mat(QQ, [[1, 0, -1], [0, 1, 2], [0, 0, 0]]).rows
     assert m.rank() == 2
 
@@ -207,13 +217,13 @@ def test_sparse_echelon_matches_subspace():
         v = tuple(QQ.of(rng.randrange(-3, 4)) for _ in range(6))
         vecs.append(v)
         ech.insert({i: x for i, x in enumerate(v) if x})
-    sub = Subspace.from_vectors(QQ, 6, vecs)
-    assert ech.to_subspace().dim == sub.dim
+    basis = span_basis(QQ, 6, vecs)
+    assert ech.rank == len(basis)
     for _ in range(20):
         w = tuple(QQ.of(rng.randrange(-3, 4)) for _ in range(6))
-        in_sub = sub.contains(w)
+        in_span = coords_in_span(basis, QQ, w) is not None
         red = ech.reduce({i: x for i, x in enumerate(w) if x})
-        assert in_sub == (not red)
+        assert in_span == (not red)
 
 
 @st.composite
@@ -239,7 +249,7 @@ def test_indexed_echelon_is_the_reduced_echelon_form(case):
         grew = ech.insert(vec)
         dense.append(tuple(vec.get(j, zero) for j in range(ncols)))
         assert grew == (ech.rank > rank)
-        assert ech.rank == Subspace.from_vectors(field, ncols, dense).dim
+        assert ech.rank == len(span_basis(field, ncols, dense))
         holders = {}
         for p, row in ech.rows.items():
             assert row[p] == field.one
@@ -248,4 +258,66 @@ def test_indexed_echelon_is_the_reduced_echelon_form(case):
                 if col != p:
                     holders.setdefault(col, set()).add(p)
         assert ech.cols == holders
-    assert ech.to_subspace() == Subspace.from_vectors(field, ncols, dense)
+    assert tuple(ech.dense_rows()) == span_basis(field, ncols, dense)
+
+
+@st.composite
+def linear_systems(draw):
+    """A matrix over QQ or GF(7), zero-row, wide, tall or square, with a
+    right-hand side of up to three columns."""
+    field = draw(st.sampled_from((QQ, F7)))
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 3))
+    # mostly small entries with many zeros, so ranks and kernels vary
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3))
+
+    def matrix(n, m):
+        return Matrix(field, n, m, [
+            tuple(field.of(x) for x in draw(st.lists(entry, min_size=m,
+                                                       max_size=m)))
+            for _ in range(n)])
+
+    return field, matrix(nrows, ncols), matrix(nrows, width)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_elimination_matches_the_dense_reference(case):
+    field, m, rhs = case
+    red, pivots = dense_rref(m)
+    assert m.rref_pivots() == (red, pivots)
+    assert m.rank() == len(pivots)
+    kern = kernel_basis(m)
+    assert m.kernel().basis.rows == kern
+    assert m.kernel().dim == m.ncols - len(pivots)
+
+    cols, ref_kern = solve_with_kernel(m, rhs)
+    sol, got_kern = m.solve_matrix_kernel(rhs)
+    if cols is None:
+        assert sol is None and got_kern is None
+        assert m.solve_matrix(rhs) is None
+    else:
+        assert sol.columns() == cols and got_kern.basis.rows == ref_kern
+        assert m.solve_matrix(rhs) == sol
+    first, _ = solve_with_kernel(m, Matrix.from_cols(field, [rhs.col(0)],
+                                                     m.nrows))
+    assert m.solve(rhs.col(0)) == (None if first is None else first[0])
+
+    assert m.inverse() == inverse(m)
+    k = min(m.nrows, m.ncols)
+    square = Matrix(field, k, k, [r[:k] for r in m.rows[:k]])
+    assert square.inverse() == inverse(square)
+
+    # coordinates in the row space: a combination of the rows lies inside,
+    # a right-hand side column padded or cut to ncols may lie outside
+    span = Subspace.from_vectors(field, m.ncols, m.rows)
+    basis = span_basis(field, m.ncols, m.rows)
+    assert span.basis.rows == basis
+    inside = tuple(sum((c * a for c, a in zip(rhs.col(0), col)), field.zero)
+                   for col in m.columns())
+    outside = (rhs.col(0) + (field.one,) * m.ncols)[:m.ncols]
+    for vec in (inside, outside):
+        assert span.coords_of(vec) == coords_in_span(basis, field, vec)
+        assert span.contains(vec) == (coords_in_span(basis, field, vec)
+                                      is not None)

@@ -41,6 +41,7 @@ from algebroids.catalog import (
 from algebroids.exactfield import Matrix, PrimeField, RationalField, unit_vector
 from algebroids.report import Report
 from algebroids.twistlab import WeakHopfAlgebra, verify_weak_hopf
+from dense_reference import dense_rref
 
 QQ = RationalField()
 F7 = PrimeField(7)
@@ -322,8 +323,8 @@ class DenseQuotient:
         self.field = A.field
         self.rels = dense_relations(A, junctions)
         self.size = A.dim ** (len(junctions) + 1)
-        red, pivots = Matrix.from_rows(self.field, self.rels,
-                                       self.size).rref_pivots()
+        red, pivots = dense_rref(Matrix.from_rows(self.field, self.rels,
+                                                  self.size))
         self.rows = dict(zip(pivots, red.rows))
         self.free = [c for c in range(self.size) if c not in self.rows]
 
