@@ -8,7 +8,7 @@ honest when opposites get involved.
 
 from math import prod
 
-from .exactfield import Matrix, vec_add, vec_is_zero, unit_vector
+from .exactfield import Matrix, sparse, vec_add, vec_is_zero, unit_vector
 from .report import Report
 
 HOM = "hom"
@@ -230,11 +230,6 @@ def combine(zero, terms):
 def nonzero(sparse):
     """A sparse vector without its zero entries."""
     return {k: x for k, x in sparse.items() if x}
-
-
-def sparse(vec):
-    """The nonzero entries ``{index: coefficient}`` of a dense vector."""
-    return {k: x for k, x in enumerate(vec) if x}
 
 
 def side_product(algebra, u, i, side):

@@ -221,6 +221,11 @@ def vec_is_zero(u):
     return not any(u)
 
 
+def sparse(vec):
+    """The nonzero entries ``{index: coefficient}`` of a dense vector."""
+    return {k: x for k, x in enumerate(vec) if x}
+
+
 def unit_vector(field, n, i):
     one = field.one
     zero = field.zero
@@ -382,7 +387,7 @@ class Matrix:
         n = self.ncols
         ech = SparseEchelon(self.field, n + width)
         for i, row in enumerate(self.rows):
-            vec = {j: a for j, a in enumerate(row) if a}
+            vec = sparse(row)
             if width:
                 for k, b in rhs_rows[i].items():
                     vec[n + k] = b
@@ -454,8 +459,8 @@ class Matrix:
         """``(solve_matrix(rhs), kernel())`` from the one elimination of
         [M | rhs], or ``(None, None)`` if any column fails: the reduced form
         is unique, so its first ncols columns are the reduced form of M."""
-        x, ech = self._solve_rows([{j: a for j, a in enumerate(row) if a}
-                                   for row in rhs.rows], rhs.ncols)
+        x, ech = self._solve_rows([sparse(row) for row in rhs.rows],
+                                  rhs.ncols)
         if x is None:
             return None, None
         return (Matrix(self.field, self.ncols, rhs.ncols, x),
@@ -487,7 +492,7 @@ class Subspace:
     def from_vectors(cls, field, ambient, vectors):
         ech = SparseEchelon(field, ambient)
         for v in vectors:
-            vec = {j: a for j, a in enumerate(v) if a}
+            vec = sparse(v)
             if vec:
                 ech.insert(vec)
         return cls(field, ambient, ech)
@@ -517,7 +522,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def contains(self, vec):
-        return not self.echelon.reduce({j: a for j, a in enumerate(vec) if a})
+        return not self.echelon.reduce(sparse(vec))
 
     def coords_of(self, vec):
         """Coordinates of vec in the echelon basis, or None if outside: each
