@@ -4,8 +4,8 @@ The package eliminates only through ``SparseEchelon``.  The tests that check
 that engine compare it with the plain dense pivot loop below, which shares
 no code with it: ``dense_rref`` works on a row-major copy of a ``Matrix``
 and returns its reduced row echelon form and pivot columns.  The other
-helpers read ranks, kernel bases, solutions, inverses and coordinates from
-that form, as the dense ``Matrix`` and ``Subspace`` methods once did.
+helpers read kernel bases, solutions, inverses and coordinates from that
+form.
 """
 
 from algebroids.exactfield import Matrix
