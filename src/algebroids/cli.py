@@ -281,6 +281,14 @@ def cmd_diagram(spec, args):
 # argument parsing and dispatch
 
 
+def _certificate_limit(text):
+    """A ``--certificate-limit`` value: a count, so never negative."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="algebroids",
@@ -289,7 +297,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", choices=("text", "structured"),
                         default="text", help="report rendering")
-    common.add_argument("--certificate-limit", type=int,
+    common.add_argument("--certificate-limit", type=_certificate_limit,
                         default=DEFAULT_CERTIFICATE_LIMIT, metavar="N",
                         help="max counterexamples listed per failing check")
     common.add_argument("--field", default=None, metavar="F",

@@ -39,10 +39,11 @@ class Check:
         if self.note:
             d["note"] = self.note
         if not self.ok and not self.skipped:
-            certs = self.certificates[:certificate_limit]
-            d["certificates"] = list(certs)
-            if len(self.certificates) > certificate_limit:
-                d["certificates_truncated"] = len(self.certificates) - certificate_limit
+            shown = self.certificates[:certificate_limit]
+            d["certificates"] = list(shown)
+            extra = len(self.certificates) - len(shown)
+            if extra > 0:
+                d["certificates_truncated"] = extra
         return d
 
 

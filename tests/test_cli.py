@@ -369,6 +369,34 @@ def test_certificate_limit(capsys, tmp_path, m2):
             assert len(check["certificates"]) <= 1
 
 
+@pytest.mark.parametrize("limit", [0, 1, 5])
+def test_certificate_truncation_counts_agree(capsys, limit):
+    # the structured count of dropped certificates is the text's "... N more"
+    args = ("check", "--level", "lu", KZ2_TWISTED,
+            "--certificate-limit", str(limit))
+    code, text, _ = run(capsys, *args)
+    assert code == 1
+    _, out, _ = run(capsys, *args, "--report", "structured")
+    failing = [c for c in json.loads(out)["checks"] if c["verdict"] == "FAIL"]
+    assert failing
+    for check in failing:
+        assert len(check["certificates"]) <= limit
+        dropped = check.get("certificates_truncated", 0)
+        assert dropped == (1 if limit == 0 else 0)
+        more = f"... {dropped} more" in text
+        assert more == bool(dropped)
+
+
+@pytest.mark.parametrize("value", ["-1", "-5", "x"])
+def test_negative_certificate_limit_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "check", "--level", "lu", KZ2_TWISTED,
+                         "--certificate-limit", value,
+                         "--report", "structured")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--certificate-limit" in err
+
+
 def test_emit_report_matches_to_dict():
     rep = Report("demo")
     rep.add("a", "first", True)
