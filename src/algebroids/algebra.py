@@ -8,7 +8,8 @@ honest when opposites get involved.
 
 from math import prod
 
-from .exactfield import Matrix, sparse, vec_add, vec_is_zero, unit_vector
+from .exactfield import (Matrix, combine, nonzero, sparse, unit_vector,
+                         vec_add, vec_is_zero)
 from .report import Report
 
 HOM = "hom"
@@ -115,9 +116,8 @@ class Algebra:
         """Product of two sparse vectors ``{index: coefficient}``, read from
         ``table``; the result is sparse too."""
         table = self.table
-        return combine(self.field.zero, ((a * b, table[i][j])
-                                         for i, a in u.items()
-                                         for j, b in v.items()))
+        return combine((a * b, table[i][j])
+                       for i, a in u.items() for j, b in v.items())
 
     def dense(self, terms):
         """The coefficient vector of a sparse vector ``{index: coefficient}``."""
@@ -217,21 +217,6 @@ def opposite(algebra):
     return Algebra(algebra.field, algebra.basis_names, table, algebra.unit, name)
 
 
-def combine(zero, terms):
-    """The nonzero entries of the sum of ``c * row`` over ``(c, row)`` pairs
-    of sparse vectors ``{index: coefficient}``."""
-    out = {}
-    for c, row in terms:
-        for k, x in row.items():
-            out[k] = out.get(k, zero) + c * x
-    return nonzero(out)
-
-
-def nonzero(sparse):
-    """A sparse vector without its zero entries."""
-    return {k: x for k, x in sparse.items() if x}
-
-
 def side_product(algebra, u, i, side):
     """The sparse element u times e_i (``pre``) or e_i times u (``post``),
     combined from the ``table`` entries of the coefficients of u."""
@@ -240,7 +225,7 @@ def side_product(algebra, u, i, side):
         terms = ((c, table[a][i]) for a, c in u.items())
     else:
         terms = ((c, table[i][a]) for a, c in u.items())
-    return combine(algebra.field.zero, terms)
+    return combine(terms)
 
 
 def verify_algebra(algebra, report_title=None):
@@ -253,16 +238,15 @@ def verify_algebra(algebra, report_title=None):
     rep = Report(report_title or f"algebra {algebra.name}")
     d = algebra.dim
     table = algebra.table
-    zero = algebra.field.zero
     names = algebra.basis_names
     unit = [(m, c) for m, c in enumerate(algebra.unit) if c]
 
     bad = []
     for i in range(d):
         e = {i: algebra.field.one}
-        if combine(zero, ((c, table[m][i]) for m, c in unit)) != e:
+        if combine((c, table[m][i]) for m, c in unit) != e:
             bad.append(f"1*{names[i]} != {names[i]}")
-        if combine(zero, ((c, table[i][m]) for m, c in unit)) != e:
+        if combine((c, table[i][m]) for m, c in unit) != e:
             bad.append(f"{names[i]}*1 != {names[i]}")
     rep.add("unit", "two-sided unit law on basis", not bad, bad)
 
@@ -273,8 +257,8 @@ def verify_algebra(algebra, report_title=None):
             ij = row_i[j].items()
             row_j = table[j]
             for k in range(d):
-                lhs = combine(zero, ((c, table[m][k]) for m, c in ij))
-                rhs = combine(zero, ((c, row_i[m]) for m, c in row_j[k].items()))
+                lhs = combine((c, table[m][k]) for m, c in ij)
+                rhs = combine((c, row_i[m]) for m, c in row_j[k].items())
                 if lhs != rhs:
                     ni, nj, nk = names[i], names[j], names[k]
                     bad.append(
@@ -384,13 +368,12 @@ def verify_map(f, report_title=None):
             ok, [] if ok else [f"{f.name}(1) = {tgt.fmt_vec(img_one)}"])
 
     # images of the source basis as sparse vectors: the columns of the matrix
-    zero = tgt.field.zero
-    images = [sparse(col) for col in f.matrix.columns()]
+    images = f.matrix.cols
     bad = []
     for i in range(src.dim):
         row_i = src.table[i]
         for j in range(src.dim):
-            lhs = combine(zero, ((c, images[m]) for m, c in row_i[j].items()))
+            lhs = combine((c, images[m]) for m, c in row_i[j].items())
             if f.kind == HOM:
                 rhs = tgt.mul_sparse(images[i], images[j])
             else:
@@ -449,7 +432,6 @@ def tensor_square_product(alg_a, alg_b, w1, w2):
     vectors, read from both tables."""
     db = alg_b.dim
     table_a, table_b = alg_a.table, alg_b.table
-    zero = alg_a.field.zero
     terms2 = [divmod(idx, db) + (c,) for idx, c in w2.items()]
     out = {}
     for idx1, c1 in w1.items():
@@ -463,7 +445,9 @@ def tensor_square_product(alg_a, alg_b, w1, w2):
                 cca = c * ca
                 base = ka * db
                 for kb, cb in prod_b:
-                    out[base + kb] = out.get(base + kb, zero) + cca * cb
+                    at = base + kb
+                    old = out.get(at)
+                    out[at] = cca * cb if old is None else old + cca * cb
     return nonzero(out)
 
 
@@ -472,9 +456,9 @@ def tensor_apply(m1, m2, vec):
     m2.ncols), applied one factor at a time from the matrices' columns;
     the result is sparse, of length m1.nrows * m2.nrows."""
     dims = (m1.ncols, m2.ncols)
-    mid = map_at_factor(dims, 1, vec, m2.nrows, lambda j: sparse(m2.col(j)))
+    mid = map_at_factor(dims, 1, vec, m2.nrows, m2.cols.__getitem__)
     return map_at_factor((m1.ncols, m2.nrows), 0, mid, m1.nrows,
-                         lambda i: sparse(m1.col(i)))
+                         m1.cols.__getitem__)
 
 
 def flip_tensor(dim_a, dim_b, vec):

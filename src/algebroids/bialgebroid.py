@@ -79,18 +79,15 @@ def contract_leg(algebra, m, w, leg, side):
     ``table``.
     """
     d = algebra.dim
-    zero = algebra.field.zero
-    cols = {}
+    cols = m.cols
     acc = {}
     for idx, c in w.items():
         i, j = divmod(idx, d)
         if leg:
             i, j = j, i
-        x = cols.get(i)
-        if x is None:
-            x = cols[i] = sparse(m.col(i))
-        for r, y in side_product(algebra, x, j, side).items():
-            acc[r] = acc.get(r, zero) + c * y
+        for r, y in side_product(algebra, cols[i], j, side).items():
+            old = acc.get(r)
+            acc[r] = c * y if old is None else old + c * y
     return algebra.dense(acc)
 
 
@@ -150,10 +147,9 @@ class _BialgebroidBase:
         column reduced from the sparse column of ``gamma_lift``."""
         if self._gamma_q is None:
             space = self.tensor_space
-            self._gamma_q = Matrix.from_cols(
-                self.field, [space.project(sparse(col))
-                             for col in self.gamma_lift.columns()],
-                space.dim)
+            self._gamma_q = Matrix.from_sparse_cols(
+                self.field, [space.coords(col)
+                             for col in self.gamma_lift.cols], space.dim)
         return self._gamma_q
 
     @property
@@ -162,9 +158,9 @@ class _BialgebroidBase:
         element: one sparse tensor-square vector per column, supported on
         the free columns (cached)."""
         if self._canon_lift is None:
-            space = self.tensor_space
-            self._canon_lift = tuple(space.lift(q)
-                                     for q in self.gamma_q.columns())
+            free = self.tensor_space.free_cols
+            self._canon_lift = tuple({free[f]: q[f] for f in sorted(q)}
+                                     for q in self.gamma_q.cols)
         return self._canon_lift
 
     def coproduct(self, vec):
@@ -175,8 +171,7 @@ class _BialgebroidBase:
         """Canonical representative of the coproduct of a coefficient
         vector, as a sparse tensor-square vector."""
         cols = self.canonical_gamma_lift
-        return combine(self.field.zero,
-                       ((c, cols[j]) for j, c in enumerate(vec) if c))
+        return combine((c, cols[j]) for j, c in enumerate(vec) if c)
 
     def coproduct_on_leg(self, w, leg):
         """(γ⊗id)(w) for ``leg`` 0 and (id⊗γ)(w) for ``leg`` 1: the
@@ -193,8 +188,8 @@ class _BialgebroidBase:
         """``gamma_lift`` with the two legs of every column swapped."""
         d = self.total.dim
         return Matrix.from_sparse_cols(
-            self.field, [flip_tensor(d, d, sparse(col))
-                         for col in self.gamma_lift.columns()], d * d)
+            self.field, [flip_tensor(d, d, col)
+                         for col in self.gamma_lift.cols], d * d)
 
     def shared_op(self):
         """``op()``, reusing this structure's quotients.
@@ -350,8 +345,7 @@ def _verify_bialgebroid(bgd, ch, title):
     # the structure maps' columns: the images of the base basis, dense and
     # sparse, and the counit's columns
     images = {m: amap.matrix.columns() for m, amap, _ in maps}
-    sparse_images = {m: [sparse(col) for col in cols]
-                     for m, cols in images.items()}
+    sparse_images = {m: amap.matrix.cols for m, amap, _ in maps}
     counits = bgd.counit.columns()
 
     # (elbim)/(erbim): the images of s and t commute, so the two base
@@ -372,11 +366,11 @@ def _verify_bialgebroid(bgd, ch, title):
     space = bgd.tensor_space
     dims = [d, d]
     lifts = bgd.canonical_gamma_lift
-    table, zero = A.table, bgd.field.zero
+    table = A.table
 
     def gamma(u):
         """Canonical coproduct of a sparse element."""
-        return combine(zero, ((c, lifts[k]) for k, c in u.items()))
+        return combine((c, lifts[k]) for k, c in u.items())
 
     # bimodule-map conditions on the coproduct: γ(s(l)a) = s(l)a_(1)⊗a_(2)
     # and γ(t(l)a) = a_(1)⊗t(l)a_(2) on the left, mirrored on the right

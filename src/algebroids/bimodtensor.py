@@ -13,15 +13,16 @@ holding only nonzero entries, the index of e_i ⊗ e_j ⊗ ... being row-major
 over the factors.  ``project``, ``equal``, ``normal_form``,
 ``is_zero_class`` and ``fmt`` take such vectors, ``normal_form`` and
 ``lift`` return them, and the relation build, the reductions and the
-factor kernels below touch only nonzero entries.  Quotient coordinates
-(``project``, ``lift``, ``fmt_q``) stay dense tuples of length ``dim``.
+factor kernels below touch only nonzero entries.  Quotient coordinates are
+sparse from ``coords`` and dense tuples of length ``dim`` at ``project``,
+``lift`` and ``fmt_q``.
 """
 
 from math import prod
 
 from .exactfield import Matrix, SparseEchelon
 from .algebra import (HOM, ANTI, POST, PRE, fmt_tensor_multi, map_at_factor,
-                      nonzero, side_product, sparse)
+                      nonzero, side_product)
 
 
 class ActionSpec:
@@ -50,7 +51,7 @@ class ActionSpec:
         """The sparse images of the total algebra's basis vectors under the
         base basis element of index ``base_idx``, read from column
         ``base_idx`` of the structure map and from ``table``."""
-        x = sparse(self.amap.matrix.col(base_idx))
+        x = self.amap.matrix.cols[base_idx]
         return [side_product(self.total, x, i, self.side)
                 for i in range(self.total.dim)]
 
@@ -169,7 +170,7 @@ class BalancedTensorSpace:
         else:
             # the head-quotient coordinates of each leading basis tensor
             one = self.field.one
-            self._head_cols = [head._coords({c: one})
+            self._head_cols = [head.coords({c: one})
                                for c in range(head.total_dim)]
             self.echelon = SparseEchelon(self.field,
                                          head.dim * self.dims[-1])
@@ -220,7 +221,6 @@ class BalancedTensorSpace:
     def _insert_pair_relations(pair, junc, dl, dr):
         """Insert the relations of ``junc`` between factors of dimensions
         ``dl`` and ``dr`` into the echelon ``pair``."""
-        zero = pair.field.zero
         for b in range(junc.base.dim):
             acted_l = junc.right.basis_images(b)
             acted_r = junc.left.basis_images(b)
@@ -228,7 +228,8 @@ class BalancedTensorSpace:
                 for j in range(dr):
                     rel = {k * dr + j: c for k, c in acted_l[i].items()}
                     for k, c in acted_r[j].items():
-                        rel[i * dr + k] = rel.get(i * dr + k, zero) - c
+                        old = rel.get(i * dr + k)
+                        rel[i * dr + k] = -c if old is None else old - c
                     rel = nonzero(rel)
                     if rel:
                         pair.insert(rel)
@@ -238,17 +239,20 @@ class BalancedTensorSpace:
         entry's leading factors are reduced through the head's quotient."""
         last = self.dims[-1]
         head_cols = self._head_cols
-        zero = self.field.zero
         out = {}
         for col, a in sparse.items():
             c, k = divmod(col, last)
             for f, b in head_cols[c].items():
                 key = f * last + k
-                val = out.get(key, zero) + a * b
-                if val:
-                    out[key] = val
+                old = out.get(key)
+                if old is None:
+                    out[key] = a * b
+                    continue
+                old += a * b
+                if old:
+                    out[key] = old
                 else:
-                    out.pop(key, None)
+                    del out[key]
         return out
 
     def _embed(self, s):
@@ -265,7 +269,7 @@ class BalancedTensorSpace:
         red = self.echelon.reduce(self._stage(sparse))
         return {self._embed(s): a for s, a in red.items()}
 
-    def _coords(self, sparse):
+    def coords(self, sparse):
         """Sparse quotient coordinates of a sparse vector."""
         index = self._free_index
         return {index[c]: a for c, a in self._reduce(sparse).items()}
@@ -288,7 +292,7 @@ class BalancedTensorSpace:
     def project(self, vec):
         """Quotient coordinates of a sparse total-space vector."""
         out = [self.field.zero] * self.dim
-        for f, a in self._coords(vec).items():
+        for f, a in self.coords(vec).items():
             out[f] = a
         return tuple(out)
 
@@ -304,13 +308,14 @@ class BalancedTensorSpace:
 
     def equal(self, v1, v2):
         diff = dict(v1)
-        zero = self.field.zero
         for i, b in v2.items():
-            val = diff.get(i, zero) - b
-            if val:
-                diff[i] = val
+            old = diff.get(i)
+            if old is None:
+                diff[i] = -b
+            elif old == b:
+                del diff[i]
             else:
-                diff.pop(i, None)
+                diff[i] = old - b
         return not self._reduce(diff)
 
     def projection_matrix(self):
@@ -318,7 +323,7 @@ class BalancedTensorSpace:
         if self._projection is None:
             one = self.field.one
             self._projection = Matrix.from_sparse_cols(
-                self.field, [self._coords({c: one})
+                self.field, [self.coords({c: one})
                              for c in range(self.total_dim)], self.dim)
         return self._projection
 

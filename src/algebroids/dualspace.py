@@ -30,8 +30,8 @@ formulas swap their factors.
 """
 
 from .exactfield import Matrix
-from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, sparse,
-                      verify_algebra)
+from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, nonzero,
+                      side_product, verify_algebra)
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
 from .bimodtensor import PRE, POST
 from .report import Report
@@ -59,7 +59,9 @@ class DualModule:
     """One of the four base-valued duals, as an explicit constraint subspace.
 
     Functionals are base-valued: a functional is a dim(base) × dim(total)
-    matrix, flattened row-major into the ambient coordinate space.
+    matrix, flattened row-major into the ambient coordinate space.  The
+    basis, membership and coordinates are read from the sparse echelon
+    rows of the constraint space.
     """
 
     def __init__(self, bgd, kind, space=None):
@@ -79,61 +81,62 @@ class DualModule:
         self.base = bgd.base
         self.field = bgd.field
         self.space = self._solve_constraints() if space is None else space
-        self.basis = [self._unflatten(row)
-                      for row in self.space.basis.rows]
+        flat = self.space.sparse_basis()
+        self.basis = [self._unflatten(row) for row in flat]
+        # the module's basis as columns of flattened functionals
+        self._embedding = Matrix.from_sparse_cols(self.field, flat,
+                                                  self.space.ambient)
 
     def _unflatten(self, flat):
         dl, da = self.base.dim, self.total.dim
-        rows = [flat[m * da:(m + 1) * da] for m in range(dl)]
-        return Matrix(self.field, dl, da, rows)
+        cols = [{} for _ in range(da)]
+        for key, x in flat.items():
+            m, i = divmod(key, da)
+            cols[i][m] = x
+        return Matrix.from_sparse_cols(self.field, cols, dl)
 
     def _solve_constraints(self):
         A, B = self.total, self.base
         da, dl = A.dim, B.dim
-        zero = self.field.zero
         # the constraint of each kind, as commented where it is defined
         amap = (self.bgd.t if self.kind in (LOWER_STAR, STAR_UPPER)
                 else self.bgd.s)
-        left = self.kind in _LEFT_KINDS
+        side = PRE if self.kind in _LEFT_KINDS else POST
         base_right = self.kind in (LOWER_STAR, UPPER_STAR)   # φ(a) l
         rows = []
         for lidx in range(dl):
-            x = amap.matrix.col(lidx)
-            mult = A.left_mult_matrix(x) if left else A.right_mult_matrix(x)
+            x = amap.matrix.cols[lidx]
             for aidx in range(da):
-                moved = mult.col(aidx)   # the acted-on algebra element
+                # the acted-on algebra element
+                moved = side_product(A, x, aidx, side)
                 for m in range(dl):
                     # equation: φ(moved)_m - (base action on φ(a))_m = 0
-                    row = [zero] * (dl * da)
-                    for i, c in enumerate(moved):
-                        if c:
-                            row[m * da + i] = row[m * da + i] + c
+                    row = {m * da + i: c for i, c in moved.items()}
                     for mp in range(dl):
                         c = (B.table[mp][lidx] if base_right
-                             else B.table[lidx][mp]).get(m, zero)
+                             else B.table[lidx][mp]).get(m)
                         if c:
-                            row[mp * da + aidx] = row[mp * da + aidx] - c
-                    if any(row):
-                        rows.append(tuple(row))
-        return Matrix.from_rows(self.field, rows, dl * da).kernel()
+                            key = mp * da + aidx
+                            old = row.get(key)
+                            row[key] = -c if old is None else old - c
+                    row = nonzero(row)
+                    if row:
+                        rows.append(row)
+        return Matrix.from_sparse_rows(self.field, rows, dl * da).kernel()
 
     @property
     def dim(self):
         return self.space.dim
 
     def contains(self, matrix):
-        return self.space.contains(flatten(matrix))
+        return self.space.contains_sparse(flatten(matrix))
 
     def coords(self, matrix):
-        return self.space.coords_of(flatten(matrix))
+        return self.space.coords_of_sparse(flatten(matrix))
 
     def element(self, coords):
-        dl, da = self.base.dim, self.total.dim
-        acc = Matrix.zeros(self.field, dl, da)
-        for c, mat in zip(coords, self.basis):
-            if c:
-                acc = acc + mat.scale(c)
-        return acc
+        return self._unflatten(self._embedding.apply_sparse(
+            {k: c for k, c in enumerate(coords) if c}))
 
     def unit_matrix(self):
         """The convolution unit: the counit of the underlying bialgebroid."""
@@ -161,16 +164,18 @@ class DualModule:
     def acting_on(self, vec):
         """The matrix of φ ↦ (φ acting on ``vec``) over this module's basis:
         ``acting_on`` restricted to the constraint subspace."""
-        return (acting_on(self.bgd, self.kind, vec)
-                @ self.space.basis.transpose())
+        return acting_on(self.bgd, self.kind, vec) @ self._embedding
 
     def __repr__(self):
         return f"DualModule({self.kind}, dim {self.dim})"
 
 
 def flatten(phi):
-    """A base-valued functional (matrix) as its row-major coordinate vector."""
-    return tuple(x for row in phi.rows for x in row)
+    """A base-valued functional (matrix) as its row-major coordinate vector,
+    sparse: entry (m, i) of φ sits at index m * phi.ncols + i."""
+    da = phi.ncols
+    return {m * da + i: x for i, col in enumerate(phi.cols)
+            for m, x in col.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,7 @@ def acting_on(bgd, kind, vec):
         else:
             parts[j][i] = c
     cols = []
-    for x in getattr(bgd, amap).matrix.columns():
-        x = sparse(x)
+    for x in getattr(bgd, amap).matrix.cols:
         cols.extend(A.mul_sparse(x, part) if side == PRE
                     else A.mul_sparse(part, x) for part in parts)
     return Matrix.from_sparse_cols(bgd.field, cols, d)
@@ -366,8 +370,7 @@ def dual_lower_star(lb, name=None):
     # inside the junction relation span
     bad = []
     tspace = rbd.tensor_space
-    for row in kern.basis.rows:
-        row = sparse(row)
+    for row in kern.sparse_basis():
         if not tspace.is_zero_class(row):
             bad.append("a pairing-kernel vector is nonzero in the dual "
                        "tensor square: " + tspace.fmt(row))
@@ -385,31 +388,38 @@ def pairing_system(lb, module):
     A = lb.total
     d, dl, n = A.dim, lb.base.dim, module.dim
     table = A.table
-    zero = lb.field.zero
     size = d * d * dl
-    values = [[sparse(phi.col(k)) for k in range(d)] for phi in module.basis]
+    # every basis functional at once: column k holds φ_u(e_k) at rows
+    # u·dl + m, so one sparse product evaluates all of them on an element
+    stacked = [{} for _ in range(d)]
+    for u, phi in enumerate(module.basis):
+        for k, col in enumerate(phi.cols):
+            for m, y in col.items():
+                stacked[k][u * dl + m] = y
+    evaluate = Matrix.from_sparse_cols(lb.field, stacked, n * dl)
 
-    def add(col, top, terms, vals):
-        # col[top + m] += Σ_k terms[k] φ(e_k)_m, φ(e_k) = vals[k]
-        for k, x in terms.items():
-            for m, y in vals[k].items():
-                col[top + m] = col[top + m] + x * y
+    def scatter(cols, stride, offset, top, values):
+        # values[u·dl + m] goes to row top + m of column u·stride + offset
+        for key, x in values.items():
+            u, m = divmod(key, dl)
+            cols[u * stride + offset][top + m] = x
 
-    pairing = [[zero] * size for _ in range(n * n)]
-    for v in range(n):
+    pairing = [{} for _ in range(n * n)]
+    t_l = lb.t.matrix
+    for v, phi in enumerate(module.basis):
         for b in range(d):
-            tv = sparse(lb.t.apply(module.basis[v].col(b)))
+            tv = t_l.apply_sparse(phi.cols[b])
             for a in range(d):    # e_a t_L(v(e_b)), once for every u
-                moved = combine(zero, ((c, table[a][p]) for p, c in tv.items()))
-                for u in range(n):
-                    add(pairing[u * n + v], (a * d + b) * dl, moved, values[u])
-    rhs = [[zero] * size for _ in range(n)]
+                moved = combine((c, table[a][p]) for p, c in tv.items())
+                scatter(pairing, n, v, (a * d + b) * dl,
+                        evaluate.apply_sparse(moved))
+    rhs = [{} for _ in range(n)]
     for a in range(d):
         for b in range(d):
-            for w in range(n):
-                add(rhs[w], (a * d + b) * dl, table[a][b], values[w])
-    return (Matrix.from_cols(lb.field, pairing, size),
-            Matrix.from_cols(lb.field, rhs, size))
+            scatter(rhs, 1, 0, (a * d + b) * dl,
+                    evaluate.apply_sparse(table[a][b]))
+    return (Matrix.from_sparse_cols(lb.field, pairing, size),
+            Matrix.from_sparse_cols(lb.field, rhs, size))
 
 
 def _rebase(bgd, base, name):

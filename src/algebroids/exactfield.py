@@ -2,10 +2,13 @@
 
 Everything downstream (axiom checks, quotient constructions, certificates)
 depends on this arithmetic being exact, so floating point is never used.
-Vectors are plain tuples of scalars; matrices are immutable row tuples.
-``SparseEchelon`` is the one elimination engine: reduced echelon forms,
-ranks, kernels, solutions, inverses and ``Subspace`` membership are all
-read from it.
+Dense vectors are tuples of scalars and sparse vectors are dicts
+``{index: scalar}`` without zero entries; ``combine`` is the one kernel that
+sums sparse vectors.  A ``Matrix`` is immutable and holds only its nonzero
+columns, each a sparse vector, so products compose columns and the
+elimination reads sparse rows by transposing them.  ``SparseEchelon`` is the
+one elimination engine: reduced echelon forms, ranks, kernels, solutions,
+inverses and ``Subspace`` membership are all read from it.
 """
 
 from fractions import Fraction
@@ -202,19 +205,12 @@ def field_from_name(name):
 
 
 # ---------------------------------------------------------------------------
-# vectors are tuples; a few helpers keep call sites readable
+# dense vectors are tuples of scalars; sparse vectors are dicts
+# {index: scalar}, and the kernels keep them free of zero entries
 
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u):
@@ -226,29 +222,94 @@ def sparse(vec):
     return {k: x for k, x in enumerate(vec) if x}
 
 
+def nonzero(vec):
+    """A sparse vector without its zero entries."""
+    return {k: x for k, x in vec.items() if x}
+
+
+def combine(terms):
+    """The nonzero entries of the sum of ``c * row`` over ``(c, row)`` pairs
+    of sparse vectors ``{index: coefficient}``.
+
+    A new index stores its product as it is, so no entry is ever added to
+    a zero.  A row holds no zero entry, so with c nonzero only a cancelled
+    sum can leave a zero, and only then are zeros filtered out.
+    """
+    out = {}
+    cancelled = False
+    for c, row in terms:
+        if not c:
+            continue
+        for k, x in row.items():
+            old = out.get(k)
+            if old is None:
+                out[k] = c * x
+            else:
+                old += c * x
+                out[k] = old
+                if not old:
+                    cancelled = True
+    return nonzero(out) if cancelled else out
+
+
 def unit_vector(field, n, i):
     one = field.one
     zero = field.zero
     return tuple(one if j == i else zero for j in range(n))
 
 
-class Matrix:
-    """Immutable dense matrix over one exact field.
+def _add_sparse(u, v):
+    """u + v for sparse vectors, sparse."""
+    out = dict(u)
+    for k, x in v.items():
+        old = out.get(k)
+        if old is None:
+            out[k] = x
+        else:
+            x = old + x
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return out
 
-    Shape is explicit so zero-row/zero-column matrices round-trip cleanly.
+
+class Matrix:
+    """Immutable matrix over one exact field, held by its nonzero columns.
+
+    ``cols[j]`` is column j as a sparse vector ``{row: scalar}`` without
+    zero entries; no dense copy is kept.  ``rows``, ``col`` and ``columns``
+    build dense tuples on read.  Shape is explicit so zero-row/zero-column
+    matrices round-trip cleanly.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "cols", "_rref")
 
     def __init__(self, field, nrows, ncols, rows):
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError("matrix shape mismatch")
+        cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.cols = tuple(cols)
         self._rref = None
+
+    @classmethod
+    def _of_cols(cls, field, nrows, cols):
+        # ``cols`` are sparse columns without zero entries, owned by the result
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = len(cols)
+        m.cols = tuple(cols)
+        m._rref = None
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -263,12 +324,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, [unit_vector(field, n, i) for i in range(n)])
+        one = field.one
+        return cls._of_cols(field, n, [{i: one} for i in range(n)])
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, nrows, ncols, [(z,) * ncols] * nrows)
+        return cls._of_cols(field, nrows, [{} for _ in range(ncols)])
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
@@ -277,18 +338,26 @@ class Matrix:
             if not cols:
                 raise ValueError("need nrows for an empty column list")
             nrows = len(cols[0])
-        rows = [tuple(c[i] for c in cols) for i in range(nrows)]
-        return cls(field, nrows, len(cols), rows)
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("matrix shape mismatch")
+        return cls._of_cols(field, nrows, [sparse(c) for c in cols])
 
     @classmethod
     def from_sparse_cols(cls, field, cols, nrows):
         """The matrix whose columns are the sparse vectors ``cols``
-        (``{row: scalar}``)."""
-        rows = [[field.zero] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return cls(field, nrows, len(cols), rows)
+        (``{row: scalar}``); zero entries are dropped."""
+        return cls._of_cols(field, nrows, [nonzero(c) for c in cols])
+
+    @classmethod
+    def from_sparse_rows(cls, field, rows, ncols):
+        """The matrix whose rows are the sparse vectors ``rows``
+        (``{column: scalar}``); zero entries are dropped."""
+        cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if x:
+                    cols[j][i] = x
+        return cls._of_cols(field, len(rows), cols)
 
     # -- basics -------------------------------------------------------------
 
@@ -298,85 +367,108 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols,
+                     tuple(frozenset(c.items()) for c in self.cols)))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
+    @property
+    def rows(self):
+        """The rows as dense tuples."""
+        return tuple(zip(*self.columns())) if self.ncols else \
+            ((),) * self.nrows
+
+    def sparse_rows(self):
+        """The rows as sparse vectors ``{column: scalar}``: the columns
+        transposed."""
+        rows = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
+
     def entry(self, i, j):
-        return self.rows[i][j]
+        return self.cols[j].get(i, self.field.zero)
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
+        """Column j as a dense tuple."""
+        col = self.cols[j]
+        zero = self.field.zero
+        return tuple(col.get(i, zero) for i in range(self.nrows))
 
     def columns(self):
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self):
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [self.col(j) for j in range(self.ncols)])
+        return Matrix._of_cols(self.field, self.ncols, self.sparse_rows())
 
     def apply(self, vec):
-        """Matrix-vector product (vec has length ncols)."""
+        """Matrix-vector product of a dense vector of length ncols, dense."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        terms = [(j, x) for j, x in enumerate(vec) if x]
-        out = []
+        cols = self.cols
+        acc = {}
+        for j, x in enumerate(vec):
+            if x:
+                for i, a in cols[j].items():
+                    old = acc.get(i)
+                    acc[i] = a * x if old is None else old + a * x
         zero = self.field.zero
-        for row in self.rows:
-            acc = zero
-            for j, x in terms:
-                a = row[j]
-                if a:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(acc.get(i, zero) for i in range(self.nrows))
+
+    def apply_sparse(self, vec):
+        """Matrix-vector product of a sparse vector ``{column: scalar}``, as
+        a sparse vector: the combination of the columns it names."""
+        cols = self.cols
+        return combine((x, cols[j]) for j, x in vec.items())
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("matrix composition shape/field mismatch")
-        cols = [self.apply(other.col(j)) for j in range(other.ncols)]
-        return Matrix.from_cols(self.field, cols, self.nrows)
+        return Matrix._of_cols(self.field, self.nrows,
+                               [self.apply_sparse(c) for c in other.cols])
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix addition shape mismatch")
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix._of_cols(self.field, self.nrows,
+                               [_add_sparse(a, b)
+                                for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix subtraction shape mismatch")
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [vec_scale(-self.field.one, r) for r in self.rows])
+        return self.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [vec_scale(c, r) for r in self.rows])
+        if not c:
+            return Matrix.zeros(self.field, self.nrows, self.ncols)
+        return Matrix._of_cols(self.field, self.nrows,
+                               [{i: c * x for i, x in col.items()}
+                                for col in self.cols])
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("hstack row mismatch")
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      [a + b for a, b in zip(self.rows, other.rows)])
+        return Matrix._of_cols(self.field, self.nrows, self.cols + other.cols)
 
     def is_zero(self):
-        return all(not a for r in self.rows for a in r)
+        return not any(self.cols)
 
     def is_identity(self):
         if self.nrows != self.ncols:
             return False
-        return self == Matrix.identity(self.field, self.nrows)
+        one = self.field.one
+        return all(len(c) == 1 and c.get(j) == one
+                   for j, c in enumerate(self.cols))
 
     # -- elimination --------------------------------------------------------
 
@@ -386,8 +478,7 @@ class Matrix:
         placed past column ncols."""
         n = self.ncols
         ech = SparseEchelon(self.field, n + width)
-        for i, row in enumerate(self.rows):
-            vec = sparse(row)
+        for i, vec in enumerate(self.sparse_rows()):
             if width:
                 for k, b in rhs_rows[i].items():
                     vec[n + k] = b
@@ -399,10 +490,10 @@ class Matrix:
         """Reduced row echelon form and its pivot columns (cached)."""
         if self._rref is None:
             ech = self._echelon()
-            rows = ech.dense_rows()
-            rows += [(self.field.zero,) * self.ncols] * (self.nrows - len(rows))
-            self._rref = (Matrix(self.field, self.nrows, self.ncols, rows),
-                          ech.pivot_columns())
+            pivots = ech.pivot_columns()
+            self._rref = (Matrix.from_sparse_rows(
+                self.field, [ech.rows[p] for p in pivots]
+                + [{}] * (self.nrows - len(pivots)), self.ncols), pivots)
         return self._rref
 
     def rank(self):
@@ -427,9 +518,9 @@ class Matrix:
 
     def _solve_rows(self, rhs_rows, width):
         """Solve M X = rhs, the right-hand side given by its sparse rows
-        (``width`` columns), in one elimination of [M | rhs]: the rows of
-        X (free variables zero) and the echelon, or None and the echelon if
-        a column has no solution."""
+        (``width`` columns), in one elimination of [M | rhs]: X (free
+        variables zero) and the echelon, or None and the echelon if a
+        column has no solution."""
         if len(rhs_rows) != self.nrows:
             raise ValueError("rhs shape mismatch")
         n = self.ncols
@@ -439,17 +530,19 @@ class Matrix:
         # column can fail; otherwise pivot row p holds row p of X
         if any(p >= n for p in rows):
             return None, ech
-        zero = self.field.zero
-        free = (zero,) * width
-        return [tuple(rows[p].get(c, zero) for c in range(n, n + width))
-                if p in rows else free for p in range(n)], ech
+        cols = [{} for _ in range(width)]
+        for p in sorted(rows):
+            for c, a in rows[p].items():
+                if c >= n:
+                    cols[c - n][p] = a
+        return Matrix._of_cols(self.field, n, cols), ech
 
     def solve(self, b):
         """One solution of M x = b (free variables zero), or None."""
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
         x = self._solve_rows([{0: v} if v else {} for v in b], 1)[0]
-        return None if x is None else tuple(r[0] for r in x)
+        return None if x is None else x.col(0)
 
     def solve_matrix(self, rhs):
         """Solve M X = rhs column by column in one elimination; None if any fails."""
@@ -459,22 +552,18 @@ class Matrix:
         """``(solve_matrix(rhs), kernel())`` from the one elimination of
         [M | rhs], or ``(None, None)`` if any column fails: the reduced form
         is unique, so its first ncols columns are the reduced form of M."""
-        x, ech = self._solve_rows([sparse(row) for row in rhs.rows],
-                                  rhs.ncols)
+        x, ech = self._solve_rows(rhs.sparse_rows(), rhs.ncols)
         if x is None:
             return None, None
-        return (Matrix(self.field, self.ncols, rhs.ncols, x),
-                self._kernel_from(ech))
+        return x, self._kernel_from(ech)
 
     def inverse(self):
         # [M | I] has full row rank, so M is singular iff a pivot lands in I
         if self.nrows != self.ncols:
             return None
         one = self.field.one
-        x = self._solve_rows([{i: one} for i in range(self.nrows)],
-                             self.nrows)[0]
-        return None if x is None else Matrix(self.field, self.nrows,
-                                             self.ncols, x)
+        return self._solve_rows([{i: one} for i in range(self.nrows)],
+                                self.nrows)[0]
 
 
 class Subspace:
@@ -501,11 +590,16 @@ class Subspace:
     def dim(self):
         return self.echelon.rank
 
+    def sparse_basis(self):
+        """The echelon basis as sparse vectors, in pivot order."""
+        rows = self.echelon.rows
+        return [rows[p] for p in self.echelon.pivot_columns()]
+
     @property
     def basis(self):
         """The echelon basis as the rows of a dim x ambient matrix."""
-        return Matrix(self.field, self.dim, self.ambient,
-                      self.echelon.dense_rows())
+        return Matrix.from_sparse_rows(self.field, self.sparse_basis(),
+                                       self.ambient)
 
     def __eq__(self, other):
         return (
@@ -522,14 +616,23 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def contains(self, vec):
-        return not self.echelon.reduce(sparse(vec))
+        return self.contains_sparse(sparse(vec))
+
+    def contains_sparse(self, vec):
+        """``contains`` for a sparse vector ``{index: scalar}``."""
+        return not self.echelon.reduce(vec)
 
     def coords_of(self, vec):
         """Coordinates of vec in the echelon basis, or None if outside: each
         basis row is 1 at its pivot and 0 at the others."""
-        if not self.contains(vec):
+        return self.coords_of_sparse(sparse(vec))
+
+    def coords_of_sparse(self, vec):
+        """``coords_of`` for a sparse vector ``{index: scalar}``."""
+        if not self.contains_sparse(vec):
             return None
-        return tuple(vec[p] for p in self.echelon.pivot_columns())
+        zero = self.field.zero
+        return tuple(vec.get(p, zero) for p in self.echelon.pivot_columns())
 
 
 class SparseEchelon:
@@ -564,17 +667,21 @@ class SparseEchelon:
         """Return vec minus its projection onto the row span (sparse dict)."""
         v = dict(vec)
         rows = self.rows
-        zero = self.field.zero
         for p in [p for p in v if p in rows]:
             c = v[p]
             if not c:
                 continue
+            c = -c
             for col, a in rows[p].items():
-                newval = v.get(col, zero) - c * a
-                if newval:
-                    v[col] = newval
+                old = v.get(col)
+                if old is None:
+                    v[col] = c * a
                 else:
-                    v.pop(col, None)
+                    old += c * a
+                    if old:
+                        v[col] = old
+                    else:
+                        del v[col]
         return v
 
     def insert(self, vec):
@@ -589,20 +696,21 @@ class SparseEchelon:
         else:
             inv = one / r[p]
             row = {c: inv * a for c, a in r.items()}
-        zero = self.field.zero
         cols = self.cols
         for q in cols.pop(p, ()):
             other = self.rows[q]
-            c = other.pop(p)
+            c = -other.pop(p)
             for col, a in row.items():
                 if col == p:
                     continue
                 old = other.get(col)
-                newval = (old or zero) - c * a
-                if newval:
-                    if old is None:
-                        cols.setdefault(col, set()).add(q)
-                    other[col] = newval
+                if old is None:
+                    other[col] = c * a
+                    cols.setdefault(col, set()).add(q)
+                    continue
+                old += c * a
+                if old:
+                    other[col] = old
                 else:
                     del other[col]
                     holders = cols[col]
@@ -617,14 +725,3 @@ class SparseEchelon:
 
     def pivot_columns(self):
         return tuple(sorted(self.rows))
-
-    def dense_rows(self):
-        """The rows as dense tuples, in pivot order."""
-        zero = self.field.zero
-        out = []
-        for p in sorted(self.rows):
-            dense = [zero] * self.ncols
-            for c, a in self.rows[p].items():
-                dense[c] = a
-            out.append(tuple(dense))
-        return out

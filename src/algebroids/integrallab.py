@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
-from .algebra import (ANTI, AlgebraMap, flip_tensor, sparse, tensor_apply,
-                      verify_map)
+from .algebra import (ANTI, PRE, POST, AlgebraMap, combine, flip_tensor,
+                      side_product, tensor_apply, verify_map)
 from .report import Report
 from .bialgebroid import (
     LeftBialgebroid,
@@ -121,17 +121,23 @@ def integral_space(parent, side):
 
     Both conditions are linear in a, so running over a basis of the total
     algebra is exhaustive; the space is the kernel of the per-basis blocks
-    stacked into one matrix.
+    stacked into one matrix.  Block i multiplies by u = e_i − s π(e_i)
+    from the side, so column j of the stack holds the sparse products
+    u e_j (or e_j u) at rows i·d + k.
     """
     bgd = _side_bialgebroid(parent, side)
     A = bgd.total
-    mult = A.left_mult_matrix if side == LEFT else A.right_mult_matrix
-    rows = []
-    for i in range(A.dim):
-        avec = A.basis_vec(i)
-        through = bgd.s.apply(bgd.counit.apply(avec))
-        rows.extend((mult(avec) - mult(through)).rows)
-    space = Matrix.from_rows(bgd.field, rows, A.dim).kernel()
+    d = A.dim
+    one = bgd.field.one
+    mult_side = PRE if side == LEFT else POST
+    cols = [{} for _ in range(d)]
+    for i in range(d):
+        through = bgd.s.matrix.apply_sparse(bgd.counit.cols[i])
+        u = combine(((one, {i: one}), (-one, through)))
+        for j in range(d):
+            for k, x in side_product(A, u, j, mult_side).items():
+                cols[j][i * d + k] = x
+    space = Matrix.from_sparse_cols(bgd.field, cols, d * d).kernel()
     return IntegralSpace(bgd, side, space)
 
 
@@ -273,7 +279,7 @@ class NondegenerateIntegral:
 
 def _transposes(transpose, phi, A):
     """The matrix of a ↦ transpose(φ, A, a) on flattened functionals."""
-    return Matrix.from_cols(
+    return Matrix.from_sparse_cols(
         A.field, [flatten(transpose(phi, A, A.basis_vec(i)))
                   for i in range(A.dim)], phi.nrows * A.dim)
 
@@ -731,8 +737,8 @@ def weak_dual_iso(w, h, nd, title=None):
     for delta in (sep_l.delta,
                   Matrix.from_sparse_cols(
                       field,
-                      [flip_tensor(lb.base.dim, lb.base.dim, sparse(col))
-                       for col in sep_l.delta.columns()],
+                      [flip_tensor(lb.base.dim, lb.base.dim, col)
+                       for col in sep_l.delta.cols],
                       lb.base.dim ** 2)):
         cand = SeparabilityStructure(hd.lb.base, delta, sep_l.psi)
         if verify_separability(cand).passed:
@@ -757,8 +763,8 @@ def weak_dual_iso(w, h, nd, title=None):
 
     bad = []
     for j in range(d):
-        lhs = sparse(what.delta.apply(phi_total.col(j)))
-        rhs = tensor_apply(phi_total, phi_total, sparse(wd.delta.col(j)))
+        lhs = what.delta.apply_sparse(phi_total.cols[j])
+        rhs = tensor_apply(phi_total, phi_total, wd.delta.cols[j])
         if lhs != rhs:
             bad.append(f"basis functional {j}: Δ̂(Φ(ψ)) ≠ (Φ⊗Φ)Δ(ψ)")
     rep.add("dualiso-wha-coproduct", "Φ intertwines the coproducts",
@@ -1014,7 +1020,7 @@ def _ls(rb, ell, notation):
     for i in range(d):
         alt = flip_tensor(d, d, tensor_apply(
             antipode, antipode, rb.coproduct_lift(antipode_inv.col(i))))
-        _require(lspace.equal(alt, sparse(h.lb.gamma_lift.col(i))),
+        _require(lspace.equal(alt, h.lb.gamma_lift.cols[i]),
                  f"left coproduct mismatch at a = {A.basis_names[i]}")
 
     rep = verify_hopf(h)

@@ -19,8 +19,8 @@ from .algebra import (
     AlgebraMap,
     combine,
     nonzero,
-    sparse,
     tensor_apply,
+    tensor_square_product,
     verify_algebra,
     verify_map,
 )
@@ -101,8 +101,8 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
     inv_ok = g_inv is not None and module.coords(g_inv) is not None
     if inv_ok:
         unit = module.unit_matrix()
-        inv_ok = (module.product(g, g_inv).rows == unit.rows and
-                  module.product(g_inv, g).rows == unit.rows)
+        inv_ok = (module.product(g, g_inv) == unit and
+                  module.product(g_inv, g) == unit)
     rep.add("twist-invertible", "g is convolution invertible", inv_ok,
             [] if inv_ok else ["no two-sided convolution inverse"])
     if not inv_ok:
@@ -281,7 +281,7 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     rep.extend(verify_algebra(A), prefix="alg-")
 
     # Δ(e_b) as sparse {i*d + j: c} and as (i, j, c) triples
-    cols = [sparse(w.delta.col(b)) for b in range(d)]
+    cols = w.delta.cols
     deltas = [[(*divmod(idx, d), c) for idx, c in col.items()] for col in cols]
     eps = w.counit.rows[0]
 
@@ -292,10 +292,12 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
         for i, j, c in deltas[b]:
             for idx, x in cols[i].items():
                 key = idx * d + j
-                lft[key] = lft.get(key, zero) + c * x
+                old = lft.get(key)
+                lft[key] = c * x if old is None else old + c * x
             for idx, x in cols[j].items():
                 key = i * d * d + idx
-                rgt[key] = rgt.get(key, zero) + c * x
+                old = rgt.get(key)
+                rgt[key] = c * x if old is None else old + c * x
         left2.append(nonzero(lft))
         right2.append(nonzero(rgt))
     ok = left2 == right2
@@ -317,25 +319,16 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     bad = []
     for x in range(d):
         for y in range(d):
-            lhs = {}
-            for i1, j1, c1 in deltas[x]:
-                for i2, j2, c2 in deltas[y]:
-                    c = c1 * c2
-                    right = table[j1][j2].items()
-                    for ka, ca in table[i1][i2].items():
-                        cca = c * ca
-                        for kb, cb in right:
-                            key = ka * d + kb
-                            lhs[key] = lhs.get(key, zero) + cca * cb
-            rhs = combine(zero, ((c, cols[m]) for m, c in table[x][y].items()))
-            if nonzero(lhs) != rhs:
+            lhs = tensor_square_product(A, A, cols[x], cols[y])
+            rhs = combine((c, cols[m]) for m, c in table[x][y].items())
+            if lhs != rhs:
                 bad.append(f"x = {names[x]}, y = {names[y]}")
     rep.add("delta-mult", "Δ(xy) = Δ(x)Δ(y)", not bad, bad)
 
     # weakened unit law: (Δ(1)⊗1)(1⊗Δ(1)) = Δ²(1) = (1⊗Δ(1))(Δ(1)⊗1)
     unit_terms = [(*divmod(idx, d), c)
                   for idx, c in enumerate(w.delta1()) if c]
-    u2 = combine(zero, ((c, left2[b]) for b, c in enumerate(A.unit) if c))
+    u2 = combine((c, left2[b]) for b, c in enumerate(A.unit) if c)
     lhs, rhs = {}, {}
     for i, j, c1 in unit_terms:
         for p, q, c2 in unit_terms:
@@ -343,11 +336,13 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
             # (e_i⊗e_j⊗1)(1⊗e_p⊗e_q) = e_i ⊗ e_j e_p ⊗ e_q
             for m, x in table[j][p].items():
                 idx = (i * d + m) * d + q
-                lhs[idx] = lhs.get(idx, zero) + c * x
+                old = lhs.get(idx)
+                lhs[idx] = c * x if old is None else old + c * x
             # (1⊗e_i⊗e_j)(e_p⊗e_q⊗1) = e_p ⊗ e_i e_q ⊗ e_j
             for m, x in table[i][q].items():
                 idx = (p * d + m) * d + j
-                rhs[idx] = rhs.get(idx, zero) + c * x
+                old = rhs.get(idx)
+                rhs[idx] = c * x if old is None else old + c * x
     okl = nonzero(lhs) == u2
     okr = nonzero(rhs) == u2
     rep.add("weak-unit-left", "(Δ(1)⊗1)(1⊗Δ(1)) = (Δ⊗id)Δ(1)", okl,
@@ -391,26 +386,26 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
             [] if okb else ["S is singular"])
 
     capl, capr = w.cap_l(), w.cap_r()
-    s_cols = [sparse(w.antipode.col(j)) for j in range(d)]
+    s_cols = w.antipode.cols
     # s_then[i][j] = S(e_i) e_j
-    s_then = [[combine(zero, ((c, table[m][j]) for m, c in s_cols[i].items()))
+    s_then = [[combine((c, table[m][j]) for m, c in s_cols[i].items())
                for j in range(d)] for i in range(d)]
     bad_l, bad_r, bad_m = [], [], []
     for b in range(d):
         # x_(1) S(x_(2)) = ⊓^L(x)
-        acc = combine(zero, ((c * s, table[i][m]) for i, j, c in deltas[b]
-                             for m, s in s_cols[j].items()))
+        acc = combine((c * s, table[i][m]) for i, j, c in deltas[b]
+                      for m, s in s_cols[j].items())
         if A.dense(acc) != capl.col(b):
             bad_l.append(names[b])
         # S(x_(1)) x_(2) = ⊓^R(x)
-        acc = combine(zero, ((c, s_then[i][j]) for i, j, c in deltas[b]))
+        acc = combine((c, s_then[i][j]) for i, j, c in deltas[b])
         if A.dense(acc) != capr.col(b):
             bad_r.append(names[b])
         # S(x_(1)) x_(2) S(x_(3)) = S(x)
-        acc = combine(zero, (
+        acc = combine(
             (c, A.mul_sparse(s_then[idx // d // d][idx // d % d],
                              s_cols[idx % d]))
-            for idx, c in left2[b].items()))
+            for idx, c in left2[b].items())
         if A.dense(acc) != w.antipode.col(b):
             bad_m.append(names[b])
     rep.add("antipode-l", "x_(1) S(x_(2)) = ⊓^L(x)", not bad_l, bad_l)
@@ -589,14 +584,14 @@ def verify_separability(sep, title=None):
     for i in range(dl):
         li = L.basis_vec(i)
         for j in range(dl):
-            target = sep.delta.apply(L.mul_vec(li, L.basis_vec(j)))
+            target = sep.delta.apply_sparse(L.table[i][j])
             left = tensor_apply(L.left_mult_matrix(li),
                                 Matrix.identity(field, dl),
-                                sparse(sep.delta.col(j)))
+                                sep.delta.cols[j])
             right = tensor_apply(Matrix.identity(field, dl),
                                  L.right_mult_matrix(L.basis_vec(j)),
-                                 sparse(sep.delta.col(i)))
-            if left != sparse(target) or right != sparse(target):
+                                 sep.delta.cols[i])
+            if left != target or right != target:
                 bad.append(f"l = {L.basis_names[i]}, "
                            f"l' = {L.basis_names[j]}")
     rep.add("sep-bimodule", "δ(l l') = l·δ(l') = δ(l)·l'", not bad, bad)
@@ -700,8 +695,8 @@ def weak_bialgebra_from_sep(lb, sep, antipode=None):
     pairs = sep.idempotent()
     moves = [(A.left_mult_matrix(lb.t.apply(e)),
               A.left_mult_matrix(lb.s.apply(f))) for e, f in pairs]
-    cols = [combine(field.zero, ((field.one, tensor_apply(te, sf, w))
-                                 for te, sf in moves))
+    cols = [combine((field.one, tensor_apply(te, sf, w))
+                    for te, sf in moves)
             for w in lb.canonical_gamma_lift]
     delta = Matrix.from_sparse_cols(field, cols, d * d)
     counit = sep.psi @ lb.counit
@@ -775,7 +770,7 @@ def wha_decide(h, sep=None, title=None):
     field = lb.field
     u_row = sep.psi @ lb.counit @ h.S       # ψ∘π_L∘S
     eps_row = sep.psi @ lb.counit           # ψ∘π_L
-    if u_row.rows == eps_row.rows:
+    if u_row == eps_row:
         rep.add("decide-exact", "ψ∘π_L∘S = ψ∘π_L", True)
         w = weak_bialgebra_from_sep(lb, sep, antipode=h.S)
         wrep = verify_weak_hopf(w)
@@ -838,7 +833,7 @@ def hopf_algebra_criterion(h, title=None):
     invertible = sol is not None and ahat.mul_vec(sol, u) == ahat.unit
     rep.add("pils-invertible", "π_L∘S is invertible in Â", invertible,
             [] if invertible else ["π_L∘S has no convolution inverse"])
-    equal = u_row.rows == lb.counit.rows
+    equal = u_row == lb.counit
     rep.add("pils-counit", "π_L∘S = π_L", equal,
             [] if equal else ["the antipode twists the counit"])
     return {"is_hopf_algebra": dims_ok and invertible and equal,

@@ -105,3 +105,29 @@ def coords_in_span(basis, field, vec):
     for c, row in zip(coords, basis):
         recon = [a + c * b for a, b in zip(recon, row)]
     return coords if tuple(recon) == tuple(vec) else None
+
+
+# ---------------------------------------------------------------------------
+# dense matrix arithmetic on row-major lists of rows, the reference for the
+# sparse-column ``Matrix``
+
+
+def dense_apply(field, rows, vec):
+    return tuple(sum((a * x for a, x in zip(row, vec)), field.zero)
+                 for row in rows)
+
+
+def dense_matmul(field, left, right, inner, ncols):
+    """The product of an n × inner and an inner × ncols row list."""
+    return tuple(tuple(sum((row[k] * right[k][j] for k in range(inner)),
+                           field.zero) for j in range(ncols))
+                 for row in left)
+
+
+def dense_combine(left, right, op):
+    return tuple(tuple(op(a, b) for a, b in zip(r, s))
+                 for r, s in zip(left, right))
+
+
+def dense_transpose(rows, ncols):
+    return tuple(tuple(row[j] for row in rows) for j in range(ncols))

@@ -70,3 +70,31 @@ def test_stale_caches_sees_the_lazy_slots(bench_modules):
     assert {"_space", "_triple", "_gamma_q", "_canon_lift", "_llr",
             "_rrl"} <= slots, found
     assert any(path.endswith("._rref") for path in found), found
+
+
+def test_copy_matrix_keeps_the_matrix_and_drops_its_cache(bench_modules):
+    """``common.copy_matrix`` rebuilds a matrix from its shape and its
+    ``rows`` to give every op inputs with no elimination cached.  The copy
+    must equal the original, with ``_rref`` unset, and ``stale_caches``
+    must still report the original's filled ``_rref``."""
+    import algebroids
+    from algebroids.exactfield import Matrix, PrimeField
+
+    common = importlib.import_module("common")
+    qq, f7 = algebroids.QQ, PrimeField(7)
+    cases = [
+        Matrix.from_rows(qq, [[qq.of(1), qq.zero, qq.of(2)],
+                              [qq.zero, qq.zero, qq.zero]]),
+        Matrix.from_cols(f7, [[f7.of(3), f7.of(5)], [f7.zero, f7.one]]),
+        Matrix(qq, 0, 3, []),
+        Matrix(f7, 2, 0, [(), ()]),
+    ]
+    for m in cases:
+        assert common.stale_caches((m,)) == []
+        m.rank()
+        assert common.stale_caches((m,)) == ["arg0._rref"]
+        copy = common.copy_matrix(algebroids, m)
+        assert copy == m and hash(copy) == hash(m)
+        assert copy._rref is None
+        assert common.stale_caches((copy,)) == []
+        assert copy.rref_pivots() == m.rref_pivots()

@@ -210,7 +210,9 @@ def test_action_matrix_columns_are_the_actions(data):
     field = bgd.field
     avec = tuple(field.of(data.draw(st.sampled_from((0, 0, 1, -1, 2))))
                  for _ in range(A.dim))
-    assert (acting_on(bgd, kind, avec).apply(flatten(phi))
+    flat = flatten(phi)
+    dense = tuple(flat.get(k, field.zero) for k in range(phi.nrows * A.dim))
+    assert (acting_on(bgd, kind, avec).apply(dense)
             == ACTS[kind](bgd, phi, avec))
 
 

@@ -25,7 +25,11 @@ from algebroids.exactfield import (
 )
 from dense_reference import (
     coords_in_span,
+    dense_apply,
+    dense_combine,
+    dense_matmul,
     dense_rref,
+    dense_transpose,
     inverse,
     kernel_basis,
     solve_with_kernel,
@@ -258,7 +262,9 @@ def test_indexed_echelon_is_the_reduced_echelon_form(case):
                 if col != p:
                     holders.setdefault(col, set()).add(p)
         assert ech.cols == holders
-    assert tuple(ech.dense_rows()) == span_basis(field, ncols, dense)
+    assert tuple(tuple(ech.rows[p].get(j, zero) for j in range(ncols))
+                 for p in ech.pivot_columns()) == span_basis(field, ncols,
+                                                             dense)
 
 
 @st.composite
@@ -321,3 +327,93 @@ def test_elimination_matches_the_dense_reference(case):
         assert span.coords_of(vec) == coords_in_span(basis, field, vec)
         assert span.contains(vec) == (coords_in_span(basis, field, vec)
                                       is not None)
+
+
+@st.composite
+def matrix_cases(draw):
+    """Dense rows of an n × m matrix over QQ or GF(7), zero-row and
+    zero-column shapes included, with a second n × m matrix, an m × k
+    matrix, an n × w matrix, a vector of length m and a scalar."""
+    field = draw(st.sampled_from((QQ, F7)))
+    n, m, k, w = (draw(st.integers(0, 4)) for _ in range(4))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3))
+
+    def rows(nr, nc):
+        return tuple(tuple(field.of(x) for x in draw(
+            st.lists(entry, min_size=nc, max_size=nc))) for _ in range(nr))
+
+    return (field, n, m, k, w, rows(n, m), rows(n, m), rows(m, k),
+            rows(n, w), rows(1, m)[0], field.of(draw(entry)))
+
+
+def _is_clean(mat):
+    """Every stored column is sparse, without zero entries."""
+    return len(mat.cols) == mat.ncols and all(
+        all(x for x in col.values()) and all(0 <= i < mat.nrows for i in col)
+        for col in mat.cols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrix_cases())
+def test_sparse_column_matrix_matches_dense_rows(case):
+    field, n, m, k, w, rows, other, right, wide, vec, c = case
+    zero, one = field.zero, field.one
+    cols = dense_transpose(rows, m)
+    # explicit zero entries handed to the sparse constructors are dropped
+    padded_cols = [{**{i: zero for i in range(n)},
+                    **{i: x for i, x in enumerate(col) if x}}
+                   for col in cols]
+    padded_rows = [{j: x for j, x in enumerate(row)} for row in rows]
+    built = [Matrix(field, n, m, rows),
+             Matrix.from_rows(field, rows, m),
+             Matrix.from_cols(field, cols, n),
+             Matrix.from_sparse_cols(field, padded_cols, n),
+             Matrix.from_sparse_rows(field, padded_rows, m)]
+    mat = built[0]
+    for b in built:
+        assert _is_clean(b)
+        assert (b.nrows, b.ncols) == (n, m)
+        assert b == mat and hash(b) == hash(mat)
+        assert b.rows == rows
+    assert [mat.col(j) for j in range(m)] == list(cols)
+    assert mat.columns() == list(cols)
+    assert all(mat.entry(i, j) == rows[i][j]
+               for i in range(n) for j in range(m))
+    assert mat.sparse_rows() == [{j: x for j, x in enumerate(row) if x}
+                                 for row in rows]
+
+    assert mat.apply(vec) == dense_apply(field, rows, vec)
+    assert mat.apply_sparse({j: x for j, x in enumerate(vec) if x}) == \
+        {i: x for i, x in enumerate(dense_apply(field, rows, vec)) if x}
+
+    results = {
+        "matmul": (mat @ Matrix(field, m, k, right),
+                   dense_matmul(field, rows, right, m, k)),
+        "add": (mat + Matrix(field, n, m, other),
+                dense_combine(rows, other, lambda a, b: a + b)),
+        "sub": (mat - Matrix(field, n, m, other),
+                dense_combine(rows, other, lambda a, b: a - b)),
+        "sub-self": (mat - mat, tuple((zero,) * m for _ in range(n))),
+        "neg": (-mat, tuple(tuple(-a for a in r) for r in rows)),
+        "scale": (mat.scale(c), tuple(tuple(c * a for a in r)
+                                      for r in rows)),
+        "transpose": (mat.transpose(), cols),
+        "hstack": (mat.hstack(Matrix(field, n, w, wide)),
+                   tuple(r + s for r, s in zip(rows, wide))),
+    }
+    for name, (got, want) in results.items():
+        assert _is_clean(got), name
+        assert got.rows == want, name
+        assert got == Matrix.from_rows(field, want, got.ncols), name
+        assert hash(got) == hash(Matrix.from_rows(field, want, got.ncols))
+
+    assert mat.is_zero() == all(not a for r in rows for a in r)
+    ident = tuple(tuple(one if i == j else zero for j in range(m))
+                  for i in range(n))
+    assert mat.is_identity() == (n == m and rows == ident)
+    assert Matrix.identity(field, n).is_identity()
+    assert Matrix.identity(field, n).rows == tuple(
+        tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    assert Matrix.zeros(field, n, m).is_zero()
+    assert Matrix.zeros(field, n, m).rows == tuple((zero,) * m
+                                                   for _ in range(n))
