@@ -1,15 +1,17 @@
 """Finite-dimensional unital associative algebras presented by structure constants.
 
-An Algebra fixes a distinguished basis; elements are coefficient tuples in
-that basis.  Maps between algebras are matrices tagged as multiplicative
+An Algebra fixes a distinguished basis, and an element is a sparse vector
+``{index: coefficient}`` in that basis, without zero entries.  Dense
+coefficient tuples appear only at the boundary: the unit a spec declares,
+``basis_vec``, and the elements callers pass in, each converted once by
+``from_dense``.  Maps between algebras are matrices tagged as multiplicative
 ("hom") or anti-multiplicative ("anti"), which keeps source/target bookkeeping
 honest when opposites get involved.
 """
 
 from math import prod
 
-from .exactfield import (Matrix, combine, nonzero, sparse, unit_vector,
-                         vec_add, vec_is_zero)
+from .exactfield import Matrix, combine, nonzero, sparse, unit_vector
 from .report import Report
 
 HOM = "hom"
@@ -92,45 +94,24 @@ class Algebra:
     def __repr__(self):
         return f"Algebra({self.name!r}, dim {self.dim} over {self.field!r})"
 
-    def zero_vec(self):
-        return (self.field.zero,) * self.dim
-
     def basis_vec(self, i):
+        """The dense coefficient tuple of e_i, for callers outside."""
         return unit_vector(self.field, self.dim, i)
 
-    def mul_vec(self, u, v):
-        """Product of two coefficient vectors."""
-        out = [self.field.zero] * self.dim
-        terms = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.table[i]
-            for j, b in terms:
-                ab = a * b
-                for k, c in row[j].items():
-                    out[k] = out[k] + ab * c
-        return tuple(out)
+    def from_dense(self, vec):
+        """The element with the dense coefficient tuple ``vec``, given from
+        outside the package; a ValueError if its length is not ``dim``."""
+        vec = tuple(vec)
+        if len(vec) != self.dim:
+            raise ValueError(f"an element of {self.name} needs {self.dim} "
+                             f"coefficients, got {len(vec)}")
+        return sparse(vec)
 
-    def mul_sparse(self, u, v):
-        """Product of two sparse vectors ``{index: coefficient}``, read from
-        ``table``; the result is sparse too."""
+    def mul_vec(self, u, v):
+        """Product of two elements, read from ``table``."""
         table = self.table
         return combine((a * b, table[i][j])
                        for i, a in u.items() for j, b in v.items())
-
-    def dense(self, terms):
-        """The coefficient vector of a sparse vector ``{index: coefficient}``."""
-        out = [self.field.zero] * self.dim
-        for k, c in terms.items():
-            out[k] = c
-        return tuple(out)
-
-    def element(self, coeffs):
-        return AlgebraElement(self, tuple(self.field.of(c) for c in coeffs))
-
-    def one(self):
-        return AlgebraElement(self, self.unit)
 
     def left_mult_matrix(self, u):
         """Matrix of x -> u * x in the fixed basis, read from ``table``."""
@@ -142,7 +123,6 @@ class Algebra:
 
     def _mult_matrix(self, u, side):
         # column j is u * e_j (pre) or e_j * u (post)
-        u = sparse(u)
         return Matrix.from_sparse_cols(
             self.field, [side_product(self, u, j, side)
                          for j in range(self.dim)], self.dim)
@@ -158,52 +138,10 @@ class Algebra:
     # -- formatting -----------------------------------------------------------
 
     def fmt_vec(self, vec):
-        """Human-readable form of a coefficient vector, e.g. ``e - 2*t``."""
-        return fmt_terms(self.field, zip(self.basis_names, vec))
-
-
-class AlgebraElement:
-    """A coefficient vector bound to its algebra, with arithmetic sugar."""
-
-    __slots__ = ("algebra", "vec")
-
-    def __init__(self, algebra, vec):
-        self.algebra = algebra
-        self.vec = tuple(vec)
-
-    def __add__(self, other):
-        return AlgebraElement(self.algebra, vec_add(self.vec, other.vec))
-
-    def __sub__(self, other):
-        return AlgebraElement(self.algebra,
-                              tuple(a - b for a, b in zip(self.vec, other.vec)))
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.vec))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return AlgebraElement(self.algebra,
-                                  self.algebra.mul_vec(self.vec, other.vec))
-        c = self.algebra.field.of(other)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.vec))
-
-    def __rmul__(self, other):
-        c = self.algebra.field.of(other)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.vec))
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.algebra == other.algebra and self.vec == other.vec)
-
-    def __hash__(self):
-        return hash(self.vec)
-
-    def is_zero(self):
-        return vec_is_zero(self.vec)
-
-    def __repr__(self):
-        return self.algebra.fmt_vec(self.vec)
+        """Human-readable form of an element, e.g. ``e - 2*t``, its terms
+        in basis order."""
+        names = self.basis_names
+        return fmt_terms(self.field, ((names[k], vec[k]) for k in sorted(vec)))
 
 
 def opposite(algebra):
@@ -232,14 +170,13 @@ def verify_algebra(algebra, report_title=None):
     """Check unit laws and associativity on all basis triples.
 
     Both laws are read from the structure constants ``table``: (e_i e_j) e_k
-    and e_i (e_j e_k) are sparse combinations of its entries, and dense
-    vectors are built only for a failing triple's certificate.
+    and e_i (e_j e_k) are sparse combinations of its entries.
     """
     rep = Report(report_title or f"algebra {algebra.name}")
     d = algebra.dim
     table = algebra.table
     names = algebra.basis_names
-    unit = [(m, c) for m, c in enumerate(algebra.unit) if c]
+    unit = sparse(algebra.unit).items()
 
     bad = []
     for i in range(d):
@@ -262,10 +199,8 @@ def verify_algebra(algebra, report_title=None):
                 if lhs != rhs:
                     ni, nj, nk = names[i], names[j], names[k]
                     bad.append(
-                        f"({ni}*{nj})*{nk} = "
-                        f"{algebra.fmt_vec(algebra.dense(lhs))} but "
-                        f"{ni}*({nj}*{nk}) = "
-                        f"{algebra.fmt_vec(algebra.dense(rhs))}")
+                        f"({ni}*{nj})*{nk} = {algebra.fmt_vec(lhs)} but "
+                        f"{ni}*({nj}*{nk}) = {algebra.fmt_vec(rhs)}")
     rep.add("assoc", "associativity on basis triples", not bad, bad)
     return rep
 
@@ -300,11 +235,6 @@ class AlgebraMap:
     def identity(cls, algebra, name="id"):
         return cls(algebra, algebra,
                    Matrix.identity(algebra.field, algebra.dim), HOM, name)
-
-    def __call__(self, vec):
-        if isinstance(vec, AlgebraElement):
-            return AlgebraElement(self.target, self.matrix.apply(vec.vec))
-        return self.matrix.apply(vec)
 
     def apply(self, vec):
         return self.matrix.apply(vec)
@@ -362,12 +292,12 @@ def verify_map(f, report_title=None):
     rep = Report(report_title or f"map {f.name}")
     src, tgt = f.source, f.target
 
-    img_one = f.apply(src.unit)
-    ok = img_one == tgt.unit
+    img_one = f.apply(sparse(src.unit))
+    ok = img_one == sparse(tgt.unit)
     rep.add("map-unit", f"{f.name}(1) = 1",
             ok, [] if ok else [f"{f.name}(1) = {tgt.fmt_vec(img_one)}"])
 
-    # images of the source basis as sparse vectors: the columns of the matrix
+    # images of the source basis: the columns of the matrix
     images = f.matrix.cols
     bad = []
     for i in range(src.dim):
@@ -375,14 +305,14 @@ def verify_map(f, report_title=None):
         for j in range(src.dim):
             lhs = combine((c, images[m]) for m, c in row_i[j].items())
             if f.kind == HOM:
-                rhs = tgt.mul_sparse(images[i], images[j])
+                rhs = tgt.mul_vec(images[i], images[j])
             else:
-                rhs = tgt.mul_sparse(images[j], images[i])
+                rhs = tgt.mul_vec(images[j], images[i])
             if lhs != rhs:
                 ni, nj = src.basis_names[i], src.basis_names[j]
                 bad.append(
-                    f"{f.name}({ni}*{nj}) = {tgt.fmt_vec(tgt.dense(lhs))} but "
-                    f"expected {tgt.fmt_vec(tgt.dense(rhs))}")
+                    f"{f.name}({ni}*{nj}) = {tgt.fmt_vec(lhs)} but "
+                    f"expected {tgt.fmt_vec(rhs)}")
     word = "multiplicative" if f.kind == HOM else "anti-multiplicative"
     rep.add("map-mult", f"{f.name} is {word} on basis pairs", not bad, bad)
     return rep
@@ -394,10 +324,8 @@ def verify_map(f, report_title=None):
 
 
 def tensor_vec(dim_b, u, v):
-    """Kronecker product of coefficient vectors as a sparse vector:
-    (u ⊗ v)[i*dim_b + j] = u_i v_j."""
-    return {i * dim_b + j: a * b for i, a in enumerate(u) if a
-            for j, b in enumerate(v) if b}
+    """The tensor u ⊗ v of two elements: (u ⊗ v)[i*dim_b + j] = u_i v_j."""
+    return {i * dim_b + j: a * b for i, a in u.items() for j, b in v.items()}
 
 
 def map_at_factor(dims, p, vec, out_dim, image):

@@ -178,31 +178,41 @@ def group_hopf_algebroid(group, field, name=None):
     n = group.order
     inc = AlgebraMap(k, A, Matrix.from_cols(field, [A.unit], n), HOM, "s")
     inct = inc.with_kind(ANTI)
-    cols = []
-    for g in range(n):
-        v = [field.zero] * (n * n)
-        v[g * n + g] = field.one
-        cols.append(tuple(v))
-    gamma = Matrix.from_cols(field, cols, n * n)
+    gamma = _diagonal_coproduct(field, n)
     counit = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
     lb = LeftBialgebroid(A, k, inc, inct, gamma, counit,
                          name=f"{A.name}_L")
     rb = RightBialgebroid(A, k, inc, inct, gamma, counit,
                           name=f"{A.name}_R")
-    s_cols = [A.basis_vec(group.inverse(g)) for g in range(n)]
-    antipode = Matrix.from_cols(field, s_cols, n)
-    return HopfAlgebroid(lb, rb, antipode, name=A.name)
+    return HopfAlgebroid(lb, rb, _inversion(group, field), name=A.name)
+
+
+def _diagonal_coproduct(field, n):
+    """The matrix of e_i ↦ e_i ⊗ e_i on an n-dimensional algebra."""
+    return Matrix.from_sparse_cols(
+        field, [{i * n + i: field.one} for i in range(n)], n * n)
+
+
+def _inversion(group, field, values=None):
+    """The matrix of g ↦ χ(g) g⁻¹ on a group algebra, χ = 1 by default."""
+    n = group.order
+    values = values or (field.one,) * n
+    return Matrix.from_sparse_cols(
+        field, [{group.inverse(g): values[g]} for g in range(n)], n)
+
+
+def _transposition(field, n):
+    """The matrix of e_ij ↦ e_ji on the n × n matrix units."""
+    return Matrix.from_sparse_cols(
+        field, [{n * (idx % n) + idx // n: field.one}
+                for idx in range(n * n)], n * n)
 
 
 def character_twisted_hopf(group, field, chi, name=None):
     """The group algebra with the character-deformed antipode
     S(g) = χ(g) g⁻¹; the right-handed structure is reconstructed from it."""
     h0 = group_hopf_algebroid(group, field)
-    n = group.order
-    s_cols = [tuple((chi(g) if i == group.inverse(g) else field.zero)
-                    for i in range(n)) for g in range(n)]
-    antipode = Matrix.from_cols(field, s_cols, n)
-    h = reconstruct_right(h0.lb, antipode)
+    h = reconstruct_right(h0.lb, _inversion(group, field, chi.values))
     h.name = name or f"{h0.lb.total.name}_χ"
     return h
 
@@ -222,15 +232,11 @@ def pair_groupoid_hopf_algebroid(n, field, name=None):
         field, [f"d{i + 1}" for i in range(n)],
         {(i, i, i): field.one for i in range(n)}, name=f"k^{n}")
     d = n * n
-    s_cols = [A.basis_vec(n * i + i) for i in range(n)]
-    smap = AlgebraMap(L, A, Matrix.from_cols(field, s_cols, d), HOM, "s")
+    s_cols = [{n * i + i: field.one} for i in range(n)]
+    smap = AlgebraMap(L, A, Matrix.from_sparse_cols(field, s_cols, d), HOM,
+                      "s")
     tmap = smap.with_kind(ANTI)
-    cols = []
-    for idx in range(d):
-        v = [field.zero] * (d * d)
-        v[idx * d + idx] = field.one
-        cols.append(tuple(v))
-    gamma = Matrix.from_cols(field, cols, d * d)
+    gamma = _diagonal_coproduct(field, d)
     piL_rows = [tuple(field.one if idx // n == i else field.zero
                       for idx in range(d)) for i in range(n)]
     piL = Matrix.from_rows(field, piL_rows, d)
@@ -239,10 +245,7 @@ def pair_groupoid_hopf_algebroid(n, field, name=None):
                       for idx in range(d)) for j in range(n)]
     piR = Matrix.from_rows(field, piR_rows, d)
     rb = RightBialgebroid(A, L, smap, tmap, gamma, piR, name=f"{A.name}_R")
-    transpose_cols = [A.basis_vec(n * (idx % n) + idx // n)
-                      for idx in range(d)]
-    antipode = Matrix.from_cols(field, transpose_cols, d)
-    return HopfAlgebroid(lb, rb, antipode, name=A.name)
+    return HopfAlgebroid(lb, rb, _transposition(field, n), name=A.name)
 
 
 def function_algebra_hopf(group, field, name=None):
@@ -257,23 +260,17 @@ def function_algebra_hopf(group, field, name=None):
     k = scalar_base(field)
     inc = AlgebraMap(k, A, Matrix.from_cols(field, [A.unit], n), HOM, "s")
     inct = inc.with_kind(ANTI)
-    cols = []
-    for g in range(n):
-        v = [field.zero] * (n * n)
-        for h in range(n):
-            for k2 in range(n):
-                if group.mul(h, k2) == g:
-                    v[h * n + k2] = field.one
-        cols.append(tuple(v))
-    gamma = Matrix.from_cols(field, cols, n * n)
+    cols = [{} for _ in range(n)]
+    for h in range(n):
+        for k2 in range(n):
+            cols[group.mul(h, k2)][h * n + k2] = field.one
+    gamma = Matrix.from_sparse_cols(field, cols, n * n)
     counit = Matrix.from_rows(
         field, [tuple(field.one if g == group.identity else field.zero
                       for g in range(n))], n)
     lb = LeftBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_L")
     rb = RightBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_R")
-    antipode = Matrix.from_cols(
-        field, [A.basis_vec(group.inverse(g)) for g in range(n)], n)
-    return HopfAlgebroid(lb, rb, antipode, name=A.name)
+    return HopfAlgebroid(lb, rb, _inversion(group, field), name=A.name)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +283,9 @@ def group_weak_hopf(group, field, name=None):
     from .twistlab import WeakHopfAlgebra
     A = group_algebra(group, field, name=name)
     n = group.order
-    cols = []
-    for g in range(n):
-        v = [field.zero] * (n * n)
-        v[g * n + g] = field.one
-        cols.append(tuple(v))
-    delta = Matrix.from_cols(field, cols, n * n)
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
-    antipode = Matrix.from_cols(
-        field, [A.basis_vec(group.inverse(g)) for g in range(n)], n)
-    return WeakHopfAlgebra(A, delta, eps, antipode, name=f"W({A.name})")
+    return WeakHopfAlgebra(A, _diagonal_coproduct(field, n), eps,
+                           _inversion(group, field), name=f"W({A.name})")
 
 
 def pair_groupoid_weak_hopf(n, field, name=None):
@@ -311,17 +301,9 @@ def pair_groupoid_weak_hopf(n, field, name=None):
     names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     A = Algebra.from_struct(field, names, struct, name=name or f"M{n}")
     d = n * n
-    cols = []
-    for b in range(d):
-        v = [field.zero] * (d * d)
-        v[b * d + b] = field.one
-        cols.append(tuple(v))
-    delta = Matrix.from_cols(field, cols, d * d)
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(d))], d)
-    transpose_cols = [A.basis_vec(n * (idx % n) + idx // n)
-                      for idx in range(d)]
-    antipode = Matrix.from_cols(field, transpose_cols, d)
-    return WeakHopfAlgebra(A, delta, eps, antipode, name=f"W(M{n})")
+    return WeakHopfAlgebra(A, _diagonal_coproduct(field, d), eps,
+                           _transposition(field, n), name=f"W(M{n})")
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def cmd_integrals(spec, args):
     for side in (LEFT, RIGHT):
         sp = integral_space(h, side)
         spaces[side] = sp
-        desc = "; ".join(A.fmt_vec(v) for v in sp.basis_vectors()) or "0"
+        desc = "; ".join(A.fmt_vec(v) for v in sp.space.sparse_basis()) \
+            or "0"
         rep.add(f"{side}-space", f"{side} integral space", True,
                 note=f"dimension {sp.dim}: spanned by {desc}")
     declared = sorted(el for el, (alg, _) in spec.elements.items()
@@ -122,7 +123,8 @@ def cmd_integrals(spec, args):
         is_left = spaces[LEFT].contains(coords)
         rep.add(f"member-{el}", f"{el} is a left integral", is_left,
                 [] if is_left else
-                [f"{A.fmt_vec(coords)} is not in the left integral space"])
+                [f"{A.fmt_vec(A.from_dense(coords))} is not in the left "
+                 "integral space"])
         if not is_left:
             continue
         rep.extend(intpr_equivalences(h, coords), prefix=f"{el}-")
@@ -136,8 +138,8 @@ def cmd_integrals(spec, args):
             ok = isinstance(out, NondegenerateIntegral)
             note = ("nondegenerate" if ok
                     else f"degenerate ({out.reason})")
-            rep.add(f"basis-{i}", f"basis integral {A.fmt_vec(vec)}", True,
-                    note=note)
+            rep.add(f"basis-{i}", f"basis integral "
+                    f"{A.fmt_vec(A.from_dense(vec))}", True, note=note)
     return rep, None
 
 
@@ -233,7 +235,8 @@ def cmd_dualize(spec, args):
     rep = Report(f"dual of {nm} at {el}")
     if not integral_space(h, LEFT).contains(ell):
         rep.add("dualize-integral", f"{el} is a left integral", False,
-                [f"{h.total.fmt_vec(ell)} is not a left integral"])
+                [f"{h.total.fmt_vec(h.total.from_dense(ell))} is not a "
+                 "left integral"])
         return rep, None
     nd = nondegeneracy(h, ell)
     if isinstance(nd, Degenerate):
@@ -266,7 +269,8 @@ def cmd_diagram(spec, args):
     rep = Report(f"duality square of {nm} at {el}")
     if not integral_space(h, LEFT).contains(ell):
         rep.add("diagram-integral", f"{el} is a left integral", False,
-                [f"{h.total.fmt_vec(ell)} is not a left integral"])
+                [f"{h.total.fmt_vec(h.total.from_dense(ell))} is not a "
+                 "left integral"])
         return rep, None
     nd = nondegeneracy(h, ell)
     if isinstance(nd, Degenerate):

@@ -31,7 +31,7 @@ formulas swap their factors.
 
 from .exactfield import Matrix
 from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, nonzero,
-                      side_product, verify_algebra)
+                      side_product, sparse, verify_algebra)
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
 from .bimodtensor import PRE, POST
 from .report import Report
@@ -129,14 +129,15 @@ class DualModule:
         return self.space.dim
 
     def contains(self, matrix):
-        return self.space.contains_sparse(flatten(matrix))
+        return self.space.contains(flatten(matrix))
 
     def coords(self, matrix):
-        return self.space.coords_of_sparse(flatten(matrix))
+        return self.space.coords_of(flatten(matrix))
 
     def element(self, coords):
-        return self._unflatten(self._embedding.apply_sparse(
-            {k: c for k, c in enumerate(coords) if c}))
+        """The functional with the sparse coordinates ``coords`` in the
+        module's basis, an element of the dual ring."""
+        return self._unflatten(self._embedding.apply(coords))
 
     def unit_matrix(self):
         """The convolution unit: the counit of the underlying bialgebroid."""
@@ -187,7 +188,7 @@ def action_matrix(bgd, kind, phi):
     """The matrix of the action of a functional φ of the ``kind`` dual on the
     total algebra: column a is e_a ↼ φ, e_a ⇂ φ, φ ⇀ e_a or φ ⇁ e_a, read
     from column a of the canonical coproduct lift."""
-    return Matrix.from_cols(
+    return Matrix.from_sparse_cols(
         bgd.field, _act(bgd, kind, phi, bgd.canonical_gamma_lift),
         bgd.total.dim)
 
@@ -212,8 +213,8 @@ def acting_on(bgd, kind, vec):
             parts[j][i] = c
     cols = []
     for x in getattr(bgd, amap).matrix.cols:
-        cols.extend(A.mul_sparse(x, part) if side == PRE
-                    else A.mul_sparse(part, x) for part in parts)
+        cols.extend(A.mul_vec(x, part) if side == PRE
+                    else A.mul_vec(part, x) for part in parts)
     return Matrix.from_sparse_cols(bgd.field, cols, d)
 
 
@@ -330,8 +331,8 @@ def dual_lower_star(lb, name=None):
     shat_cols, that_cols = [], []
     member_bad = []
     for lidx in range(dl):
-        lvec = L.basis_vec(lidx)
-        cand = lb.counit @ A.right_mult_matrix(lb.s.apply(lvec))
+        lvec = {lidx: field.one}
+        cand = lb.counit @ A.right_mult_matrix(lb.s.matrix.cols[lidx])
         coords = module.coords(cand)
         if coords is None:
             member_bad.append(f"ŝ({L.basis_names[lidx]}) is not in the dual")
@@ -350,8 +351,9 @@ def dual_lower_star(lb, name=None):
 
     shat = AlgebraMap(L, ring, Matrix.from_cols(field, shat_cols, n), HOM, "ŝ")
     that = AlgebraMap(L, ring, Matrix.from_cols(field, that_cols, n), ANTI, "t̂")
-    pihat = Matrix.from_cols(
-        field, [module.basis[i].apply(A.unit) for i in range(n)], dl)
+    unit = sparse(A.unit)
+    pihat = Matrix.from_sparse_cols(
+        field, [phi.apply(unit) for phi in module.basis], dl)
 
     # the coproduct, solved from the pairing identity
     #   ⟨γ̂(φ), a⊗b⟩ = φ(ab)  with  ⟨u⊗v, a⊗b⟩ = u(a t_L(v(b)))
@@ -408,16 +410,16 @@ def pairing_system(lb, module):
     t_l = lb.t.matrix
     for v, phi in enumerate(module.basis):
         for b in range(d):
-            tv = t_l.apply_sparse(phi.cols[b])
+            tv = t_l.apply(phi.cols[b])
             for a in range(d):    # e_a t_L(v(e_b)), once for every u
                 moved = combine((c, table[a][p]) for p, c in tv.items())
                 scatter(pairing, n, v, (a * d + b) * dl,
-                        evaluate.apply_sparse(moved))
+                        evaluate.apply(moved))
     rhs = [{} for _ in range(n)]
     for a in range(d):
         for b in range(d):
             scatter(rhs, 1, 0, (a * d + b) * dl,
-                    evaluate.apply_sparse(table[a][b]))
+                    evaluate.apply(table[a][b]))
     return (Matrix.from_sparse_cols(lb.field, pairing, size),
             Matrix.from_sparse_cols(lb.field, rhs, size))
 

@@ -2,11 +2,13 @@
 
 Everything downstream (axiom checks, quotient constructions, certificates)
 depends on this arithmetic being exact, so floating point is never used.
-Dense vectors are tuples of scalars and sparse vectors are dicts
-``{index: scalar}`` without zero entries; ``combine`` is the one kernel that
-sums sparse vectors.  A ``Matrix`` is immutable and holds only its nonzero
-columns, each a sparse vector, so products compose columns and the
-elimination reads sparse rows by transposing them.  ``SparseEchelon`` is the
+Vectors, algebra elements among them, are sparse: dicts ``{index: scalar}``
+without zero entries, and ``combine`` is the one kernel that sums them.
+Dense tuples of scalars appear only where data enters or leaves: ``sparse``
+converts one, and ``Matrix`` takes and gives dense rows.  A ``Matrix`` is
+immutable and holds only its nonzero columns, each a sparse vector, so
+products compose columns and the elimination reads sparse rows by
+transposing them.  ``SparseEchelon`` is the
 one elimination engine: reduced echelon forms, ranks, kernels, solutions,
 inverses and ``Subspace`` membership are all read from it.
 """
@@ -205,16 +207,8 @@ def field_from_name(name):
 
 
 # ---------------------------------------------------------------------------
-# dense vectors are tuples of scalars; sparse vectors are dicts
-# {index: scalar}, and the kernels keep them free of zero entries
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_is_zero(u):
-    return not any(u)
+# vectors are sparse dicts {index: scalar}, and the kernels keep them free of
+# zero entries; a dense tuple is converted once, where it enters
 
 
 def sparse(vec):
@@ -408,20 +402,6 @@ class Matrix:
         return Matrix._of_cols(self.field, self.ncols, self.sparse_rows())
 
     def apply(self, vec):
-        """Matrix-vector product of a dense vector of length ncols, dense."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        cols = self.cols
-        acc = {}
-        for j, x in enumerate(vec):
-            if x:
-                for i, a in cols[j].items():
-                    old = acc.get(i)
-                    acc[i] = a * x if old is None else old + a * x
-        zero = self.field.zero
-        return tuple(acc.get(i, zero) for i in range(self.nrows))
-
-    def apply_sparse(self, vec):
         """Matrix-vector product of a sparse vector ``{column: scalar}``, as
         a sparse vector: the combination of the columns it names."""
         cols = self.cols
@@ -432,8 +412,10 @@ class Matrix:
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("matrix composition shape/field mismatch")
-        return Matrix._of_cols(self.field, self.nrows,
-                               [self.apply_sparse(c) for c in other.cols])
+        cols = self.cols
+        return Matrix._of_cols(
+            self.field, self.nrows,
+            [combine((x, cols[j]) for j, x in c.items()) for c in other.cols])
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -579,9 +561,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
+        """The span of sparse vectors ``{index: scalar}``."""
         ech = SparseEchelon(field, ambient)
-        for v in vectors:
-            vec = sparse(v)
+        for vec in vectors:
             if vec:
                 ech.insert(vec)
         return cls(field, ambient, ech)
@@ -616,20 +598,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def contains(self, vec):
-        return self.contains_sparse(sparse(vec))
-
-    def contains_sparse(self, vec):
-        """``contains`` for a sparse vector ``{index: scalar}``."""
+        """Whether the sparse vector ``{index: scalar}`` lies in the span."""
         return not self.echelon.reduce(vec)
 
     def coords_of(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside: each
-        basis row is 1 at its pivot and 0 at the others."""
-        return self.coords_of_sparse(sparse(vec))
-
-    def coords_of_sparse(self, vec):
-        """``coords_of`` for a sparse vector ``{index: scalar}``."""
-        if not self.contains_sparse(vec):
+        """Coordinates of the sparse vector ``vec`` in the echelon basis, as
+        a tuple, or None if outside: each basis row is 1 at its pivot and 0
+        at the others."""
+        if not self.contains(vec):
             return None
         zero = self.field.zero
         return tuple(vec.get(p, zero) for p in self.echelon.pivot_columns())

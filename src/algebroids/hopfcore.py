@@ -30,6 +30,7 @@ from .algebra import (
     ANTI,
     AlgebraMap,
     opposite,
+    side_product,
     tensor_apply,
     flip_tensor,
     verify_map,
@@ -133,7 +134,7 @@ def solve_base_antiiso(lb, rb):
 
 
 def _column_span(matrix):
-    return Subspace.from_vectors(matrix.field, matrix.nrows, matrix.columns())
+    return Subspace.from_vectors(matrix.field, matrix.nrows, matrix.cols)
 
 
 def _mixed_coassociativity(lb, rb, llr, rrl):
@@ -177,12 +178,12 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     bad = []
     if span_sl != span_tr:
         for j in range(lb.base.dim):
-            v = lb.s.matrix.col(j)
+            v = lb.s.matrix.cols[j]
             if not span_tr.contains(v):
                 bad.append(f"s_L({lb.base.basis_names[j]}) = {A.fmt_vec(v)} "
                            f"is not in t_R(R)")
         for j in range(rb.base.dim):
-            v = rb.t.matrix.col(j)
+            v = rb.t.matrix.cols[j]
             if not span_sl.contains(v):
                 bad.append(f"t_R({rb.base.basis_names[j]}) = {A.fmt_vec(v)} "
                            f"is not in s_L(L)")
@@ -193,12 +194,12 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     bad = []
     if span_tl != span_sr:
         for j in range(lb.base.dim):
-            v = lb.t.matrix.col(j)
+            v = lb.t.matrix.cols[j]
             if not span_sr.contains(v):
                 bad.append(f"t_L({lb.base.basis_names[j]}) = {A.fmt_vec(v)} "
                            f"is not in s_R(R)")
         for j in range(rb.base.dim):
-            v = rb.s.matrix.col(j)
+            v = rb.s.matrix.cols[j]
             if not span_tl.contains(v):
                 bad.append(f"s_R({rb.base.basis_names[j]}) = {A.fmt_vec(v)} "
                            f"is not in t_L(L)")
@@ -242,20 +243,17 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     # of the chosen coproduct representatives.
     bad_l, bad_r = [], []
     for i in range(d):
-        a = A.basis_vec(i)
-        sa = h.S.col(i)
-        for j, (tl, sl) in enumerate(zip(lb.t.matrix.columns(),
-                                         lb.s.matrix.columns())):
-            lhs = h.S.apply(A.mul_vec(tl, a))
+        sa = h.S.cols[i]
+        for j, (tl, sl) in enumerate(zip(lb.t.matrix.cols, lb.s.matrix.cols)):
+            lhs = h.S.apply(side_product(A, tl, i, PRE))
             rhs = A.mul_vec(sa, sl)
             if lhs != rhs:
                 bad_l.append(
                     f"a = {A.basis_names[i]}, l = {lb.base.basis_names[j]}: "
                     f"S(t_L(l)a) = {A.fmt_vec(lhs)} but S(a)s_L(l) = "
                     f"{A.fmt_vec(rhs)}")
-        for j, (tr, sr) in enumerate(zip(rb.t.matrix.columns(),
-                                         rb.s.matrix.columns())):
-            lhs = h.S.apply(A.mul_vec(a, tr))
+        for j, (tr, sr) in enumerate(zip(rb.t.matrix.cols, rb.s.matrix.cols)):
+            lhs = h.S.apply(side_product(A, tr, i, POST))
             rhs = A.mul_vec(sr, sa)
             if lhs != rhs:
                 bad_r.append(
@@ -272,16 +270,16 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     sr_pir = rb.s.matrix @ rb.counit
     sl_pil = lb.s.matrix @ lb.counit
     bad_l, bad_r = [], []
-    for i in range(d):
-        a = A.basis_vec(i)
-        got = contract_leg(A, h.S, lb.coproduct_lift(a), 0, PRE)
-        want = sr_pir.col(i)
+    for i, (wl, wr) in enumerate(zip(lb.canonical_gamma_lift,
+                                     rb.canonical_gamma_lift)):
+        got = contract_leg(A, h.S, wl, 0, PRE)
+        want = sr_pir.cols[i]
         if got != want:
             bad_l.append(
                 f"a = {A.basis_names[i]}: S(a_(1))a_(2) = {A.fmt_vec(got)} "
                 f"but s_R(π_R(a)) = {A.fmt_vec(want)}")
-        got = contract_leg(A, h.S, rb.coproduct_lift(a), 1, POST)
-        want = sl_pil.col(i)
+        got = contract_leg(A, h.S, wr, 1, POST)
+        want = sl_pil.cols[i]
         if got != want:
             bad_r.append(
                 f"a = {A.basis_names[i]}: a^(1)S(a^(2)) = {A.fmt_vec(got)} "
@@ -321,10 +319,11 @@ def verify_sisom(h, title=None):
         bad = []
         if lhs != rhs:
             for j in range(dom.dim):
-                if lhs.col(j) != rhs.col(j):
+                if lhs.cols[j] != rhs.cols[j]:
                     bad.append(
-                        f"l = {dom.basis_names[j]}: lhs = {A.fmt_vec(lhs.col(j))}, "
-                        f"rhs = {A.fmt_vec(rhs.col(j))}")
+                        f"l = {dom.basis_names[j]}: "
+                        f"lhs = {A.fmt_vec(lhs.cols[j])}, "
+                        f"rhs = {A.fmt_vec(rhs.cols[j])}")
         rep.add(cid, label, not bad, bad)
 
     pairs = [
@@ -337,11 +336,11 @@ def verify_sisom(h, title=None):
         bad = []
         if lhs != rhs:
             for j in range(d):
-                if lhs.col(j) != rhs.col(j):
+                if lhs.cols[j] != rhs.cols[j]:
                     bad.append(
                         f"a = {A.basis_names[j]}: lhs = "
-                        f"{rb.base.fmt_vec(lhs.col(j))}, rhs = "
-                        f"{rb.base.fmt_vec(rhs.col(j))}")
+                        f"{rb.base.fmt_vec(lhs.cols[j])}, rhs = "
+                        f"{rb.base.fmt_vec(rhs.cols[j])}")
         rep.add(cid, label, not bad, bad)
 
     # the coproduct identities, in the right bialgebroid's quotient
@@ -349,13 +348,13 @@ def verify_sisom(h, title=None):
     bad4, bad8 = [], []
     for i, w in enumerate(lb.canonical_gamma_lift):
         lhs = flip_tensor(d, d, tensor_apply(h.S, h.S, w))
-        rhs = rb.coproduct_lift(h.S.col(i))
+        rhs = rb.coproduct_lift(h.S.cols[i])
         if not space.equal(lhs, rhs):
             bad4.append(
                 f"a = {A.basis_names[i]}: flip(S⊗S)γ_L(a) = {space.fmt(lhs)} "
                 f"but γ_R(S(a)) = {space.fmt(rhs)}")
         lhs = flip_tensor(d, d, tensor_apply(h.S_inv, h.S_inv, w))
-        rhs = rb.coproduct_lift(h.S_inv.col(i))
+        rhs = rb.coproduct_lift(h.S_inv.cols[i])
         if not space.equal(lhs, rhs):
             bad8.append(
                 f"a = {A.basis_names[i]}: flip(S⁻¹⊗S⁻¹)γ_L(a) = "
@@ -407,7 +406,7 @@ def reconstruct_right(lb, antipode, antipode_inv=None, nu=None):
     s_r = AlgebraMap(R, A, S @ lb.s.matrix @ nu_inv_mat, HOM, "s_R")
     t_r = AlgebraMap(R, A, lb.s.matrix @ nu_inv_mat, ANTI, "t_R")
     gamma_cols = [flip_tensor(d, d, tensor_apply(
-        S, S, lb.coproduct_lift(S_inv.col(j)))) for j in range(d)]
+        S, S, lb.coproduct_lift(S_inv.cols[j]))) for j in range(d)]
     gamma_r = Matrix.from_sparse_cols(field, gamma_cols, d * d)
     counit_r = nu.matrix @ lb.counit @ S_inv
     rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
@@ -491,19 +490,18 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     bad = []
     if lhs != lb.s.matrix:
         for j in range(lb.base.dim):
-            if lhs.col(j) != lb.s.matrix.col(j):
+            if lhs.cols[j] != lb.s.matrix.cols[j]:
                 bad.append(
                     f"l = {lb.base.basis_names[j]}: S(t_L(l)) = "
-                    f"{A.fmt_vec(lhs.col(j))} but s_L(l) = "
-                    f"{A.fmt_vec(lb.s.matrix.col(j))}")
+                    f"{A.fmt_vec(lhs.cols[j])} but s_L(l) = "
+                    f"{A.fmt_vec(lb.s.matrix.cols[j])}")
     rep.add("lui", "S∘t_L = s_L", not bad, bad)
 
     t_pi_s = lb.t.matrix @ lb.counit @ S
     bad = []
-    for i in range(d):
-        a = A.basis_vec(i)
-        got = contract_leg(A, S, lb.coproduct_lift(a), 0, PRE)
-        want = t_pi_s.apply(a)
+    for i, w in enumerate(lb.canonical_gamma_lift):
+        got = contract_leg(A, S, w, 0, PRE)
+        want = t_pi_s.cols[i]
         if got != want:
             bad.append(
                 f"a = {A.basis_names[i]}: S(a_(1))a_(2) = {A.fmt_vec(got)} "
@@ -515,7 +513,7 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     s_r = AlgebraMap(R, A, S @ lb.s.matrix, HOM, "s_R")
     t_r = AlgebraMap(R, A, lb.s.matrix, ANTI, "t_R")
     gamma_r_cols = [flip_tensor(d, d, tensor_apply(
-        S, S, lb.coproduct_lift(S_inv.col(j)))) for j in range(d)]
+        S, S, lb.coproduct_lift(S_inv.cols[j]))) for j in range(d)]
     gamma_r = Matrix.from_sparse_cols(field, gamma_r_cols, d * d)
     counit_r = lb.counit @ S_inv
     rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
@@ -525,9 +523,9 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     bad = []
     for i in range(d):
         lhs = flip_tensor(d, d, tensor_apply(
-            S, S, lb.coproduct_lift(S_inv.col(i))))
+            S, S, lb.coproduct_lift(S_inv.cols[i])))
         rhs = flip_tensor(d, d, tensor_apply(
-            S_inv, S_inv, lb.coproduct_lift(S.col(i))))
+            S_inv, S_inv, lb.coproduct_lift(S.cols[i])))
         if not space.equal(lhs, rhs):
             bad.append(
                 f"a = {A.basis_names[i]}: flip(S⊗S)γ_L(S⁻¹(a)) = "
@@ -580,19 +578,18 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     bad = []
     if lhs != lb.s.matrix:
         for j in range(lb.base.dim):
-            if lhs.col(j) != lb.s.matrix.col(j):
+            if lhs.cols[j] != lb.s.matrix.cols[j]:
                 bad.append(
                     f"l = {lb.base.basis_names[j]}: S(t_L(l)) = "
-                    f"{A.fmt_vec(lhs.col(j))} but s_L(l) = "
-                    f"{A.fmt_vec(lb.s.matrix.col(j))}")
+                    f"{A.fmt_vec(lhs.cols[j])} but s_L(l) = "
+                    f"{A.fmt_vec(lb.s.matrix.cols[j])}")
     rep.add("lu1", "S∘t_L = s_L", not bad, bad)
 
     t_pi_s = lb.t.matrix @ lb.counit @ S
     bad = []
-    for i in range(d):
-        a = A.basis_vec(i)
-        got = contract_leg(A, S, lb.coproduct_lift(a), 0, PRE)
-        want = t_pi_s.apply(a)
+    for i, w in enumerate(lb.canonical_gamma_lift):
+        got = contract_leg(A, S, w, 0, PRE)
+        want = t_pi_s.cols[i]
         if got != want:
             bad.append(
                 f"a = {A.basis_names[i]}: m(S⊗id)γ(a) = {A.fmt_vec(got)} "
@@ -614,8 +611,8 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     s_pi = lb.s.matrix @ lb.counit
     bad = []
     for i, q in enumerate(lb.gamma_q.cols):
-        got = contract_leg(A, S, section.apply_sparse(q), 1, POST)
-        want = s_pi.col(i)
+        got = contract_leg(A, S, section.apply(q), 1, POST)
+        want = s_pi.cols[i]
         if got != want:
             bad.append(
                 f"a = {A.basis_names[i]}: m(id⊗S)ξγ(a) = {A.fmt_vec(got)} "
@@ -650,10 +647,10 @@ def antipode_uniqueness(h1, h2, title=None):
     for i, w in enumerate(lb.canonical_gamma_lift):
         # S(a_(1)) s_L(π_L(a_(2)))
         acc = contract_leg(A, h1.S, tensor_apply(ident, s_pi, w), 0, PRE)
-        if acc != h2.S.col(i):
+        if acc != h2.S.cols[i]:
             bad.append(
                 f"a = {A.basis_names[i]}: S(a_(1))s_L(π_L(a_(2))) = "
-                f"{A.fmt_vec(acc)} but S'(a) = {A.fmt_vec(h2.S.col(i))}")
+                f"{A.fmt_vec(acc)} but S'(a) = {A.fmt_vec(h2.S.cols[i])}")
     rep.add("unique", "S'(a) = S(a_(1))s_L(π_L(a_(2)))", not bad, bad)
     ok = h1.S == h2.S
     rep.add("antipodes-equal", "the two antipodes coincide", ok,
@@ -734,7 +731,7 @@ def verify_galois(h, title=None):
     # codomain relations
     bad = []
     for row in g.alpha_dom.echelon.rows.values():
-        img = g.alpha_total.apply_sparse(row)
+        img = g.alpha_total.apply(row)
         if not g.alpha_cod.is_zero_class(img):
             bad.append(f"a relation maps to the nonzero class "
                        f"{g.alpha_cod.fmt(img)}")
@@ -742,7 +739,7 @@ def verify_galois(h, title=None):
 
     bad = []
     for row in g.beta_dom.echelon.rows.values():
-        img = g.beta_total.apply_sparse(row)
+        img = g.beta_total.apply(row)
         if not g.beta_cod.is_zero_class(img):
             bad.append(f"a relation maps to the nonzero class "
                        f"{g.beta_cod.fmt(img)}")

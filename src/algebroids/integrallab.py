@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
 from .algebra import (ANTI, PRE, POST, AlgebraMap, combine, flip_tensor,
-                      side_product, tensor_apply, verify_map)
+                      side_product, sparse, tensor_apply, verify_map)
 from .report import Report
 from .bialgebroid import (
     LeftBialgebroid,
@@ -109,7 +109,8 @@ class IntegralSpace:
         return self.space.dim
 
     def contains(self, vec):
-        return self.space.contains(tuple(vec))
+        """Whether the dense coefficient tuple ``vec`` is an integral."""
+        return self.space.contains(self.parent.total.from_dense(vec))
 
     def basis_vectors(self):
         return [tuple(row) for row in self.space.basis.rows]
@@ -132,7 +133,7 @@ def integral_space(parent, side):
     mult_side = PRE if side == LEFT else POST
     cols = [{} for _ in range(d)]
     for i in range(d):
-        through = bgd.s.matrix.apply_sparse(bgd.counit.cols[i])
+        through = bgd.s.matrix.apply(bgd.counit.cols[i])
         u = combine(((one, {i: one}), (-one, through)))
         for j in range(d):
             for k, x in side_product(A, u, j, mult_side).items():
@@ -157,20 +158,18 @@ def intpr_equivalences(h, ell, title=None):
     """
     rep = Report(title or f"integral characterisations in {h.name}")
     lb, rb, A = h.lb, h.rb, h.total
-    ell = tuple(ell)
+    ell = A.from_dense(ell)
     d = A.dim
 
     def one_sided(bgd, vec, through_t, mirrored):
         bad = []
         for i in range(d):
-            avec = A.basis_vec(i)
-            base_val = bgd.counit.apply(avec)
-            factor = (bgd.t if through_t else bgd.s).apply(base_val)
+            factor = (bgd.t if through_t else bgd.s).apply(bgd.counit.cols[i])
             if mirrored:
-                lhs = A.mul_vec(vec, avec)
+                lhs = side_product(A, vec, i, PRE)
                 rhs = A.mul_vec(vec, factor)
             else:
-                lhs = A.mul_vec(avec, vec)
+                lhs = side_product(A, vec, i, POST)
                 rhs = A.mul_vec(factor, vec)
             if lhs != rhs:
                 bad.append(f"a = {A.basis_names[i]}: "
@@ -196,8 +195,8 @@ def intpr_equivalences(h, ell, title=None):
     ident = Matrix.identity(h.field, d)
     bad_v = []
     for i in range(d):
-        lhs = tensor_apply(A.left_mult_matrix(h.S.col(i)), ident, lift)
-        rhs = tensor_apply(ident, A.left_mult_matrix(A.basis_vec(i)), lift)
+        lhs = tensor_apply(A.left_mult_matrix(h.S.cols[i]), ident, lift)
+        rhs = tensor_apply(ident, A.left_mult_matrix({i: h.field.one}), lift)
         if not space.equal(lhs, rhs):
             bad_v.append(f"a = {A.basis_names[i]}: "
                          f"S(a)ℓ⁽¹⁾⊗ℓ⁽²⁾ = {space.fmt(lhs)} but "
@@ -247,7 +246,7 @@ class NondegenerateIntegral:
     def __init__(self, parent, ell, upper, star_upper, ellR, Rell,
                  ellR_inv, Rell_inv, lambda_star, star_lambda, report):
         self.parent = parent
-        self.ell = tuple(ell)
+        self.ell = ell
         self.upper = upper
         self.star_upper = star_upper
         self.ellR = ellR
@@ -280,7 +279,7 @@ class NondegenerateIntegral:
 def _transposes(transpose, phi, A):
     """The matrix of a ↦ transpose(φ, A, a) on flattened functionals."""
     return Matrix.from_sparse_cols(
-        A.field, [flatten(transpose(phi, A, A.basis_vec(i)))
+        A.field, [flatten(transpose(phi, A, {i: A.field.one}))
                   for i in range(A.dim)], phi.nrows * A.dim)
 
 
@@ -294,7 +293,7 @@ def nondegeneracy(h, ell, title=None):
     S(ℓ) and S⁻¹(ℓ) are non-degenerate right integrals (their action maps
     from the left-sided duals are bijective).
     """
-    return _nondegeneracy(h, tuple(ell), None, title)
+    return _nondegeneracy(h, h.total.from_dense(ell), None, title)
 
 
 def _nondegeneracy(h, ell, data, title=None):
@@ -303,7 +302,7 @@ def _nondegeneracy(h, ell, data, title=None):
     the two right duals and the action maps are not built again; ``None``
     builds it once ℓ is known to be a left integral."""
     lb, A = h.lb, h.total
-    if not integral_space(h, LEFT).contains(ell):
+    if not integral_space(h, LEFT).space.contains(ell):
         raise ValueError(f"{A.fmt_vec(ell)} is not a left integral of "
                          f"{h.name}")
     d = A.dim
@@ -338,16 +337,16 @@ def _nondegeneracy(h, ell, data, title=None):
 
     bad = []
     for i in range(d):
-        lhs = upper.element(ellR_inv.col(i))
-        rhs = transpose_right(lambda_star, A, h.S.col(i))
+        lhs = upper.element(ellR_inv.cols[i])
+        rhs = transpose_right(lambda_star, A, h.S.cols[i])
         if lhs != rhs:
             bad.append(f"a = {A.basis_names[i]}: ℓ_R⁻¹(a) ≠ λ*↼S(a)")
     rep.add("fsrinv-upper", "ℓ_R⁻¹(a) = λ* ↼ S(a)", not bad, bad)
 
     bad = []
     for i in range(d):
-        lhs = star_upper.element(Rell_inv.col(i))
-        rhs = transpose_right(star_lambda, A, h.S_inv.col(i))
+        lhs = star_upper.element(Rell_inv.cols[i])
+        rhs = transpose_right(star_lambda, A, h.S_inv.cols[i])
         if lhs != rhs:
             bad.append(f"a = {A.basis_names[i]}: ᵣℓ⁻¹(a) ≠ *λ⇂S⁻¹(a)")
     rep.add("fsrinv-star", "ᵣℓ⁻¹(a) = *λ ⇂ S⁻¹(a)", not bad, bad)
@@ -358,7 +357,7 @@ def _nondegeneracy(h, ell, data, title=None):
     for tag, label, vec in (("nd-s-ell", "S(ℓ)", h.S.apply(ell)),
                             ("nd-s-inv-ell", "S⁻¹(ℓ)", h.S_inv.apply(ell))):
         bad = []
-        if not rint.contains(vec):
+        if not rint.space.contains(vec):
             bad.append(f"{label} = {A.fmt_vec(vec)} is not a right integral")
         up_l = lower.acting_on(vec)
         if lower.dim != d or up_l.rank() != d:
@@ -384,21 +383,19 @@ def _nondegeneracy(h, ell, data, title=None):
 class FrobeniusSystem:
     """A Frobenius system (λ*, ℓ⁽¹⁾ ⊗ S(ℓ⁽²⁾)) for the extension s_R: R → A:
     ``functional`` is the base-valued Frobenius functional, ``quasi_basis``
-    the element of A ⊗_k A satisfying both quasi-basis identities."""
+    the element of A ⊗_k A satisfying both quasi-basis identities, as a
+    sparse tensor-square vector."""
 
     functional: Matrix
-    quasi_basis: tuple
+    quasi_basis: dict
 
 
 def frobenius_system(nd, h=None):
     """The Frobenius system induced by a non-degenerate integral."""
     h = h or nd.parent
     lift = h.rb.coproduct_lift(nd.ell)
-    d = h.total.dim
-    quasi = tensor_apply(Matrix.identity(h.field, d), h.S, lift)
-    return FrobeniusSystem(nd.lambda_star,
-                           tuple(quasi.get(k, h.field.zero)
-                                 for k in range(d * d)))
+    quasi = tensor_apply(Matrix.identity(h.field, h.total.dim), h.S, lift)
+    return FrobeniusSystem(nd.lambda_star, quasi)
 
 
 def frobenius_check(nd, h=None, title=None):
@@ -416,53 +413,49 @@ def frobenius_check(nd, h=None, title=None):
     rb, A, R = h.rb, h.total, h.rb.base
     lam = nd.lambda_star
     d = A.dim
+    one = A.field.one
 
     bad = []
     for ridx in range(R.dim):
-        rvec = R.basis_vec(ridx)
-        srv = rb.s.apply(rvec)
+        rvec = {ridx: one}
+        srv = rb.s.matrix.cols[ridx]
         for i in range(d):
-            avec = A.basis_vec(i)
-            lhs = lam.apply(A.mul_vec(srv, avec))
-            rhs = R.mul_vec(rvec, lam.apply(avec))
+            lhs = lam.apply(side_product(A, srv, i, PRE))
+            rhs = R.mul_vec(rvec, lam.cols[i])
             if lhs != rhs:
                 bad.append(f"r = {R.basis_names[ridx]}, "
                            f"a = {A.basis_names[i]}: "
                            f"λ*(s_R(r)a) = {R.fmt_vec(lhs)} ≠ "
                            f"rλ*(a) = {R.fmt_vec(rhs)}")
-            lhs = lam.apply(A.mul_vec(avec, srv))
-            rhs = R.mul_vec(lam.apply(avec), rvec)
+            lhs = lam.apply(side_product(A, srv, i, POST))
+            rhs = R.mul_vec(lam.cols[i], rvec)
             if lhs != rhs:
                 bad.append(f"r = {R.basis_names[ridx]}, "
                            f"a = {A.basis_names[i]}: "
                            f"λ*(a s_R(r)) ≠ λ*(a)r")
     rep.add("frob-bimodule", "λ* is an R-bimodule map A → R", not bad, bad)
 
-    quasi = frobenius_system(nd, h).quasi_basis
-    blocks = [(A.basis_vec(k), quasi[k * d:(k + 1) * d]) for k in range(d)]
+    # x ⊗ y runs over e_k ⊗ y_k, y_k the second legs against e_k
+    ys = [{} for _ in range(d)]
+    for idx, c in frobenius_system(nd, h).quasi_basis.items():
+        k, j = divmod(idx, d)
+        ys[k][j] = c
 
     bad = []
     for i in range(d):
-        avec = A.basis_vec(i)
-        acc = A.zero_vec()
-        for x, y in blocks:
-            val = lam.apply(A.mul_vec(y, avec))
-            term = A.mul_vec(x, rb.s.apply(val))
-            acc = tuple(p + q for p, q in zip(acc, term))
-        if acc != avec:
+        acc = combine((one, side_product(
+            A, rb.s.apply(lam.apply(side_product(A, y, i, PRE))), k, POST))
+            for k, y in enumerate(ys))
+        if acc != {i: one}:
             bad.append(f"a = {A.basis_names[i]}: Σ x·s_R(λ*(y a)) = "
                        f"{A.fmt_vec(acc)}")
     rep.add("frob-left", "Σ x · s_R(λ*(y a)) = a", not bad, bad)
 
     bad = []
     for i in range(d):
-        avec = A.basis_vec(i)
-        acc = A.zero_vec()
-        for x, y in blocks:
-            val = lam.apply(A.mul_vec(avec, x))
-            term = A.mul_vec(rb.s.apply(val), y)
-            acc = tuple(p + q for p, q in zip(acc, term))
-        if acc != avec:
+        acc = combine((one, A.mul_vec(rb.s.apply(lam.apply(A.table[i][k])), y))
+                      for k, y in enumerate(ys))
+        if acc != {i: one}:
             bad.append(f"a = {A.basis_names[i]}: Σ s_R(λ*(a x))·y = "
                        f"{A.fmt_vec(acc)}")
     rep.add("frob-right", "Σ s_R(λ*(a x)) · y = a", not bad, bad)
@@ -589,7 +582,7 @@ def dual_hopf_algebroid(h, nd, name=None):
              + _fail_lines(dual.report))
     kappa = nd.kappa
     cols = []
-    for moved in dual.module.acting_on(nd.ell).columns():
+    for moved in dual.module.acting_on(nd.ell).cols:
         func = transpose_left(kappa, A, moved)
         coords = dual.module.coords(func)
         _require(coords is not None,
@@ -624,7 +617,7 @@ def transport_integral(h, h2, iso, nd):
         iso = iso.matrix
     if not isinstance(iso, Matrix):
         raise TypeError("iso must be a Matrix or AlgebraMap (total part)")
-    return nondegeneracy(h2, iso.apply(nd.ell))
+    return _nondegeneracy(h2, iso.apply(nd.ell), None)
 
 
 # ---------------------------------------------------------------------------
@@ -640,18 +633,12 @@ def dual_weak_hopf(w, name=None):
     d = A.dim
     field = w.field
     ahat = ahat_algebra(A, w.delta, w.counit, name=name or f"{A.name}^")
-    zero = field.zero
-    delta_cols = []
-    for k in range(d):
-        col = [zero] * (d * d)
-        for i in range(d):
-            row = A.table[i]
-            for j in range(d):
-                c = row[j].get(k, zero)
-                if c:
-                    col[i * d + j] = c
-        delta_cols.append(tuple(col))
-    delta_hat = Matrix.from_cols(field, delta_cols, d * d)
+    delta_cols = [{} for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k, c in A.table[i][j].items():
+                delta_cols[k][i * d + j] = c
+    delta_hat = Matrix.from_sparse_cols(field, delta_cols, d * d)
     counit_hat = Matrix.from_rows(field, [tuple(A.unit)], d)
     s_hat = w.antipode.transpose()
     return WeakHopfAlgebra(ahat, delta_hat, counit_hat, s_hat,
@@ -694,8 +681,8 @@ def weak_dual_iso(w, h, nd, title=None):
         return rep
 
     eps_on_l = w.counit @ lb.s.matrix
-    cols = [tuple((eps_on_l @ phi).rows[0]) for phi in dual.module.basis]
-    phi_total = Matrix.from_cols(field, cols, d)
+    cols = [(eps_on_l @ phi).sparse_rows()[0] for phi in dual.module.basis]
+    phi_total = Matrix.from_sparse_cols(field, cols, d)
     ok = dual.module.dim == d and phi_total.rank() == d
     rep.add("dualiso-bijective", "Φ(ψ) = ε∘ψ is bijective onto Ĥ", ok,
             [] if ok else [f"rank {phi_total.rank()} of {d}"])
@@ -703,19 +690,17 @@ def weak_dual_iso(w, h, nd, title=None):
         return rep
 
     # the base map φ(l) = ε₍1₎ ε₍2₎(l), in the coordinates of Ĥ's right base
-    unit_hat = what.algebra.unit
-    delta_eps = what.delta.apply(unit_hat)
+    delta_eps = what.delta.apply(sparse(what.algebra.unit))
     base_cols = []
     bad = []
     for lidx in range(lb.base.dim):
-        slv = lb.s.apply(lb.base.basis_vec(lidx))
+        slv = lb.s.matrix.cols[lidx]
         acc = [field.zero] * d
-        for i in range(d):
-            for j in range(d):
-                c = delta_eps[i * d + j]
-                if c:
-                    acc[i] = acc[i] + c * slv[j]
-        coords = hhat.rb.s.matrix.solve(tuple(acc))
+        for idx, c in delta_eps.items():
+            i, j = divmod(idx, d)
+            if j in slv:
+                acc[i] = acc[i] + c * slv[j]
+        coords = hhat.rb.s.matrix.solve(acc)
         if coords is None:
             bad.append(f"φ({lb.base.basis_names[lidx]}) is outside the "
                        "right base of Ĥ")
@@ -763,7 +748,7 @@ def weak_dual_iso(w, h, nd, title=None):
 
     bad = []
     for j in range(d):
-        lhs = what.delta.apply_sparse(phi_total.cols[j])
+        lhs = what.delta.apply(phi_total.cols[j])
         rhs = tensor_apply(phi_total, phi_total, wd.delta.cols[j])
         if lhs != rhs:
             bad.append(f"basis functional {j}: Δ̂(Φ(ψ)) ≠ (Φ⊗Φ)Δ(ψ)")
@@ -797,7 +782,8 @@ def _right_bgdnd_data(rb, ell):
         dual = data[module] = DualModule(rb, kind)
         m = data[action] = dual.acting_on(ell)
         inv = data[action + "_inv"] = m.inverse()
-        data[elem] = None if inv is None else dual.element(inv.apply(A.unit))
+        data[elem] = None if inv is None else dual.element(
+            inv.apply(sparse(A.unit)))
     return data
 
 
@@ -861,7 +847,6 @@ def _verify_bgdnd(rb, ell, title, notation):
     rep = Report(title)
     A = rb.total
     d = A.dim
-    ell = tuple(ell)
     data = _right_bgdnd_data(rb, ell)
 
     for (cid, label, failure), key, module, action in zip(
@@ -886,9 +871,9 @@ def _verify_bgdnd(rb, ell, title, notation):
         bad = []
         for i in range(d):
             here = [ident, ident]
-            here[leg] = A.left_mult_matrix(A.basis_vec(i))
+            here[leg] = A.left_mult_matrix({i: A.field.one})
             there = [ident, ident]
-            there[1 - leg] = A.left_mult_matrix(moved.col(i))
+            there[1 - leg] = A.left_mult_matrix(moved.cols[i])
             lhs = tensor_apply(*here, lift)
             rhs = tensor_apply(*there, lift)
             if not space.equal(lhs, rhs):
@@ -907,8 +892,9 @@ def verify_bgdnd(rb, ell, title=None):
         (sf)  ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ = [(*λ⇂a)⇁ℓ]ℓ⁽¹⁾ ⊗ ℓ⁽²⁾
         (sb)  aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾
     """
-    return _verify_bgdnd(rb, ell, title or f"integral non-degeneracy in "
-                         f"{rb.name}", _ON_RIGHT)[0]
+    return _verify_bgdnd(rb, rb.total.from_dense(ell),
+                         title or f"integral non-degeneracy in {rb.name}",
+                         _ON_RIGHT)[0]
 
 
 def lac_check(rb, k_elem, title=None):
@@ -922,7 +908,7 @@ def lac_check(rb, k_elem, title=None):
     """
     rep = Report(title or f"integral action identities in {rb.name}")
     A = rb.total
-    data = _right_bgdnd_data(rb, tuple(k_elem))
+    data = _right_bgdnd_data(rb, A.from_dense(k_elem))
     for cid, key, kind, amap, acts, lands, skip in (
             ("lac-s", "lambda_star", UPPER_STAR, rb.s, "κ*⇀a", "s_R(κ*(a))",
              "k_R is not bijective"),
@@ -933,8 +919,8 @@ def lac_check(rb, k_elem, title=None):
         if kap is None:
             rep.add_skip(cid, label, note=skip)
             continue
-        lhs = action_matrix(rb, kind, kap).columns()
-        rhs = (amap.matrix @ kap).columns()
+        lhs = action_matrix(rb, kind, kap).cols
+        rhs = (amap.matrix @ kap).cols
         bad = [f"a = {name}: {acts} = {A.fmt_vec(x)} ≠ {lands} = "
                f"{A.fmt_vec(y)}"
                for name, x, y in zip(A.basis_names, lhs, rhs) if x != y]
@@ -954,7 +940,7 @@ def ls_antipode(rb, ell, name=None):
     γ_R(S⁻¹(a)) = (λ*↼a)⇀ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ are asserted along the way, the result
     passes the full verifier, and ℓ stays non-degenerate in the result.
     """
-    h = _ls(rb, ell, _ON_RIGHT)
+    h = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
     if name:
         h.name = name
     return h
@@ -984,7 +970,6 @@ def _ls(rb, ell, notation):
     """The construction of ``ls_antipode``; its precondition is reported
     and refused in ``notation``."""
     record = _DECIDED.get({})
-    ell = tuple(ell)
     pre, data = _verify_bgdnd(rb, ell, "", notation)
     record["pre"] = pre
     if not pre.passed:
@@ -1002,13 +987,13 @@ def _ls(rb, ell, notation):
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
     for i in range(d):
-        avec = A.basis_vec(i)
+        avec = {i: rb.field.one}
         act = action_matrix(rb, STAR_UPPER, transpose_right(slam, A, avec))
-        _require(space.equal(rb.coproduct_lift(antipode.col(i)),
+        _require(space.equal(rb.coproduct_lift(antipode.cols[i]),
                              tensor_apply(ident, act, lift)),
                  f"(grs) fails at a = {A.basis_names[i]}")
         act = action_matrix(rb, UPPER_STAR, transpose_right(lam, A, avec))
-        _require(space.equal(rb.coproduct_lift(antipode_inv.col(i)),
+        _require(space.equal(rb.coproduct_lift(antipode_inv.cols[i]),
                              tensor_apply(act, ident, lift)),
                  f"(grsi) fails at a = {A.basis_names[i]}")
 
@@ -1019,7 +1004,7 @@ def _ls(rb, ell, notation):
     lspace = h.lb.tensor_space
     for i in range(d):
         alt = flip_tensor(d, d, tensor_apply(
-            antipode, antipode, rb.coproduct_lift(antipode_inv.col(i))))
+            antipode, antipode, rb.coproduct_lift(antipode_inv.cols[i])))
         _require(lspace.equal(alt, h.lb.gamma_lift.cols[i]),
                  f"left coproduct mismatch at a = {A.basis_names[i]}")
 
@@ -1045,7 +1030,7 @@ def verify_bgdnd_right(lb, upsilon, title=None):
     This is ``verify_bgdnd`` on the opposite right bialgebroid, where ℓ_R
     and ᵣℓ are Υ_L and ₗΥ and its (sb) and (sf) are these (sf) and (sb).
     """
-    return _verify_bgdnd(lb.shared_op(), upsilon,
+    return _verify_bgdnd(lb.shared_op(), lb.total.from_dense(upsilon),
                          title or f"right-integral non-degeneracy in "
                          f"{lb.name}", _ON_LEFT)[0]
 
@@ -1060,7 +1045,8 @@ def ls_right(lb, upsilon, name=None):
     bialgebroid by reconstruction.  This is ``ls_antipode`` on the opposite
     right bialgebroid (whose antipode is S⁻¹), read back onto ``lb``.
     """
-    h = from_opposite(_ls(lb.shared_op(), upsilon, _ON_LEFT), lb)
+    h = from_opposite(_ls(lb.shared_op(), lb.total.from_dense(upsilon),
+                          _ON_LEFT), lb)
     if name:
         h.name = name
     return h
@@ -1104,10 +1090,10 @@ def double_dual_evaluation(h, nd, title=None):
     bad = []
     cols = []
     for i in range(d):
-        target = h.S.col(i)
-        ev_cols = [module.element(s_star.col(j)).apply(target)
+        target = h.S.cols[i]
+        ev_cols = [module.element(s_star.cols[j]).apply(target)
                    for j in range(module.dim)]
-        ev = Matrix.from_cols(field, ev_cols, hd.lb.base.dim)
+        ev = Matrix.from_sparse_cols(field, ev_cols, hd.lb.base.dim)
         coords = module2.coords(ev)
         if coords is None:
             bad.append(f"a = {A.basis_names[i]}: the twisted evaluation "

@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraMap,
     combine,
     nonzero,
+    sparse,
     tensor_apply,
     tensor_square_product,
     verify_algebra,
@@ -61,7 +62,7 @@ def convolution_inverse(module, phi):
     sol = lmat.solve(unit_coords)
     if sol is None:
         return None
-    inv = module.element(sol)
+    inv = module.element(sparse(sol))
     # demand a two-sided inverse
     left = module.product(inv, phi)
     if module.coords(left) != unit_coords:
@@ -119,19 +120,19 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
             [] if auto_ok else ["g∘s_L fails to be an automorphism"])
 
     # (tw1) 1 ↼ g = 1
-    moved = act_lower_star(lb, A.unit, g)
-    ok1 = moved == A.unit
+    unit = sparse(A.unit)
+    moved = act_lower_star(lb, unit, g)
+    ok1 = moved == unit
     rep.add("tw1", "1 ↼ g = 1", ok1,
             [] if ok1 else [f"1 ↼ g = {A.fmt_vec(moved)}"])
 
     # (tw2) (a ↼ g)(b ↼ g) = ab ↼ g
     act = action_matrix(lb, LOWER_STAR, g)
     bad = []
-    for i in range(d):
-        ai = act.col(i)
-        for j in range(d):
-            lhs = A.mul_vec(ai, act.col(j))
-            rhs = act.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
+    for i, ai in enumerate(act.cols):
+        for j, aj in enumerate(act.cols):
+            lhs = A.mul_vec(ai, aj)
+            rhs = act.apply(A.table[i][j])
             if lhs != rhs:
                 bad.append(f"a = {A.basis_names[i]}, b = {A.basis_names[j]}")
     rep.add("tw2", "(a ↼ g)(b ↼ g) = ab ↼ g", not bad, bad)
@@ -224,10 +225,10 @@ class WeakHopfAlgebra:
         return self.algebra.dim
 
     def delta1(self):
-        return self.delta.apply(self.algebra.unit)
+        return self.delta.apply(sparse(self.algebra.unit))
 
     def counit_val(self, vec):
-        return self.counit.apply(vec)[0]
+        return self.counit.apply(vec).get(0, self.field.zero)
 
     def cap_l(self):
         """⊓^L(x) = ε(1_[1] x) 1_[2]."""
@@ -246,20 +247,18 @@ class WeakHopfAlgebra:
         d = self.dim
         zero = self.field.zero
         eps = self.counit.rows[0]
-        units = [(*divmod(idx, d), c)
-                 for idx, c in enumerate(self.delta1()) if c]
+        units = [(*divmod(idx, d), c) for idx, c in self.delta1().items()]
+        one = self.field.one
         cols = []
         for b in range(d):
-            acc = [zero] * d
-            for i, j, c in units:
-                if left:
-                    val, out = _evaluate(eps, table[i][b], zero), j
-                else:
-                    val, out = _evaluate(eps, table[b][j], zero), i
-                if val:
-                    acc[out] = acc[out] + c * val
-            cols.append(acc)
-        return Matrix.from_cols(self.field, cols, d)
+            if left:
+                terms = ((c * _evaluate(eps, table[i][b], zero), {j: one})
+                         for i, j, c in units)
+            else:
+                terms = ((c * _evaluate(eps, table[b][j], zero), {i: one})
+                         for i, j, c in units)
+            cols.append(combine(terms))
+        return Matrix.from_sparse_cols(self.field, cols, d)
 
     def __repr__(self):
         return f"WeakHopfAlgebra({self.name}, dim {self.dim})"
@@ -305,14 +304,11 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
             [] if ok else ["coassociativity fails"])
 
     bad = []
+    one = w.field.one
     for b in range(d):
-        lvec = [zero] * d
-        rvec = [zero] * d
-        for i, j, c in deltas[b]:
-            lvec[i] = lvec[i] + c * eps[j]
-            rvec[j] = rvec[j] + c * eps[i]
-        e = A.basis_vec(b)
-        if tuple(lvec) != e or tuple(rvec) != e:
+        lvec = combine((c * eps[j], {i: one}) for i, j, c in deltas[b])
+        rvec = combine((c * eps[i], {j: one}) for i, j, c in deltas[b])
+        if lvec != {b: one} or rvec != {b: one}:
             bad.append(names[b])
     rep.add("counit", "(id⊗ε)Δ = id = (ε⊗id)Δ", not bad, bad)
 
@@ -326,9 +322,8 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     rep.add("delta-mult", "Δ(xy) = Δ(x)Δ(y)", not bad, bad)
 
     # weakened unit law: (Δ(1)⊗1)(1⊗Δ(1)) = Δ²(1) = (1⊗Δ(1))(Δ(1)⊗1)
-    unit_terms = [(*divmod(idx, d), c)
-                  for idx, c in enumerate(w.delta1()) if c]
-    u2 = combine((c, left2[b]) for b, c in enumerate(A.unit) if c)
+    unit_terms = [(*divmod(idx, d), c) for idx, c in w.delta1().items()]
+    u2 = combine((c, left2[b]) for b, c in sparse(A.unit).items())
     lhs, rhs = {}, {}
     for i, j, c1 in unit_terms:
         for p, q, c2 in unit_terms:
@@ -395,18 +390,18 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
         # x_(1) S(x_(2)) = ⊓^L(x)
         acc = combine((c * s, table[i][m]) for i, j, c in deltas[b]
                       for m, s in s_cols[j].items())
-        if A.dense(acc) != capl.col(b):
+        if acc != capl.cols[b]:
             bad_l.append(names[b])
         # S(x_(1)) x_(2) = ⊓^R(x)
         acc = combine((c, s_then[i][j]) for i, j, c in deltas[b])
-        if A.dense(acc) != capr.col(b):
+        if acc != capr.cols[b]:
             bad_r.append(names[b])
         # S(x_(1)) x_(2) S(x_(3)) = S(x)
         acc = combine(
-            (c, A.mul_sparse(s_then[idx // d // d][idx // d % d],
-                             s_cols[idx % d]))
+            (c, A.mul_vec(s_then[idx // d // d][idx // d % d],
+                          s_cols[idx % d]))
             for idx, c in left2[b].items())
-        if A.dense(acc) != w.antipode.col(b):
+        if acc != s_cols[b]:
             bad_m.append(names[b])
     rep.add("antipode-l", "x_(1) S(x_(2)) = ⊓^L(x)", not bad_l, bad_l)
     rep.add("antipode-r", "S(x_(1)) x_(2) = ⊓^R(x)", not bad_r, bad_r)
@@ -416,7 +411,7 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
 
 
 def _evaluate(row, terms, zero):
-    """The row vector ``row`` applied to a sparse vector."""
+    """The dense row vector ``row`` applied to a sparse vector."""
     acc = zero
     for k, c in terms.items():
         acc = acc + c * row[k]
@@ -424,14 +419,14 @@ def _evaluate(row, terms, zero):
 
 
 def _subalgebra(A, vectors, names_prefix, name):
-    """The unital subalgebra spanned by the given vectors, as a standalone
+    """The unital subalgebra spanned by the given elements, as a standalone
     algebra together with the inclusion matrix.  Returns (algebra,
     inclusion) or a string describing the obstruction."""
     field = A.field
     sub = Subspace.from_vectors(field, A.dim, vectors)
-    basis = list(sub.basis.rows)
+    basis = sub.sparse_basis()
     n = len(basis)
-    unit_coords = sub.coords_of(A.unit)
+    unit_coords = sub.coords_of(sparse(A.unit))
     if unit_coords is None:
         return "the unit is not in the subspace"
     struct = {}
@@ -447,7 +442,7 @@ def _subalgebra(A, vectors, names_prefix, name):
     names = [f"{names_prefix}{i}" for i in range(n)]
     alg = Algebra.from_struct(field, names, struct, unit=unit_coords,
                               name=name)
-    inclusion = Matrix.from_cols(field, basis, A.dim)
+    inclusion = Matrix.from_sparse_cols(field, basis, A.dim)
     return alg, inclusion
 
 
@@ -469,13 +464,13 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
         return None, rep
 
     capl, capr = w.cap_l(), w.cap_r()
-    built = _subalgebra(A, [capl.col(j) for j in range(A.dim)], "l", "L")
+    built = _subalgebra(A, capl.cols, "l", "L")
     if isinstance(built, str):
         rep.add("left-base", "⊓^L(H) is a unital subalgebra", False, [built])
         return None, rep
     L, incl_l = built
     rep.add("left-base", "⊓^L(H) is a unital subalgebra", True)
-    built = _subalgebra(A, [capr.col(j) for j in range(A.dim)], "r", "R")
+    built = _subalgebra(A, capr.cols, "r", "R")
     if isinstance(built, str):
         rep.add("right-base", "⊓^R(H) is a unital subalgebra", False,
                 [built])
@@ -483,16 +478,14 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
     R, incl_r = built
     rep.add("right-base", "⊓^R(H) is a unital subalgebra", True)
 
-    sub_l = Subspace.from_vectors(field, A.dim,
-                                  [incl_l.col(j) for j in range(L.dim)])
-    sub_r = Subspace.from_vectors(field, A.dim,
-                                  [incl_r.col(j) for j in range(R.dim)])
+    sub_l = Subspace.from_vectors(field, A.dim, incl_l.cols)
+    sub_r = Subspace.from_vectors(field, A.dim, incl_r.cols)
 
     s_l = AlgebraMap(L, A, incl_l, HOM, "s_L")
     t_l = AlgebraMap(L, A, s_inv @ incl_l, ANTI, "t_L")
     pi_l_cols = []
     for j in range(A.dim):
-        coords = sub_l.coords_of(capl.col(j))
+        coords = sub_l.coords_of(capl.cols[j])
         if coords is None:
             rep.add("left-counit", "⊓^L lands in L", False,
                     [A.basis_names[j]])
@@ -506,7 +499,7 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
     t_r = AlgebraMap(R, A, s_inv @ incl_r, ANTI, "t_R")
     pi_r_cols = []
     for j in range(A.dim):
-        coords = sub_r.coords_of(capr.col(j))
+        coords = sub_r.coords_of(capr.cols[j])
         if coords is None:
             rep.add("right-counit", "⊓^R lands in R", False,
                     [A.basis_names[j]])
@@ -542,20 +535,12 @@ class SeparabilityStructure:
         self.psi = psi
 
     def idempotent(self):
-        """δ(1) = Σ e_i ⊗ f_i as a list of (e_vec, f_vec) pairs over the
-        base basis — sparse rows of the separability idempotent."""
-        L = self.base
-        dl = L.dim
-        u = self.delta.apply(L.unit)
-        pairs = []
-        for i in range(dl):
-            for j in range(dl):
-                c = u[i * dl + j]
-                if c:
-                    e = tuple(c if m == i else self.field.zero
-                              for m in range(dl))
-                    pairs.append((e, L.basis_vec(j)))
-        return pairs
+        """δ(1) = Σ e_i ⊗ f_i as a list of (e, f) pairs of elements: one
+        pair c e_i ⊗ e_j for each term of the separability idempotent."""
+        dl = self.base.dim
+        one = self.field.one
+        u = self.delta.apply(sparse(self.base.unit))
+        return [({idx // dl: u[idx]}, {idx % dl: one}) for idx in sorted(u)]
 
 
 def verify_separability(sep, title=None):
@@ -565,31 +550,25 @@ def verify_separability(sep, title=None):
     field = sep.field
 
     # splitting: m∘δ = id
+    one = field.one
     bad = []
-    for j in range(dl):
-        col = sep.delta.col(j)
-        acc = L.zero_vec()
-        for i in range(dl):
-            for k in range(dl):
-                c = col[i * dl + k]
-                if c:
-                    term = L.mul_vec(L.basis_vec(i), L.basis_vec(k))
-                    acc = tuple(p + c * q for p, q in zip(acc, term))
-        if acc != L.basis_vec(j):
+    for j, col in enumerate(sep.delta.cols):
+        acc = combine((c, L.table[idx // dl][idx % dl])
+                      for idx, c in col.items())
+        if acc != {j: one}:
             bad.append(L.basis_names[j])
     rep.add("sep-splitting", "m∘δ = id", not bad, bad)
 
     # bimodule property: δ(l l') = l·δ(l') = δ(l)·l'
     bad = []
     for i in range(dl):
-        li = L.basis_vec(i)
         for j in range(dl):
-            target = sep.delta.apply_sparse(L.table[i][j])
-            left = tensor_apply(L.left_mult_matrix(li),
+            target = sep.delta.apply(L.table[i][j])
+            left = tensor_apply(L.left_mult_matrix({i: one}),
                                 Matrix.identity(field, dl),
                                 sep.delta.cols[j])
             right = tensor_apply(Matrix.identity(field, dl),
-                                 L.right_mult_matrix(L.basis_vec(j)),
+                                 L.right_mult_matrix({j: one}),
                                  sep.delta.cols[i])
             if left != target or right != target:
                 bad.append(f"l = {L.basis_names[i]}, "
@@ -597,25 +576,13 @@ def verify_separability(sep, title=None):
     rep.add("sep-bimodule", "δ(l l') = l·δ(l') = δ(l)·l'", not bad, bad)
 
     # counit: (ψ⊗id)δ = id = (id⊗ψ)δ
+    psi = sep.psi.rows[0]
     bad = []
-    for j in range(dl):
-        col = sep.delta.col(j)
-        lvec = L.zero_vec()
-        rvec = L.zero_vec()
-        for i in range(dl):
-            for k in range(dl):
-                c = col[i * dl + k]
-                if not c:
-                    continue
-                pi = sep.psi.apply(L.basis_vec(i))[0]
-                pk = sep.psi.apply(L.basis_vec(k))[0]
-                if pi:
-                    lvec = tuple(p + c * pi * q for p, q in
-                                 zip(lvec, L.basis_vec(k)))
-                if pk:
-                    rvec = tuple(p + c * pk * q for p, q in
-                                 zip(rvec, L.basis_vec(i)))
-        if lvec != L.basis_vec(j) or rvec != L.basis_vec(j):
+    for j, col in enumerate(sep.delta.cols):
+        terms = [(*divmod(idx, dl), c) for idx, c in col.items()]
+        lvec = combine((c * psi[i], {k: one}) for i, k, c in terms)
+        rvec = combine((c * psi[k], {i: one}) for i, k, c in terms)
+        if lvec != {j: one} or rvec != {j: one}:
             bad.append(L.basis_names[j])
     rep.add("sep-counit", "(ψ⊗id)δ = id = (id⊗ψ)δ", not bad, bad)
     return rep
@@ -634,12 +601,8 @@ def diagonal_separability(base):
             got = {k: v for k, v in L.table[i][j].items() if v}
             if got != expect:
                 raise ValueError("base is not split diagonal in this basis")
-    cols = []
-    for i in range(dl):
-        v = [field.zero] * (dl * dl)
-        v[i * dl + i] = field.one
-        cols.append(tuple(v))
-    delta = Matrix.from_cols(field, cols, dl * dl)
+    delta = Matrix.from_sparse_cols(
+        field, [{i * dl + i: field.one} for i in range(dl)], dl * dl)
     psi = Matrix.from_rows(field, [tuple(field.one for _ in range(dl))], dl)
     return SeparabilityStructure(L, delta, psi)
 
@@ -654,33 +617,24 @@ def separability_from_weak(w, lb):
     field = w.field
     dl = L.dim
     d = A.dim
-    sub = Subspace.from_vectors(field, d,
-                                [lb.s.matrix.col(j) for j in range(dl)])
-    u = w.delta1()
+    sub = Subspace.from_vectors(field, d, lb.s.matrix.cols)
+    u = sorted(w.delta1().items())
     capl = w.cap_l()
     cols = []
-    for j in range(dl):
-        lvec_total = lb.s.apply(L.basis_vec(j))
-        acc = [field.zero] * (dl * dl)
-        for i in range(d):
-            for k in range(d):
-                c = u[i * d + k]
-                if not c:
-                    continue
-                first_tot = A.mul_vec(lvec_total, capl.col(i))
-                first = sub.coords_of(first_tot)
-                second = sub.coords_of(A.basis_vec(k))
-                if first is None or second is None:
-                    raise ValueError("separability data leaves the base")
-                for p, x in enumerate(first):
-                    if x:
-                        for q, y in enumerate(second):
-                            if y:
-                                acc[p * dl + q] = acc[p * dl + q] + c * x * y
-        cols.append(tuple(acc))
-    delta = Matrix.from_cols(field, cols, dl * dl)
-    psi_row = tuple(w.counit_val(lb.s.apply(L.basis_vec(j)))
-                    for j in range(dl))
+    for lvec_total in lb.s.matrix.cols:
+        terms = []
+        for idx, c in u:
+            i, k = divmod(idx, d)
+            first = sub.coords_of(A.mul_vec(lvec_total, capl.cols[i]))
+            second = sub.coords_of({k: field.one})
+            if first is None or second is None:
+                raise ValueError("separability data leaves the base")
+            terms.append((c, {p * dl + q: x * y
+                              for p, x in enumerate(first) if x
+                              for q, y in enumerate(second) if y}))
+        cols.append(combine(terms))
+    delta = Matrix.from_sparse_cols(field, cols, dl * dl)
+    psi_row = tuple(w.counit_val(col) for col in lb.s.matrix.cols)
     psi = Matrix.from_rows(field, [psi_row], dl)
     return SeparabilityStructure(L, delta, psi)
 
@@ -709,20 +663,11 @@ def ahat_algebra(algebra, delta, counit, name=None):
     """The convolution algebra on the plain linear dual of a (weak)
     bialgebra: φφ' = (φ⊗φ')∘Δ, unit ε."""
     d = algebra.dim
-    field = algebra.field
-    struct = {}
-    for k in range(d):
-        col = delta.col(k)
-        for i in range(d):
-            for j in range(d):
-                c = col[i * d + j]
-                if c:
-                    struct[(i, j, k)] = struct.get(
-                        (i, j, k), field.zero) + c
-    struct = {key: v for key, v in struct.items() if v}
-    unit = tuple(counit.apply(algebra.basis_vec(k))[0] for k in range(d))
+    struct = {(*divmod(idx, d), k): c
+              for k, col in enumerate(delta.cols) for idx, c in col.items()}
     names = [f"{nm}^" for nm in algebra.basis_names]
-    return Algebra.from_struct(field, names, struct, unit=unit,
+    return Algebra.from_struct(algebra.field, names, struct,
+                               unit=counit.rows[0],
                                name=name or f"{algebra.name}^")
 
 
@@ -735,10 +680,7 @@ def kappa_map(lb, sep, phi_row):
     acc = Matrix.zeros(field, L.dim, A.dim)
     for (e, f) in sep.idempotent():
         row = phi_row @ A.left_mult_matrix(lb.t.apply(e))
-        block = Matrix.from_cols(
-            field, [tuple(row.apply(A.basis_vec(j))[0] * x for x in f)
-                    for j in range(A.dim)], L.dim)
-        acc = acc + block
+        acc = acc + Matrix.from_sparse_cols(field, [f], L.dim) @ row
     return acc
 
 
@@ -783,12 +725,10 @@ def wha_decide(h, sep=None, title=None):
     # invertibility of ψ∘π_L∘S in the dual convolution algebra
     wb = weak_bialgebra_from_sep(lb, sep, antipode=h.S)
     ahat = ahat_algebra(lb.total, wb.delta, wb.counit)
-    u = tuple(u_row.apply(lb.total.basis_vec(k))[0]
-              for k in range(lb.total.dim))
-    lmat = ahat.left_mult_matrix(u)
-    sol = lmat.solve(ahat.unit)
+    u = u_row.sparse_rows()[0]
+    sol = ahat.left_mult_matrix(u).solve(ahat.unit)
     invertible = sol is not None and \
-        ahat.mul_vec(sol, u) == ahat.unit
+        ahat.mul_vec(sparse(sol), u) == sparse(ahat.unit)
     rep.add("decide-invertible", "ψ∘π_L∘S is invertible in Â", invertible,
             [] if invertible else ["no convolution inverse"])
     if not invertible:
@@ -824,13 +764,13 @@ def hopf_algebra_criterion(h, title=None):
         return {"is_hopf_algebra": False, "is_twist_of_hopf_algebra": False,
                 "report": rep}
     A = lb.total
-    d = A.dim
     gamma = lb.gamma_lift  # base k: the lift is the honest coproduct
     ahat = ahat_algebra(A, gamma, lb.counit)
     u_row = lb.counit @ h.S
-    u = tuple(u_row.apply(A.basis_vec(k))[0] for k in range(d))
+    u = u_row.sparse_rows()[0]
     sol = ahat.left_mult_matrix(u).solve(ahat.unit)
-    invertible = sol is not None and ahat.mul_vec(sol, u) == ahat.unit
+    invertible = sol is not None and \
+        ahat.mul_vec(sparse(sol), u) == sparse(ahat.unit)
     rep.add("pils-invertible", "π_L∘S is invertible in Â", invertible,
             [] if invertible else ["π_L∘S has no convolution inverse"])
     equal = u_row == lb.counit

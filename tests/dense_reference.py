@@ -131,3 +131,37 @@ def dense_combine(left, right, op):
 
 def dense_transpose(rows, ncols):
     return tuple(tuple(row[j] for row in rows) for j in range(ncols))
+
+
+# ---------------------------------------------------------------------------
+# dense algebra elements, the reference for the sparse element kernels:
+# the package multiplies and applies matrices to sparse vectors only
+
+
+def dense_mul_vec(algebra, u, v):
+    """The product of two dense coefficient tuples, read from ``table``."""
+    out = [algebra.field.zero] * algebra.dim
+    terms = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = algebra.table[i]
+        for j, b in terms:
+            ab = a * b
+            for k, c in row[j].items():
+                out[k] = out[k] + ab * c
+    return tuple(out)
+
+
+def dense_matrix_apply(matrix, vec):
+    """``matrix`` times a dense vector of length ncols, as a dense tuple."""
+    if len(vec) != matrix.ncols:
+        raise ValueError("vector length mismatch")
+    acc = {}
+    for j, x in enumerate(vec):
+        if x:
+            for i, a in matrix.cols[j].items():
+                old = acc.get(i)
+                acc[i] = a * x if old is None else old + a * x
+    zero = matrix.field.zero
+    return tuple(acc.get(i, zero) for i in range(matrix.nrows))

@@ -148,12 +148,13 @@ def describe_dual(dual):
     if ring is None:
         lines.append("ring: None")
     else:
-        lines.append(f"ring: {ring.name}, unit {ring.fmt_vec(ring.unit)}")
+        lines.append(f"ring: {ring.name}, unit "
+                     f"{ring.fmt_vec(ring.from_dense(ring.unit))}")
         names = ring.basis_names
         for i in range(ring.dim):
             for j in range(ring.dim):
                 lines.append(f"{names[i]} * {names[j]} = "
-                             f"{ring.fmt_vec(ring.dense(ring.table[i][j]))}")
+                             f"{ring.fmt_vec(ring.table[i][j])}")
     if dual.bgd is None:
         lines.append("gamma_lift: None")
     else:

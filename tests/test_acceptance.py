@@ -219,7 +219,7 @@ def _stacked_kernel(h, side):
     mult = A.left_mult_matrix if side == LEFT else A.right_mult_matrix
     rows = []
     for aidx in range(A.dim):
-        avec = A.basis_vec(aidx)
+        avec = {aidx: A.field.one}
         block = mult(avec) - mult(bgd.s.apply(bgd.counit.apply(avec)))
         rows.extend(block.rows)
     return Matrix.from_rows(A.field, rows, A.dim).kernel()
@@ -254,8 +254,8 @@ def test_criterion_4():
         # independent replay of (fsrinv): ℓ_R⁻¹(a) = λ* ↼ S(a), columnwise
         A = h.total
         for j in range(A.dim):
-            via_inverse = nd.upper.element(nd.ellR_inv.col(j))
-            via_formula = nd.lambda_star @ A.left_mult_matrix(h.S.col(j))
+            via_inverse = nd.upper.element(nd.ellR_inv.cols[j])
+            via_formula = nd.lambda_star @ A.left_mult_matrix(h.S.cols[j])
             assert via_inverse.rows == via_formula.rows
         frob = frobenius_check(nd, h)
         assert frob.passed, (h.name, _failing_ids(frob))

@@ -30,7 +30,7 @@ def test_from_struct_solves_unit():
     # kZ3 without a declared unit: the unit must be found automatically
     z3 = FiniteGroup.cyclic(3)
     A = group_algebra(z3, QQ)
-    assert A.one().vec == A.basis_vec(0)
+    assert A.unit == A.basis_vec(0)
     assert verify_algebra(A).passed
 
 
@@ -63,16 +63,16 @@ def test_opposite_involution(m2):
     assert opposite(opposite(A)) == A
     aop = opposite(A)
     # e12 * e21 = e11 in M2; opposite has e21 *op e12 = e11
-    v = aop.mul_vec(A.basis_vec(2), A.basis_vec(1))
-    assert v == A.basis_vec(0)
+    v = aop.mul_vec({2: one}, {1: one})
+    assert v == {0: one}
 
 
 def test_mult_matrices_agree_with_mul(m2):
     A = m2.total
     rng = random.Random(5)
     for _ in range(10):
-        u = tuple(QQ.of(rng.randrange(-2, 3)) for _ in range(A.dim))
-        v = tuple(QQ.of(rng.randrange(-2, 3)) for _ in range(A.dim))
+        u = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(A.dim))
+        v = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(A.dim))
         assert A.left_mult_matrix(u).apply(v) == A.mul_vec(u, v)
         assert A.right_mult_matrix(v).apply(u) == A.mul_vec(u, v)
 
@@ -84,9 +84,10 @@ def test_is_commutative(m2, kz3):
 
 def test_fmt_vec(kz2):
     A = kz2.total
-    assert A.fmt_vec((one, QQ.of(-2))) == "1 + (-2)*g"
-    assert A.fmt_vec((QQ.zero, QQ.zero)) == "0"
-    assert A.fmt_vec((QQ.zero, QQ.parse("1/2"))) == "(1/2)*g"
+    assert A.fmt_vec({0: one, 1: QQ.of(-2)}) == "1 + (-2)*g"
+    assert A.fmt_vec({1: QQ.of(-2), 0: one}) == "1 + (-2)*g"
+    assert A.fmt_vec({}) == "0"
+    assert A.fmt_vec({1: QQ.parse("1/2")}) == "(1/2)*g"
 
 
 def test_algebra_map_verify_hom_and_anti(m2):
@@ -126,8 +127,8 @@ def test_tensor_apply_matches_componentwise():
     m2_ = Matrix.from_rows(F, [tuple(F.of(rng.randrange(7)) for _ in range(3))
                                for _ in range(2)], 3)
     for _ in range(10):
-        u = tuple(F.of(rng.randrange(7)) for _ in range(2))
-        v = tuple(F.of(rng.randrange(7)) for _ in range(3))
+        u = sparse(F.of(rng.randrange(7)) for _ in range(2))
+        v = sparse(F.of(rng.randrange(7)) for _ in range(3))
         w = tensor_vec(3, u, v)
         got = tensor_apply(m1, m2_, w)
         expect = tensor_vec(2, m1.apply(u), m2_.apply(v))
@@ -146,7 +147,8 @@ def test_flip_tensor_involution():
 def test_tensor_square_product_unit(kz3):
     A = kz3.total
     d = A.dim
-    unit2 = tensor_vec(d, A.unit, A.unit)
+    unit = sparse(A.unit)
+    unit2 = tensor_vec(d, unit, unit)
     rng = random.Random(12)
     w = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(d * d))
     assert tensor_square_product(A, A, unit2, w) == w
@@ -158,7 +160,7 @@ def test_tensor_square_product_componentwise(kz2):
     d = A.dim
     rng = random.Random(13)
     for _ in range(10):
-        a, b, c, e = (tuple(QQ.of(rng.randrange(-2, 3)) for _ in range(d))
+        a, b, c, e = (sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(d))
                       for _ in range(4))
         lhs = tensor_square_product(A, A, tensor_vec(d, a, b),
                                     tensor_vec(d, c, e))

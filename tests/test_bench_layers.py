@@ -3,16 +3,21 @@
 ``bench/layers.py`` wraps each layer by its attribute path, and
 ``bench/run.py`` demands calls on named layers per workload.  A renamed or
 removed kernel would only show when a traced benchmark run fails; here it
-fails the suite.  The two modules are imported, nothing is run.
+fails the suite.  The two modules are imported; only the last test runs
+ops, one cheap op per workload under the tracer, to see that the element
+kernels are still called.
 """
 
 import importlib
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +103,41 @@ def test_copy_matrix_keeps_the_matrix_and_drops_its_cache(bench_modules):
         assert copy._rref is None
         assert common.stale_caches((copy,)) == []
         assert copy.rref_pivots() == m.rref_pivots()
+
+
+def test_the_element_kernels_read_calls(bench_modules):
+    """A kernel that still exists but is no longer called passes the path
+    checks above, yet reads zero calls in a traced run and fails it.  One
+    cheap op per workload (``verify_hopf`` and ``nondegeneracy`` on the
+    2×2 pair groupoid, ``check`` on a bundled spec) must call both
+    ``Algebra.mul_vec`` and ``Matrix.apply`` through the tracer."""
+    import algebroids
+    from algebroids import cli
+    from algebroids.catalog import (matrix_sum_integral,
+                                    pair_groupoid_hopf_algebroid)
+
+    layers, _ = bench_modules
+
+    def pair2():
+        return pair_groupoid_hopf_algebroid(2, algebroids.QQ)
+
+    def nondegeneracy():
+        h = pair2()
+        return algebroids.nondegeneracy(h, matrix_sum_integral(h))
+
+    def check():
+        with redirect_stdout(io.StringIO()):
+            return cli.main(["check", str(ROOT / "specs" / "kz2.spec"),
+                             "--level", "hopf"])
+
+    ops = {"verify-ladder": lambda: algebroids.verify_hopf(pair2()),
+           "duality": nondegeneracy, "cli-specs": check}
+    for workload, op in ops.items():
+        tracer = layers.Tracer()
+        tracer.install()
+        try:
+            tracer.run(op, ())
+        finally:
+            tracer.uninstall()
+        for name in ("algebra.mul_vec", "exactfield.matrix_apply"):
+            assert tracer.stats[name].calls, (workload, name)

@@ -36,7 +36,8 @@ from algebroids.dualspace import (
     flatten,
     pairing_system,
 )
-from algebroids.exactfield import Matrix, PrimeField, RationalField
+from algebroids.exactfield import Matrix, PrimeField, RationalField, sparse
+from dense_reference import dense_matrix_apply as apply, dense_mul_vec
 
 QQ = RationalField()
 F7 = PrimeField(7)
@@ -70,29 +71,34 @@ def unit_vector_product(module, phi, psi):
     bgd, kind = module.bgd, module.kind
     A = bgd.total
     d = A.dim
+    s, t = bgd.s.matrix, bgd.t.matrix
+
+    def mul(u, v):
+        return dense_mul_vec(A, u, v)
+
     cols = []
     for aidx in range(d):
-        lift = bgd.coproduct_lift(A.basis_vec(aidx))
+        lift = bgd.coproduct_lift({aidx: A.field.one})
         w = [lift.get(k, A.field.zero) for k in range(d * d)]
-        acc = bgd.base.zero_vec()
+        acc = (A.field.zero,) * bgd.base.dim
         for k in range(d):
             block = w[k * d:(k + 1) * d]
             if not any(block):
                 continue
             if kind == LOWER_STAR:
                 # (φψ)(a) = ψ(s_L(φ(a_(1))) a_(2))
-                val = psi.apply(A.mul_vec(bgd.s.apply(phi.col(k)), block))
+                val = apply(psi, mul(apply(s, phi.col(k)), block))
             elif kind == STAR_LOWER:
                 # (φψ)(a) = ψ(t_L(φ(a_(2))) a_(1))
-                val = psi.apply(A.mul_vec(bgd.t.apply(phi.apply(block)),
-                                          A.basis_vec(k)))
+                val = apply(psi, mul(apply(t, apply(phi, block)),
+                                     A.basis_vec(k)))
             elif kind == UPPER_STAR:
                 # (φψ)(a) = φ(a^(2) t_R(ψ(a^(1))))
-                val = phi.apply(A.mul_vec(block, bgd.t.apply(psi.col(k))))
+                val = apply(phi, mul(block, apply(t, psi.col(k))))
             else:
                 # (φψ)(a) = φ(a^(1) s_R(ψ(a^(2))))
-                val = phi.apply(A.mul_vec(A.basis_vec(k),
-                                          bgd.s.apply(psi.apply(block))))
+                val = apply(phi, mul(A.basis_vec(k),
+                                     apply(s, apply(psi, block))))
             acc = tuple(x + y for x, y in zip(acc, val))
         cols.append(acc)
     return Matrix.from_cols(bgd.field, cols, bgd.base.dim)
@@ -110,16 +116,17 @@ def unit_vector_pairing(lb, module):
             col = []
             for a in range(d):
                 for b in range(d):
-                    tv = lb.t.apply(basis[v].col(b))
-                    col.extend(basis[u].apply(A.mul_vec(A.basis_vec(a), tv)))
+                    tv = apply(lb.t.matrix, basis[v].col(b))
+                    col.extend(apply(basis[u], dense_mul_vec(
+                        A, A.basis_vec(a), tv)))
             pairing_cols.append(col)
     rhs_cols = []
     for w in range(n):
         col = []
         for a in range(d):
             for b in range(d):
-                col.extend(basis[w].apply(
-                    A.mul_vec(A.basis_vec(a), A.basis_vec(b))))
+                col.extend(apply(basis[w], dense_mul_vec(
+                    A, A.basis_vec(a), A.basis_vec(b))))
         rhs_cols.append(col)
     return (Matrix.from_cols(lb.field, pairing_cols, d * d * dl),
             Matrix.from_cols(lb.field, rhs_cols, d * d * dl))
@@ -159,8 +166,8 @@ def functional(draw, module):
     field = module.field
     coeffs = st.sampled_from((0, 0, 1, -1, 2))
     if module.dim and draw(st.booleans()):
-        return module.element([field.of(draw(coeffs))
-                               for _ in range(module.dim)])
+        return module.element(sparse(field.of(draw(coeffs))
+                                     for _ in range(module.dim)))
     rows = [[field.of(draw(coeffs)) for _ in range(module.total.dim)]
             for _ in range(module.base.dim)]
     return Matrix.from_rows(field, rows, module.total.dim)
@@ -169,7 +176,7 @@ def functional(draw, module):
 def assert_null_space(m, kern):
     """``kern`` is all of {x : m x = 0}: m kills it and it has the
     dimension ncols - rank."""
-    assert all(not any(m.apply(x)) for x in kern.basis.rows)
+    assert all(not m.apply(x) for x in kern.sparse_basis())
     assert kern.dim == m.ncols - m.rank()
 
 
@@ -204,15 +211,13 @@ def test_action_matrix_columns_are_the_actions(data):
     phi = functional(data.draw, module)
     A = bgd.total
     act = action_matrix(bgd, kind, phi)
-    for a in range(A.dim):
-        assert act.col(a) == ACTS[kind](bgd, phi, A.basis_vec(a))
-    # the same action with the element fixed and the functional running
     field = bgd.field
-    avec = tuple(field.of(data.draw(st.sampled_from((0, 0, 1, -1, 2))))
-                 for _ in range(A.dim))
-    flat = flatten(phi)
-    dense = tuple(flat.get(k, field.zero) for k in range(phi.nrows * A.dim))
-    assert (acting_on(bgd, kind, avec).apply(dense)
+    for a in range(A.dim):
+        assert act.cols[a] == ACTS[kind](bgd, phi, {a: field.one})
+    # the same action with the element fixed and the functional running
+    avec = sparse(field.of(data.draw(st.sampled_from((0, 0, 1, -1, 2))))
+                  for _ in range(A.dim))
+    assert (acting_on(bgd, kind, avec).apply(flatten(phi))
             == ACTS[kind](bgd, phi, avec))
 
 

@@ -22,6 +22,7 @@ from algebroids.exactfield import (
     Subspace,
     SparseEchelon,
     field_from_name,
+    sparse,
 )
 from dense_reference import (
     coords_in_span,
@@ -114,11 +115,11 @@ def test_kernel_frozen_example():
     m = _mat(QQ, [[1, 2, 3], [2, 4, 6]])
     k = m.kernel()
     assert k.dim == 2
-    for v in k.basis.rows:
-        assert all(x == 0 for x in m.apply(v))
-    assert k.contains((QQ.of(-2), QQ.one, QQ.zero))
-    assert k.contains((QQ.of(-3), QQ.zero, QQ.one))
-    assert not k.contains((QQ.one, QQ.zero, QQ.zero))
+    for v in k.sparse_basis():
+        assert m.apply(v) == {}
+    assert k.contains({0: QQ.of(-2), 1: QQ.one})
+    assert k.contains({0: QQ.of(-3), 2: QQ.one})
+    assert not k.contains({0: QQ.one})
 
 
 def test_solve_and_inverse_frozen():
@@ -203,14 +204,14 @@ def test_matmul_associativity_random():
 
 def test_subspace_membership_and_coords():
     u = Subspace.from_vectors(QQ, 3, [
-        (QQ.one, QQ.zero, QQ.one),
-        (QQ.zero, QQ.one, QQ.one),
+        {0: QQ.one, 2: QQ.one},
+        {1: QQ.one, 2: QQ.one},
     ])
     assert u.dim == 2
-    v = (QQ.of(2), QQ.of(3), QQ.of(5))
+    v = {0: QQ.of(2), 1: QQ.of(3), 2: QQ.of(5)}
     coords = u.coords_of(v)
     assert coords == (QQ.of(2), QQ.of(3))
-    assert u.coords_of((QQ.one, QQ.zero, QQ.zero)) is None
+    assert u.coords_of({0: QQ.one}) is None
 
 
 def test_sparse_echelon_matches_subspace():
@@ -317,16 +318,17 @@ def test_elimination_matches_the_dense_reference(case):
 
     # coordinates in the row space: a combination of the rows lies inside,
     # a right-hand side column padded or cut to ncols may lie outside
-    span = Subspace.from_vectors(field, m.ncols, m.rows)
+    span = Subspace.from_vectors(field, m.ncols, m.sparse_rows())
     basis = span_basis(field, m.ncols, m.rows)
     assert span.basis.rows == basis
     inside = tuple(sum((c * a for c, a in zip(rhs.col(0), col)), field.zero)
                    for col in m.columns())
     outside = (rhs.col(0) + (field.one,) * m.ncols)[:m.ncols]
     for vec in (inside, outside):
-        assert span.coords_of(vec) == coords_in_span(basis, field, vec)
-        assert span.contains(vec) == (coords_in_span(basis, field, vec)
-                                      is not None)
+        assert span.coords_of(sparse(vec)) == coords_in_span(basis, field,
+                                                             vec)
+        assert span.contains(sparse(vec)) == (
+            coords_in_span(basis, field, vec) is not None)
 
 
 @st.composite
@@ -382,9 +384,7 @@ def test_sparse_column_matrix_matches_dense_rows(case):
     assert mat.sparse_rows() == [{j: x for j, x in enumerate(row) if x}
                                  for row in rows]
 
-    assert mat.apply(vec) == dense_apply(field, rows, vec)
-    assert mat.apply_sparse({j: x for j, x in enumerate(vec) if x}) == \
-        {i: x for i, x in enumerate(dense_apply(field, rows, vec)) if x}
+    assert mat.apply(sparse(vec)) == sparse(dense_apply(field, rows, vec))
 
     results = {
         "matmul": (mat @ Matrix(field, m, k, right),
