@@ -18,7 +18,9 @@ luiv).  The exact-elimination layer is pinned through its consumers: the
 left and right integral spaces (echelon bases) of every catalog fixture, a
 pair-groupoid antipode of rank 3 (``verify_hopf`` s-bijective and defiv,
 ``check_lu_axioms`` lu1-bijective), and a target map for which
-s_L∘χ = t_R has no solution (defi-chi).
+s_L∘χ = t_R has no solution (defi-chi).  Two cyclic permutations of kZ₃
+fail the left and right bialgebroid morphism checks (mor-src, mor-tgt,
+mor-counit).
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -176,7 +178,9 @@ def _library_cases():
     from algebroids.bialgebroid import (
         LeftBialgebroid,
         RightBialgebroid,
+        verify_left_morphism,
         verify_right_bialgebroid,
+        verify_right_morphism,
     )
     from algebroids.catalog import (
         FiniteGroup,
@@ -416,6 +420,21 @@ def _library_cases():
     # fails defi-chi with no linear solution
     cases["hopf-unsolvable-chi-m2"] = lambda: render(
         verify_hopf(unsolvable_chi()))
+
+    def kz3():
+        return group_hopf_algebroid(FiniteGroup.cyclic(3), QQ)
+
+    def cycle():
+        # e -> g -> g² -> e on the basis of kZ₃
+        return Matrix.from_sparse_cols(QQ, [{1: one}, {2: one}, {0: one}], 3)
+
+    # fails total-map-unit, base-map-unit, mor-src, mor-tgt and mor-counit
+    cases["morphism-left-kz3-cycle"] = lambda: render(verify_left_morphism(
+        kz3().lb, kz3().lb, cycle(), Matrix.from_rows(QQ, [[QQ.of(2)]], 1)))
+    # the induced base map is the identity: fails total-map-unit, mor-src
+    # and mor-tgt
+    cases["morphism-right-kz3-cycle"] = lambda: render(verify_right_morphism(
+        kz3().rb, kz3().rb, cycle()))
     return cases
 
 
