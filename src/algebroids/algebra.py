@@ -1,14 +1,16 @@
 """Finite-dimensional unital associative algebras presented by structure constants.
 
 An Algebra fixes a distinguished basis, and an element is a sparse vector
-``{index: coefficient}`` in that basis, without zero entries.  Dense
-coefficient tuples appear only at the boundary: the unit a spec declares,
-``basis_vec``, and the elements callers pass in, each converted once by
-``from_dense``.  Maps between algebras are matrices tagged as multiplicative
-("hom") or anti-multiplicative ("anti"), which keeps source/target bookkeeping
-honest when opposites get involved.
+``{index: coefficient}`` in that basis, without zero entries; the unit is
+one too.  Dense coefficient tuples appear only at the boundary: a unit
+given to ``from_struct`` as a tuple, ``basis_vec``, and the elements
+callers pass in, each converted once by ``from_dense``.  Maps between
+algebras are matrices tagged as multiplicative ("hom") or
+anti-multiplicative ("anti"), which keeps source/target bookkeeping honest
+when opposites get involved.
 """
 
+from collections.abc import Mapping
 from math import prod
 
 from .exactfield import Matrix, combine, nonzero, sparse, unit_vector
@@ -25,7 +27,8 @@ class Algebra:
     """A unital associative algebra with a fixed basis.
 
     The multiplication table is stored sparsely: ``table[i][j]`` is a dict
-    mapping a basis index ``k`` to the coefficient of ``e_k`` in ``e_i e_j``.
+    mapping a basis index ``k`` to the coefficient of ``e_k`` in ``e_i e_j``,
+    and ``unit`` is the sparse element 1.
     """
 
     def __init__(self, field, basis_names, table, unit, name="A"):
@@ -33,10 +36,8 @@ class Algebra:
         self.dim = len(basis_names)
         self.basis_names = tuple(basis_names)
         self.table = table
-        self.unit = tuple(unit)
+        self.unit = unit
         self.name = name
-        if len(self.unit) != self.dim:
-            raise ValueError("unit vector length mismatch")
 
     # -- construction -------------------------------------------------------
 
@@ -44,8 +45,10 @@ class Algebra:
     def from_struct(cls, field, basis_names, struct, unit=None, name="A"):
         """Build from sparse structure constants {(i, j, k): scalar}.
 
-        If no unit vector is supplied, the (unique) two-sided unit is solved
-        for; a ValueError is raised when none exists.
+        ``unit`` is a sparse element or a dense coefficient tuple; a
+        ValueError is raised when it does not fit the basis.  If no unit is
+        supplied, the (unique) two-sided unit is solved for; a ValueError is
+        raised when none exists.
         """
         dim = len(basis_names)
         table = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -59,26 +62,30 @@ class Algebra:
             if unit is None:
                 raise ValueError(f"algebra {name!r} has no two-sided unit")
         else:
-            unit = tuple(field.of(x) for x in unit)
+            if not isinstance(unit, Mapping):
+                unit = tuple(unit)
+                if len(unit) != dim:
+                    raise ValueError("unit vector length mismatch")
+                unit = dict(enumerate(unit))
+            if any(not 0 <= k < dim for k in unit):
+                raise ValueError("unit index out of range")
+            unit = nonzero({k: field.of(x) for k, x in unit.items()})
         return cls(field, basis_names, table, unit, name)
 
     @staticmethod
     def _solve_unit(field, dim, table):
         # rows: for each j, k two equations sum_i u_i c_{ijk} = d_{jk} and
         # sum_i u_i c_{jik} = d_{jk}
-        zero, one = field.zero, field.one
-        rows, rhs = [], []
+        rows, rhs = [], {}
         for j in range(dim):
             for k in range(dim):
-                left = [table[i][j].get(k, zero) for i in range(dim)]
-                right = [table[j][i].get(k, zero) for i in range(dim)]
-                target = one if j == k else zero
-                rows.append(left)
-                rhs.append(target)
-                rows.append(right)
-                rhs.append(target)
-        m = Matrix.from_rows(field, rows, dim)
-        return m.solve(tuple(rhs))
+                if j == k:
+                    rhs[len(rows)] = rhs[len(rows) + 1] = field.one
+                rows.append({i: table[i][j][k] for i in range(dim)
+                             if k in table[i][j]})
+                rows.append({i: table[j][i][k] for i in range(dim)
+                             if k in table[j][i]})
+        return Matrix.from_sparse_rows(field, rows, dim).solve(rhs)
 
     # -- basics --------------------------------------------------------------
 
@@ -100,7 +107,11 @@ class Algebra:
 
     def from_dense(self, vec):
         """The element with the dense coefficient tuple ``vec``, given from
-        outside the package; a ValueError if its length is not ``dim``."""
+        outside the package; a ValueError if its length is not ``dim`` or if
+        it is a mapping, which an element already is."""
+        if isinstance(vec, Mapping):
+            raise ValueError(f"an element of {self.name} is given densely, "
+                             "not as a mapping")
         vec = tuple(vec)
         if len(vec) != self.dim:
             raise ValueError(f"an element of {self.name} needs {self.dim} "
@@ -176,7 +187,7 @@ def verify_algebra(algebra, report_title=None):
     d = algebra.dim
     table = algebra.table
     names = algebra.basis_names
-    unit = sparse(algebra.unit).items()
+    unit = algebra.unit.items()
 
     bad = []
     for i in range(d):
@@ -292,8 +303,8 @@ def verify_map(f, report_title=None):
     rep = Report(report_title or f"map {f.name}")
     src, tgt = f.source, f.target
 
-    img_one = f.apply(sparse(src.unit))
-    ok = img_one == sparse(tgt.unit)
+    img_one = f.apply(src.unit)
+    ok = img_one == tgt.unit
     rep.add("map-unit", f"{f.name}(1) = 1",
             ok, [] if ok else [f"{f.name}(1) = {tgt.fmt_vec(img_one)}"])
 

@@ -10,12 +10,12 @@ section of the projection.
 
 Tensor vectors are sparse at this interface: a dict ``{index: scalar}``
 holding only nonzero entries, the index of e_i ⊗ e_j ⊗ ... being row-major
-over the factors.  ``project``, ``equal``, ``normal_form``,
-``is_zero_class`` and ``fmt`` take such vectors, ``normal_form`` and
-``lift`` return them, and the relation build, the reductions and the
-factor kernels below touch only nonzero entries.  Quotient coordinates are
-sparse from ``coords`` and dense tuples of length ``dim`` at ``project``,
-``lift`` and ``fmt_q``.
+over the factors.  ``coords``, ``equal``, ``normal_form``,
+``is_zero_class`` and ``fmt`` take such vectors, ``normal_form`` returns
+them, and the relation build, the reductions and the factor kernels below
+touch only nonzero entries.  Quotient coordinates are sparse too:
+``coords`` gives them, ``projection_matrix`` is its matrix, and
+``section_matrix`` places them back at the free columns.
 """
 
 from math import prod
@@ -126,9 +126,9 @@ class BalancedTensorSpace:
     """A quotient of A^{⊗m} by junction relations, with canonical coordinates.
 
     Coordinates of the quotient are the normal-form values at the non-pivot
-    columns of the relation span's reduced echelon form; ``lift`` places
-    quotient coordinates back at those columns, which is the canonical linear
-    section of ``project``.
+    columns of the relation span's reduced echelon form; ``section_matrix``
+    places quotient coordinates back at those columns, which is the
+    canonical linear section of ``projection_matrix``.
 
     A space of three or more factors is built on its *head*, the quotient
     of all factors but the last: it is (head ⊗ A) modulo the last junction's
@@ -289,20 +289,6 @@ class BalancedTensorSpace:
         sparse vector."""
         return self._reduce(vec)
 
-    def project(self, vec):
-        """Quotient coordinates of a sparse total-space vector."""
-        out = [self.field.zero] * self.dim
-        for f, a in self.coords(vec).items():
-            out[f] = a
-        return tuple(out)
-
-    def lift(self, qvec):
-        """Canonical section: the sparse vector holding the quotient
-        coordinates at the free columns."""
-        if len(qvec) != self.dim:
-            raise ValueError("quotient coordinate length mismatch")
-        return {c: val for c, val in zip(self.free_cols, qvec) if val}
-
     def is_zero_class(self, vec):
         return not self._reduce(vec)
 
@@ -319,7 +305,7 @@ class BalancedTensorSpace:
         return not self._reduce(diff)
 
     def projection_matrix(self):
-        """dim x total_dim matrix of ``project`` (cached)."""
+        """dim x total_dim matrix of ``coords`` (cached)."""
         if self._projection is None:
             one = self.field.one
             self._projection = Matrix.from_sparse_cols(
@@ -328,7 +314,8 @@ class BalancedTensorSpace:
         return self._projection
 
     def section_matrix(self):
-        """total_dim x dim matrix of ``lift`` (cached)."""
+        """total_dim x dim matrix of the canonical section, which holds the
+        quotient coordinates at the free columns (cached)."""
         if self._section is None:
             one = self.field.one
             self._section = Matrix.from_sparse_cols(
@@ -341,9 +328,6 @@ class BalancedTensorSpace:
     def fmt(self, vec):
         """Readable canonical representative of a sparse vector's class."""
         return fmt_tensor_multi(self.algebras, self.normal_form(vec))
-
-    def fmt_q(self, qvec):
-        return fmt_tensor_multi(self.algebras, self.lift(qvec))
 
     def __repr__(self):
         return (f"BalancedTensorSpace({len(self.dims)} factors, "

@@ -158,9 +158,8 @@ def group_algebra(group, field, name=None):
     n = group.order
     struct = {(i, j, group.mul(i, j)): field.one
               for i in range(n) for j in range(n)}
-    unit = tuple(field.one if i == group.identity else field.zero
-                 for i in range(n))
-    return Algebra.from_struct(field, group.names, struct, unit=unit,
+    return Algebra.from_struct(field, group.names, struct,
+                               unit={group.identity: field.one},
                                name=name or f"k[{group.name}]")
 
 
@@ -176,7 +175,8 @@ def group_hopf_algebroid(group, field, name=None):
     A = group_algebra(group, field, name=name)
     k = scalar_base(field)
     n = group.order
-    inc = AlgebraMap(k, A, Matrix.from_cols(field, [A.unit], n), HOM, "s")
+    inc = AlgebraMap(k, A, Matrix.from_sparse_cols(field, [A.unit], n), HOM,
+                     "s")
     inct = inc.with_kind(ANTI)
     gamma = _diagonal_coproduct(field, n)
     counit = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
@@ -258,7 +258,8 @@ def function_algebra_hopf(group, field, name=None):
     A = Algebra.from_struct(field, names, struct,
                             name=name or f"k^{group.name}")
     k = scalar_base(field)
-    inc = AlgebraMap(k, A, Matrix.from_cols(field, [A.unit], n), HOM, "s")
+    inc = AlgebraMap(k, A, Matrix.from_sparse_cols(field, [A.unit], n), HOM,
+                     "s")
     inct = inc.with_kind(ANTI)
     cols = [{} for _ in range(n)]
     for h in range(n):

@@ -160,7 +160,8 @@ def cmd_ls_antipode(spec, args):
     if h is None:
         return rep, None
     rep.extend(decided["hopf"], prefix="hopf-")
-    text = specfile.spec_from_hopf(h, name=f"{nm}-hopf", integral=ell,
+    text = specfile.spec_from_hopf(h, name=f"{nm}-hopf",
+                                   integral=rb.total.from_dense(ell),
                                    integral_name=el)
     return rep, text
 

@@ -31,7 +31,7 @@ formulas swap their factors.
 
 from .exactfield import Matrix
 from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, nonzero,
-                      side_product, sparse, verify_algebra)
+                      side_product, verify_algebra)
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
 from .bimodtensor import PRE, POST
 from .report import Report
@@ -132,6 +132,8 @@ class DualModule:
         return self.space.contains(flatten(matrix))
 
     def coords(self, matrix):
+        """The sparse coordinates of a functional in the module's basis, or
+        None if it is not a member."""
         return self.space.coords_of(flatten(matrix))
 
     def element(self, coords):
@@ -305,9 +307,8 @@ def dual_lower_star(lb, name=None):
                 closed_bad.append(
                     f"f{i} * f{j} leaves the constraint subspace")
                 continue
-            for k, c in enumerate(coords):
-                if c:
-                    struct[(i, j, k)] = c
+            for k, c in coords.items():
+                struct[(i, j, k)] = c
     rep.add("dual-closed", "convolution products stay in the dual",
             not closed_bad, closed_bad)
 
@@ -336,24 +337,23 @@ def dual_lower_star(lb, name=None):
         coords = module.coords(cand)
         if coords is None:
             member_bad.append(f"ŝ({L.basis_names[lidx]}) is not in the dual")
-            coords = (field.zero,) * n
         shat_cols.append(coords)
         cand = L.left_mult_matrix(lvec) @ lb.counit
         coords = module.coords(cand)
         if coords is None:
             member_bad.append(f"t̂({L.basis_names[lidx]}) is not in the dual")
-            coords = (field.zero,) * n
         that_cols.append(coords)
     rep.add("dual-maps-member", "ŝ and t̂ land in the dual",
             not member_bad, member_bad)
     if member_bad:
         return DualBialgebroid(module, ring, None, rep)
 
-    shat = AlgebraMap(L, ring, Matrix.from_cols(field, shat_cols, n), HOM, "ŝ")
-    that = AlgebraMap(L, ring, Matrix.from_cols(field, that_cols, n), ANTI, "t̂")
-    unit = sparse(A.unit)
+    shat = AlgebraMap(L, ring, Matrix.from_sparse_cols(field, shat_cols, n),
+                      HOM, "ŝ")
+    that = AlgebraMap(L, ring, Matrix.from_sparse_cols(field, that_cols, n),
+                      ANTI, "t̂")
     pihat = Matrix.from_sparse_cols(
-        field, [phi.apply(unit) for phi in module.basis], dl)
+        field, [phi.apply(A.unit) for phi in module.basis], dl)
 
     # the coproduct, solved from the pairing identity
     #   ⟨γ̂(φ), a⊗b⟩ = φ(ab)  with  ⟨u⊗v, a⊗b⟩ = u(a t_L(v(b)))

@@ -5,7 +5,9 @@ depends on this arithmetic being exact, so floating point is never used.
 Vectors, algebra elements among them, are sparse: dicts ``{index: scalar}``
 without zero entries, and ``combine`` is the one kernel that sums them.
 Dense tuples of scalars appear only where data enters or leaves: ``sparse``
-converts one, and ``Matrix`` takes and gives dense rows.  A ``Matrix`` is
+converts one, and ``Matrix`` takes and gives dense rows and columns through
+its constructors, ``rows`` and ``col``; ``solve`` and ``Subspace.coords_of``
+take and give sparse vectors.  A ``Matrix`` is
 immutable and holds only its nonzero columns, each a sparse vector, so
 products compose columns and the elimination reads sparse rows by
 transposing them.  ``SparseEchelon`` is the
@@ -520,11 +522,13 @@ class Matrix:
         return Matrix._of_cols(self.field, n, cols), ech
 
     def solve(self, b):
-        """One solution of M x = b (free variables zero), or None."""
-        if len(b) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        x = self._solve_rows([{0: v} if v else {} for v in b], 1)[0]
-        return None if x is None else x.col(0)
+        """One solution of M x = b (free variables zero) for a sparse ``b``
+        ``{row: scalar}``, as a sparse vector, or None."""
+        if any(not 0 <= i < self.nrows for i in b):
+            raise ValueError("rhs index out of range")
+        rhs = Matrix.from_sparse_cols(self.field, [b], self.nrows)
+        x = self._solve_rows(rhs.sparse_rows(), 1)[0]
+        return None if x is None else x.cols[0]
 
     def solve_matrix(self, rhs):
         """Solve M X = rhs column by column in one elimination; None if any fails."""
@@ -603,12 +607,12 @@ class Subspace:
 
     def coords_of(self, vec):
         """Coordinates of the sparse vector ``vec`` in the echelon basis, as
-        a tuple, or None if outside: each basis row is 1 at its pivot and 0
-        at the others."""
+        a sparse vector ``{basis index: scalar}``, or None if outside: each
+        basis row is 1 at its pivot and 0 at the others."""
         if not self.contains(vec):
             return None
-        zero = self.field.zero
-        return tuple(vec.get(p, zero) for p in self.echelon.pivot_columns())
+        return {k: vec[p] for k, p in enumerate(self.echelon.pivot_columns())
+                if p in vec}
 
 
 class SparseEchelon:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
 from .algebra import (ANTI, PRE, POST, AlgebraMap, combine, flip_tensor,
-                      side_product, sparse, tensor_apply, verify_map)
+                      fmt_terms, side_product, tensor_apply, verify_map)
 from .report import Report
 from .bialgebroid import (
     LeftBialgebroid,
@@ -588,7 +588,7 @@ def dual_hopf_algebroid(h, nd, name=None):
         _require(coords is not None,
                  "S₍*₎ left the dual constraint subspace")
         cols.append(coords)
-    s_star = Matrix.from_cols(h.field, cols, dual.module.dim)
+    s_star = Matrix.from_sparse_cols(h.field, cols, dual.module.dim)
     hd = reconstruct_left(dual.bgd, s_star)
     hd.name = name or f"{h.name}_*"
 
@@ -599,11 +599,11 @@ def dual_hopf_algebroid(h, nd, name=None):
 
     kc = record["kappa"] = dual.module.coords(kappa)
     _require(kc is not None, "κ is not a member of the dual ring")
-    _require(integral_space(hd, LEFT).contains(kc),
+    _require(integral_space(hd, LEFT).space.contains(kc),
              "κ is not a left integral of the dual")
-    _require(integral_space(hd, RIGHT).contains(kc),
+    _require(integral_space(hd, RIGHT).space.contains(kc),
              "κ is not a right integral of the dual")
-    nd_dual = nondegeneracy(hd, kc)
+    nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")
     return hd
@@ -639,7 +639,7 @@ def dual_weak_hopf(w, name=None):
             for k, c in A.table[i][j].items():
                 delta_cols[k][i * d + j] = c
     delta_hat = Matrix.from_sparse_cols(field, delta_cols, d * d)
-    counit_hat = Matrix.from_rows(field, [tuple(A.unit)], d)
+    counit_hat = Matrix.from_sparse_rows(field, [A.unit], d)
     s_hat = w.antipode.transpose()
     return WeakHopfAlgebra(ahat, delta_hat, counit_hat, s_hat,
                            name=name or f"{A.name}^")
@@ -690,25 +690,22 @@ def weak_dual_iso(w, h, nd, title=None):
         return rep
 
     # the base map φ(l) = ε₍1₎ ε₍2₎(l), in the coordinates of Ĥ's right base
-    delta_eps = what.delta.apply(sparse(what.algebra.unit))
+    delta_eps = what.delta.apply(what.algebra.unit)
     base_cols = []
     bad = []
     for lidx in range(lb.base.dim):
         slv = lb.s.matrix.cols[lidx]
-        acc = [field.zero] * d
-        for idx, c in delta_eps.items():
-            i, j = divmod(idx, d)
-            if j in slv:
-                acc[i] = acc[i] + c * slv[j]
+        acc = combine((c * slv[idx % d], {idx // d: field.one})
+                      for idx, c in delta_eps.items() if idx % d in slv)
         coords = hhat.rb.s.matrix.solve(acc)
         if coords is None:
             bad.append(f"φ({lb.base.basis_names[lidx]}) is outside the "
                        "right base of Ĥ")
-            coords = (field.zero,) * hhat.rb.base.dim
+            coords = {}
         base_cols.append(coords)
     rep.add("dualiso-base-lands", "φ(l) = ε₍1₎ε₍2₎(l) lands in Ĥ's right "
             "base", not bad, bad)
-    phi_base = Matrix.from_cols(field, base_cols, hhat.rb.base.dim)
+    phi_base = Matrix.from_sparse_cols(field, base_cols, hhat.rb.base.dim)
 
     rep.extend(verify_right_morphism(dual.bgd, hhat.rb, phi_total, phi_base),
                prefix="dualiso-")
@@ -755,10 +752,16 @@ def weak_dual_iso(w, h, nd, title=None):
     rep.add("dualiso-wha-coproduct", "Φ intertwines the coproducts",
             not bad, bad)
 
+    def functional(row):
+        # a functional on wd's algebra, in the dual basis of its basis
+        names = wd.algebra.basis_names
+        return fmt_terms(field, ((f"{names[k]}^", row.entry(0, k))
+                                 for k in range(row.ncols)))
+
     lhs = what.counit @ phi_total
     rep.add("dualiso-wha-counit", "Φ intertwines the counits",
             lhs == wd.counit, [] if lhs == wd.counit else
-            [f"ε̂∘Φ = {lhs.rows} vs {wd.counit.rows}"])
+            [f"ε̂∘Φ = {functional(lhs)} but ε = {functional(wd.counit)}"])
 
     lhs = what.antipode @ phi_total
     rhs = phi_total @ wd.antipode
@@ -783,7 +786,7 @@ def _right_bgdnd_data(rb, ell):
         m = data[action] = dual.acting_on(ell)
         inv = data[action + "_inv"] = m.inverse()
         data[elem] = None if inv is None else dual.element(
-            inv.apply(sparse(A.unit)))
+            inv.apply(A.unit))
     return data
 
 
@@ -1075,7 +1078,7 @@ def double_dual_evaluation(h, nd, title=None):
     hd = dual_hopf_algebroid(h, nd)
     module = DualModule(h.lb, LOWER_STAR)
     kc = module.coords(nd.kappa)
-    nd_dual = nondegeneracy(hd, kc)
+    nd_dual = _nondegeneracy(hd, kc, None)
     ok = isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok
     rep.add("dd-dual-integral", "κ is a non-degenerate integral of the "
             "dual", ok, [] if ok else [repr(nd_dual)])
@@ -1098,14 +1101,13 @@ def double_dual_evaluation(h, nd, title=None):
         if coords is None:
             bad.append(f"a = {A.basis_names[i]}: the twisted evaluation "
                        "functional leaves the constraint subspace")
-            coords = (field.zero,) * module2.dim
         cols.append(coords)
     rep.add("dd-member", "φ ↦ S₍*₎(φ)(S(a)) lies in the double-dual module",
             not bad, bad)
     if bad:
         return rep
 
-    phi_total = Matrix.from_cols(field, cols, module2.dim)
+    phi_total = Matrix.from_sparse_cols(field, cols, module2.dim)
     ok = module2.dim == d and phi_total.rank() == d
     rep.add("dd-bijective", "the twisted evaluation is bijective", ok,
             [] if ok else [f"rank {phi_total.rank()} of {d}, "

@@ -41,10 +41,13 @@ except ``format`` and ``field``):
     (``d^2 x q`` where ``q`` is the quotient dimension).
 
 Parse errors carry a location: JSON syntax errors report line/column,
-semantic errors report the offending key path.
+semantic errors report the offending key path.  The emitters take algebra
+elements (units and named elements) sparse, as the package holds them, and
+write them densely.
 """
 
 import json
+from collections.abc import Mapping
 
 from .algebra import ANTI, HOM, Algebra, AlgebraMap
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
@@ -349,6 +352,18 @@ def _matrix_json(m):
     return [[_scalar_str(x) for x in row] for row in m.rows]
 
 
+def _element_json(algebra, vec):
+    """The coefficients of the sparse element ``vec`` of ``algebra``,
+    written densely; a ValueError if ``vec`` is not such an element."""
+    if not isinstance(vec, Mapping) or \
+            any(not 0 <= k < algebra.dim for k in vec):
+        raise ValueError(f"an element of {algebra.name} is a mapping "
+                         f"{{index: coefficient}} on its {algebra.dim} "
+                         "basis indices")
+    zero = algebra.field.zero
+    return [_scalar_str(vec.get(k, zero)) for k in range(algebra.dim)]
+
+
 def _algebra_json(A):
     struct = []
     for i in range(A.dim):
@@ -359,7 +374,7 @@ def _algebra_json(A):
         "dim": A.dim,
         "basis": list(A.basis_names),
         "struct": struct,
-        "unit": [_scalar_str(x) for x in A.unit],
+        "unit": _element_json(A, A.unit),
     }
 
 
@@ -435,11 +450,13 @@ class SpecBuilder:
         }
         return name
 
-    def add_element(self, name, algebra, coords):
+    def add_element(self, name, algebra, element):
+        """Declare the sparse element ``element`` of ``algebra`` under
+        ``name``."""
         name = self._fresh("elements", name)
         self.data.setdefault("elements", {})[name] = {
             "algebra": self.add_algebra(algebra),
-            "coords": [_scalar_str(x) for x in coords],
+            "coords": _element_json(algebra, element),
         }
         return name
 
@@ -466,7 +483,7 @@ class SpecBuilder:
 
 def spec_from_hopf(h, name=None, integral=None, integral_name="integral"):
     """A complete spec document for one Hopf algebroid, optionally with a
-    named integral element."""
+    named integral, a sparse element of the total algebra."""
     b = SpecBuilder(h.field)
     b.add_hopf(h, name=name)
     if integral is not None:

@@ -19,7 +19,6 @@ from .algebra import (
     AlgebraMap,
     combine,
     nonzero,
-    sparse,
     tensor_apply,
     tensor_square_product,
     verify_algebra,
@@ -55,14 +54,14 @@ def convolution_inverse(module, phi):
         if c is None:
             return None
         cols.append(c)
-    lmat = Matrix.from_cols(field, cols, n)
+    lmat = Matrix.from_sparse_cols(field, cols, n)
     unit_coords = module.coords(module.unit_matrix())
     if unit_coords is None:
         return None
     sol = lmat.solve(unit_coords)
     if sol is None:
         return None
-    inv = module.element(sparse(sol))
+    inv = module.element(sol)
     # demand a two-sided inverse
     left = module.product(inv, phi)
     if module.coords(left) != unit_coords:
@@ -120,9 +119,8 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
             [] if auto_ok else ["g∘s_L fails to be an automorphism"])
 
     # (tw1) 1 ↼ g = 1
-    unit = sparse(A.unit)
-    moved = act_lower_star(lb, unit, g)
-    ok1 = moved == unit
+    moved = act_lower_star(lb, A.unit, g)
+    ok1 = moved == A.unit
     rep.add("tw1", "1 ↼ g = 1", ok1,
             [] if ok1 else [f"1 ↼ g = {A.fmt_vec(moved)}"])
 
@@ -225,7 +223,7 @@ class WeakHopfAlgebra:
         return self.algebra.dim
 
     def delta1(self):
-        return self.delta.apply(sparse(self.algebra.unit))
+        return self.delta.apply(self.algebra.unit)
 
     def counit_val(self, vec):
         return self.counit.apply(vec).get(0, self.field.zero)
@@ -245,18 +243,15 @@ class WeakHopfAlgebra:
     def _cap(self, left):
         table = self.algebra.table
         d = self.dim
-        zero = self.field.zero
-        eps = self.counit.rows[0]
+        eps = self.counit_val
         units = [(*divmod(idx, d), c) for idx, c in self.delta1().items()]
         one = self.field.one
         cols = []
         for b in range(d):
             if left:
-                terms = ((c * _evaluate(eps, table[i][b], zero), {j: one})
-                         for i, j, c in units)
+                terms = ((c * eps(table[i][b]), {j: one}) for i, j, c in units)
             else:
-                terms = ((c * _evaluate(eps, table[b][j], zero), {i: one})
-                         for i, j, c in units)
+                terms = ((c * eps(table[b][j]), {i: one}) for i, j, c in units)
             cols.append(combine(terms))
         return Matrix.from_sparse_cols(self.field, cols, d)
 
@@ -282,7 +277,7 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     # Δ(e_b) as sparse {i*d + j: c} and as (i, j, c) triples
     cols = w.delta.cols
     deltas = [[(*divmod(idx, d), c) for idx, c in col.items()] for col in cols]
-    eps = w.counit.rows[0]
+    eps = w.counit.sparse_rows()[0]
 
     # (Δ⊗id)Δ(e_b) and (id⊗Δ)Δ(e_b), sparse in A⊗A⊗A coordinates
     left2, right2 = [], []
@@ -306,8 +301,10 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     bad = []
     one = w.field.one
     for b in range(d):
-        lvec = combine((c * eps[j], {i: one}) for i, j, c in deltas[b])
-        rvec = combine((c * eps[i], {j: one}) for i, j, c in deltas[b])
+        lvec = combine((c * eps.get(j, zero), {i: one})
+                       for i, j, c in deltas[b])
+        rvec = combine((c * eps.get(i, zero), {j: one})
+                       for i, j, c in deltas[b])
         if lvec != {b: one} or rvec != {b: one}:
             bad.append(names[b])
     rep.add("counit", "(id⊗ε)Δ = id = (ε⊗id)Δ", not bad, bad)
@@ -323,7 +320,7 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
 
     # weakened unit law: (Δ(1)⊗1)(1⊗Δ(1)) = Δ²(1) = (1⊗Δ(1))(Δ(1)⊗1)
     unit_terms = [(*divmod(idx, d), c) for idx, c in w.delta1().items()]
-    u2 = combine((c, left2[b]) for b, c in sparse(A.unit).items())
+    u2 = combine((c, left2[b]) for b, c in A.unit.items())
     lhs, rhs = {}, {}
     for i, j, c1 in unit_terms:
         for p, q, c2 in unit_terms:
@@ -348,8 +345,7 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     # weakened counit law: ε(xy_(1))ε(y_(2)z) = ε(xyz) = ε(xy_(2))ε(y_(1)z),
     # with eps2[m][z] = ε(e_m e_z)
     bad_l, bad_r = [], []
-    eps2 = [[_evaluate(eps, table[m][z], zero) for z in range(d)]
-            for m in range(d)]
+    eps2 = [[w.counit_val(table[m][z]) for z in range(d)] for m in range(d)]
     for x in range(d):
         eps_x = eps2[x]
         for y in range(d):
@@ -410,14 +406,6 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     return rep
 
 
-def _evaluate(row, terms, zero):
-    """The dense row vector ``row`` applied to a sparse vector."""
-    acc = zero
-    for k, c in terms.items():
-        acc = acc + c * row[k]
-    return acc
-
-
 def _subalgebra(A, vectors, names_prefix, name):
     """The unital subalgebra spanned by the given elements, as a standalone
     algebra together with the inclusion matrix.  Returns (algebra,
@@ -426,7 +414,7 @@ def _subalgebra(A, vectors, names_prefix, name):
     sub = Subspace.from_vectors(field, A.dim, vectors)
     basis = sub.sparse_basis()
     n = len(basis)
-    unit_coords = sub.coords_of(sparse(A.unit))
+    unit_coords = sub.coords_of(A.unit)
     if unit_coords is None:
         return "the unit is not in the subspace"
     struct = {}
@@ -436,9 +424,8 @@ def _subalgebra(A, vectors, names_prefix, name):
             coords = sub.coords_of(prod)
             if coords is None:
                 return "the subspace is not multiplicatively closed"
-            for k, c in enumerate(coords):
-                if c:
-                    struct[(i, j, k)] = c
+            for k, c in coords.items():
+                struct[(i, j, k)] = c
     names = [f"{names_prefix}{i}" for i in range(n)]
     alg = Algebra.from_struct(field, names, struct, unit=unit_coords,
                               name=name)
@@ -491,7 +478,7 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
                     [A.basis_names[j]])
             return None, rep
         pi_l_cols.append(coords)
-    pi_l = Matrix.from_cols(field, pi_l_cols, L.dim)
+    pi_l = Matrix.from_sparse_cols(field, pi_l_cols, L.dim)
     lb = LeftBialgebroid(A, L, s_l, t_l, w.delta, pi_l,
                          name=f"{w.name}_L")
 
@@ -505,7 +492,7 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
                     [A.basis_names[j]])
             return None, rep
         pi_r_cols.append(coords)
-    pi_r = Matrix.from_cols(field, pi_r_cols, R.dim)
+    pi_r = Matrix.from_sparse_cols(field, pi_r_cols, R.dim)
     rb = RightBialgebroid(A, R, s_r, t_r, w.delta, pi_r,
                           name=f"{w.name}_R")
 
@@ -539,7 +526,7 @@ class SeparabilityStructure:
         pair c e_i ⊗ e_j for each term of the separability idempotent."""
         dl = self.base.dim
         one = self.field.one
-        u = self.delta.apply(sparse(self.base.unit))
+        u = self.delta.apply(self.base.unit)
         return [({idx // dl: u[idx]}, {idx % dl: one}) for idx in sorted(u)]
 
 
@@ -576,12 +563,13 @@ def verify_separability(sep, title=None):
     rep.add("sep-bimodule", "δ(l l') = l·δ(l') = δ(l)·l'", not bad, bad)
 
     # counit: (ψ⊗id)δ = id = (id⊗ψ)δ
-    psi = sep.psi.rows[0]
+    psi = sep.psi.sparse_rows()[0]
+    zero = field.zero
     bad = []
     for j, col in enumerate(sep.delta.cols):
         terms = [(*divmod(idx, dl), c) for idx, c in col.items()]
-        lvec = combine((c * psi[i], {k: one}) for i, k, c in terms)
-        rvec = combine((c * psi[k], {i: one}) for i, k, c in terms)
+        lvec = combine((c * psi.get(i, zero), {k: one}) for i, k, c in terms)
+        rvec = combine((c * psi.get(k, zero), {i: one}) for i, k, c in terms)
         if lvec != {j: one} or rvec != {j: one}:
             bad.append(L.basis_names[j])
     rep.add("sep-counit", "(ψ⊗id)δ = id = (id⊗ψ)δ", not bad, bad)
@@ -629,14 +617,11 @@ def separability_from_weak(w, lb):
             second = sub.coords_of({k: field.one})
             if first is None or second is None:
                 raise ValueError("separability data leaves the base")
-            terms.append((c, {p * dl + q: x * y
-                              for p, x in enumerate(first) if x
-                              for q, y in enumerate(second) if y}))
+            terms.append((c, {p * dl + q: x * y for p, x in first.items()
+                              for q, y in second.items()}))
         cols.append(combine(terms))
     delta = Matrix.from_sparse_cols(field, cols, dl * dl)
-    psi_row = tuple(w.counit_val(col) for col in lb.s.matrix.cols)
-    psi = Matrix.from_rows(field, [psi_row], dl)
-    return SeparabilityStructure(L, delta, psi)
+    return SeparabilityStructure(L, delta, w.counit @ lb.s.matrix)
 
 
 def weak_bialgebra_from_sep(lb, sep, antipode=None):
@@ -667,7 +652,7 @@ def ahat_algebra(algebra, delta, counit, name=None):
               for k, col in enumerate(delta.cols) for idx, c in col.items()}
     names = [f"{nm}^" for nm in algebra.basis_names]
     return Algebra.from_struct(algebra.field, names, struct,
-                               unit=counit.rows[0],
+                               unit=counit.sparse_rows()[0],
                                name=name or f"{algebra.name}^")
 
 
@@ -727,8 +712,7 @@ def wha_decide(h, sep=None, title=None):
     ahat = ahat_algebra(lb.total, wb.delta, wb.counit)
     u = u_row.sparse_rows()[0]
     sol = ahat.left_mult_matrix(u).solve(ahat.unit)
-    invertible = sol is not None and \
-        ahat.mul_vec(sparse(sol), u) == sparse(ahat.unit)
+    invertible = sol is not None and ahat.mul_vec(sol, u) == ahat.unit
     rep.add("decide-invertible", "ψ∘π_L∘S is invertible in Â", invertible,
             [] if invertible else ["no convolution inverse"])
     if not invertible:
@@ -736,7 +720,7 @@ def wha_decide(h, sep=None, title=None):
                 "weak_hopf": None, "twist": None}
 
     # the twist g = κ(ψ∘π_L∘S)⁻¹ and the repaired antipode S_g
-    inv_row = Matrix.from_rows(field, [sol], lb.total.dim)
+    inv_row = Matrix.from_sparse_rows(field, [sol], lb.total.dim)
     g = kappa_map(lb, sep, inv_row)
     g_inv = kappa_map(lb, sep, u_row)
     trep = verify_twist(lb, h.S, g, g_inv)
@@ -769,8 +753,7 @@ def hopf_algebra_criterion(h, title=None):
     u_row = lb.counit @ h.S
     u = u_row.sparse_rows()[0]
     sol = ahat.left_mult_matrix(u).solve(ahat.unit)
-    invertible = sol is not None and \
-        ahat.mul_vec(sparse(sol), u) == sparse(ahat.unit)
+    invertible = sol is not None and ahat.mul_vec(sol, u) == ahat.unit
     rep.add("pils-invertible", "π_L∘S is invertible in Â", invertible,
             [] if invertible else ["π_L∘S has no convolution inverse"])
     equal = u_row == lb.counit

@@ -153,6 +153,11 @@ def dense_mul_vec(algebra, u, v):
     return tuple(out)
 
 
+def dense(field, n, vec):
+    """The dense tuple of length ``n`` of a sparse vector ``{index: x}``."""
+    return tuple(vec.get(i, field.zero) for i in range(n))
+
+
 def dense_matrix_apply(matrix, vec):
     """``matrix`` times a dense vector of length ncols, as a dense tuple."""
     if len(vec) != matrix.ncols:

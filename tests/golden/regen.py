@@ -151,7 +151,7 @@ def describe_dual(dual):
         lines.append("ring: None")
     else:
         lines.append(f"ring: {ring.name}, unit "
-                     f"{ring.fmt_vec(ring.from_dense(ring.unit))}")
+                     f"{ring.fmt_vec(ring.unit)}")
         names = ring.basis_names
         for i in range(ring.dim):
             for j in range(ring.dim):

@@ -26,12 +26,46 @@ QQ = RationalField()
 one = QQ.one
 
 
+def _struct_of(A):
+    return {(i, j, k): c for i in range(A.dim) for j in range(A.dim)
+            for k, c in A.table[i][j].items()}
+
+
 def test_from_struct_solves_unit():
     # kZ3 without a declared unit: the unit must be found automatically
     z3 = FiniteGroup.cyclic(3)
-    A = group_algebra(z3, QQ)
-    assert A.unit == A.basis_vec(0)
+    B = group_algebra(z3, QQ)
+    A = Algebra.from_struct(QQ, B.basis_names, _struct_of(B))
+    assert A.unit == {0: one}
+    assert A == B
     assert verify_algebra(A).passed
+
+
+def test_from_struct_takes_a_dense_or_a_sparse_unit():
+    B = group_algebra(FiniteGroup.cyclic(3), QQ)
+    dense = Algebra.from_struct(QQ, B.basis_names, _struct_of(B),
+                                unit=(1, 0, 0))
+    given = Algebra.from_struct(QQ, B.basis_names, _struct_of(B),
+                                unit={0: 1})
+    assert dense == given == B
+    assert dense.unit == {0: one}
+    # a zero coefficient is not stored, in either form
+    assert Algebra.from_struct(QQ, B.basis_names, _struct_of(B),
+                               unit={0: 1, 2: 0}) == B
+    # the corrupted unit of the benchmark, in both forms
+    bad_dense = Algebra.from_struct(QQ, B.basis_names, _struct_of(B),
+                                    unit=(one, one, QQ.zero))
+    bad_sparse = Algebra.from_struct(QQ, B.basis_names, _struct_of(B),
+                                     unit={0: one, 1: one})
+    assert bad_dense == bad_sparse
+    assert not verify_algebra(bad_dense).passed
+
+
+@pytest.mark.parametrize("unit", [{3: 1}, {-1: 1}, (1, 0), (1, 0, 0, 0)])
+def test_from_struct_rejects_a_unit_that_does_not_fit(unit):
+    B = group_algebra(FiniteGroup.cyclic(3), QQ)
+    with pytest.raises(ValueError):
+        Algebra.from_struct(QQ, B.basis_names, _struct_of(B), unit=unit)
 
 
 def test_from_struct_no_unit_raises():
@@ -50,7 +84,7 @@ def test_verify_algebra_catches_nonassociative():
     for (i, j, k), v in struct.items():
         table[i][j][k] = v
     A = Algebra(QQ, ["e", "x", "y"], tuple(tuple(r) for r in table),
-                (one, QQ.zero, QQ.zero), name="bad")
+                {0: one}, name="bad")
     rep = verify_algebra(A)
     failed = {c.check_id for c in rep.failures()}
     assert failed == {"assoc"}
@@ -147,7 +181,7 @@ def test_flip_tensor_involution():
 def test_tensor_square_product_unit(kz3):
     A = kz3.total
     d = A.dim
-    unit = sparse(A.unit)
+    unit = A.unit
     unit2 = tensor_vec(d, unit, unit)
     rng = random.Random(12)
     w = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(d * d))

@@ -58,17 +58,18 @@ def test_plain_tensor_space(kz2):
     assert sp.relation_rank == 0
 
 
-def test_project_lift_roundtrip(m2):
+def test_coords_section_roundtrip(m2):
     space = m2.lb.tensor_space
+    section = space.section_matrix()
     rng = random.Random(21)
-    d = space.total_dim if hasattr(space, "total_dim") else 16
     for _ in range(20):
         w = sparse(QQ.of(rng.randrange(-3, 4)) for _ in range(16))
-        q = space.project(w)
-        # lift of the class is equal to w modulo relations
-        assert space.equal(space.lift(q), w)
-        # projecting again is stable
-        assert space.project(space.lift(q)) == q
+        q = space.coords(w)
+        assert space.projection_matrix().apply(w) == q
+        # the section of the class is equal to w modulo relations
+        assert space.equal(section.apply(q), w)
+        # taking coordinates again is stable
+        assert space.coords(section.apply(q)) == q
 
 
 def test_normal_form_idempotent(m2):
@@ -270,7 +271,7 @@ def test_staged_triples_match_the_cube_elimination(n, field, rebase):
                 assert sp.normal_form(v) == sp.normal_form(w) == nf, name
                 assert sp.equal(v, w) and sp.is_zero_class(rel), name
                 assert sp.is_zero_class(v) == (not nf), name
-                assert sp.equal(v, nf) and sp.project(w) == sp.project(nf)
+                assert sp.equal(v, nf) and sp.coords(w) == sp.coords(nf)
                 bumped = combine(((field.one, v),
                                   (field.one, {sp.free_cols[0]: field.one})))
                 assert not sp.equal(v, bumped), name

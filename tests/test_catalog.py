@@ -77,7 +77,7 @@ def test_group_algebra_structure():
     A = group_algebra(s3, QQ)
     assert A.dim == 6
     assert not A.is_commutative()
-    assert A.unit == A.basis_vec(s3.identity)
+    assert A.unit == {s3.identity: QQ.one}
 
 
 def test_all_fixtures_verify():

@@ -121,7 +121,7 @@ def test_integrals_m2(capsys):
 def test_integrals_flags_non_integral_element(capsys, tmp_path, kz2):
     b = SpecBuilder(QQ)
     b.add_hopf(kz2)
-    b.add_element("unit", kz2.total, (1, 0))
+    b.add_element("unit", kz2.total, {0: 1})
     p = tmp_path / "bad.spec"
     p.write_text(b.emit())
     code, out, _ = run(capsys, "integrals", str(p))
@@ -174,7 +174,7 @@ def test_ls_antipode_stdout_mode(capsys):
 def test_ls_antipode_precondition_failure(capsys, tmp_path, kz2):
     b = SpecBuilder(QQ)
     b.add_bialgebroid(kz2.rb)
-    b.add_element("unit", kz2.total, (1, 0))
+    b.add_element("unit", kz2.total, {0: 1})
     p = tmp_path / "bad.spec"
     p.write_text(b.emit())
     code, out, _ = run(capsys, "ls-antipode", str(p), "--integral", "unit")
@@ -305,7 +305,7 @@ def test_dualize_kz2(capsys, tmp_path):
 def test_dualize_degenerate_integral(capsys, tmp_path, m2):
     b = SpecBuilder(QQ)
     b.add_hopf(m2)
-    b.add_element("partial", m2.total, (1, 0, 1, 0))  # rank-deficient
+    b.add_element("partial", m2.total, {0: 1, 2: 1})  # rank-deficient
     p = tmp_path / "m2.spec"
     p.write_text(b.emit())
     code, out, _ = run(capsys, "dualize", str(p), "--integral", "partial")
@@ -358,7 +358,7 @@ def test_text_output_is_byte_stable(capsys):
 def test_certificate_limit(capsys, tmp_path, m2):
     b = SpecBuilder(QQ)
     b.add_hopf(m2)
-    b.add_element("partial", m2.total, (1, 0, 1, 0))
+    b.add_element("partial", m2.total, {0: 1, 2: 1})
     p = tmp_path / "m2.spec"
     p.write_text(b.emit())
     _, out, _ = run(capsys, "integrals", str(p),

@@ -79,7 +79,8 @@ def test_element_kernels_match_the_dense_reference(data):
                    for i in range(A.dim))
     for vec in (u, inside):
         want = coords_in_span(basis, field, vec)
-        assert span.coords_of(sparse(vec)) == want
+        assert span.coords_of(sparse(vec)) == (None if want is None
+                                               else sparse(want))
         assert span.contains(sparse(vec)) == (want is not None)
 
 
@@ -105,4 +106,12 @@ def test_elements_of_the_wrong_length_are_refused(m2, entry, length):
     ell = (QQ.one,) * length
     with pytest.raises(ValueError, match=f"an element of M2 needs 4 "
                                          f"coefficients, got {length}"):
+        ENTRY_POINTS[entry](m2, ell)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_sparse_elements_are_refused(m2, entry):
+    # a mapping is not a dense tuple: read as one, only its keys would count
+    ell = {0: QQ.of(5), 3: QQ.of(7)}
+    with pytest.raises(ValueError, match="an element of M2 is given densely"):
         ENTRY_POINTS[entry](m2, ell)

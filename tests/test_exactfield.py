@@ -126,14 +126,19 @@ def test_solve_and_inverse_frozen():
     m = _mat(QQ, [[2, 1], [5, 3]])
     inv = m.inverse()
     assert inv.rows == _mat(QQ, [[3, -1], [-5, 2]]).rows
-    sol = m.solve((QQ.one, QQ.zero))
-    assert sol == (QQ.of(3), QQ.of(-5))
+    sol = m.solve({0: QQ.one})
+    assert sol == {0: QQ.of(3), 1: QQ.of(-5)}
+    assert m.solve({}) == {}
     singular = _mat(QQ, [[1, 2], [2, 4]])
     assert singular.inverse() is None
-    assert singular.solve((QQ.zero, QQ.one)) is None
+    assert singular.solve({1: QQ.one}) is None
     # consistent underdetermined system: canonical solution has free vars 0
     wide = _mat(QQ, [[1, 1, 0]])
-    assert wide.solve((QQ.of(5),)) == (QQ.of(5), QQ.zero, QQ.zero)
+    assert wide.solve({0: QQ.of(5)}) == {0: QQ.of(5)}
+    # a right-hand side entry past the last row is refused
+    for index in (1, -1):
+        with pytest.raises(ValueError):
+            wide.solve({index: QQ.one})
 
 
 def test_solve_matrix_batch():
@@ -210,7 +215,8 @@ def test_subspace_membership_and_coords():
     assert u.dim == 2
     v = {0: QQ.of(2), 1: QQ.of(3), 2: QQ.of(5)}
     coords = u.coords_of(v)
-    assert coords == (QQ.of(2), QQ.of(3))
+    assert coords == {0: QQ.of(2), 1: QQ.of(3)}
+    assert u.coords_of({1: QQ.one, 2: QQ.one}) == {1: QQ.one}
     assert u.coords_of({0: QQ.one}) is None
 
 
@@ -309,7 +315,8 @@ def test_elimination_matches_the_dense_reference(case):
         assert m.solve_matrix(rhs) == sol
     first, _ = solve_with_kernel(m, Matrix.from_cols(field, [rhs.col(0)],
                                                      m.nrows))
-    assert m.solve(rhs.col(0)) == (None if first is None else first[0])
+    assert m.solve(sparse(rhs.col(0))) == (None if first is None
+                                           else sparse(first[0]))
 
     assert m.inverse() == inverse(m)
     k = min(m.nrows, m.ncols)
@@ -325,10 +332,10 @@ def test_elimination_matches_the_dense_reference(case):
                    for col in m.columns())
     outside = (rhs.col(0) + (field.one,) * m.ncols)[:m.ncols]
     for vec in (inside, outside):
-        assert span.coords_of(sparse(vec)) == coords_in_span(basis, field,
-                                                             vec)
-        assert span.contains(sparse(vec)) == (
-            coords_in_span(basis, field, vec) is not None)
+        want = coords_in_span(basis, field, vec)
+        assert span.coords_of(sparse(vec)) == (None if want is None
+                                               else sparse(want))
+        assert span.contains(sparse(vec)) == (want is not None)
 
 
 @st.composite

@@ -444,6 +444,8 @@ def test_dual_integral_is_two_sided(kz3, m2):
         dual = dual_lower_star(h.lb)
         kvec = dual.module.coords(nd.kappa)
         assert kvec is not None
+        # the public entry points take κ's coordinates densely
+        kvec = tuple(kvec.get(k, QQ.zero) for k in range(hd.total.dim))
         assert integral_space(hd, LEFT).contains(kvec)
         assert integral_space(hd, RIGHT).contains(kvec)
         out = nondegeneracy(hd, kvec)
@@ -503,6 +505,30 @@ def test_weak_dual_iso(make, qq):
     by_id = checks_by_id(out)
     assert by_id["dualiso-bijective"].verdict == "PASS"
     assert by_id["dualiso-wha"].verdict == "PASS"
+
+
+def test_weak_dual_iso_counit_certificate_names_the_functionals(
+        monkeypatch):
+    # the decided weak Hopf algebra with its counit doubled: only the counit
+    # square fails, and both functionals are printed in the dual basis
+    import algebroids.twistlab as twistlab
+    decide = twistlab.wha_decide
+
+    def doubled_counit(hd, sep=None):
+        out = decide(hd, sep=sep)
+        w = out["weak_hopf"]
+        out["weak_hopf"] = twistlab.WeakHopfAlgebra(
+            w.algebra, w.delta, w.counit.scale(QQ.of(2)), w.antipode)
+        return out
+
+    monkeypatch.setattr(twistlab, "wha_decide", doubled_counit)
+    W = group_weak_hopf(FiniteGroup.cyclic(2), QQ)
+    h, _ = weak_hopf_to_hopf_algebroid(W)
+    nd = nondegeneracy(h, (QQ.one, QQ.one))
+    out = weak_dual_iso(W, h, nd)
+    assert [c.check_id for c in out.failures()] == ["dualiso-wha-counit"]
+    assert out.find("dualiso-wha-counit").certificates == [
+        "ε̂∘Φ = f0^ but ε = 2*f0^"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from algebroids.algebra import Algebra
 from algebroids.exactfield import Matrix, PrimeField, RationalField
 from algebroids.bialgebroid import (
     verify_left_bialgebroid,
@@ -58,7 +59,7 @@ def test_parse_field_rejects(bad):
 
 
 def test_hopf_round_trip_verifies(kz2):
-    text = spec_from_hopf(kz2, name="kz2", integral=(1, 1))
+    text = spec_from_hopf(kz2, name="kz2", integral={0: 1, 1: 1})
     spec = parse_text(text, "kz2.spec")
     nm, h = spec.hopf(None)
     assert nm == "kz2"
@@ -69,17 +70,17 @@ def test_hopf_round_trip_verifies(kz2):
 
 
 def test_emit_is_byte_stable(kz2):
-    one = spec_from_hopf(kz2, name="kz2", integral=(1, 1))
-    two = spec_from_hopf(kz2, name="kz2", integral=(1, 1))
+    one = spec_from_hopf(kz2, name="kz2", integral={0: 1, 1: 1})
+    two = spec_from_hopf(kz2, name="kz2", integral={0: 1, 1: 1})
     assert one == two
     spec = parse_text(one, "kz2.spec")
     _, h = spec.hopf(None)
-    again = spec_from_hopf(h, name="kz2", integral=(1, 1))
+    again = spec_from_hopf(h, name="kz2", integral={0: 1, 1: 1})
     assert again == one
 
 
 def test_round_trip_preserves_element(kz3):
-    text = spec_from_hopf(kz3, name="kz3", integral=(1, 1, 1),
+    text = spec_from_hopf(kz3, name="kz3", integral={0: 1, 1: 1, 2: 1},
                           integral_name="ell")
     spec = parse_text(text, "kz3.spec")
     name, coords = spec.element_for(spec.hopf(None)[1].total, "ell")
@@ -88,11 +89,36 @@ def test_round_trip_preserves_element(kz3):
 
 
 def test_right_bialgebroid_round_trip(kz3):
-    text = spec_from_right_bialgebroid(kz3.rb, name="kz3", integral=(1, 1, 1))
+    text = spec_from_right_bialgebroid(kz3.rb, name="kz3",
+                                       integral={0: 1, 1: 1, 2: 1})
     spec = parse_text(text, "kz3-rb.spec")
     nm, rb = spec.right_bialgebroid(None)
     assert verify_right_bialgebroid(rb).passed
     assert rb.gamma_lift == kz3.rb.gamma_lift
+
+
+def test_the_unit_is_written_densely():
+    # the sparse unit 3*c is written at its index, with zeros before it
+    A = Algebra.from_struct(QQ, ["a", "b", "c"], {}, unit={2: QQ.of(3)},
+                            name="A")
+    b = SpecBuilder(QQ)
+    b.add_algebra(A)
+    assert json.loads(b.emit())["algebras"]["A"]["unit"] == ["0", "0", "3"]
+
+
+def test_elements_are_written_densely(kz2):
+    b = SpecBuilder(QQ)
+    b.add_hopf(kz2)
+    b.add_element("ell", kz2.total, {1: QQ.of(5)})
+    data = json.loads(b.emit())
+    assert data["elements"]["ell"]["coords"] == ["0", "5"]
+    spec = parse_text(b.emit(), "x.spec")
+    _, h = spec.hopf(None)
+    assert spec.element_for(h.total, "ell")[1] == (QQ.zero, QQ.of(5))
+    # a dense tuple or an index past the basis is not such an element
+    for bad in ((0, 5), {2: QQ.one}):
+        with pytest.raises(ValueError, match="an element of k\\[Z2\\]"):
+            b.add_element("bad", kz2.total, bad)
 
 
 def test_left_bialgebroid_round_trip(m2):
@@ -318,7 +344,7 @@ def test_element_unknown_algebra():
 def test_element_wrong_length(kz2):
     b = SpecBuilder(QQ)
     b.add_hopf(kz2)
-    b.add_element("ell", kz2.total, (1, 1))
+    b.add_element("ell", kz2.total, {0: 1, 1: 1})
     data = json.loads(b.emit())
     data["elements"]["ell"]["coords"] = ["1"]
     with pytest.raises(SpecError, match="elements.ell"):
@@ -387,8 +413,8 @@ def test_right_bialgebroid_falls_back_to_hopf(kz2):
 def test_element_for_filters_by_algebra(kz2):
     b = SpecBuilder(QQ)
     b.add_hopf(kz2)
-    b.add_element("ell", kz2.total, (1, 1))
-    b.add_element("scalar", kz2.lb.base, (1,))
+    b.add_element("ell", kz2.total, {0: 1, 1: 1})
+    b.add_element("scalar", kz2.lb.base, {0: 1})
     spec = parse_text(b.emit(), "x.spec")
     _, h = spec.hopf(None)
     name, coords = spec.element_for(h.total, None)

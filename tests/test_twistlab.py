@@ -125,8 +125,8 @@ class TestWeakHopf:
         assert verify_weak_hopf(w).passed
         # trivially weak: both projections collapse to ε(x)1
         for j in range(3):
-            assert w.cap_l().col(j) == w.algebra.unit
-            assert w.cap_r().col(j) == w.algebra.unit
+            assert w.cap_l().cols[j] == w.algebra.unit
+            assert w.cap_r().cols[j] == w.algebra.unit
 
     def test_pair_groupoid_is_genuinely_weak(self):
         w = pair_groupoid_weak_hopf(2, QQ)
@@ -231,7 +231,7 @@ class TestKappa:
         # dual basis elements are orthogonal idempotents
         assert ahat.mul_vec({0: QQ.one}, {0: QQ.one}) == {0: QQ.one}
         assert ahat.mul_vec({0: QQ.one}, {1: QQ.one}) == {}
-        assert ahat.unit == (QQ.one, QQ.one)
+        assert ahat.unit == {0: QQ.one, 1: QQ.one}
 
     def test_kappa_is_an_algebra_isomorphism(self, fn_s3):
         lb = fn_s3.lb
