@@ -308,9 +308,22 @@ def verify_map(f, report_title=None):
     rep.add("map-unit", f"{f.name}(1) = 1",
             ok, [] if ok else [f"{f.name}(1) = {tgt.fmt_vec(img_one)}"])
 
+    names = src.basis_names
+    bad = [f"{f.name}({names[i]}*{names[j]}) = {tgt.fmt_vec(lhs)} but "
+           f"expected {tgt.fmt_vec(rhs)}"
+           for i, j, lhs, rhs in map_defects(f)]
+    word = "multiplicative" if f.kind == HOM else "anti-multiplicative"
+    rep.add("map-mult", f"{f.name} is {word} on basis pairs", not bad, bad)
+    return rep
+
+
+def map_defects(f):
+    """The basis pairs on which f is not multiplicative, or not
+    anti-multiplicative, as its kind says: (i, j, f(e_i e_j), the product
+    of the images) for each, generated one at a time."""
+    src, tgt = f.source, f.target
     # images of the source basis: the columns of the matrix
     images = f.matrix.cols
-    bad = []
     for i in range(src.dim):
         row_i = src.table[i]
         for j in range(src.dim):
@@ -320,13 +333,14 @@ def verify_map(f, report_title=None):
             else:
                 rhs = tgt.mul_vec(images[j], images[i])
             if lhs != rhs:
-                ni, nj = src.basis_names[i], src.basis_names[j]
-                bad.append(
-                    f"{f.name}({ni}*{nj}) = {tgt.fmt_vec(lhs)} but "
-                    f"expected {tgt.fmt_vec(rhs)}")
-    word = "multiplicative" if f.kind == HOM else "anti-multiplicative"
-    rep.add("map-mult", f"{f.name} is {word} on basis pairs", not bad, bad)
-    return rep
+                yield i, j, lhs, rhs
+
+
+def is_algebra_map(f):
+    """True iff ``verify_map(f)`` passes: f(1) = 1 and f is multiplicative,
+    or anti-multiplicative, as its kind says."""
+    return f.apply(f.source.unit) == f.target.unit \
+        and next(map_defects(f), None) is None
 
 
 # ---------------------------------------------------------------------------

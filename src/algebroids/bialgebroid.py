@@ -114,6 +114,7 @@ class _BialgebroidBase:
         self._triple = None
         self._gamma_q = None
         self._canon_lift = None
+        self._junction = None
 
     @property
     def field(self):
@@ -204,7 +205,12 @@ class LeftBialgebroid(_BialgebroidBase):
         super().__init__(total, base, s, t, gamma_lift, counit, name)
 
     def junction(self):
-        return Junction(ActionSpec(self.t, PRE), ActionSpec(self.s, PRE))
+        """The junction of the balanced tensor powers (cached, so that every
+        space built on it shares its projection step)."""
+        if self._junction is None:
+            self._junction = Junction(ActionSpec(self.t, PRE),
+                                      ActionSpec(self.s, PRE))
+        return self._junction
 
     def op(self):
         """The opposite structure, a right bialgebroid on A^op over the same base."""
@@ -234,7 +240,12 @@ class RightBialgebroid(_BialgebroidBase):
         super().__init__(total, base, s, t, gamma_lift, counit, name)
 
     def junction(self):
-        return Junction(ActionSpec(self.s, POST), ActionSpec(self.t, POST))
+        """The junction of the balanced tensor powers (cached, so that every
+        space built on it shares its projection step)."""
+        if self._junction is None:
+            self._junction = Junction(ActionSpec(self.s, POST),
+                                      ActionSpec(self.t, POST))
+        return self._junction
 
     def op(self):
         """The opposite structure, a left bialgebroid on A^op over the same base."""

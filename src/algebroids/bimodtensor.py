@@ -8,6 +8,20 @@ form of the relation span, which fixes a canonical normal form, a canonical
 coordinate system (values at non-pivot columns), and a canonical linear
 section of the projection.
 
+Over a separable base equality needs no elimination.  Let e = Σ e¹ ⊗ e² be
+a separability idempotent of the base L (l·e = e·l and Σ e¹e² = 1) and set
+P(x ⊗ y) = Σ x·e¹ ⊗ e²·y at a junction.  When both actions are unital
+module actions, P kills every relation and x − P(x) is a relation, so ker P
+is exactly the relation span.  A space of two or more junctions applies P
+one junction at a time; the steps keep each other's relations when the
+actions that meet on a middle factor commute, so u ≡ v if and only if
+P(u − v) = 0.  Such a space decides ``equal`` and ``is_zero_class`` by P
+whenever these conditions hold (``Junction.projection_step`` and
+``_separability_steps`` check them), and builds its echelon only when
+something needs it: a normal form or ``fmt`` for a certificate, quotient
+coordinates, dimensions, or ``echelon`` itself.  A two-factor space is
+eliminated when it is built.
+
 Tensor vectors are sparse at this interface: a dict ``{index: scalar}``
 holding only nonzero entries, the index of e_i ⊗ e_j ⊗ ... being row-major
 over the factors.  ``coords``, ``equal``, ``normal_form``,
@@ -21,8 +35,9 @@ touch only nonzero entries.  Quotient coordinates are sparse too:
 from math import prod
 
 from .exactfield import Matrix, SparseEchelon
-from .algebra import (HOM, ANTI, POST, PRE, fmt_tensor_multi, map_at_factor,
-                      nonzero, side_product)
+from .algebra import (HOM, ANTI, POST, PRE, combine, fmt_tensor_multi,
+                      is_algebra_map, map_at_factor, nonzero, side_product,
+                      tensor_vec)
 
 
 class ActionSpec:
@@ -95,10 +110,28 @@ class Junction:
                 f"got {left.amap.kind!r}")
         self.right = right
         self.left = left
+        self._step = None
 
     @property
     def base(self):
         return self.right.base
+
+    def projection_step(self):
+        """P at this junction, x ⊗ y ↦ Σ x·e¹ ⊗ e²·y, as a function of the
+        index of e_i ⊗ e_j, or None where P is not valid: the base has no
+        separability idempotent, or an action map is not unital and
+        multiplicative, or anti-multiplicative, as its kind says, so the
+        action is no module action.  The algebras are taken to be
+        associative, as the relations of a balanced tensor product presume
+        (cached)."""
+        if self._step is None:
+            idempotent = None
+            if is_algebra_map(self.right.amap) and \
+                    is_algebra_map(self.left.amap):
+                idempotent = separability_idempotent(self.base)
+            self._step = (idempotent is not None
+                          and _junction_step(self, idempotent))
+        return self._step or None
 
     def same_actions(self, other):
         """True iff ``other`` acts through the same structure maps on the
@@ -122,6 +155,92 @@ def mult_at_factor(algebra, dims, p, vec, elem, side):
                          lambda i: side_product(algebra, elem, i, side))
 
 
+def separability_idempotent(base):
+    """A separability idempotent of ``base``, or None when it has none.
+
+    e = Σ c_ij e_i ⊗ e_j with l·e = e·l for every basis element l and
+    Σ c_ij e_i e_j = 1, found by one solve in (dim L)² unknowns whose
+    equations are read from ``table``.  It is returned grouped by its left
+    leg, as (i, f_i) pairs with e = Σ e_i ⊗ f_i and each f_i sparse.
+    """
+    n = base.dim
+    table = base.table
+    zero = base.field.zero
+    unit_row = n ** 3
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            # row (k·n + a)·n + b: the coefficient of e_a ⊗ e_b in
+            # l_k·(e_i ⊗ e_j) − (e_i ⊗ e_j)·l_k; row n³ + c: that of e_c
+            # in e_i e_j
+            col = {unit_row + c: x for c, x in table[i][j].items()}
+            for k in range(n):
+                for a, c in table[k][i].items():
+                    at = (k * n + a) * n + j
+                    col[at] = col.get(at, zero) + c
+                for b, c in table[j][k].items():
+                    at = (k * n + i) * n + b
+                    col[at] = col.get(at, zero) - c
+            cols.append(nonzero(col))
+    sol = Matrix.from_sparse_cols(base.field, cols, unit_row + n).solve(
+        {unit_row + c: x for c, x in base.unit.items()})
+    if sol is None:
+        return None
+    legs = {}
+    for idx, c in sol.items():
+        i, j = divmod(idx, n)
+        legs.setdefault(i, {})[j] = c
+    return sorted(legs.items())
+
+
+def _junction_step(junc, idempotent):
+    """P at one junction on the basis tensors e_i ⊗ e_j of its two factors,
+    as a function of i·d + j; each image is computed once, when first
+    asked for."""
+    right, left = junc.right, junc.left
+    A = right.total
+    d = A.dim
+    legs = [(right.amap.matrix.cols[i], left.amap.apply(f))
+            for i, f in idempotent]
+    images = {}
+
+    def step(pair):
+        img = images.get(pair)
+        if img is None:
+            i, j = divmod(pair, d)
+            img = images[pair] = combine(
+                (A.field.one, tensor_vec(d, side_product(A, u, i, right.side),
+                                         side_product(A, w, j, left.side)))
+                for u, w in legs)
+        return img
+
+    return step
+
+
+def _images_commute(f, g):
+    A = f.target
+    return all(A.mul_vec(a, b) == A.mul_vec(b, a)
+               for a in f.matrix.cols for b in g.matrix.cols)
+
+
+def _separability_steps(junctions):
+    """The steps of the separability projection, one per junction, or None
+    where P does not decide the balanced product: a junction has no
+    ``projection_step``, or on a middle factor the left action of one
+    junction and the right action of the next multiply from the same side
+    and their images do not commute (for a bialgebroid's coassociativity
+    triple, (elbim)), so a step need not keep the next junction's
+    relations."""
+    steps = [junc.projection_step() for junc in junctions]
+    if None in steps:
+        return None
+    for before, after in zip(junctions, junctions[1:]):
+        if before.left.side == after.right.side and \
+                not _images_commute(before.left.amap, after.right.amap):
+            return None
+    return steps
+
+
 class BalancedTensorSpace:
     """A quotient of A^{⊗m} by junction relations, with canonical coordinates.
 
@@ -141,6 +260,13 @@ class BalancedTensorSpace:
     the reduced echelon pivots of the whole relation span are the head's
     pivots at every k together with the embedded pivots of the staged span,
     and every normal form is the one a single elimination over A^{⊗m} gives.
+
+    A space of two or more junctions decides ``equal`` and
+    ``is_zero_class`` by the separability projection where
+    ``_separability_steps`` finds it valid, and eliminates its relations
+    only when its echelon, its coordinates or its dimensions are first
+    read; where P is not valid, the first comparison eliminates.  A
+    two-factor space eliminates when it is built.
     """
 
     def __init__(self, algebras, junctions):
@@ -165,24 +291,48 @@ class BalancedTensorSpace:
         self.total_dim = prod(self.dims)
         self.junctions = junctions
         self.head = head
+        self._echelon = None
+        self._steps = None
+        self._projection = None
+        self._section = None
+        if len(junctions) < 2:
+            self._eliminate()
+
+    # -- construction ---------------------------------------------------------
+
+    def _eliminate(self):
+        """Build the echelon of the relation span and the free columns."""
+        head = self.head
         if head is None:
-            self.echelon = SparseEchelon(self.field, self.total_dim)
+            self._echelon = SparseEchelon(self.field, self.total_dim)
         else:
             # the head-quotient coordinates of each leading basis tensor
             one = self.field.one
             self._head_cols = [head.coords({c: one})
                                for c in range(head.total_dim)]
-            self.echelon = SparseEchelon(self.field,
-                                         head.dim * self.dims[-1])
+            self._echelon = SparseEchelon(self.field,
+                                          head.dim * self.dims[-1])
         self._build_relations()
-        rows = self.echelon.rows
-        self.free_cols = tuple(self._embed(s) for s in range(self.echelon.ncols)
-                               if s not in rows)
-        self._free_index = {c: i for i, c in enumerate(self.free_cols)}
-        self._projection = None
-        self._section = None
+        rows = self._echelon.rows
+        self._free_cols = tuple(self._embed(s)
+                                for s in range(self._echelon.ncols)
+                                if s not in rows)
+        self._free_index = {c: i for i, c in enumerate(self._free_cols)}
 
-    # -- construction ---------------------------------------------------------
+    @property
+    def echelon(self):
+        """The reduced echelon form of the relation span, in the staged
+        coordinates of a space with a head (built on first use)."""
+        if self._echelon is None:
+            self._eliminate()
+        return self._echelon
+
+    @property
+    def free_cols(self):
+        """The tensor-power columns of the quotient coordinates."""
+        if self._echelon is None:
+            self._eliminate()
+        return self._free_cols
 
     def _build_relations(self):
         """Eliminate the last junction's relations at every index of the
@@ -271,8 +421,25 @@ class BalancedTensorSpace:
 
     def coords(self, sparse):
         """Sparse quotient coordinates of a sparse vector."""
+        red = self._reduce(sparse)
         index = self._free_index
-        return {index[c]: a for c, a in self._reduce(sparse).items()}
+        return {index[c]: a for c, a in red.items()}
+
+    def separability_projection(self, vec):
+        """P(vec), applied one junction at a time: a representative of the
+        class of a sparse vector that is zero exactly on the relation span;
+        None where ``_separability_steps`` finds P not valid.  The steps are
+        found on the first call."""
+        if self._steps is None:
+            steps = _separability_steps(self.junctions)
+            self._steps = False if steps is None else steps
+        if self._steps is False:
+            return None
+        dims = self.dims
+        for p, step in enumerate(self._steps):
+            merged = dims[:p] + [dims[p] * dims[p + 1]] + dims[p + 2:]
+            vec = map_at_factor(merged, p, vec, merged[p], step)
+        return vec
 
     # -- quotient interface -----------------------------------------------------
 
@@ -290,6 +457,10 @@ class BalancedTensorSpace:
         return self._reduce(vec)
 
     def is_zero_class(self, vec):
+        if len(self.junctions) > 1:
+            image = self.separability_projection(vec)
+            if image is not None:
+                return not image
         return not self._reduce(vec)
 
     def equal(self, v1, v2):
@@ -302,7 +473,7 @@ class BalancedTensorSpace:
                 del diff[i]
             else:
                 diff[i] = old - b
-        return not self._reduce(diff)
+        return self.is_zero_class(diff)
 
     def projection_matrix(self):
         """dim x total_dim matrix of ``coords`` (cached)."""
@@ -346,9 +517,10 @@ def plain_tensor_space(algebras):
     space.total_dim = prod(space.dims)
     space.junctions = []
     space.head = None
-    space.echelon = SparseEchelon(space.field, space.total_dim)
-    space.free_cols = tuple(range(space.total_dim))
-    space._free_index = {c: c for c in space.free_cols}
+    space._echelon = SparseEchelon(space.field, space.total_dim)
+    space._free_cols = tuple(range(space.total_dim))
+    space._free_index = {c: c for c in space._free_cols}
+    space._steps = None
     space._projection = None
     space._section = None
     return space

@@ -1,10 +1,17 @@
 """Balanced tensor products over declared base actions."""
 
+import functools
 import random
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from algebroids.algebra import (ANTI, HOM, Algebra, AlgebraMap, combine,
                                 opposite, sparse)
-from algebroids.catalog import pair_groupoid_hopf_algebroid
+from algebroids.bialgebroid import LeftBialgebroid, verify_left_bialgebroid
+from algebroids.catalog import (FiniteGroup, all_fixtures,
+                                group_hopf_algebroid,
+                                pair_groupoid_hopf_algebroid)
 from algebroids.exactfield import Matrix, PrimeField, RationalField, SparseEchelon
 from algebroids.bimodtensor import (
     PRE,
@@ -13,8 +20,10 @@ from algebroids.bimodtensor import (
     BalancedTensorSpace,
     Junction,
     plain_tensor_space,
+    separability_idempotent,
 )
 from algebroids.algebra import tensor_vec
+from algebroids.hopfcore import HopfAlgebroid, verify_hopf
 from dense_reference import dense_matrix_apply, dense_mul_vec
 
 import pytest
@@ -164,14 +173,14 @@ def reference_echelon(A, junctions):
 
     for p, junc in enumerate(junctions):
         for b in range(junc.base.dim):
+            acted_r = [act(junc.left, b, j) for j in range(d)]
             for i in range(d):
+                acted_l = act(junc.right, b, i)
                 for j in range(d):
-                    acted_l = act(junc.right, b, i)
-                    acted_r = act(junc.left, b, j)
                     pair = {}
                     for k in range(d):
                         pair[k, j] = pair.get((k, j), zero) + acted_l[k]
-                        pair[i, k] = pair.get((i, k), zero) - acted_r[k]
+                        pair[i, k] = pair.get((i, k), zero) - acted_r[j][k]
                     for other in range(d):
                         ech.insert({(other * d * d + x * d + y if p else
                                      x * d * d + y * d + other): c
@@ -283,3 +292,219 @@ def test_triples_share_the_pair_quotient(m2):
     assert h.llr_space.head is h.lb.tensor_space
     assert h.rrl_space.head is h.rb.tensor_space
     assert h.lb.tensor_space.head is None
+
+
+# ---------------------------------------------------------------------------
+# a triple decides equality by the separability projection P and builds its
+# echelon only on demand; P must agree with one elimination over the cube
+
+F7 = PrimeField(7)
+
+
+@functools.cache
+def catalog_triples(field):
+    """(fixture/triple name, staged space, reference echelon) for the five
+    verifier triples of every catalog fixture over ``field`` and their
+    rebased twins."""
+    out = []
+    for fx in all_fixtures(field):
+        h = fx["hopf"]
+        for tag, triples in (("", verifier_triples(h)),
+                             ("rebased ", rebased_triples(h))):
+            for name, (space, junctions) in triples.items():
+                out.append((f"{fx['name']} {tag}{name}", space,
+                            reference_echelon(space.algebras[0], junctions)))
+    return tuple(out)
+
+
+def fresh_twin(space):
+    """A new staged triple on the same head and last junction: nothing has
+    read its echelon yet."""
+    return BalancedTensorSpace([space.head, space.algebras[-1]],
+                               space.junctions[-1:])
+
+
+def sparse_vectors(field, n):
+    """Sparse vectors of length ``n`` with a few small entries."""
+    return st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3),
+                           max_size=6).map(
+        lambda v: {i: field.of(a) for i, a in v.items() if a})
+
+
+def check_against_reference(data, field, sp, ref):
+    """``equal`` and ``is_zero_class`` of ``sp`` on drawn vectors, each
+    shifted by a drawn relation, against the reference echelon."""
+    n = sp.total_dim
+    pivots = sorted(ref.rows)
+    free = [c for c in range(n) if c not in ref.rows]
+    for _ in range(3):
+        v = data.draw(sparse_vectors(field, n))
+        picks = data.draw(st.lists(st.tuples(
+            st.sampled_from(pivots), st.integers(1, 3)),
+            max_size=4)) if pivots else []
+        rel = combine((field.of(c), ref.rows[p]) for p, c in picks)
+        w = combine(((field.one, v), (field.one, rel)))
+        nf = ref.reduce(v)
+        assert sp.is_zero_class(rel)
+        assert sp.equal(v, w) and sp.equal(w, nf)
+        assert sp.is_zero_class(v) == (not nf)
+        assert sp.is_zero_class(w) == (not nf)
+        if free:
+            c = data.draw(st.sampled_from(free))
+            assert not sp.equal(v, combine(((field.one, v),
+                                            (field.one, {c: field.one}))))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_projection_decides_like_the_echelon(field, data):
+    """On a fresh triple of every catalog fixture, before anything builds
+    its echelon, P decides ``equal`` and ``is_zero_class`` as the
+    elimination of every relation over the cube does; P∘P = P and v − P(v)
+    is a relation.  Deciding leaves the echelon unbuilt."""
+    for name, space, ref in catalog_triples(field):
+        sp = fresh_twin(space)
+        k = sp.field
+        check_against_reference(data, k, sp, ref)
+        v = data.draw(sparse_vectors(k, sp.total_dim))
+        pv = sp.separability_projection(v)
+        assert pv is not None, name
+        assert sp.separability_projection(pv) == pv, name
+        moved = combine(((k.one, v), (-k.one, pv)))
+        assert sp.is_zero_class(moved) and not ref.reduce(moved), name
+        assert sp._echelon is None, name
+
+
+# the fallback: where P does not decide, the echelon does
+
+
+def upper_triangular(field):
+    """T₂, the upper-triangular 2×2 matrices: not separable."""
+    struct = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1}
+    return Algebra.from_struct(field, ("e11", "e12", "e22"), struct,
+                               name="T2")
+
+
+def matrix_algebra(field):
+    """M₂ on e11, e12, e21, e22 and its diagonal k², with the inclusion."""
+    struct = {(2 * i + j, 2 * j + k, 2 * i + k): 1
+              for i in range(2) for j in range(2) for k in range(2)}
+    A = Algebra.from_struct(field, ("e11", "e12", "e21", "e22"), struct,
+                            name="M2")
+    L = Algebra.from_struct(field, ("d1", "d2"),
+                            {(0, 0, 0): 1, (1, 1, 1): 1}, name="k2")
+    return A, L
+
+
+def images(field, L, A, cols, kind):
+    return AlgebraMap(L, A, Matrix.from_cols(
+        field, [[field.of(x) for x in c] for c in cols], A.dim), kind)
+
+
+def fallback_triples(field):
+    """name -> (triple over [A, A, A], its junctions) where P does not
+    decide:
+    - ``T2``: A ⊗_A A ⊗_A A over T₂, which has no separability idempotent;
+    - ``non-multiplicative``: the left-bialgebroid junction of M₂ over k²
+      with s(d1) = 2·e11, s(d2) = e22 − e11, unital but not
+      multiplicative;
+    - ``non-commuting``: that junction with s(dᵢ) = eᵢᵢ and
+      t(d1) = e11 + e12, t(d2) = e22 − e12, both algebra maps, whose
+      images do not commute."""
+    T = upper_triangular(field)
+    ident = AlgebraMap(T, T, Matrix.identity(field, 3), HOM)
+    tj = Junction(ActionSpec(ident, POST), ActionSpec(ident, PRE))
+    A, L = matrix_algebra(field)
+    diag = [(1, 0, 0, 0), (0, 0, 0, 1)]
+    s_bad = images(field, L, A, [(2, 0, 0, 0), (-1, 0, 0, 1)], HOM)
+    t_bad = images(field, L, A, [(1, 1, 0, 0), (0, -1, 0, 1)], ANTI)
+    bad_s = Junction(ActionSpec(images(field, L, A, diag, ANTI), PRE),
+                     ActionSpec(s_bad, PRE))
+    bad_t = Junction(ActionSpec(t_bad, PRE),
+                     ActionSpec(images(field, L, A, diag, HOM), PRE))
+    return {name: (BalancedTensorSpace([B, B, B], [j, j]), [j, j])
+            for name, B, j in (("T2", T, tj), ("non-multiplicative", A, bad_s),
+                               ("non-commuting", A, bad_t))}
+
+
+def test_fallback_inputs_fail_the_guard():
+    assert separability_idempotent(upper_triangular(QQ)) is None
+    assert separability_idempotent(matrix_algebra(QQ)[1]) is not None
+    for name, (space, _) in fallback_triples(QQ).items():
+        assert space.separability_projection({0: QQ.one}) is None, name
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("name", ["T2", "non-multiplicative",
+                                  "non-commuting"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fallback_decides_by_the_echelon(field, name, data):
+    """Where P does not decide, a triple matches the reference echelon on
+    every relation of the cube and on drawn vectors."""
+    space, junctions = fallback_triples(field)[name]
+    ref = reference_echelon(space.algebras[0], junctions)
+    sp = BalancedTensorSpace(space.algebras, junctions)
+    for row in ref.rows.values():
+        assert sp.is_zero_class(row)
+    check_against_reference(data, field, sp, ref)
+    assert sp.free_cols == tuple(c for c in range(sp.total_dim)
+                                 if c not in ref.rows)
+
+
+# the echelon of a triple is built only for a certificate
+
+GOLDEN_LIB = Path(__file__).resolve().parent / "golden" / "lib"
+
+
+def rendered(rep):
+    """A report as the golden corpus renders it."""
+    return rep.render_text(10 ** 6) + "\n"
+
+
+def with_left_lift(h, lift):
+    """``h`` with the left coproduct lift replaced."""
+    lb = h.lb
+    bad = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t, lift, lb.counit,
+                          name="bad")
+    return HopfAlgebroid(bad, h.rb, h.S, h.S_inv, base_antiiso=h.chi,
+                         name=h.name)
+
+
+def test_passing_verify_hopf_leaves_the_triple_echelons_unbuilt():
+    h = pair_groupoid_hopf_algebroid(3, QQ)
+    assert verify_hopf(h).passed
+    triples = (h.lb._triple, h.rb._triple, h._llr, h._rrl)
+    assert all(t is not None and t._echelon is None for t in triples)
+
+
+def test_a_failing_coassociativity_builds_its_echelon_for_the_certificate():
+    """γ_L of the 2×2 pair groupoid with entry (0, 1) plus one fails
+    lb-coassoc and defii: their triples eliminate to print canonical
+    certificates, and the report is the golden one byte for byte.  The
+    corrupted left coproduct of kZ2 passes coassoc over the base k, so its
+    triple stays unbuilt, and its report is unchanged too."""
+    h = pair_groupoid_hopf_algebroid(2, QQ)
+    one = QQ.one
+    rows = [list(r) for r in h.lb.gamma_lift.rows]
+    rows[0][1] += one
+    bad = with_left_lift(h, Matrix.from_rows(QQ, rows, h.total.dim))
+    text = rendered(verify_hopf(bad))
+    assert text.encode() == \
+        (GOLDEN_LIB / "hopf-corrupt-m2-gamma-lb-01.txt").read_bytes()
+    assert bad.lb._triple._echelon is not None
+    assert bad._llr._echelon is not None and bad._rrl._echelon is not None
+    assert bad.rb._triple._echelon is None
+
+    lb = group_hopf_algebroid(FiniteGroup.cyclic(2), QQ).lb
+    rows = [list(r) for r in lb.gamma_lift.rows]
+    rows[0][0] += one
+    bad = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
+                          Matrix.from_rows(QQ, rows, lb.total.dim),
+                          lb.counit, name="bad")
+    rep = verify_left_bialgebroid(bad)
+    assert rep.find("coassoc").ok
+    assert rendered(rep).encode() == \
+        (GOLDEN_LIB / "corruption-03-corrupt_gamma_left.txt").read_bytes()
+    assert bad._triple._echelon is None
