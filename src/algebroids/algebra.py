@@ -13,7 +13,14 @@ when opposites get involved.
 from collections.abc import Mapping
 from math import prod
 
-from .exactfield import Matrix, combine, nonzero, sparse, unit_vector
+from .exactfield import (
+    Matrix,
+    combine,
+    nonzero,
+    require_field,
+    sparse,
+    unit_vector,
+)
 from .report import Report
 
 HOM = "hom"
@@ -180,8 +187,13 @@ def side_product(algebra, u, i, side):
 def verify_algebra(algebra, report_title=None):
     """Check unit laws and associativity on all basis triples.
 
-    Both laws are read from the structure constants ``table``: (e_i e_j) e_k
-    and e_i (e_j e_k) are sparse combinations of its entries.
+    Both laws are read from the structure constants ``table``.  Associativity
+    is checked one basis pair (i, j) at a time, over every k at once, on
+    vectors of A ⊗ A whose entry at k·d + n is a coefficient of e_n: with
+    ``rows[m]`` holding the products e_m e_k for all k, (e_i e_j) e_• is
+    one ``combine`` of the rows of e_i e_j, and e_i (e_j e_•) is
+    ``rows[j]`` with e_i multiplied onto its second factor.  Only a failing
+    pair is cut into its k-slices for the certificates, in (i, j, k) order.
     """
     rep = Report(report_title or f"algebra {algebra.name}")
     d = algebra.dim
@@ -198,22 +210,38 @@ def verify_algebra(algebra, report_title=None):
             bad.append(f"{names[i]}*1 != {names[i]}")
     rep.add("unit", "two-sided unit law on basis", not bad, bad)
 
+    # rows[m][k*d + n] = (e_m e_k)_n
+    rows = [{k * d + n: x for k, prod_mk in enumerate(row_m)
+             for n, x in prod_mk.items()} for row_m in table]
     bad = []
     for i in range(d):
         row_i = table[i]
         for j in range(d):
-            ij = row_i[j].items()
-            row_j = table[j]
-            for k in range(d):
-                lhs = combine((c, table[m][k]) for m, c in ij)
-                rhs = combine((c, row_i[m]) for m, c in row_j[k].items())
-                if lhs != rhs:
-                    ni, nj, nk = names[i], names[j], names[k]
-                    bad.append(
-                        f"({ni}*{nj})*{nk} = {algebra.fmt_vec(lhs)} but "
-                        f"{ni}*({nj}*{nk}) = {algebra.fmt_vec(rhs)}")
+            lhs = combine((c, rows[m]) for m, c in row_i[j].items())
+            rhs = map_at_factor((d, d), 1, rows[j], d, row_i.__getitem__)
+            if lhs != rhs:
+                bad.extend(_assoc_certificates(algebra, i, j, lhs, rhs))
     rep.add("assoc", "associativity on basis triples", not bad, bad)
     return rep
+
+
+def _assoc_certificates(algebra, i, j, lhs, rhs):
+    """The certificates of the basis triples (i, j, k) on which the pair
+    vectors (e_i e_j) e_• and e_i (e_j e_•) of ``verify_algebra`` differ,
+    in ascending k."""
+    d = algebra.dim
+    names = algebra.basis_names
+    ni, nj = names[i], names[j]
+    left = [{} for _ in range(d)]
+    right = [{} for _ in range(d)]
+    for vec, slices in ((lhs, left), (rhs, right)):
+        for pos, x in vec.items():
+            k, n = divmod(pos, d)
+            slices[k][n] = x
+    for k, nk in enumerate(names):
+        if left[k] != right[k]:
+            yield (f"({ni}*{nj})*{nk} = {algebra.fmt_vec(left[k])} but "
+                   f"{ni}*({nj}*{nk}) = {algebra.fmt_vec(right[k])}")
 
 
 class AlgebraMap:
@@ -227,6 +255,8 @@ class AlgebraMap:
             raise ValueError(f"map kind must be {HOM!r} or {ANTI!r}")
         if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError("map matrix shape mismatch")
+        require_field(target.field, source, f"the source of {name}")
+        require_field(target.field, matrix, f"the matrix of {name}")
         self.source = source
         self.target = target
         self.matrix = matrix

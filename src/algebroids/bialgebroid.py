@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import NamedTuple
 
-from .exactfield import Matrix
+from .exactfield import Matrix, require_field
 from .algebra import (
     HOM,
     ANTI,
@@ -103,6 +103,8 @@ class _BialgebroidBase:
             raise ValueError("coproduct lift must be a d^2 x d matrix")
         if counit.nrows != base.dim or counit.ncols != d:
             raise ValueError("counit must be a dim(base) x dim(total) matrix")
+        require_field(total.field, gamma_lift, "the coproduct lift")
+        require_field(total.field, counit, "the counit")
         self.total = total
         self.base = base
         self.s = s

@@ -229,19 +229,23 @@ def combine(terms):
 
     A new index stores its product as it is, so no entry is ever added to
     a zero.  A row holds no zero entry, so with c nonzero only a cancelled
-    sum can leave a zero, and only then are zeros filtered out.
+    sum can leave a zero, and only then are zeros filtered out.  A row
+    whose coefficient is 1 is added as it is, without a product; the
+    result is always a new dict, so no input row is shared or changed.
     """
     out = {}
     cancelled = False
     for c, row in terms:
         if not c:
             continue
+        if c != 1:
+            row = {k: c * x for k, x in row.items()}
         for k, x in row.items():
             old = out.get(k)
             if old is None:
-                out[k] = c * x
+                out[k] = x
             else:
-                old += c * x
+                old += x
                 out[k] = old
                 if not old:
                     cancelled = True
@@ -268,6 +272,13 @@ def _add_sparse(u, v):
             else:
                 del out[k]
     return out
+
+
+def require_field(field, x, what):
+    """Raise a ValueError naming both fields unless ``x``, a matrix or an
+    algebra, is over ``field``; ``what`` names ``x`` in the message."""
+    if x.field != field:
+        raise ValueError(f"{what} is over {x.field!r}, not over {field!r}")
 
 
 class Matrix:

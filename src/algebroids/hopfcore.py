@@ -24,7 +24,7 @@ section-dependent convolution-style axioms, and the two Galois maps with
 their closed-form inverses.
 """
 
-from .exactfield import Matrix, Subspace
+from .exactfield import Matrix, Subspace, require_field
 from .algebra import (
     HOM,
     ANTI,
@@ -65,10 +65,15 @@ class HopfAlgebroid:
 
     def __init__(self, lb, rb, antipode, antipode_inv=None, base_antiiso=None,
                  name="H"):
+        require_field(lb.field, antipode, "the antipode")
+        if antipode_inv is None:
+            antipode_inv = antipode.inverse()
+        else:
+            require_field(lb.field, antipode_inv, "the inverse antipode")
         self.lb = lb
         self.rb = rb
         self.S = antipode
-        self.S_inv = antipode_inv if antipode_inv is not None else antipode.inverse()
+        self.S_inv = antipode_inv
         if base_antiiso is None:
             base_antiiso = solve_base_antiiso(lb, rb)
         self.chi = base_antiiso

@@ -11,7 +11,7 @@ the counit itself (on the nose) or at least convolution-invertible (up to a
 twist).
 """
 
-from .exactfield import Matrix, Subspace
+from .exactfield import Matrix, Subspace, require_field, sparse
 from .algebra import (
     HOM,
     ANTI,
@@ -211,6 +211,9 @@ class WeakHopfAlgebra:
             raise ValueError("ε has the wrong shape")
         if antipode.nrows != d or antipode.ncols != d:
             raise ValueError("S has the wrong shape")
+        require_field(self.field, delta, "Δ")
+        require_field(self.field, counit, "ε")
+        require_field(self.field, antipode, "S")
         self.delta = delta
         self.counit = counit
         self.antipode = antipode
@@ -264,7 +267,11 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
 
     Every law is evaluated on basis elements from the structure constants
     ``A.table`` and the entries of Δ, ε and S; a sum over Δ(x) runs over the
-    nonzero entries of its column only.
+    nonzero entries of its column only.  The weakened counit law is checked
+    one basis pair (x, y) at a time, for every z at once: both sides and
+    ε(xy e_z) are one ``combine`` each of the sparse rows
+    ``{z: ε(e_m e_z)}``, and the z on which they differ are listed in
+    ascending order.
     """
     rep = Report(title or f"weak Hopf algebra {w.name}")
     A = w.algebra
@@ -343,27 +350,25 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
             [] if okr else ["right weakened unit law fails"])
 
     # weakened counit law: ε(xy_(1))ε(y_(2)z) = ε(xyz) = ε(xy_(2))ε(y_(1)z),
-    # with eps2[m][z] = ε(e_m e_z)
+    # for every z at once, on the sparse rows eps2[m] = {z: ε(e_m e_z)}
     bad_l, bad_r = [], []
-    eps2 = [[w.counit_val(table[m][z]) for z in range(d)] for m in range(d)]
+    eps2 = [sparse(tuple(w.counit_val(prod_mz) for prod_mz in row_m))
+            for row_m in table]
     for x in range(d):
         eps_x = eps2[x]
         for y in range(d):
-            xy = table[x][y].items()
+            target = combine((c, eps2[m]) for m, c in table[x][y].items())
             dy = deltas[y]
-            for z in range(d):
-                target = zero
-                for m, c in xy:
-                    target = target + c * eps2[m][z]
-                acc_l = zero
-                acc_r = zero
-                for i, j, c in dy:
-                    acc_l = acc_l + c * eps_x[i] * eps2[j][z]
-                    acc_r = acc_r + c * eps_x[j] * eps2[i][z]
-                if acc_l != target:
-                    bad_l.append(f"x,y,z = {names[x]}, {names[y]}, {names[z]}")
-                if acc_r != target:
-                    bad_r.append(f"x,y,z = {names[x]}, {names[y]}, {names[z]}")
+            acc_l = combine((c * eps_x.get(i, zero), eps2[j])
+                            for i, j, c in dy)
+            acc_r = combine((c * eps_x.get(j, zero), eps2[i])
+                            for i, j, c in dy)
+            for bad, acc in ((bad_l, acc_l), (bad_r, acc_r)):
+                if acc != target:
+                    bad.extend(
+                        f"x,y,z = {names[x]}, {names[y]}, {names[z]}"
+                        for z in sorted(acc.keys() | target.keys())
+                        if acc.get(z) != target.get(z))
     rep.add("weak-counit-left", "ε(xy_(1))ε(y_(2)z) = ε(xyz)",
             not bad_l, bad_l)
     rep.add("weak-counit-right", "ε(xy_(2))ε(y_(1)z) = ε(xyz)",

@@ -153,6 +153,16 @@ def dense_mul_vec(algebra, u, v):
     return tuple(out)
 
 
+def dense_sum(field, n, terms):
+    """The dense tuple of length ``n`` of the sum of ``c * row`` over
+    ``(c, row)`` pairs of sparse vectors, entry by entry."""
+    out = [field.zero] * n
+    for c, row in terms:
+        for k, x in row.items():
+            out[k] = out[k] + c * x
+    return tuple(out)
+
+
 def dense(field, n, vec):
     """The dense tuple of length ``n`` of a sparse vector ``{index: x}``."""
     return tuple(vec.get(i, field.zero) for i in range(n))

@@ -21,6 +21,7 @@ from algebroids.exactfield import (
     RationalField,
     Subspace,
     SparseEchelon,
+    combine,
     field_from_name,
     sparse,
 )
@@ -30,6 +31,7 @@ from dense_reference import (
     dense_combine,
     dense_matmul,
     dense_rref,
+    dense_sum,
     dense_transpose,
     inverse,
     kernel_basis,
@@ -424,3 +426,35 @@ def test_sparse_column_matrix_matches_dense_rows(case):
     assert Matrix.zeros(field, n, m).is_zero()
     assert Matrix.zeros(field, n, m).rows == tuple((zero,) * m
                                                    for _ in range(n))
+
+
+@st.composite
+def combine_cases(draw):
+    """(c, row) terms over QQ or GF(7) on a few shared indices, so that
+    sums cancel: coefficients are 0, 1, -1, 2 and, over QQ, 1/2; a drawn
+    term is sometimes followed by its negative."""
+    field = draw(st.sampled_from((QQ, F7)))
+    scalars = [field.of(x) for x in (0, 1, -1, 2)]
+    if field == QQ:
+        scalars.append(Fraction(1, 2))
+    entries = st.sampled_from([x for x in scalars if x])
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.dictionaries(st.integers(0, 3), entries, max_size=4))
+        c = draw(st.sampled_from(scalars))
+        terms.append((c, row))
+        if draw(st.booleans()):
+            terms.append((-c, row))
+    return field, terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(combine_cases())
+def test_combine_matches_the_dense_sum(case):
+    field, terms = case
+    before = [dict(row) for _, row in terms]
+    got = combine(iter(terms))
+    assert got == sparse(dense_sum(field, 4, terms))
+    assert all(got.values())
+    assert all(got is not row for _, row in terms)
+    assert [row for _, row in terms] == before

@@ -11,7 +11,8 @@ sparse tensor-vector kernels of the bialgebroid verifiers, (γ⊗id),
 with dense definitions on pair-groupoid and group bialgebroids whose
 coproduct lifts are shifted by relation-span vectors.  The weakened counit
 law of ``verify_weak_hopf`` is compared with a brute-force sum on
-corrupted weak Hopf algebras.
+corrupted weak Hopf algebras.  A passing ``verify_algebra`` is held to one
+``combine`` per basis pair, so a per-triple loop cannot come back unseen.
 """
 
 from itertools import product
@@ -19,6 +20,7 @@ from math import prod
 
 from hypothesis import given, settings, strategies as st
 
+from algebroids import algebra
 from algebroids.algebra import (
     ANTI,
     HOM,
@@ -34,13 +36,25 @@ from algebroids.catalog import (
     FiniteGroup,
     group_algebra,
     group_hopf_algebroid,
+    function_algebra_hopf,
     group_weak_hopf,
     pair_groupoid_hopf_algebroid,
     pair_groupoid_weak_hopf,
 )
-from algebroids.exactfield import Matrix, PrimeField, RationalField, unit_vector
+from algebroids.exactfield import (
+    Matrix,
+    PrimeField,
+    RationalField,
+    combine,
+    unit_vector,
+)
 from algebroids.report import Report
-from algebroids.twistlab import WeakHopfAlgebra, verify_weak_hopf
+from algebroids.twistlab import (
+    WeakHopfAlgebra,
+    diagonal_separability,
+    verify_weak_hopf,
+    weak_bialgebra_from_sep,
+)
 from dense_reference import dense, dense_matrix_apply, dense_rref
 
 QQ = RationalField()
@@ -232,6 +246,20 @@ def vectors(A, count):
 def test_verify_algebra_renders_the_unit_vector_report(A):
     assert (verify_algebra(A).render_text(ALL)
             == unit_vector_verify_algebra(A).render_text(ALL))
+
+
+def test_verify_algebra_combines_once_per_basis_pair(monkeypatch):
+    # associativity is one combine per pair (i, j), the unit law two per i
+    A = pair_groupoid_hopf_algebroid(4, QQ).total
+    calls = []
+
+    def counting(terms):
+        calls.append(None)
+        return combine(terms)
+
+    monkeypatch.setattr(algebra, "combine", counting)
+    assert verify_algebra(A).passed
+    assert len(calls) <= A.dim ** 2 + 2 * A.dim == 288
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -445,9 +473,18 @@ def test_sparse_tensor_kernels_match_the_dense_definitions(data):
 # weak Hopf algebras under single-entry corruptions of ε and Δ
 
 
+def function_weak_hopf(field):
+    """k^S₃ as the weak bialgebra of its scalar base, with its antipode:
+    every column of Δ has six terms."""
+    h = function_algebra_hopf(FiniteGroup.symmetric(3), field)
+    return weak_bialgebra_from_sep(h.lb, diagonal_separability(h.lb.base),
+                                   antipode=h.S)
+
+
 WEAK = {
     "pair2": lambda f: pair_groupoid_weak_hopf(2, f),
     "kz3": lambda f: group_weak_hopf(FiniteGroup.cyclic(3), f),
+    "fn-s3": function_weak_hopf,
 }
 
 
