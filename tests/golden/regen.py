@@ -20,7 +20,12 @@ pair-groupoid antipode of rank 3 (``verify_hopf`` s-bijective and defiv,
 ``check_lu_axioms`` lu1-bijective), and a target map for which
 s_L∘χ = t_R has no solution (defi-chi).  Two cyclic permutations of kZ₃
 fail the left and right bialgebroid morphism checks (mor-src, mor-tgt,
-mor-counit).
+mor-counit).  The mirrored left/right checks fail on shifted inputs too: a
+shifted pair-groupoid antipode fails every sisom identity and lui, luii
+and luiii; shifted coproducts fail the α and β Galois checks; a shifted
+left target fails defi-t and defiii-left; a shifted weak coproduct is
+refused at left-base or right-base; and skewed right structure maps leave
+ℓ_R bijective but make ᵣℓ degenerate.
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -189,6 +194,7 @@ def _library_cases():
         group_sum_integral,
         matrix_sum_integral,
         pair_groupoid_hopf_algebroid,
+        pair_groupoid_weak_hopf,
     )
     from algebroids.dualspace import dual_lower_star
     from algebroids.hopfcore import (
@@ -196,7 +202,9 @@ def _library_cases():
         check_lu_axioms,
         check_luiiv,
         reconstruct_left,
+        verify_galois,
         verify_hopf,
+        verify_sisom,
     )
     from algebroids.integrallab import (
         LEFT,
@@ -208,6 +216,10 @@ def _library_cases():
         twap,
         verify_bgdnd,
         verify_bgdnd_right,
+    )
+    from algebroids.twistlab import (
+        WeakHopfAlgebra,
+        weak_hopf_to_hopf_algebroid,
     )
     from test_acceptance import _corruptions, _perturb
 
@@ -353,6 +365,48 @@ def _library_cases():
     cases["luiiv-corrupt-m2-gamma-lb-01"] = lambda: render(check_luiiv(
         shifted_hopf("lb", (0, 1)).lb, m2().S, m2().S_inv))
 
+    # alpha-wd and beta-wd; schinvun-alpha and schinvun-beta
+    for at in ((0, 1), (0, 0)):
+        cases[f"galois-corrupt-m2-gamma-lb-{at[0]}{at[1]}"] = \
+            lambda at=at: render(verify_galois(shifted_hopf("lb", at)))
+
+    def shifted_antipode(at):
+        return _perturb(m2().S, *at, one)
+
+    # every sisom identity and both morphisms
+    cases["sisom-corrupt-m2-antipode-00"] = lambda: render(verify_sisom(
+        HopfAlgebroid(m2().lb, m2().rb, shifted_antipode((0, 0)),
+                      base_antiiso=m2().chi, name="bad")))
+    # lui, luii, luiii and luiv-wd
+    cases["luiiv-corrupt-m2-antipode-10"] = lambda: render(check_luiiv(
+        m2().lb, shifted_antipode((1, 0))))
+
+    def shifted_left_target():
+        # t_L(d1) = e11 + e21: fails defi-t and defiii-left
+        h = m2()
+        lb = h.lb
+        t = with_matrix(lb.t, _perturb(lb.t.matrix, 2, 0, one))
+        bad = LeftBialgebroid(lb.total, lb.base, lb.s, t, lb.gamma_lift,
+                              lb.counit, name="bad")
+        return HopfAlgebroid(bad, h.rb, h.S, h.S_inv, base_antiiso=h.chi,
+                             name="bad")
+
+    cases["hopf-corrupt-m2-target-lb-20"] = lambda: render(
+        verify_hopf(shifted_left_target()))
+
+    def weak_to_hopf(at):
+        # Δ of the weak pair groupoid shifted at one entry
+        w = pair_groupoid_weak_hopf(2, QQ)
+        bad = WeakHopfAlgebra(w.algebra, _perturb(w.delta, *at, one),
+                              w.counit, w.antipode, name="bad")
+        h, rep = weak_hopf_to_hopf_algebroid(bad)
+        return render(rep) + f"hopf: {h}\n"
+
+    # refused at left-base; at right-base
+    for at in ((1, 0), (4, 0)):
+        cases[f"weak-to-hopf-corrupt-pair2-delta-{at[0]}{at[1]}"] = \
+            lambda at=at: weak_to_hopf(at)
+
     def describe_twap(fx):
         h = hopf(fx)
         amap = twap(h, nondegeneracy(h, upsilon(h, None)))
@@ -368,13 +422,32 @@ def _library_cases():
         cases[f"lac-{name}"] = lambda fx=fx, given=given: render(
             lac_check(hopf(fx).rb, upsilon(hopf(fx), given)))
 
-    def describe_degenerate():
-        # e11 + e21 is a left integral of M2 whose ℓ_R is singular
-        out = nondegeneracy(hopf("m2-groupoid"), vec(1, 0, 1, 0))
-        return (f"{type(out).__name__}\nreason: {out.reason}\n"
-                f"rank: {out.rank}\n{fmt_matrix(out.matrix)}\n")
+    def describe_degenerate(h, ell):
+        out = nondegeneracy(h, ell)
+        lines = [type(out).__name__, f"reason: {out.reason}",
+                 f"rank: {out.rank}"]
+        if out.matrix is not None:
+            lines.append(fmt_matrix(out.matrix))
+        return "\n".join(lines) + "\n"
 
-    cases["nondegeneracy-m2-partial"] = describe_degenerate
+    # e11 + e21 is a left integral of M2 whose ℓ_R is singular
+    cases["nondegeneracy-m2-partial"] = lambda: describe_degenerate(
+        hopf("m2-groupoid"), vec(1, 0, 1, 0))
+
+    def skewed_right_maps():
+        # s_R(d1) = e11 + e21, s_R(d2) = e22 - e21 and t_R(d1) = e11 + e21:
+        # 𝒜* keeps dimension 4 and ℓ_R stays bijective, *𝒜 drops to 2
+        h = m2()
+        s = Matrix.from_sparse_cols(QQ, [{0: one, 2: one}, {3: one, 2: -one}],
+                                    4)
+        t = _perturb(h.rb.t.matrix, 2, 0, one)
+        bad = corrupt(h.rb, s=with_matrix(h.rb.s, s),
+                      t=with_matrix(h.rb.t, t))
+        return HopfAlgebroid(h.lb, bad, h.S, h.S_inv, name="bad")
+
+    # the second map, ᵣℓ, is the one that fails
+    cases["nondegeneracy-m2-skewed-right"] = lambda: describe_degenerate(
+        skewed_right_maps(), vec(1, 1, 1, 1))
     cases["bgdnd-m2-degenerate-row"] = lambda: render(
         verify_bgdnd(hopf("m2-groupoid").rb, vec(1, 1, 0, 0)))
 
