@@ -61,7 +61,7 @@ from .bimodtensor import (
     BalancedTensorSpace,
     mult_at_factor,
 )
-from .report import Report
+from .report import Report, column_certificates
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,11 @@ def contract_leg(algebra, m, w, leg, side):
 
 
 class _BialgebroidBase:
-    """Shared plumbing of the two chiralities."""
+    """Shared plumbing of the two chiralities.
+
+    A chirality sets ``side``, where its structure maps multiply (PRE for
+    s(l)a, POST for a s(r)), and ``mirror``, the chirality of its opposite.
+    """
 
     def __init__(self, total, base, s, t, gamma_lift, counit, name):
         if s.source != base or t.source != base:
@@ -185,6 +189,40 @@ class _BialgebroidBase:
             self.field, [flip_tensor(d, d, col)
                          for col in self.gamma_lift.cols], d * d)
 
+    def junction(self):
+        """The junction of the balanced tensor powers (cached, so that every
+        space built on it shares its projection step).  Both maps act from
+        ``side``: t on the first factor and s on the second on the left,
+        s then t on the right."""
+        if self._junction is None:
+            maps = (self.t, self.s) if self.side == PRE else (self.s, self.t)
+            self._junction = Junction(*(ActionSpec(m, self.side)
+                                        for m in maps))
+        return self._junction
+
+    def op(self):
+        """The opposite structure: the mirror chirality on A^op over the
+        same base, with source and target exchanged."""
+        aop = opposite(self.total)
+        return self.mirror(
+            aop, self.base,
+            self.t.into_opposite(aop), self.s.into_opposite(aop),
+            self.gamma_lift, self.counit, name=f"{self.name}^op")
+
+    def cop(self):
+        """The co-opposite structure: the same chirality on A over the
+        opposite base, with source and target exchanged and the coproduct
+        legs swapped."""
+        bop = opposite(self.base)
+        return type(self)(
+            self.total, bop,
+            self.t.from_opposite_source(bop), self.s.from_opposite_source(bop),
+            self._flipped_gamma(), self.counit, name=f"{self.name}_cop")
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.name!r}: {self.total.name} "
+                f"over {self.base.name})")
+
     def shared_op(self):
         """``op()``, reusing this structure's quotients.
 
@@ -203,71 +241,40 @@ class _BialgebroidBase:
 class LeftBialgebroid(_BialgebroidBase):
     """Total algebra A over base L with a . l = t(l) a, l . a = s(l) a."""
 
+    side = PRE
+
     def __init__(self, total, base, s, t, gamma_lift, counit, name="A_L"):
         super().__init__(total, base, s, t, gamma_lift, counit, name)
-
-    def junction(self):
-        """The junction of the balanced tensor powers (cached, so that every
-        space built on it shares its projection step)."""
-        if self._junction is None:
-            self._junction = Junction(ActionSpec(self.t, PRE),
-                                      ActionSpec(self.s, PRE))
-        return self._junction
-
-    def op(self):
-        """The opposite structure, a right bialgebroid on A^op over the same base."""
-        aop = opposite(self.total)
-        return RightBialgebroid(
-            aop, self.base,
-            self.t.into_opposite(aop), self.s.into_opposite(aop),
-            self.gamma_lift, self.counit, name=f"{self.name}^op")
-
-    def cop(self):
-        """The co-opposite structure, a left bialgebroid on A over the opposite base."""
-        lop = opposite(self.base)
-        return LeftBialgebroid(
-            self.total, lop,
-            self.t.from_opposite_source(lop), self.s.from_opposite_source(lop),
-            self._flipped_gamma(), self.counit, name=f"{self.name}_cop")
-
-    def __repr__(self):
-        return (f"LeftBialgebroid({self.name!r}: {self.total.name} over "
-                f"{self.base.name})")
 
 
 class RightBialgebroid(_BialgebroidBase):
     """Total algebra A over base R with r . a = a t(r), a . r = a s(r)."""
 
+    side = POST
+
     def __init__(self, total, base, s, t, gamma_lift, counit, name="A_R"):
         super().__init__(total, base, s, t, gamma_lift, counit, name)
 
-    def junction(self):
-        """The junction of the balanced tensor powers (cached, so that every
-        space built on it shares its projection step)."""
-        if self._junction is None:
-            self._junction = Junction(ActionSpec(self.s, POST),
-                                      ActionSpec(self.t, POST))
-        return self._junction
 
-    def op(self):
-        """The opposite structure, a left bialgebroid on A^op over the same base."""
-        aop = opposite(self.total)
-        return LeftBialgebroid(
-            aop, self.base,
-            self.t.into_opposite(aop), self.s.into_opposite(aop),
-            self.gamma_lift, self.counit, name=f"{self.name}^op")
+LeftBialgebroid.mirror = RightBialgebroid
+RightBialgebroid.mirror = LeftBialgebroid
 
-    def cop(self):
-        """The co-opposite structure, a right bialgebroid on A over the opposite base."""
-        rop = opposite(self.base)
-        return RightBialgebroid(
-            self.total, rop,
-            self.t.from_opposite_source(rop), self.s.from_opposite_source(rop),
-            self._flipped_gamma(), self.counit, name=f"{self.name}_cop")
 
-    def __repr__(self):
-        return (f"RightBialgebroid({self.name!r}: {self.total.name} over "
-                f"{self.base.name})")
+def rebased(bgd, base, name, total=None, side=None):
+    """``bgd`` with s and t declared anew as maps from ``base`` into
+    ``total`` (by default its own total algebra).
+
+    The new objects must carry the structure constants of the old ones, as
+    a double opposite does, so only the labels change.  ``side`` renames
+    the maps s_side and t_side; by default they keep their names.
+    """
+    total = bgd.total if total is None else total
+    names = ((bgd.s.name, bgd.t.name) if side is None
+             else (f"s_{side}", f"t_{side}"))
+    s, t = (AlgebraMap(base, total, amap.matrix, amap.kind, label)
+            for amap, label in zip((bgd.s, bgd.t), names))
+    return type(bgd)(total, base, s, t, bgd.gamma_lift, bgd.counit,
+                     name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +588,9 @@ def verify_left_morphism(src, tgt, phi_total, phi_base=None, title=None):
          base @ src.counit, A, tgt.base, "a", "π'(Φ(a))", "φ(π(a))"),
     )
     for cid, label, lhs, rhs, dom, cod, x, ltext, rtext in squares:
-        bad = [f"{x} = {dom.basis_names[j]}: {ltext} = {cod.fmt_vec(u)} "
-               f"but {rtext} = {cod.fmt_vec(v)}"
-               for j, (u, v) in enumerate(zip(lhs.cols, rhs.cols)) if u != v]
+        bad = column_certificates(
+            lhs.cols, rhs.cols, dom.basis_names, cod.fmt_vec,
+            f"{x} = {{}}: {ltext} = {{}} but {rtext} = {{}}")
         rep.add(cid, label, not bad, bad)
 
     tspace = tgt.tensor_space

@@ -503,24 +503,3 @@ class BalancedTensorSpace:
     def __repr__(self):
         return (f"BalancedTensorSpace({len(self.dims)} factors, "
                 f"total {self.total_dim}, quotient dim {self.dim})")
-
-
-def plain_tensor_space(algebras):
-    """The unbalanced tensor power: junctions over the trivial base k.
-
-    Implemented directly as a BalancedTensorSpace with no relations.
-    """
-    space = BalancedTensorSpace.__new__(BalancedTensorSpace)
-    space.algebras = list(algebras)
-    space.field = space.algebras[0].field
-    space.dims = [a.dim for a in space.algebras]
-    space.total_dim = prod(space.dims)
-    space.junctions = []
-    space.head = None
-    space._echelon = SparseEchelon(space.field, space.total_dim)
-    space._free_cols = tuple(range(space.total_dim))
-    space._free_index = {c: c for c in space._free_cols}
-    space._steps = None
-    space._projection = None
-    space._section = None
-    return space

@@ -230,19 +230,32 @@ def cmd_twist_recover(spec, args):
     return rep, b.emit()
 
 
-def cmd_dualize(spec, args):
+def _integral_prelude(spec, args, command, title):
+    """The Hopf algebroid of the spec, its name, a report titled ``title``
+    (filled with that name and the integral's) and the non-degenerate
+    integral named on the command line.  The integral is None when the
+    element is not a left integral or is degenerate; the report then says
+    which, under ``command``'s check ids."""
     nm, h = spec.hopf(args.name)
     el, ell = spec.element_for(h.total, args.integral)
-    rep = Report(f"dual of {nm} at {el}")
+    rep = Report(title.format(nm, el))
     if not integral_space(h, LEFT).contains(ell):
-        rep.add("dualize-integral", f"{el} is a left integral", False,
+        rep.add(f"{command}-integral", f"{el} is a left integral", False,
                 [f"{h.total.fmt_vec(h.total.from_dense(ell))} is not a "
                  "left integral"])
-        return rep, None
+        return nm, h, rep, None
     nd = nondegeneracy(h, ell)
     if isinstance(nd, Degenerate):
-        rep.add("dualize-nondegenerate", f"{el} is nondegenerate", False,
+        rep.add(f"{command}-nondegenerate", f"{el} is nondegenerate", False,
                 [nd.reason])
+        return nm, h, rep, None
+    return nm, h, rep, nd
+
+
+def cmd_dualize(spec, args):
+    nm, h, rep, nd = _integral_prelude(
+        spec, args, "dualize", "dual of {} at {}")
+    if nd is None:
         return rep, None
     rep.extend(nd.report, prefix="nd-")
     with recording_reports() as decided:
@@ -265,18 +278,9 @@ def cmd_wha_decide(spec, args):
 
 
 def cmd_diagram(spec, args):
-    nm, h = spec.hopf(args.name)
-    el, ell = spec.element_for(h.total, args.integral)
-    rep = Report(f"duality square of {nm} at {el}")
-    if not integral_space(h, LEFT).contains(ell):
-        rep.add("diagram-integral", f"{el} is a left integral", False,
-                [f"{h.total.fmt_vec(h.total.from_dense(ell))} is not a "
-                 "left integral"])
-        return rep, None
-    nd = nondegeneracy(h, ell)
-    if isinstance(nd, Degenerate):
-        rep.add("diagram-nondegenerate", f"{el} is nondegenerate", False,
-                [nd.reason])
+    _, h, rep, nd = _integral_prelude(
+        spec, args, "diagram", "duality square of {} at {}")
+    if nd is None:
         return rep, None
     rep.extend(duality_diagram(h, nd))
     return rep, None

@@ -32,7 +32,8 @@ formulas swap their factors.
 from .exactfield import Matrix
 from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, nonzero,
                       side_product, verify_algebra)
-from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
+from .bialgebroid import (LeftBialgebroid, RightBialgebroid, contract_leg,
+                          rebased)
 from .bimodtensor import PRE, POST
 from .report import Report
 
@@ -424,19 +425,6 @@ def pairing_system(lb, module):
             Matrix.from_sparse_cols(lb.field, rhs, size))
 
 
-def _rebase(bgd, base, name):
-    """Relabel a bialgebroid over a double-opposite base onto the original
-    base object.
-
-    A double opposite has the original structure constants, so only the
-    label changes; the maps are rebuilt with the requested source object.
-    """
-    s = AlgebraMap(base, bgd.total, bgd.s.matrix, bgd.s.kind, bgd.s.name)
-    t = AlgebraMap(base, bgd.total, bgd.t.matrix, bgd.t.kind, bgd.t.name)
-    return type(bgd)(bgd.total, base, s, t, bgd.gamma_lift, bgd.counit,
-                     name=name)
-
-
 def _derived(inner, bgd, kind, back):
     """The ``kind`` dual of ``bgd`` from ``inner``, the lower-star dual of
     its opposite or co-opposite, whose constraint space it shares;
@@ -462,7 +450,7 @@ def dual_star_lower(lb, name=None):
     """
     name = name or f"{lb.name}_{{*}}"
     return _derived(dual_lower_star(lb.cop(), name=name), lb, STAR_LOWER,
-                    lambda inner: _rebase(inner.cop(), lb.base, name))
+                    lambda inner: rebased(inner.cop(), lb.base, name))
 
 
 def dual_upper_star(rb, name=None):
@@ -489,4 +477,4 @@ def dual_star_upper(rb, name=None):
     """
     name = name or f"^*{rb.name}"
     return _derived(dual_lower_star(rb.op().cop(), name=name), rb, STAR_UPPER,
-                    lambda inner: _rebase(inner.op().cop(), rb.base, name))
+                    lambda inner: rebased(inner.op().cop(), rb.base, name))

@@ -24,6 +24,8 @@ section-dependent convolution-style axioms, and the two Galois maps with
 their closed-form inverses.
 """
 
+from typing import NamedTuple
+
 from .exactfield import Matrix, Subspace, require_field
 from .algebra import (
     HOM,
@@ -44,15 +46,18 @@ from .bimodtensor import (
     mult_at_factor,
 )
 from .bialgebroid import (
-    LeftBialgebroid,
+    _LEFT,
+    _RIGHT,
     RightBialgebroid,
+    _juxt,
     contract_leg,
+    rebased,
     sharing_total_checks,
     verify_left_bialgebroid,
     verify_right_bialgebroid,
     verify_left_morphism,
 )
-from .report import Report
+from .report import Report, column_certificates
 
 
 class HopfAlgebroid:
@@ -142,6 +147,11 @@ def _column_span(matrix):
     return Subspace.from_vectors(matrix.field, matrix.nrows, matrix.cols)
 
 
+# the two mixed coassociativity identities, (γ_X⊗id)γ_Y = (id⊗γ_Y)γ_X for
+# (X, Y) = (L, R) in the left-right triple and (R, L) in the right-left one
+_MIXED = (("L", "R"), ("R", "L"))
+
+
 def _mixed_coassociativity(lb, rb, llr, rrl):
     """Where the two mixed coassociativity identities fail on the basis:
     (γ_L⊗id)γ_R = (id⊗γ_R)γ_L in ``llr`` and (γ_R⊗id)γ_L = (id⊗γ_L)γ_R in
@@ -177,38 +187,22 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     if not ok:
         return rep
 
-    # (defi): crosswise equality of the base images
-    span_sl = _column_span(lb.s.matrix)
-    span_tr = _column_span(rb.t.matrix)
-    bad = []
-    if span_sl != span_tr:
-        for j in range(lb.base.dim):
-            v = lb.s.matrix.cols[j]
-            if not span_tr.contains(v):
-                bad.append(f"s_L({lb.base.basis_names[j]}) = {A.fmt_vec(v)} "
-                           f"is not in t_R(R)")
-        for j in range(rb.base.dim):
-            v = rb.t.matrix.cols[j]
-            if not span_sl.contains(v):
-                bad.append(f"t_R({rb.base.basis_names[j]}) = {A.fmt_vec(v)} "
-                           f"is not in s_L(L)")
-    rep.add("defi-s", "s_L(L) = t_R(R)", not bad, bad)
-
-    span_tl = _column_span(lb.t.matrix)
-    span_sr = _column_span(rb.s.matrix)
-    bad = []
-    if span_tl != span_sr:
-        for j in range(lb.base.dim):
-            v = lb.t.matrix.cols[j]
-            if not span_sr.contains(v):
-                bad.append(f"t_L({lb.base.basis_names[j]}) = {A.fmt_vec(v)} "
-                           f"is not in s_R(R)")
-        for j in range(rb.base.dim):
-            v = rb.s.matrix.cols[j]
-            if not span_tl.contains(v):
-                bad.append(f"s_R({rb.base.basis_names[j]}) = {A.fmt_vec(v)} "
-                           f"is not in t_L(L)")
-    rep.add("defi-t", "t_L(L) = s_R(R)", not bad, bad)
+    # (defi): crosswise equality of the base images, s_L(L) = t_R(R) and
+    # t_L(L) = s_R(R); the image of each base element that is not in the
+    # other image is a certificate
+    for cid, left, right in (("defi-s", ("s_L", lb.s), ("t_R", rb.t)),
+                             ("defi-t", ("t_L", lb.t), ("s_R", rb.s))):
+        spans = {name: _column_span(amap.matrix)
+                 for name, amap in (left, right)}
+        bad = []
+        if spans[left[0]] != spans[right[0]]:
+            for (here, amap), (there, _) in ((left, right), (right, left)):
+                bad += [f"{here}({b}) = {A.fmt_vec(v)} is not in "
+                        f"{there}({there[-1]})"
+                        for b, v in zip(amap.source.basis_names,
+                                        amap.matrix.cols)
+                        if not spans[there].contains(v)]
+        rep.add(cid, f"{left[0]}(L) = {right[0]}(R)", not bad, bad)
 
     # the witnessing base anti-isomorphism
     if h.chi is None:
@@ -224,15 +218,16 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
                 [] if ok else ["matrix identity s_L∘χ = t_R fails"])
 
     # (defii): mixed coassociativity in both mixed triple quotients
-    bad_lr, bad_rl = _mixed_coassociativity(lb, rb, h.llr_space, h.rrl_space)
-    bad1 = [f"a = {A.basis_names[i]}: (γ_L⊗id)γ_R(a) = {h.llr_space.fmt(lhs)} "
-            f"but (id⊗γ_R)γ_L(a) = {h.llr_space.fmt(rhs)}"
-            for i, lhs, rhs in bad_lr]
-    bad2 = [f"a = {A.basis_names[i]}: (γ_R⊗id)γ_L(a) = {h.rrl_space.fmt(lhs)} "
-            f"but (id⊗γ_L)γ_R(a) = {h.rrl_space.fmt(rhs)}"
-            for i, lhs, rhs in bad_rl]
-    rep.add("defii-lr", "(γ_L⊗id)γ_R = (id⊗γ_R)γ_L", not bad1, bad1)
-    rep.add("defii-rl", "(γ_R⊗id)γ_L = (id⊗γ_L)γ_R", not bad2, bad2)
+    for (first, then), space, failures in zip(
+            _MIXED, (h.llr_space, h.rrl_space),
+            _mixed_coassociativity(lb, rb, h.llr_space, h.rrl_space)):
+        lhs_text = f"(γ_{first}⊗id)γ_{then}"
+        rhs_text = f"(id⊗γ_{then})γ_{first}"
+        bad = [f"a = {A.basis_names[i]}: {lhs_text}(a) = {space.fmt(lhs)} "
+               f"but {rhs_text}(a) = {space.fmt(rhs)}"
+               for i, lhs, rhs in failures]
+        rep.add(f"defii-{first.lower()}{then.lower()}",
+                f"{lhs_text} = {rhs_text}", not bad, bad)
 
     # the antipode is a bijection with the stored inverse
     ok = h.S_inv is not None
@@ -245,54 +240,45 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
 
     # (defiii): S(t_L(l) a t_R(r)) = s_R(r) S(a) s_L(l), split in halves.
     # These same identities are what make the defiv composites independent
-    # of the chosen coproduct representatives.
-    bad_l, bad_r = [], []
-    for i in range(d):
-        sa = h.S.cols[i]
-        for j, (tl, sl) in enumerate(zip(lb.t.matrix.cols, lb.s.matrix.cols)):
-            lhs = h.S.apply(side_product(A, tl, i, PRE))
-            rhs = A.mul_vec(sa, sl)
-            if lhs != rhs:
-                bad_l.append(
-                    f"a = {A.basis_names[i]}, l = {lb.base.basis_names[j]}: "
-                    f"S(t_L(l)a) = {A.fmt_vec(lhs)} but S(a)s_L(l) = "
-                    f"{A.fmt_vec(rhs)}")
-        for j, (tr, sr) in enumerate(zip(rb.t.matrix.cols, rb.s.matrix.cols)):
-            lhs = h.S.apply(side_product(A, tr, i, POST))
-            rhs = A.mul_vec(sr, sa)
-            if lhs != rhs:
-                bad_r.append(
-                    f"a = {A.basis_names[i]}, r = {rb.base.basis_names[j]}: "
-                    f"S(a t_R(r)) = {A.fmt_vec(lhs)} but s_R(r)S(a) = "
-                    f"{A.fmt_vec(rhs)}")
-    defiii_ok = not bad_l and not bad_r
-    rep.add("defiii-left", "S(t_L(l)a) = S(a)s_L(l)", not bad_l, bad_l)
-    rep.add("defiii-right", "S(a t_R(r)) = s_R(r)S(a)", not bad_r, bad_r)
+    # of the chosen coproduct representatives.  Each half and each defiv
+    # identity is stated by one side, in its own chirality's notation.
+    sides = (("left", lb, rb, _LEFT, "L", "R"),
+             ("right", rb, lb, _RIGHT, "R", "L"))
+    defiii_ok = True
+    for half, own, other, ch, X, Y in sides:
+        side, x = ch.side, ch.letter
+        away = POST if side == PRE else PRE
+        lhs_text = f"S({_juxt(f't_{X}({x})', 'a', side)})"
+        rhs_text = _juxt(f"s_{X}({x})", "S(a)", away)
+        bad = []
+        for i in range(d):
+            sa = h.S.cols[i]
+            for name, tx, sx in zip(own.base.basis_names, own.t.matrix.cols,
+                                    own.s.matrix.cols):
+                lhs = h.S.apply(side_product(A, tx, i, side))
+                rhs = A.mul_vec(sx, sa) if away == PRE else A.mul_vec(sa, sx)
+                if lhs != rhs:
+                    bad.append(f"a = {A.basis_names[i]}, {x} = {name}: "
+                               f"{lhs_text} = {A.fmt_vec(lhs)} but "
+                               f"{rhs_text} = {A.fmt_vec(rhs)}")
+        defiii_ok = defiii_ok and not bad
+        rep.add(f"defiii-{half}", f"{lhs_text} = {rhs_text}", not bad, bad)
 
-    # (defiv): antipode against either coproduct lands on the other counit
+    # (defiv): S against either coproduct lands on the other counit,
+    # S(a_(1))a_(2) = s_R(π_R(a)) and a^(1)S(a^(2)) = s_L(π_L(a)); S acts on
+    # the leg its side's structure maps act on
     note = "" if defiii_ok else \
         "evaluated on canonical representatives; defiii (well-definedness) failed"
-    sr_pir = rb.s.matrix @ rb.counit
-    sl_pil = lb.s.matrix @ lb.counit
-    bad_l, bad_r = [], []
-    for i, (wl, wr) in enumerate(zip(lb.canonical_gamma_lift,
-                                     rb.canonical_gamma_lift)):
-        got = contract_leg(A, h.S, wl, 0, PRE)
-        want = sr_pir.cols[i]
-        if got != want:
-            bad_l.append(
-                f"a = {A.basis_names[i]}: S(a_(1))a_(2) = {A.fmt_vec(got)} "
-                f"but s_R(π_R(a)) = {A.fmt_vec(want)}")
-        got = contract_leg(A, h.S, wr, 1, POST)
-        want = sl_pil.cols[i]
-        if got != want:
-            bad_r.append(
-                f"a = {A.basis_names[i]}: a^(1)S(a^(2)) = {A.fmt_vec(got)} "
-                f"but s_L(π_L(a)) = {A.fmt_vec(want)}")
-    rep.add("defiv-left", "S(a_(1))a_(2) = s_R(π_R(a))", not bad_l, bad_l,
-            note=note)
-    rep.add("defiv-right", "a^(1)S(a^(2)) = s_L(π_L(a))", not bad_r, bad_r,
-            note=note)
+    for half, own, other, ch, X, Y in sides:
+        leg = 0 if ch.side == PRE else 1
+        text = _juxt(f"S({ch.legs[leg]})", ch.legs[1 - leg], ch.side)
+        want = f"s_{Y}(π_{Y}(a))"
+        got = [contract_leg(A, h.S, w, leg, ch.side)
+               for w in own.canonical_gamma_lift]
+        bad = column_certificates(
+            got, (other.s.matrix @ other.counit).cols, A.basis_names,
+            A.fmt_vec, f"a = {{}}: {text} = {{}} but {want} = {{}}")
+        rep.add(f"defiv-{half}", f"{text} = {want}", not bad, bad, note=note)
     return rep
 
 
@@ -310,73 +296,52 @@ def verify_sisom(h, title=None):
     d = A.dim
     L = lb.base
 
-    pairs = [
-        ("sisom-1", "s_R∘π_R∘s_L = S∘s_L",
-         rb.s.matrix @ rb.counit @ lb.s.matrix, h.S @ lb.s.matrix, L),
-        ("sisom-2", "t_R∘π_R∘s_L = S∘t_L",
-         rb.t.matrix @ rb.counit @ lb.s.matrix, h.S @ lb.t.matrix, L),
-        ("sisom-5", "s_R∘π_R∘t_L = S⁻¹∘s_L",
-         rb.s.matrix @ rb.counit @ lb.t.matrix, h.S_inv @ lb.s.matrix, L),
-        ("sisom-6", "t_R∘π_R∘t_L = S⁻¹∘t_L",
-         rb.t.matrix @ rb.counit @ lb.t.matrix, h.S_inv @ lb.t.matrix, L),
-    ]
-    for cid, label, lhs, rhs, dom in pairs:
-        bad = []
-        if lhs != rhs:
-            for j in range(dom.dim):
-                if lhs.cols[j] != rhs.cols[j]:
-                    bad.append(
-                        f"l = {dom.basis_names[j]}: "
-                        f"lhs = {A.fmt_vec(lhs.cols[j])}, "
-                        f"rhs = {A.fmt_vec(rhs.cols[j])}")
+    # (id, label, lhs, rhs, the basis the columns run over, its letter,
+    # how a column is written)
+    fmt_a, fmt_r = A.fmt_vec, rb.base.fmt_vec
+    sl, tl, sr, tr = lb.s.matrix, lb.t.matrix, rb.s.matrix, rb.t.matrix
+    identities = (
+        ("sisom-1", "s_R∘π_R∘s_L = S∘s_L", sr @ rb.counit @ sl, h.S @ sl,
+         L, "l", fmt_a),
+        ("sisom-2", "t_R∘π_R∘s_L = S∘t_L", tr @ rb.counit @ sl, h.S @ tl,
+         L, "l", fmt_a),
+        ("sisom-5", "s_R∘π_R∘t_L = S⁻¹∘s_L", sr @ rb.counit @ tl,
+         h.S_inv @ sl, L, "l", fmt_a),
+        ("sisom-6", "t_R∘π_R∘t_L = S⁻¹∘t_L", tr @ rb.counit @ tl,
+         h.S_inv @ tl, L, "l", fmt_a),
+        ("sisom-3", "π_R∘s_L∘π_L = π_R∘S", rb.counit @ sl @ lb.counit,
+         rb.counit @ h.S, A, "a", fmt_r),
+        ("sisom-7", "π_R∘t_L∘π_L = π_R∘S⁻¹", rb.counit @ tl @ lb.counit,
+         rb.counit @ h.S_inv, A, "a", fmt_r),
+    )
+    for cid, label, lhs, rhs, dom, x, fmt in identities:
+        bad = column_certificates(lhs.cols, rhs.cols, dom.basis_names, fmt,
+                                  f"{x} = {{}}: lhs = {{}}, rhs = {{}}")
         rep.add(cid, label, not bad, bad)
 
-    pairs = [
-        ("sisom-3", "π_R∘s_L∘π_L = π_R∘S",
-         rb.counit @ lb.s.matrix @ lb.counit, rb.counit @ h.S),
-        ("sisom-7", "π_R∘t_L∘π_L = π_R∘S⁻¹",
-         rb.counit @ lb.t.matrix @ lb.counit, rb.counit @ h.S_inv),
-    ]
-    for cid, label, lhs, rhs in pairs:
-        bad = []
-        if lhs != rhs:
-            for j in range(d):
-                if lhs.cols[j] != rhs.cols[j]:
-                    bad.append(
-                        f"a = {A.basis_names[j]}: lhs = "
-                        f"{rb.base.fmt_vec(lhs.cols[j])}, rhs = "
-                        f"{rb.base.fmt_vec(rhs.cols[j])}")
-        rep.add(cid, label, not bad, bad)
-
-    # the coproduct identities, in the right bialgebroid's quotient
+    # the antipode and its inverse, each with the base map and the ids of
+    # its coproduct identity (in the right bialgebroid's quotient) and of
+    # its morphism into the op-cop transform of the right bialgebroid
     space = rb.tensor_space
-    bad4, bad8 = [], []
-    for i, w in enumerate(lb.canonical_gamma_lift):
-        lhs = flip_tensor(d, d, tensor_apply(h.S, h.S, w))
-        rhs = rb.coproduct_lift(h.S.cols[i])
-        if not space.equal(lhs, rhs):
-            bad4.append(
-                f"a = {A.basis_names[i]}: flip(S⊗S)γ_L(a) = {space.fmt(lhs)} "
-                f"but γ_R(S(a)) = {space.fmt(rhs)}")
-        lhs = flip_tensor(d, d, tensor_apply(h.S_inv, h.S_inv, w))
-        rhs = rb.coproduct_lift(h.S_inv.cols[i])
-        if not space.equal(lhs, rhs):
-            bad8.append(
-                f"a = {A.basis_names[i]}: flip(S⁻¹⊗S⁻¹)γ_L(a) = "
-                f"{space.fmt(lhs)} but γ_R(S⁻¹(a)) = {space.fmt(rhs)}")
-    rep.add("sisom-4", "flip∘(S⊗S)∘γ_L = γ_R∘S", not bad4, bad4)
-    rep.add("sisom-8", "flip∘(S⁻¹⊗S⁻¹)∘γ_L = γ_R∘S⁻¹", not bad8, bad8)
-
-    # both composites assemble into morphisms of left bialgebroids
-    target = h.rb.op().cop()
-    phi_s = AlgebraMap(A, target.total, h.S, HOM, "S")
-    base_s = AlgebraMap(L, target.base, rb.counit @ lb.s.matrix, HOM, "π_R∘s_L")
-    rep.extend(verify_left_morphism(lb, target, phi_s, base_s),
-               prefix="mor-S-")
-    phi_si = AlgebraMap(A, target.total, h.S_inv, HOM, "S⁻¹")
-    base_si = AlgebraMap(L, target.base, rb.counit @ lb.t.matrix, HOM, "π_R∘t_L")
-    rep.extend(verify_left_morphism(lb, target, phi_si, base_si),
-               prefix="mor-Sinv-")
+    target = rb.op().cop()
+    antipodes = (("S", h.S, sl, "π_R∘s_L", "sisom-4", "mor-S-"),
+                 ("S⁻¹", h.S_inv, tl, "π_R∘t_L", "sisom-8", "mor-Sinv-"))
+    for name, m, _, _, cid, _ in antipodes:
+        bad = []
+        for i, w in enumerate(lb.canonical_gamma_lift):
+            lhs = flip_tensor(d, d, tensor_apply(m, m, w))
+            rhs = rb.coproduct_lift(m.cols[i])
+            if not space.equal(lhs, rhs):
+                bad.append(
+                    f"a = {A.basis_names[i]}: flip({name}⊗{name})γ_L(a) = "
+                    f"{space.fmt(lhs)} but γ_R({name}(a)) = {space.fmt(rhs)}")
+        rep.add(cid, f"flip∘({name}⊗{name})∘γ_L = γ_R∘{name}", not bad, bad)
+    for name, m, base, base_name, _, prefix in antipodes:
+        phi = AlgebraMap(A, target.total, m, HOM, name)
+        phi_base = AlgebraMap(L, target.base, rb.counit @ base, HOM,
+                              base_name)
+        rep.extend(verify_left_morphism(lb, target, phi, phi_base),
+                   prefix=prefix)
     return rep
 
 
@@ -448,16 +413,12 @@ def from_opposite(mirror, given):
     left base.
     """
     h = mirror.op()
-    A = given.total
-    if isinstance(given, RightBialgebroid):
-        built, cls, side, suffix = h.lb, LeftBialgebroid, "L", "_left"
-    else:
-        built, cls, side, suffix = h.rb, RightBialgebroid, "R", "_right"
-    s = AlgebraMap(built.base, A, built.s.matrix, built.s.kind, f"s_{side}")
-    t = AlgebraMap(built.base, A, built.t.matrix, built.t.kind, f"t_{side}")
-    new = cls(A, built.base, s, t, built.gamma_lift, built.counit,
-              name=f"{given.name}{suffix}")
-    lb, rb = (new, given) if cls is LeftBialgebroid else (given, new)
+    left = isinstance(given, RightBialgebroid)
+    built, side, suffix = ((h.lb, "L", "_left") if left
+                           else (h.rb, "R", "_right"))
+    new = rebased(built, built.base, f"{given.name}{suffix}",
+                  total=given.total, side=side)
+    lb, rb = (new, given) if left else (given, new)
     chi = AlgebraMap(rb.base, lb.base, h.chi.matrix, ANTI, "χ")
     return HopfAlgebroid(lb, rb, h.S, h.S_inv, base_antiiso=chi,
                          name=f"{given.name}_hopf")
@@ -465,6 +426,29 @@ def from_opposite(mirror, given):
 
 # ---------------------------------------------------------------------------
 # closed conditions on (lb, S) alone
+
+
+# The two identities check_luiiv and check_lu_axioms share, S∘t_L = s_L
+# and S(a_(1))a_(2) = t_L(π_L(S(a))), as each names them: (id of the
+# first, id of the second, the second's left side in a certificate, the
+# second's label)
+_LUI = ("lui", "luii", "S(a_(1))a_(2)", "S(a_(1))a_(2) = t_L(π_L(S(a)))")
+_LU1 = ("lu1", "lu2", "m(S⊗id)γ(a)", "m(S⊗id)γ = t_L∘π_L∘S")
+
+
+def _left_antipode_identities(rep, lb, S, notation):
+    """Add the two identities of ``notation`` for (lb, S) to ``rep``."""
+    A = lb.total
+    first, second, lhs, label = notation
+    bad = column_certificates(
+        (S @ lb.t.matrix).cols, lb.s.matrix.cols, lb.base.basis_names,
+        A.fmt_vec, "l = {}: S(t_L(l)) = {} but s_L(l) = {}")
+    rep.add(first, "S∘t_L = s_L", not bad, bad)
+    got = [contract_leg(A, S, w, 0, PRE) for w in lb.canonical_gamma_lift]
+    bad = column_certificates(
+        got, (lb.t.matrix @ lb.counit @ S).cols, A.basis_names, A.fmt_vec,
+        f"a = {{}}: {lhs} = {{}} but t_L(π_L(S(a))) = {{}}")
+    rep.add(second, label, not bad, bad)
 
 
 def check_luiiv(lb, antipode, antipode_inv=None, title=None):
@@ -480,55 +464,25 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     rep = Report(title or f"antipode conditions for {lb.name}")
     A = lb.total
     d = A.dim
-    field = lb.field
     S = antipode
     S_inv = antipode_inv if antipode_inv is not None else S.inverse()
 
-    smap = AlgebraMap(A, A, S, ANTI, "S")
-    rep.extend(verify_map(smap), prefix="lui-")
+    rep.extend(verify_map(AlgebraMap(A, A, S, ANTI, "S")), prefix="lui-")
     ok = S_inv is not None
     rep.add("lui-bijective", "S is bijective", ok,
             [] if ok else [f"rank(S) = {S.rank()} < {d}"])
     if not ok:
         return rep
-    lhs = S @ lb.t.matrix
-    bad = []
-    if lhs != lb.s.matrix:
-        for j in range(lb.base.dim):
-            if lhs.cols[j] != lb.s.matrix.cols[j]:
-                bad.append(
-                    f"l = {lb.base.basis_names[j]}: S(t_L(l)) = "
-                    f"{A.fmt_vec(lhs.cols[j])} but s_L(l) = "
-                    f"{A.fmt_vec(lb.s.matrix.cols[j])}")
-    rep.add("lui", "S∘t_L = s_L", not bad, bad)
+    _left_antipode_identities(rep, lb, S, _LUI)
 
-    t_pi_s = lb.t.matrix @ lb.counit @ S
-    bad = []
-    for i, w in enumerate(lb.canonical_gamma_lift):
-        got = contract_leg(A, S, w, 0, PRE)
-        want = t_pi_s.cols[i]
-        if got != want:
-            bad.append(
-                f"a = {A.basis_names[i]}: S(a_(1))a_(2) = {A.fmt_vec(got)} "
-                f"but t_L(π_L(S(a))) = {A.fmt_vec(want)}")
-    rep.add("luii", "S(a_(1))a_(2) = t_L(π_L(S(a)))", not bad, bad)
-
-    # candidate right-handed data: s_R = S∘s_L, t_R = s_L over R = L^op
-    R = opposite(lb.base)
-    s_r = AlgebraMap(R, A, S @ lb.s.matrix, HOM, "s_R")
-    t_r = AlgebraMap(R, A, lb.s.matrix, ANTI, "t_R")
-    gamma_r_cols = [flip_tensor(d, d, tensor_apply(
-        S, S, lb.coproduct_lift(S_inv.cols[j]))) for j in range(d)]
-    gamma_r = Matrix.from_sparse_cols(field, gamma_r_cols, d * d)
-    counit_r = lb.counit @ S_inv
-    rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
-                          name=f"{lb.name}_cand")
-    # (luiii) is stated in the candidate's balanced square
+    # the candidate right bialgebroid: s_R = S∘s_L, t_R = s_L over R = L^op
+    h = reconstruct_right(lb, S, S_inv)
+    rb = h.rb
+    # (luiii) is stated in the candidate's balanced square, whose coproduct
+    # is flip(S⊗S)γ_L(S⁻¹(a))
     space = rb.tensor_space
     bad = []
-    for i in range(d):
-        lhs = flip_tensor(d, d, tensor_apply(
-            S, S, lb.coproduct_lift(S_inv.cols[i])))
+    for i, lhs in enumerate(rb.gamma_lift.cols):
         rhs = flip_tensor(d, d, tensor_apply(
             S_inv, S_inv, lb.coproduct_lift(S.cols[i])))
         if not space.equal(lhs, rhs):
@@ -539,25 +493,18 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     rep.add("luiii", "the S- and S⁻¹-conjugate coproducts agree", not bad, bad)
 
     # (luiv) premise: candidate crosswise base-image equality
-    span_tl = _column_span(lb.t.matrix)
-    span_sr = _column_span(s_r.matrix)
-    bad = []
-    if span_tl != span_sr:
-        bad.append("t_L(L) differs from S(s_L(L))")
+    ok = _column_span(lb.t.matrix) == _column_span(rb.s.matrix)
     rep.add("luiv-wd", "candidate base images match crosswise (t_L(L) = S(s_L(L)))",
-            not bad, bad)
+            ok, [] if ok else ["t_L(L) differs from S(s_L(L))"])
 
-    llr = BalancedTensorSpace([lb.tensor_space, A], [rb.junction()])
-    rrl = BalancedTensorSpace([space, A], [lb.junction()])
-    bad_lr, bad_rl = _mixed_coassociativity(lb, rb, llr, rrl)
-    bad1 = [f"a = {A.basis_names[i]}: the two composites differ in the "
-            f"left-right triple" for i, _, _ in bad_lr]
-    bad2 = [f"a = {A.basis_names[i]}: the two composites differ in the "
-            f"right-left triple" for i, _, _ in bad_rl]
-    rep.add("luiv-lr", "(γ_L⊗id)γ_R = (id⊗γ_R)γ_L for the candidate",
-            not bad1, bad1)
-    rep.add("luiv-rl", "(γ_R⊗id)γ_L = (id⊗γ_L)γ_R for the candidate",
-            not bad2, bad2)
+    names = {"L": "left", "R": "right"}
+    for (first, then), failures in zip(_MIXED, _mixed_coassociativity(
+            lb, rb, h.llr_space, h.rrl_space)):
+        bad = [f"a = {A.basis_names[i]}: the two composites differ in the "
+               f"{names[first]}-{names[then]} triple" for i, _, _ in failures]
+        rep.add(f"luiv-{first.lower()}{then.lower()}",
+                f"(γ_{first}⊗id)γ_{then} = (id⊗γ_{then})γ_{first} for the "
+                "candidate", not bad, bad)
     return rep
 
 
@@ -574,32 +521,11 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     d = A.dim
     S = antipode
 
-    smap = AlgebraMap(A, A, S, ANTI, "S")
-    rep.extend(verify_map(smap), prefix="lu1-")
+    rep.extend(verify_map(AlgebraMap(A, A, S, ANTI, "S")), prefix="lu1-")
     ok = S.inverse() is not None
     rep.add("lu1-bijective", "S is bijective", ok,
             [] if ok else [f"rank(S) = {S.rank()} < {d}"])
-    lhs = S @ lb.t.matrix
-    bad = []
-    if lhs != lb.s.matrix:
-        for j in range(lb.base.dim):
-            if lhs.cols[j] != lb.s.matrix.cols[j]:
-                bad.append(
-                    f"l = {lb.base.basis_names[j]}: S(t_L(l)) = "
-                    f"{A.fmt_vec(lhs.cols[j])} but s_L(l) = "
-                    f"{A.fmt_vec(lb.s.matrix.cols[j])}")
-    rep.add("lu1", "S∘t_L = s_L", not bad, bad)
-
-    t_pi_s = lb.t.matrix @ lb.counit @ S
-    bad = []
-    for i, w in enumerate(lb.canonical_gamma_lift):
-        got = contract_leg(A, S, w, 0, PRE)
-        want = t_pi_s.cols[i]
-        if got != want:
-            bad.append(
-                f"a = {A.basis_names[i]}: m(S⊗id)γ(a) = {A.fmt_vec(got)} "
-                f"but t_L(π_L(S(a))) = {A.fmt_vec(want)}")
-    rep.add("lu2", "m(S⊗id)γ = t_L∘π_L∘S", not bad, bad)
+    _left_antipode_identities(rep, lb, S, _LU1)
 
     space = lb.tensor_space
     if section is None:
@@ -667,13 +593,29 @@ def antipode_uniqueness(h1, h2, title=None):
 # Galois maps
 
 
+class GaloisMap(NamedTuple):
+    """One Galois map: its total-space matrix between the plain tensor
+    squares, and the map and its closed-form inverse between the quotient
+    coordinates of ``dom`` and ``cod``."""
+
+    name: str        # the prefix of its check ids
+    symbol: str      # the letter of its check labels
+    dom: BalancedTensorSpace
+    cod: BalancedTensorSpace
+    total: Matrix
+    forward: Matrix
+    inverse: Matrix
+
+
 class GaloisMaps:
     """The two canonical Galois maps of a Hopf algebroid, with their inverses.
 
     ``alpha``: a ⊗ b ↦ a_(1) ⊗ a_(2)b from the target-balanced square to the
     coproduct's square; ``beta``: a ⊗ b ↦ a_(2) ⊗ a_(1)b between the two
-    source-balanced squares.  Both are stored as matrices between quotient
-    coordinates together with their domains/codomains.
+    source-balanced squares.  ``alpha``, ``beta`` and their inverses
+    ``alpha_inv``, ``beta_inv`` are matrices between quotient coordinates;
+    ``maps`` holds both maps as ``GaloisMap``s, with their domains,
+    codomains and total-space matrices.
     """
 
     def __init__(self, h):
@@ -684,21 +626,21 @@ class GaloisMaps:
         field = h.field
         t_op = lb.t.from_opposite_source()
         s_op = lb.s.from_opposite_source()
-
-        # alpha: A ⊗_{t} A  →  A_L ⊗_L A
-        self.alpha_dom = BalancedTensorSpace(
-            [A, A], [Junction(ActionSpec(t_op, POST), ActionSpec(t_op, PRE))])
-        self.alpha_cod = lb.tensor_space
-        # beta: A ⊗_{s} A  →  (s,t)-twisted square
-        self.beta_dom = BalancedTensorSpace(
-            [A, A], [Junction(ActionSpec(lb.s, POST), ActionSpec(lb.s, PRE))])
-        self.beta_cod = BalancedTensorSpace(
-            [A, A], [Junction(ActionSpec(s_op, PRE), ActionSpec(t_op, PRE))])
+        # alpha: A ⊗_{t} A  →  A_L ⊗_L A;  beta: A ⊗_{s} A  →  the
+        # (s,t)-twisted square
+        spaces = (
+            (BalancedTensorSpace([A, A], [Junction(ActionSpec(t_op, POST),
+                                                   ActionSpec(t_op, PRE))]),
+             lb.tensor_space),
+            (BalancedTensorSpace([A, A], [Junction(ActionSpec(lb.s, POST),
+                                                   ActionSpec(lb.s, PRE))]),
+             BalancedTensorSpace([A, A], [Junction(ActionSpec(s_op, PRE),
+                                                   ActionSpec(t_op, PRE))])))
 
         # total-space matrices of the four maps: e_i ⊗ e_j goes to a
         # coproduct of e_i, legs optionally swapped and moved, times e_j
         ident = Matrix.identity(field, d)
-        cols_a, cols_ai, cols_b, cols_bi = [], [], [], []
+        cols = ([], [], [], [])
         for w, wr in zip(lb.canonical_gamma_lift, h.rb.canonical_gamma_lift):
             # e_i_(1) ⊗ e_i_(2), e_i^(1) ⊗ S(e_i^(2)), e_i_(2) ⊗ e_i_(1)
             # and e_i^(2) ⊗ S⁻¹(e_i^(1))
@@ -706,70 +648,54 @@ class GaloisMaps:
                       tensor_apply(ident, h.S_inv, flip_tensor(d, d, wr)))
             for j in range(d):
                 ej = {j: field.one}
-                for cols, img in zip((cols_a, cols_ai, cols_b, cols_bi),
-                                     images):
-                    cols.append(mult_at_factor(A, [d, d], 1, img, ej, POST))
-        alpha_total = Matrix.from_sparse_cols(field, cols_a, d * d)
-        alphainv_total = Matrix.from_sparse_cols(field, cols_ai, d * d)
-        beta_total = Matrix.from_sparse_cols(field, cols_b, d * d)
-        betainv_total = Matrix.from_sparse_cols(field, cols_bi, d * d)
+                for col, img in zip(cols, images):
+                    col.append(mult_at_factor(A, [d, d], 1, img, ej, POST))
+        totals = [Matrix.from_sparse_cols(field, c, d * d) for c in cols]
 
-        self.alpha_total = alpha_total
-        self.beta_total = beta_total
-        self.alpha = (self.alpha_cod.projection_matrix() @ alpha_total
-                      @ self.alpha_dom.section_matrix())
-        self.alpha_inv = (self.alpha_dom.projection_matrix() @ alphainv_total
-                          @ self.alpha_cod.section_matrix())
-        self.beta = (self.beta_cod.projection_matrix() @ beta_total
-                     @ self.beta_dom.section_matrix())
-        self.beta_inv = (self.beta_dom.projection_matrix() @ betainv_total
-                         @ self.beta_cod.section_matrix())
+        self.maps = tuple(
+            GaloisMap(name, symbol, dom, cod, total,
+                      cod.projection_matrix() @ total @ dom.section_matrix(),
+                      dom.projection_matrix() @ inv @ cod.section_matrix())
+            for name, symbol, (dom, cod), total, inv in zip(
+                ("alpha", "beta"), "αβ", spaces, totals[::2], totals[1::2]))
+        alpha, beta = self.maps
+        self.alpha, self.alpha_inv = alpha.forward, alpha.inverse
+        self.beta, self.beta_inv = beta.forward, beta.inverse
 
 
 def verify_galois(h, title=None):
     """Build the Galois maps and certify well-definedness, bijectivity, and
     that the closed antipode formulas invert them."""
     rep = Report(title or f"galois maps for {h.name}")
-    g = GaloisMaps(h)
+    maps = GaloisMaps(h).maps
 
     # well-definedness: the total-space maps must send domain relations into
     # codomain relations
-    bad = []
-    for row in g.alpha_dom.echelon.rows.values():
-        img = g.alpha_total.apply(row)
-        if not g.alpha_cod.is_zero_class(img):
-            bad.append(f"a relation maps to the nonzero class "
-                       f"{g.alpha_cod.fmt(img)}")
-    rep.add("alpha-wd", "α kills the domain relations", not bad, bad)
+    for m in maps:
+        bad = []
+        for row in m.dom.echelon.rows.values():
+            img = m.total.apply(row)
+            if not m.cod.is_zero_class(img):
+                bad.append(f"a relation maps to the nonzero class "
+                           f"{m.cod.fmt(img)}")
+        rep.add(f"{m.name}-wd", f"{m.symbol} kills the domain relations",
+                not bad, bad)
 
-    bad = []
-    for row in g.beta_dom.echelon.rows.values():
-        img = g.beta_total.apply(row)
-        if not g.beta_cod.is_zero_class(img):
-            bad.append(f"a relation maps to the nonzero class "
-                       f"{g.beta_cod.fmt(img)}")
-    rep.add("beta-wd", "β kills the domain relations", not bad, bad)
-
-    ok = (g.alpha_dom.dim == g.alpha_cod.dim
-          and g.alpha.rank() == g.alpha_dom.dim)
-    rep.add("alpha-bijective", "α is bijective", ok,
-            [] if ok else [f"rank {g.alpha.rank()} on domain of dimension "
-                           f"{g.alpha_dom.dim}, codomain {g.alpha_cod.dim}"])
-    ok = (g.beta_dom.dim == g.beta_cod.dim
-          and g.beta.rank() == g.beta_dom.dim)
-    rep.add("beta-bijective", "β is bijective", ok,
-            [] if ok else [f"rank {g.beta.rank()} on domain of dimension "
-                           f"{g.beta_dom.dim}, codomain {g.beta_cod.dim}"])
+    for m in maps:
+        rank = m.forward.rank()
+        ok = m.dom.dim == m.cod.dim and rank == m.dom.dim
+        rep.add(f"{m.name}-bijective", f"{m.symbol} is bijective", ok,
+                [] if ok else [f"rank {rank} on domain of dimension "
+                               f"{m.dom.dim}, codomain {m.cod.dim}"])
 
     # (schinvun): the closed formulas give two-sided inverses
-    ok = ((g.alpha_inv @ g.alpha).is_identity()
-          and (g.alpha @ g.alpha_inv).is_identity())
-    rep.add("schinvun-alpha",
-            "a ⊗ b ↦ a^(1) ⊗ S(a^(2))b is a two-sided inverse of α", ok,
-            [] if ok else ["composites with α are not both the identity"])
-    ok = ((g.beta_inv @ g.beta).is_identity()
-          and (g.beta @ g.beta_inv).is_identity())
-    rep.add("schinvun-beta",
-            "a ⊗ b ↦ a^(2) ⊗ S⁻¹(a^(1))b is a two-sided inverse of β", ok,
-            [] if ok else ["composites with β are not both the identity"])
+    formulas = {"alpha": "a ⊗ b ↦ a^(1) ⊗ S(a^(2))b",
+                "beta": "a ⊗ b ↦ a^(2) ⊗ S⁻¹(a^(1))b"}
+    for m in maps:
+        ok = ((m.inverse @ m.forward).is_identity()
+              and (m.forward @ m.inverse).is_identity())
+        rep.add(f"schinvun-{m.name}",
+                f"{formulas[m.name]} is a two-sided inverse of {m.symbol}", ok,
+                [] if ok else [f"composites with {m.symbol} are not both "
+                               "the identity"])
     return rep

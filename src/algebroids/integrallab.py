@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .exactfield import Matrix, Subspace
 from .algebra import (ANTI, PRE, POST, AlgebraMap, combine, flip_tensor,
                       fmt_terms, side_product, tensor_apply, verify_map)
-from .report import Report
+from .report import Report, column_certificates
 from .bialgebroid import (
     LeftBialgebroid,
     RightBialgebroid,
@@ -309,47 +309,33 @@ def _nondegeneracy(h, ell, data, title=None):
     if data is None:
         data = _right_bgdnd_data(h.rb, ell)
 
-    upper = data["upper"]
-    if upper.dim != d:
-        return Degenerate(
-            f"dim 𝒜* = {upper.dim} ≠ dim A = {d}; ℓ_R cannot be bijective")
-    ellR, ellR_inv = data["ellR"], data["ellR_inv"]
-    if ellR_inv is None:
-        r = ellR.rank()
-        return Degenerate(
-            f"ℓ_R : φ ↦ φ⇀ℓ has rank {r} of {d}", matrix=ellR, rank=r)
-
-    star_upper = data["star_upper"]
-    if star_upper.dim != d:
-        return Degenerate(
-            f"dim *𝒜 = {star_upper.dim} ≠ dim A = {d}; ᵣℓ cannot be bijective")
-    Rell, Rell_inv = data["Rell"], data["Rell_inv"]
-    if Rell_inv is None:
-        r = Rell.rank()
-        return Degenerate(
-            f"ᵣℓ : φ ↦ φ⇁ℓ has rank {r} of {d}", matrix=Rell, rank=r)
+    # ℓ_R and ᵣℓ: (the data key of the dual, of the action map and of the
+    # dual element; how the dual and the map are written and how the map
+    # acts; the inverse formula's check id, antipode and notation)
+    maps = (("upper", "ellR", "lambda_star", "𝒜*", "ℓ_R", "⇀",
+             "fsrinv-upper", h.S, ("λ*", "↼", "S(a)")),
+            ("star_upper", "Rell", "star_lambda", "*𝒜", "ᵣℓ", "⇁",
+             "fsrinv-star", h.S_inv, ("*λ", "⇂", "S⁻¹(a)")))
+    for dual, action, _, dual_text, text, acts, *_ in maps:
+        if data[dual].dim != d:
+            return Degenerate(f"dim {dual_text} = {data[dual].dim} ≠ dim A = "
+                              f"{d}; {text} cannot be bijective")
+        if data[action + "_inv"] is None:
+            r = data[action].rank()
+            return Degenerate(f"{text} : φ ↦ φ{acts}ℓ has rank {r} of {d}",
+                              matrix=data[action], rank=r)
 
     rep = Report(title or f"non-degenerate integral in {h.name}")
     rep.add("nd-ell-r", "ℓ_R : 𝒜* → A is bijective", True, [])
     rep.add("nd-r-ell", "ᵣℓ : *𝒜 → A is bijective", True, [])
 
-    lambda_star, star_lambda = data["lambda_star"], data["star_lambda"]
-
-    bad = []
-    for i in range(d):
-        lhs = upper.element(ellR_inv.cols[i])
-        rhs = transpose_right(lambda_star, A, h.S.cols[i])
-        if lhs != rhs:
-            bad.append(f"a = {A.basis_names[i]}: ℓ_R⁻¹(a) ≠ λ*↼S(a)")
-    rep.add("fsrinv-upper", "ℓ_R⁻¹(a) = λ* ↼ S(a)", not bad, bad)
-
-    bad = []
-    for i in range(d):
-        lhs = star_upper.element(Rell_inv.cols[i])
-        rhs = transpose_right(star_lambda, A, h.S_inv.cols[i])
-        if lhs != rhs:
-            bad.append(f"a = {A.basis_names[i]}: ᵣℓ⁻¹(a) ≠ *λ⇂S⁻¹(a)")
-    rep.add("fsrinv-star", "ᵣℓ⁻¹(a) = *λ ⇂ S⁻¹(a)", not bad, bad)
+    # (fsrinv): ℓ_R⁻¹(a) = λ*↼S(a) and ᵣℓ⁻¹(a) = *λ⇂S⁻¹(a)
+    for dual, action, elem, _, text, _, cid, m, formula in maps:
+        bad = [f"a = {name}: {text}⁻¹(a) ≠ {''.join(formula)}"
+               for name, col, a in zip(A.basis_names,
+                                       data[action + "_inv"].cols, m.cols)
+               if data[dual].element(col) != transpose_right(data[elem], A, a)]
+        rep.add(cid, f"{text}⁻¹(a) = {' '.join(formula)}", not bad, bad)
 
     rint = integral_space(h, RIGHT)
     lower = DualModule(lb, LOWER_STAR)
@@ -370,9 +356,10 @@ def _nondegeneracy(h, ell, data, title=None):
         rep.add(tag, f"{label} is a non-degenerate right integral",
                 not bad, bad)
 
-    return NondegenerateIntegral(h, ell, upper, star_upper, ellR, Rell,
-                                 ellR_inv, Rell_inv, lambda_star, star_lambda,
-                                 rep)
+    return NondegenerateIntegral(
+        h, ell, *(data[key] for key in (
+            "upper", "star_upper", "ellR", "Rell", "ellR_inv", "Rell_inv",
+            "lambda_star", "star_lambda")), rep)
 
 
 # ---------------------------------------------------------------------------
@@ -922,11 +909,10 @@ def lac_check(rb, k_elem, title=None):
         if kap is None:
             rep.add_skip(cid, label, note=skip)
             continue
-        lhs = action_matrix(rb, kind, kap).cols
-        rhs = (amap.matrix @ kap).cols
-        bad = [f"a = {name}: {acts} = {A.fmt_vec(x)} ≠ {lands} = "
-               f"{A.fmt_vec(y)}"
-               for name, x, y in zip(A.basis_names, lhs, rhs) if x != y]
+        bad = column_certificates(
+            action_matrix(rb, kind, kap).cols, (amap.matrix @ kap).cols,
+            A.basis_names, A.fmt_vec,
+            f"a = {{}}: {acts} = {{}} ≠ {lands} = {{}}")
         rep.add(cid, label, not bad, bad)
     return rep
 

@@ -13,6 +13,14 @@ from dataclasses import dataclass, field
 DEFAULT_CERTIFICATE_LIMIT = 10
 
 
+def column_certificates(lhs, rhs, names, fmt, template):
+    """Compare two sequences of columns (sparse vectors) position by
+    position: for each position where they differ, ``template`` filled with
+    the basis name of that position and both columns written by ``fmt``."""
+    return [template.format(name, fmt(u), fmt(v))
+            for name, u, v in zip(names, lhs, rhs) if u != v]
+
+
 @dataclass
 class Check:
     """Outcome of one named axiom or identity test."""

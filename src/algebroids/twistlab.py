@@ -18,6 +18,7 @@ from .algebra import (
     Algebra,
     AlgebraMap,
     combine,
+    map_at_factor,
     nonzero,
     tensor_apply,
     tensor_square_product,
@@ -287,20 +288,8 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     eps = w.counit.sparse_rows()[0]
 
     # (Δ⊗id)Δ(e_b) and (id⊗Δ)Δ(e_b), sparse in A⊗A⊗A coordinates
-    left2, right2 = [], []
-    for b in range(d):
-        lft, rgt = {}, {}
-        for i, j, c in deltas[b]:
-            for idx, x in cols[i].items():
-                key = idx * d + j
-                old = lft.get(key)
-                lft[key] = c * x if old is None else old + c * x
-            for idx, x in cols[j].items():
-                key = i * d * d + idx
-                old = rgt.get(key)
-                rgt[key] = c * x if old is None else old + c * x
-        left2.append(nonzero(lft))
-        right2.append(nonzero(rgt))
+    left2, right2 = ([map_at_factor((d, d), leg, col, d * d, cols.__getitem__)
+                      for col in cols] for leg in (0, 1))
     ok = left2 == right2
     rep.add("coassoc", "(Δ⊗id)Δ = (id⊗Δ)Δ", ok,
             [] if ok else ["coassociativity fails"])
@@ -455,51 +444,36 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
     if s_inv is None:
         return None, rep
 
-    capl, capr = w.cap_l(), w.cap_r()
-    built = _subalgebra(A, capl.cols, "l", "L")
-    if isinstance(built, str):
-        rep.add("left-base", "⊓^L(H) is a unital subalgebra", False, [built])
-        return None, rep
-    L, incl_l = built
-    rep.add("left-base", "⊓^L(H) is a unital subalgebra", True)
-    built = _subalgebra(A, capr.cols, "r", "R")
-    if isinstance(built, str):
-        rep.add("right-base", "⊓^R(H) is a unital subalgebra", False,
-                [built])
-        return None, rep
-    R, incl_r = built
-    rep.add("right-base", "⊓^R(H) is a unital subalgebra", True)
-
-    sub_l = Subspace.from_vectors(field, A.dim, incl_l.cols)
-    sub_r = Subspace.from_vectors(field, A.dim, incl_r.cols)
-
-    s_l = AlgebraMap(L, A, incl_l, HOM, "s_L")
-    t_l = AlgebraMap(L, A, s_inv @ incl_l, ANTI, "t_L")
-    pi_l_cols = []
-    for j in range(A.dim):
-        coords = sub_l.coords_of(capl.cols[j])
-        if coords is None:
-            rep.add("left-counit", "⊓^L lands in L", False,
-                    [A.basis_names[j]])
+    # (id prefix, ⊓, basis prefix and name of the base, chirality)
+    sides = (("left", w.cap_l(), "l", "L", LeftBialgebroid),
+             ("right", w.cap_r(), "r", "R", RightBialgebroid))
+    bases = []
+    for side, cap, prefix, X, _ in sides:
+        built = _subalgebra(A, cap.cols, prefix, X)
+        ok = not isinstance(built, str)
+        rep.add(f"{side}-base", f"⊓^{X}(H) is a unital subalgebra", ok,
+                [] if ok else [built])
+        if not ok:
             return None, rep
-        pi_l_cols.append(coords)
-    pi_l = Matrix.from_sparse_cols(field, pi_l_cols, L.dim)
-    lb = LeftBialgebroid(A, L, s_l, t_l, w.delta, pi_l,
-                         name=f"{w.name}_L")
+        bases.append(built)
 
-    s_r = AlgebraMap(R, A, incl_r, HOM, "s_R")
-    t_r = AlgebraMap(R, A, s_inv @ incl_r, ANTI, "t_R")
-    pi_r_cols = []
-    for j in range(A.dim):
-        coords = sub_r.coords_of(capr.cols[j])
-        if coords is None:
-            rep.add("right-counit", "⊓^R lands in R", False,
-                    [A.basis_names[j]])
-            return None, rep
-        pi_r_cols.append(coords)
-    pi_r = Matrix.from_sparse_cols(field, pi_r_cols, R.dim)
-    rb = RightBialgebroid(A, R, s_r, t_r, w.delta, pi_r,
-                          name=f"{w.name}_R")
+    # s = the inclusion, t = S⁻¹ on it, Δ, and ⊓ read in base coordinates
+    bgds = []
+    for (side, cap, _, X, cls), (B, incl) in zip(sides, bases):
+        sub = Subspace.from_vectors(field, A.dim, incl.cols)
+        pi_cols = []
+        for name, col in zip(A.basis_names, cap.cols):
+            coords = sub.coords_of(col)
+            if coords is None:
+                rep.add(f"{side}-counit", f"⊓^{X} lands in {X}", False, [name])
+                return None, rep
+            pi_cols.append(coords)
+        bgds.append(cls(A, B, AlgebraMap(B, A, incl, HOM, f"s_{X}"),
+                        AlgebraMap(B, A, s_inv @ incl, ANTI, f"t_{X}"),
+                        w.delta,
+                        Matrix.from_sparse_cols(field, pi_cols, B.dim),
+                        name=f"{w.name}_{X}"))
+    lb, rb = bgds
 
     h = HopfAlgebroid(lb, rb, w.antipode, antipode_inv=s_inv,
                       name=name or w.name)
@@ -661,6 +635,18 @@ def ahat_algebra(algebra, delta, counit, name=None):
                                name=name or f"{algebra.name}^")
 
 
+def _ahat_inverse(algebra, delta, counit, row):
+    """The inverse of the functional ``row`` (a 1 × d matrix) in the dual
+    convolution algebra Â of (Δ, ε), as a sparse vector; None when it has
+    none."""
+    ahat = ahat_algebra(algebra, delta, counit)
+    u = row.sparse_rows()[0]
+    sol = ahat.left_mult_matrix(u).solve(ahat.unit)
+    if sol is None or ahat.mul_vec(sol, u) != ahat.unit:
+        return None
+    return sol
+
+
 def kappa_map(lb, sep, phi_row):
     """κ(φ)(a) = Σ_i φ(t_L(e_i) a) f_i — from the plain dual into the
     lower-star dual; φ is a row vector."""
@@ -714,10 +700,8 @@ def wha_decide(h, sep=None, title=None):
 
     # invertibility of ψ∘π_L∘S in the dual convolution algebra
     wb = weak_bialgebra_from_sep(lb, sep, antipode=h.S)
-    ahat = ahat_algebra(lb.total, wb.delta, wb.counit)
-    u = u_row.sparse_rows()[0]
-    sol = ahat.left_mult_matrix(u).solve(ahat.unit)
-    invertible = sol is not None and ahat.mul_vec(sol, u) == ahat.unit
+    sol = _ahat_inverse(lb.total, wb.delta, wb.counit, u_row)
+    invertible = sol is not None
     rep.add("decide-invertible", "ψ∘π_L∘S is invertible in Â", invertible,
             [] if invertible else ["no convolution inverse"])
     if not invertible:
@@ -753,12 +737,9 @@ def hopf_algebra_criterion(h, title=None):
         return {"is_hopf_algebra": False, "is_twist_of_hopf_algebra": False,
                 "report": rep}
     A = lb.total
-    gamma = lb.gamma_lift  # base k: the lift is the honest coproduct
-    ahat = ahat_algebra(A, gamma, lb.counit)
     u_row = lb.counit @ h.S
-    u = u_row.sparse_rows()[0]
-    sol = ahat.left_mult_matrix(u).solve(ahat.unit)
-    invertible = sol is not None and ahat.mul_vec(sol, u) == ahat.unit
+    # base k: the lift is the honest coproduct
+    invertible = _ahat_inverse(A, lb.gamma_lift, lb.counit, u_row) is not None
     rep.add("pils-invertible", "π_L∘S is invertible in Â", invertible,
             [] if invertible else ["π_L∘S has no convolution inverse"])
     equal = u_row == lb.counit

@@ -9,6 +9,7 @@ from algebroids.bialgebroid import (
     verify_left_morphism,
     verify_right_morphism,
 )
+from algebroids.catalog import all_fixtures
 
 QQ = RationalField()
 
@@ -43,23 +44,42 @@ def test_corrupt_coproduct_fails_exactly_counit_s(kz2):
     assert rep.find("counit-s").certificates
 
 
-def test_op_is_involutive(m2):
-    lb = m2.lb
-    back = lb.op().op()
-    assert back.total == lb.total
-    assert back.base == lb.base
-    assert back.s.matrix.rows == lb.s.matrix.rows
-    assert back.t.matrix.rows == lb.t.matrix.rows
-    assert back.gamma_lift.rows == lb.gamma_lift.rows
-    assert back.counit.rows == lb.counit.rows
+FIXTURES = {fx["name"]: fx["hopf"] for fx in all_fixtures()}
+CHIRALITIES = [(name, side) for name in FIXTURES for side in ("lb", "rb")]
 
 
-def test_cop_is_involutive(m2):
-    lb = m2.lb
-    back = lb.cop().cop()
-    assert back.total == lb.total
-    assert back.base == lb.base
-    assert back.gamma_lift.rows == lb.gamma_lift.rows
+def _assert_same_structure(back, bgd):
+    """``back`` is ``bgd`` again: class, algebras, structure maps, and the
+    relations of its balanced tensor square."""
+    assert type(back) is type(bgd), bgd
+    assert back.total == bgd.total
+    assert back.base == bgd.base
+    assert back.s.matrix.rows == bgd.s.matrix.rows
+    assert back.t.matrix.rows == bgd.t.matrix.rows
+    assert back.gamma_lift.rows == bgd.gamma_lift.rows
+    assert back.counit.rows == bgd.counit.rows
+    for got, want in ((back.junction().right, bgd.junction().right),
+                      (back.junction().left, bgd.junction().left)):
+        assert got.side == want.side
+        assert got.amap.matrix == want.amap.matrix
+    assert back.tensor_space.relation_rank == bgd.tensor_space.relation_rank
+    assert back.tensor_space.free_cols == bgd.tensor_space.free_cols
+
+
+def test_op_is_involutive():
+    for name, side in CHIRALITIES:
+        bgd = getattr(FIXTURES[name], side)
+        op = bgd.op()
+        assert type(op) is bgd.mirror, (name, side)
+        assert type(op) is not type(bgd), (name, side)
+        _assert_same_structure(op.op(), bgd)
+
+
+def test_cop_is_involutive():
+    for name, side in CHIRALITIES:
+        bgd = getattr(FIXTURES[name], side)
+        assert type(bgd.cop()) is type(bgd), (name, side)
+        _assert_same_structure(bgd.cop().cop(), bgd)
 
 
 def test_op_cop_verify(m2):

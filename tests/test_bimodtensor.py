@@ -19,7 +19,6 @@ from algebroids.bimodtensor import (
     ActionSpec,
     BalancedTensorSpace,
     Junction,
-    plain_tensor_space,
     separability_idempotent,
 )
 from algebroids.algebra import tensor_vec
@@ -58,13 +57,6 @@ def test_m2_triple_dimension(m2):
     space = m2.lb.coassoc_space
     # A ⊗_L A ⊗_L A for the pair groupoid: composable triples
     assert space.dim == 16
-
-
-def test_plain_tensor_space(kz2):
-    A = kz2.total
-    sp = plain_tensor_space([A, A])
-    assert sp.dim == 4
-    assert sp.relation_rank == 0
 
 
 def test_coords_section_roundtrip(m2):
