@@ -20,7 +20,8 @@ maps multiply on (s(l)a versus a s(r)), the coproduct leg the source acts
 on, the base letter and leg notation of the certificates, and the id of the
 commuting-images check (``elbim``/``erbim``).  The emit order of the two
 counit laws follows from the leg table: the law acting on the first leg
-comes first.
+comes first.  The two classes likewise differ only in ``side`` and
+``mirror``; the junction, ``op``, ``cop`` and ``repr`` are written once.
 
 Coproducts are given as a chosen linear lift into the plain tensor square,
 a dense d² × d matrix ``gamma_lift``.  From it each structure derives, once

@@ -242,11 +242,10 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
     # These same identities are what make the defiv composites independent
     # of the chosen coproduct representatives.  Each half and each defiv
     # identity is stated by one side, in its own chirality's notation.
-    sides = (("left", lb, rb, _LEFT, "L", "R"),
-             ("right", rb, lb, _RIGHT, "R", "L"))
+    sides = ((lb, rb, _LEFT), (rb, lb, _RIGHT))
     defiii_ok = True
-    for half, own, other, ch, X, Y in sides:
-        side, x = ch.side, ch.letter
+    for own, _, ch in sides:
+        side, x, X = ch.side, ch.letter, ch.letter.upper()
         away = POST if side == PRE else PRE
         lhs_text = f"S({_juxt(f't_{X}({x})', 'a', side)})"
         rhs_text = _juxt(f"s_{X}({x})", "S(a)", away)
@@ -262,23 +261,25 @@ def verify_hopf(h, title=None, include_bialgebroids=True):
                                f"{lhs_text} = {A.fmt_vec(lhs)} but "
                                f"{rhs_text} = {A.fmt_vec(rhs)}")
         defiii_ok = defiii_ok and not bad
-        rep.add(f"defiii-{half}", f"{lhs_text} = {rhs_text}", not bad, bad)
+        rep.add(f"defiii-{ch.name}", f"{lhs_text} = {rhs_text}", not bad, bad)
 
     # (defiv): S against either coproduct lands on the other counit,
     # S(a_(1))a_(2) = s_R(π_R(a)) and a^(1)S(a^(2)) = s_L(π_L(a)); S acts on
     # the leg its side's structure maps act on
     note = "" if defiii_ok else \
         "evaluated on canonical representatives; defiii (well-definedness) failed"
-    for half, own, other, ch, X, Y in sides:
+    for own, other, ch in sides:
         leg = 0 if ch.side == PRE else 1
         text = _juxt(f"S({ch.legs[leg]})", ch.legs[1 - leg], ch.side)
+        Y = "R" if ch is _LEFT else "L"
         want = f"s_{Y}(π_{Y}(a))"
         got = [contract_leg(A, h.S, w, leg, ch.side)
                for w in own.canonical_gamma_lift]
         bad = column_certificates(
             got, (other.s.matrix @ other.counit).cols, A.basis_names,
             A.fmt_vec, f"a = {{}}: {text} = {{}} but {want} = {{}}")
-        rep.add(f"defiv-{half}", f"{text} = {want}", not bad, bad, note=note)
+        rep.add(f"defiv-{ch.name}", f"{text} = {want}", not bad, bad,
+                note=note)
     return rep
 
 
