@@ -24,7 +24,8 @@ mor-counit).  The mirrored left/right checks fail on shifted inputs too: a
 shifted pair-groupoid antipode fails every sisom identity and lui, luii
 and luiii; shifted coproducts fail the α and β Galois checks; a shifted
 left target fails defi-t and defiii-left; a shifted weak coproduct is
-refused at left-base or right-base; and skewed right structure maps leave
+refused at left-base or right-base, and fails weak-unit-left or
+weak-unit-right but not both; and skewed right structure maps leave
 ℓ_R bijective but make ᵣℓ degenerate.
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
@@ -219,6 +220,7 @@ def _library_cases():
     )
     from algebroids.twistlab import (
         WeakHopfAlgebra,
+        verify_weak_hopf,
         weak_hopf_to_hopf_algebroid,
     )
     from test_acceptance import _corruptions, _perturb
@@ -394,18 +396,24 @@ def _library_cases():
     cases["hopf-corrupt-m2-target-lb-20"] = lambda: render(
         verify_hopf(shifted_left_target()))
 
-    def weak_to_hopf(at):
+    def shifted_weak(at):
         # Δ of the weak pair groupoid shifted at one entry
         w = pair_groupoid_weak_hopf(2, QQ)
-        bad = WeakHopfAlgebra(w.algebra, _perturb(w.delta, *at, one),
-                              w.counit, w.antipode, name="bad")
-        h, rep = weak_hopf_to_hopf_algebroid(bad)
+        return WeakHopfAlgebra(w.algebra, _perturb(w.delta, *at, one),
+                               w.counit, w.antipode, name="bad")
+
+    def weak_to_hopf(at):
+        h, rep = weak_hopf_to_hopf_algebroid(shifted_weak(at))
         return render(rep) + f"hopf: {h}\n"
 
     # refused at left-base; at right-base
     for at in ((1, 0), (4, 0)):
         cases[f"weak-to-hopf-corrupt-pair2-delta-{at[0]}{at[1]}"] = \
             lambda at=at: weak_to_hopf(at)
+    # fails weak-unit-left but not weak-unit-right; the other way round
+    for at in ((1, 0), (1, 3)):
+        cases[f"weak-hopf-corrupt-pair2-delta-{at[0]}{at[1]}"] = \
+            lambda at=at: render(verify_weak_hopf(shifted_weak(at)))
 
     def describe_twap(fx):
         h = hopf(fx)
