@@ -10,9 +10,10 @@ sparse tensor-vector kernels of the bialgebroid verifiers, (γ⊗id),
 (id⊗γ), ``tensor_square_product``, ``project`` and ``equal``, are compared
 with dense definitions on pair-groupoid and group bialgebroids whose
 coproduct lifts are shifted by relation-span vectors.  The weakened counit
-law of ``verify_weak_hopf`` is compared with a brute-force sum on
-corrupted weak Hopf algebras.  A passing ``verify_algebra`` is held to one
-``combine`` per basis pair, so a per-triple loop cannot come back unseen.
+and unit laws and the antipode-l/r laws of ``verify_weak_hopf`` are
+compared with brute-force sums on corrupted weak Hopf algebras.  A passing
+``verify_algebra`` is held to one ``combine`` per basis pair, so a
+per-triple loop cannot come back unseen.
 """
 
 from itertools import product
@@ -521,6 +522,73 @@ def brute_force_weak_counit(w):
     return bad_l, bad_r
 
 
+def brute_force_weak_unit(w):
+    """Whether (Δ(1)⊗1)(1⊗Δ(1)) and (1⊗Δ(1))(Δ(1)⊗1) equal (Δ⊗id)Δ(1),
+    with every product of legs a dense product of unit vectors."""
+    A, d = w.algebra, w.dim
+    zero = A.field.zero
+    e = [unit_vector(A.field, d, i) for i in range(d)]
+    one = tuple(A.unit.get(i, zero) for i in range(d))
+    u = dense_matrix_apply(w.delta, one)
+    # (Δ⊗id)Δ(1) = Σ u_ij Δ(e_i) ⊗ e_j
+    u2 = [zero] * d ** 3
+    for i, j in product(range(d), repeat=2):
+        if u[i * d + j]:
+            for km, x in enumerate(w.delta.col(i)):
+                u2[km * d + j] += u[i * d + j] * x
+    ee = [[dense_mul(A, a, b) for b in e] for a in e]
+    lhs, rhs = [zero] * d ** 3, [zero] * d ** 3
+    for i, j, p, q in product(range(d), repeat=4):
+        c = u[i * d + j] * u[p * d + q]
+        if not c:
+            continue
+        for m, x in enumerate(ee[j][p]):
+            lhs[(i * d + m) * d + q] += c * x
+        for m, x in enumerate(ee[i][q]):
+            rhs[(p * d + m) * d + j] += c * x
+    return lhs == u2, rhs == u2
+
+
+def brute_force_antipode_lr(w):
+    """Certificates of x_(1) S(x_(2)) = ⊓^L(x) and S(x_(1)) x_(2) = ⊓^R(x),
+    with ⊓^L(x) = ε(1_[1] x) 1_[2] and ⊓^R(x) = 1_[1] ε(x 1_[2]) read off
+    dense products of unit vectors."""
+    A, d = w.algebra, w.dim
+    zero = A.field.zero
+    e = [unit_vector(A.field, d, i) for i in range(d)]
+    one = tuple(A.unit.get(i, zero) for i in range(d))
+    u = dense_matrix_apply(w.delta, one)
+    s = [w.antipode.col(j) for j in range(d)]
+    # eps2[a][b] = ε(e_a e_b)
+    eps2 = [[dense_matrix_apply(w.counit, dense_mul(A, a, b))[0] for b in e]
+            for a in e]
+
+    def scaled_sum(terms):
+        out = [zero] * d
+        for c, vec in terms:
+            for k, x in enumerate(vec):
+                out[k] += c * x
+        return tuple(out)
+
+    units = [(i, j) for i, j in product(range(d), repeat=2) if u[i * d + j]]
+    bad_l, bad_r = [], []
+    for x in range(d):
+        dx = w.delta.col(x)
+        terms = [(i, j) for i, j in product(range(d), repeat=2)
+                 if dx[i * d + j]]
+        capl = scaled_sum((u[i * d + j] * eps2[i][x], e[j]) for i, j in units)
+        capr = scaled_sum((u[i * d + j] * eps2[x][j], e[i]) for i, j in units)
+        left = scaled_sum((dx[i * d + j], dense_mul(A, e[i], s[j]))
+                          for i, j in terms)
+        right = scaled_sum((dx[i * d + j], dense_mul(A, s[i], e[j]))
+                           for i, j in terms)
+        if left != capl:
+            bad_l.append(A.basis_names[x])
+        if right != capr:
+            bad_r.append(A.basis_names[x])
+    return bad_l, bad_r
+
+
 def corrupted(w, target, row, col, delta):
     m = w.delta if target == "delta" else w.counit
     rows = [list(r) for r in m.rows]
@@ -547,6 +615,14 @@ def test_weak_hopf_corruptions_fail_with_certificates(data):
     assert rep.find("weak-counit-right").certificates == bad_r
     assert rep.find("weak-counit-left").ok == (not bad_l)
     assert rep.find("weak-counit-right").ok == (not bad_r)
+    ok_l, ok_r = brute_force_weak_unit(bad)
+    assert rep.find("weak-unit-left").ok == ok_l
+    assert rep.find("weak-unit-right").ok == ok_r
+    bad_l, bad_r = brute_force_antipode_lr(bad)
+    assert rep.find("antipode-l").certificates == bad_l
+    assert rep.find("antipode-r").certificates == bad_r
+    assert rep.find("antipode-l").ok == (not bad_l)
+    assert rep.find("antipode-r").ok == (not bad_r)
     failures = rep.failures()
     assert failures
     assert all(c.certificates for c in failures)
@@ -557,4 +633,6 @@ def test_weak_hopf_fixtures_pass_the_brute_force_counit_law():
         for field in (QQ, F7):
             w = make(field)
             assert brute_force_weak_counit(w) == ([], [])
+            assert brute_force_weak_unit(w) == (True, True)
+            assert brute_force_antipode_lr(w) == ([], [])
             assert verify_weak_hopf(w).passed
