@@ -20,6 +20,7 @@ from .algebra import (
     combine,
     map_at_factor,
     nonzero,
+    side_product,
     tensor_apply,
     tensor_square_product,
     verify_algebra,
@@ -199,8 +200,8 @@ def recover_twist(lb, antipode, antipode2):
 
 class WeakHopfAlgebra:
     """(H, Δ, ε, S) over the ground field, with the weakened unit/counit
-    laws.  Δ is a lift-free dense matrix H → H⊗H, ε a row vector, S a
-    square matrix."""
+    laws.  Δ is a d² × d matrix H → H⊗H into the plain tensor square, so
+    no lift is chosen; ε is a 1 × d row and S a d × d matrix."""
 
     def __init__(self, algebra, delta, counit, antipode, name=None):
         self.algebra = algebra
@@ -272,7 +273,9 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     one basis pair (x, y) at a time, for every z at once: both sides and
     ε(xy e_z) are one ``combine`` each of the sparse rows
     ``{z: ε(e_m e_z)}``, and the z on which they differ are listed in
-    ascending order.
+    ascending order.  Each mirrored pair of laws (the weakened unit and
+    counit laws, antipode-l/r) is one loop body over its two sides, and the
+    counit law is the one ``verify_separability`` checks for (δ, ψ).
     """
     rep = Report(title or f"weak Hopf algebra {w.name}")
     A = w.algebra
@@ -285,7 +288,6 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     # Δ(e_b) as sparse {i*d + j: c} and as (i, j, c) triples
     cols = w.delta.cols
     deltas = [[(*divmod(idx, d), c) for idx, c in col.items()] for col in cols]
-    eps = w.counit.sparse_rows()[0]
 
     # (Δ⊗id)Δ(e_b) and (id⊗Δ)Δ(e_b), sparse in A⊗A⊗A coordinates
     left2, right2 = ([map_at_factor((d, d), leg, col, d * d, cols.__getitem__)
@@ -294,15 +296,7 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     rep.add("coassoc", "(Δ⊗id)Δ = (id⊗Δ)Δ", ok,
             [] if ok else ["coassociativity fails"])
 
-    bad = []
-    one = w.field.one
-    for b in range(d):
-        lvec = combine((c * eps.get(j, zero), {i: one})
-                       for i, j, c in deltas[b])
-        rvec = combine((c * eps.get(i, zero), {j: one})
-                       for i, j, c in deltas[b])
-        if lvec != {b: one} or rvec != {b: one}:
-            bad.append(names[b])
+    bad = _counit_failures(A, w.delta, w.counit)
     rep.add("counit", "(id⊗ε)Δ = id = (ε⊗id)Δ", not bad, bad)
 
     bad = []
@@ -314,29 +308,31 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
                 bad.append(f"x = {names[x]}, y = {names[y]}")
     rep.add("delta-mult", "Δ(xy) = Δ(x)Δ(y)", not bad, bad)
 
-    # weakened unit law: (Δ(1)⊗1)(1⊗Δ(1)) = Δ²(1) = (1⊗Δ(1))(Δ(1)⊗1)
+    # weakened unit law: (Δ(1)⊗1)(1⊗Δ(1)) = Δ²(1) = (1⊗Δ(1))(Δ(1)⊗1).  For
+    # terms e_i⊗e_j and e_p⊗e_q of Δ(1) the left side has the term
+    # e_i ⊗ e_j e_p ⊗ e_q and the right side e_p ⊗ e_i e_q ⊗ e_j: each side
+    # lists the outer legs (a, z) and the middle factors (x, y) of its terms
     unit_terms = [(*divmod(idx, d), c) for idx, c in w.delta1().items()]
     u2 = combine((c, left2[b]) for b, c in A.unit.items())
-    lhs, rhs = {}, {}
-    for i, j, c1 in unit_terms:
-        for p, q, c2 in unit_terms:
-            c = c1 * c2
-            # (e_i⊗e_j⊗1)(1⊗e_p⊗e_q) = e_i ⊗ e_j e_p ⊗ e_q
-            for m, x in table[j][p].items():
-                idx = (i * d + m) * d + q
-                old = lhs.get(idx)
-                lhs[idx] = c * x if old is None else old + c * x
-            # (1⊗e_i⊗e_j)(e_p⊗e_q⊗1) = e_p ⊗ e_i e_q ⊗ e_j
-            for m, x in table[i][q].items():
-                idx = (p * d + m) * d + j
-                old = rhs.get(idx)
-                rhs[idx] = c * x if old is None else old + c * x
-    okl = nonzero(lhs) == u2
-    okr = nonzero(rhs) == u2
-    rep.add("weak-unit-left", "(Δ(1)⊗1)(1⊗Δ(1)) = (Δ⊗id)Δ(1)", okl,
-            [] if okl else ["left weakened unit law fails"])
-    rep.add("weak-unit-right", "(1⊗Δ(1))(Δ(1)⊗1) = (Δ⊗id)Δ(1)", okr,
-            [] if okr else ["right weakened unit law fails"])
+    for side, label, terms in (
+            ("left", "(Δ(1)⊗1)(1⊗Δ(1))",
+             ((i, j, p, q, c1, c2) for i, j, c1 in unit_terms
+              for p, q, c2 in unit_terms)),
+            ("right", "(1⊗Δ(1))(Δ(1)⊗1)",
+             ((p, i, q, j, c1, c2) for i, j, c1 in unit_terms
+              for p, q, c2 in unit_terms))):
+        acc = {}
+        for a, x, y, z, c1, c2 in terms:
+            prod_xy = table[x][y]
+            if prod_xy:
+                c = c1 * c2
+                for m, v in prod_xy.items():
+                    idx = (a * d + m) * d + z
+                    old = acc.get(idx)
+                    acc[idx] = c * v if old is None else old + c * v
+        ok = nonzero(acc) == u2
+        rep.add(f"weak-unit-{side}", f"{label} = (Δ⊗id)Δ(1)", ok,
+                [] if ok else [f"{side} weakened unit law fails"])
 
     # weakened counit law: ε(xy_(1))ε(y_(2)z) = ε(xyz) = ε(xy_(2))ε(y_(1)z),
     # for every z at once, on the sparse rows eps2[m] = {z: ε(e_m e_z)}
@@ -347,12 +343,11 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
         eps_x = eps2[x]
         for y in range(d):
             target = combine((c, eps2[m]) for m, c in table[x][y].items())
-            dy = deltas[y]
-            acc_l = combine((c * eps_x.get(i, zero), eps2[j])
-                            for i, j, c in dy)
-            acc_r = combine((c * eps_x.get(j, zero), eps2[i])
-                            for i, j, c in dy)
-            for bad, acc in ((bad_l, acc_l), (bad_r, acc_r)):
+            # x meets the leg ``first`` of Δ(y), z the other one
+            for bad, first in ((bad_l, 0), (bad_r, 1)):
+                acc = combine((c * eps_x.get(legs[first], zero),
+                               eps2[legs[1 - first]])
+                              for *legs, c in deltas[y])
                 if acc != target:
                     bad.extend(
                         f"x,y,z = {names[x]}, {names[y]}, {names[z]}"
@@ -370,40 +365,55 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
     rep.add("s-bijective", "S is bijective", okb,
             [] if okb else ["S is singular"])
 
-    capl, capr = w.cap_l(), w.cap_r()
     s_cols = w.antipode.cols
-    # s_then[i][j] = S(e_i) e_j
-    s_then = [[combine((c, table[m][j]) for m, c in s_cols[i].items())
-               for j in range(d)] for i in range(d)]
-    bad_l, bad_r, bad_m = [], [], []
+    # S(e_i) e_j and e_i S(e_j), only for the legs (i, j) of Δ's terms
+    legs = {(i, j) for terms in deltas for i, j, _ in terms}
+    s_then = {(i, j): side_product(A, s_cols[i], j, PRE) for i, j in legs}
+    then_s = {(i, j): side_product(A, s_cols[j], i, POST) for i, j in legs}
+    for law, label, cap, prods in (
+            ("antipode-l", "x_(1) S(x_(2)) = ⊓^L(x)", w.cap_l(), then_s),
+            ("antipode-r", "S(x_(1)) x_(2) = ⊓^R(x)", w.cap_r(), s_then)):
+        bad = [names[b] for b in range(d)
+               if combine((c, prods[i, j]) for i, j, c in deltas[b])
+               != cap.cols[b]]
+        rep.add(law, label, not bad, bad)
+
+    # S(x_(1)) x_(2) S(x_(3)) = S(x)
+    bad = []
     for b in range(d):
-        # x_(1) S(x_(2)) = ⊓^L(x)
-        acc = combine((c * s, table[i][m]) for i, j, c in deltas[b]
-                      for m, s in s_cols[j].items())
-        if acc != capl.cols[b]:
-            bad_l.append(names[b])
-        # S(x_(1)) x_(2) = ⊓^R(x)
-        acc = combine((c, s_then[i][j]) for i, j, c in deltas[b])
-        if acc != capr.cols[b]:
-            bad_r.append(names[b])
-        # S(x_(1)) x_(2) S(x_(3)) = S(x)
         acc = combine(
-            (c, A.mul_vec(s_then[idx // d // d][idx // d % d],
+            (c, A.mul_vec(s_then[idx // d // d, idx // d % d],
                           s_cols[idx % d]))
             for idx, c in left2[b].items())
         if acc != s_cols[b]:
-            bad_m.append(names[b])
-    rep.add("antipode-l", "x_(1) S(x_(2)) = ⊓^L(x)", not bad_l, bad_l)
-    rep.add("antipode-r", "S(x_(1)) x_(2) = ⊓^R(x)", not bad_r, bad_r)
-    rep.add("antipode-mid", "S(x_(1)) x_(2) S(x_(3)) = S(x)",
-            not bad_m, bad_m)
+            bad.append(names[b])
+    rep.add("antipode-mid", "S(x_(1)) x_(2) S(x_(3)) = S(x)", not bad, bad)
     return rep
+
+
+def _counit_failures(algebra, delta, counit):
+    """The names of the basis elements b on which the counit law
+    (id⊗ε)Δ = id = (ε⊗id)Δ fails, for a coproduct ``delta`` (d² × d) and a
+    counit row ``counit`` (1 × d) on ``algebra``."""
+    d = algebra.dim
+    eps = counit.sparse_rows()[0]
+    zero, one = algebra.field.zero, algebra.field.one
+    bad = []
+    for b, col in enumerate(delta.cols):
+        terms = [divmod(idx, d) + (c,) for idx, c in col.items()]
+        # keep the leg ``keep`` and apply ε to the other one
+        if any(combine((c * eps.get(legs[1 - keep], zero), {legs[keep]: one})
+                       for *legs, c in terms) != {b: one}
+               for keep in (0, 1)):
+            bad.append(algebra.basis_names[b])
+    return bad
 
 
 def _subalgebra(A, vectors, names_prefix, name):
     """The unital subalgebra spanned by the given elements, as a standalone
-    algebra together with the inclusion matrix.  Returns (algebra,
-    inclusion) or a string describing the obstruction."""
+    algebra together with the inclusion matrix and the coordinates of each
+    given element in its basis.  Returns (algebra, inclusion, coordinates)
+    or a string describing the obstruction."""
     field = A.field
     sub = Subspace.from_vectors(field, A.dim, vectors)
     basis = sub.sparse_basis()
@@ -424,7 +434,7 @@ def _subalgebra(A, vectors, names_prefix, name):
     alg = Algebra.from_struct(field, names, struct, unit=unit_coords,
                               name=name)
     inclusion = Matrix.from_sparse_cols(field, basis, A.dim)
-    return alg, inclusion
+    return alg, inclusion, [sub.coords_of(vec) for vec in vectors]
 
 
 def weak_hopf_to_hopf_algebroid(w, name=None):
@@ -444,30 +454,19 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
     if s_inv is None:
         return None, rep
 
-    # (id prefix, ⊓, basis prefix and name of the base, chirality)
-    sides = (("left", w.cap_l(), "l", "L", LeftBialgebroid),
-             ("right", w.cap_r(), "r", "R", RightBialgebroid))
-    bases = []
-    for side, cap, prefix, X, _ in sides:
+    # (id prefix, ⊓, basis prefix and name of the base, chirality); s is
+    # the inclusion, t is S⁻¹ on it, and the counit is ⊓ in base coordinates
+    bgds = []
+    for side, cap, prefix, X, cls in (
+            ("left", w.cap_l(), "l", "L", LeftBialgebroid),
+            ("right", w.cap_r(), "r", "R", RightBialgebroid)):
         built = _subalgebra(A, cap.cols, prefix, X)
         ok = not isinstance(built, str)
         rep.add(f"{side}-base", f"⊓^{X}(H) is a unital subalgebra", ok,
                 [] if ok else [built])
         if not ok:
             return None, rep
-        bases.append(built)
-
-    # s = the inclusion, t = S⁻¹ on it, Δ, and ⊓ read in base coordinates
-    bgds = []
-    for (side, cap, _, X, cls), (B, incl) in zip(sides, bases):
-        sub = Subspace.from_vectors(field, A.dim, incl.cols)
-        pi_cols = []
-        for name, col in zip(A.basis_names, cap.cols):
-            coords = sub.coords_of(col)
-            if coords is None:
-                rep.add(f"{side}-counit", f"⊓^{X} lands in {X}", False, [name])
-                return None, rep
-            pi_cols.append(coords)
+        B, incl, pi_cols = built
         bgds.append(cls(A, B, AlgebraMap(B, A, incl, HOM, f"s_{X}"),
                         AlgebraMap(B, A, s_inv @ incl, ANTI, f"t_{X}"),
                         w.delta,
@@ -541,16 +540,7 @@ def verify_separability(sep, title=None):
                            f"l' = {L.basis_names[j]}")
     rep.add("sep-bimodule", "δ(l l') = l·δ(l') = δ(l)·l'", not bad, bad)
 
-    # counit: (ψ⊗id)δ = id = (id⊗ψ)δ
-    psi = sep.psi.sparse_rows()[0]
-    zero = field.zero
-    bad = []
-    for j, col in enumerate(sep.delta.cols):
-        terms = [(*divmod(idx, dl), c) for idx, c in col.items()]
-        lvec = combine((c * psi.get(i, zero), {k: one}) for i, k, c in terms)
-        rvec = combine((c * psi.get(k, zero), {i: one}) for i, k, c in terms)
-        if lvec != {j: one} or rvec != {j: one}:
-            bad.append(L.basis_names[j])
+    bad = _counit_failures(L, sep.delta, sep.psi)
     rep.add("sep-counit", "(ψ⊗id)δ = id = (id⊗ψ)δ", not bad, bad)
     return rep
 
