@@ -24,7 +24,7 @@ comes first.  The two classes likewise differ only in ``side`` and
 ``mirror``; the junction, ``op``, ``cop`` and ``repr`` are written once.
 
 Coproducts are given as a chosen linear lift into the plain tensor square,
-a dense d² × d matrix ``gamma_lift``.  From it each structure derives, once
+a d² × d matrix ``gamma_lift`` held by its sparse columns.  From it each structure derives, once
 and lazily: ``gamma_q``, the coproduct in quotient coordinates, reduced
 column by column through the tensor square's echelon; and
 ``canonical_gamma_lift``, the canonical representative of the coproduct of
@@ -223,6 +223,16 @@ class _BialgebroidBase:
     def __repr__(self):
         return (f"{type(self).__name__}({self.name!r}: {self.total.name} "
                 f"over {self.base.name})")
+
+    def same_structure(self, other):
+        """Whether ``other`` is this bialgebroid: the same chirality, total
+        algebra, base, structure maps and counit, and the same coproduct in
+        the balanced tensor square, whichever lift each one stores."""
+        return self is other or (
+            type(self) is type(other) and self.total == other.total
+            and self.base == other.base and self.s == other.s
+            and self.t == other.t and self.counit == other.counit
+            and self.gamma_q == other.gamma_q)
 
     def shared_op(self):
         """``op()``, reusing this structure's quotients.

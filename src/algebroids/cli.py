@@ -210,10 +210,7 @@ def cmd_twist_recover(spec, args):
     if h1 is None or h2 is None:
         raise SpecError(f"unknown Hopf assembly among {first!r}, {second!r}")
     rep = Report(f"twist relating {first} and {second}")
-    same_left = (h1.lb.total is h2.lb.total
-                 and h1.lb.gamma_lift == h2.lb.gamma_lift
-                 and h1.lb.s.matrix == h2.lb.s.matrix
-                 and h1.lb.t.matrix == h2.lb.t.matrix)
+    same_left = h1.lb.same_structure(h2.lb)
     rep.add("recover-shared-left", "both share the left bialgebroid",
             same_left,
             [] if same_left else ["left structures differ"])

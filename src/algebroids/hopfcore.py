@@ -559,14 +559,10 @@ def antipode_uniqueness(h1, h2, title=None):
     their antipode: the second is recovered from the first by the closed
     formula S'(a) = S(a_(1)) s_L(π_L(a_(2)))."""
     rep = Report(title or "antipode uniqueness")
-    ok = (h1.lb.total == h2.lb.total and h1.lb.base == h2.lb.base
-          and h1.lb.s == h2.lb.s and h1.lb.t == h2.lb.t
-          and h1.lb.gamma_q == h2.lb.gamma_q and h1.lb.counit == h2.lb.counit)
+    ok = h1.lb.same_structure(h2.lb)
     rep.add("same-left-structure", "both share one left bialgebroid", ok,
             [] if ok else ["left bialgebroid data differ"])
-    ok2 = (h1.rb.total == h2.rb.total and h1.rb.base == h2.rb.base
-           and h1.rb.s == h2.rb.s and h1.rb.t == h2.rb.t
-           and h1.rb.gamma_q == h2.rb.gamma_q and h1.rb.counit == h2.rb.counit)
+    ok2 = h1.rb.same_structure(h2.rb)
     rep.add("same-right-structure", "both share one right bialgebroid", ok2,
             [] if ok2 else ["right bialgebroid data differ"])
     if not ok:

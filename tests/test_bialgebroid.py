@@ -118,3 +118,23 @@ def test_right_morphism_identity(m2):
     rb = m2.rb
     ident = AlgebraMap.identity(rb.total)
     assert verify_right_morphism(rb, rb, ident).passed
+
+
+def test_same_structure_reads_the_coproduct_in_the_quotient(m2):
+    lb = m2.lb
+    # e21⊗e11 is a relation of the balanced square: the same coproduct
+    cols = [dict(col) for col in lb.gamma_lift.cols]
+    cols[0][2 * 4 + 0] = QQ.one
+    shifted = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
+                              Matrix.from_sparse_cols(QQ, cols, 16),
+                              lb.counit)
+    assert lb.same_structure(shifted) and shifted.same_structure(lb)
+    # e11⊗e12 is not: a different coproduct
+    cols[0][0 * 4 + 1] = QQ.one
+    moved = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
+                            Matrix.from_sparse_cols(QQ, cols, 16), lb.counit)
+    assert not lb.same_structure(moved)
+    assert not lb.same_structure(LeftBialgebroid(
+        lb.total, lb.base, lb.s, lb.t, lb.gamma_lift, lb.counit + lb.counit))
+    # the right side of M2 has the same data but the other chirality
+    assert not lb.same_structure(m2.rb)

@@ -8,11 +8,15 @@ import pytest
 from algebroids import cli
 from algebroids.cli import emit_report, main
 from algebroids.exactfield import Matrix, RationalField
-from algebroids.hopfcore import verify_hopf
 from algebroids.integrallab import PreconditionError
 from algebroids.report import Report
 from algebroids.specfile import SpecBuilder, parse, parse_text, spec_from_hopf
-from algebroids.catalog import pair_groupoid_weak_hopf
+from algebroids.bialgebroid import LeftBialgebroid
+from algebroids.catalog import (
+    pair_groupoid_hopf_algebroid,
+    pair_groupoid_weak_hopf,
+)
+from algebroids.hopfcore import HopfAlgebroid, verify_hopf
 from algebroids.twistlab import apply_twist
 
 QQ = RationalField()
@@ -277,6 +281,34 @@ def test_twist_recover(capsys, twist_pair):
     doc = json.loads(out)
     assert doc["functionals"]["recovered-twist"]["matrix"] == [["1", "-1"]]
     assert "recover-roundtrip" in err
+
+
+def test_twist_recover_compares_coproducts_in_the_quotient(capsys, tmp_path):
+    # the pair groupoid twice, the second storing γ(e11) = e11⊗e11 + e21⊗e11:
+    # e21⊗e11 = e21⊗s(d1)e11 - t(d1)e21⊗e11 is a relation of the balanced
+    # square, so both assemblies share one left bialgebroid
+    h = pair_groupoid_hopf_algebroid(2, QQ)
+    lb = h.lb
+    cols = [dict(col) for col in lb.gamma_lift.cols]
+    cols[0][2 * 4 + 0] = QQ.one
+    shifted = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
+                              Matrix.from_sparse_cols(QQ, cols, 16),
+                              lb.counit, name="M2_L-shifted")
+    h2 = HopfAlgebroid(shifted, h.rb, h.S, h.S_inv, base_antiiso=h.chi,
+                       name="M2-shifted")
+    assert verify_hopf(h2).passed
+    b = SpecBuilder(QQ)
+    b.add_hopf(h)
+    b.add_hopf(h2)
+    p = tmp_path / "pair.spec"
+    p.write_text(b.emit())
+    code, out, err = run(capsys, "twist", "recover", str(p))
+    assert code == 0, err
+    assert "left structures differ" not in err
+    # π_L, the unit of the lower-star dual: the antipodes agree
+    doc = json.loads(out)
+    assert doc["functionals"]["recovered-twist"]["matrix"] == [
+        ["1", "1", "0", "0"], ["0", "0", "1", "1"]]
 
 
 def test_twist_recover_needs_two(capsys, tmp_path, kz2):
