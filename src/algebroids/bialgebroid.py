@@ -621,7 +621,7 @@ def verify_left_morphism(src, tgt, phi_total, phi_base=None, title=None):
 
 def verify_right_morphism(src, tgt, phi_total, phi_base=None, title=None):
     """Check a morphism of right bialgebroids by passing to the opposites."""
-    src_op, tgt_op = src.op(), tgt.op()
+    src_op, tgt_op = src.shared_op(), tgt.shared_op()
     if isinstance(phi_total, AlgebraMap):
         phi_mat = phi_total.matrix
     else:
