@@ -169,22 +169,35 @@ def scalar_base(field, name="k"):
                                name=name)
 
 
+def matrix_algebra(n, field, name=None):
+    """The full matrix algebra M_n on the matrix units e_ij e_jl = e_il."""
+    struct = {(n * i + j, n * j + l, n * i + l): field.one
+              for i in range(n) for j in range(n) for l in range(n)}
+    names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    return Algebra.from_struct(field, names, struct, name=name or f"M{n}")
+
+
+def _scalar_base_hopf(A, gamma, counit, antipode):
+    """The Hopf algebroid on A over the scalar base: source and target the
+    unit map, and one coproduct and counit on both sides."""
+    field = A.field
+    k = scalar_base(field)
+    inc = AlgebraMap(k, A, Matrix.from_sparse_cols(field, [A.unit], A.dim),
+                     HOM, "s")
+    inct = inc.with_kind(ANTI)
+    lb = LeftBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_L")
+    rb = RightBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_R")
+    return HopfAlgebroid(lb, rb, antipode, name=A.name)
+
+
 def group_hopf_algebroid(group, field, name=None):
     """The group algebra as a Hopf algebroid over the scalar base:
     grouplike coproduct, augmentation counit, inversion antipode."""
     A = group_algebra(group, field, name=name)
-    k = scalar_base(field)
     n = group.order
-    inc = AlgebraMap(k, A, Matrix.from_sparse_cols(field, [A.unit], n), HOM,
-                     "s")
-    inct = inc.with_kind(ANTI)
-    gamma = _diagonal_coproduct(field, n)
     counit = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
-    lb = LeftBialgebroid(A, k, inc, inct, gamma, counit,
-                         name=f"{A.name}_L")
-    rb = RightBialgebroid(A, k, inc, inct, gamma, counit,
-                          name=f"{A.name}_R")
-    return HopfAlgebroid(lb, rb, _inversion(group, field), name=A.name)
+    return _scalar_base_hopf(A, _diagonal_coproduct(field, n), counit,
+                             _inversion(group, field))
 
 
 def _diagonal_coproduct(field, n):
@@ -220,14 +233,7 @@ def character_twisted_hopf(group, field, chi, name=None):
 def pair_groupoid_hopf_algebroid(n, field, name=None):
     """The full matrix algebra as the pair-groupoid Hopf algebroid over the
     diagonal base: γ(e_ij) = e_ij ⊗ e_ij, π_L(e_ij) = d_i, S = transpose."""
-    struct = {}
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                struct[(n * i + j, n * j + l, n * i + l)] = field.one
-    names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    A = Algebra.from_struct(field, names, struct,
-                            name=name or f"M{n}")
+    A = matrix_algebra(n, field, name)
     L = Algebra.from_struct(
         field, [f"d{i + 1}" for i in range(n)],
         {(i, i, i): field.one for i in range(n)}, name=f"k^{n}")
@@ -257,10 +263,6 @@ def function_algebra_hopf(group, field, name=None):
     struct = {(g, g, g): field.one for g in range(n)}
     A = Algebra.from_struct(field, names, struct,
                             name=name or f"k^{group.name}")
-    k = scalar_base(field)
-    inc = AlgebraMap(k, A, Matrix.from_sparse_cols(field, [A.unit], n), HOM,
-                     "s")
-    inct = inc.with_kind(ANTI)
     cols = [{} for _ in range(n)]
     for h in range(n):
         for k2 in range(n):
@@ -269,9 +271,7 @@ def function_algebra_hopf(group, field, name=None):
     counit = Matrix.from_rows(
         field, [tuple(field.one if g == group.identity else field.zero
                       for g in range(n))], n)
-    lb = LeftBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_L")
-    rb = RightBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_R")
-    return HopfAlgebroid(lb, rb, _inversion(group, field), name=A.name)
+    return _scalar_base_hopf(A, gamma, counit, _inversion(group, field))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +294,7 @@ def pair_groupoid_weak_hopf(n, field, name=None):
     Δ(e_ij) = e_ij ⊗ e_ij, ε ≡ 1, S = transpose.  Δ(1) ≠ 1 ⊗ 1 for
     n > 1, so this is not a Hopf algebra."""
     from .twistlab import WeakHopfAlgebra
-    struct = {}
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                struct[(n * i + j, n * j + l, n * i + l)] = field.one
-    names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    A = Algebra.from_struct(field, names, struct, name=name or f"M{n}")
+    A = matrix_algebra(n, field, name)
     d = n * n
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(d))], d)
     return WeakHopfAlgebra(A, _diagonal_coproduct(field, d), eps,

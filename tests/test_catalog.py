@@ -9,6 +9,9 @@ from algebroids.catalog import (
     all_fixtures,
     group_algebra,
     group_sum_integral,
+    matrix_algebra,
+    pair_groupoid_hopf_algebroid,
+    pair_groupoid_weak_hopf,
 )
 from algebroids.hopfcore import verify_hopf
 
@@ -78,6 +81,16 @@ def test_group_algebra_structure():
     assert A.dim == 6
     assert not A.is_commutative()
     assert A.unit == {s3.identity: QQ.one}
+
+
+def test_matrix_algebra_is_the_pair_groupoid_total():
+    M3 = matrix_algebra(3, QQ)
+    assert M3.name == "M3" and M3.basis_names[5] == "e23"
+    # e12 e23 = e13
+    assert M3.table[1][5] == {2: QQ.one}
+    assert M3.unit == {0: QQ.one, 4: QQ.one, 8: QQ.one}
+    assert pair_groupoid_hopf_algebroid(3, QQ).total == M3
+    assert pair_groupoid_weak_hopf(3, QQ).algebra == M3
 
 
 def test_all_fixtures_verify():
