@@ -367,9 +367,9 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
 
     s_cols = w.antipode.cols
     # S(e_i) e_j and e_i S(e_j), only for the legs (i, j) of Δ's terms
-    legs = {(i, j) for terms in deltas for i, j, _ in terms}
-    s_then = {(i, j): side_product(A, s_cols[i], j, PRE) for i, j in legs}
-    then_s = {(i, j): side_product(A, s_cols[j], i, POST) for i, j in legs}
+    pairs = {(i, j) for terms in deltas for i, j, _ in terms}
+    s_then = {(i, j): side_product(A, s_cols[i], j, PRE) for i, j in pairs}
+    then_s = {(i, j): side_product(A, s_cols[j], i, POST) for i, j in pairs}
     for law, label, cap, prods in (
             ("antipode-l", "x_(1) S(x_(2)) = ⊓^L(x)", w.cap_l(), then_s),
             ("antipode-r", "S(x_(1)) x_(2) = ⊓^R(x)", w.cap_r(), s_then)):
