@@ -24,11 +24,11 @@ comes first.  The two classes likewise differ only in ``side`` and
 ``mirror``; the junction, ``op``, ``cop`` and ``repr`` are written once.
 
 Coproducts are given as a chosen linear lift into the plain tensor square,
-a d² × d matrix ``gamma_lift`` held by its sparse columns.  From it each structure derives, once
-and lazily: ``gamma_q``, the coproduct in quotient coordinates, reduced
-column by column through the tensor square's echelon; and
-``canonical_gamma_lift``, the canonical representative of the coproduct of
-each basis element, a sparse tensor-square vector supported on the free
+a d² × d matrix ``gamma_lift`` held by its sparse columns.  From it each
+structure derives, once and lazily: ``gamma_q``, the coproduct in quotient
+coordinates, reduced column by column through the tensor square's echelon;
+and ``canonical_gamma_lift``, the canonical representative of the coproduct
+of each basis element, a sparse tensor-square vector supported on the free
 columns.  Every quotient-valued identity is evaluated on those sparse
 canonical columns and through the canonical echelon normal form, so
 verdicts never depend on the stored representative whenever the relevant
