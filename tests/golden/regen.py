@@ -26,7 +26,10 @@ and luiii; shifted coproducts fail the α and β Galois checks; a shifted
 left target fails defi-t and defiii-left; a shifted weak coproduct is
 refused at left-base or right-base, and fails weak-unit-left or
 weak-unit-right but not both; and skewed right structure maps leave
-ℓ_R bijective but make ᵣℓ degenerate.
+ℓ_R bijective but make ᵣℓ degenerate.  A pair-groupoid antipode rescaled
+at e11 keeps ℓ_R and ᵣℓ bijective but fails (fsrinv), nd-s-ell,
+nd-s-inv-ell and intpr-iii, iv and v; the pair-groupoid λ* raised at one
+entry fails one half of frob-bimodule and one of frob-left, frob-right.
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -35,6 +38,7 @@ that is meant to alter reports, and review the diff:
     PYTHONPATH=src python3 tests/golden/regen.py
 """
 
+import copy
 import io
 import os
 import sys
@@ -210,7 +214,9 @@ def _library_cases():
     from algebroids.integrallab import (
         LEFT,
         RIGHT,
+        frobenius_check,
         integral_space,
+        intpr_equivalences,
         lac_check,
         ls_right,
         nondegeneracy,
@@ -456,6 +462,33 @@ def _library_cases():
     # the second map, ᵣℓ, is the one that fails
     cases["nondegeneracy-m2-skewed-right"] = lambda: describe_degenerate(
         skewed_right_maps(), vec(1, 1, 1, 1))
+
+    def rescaled_antipode():
+        # S(e11) = 2·e11: ℓ = Σ e_ij stays a left integral with bijective
+        # ℓ_R and ᵣℓ, but S(ℓ) and S⁻¹(ℓ) are no right integrals
+        return HopfAlgebroid(m2().lb, m2().rb, shifted_antipode((0, 0)),
+                             base_antiiso=m2().chi, name="bad")
+
+    # fails fsrinv-upper, fsrinv-star, nd-s-ell and nd-s-inv-ell
+    cases["nondegeneracy-m2-rescaled-antipode"] = lambda: render(
+        nondegeneracy(rescaled_antipode(), vec(1, 1, 1, 1)).report)
+    # fails intpr-iii, intpr-iv, intpr-v and intpr-agree
+    cases["intpr-m2-rescaled-antipode"] = lambda: render(
+        intpr_equivalences(rescaled_antipode(), vec(1, 1, 1, 1)))
+
+    def shifted_frobenius(at):
+        # the M2 witness with one entry of λ* raised by 1
+        h = m2()
+        nd = copy.copy(nondegeneracy(h, vec(1, 1, 1, 1)))
+        nd.lambda_star = _perturb(nd.lambda_star, *at, one)
+        return render(frobenius_check(nd))
+
+    # λ*(d1, e12): fails frob-left and the λ*(a s_R(r)) half of
+    # frob-bimodule; λ*(d2, e12): frob-right and the λ*(s_R(r)a) half
+    for at in ((0, 1), (1, 1)):
+        cases[f"frobenius-corrupt-m2-lambda-{at[0]}{at[1]}"] = \
+            lambda at=at: shifted_frobenius(at)
+
     cases["bgdnd-m2-degenerate-row"] = lambda: render(
         verify_bgdnd(hopf("m2-groupoid").rb, vec(1, 1, 0, 0)))
 
