@@ -303,14 +303,15 @@ class AlgebraMap:
         return AlgebraMap(self.source, self.target, self.matrix, kind,
                           name or self.name)
 
-    def into_opposite(self, opp_target=None):
-        """The same linear map viewed into the opposite target algebra.
+    def into_opposite(self, opp_target):
+        """The same linear map viewed into ``opp_target``, the opposite of
+        the target algebra.
 
         Multiplicative maps become anti-multiplicative and vice versa.
         """
-        tgt = opp_target if opp_target is not None else opposite(self.target)
         kind = ANTI if self.kind == HOM else HOM
-        return AlgebraMap(self.source, tgt, self.matrix, kind, self.name)
+        return AlgebraMap(self.source, opp_target, self.matrix, kind,
+                          self.name)
 
     def from_opposite_source(self, opp_source=None):
         """The same linear map viewed from the opposite source algebra."""

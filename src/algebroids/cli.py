@@ -35,6 +35,7 @@ from .report import DEFAULT_CERTIFICATE_LIMIT, Report
 from .specfile import SpecBuilder, SpecError, parse_field
 from .twistlab import (
     apply_twist,
+    diagonal_separability,
     recover_twist,
     twisted_antipode,
     verify_twist,
@@ -75,14 +76,12 @@ def cmd_check(spec, args):
         for nm, A in _collect(spec, spec.algebras, args.name, "algebra"):
             rep.extend(verify_algebra(A), prefix=f"{nm}-")
     elif level == "left-bialgebroid":
-        table = spec.left_bialgebroids or {
-            nm: h.lb for nm, h in spec.hopf_algebroids.items()}
-        for nm, lb in _collect(spec, table, args.name, "left_bialgebroid"):
+        for nm, lb in _collect(spec, spec.left_bialgebroids, args.name,
+                               "left_bialgebroid"):
             rep.extend(verify_left_bialgebroid(lb), prefix=f"{nm}-")
     elif level == "right-bialgebroid":
-        table = spec.right_bialgebroids or {
-            nm: h.rb for nm, h in spec.hopf_algebroids.items()}
-        for nm, rb in _collect(spec, table, args.name, "right_bialgebroid"):
+        for nm, rb in _collect(spec, spec.right_bialgebroids, args.name,
+                               "right_bialgebroid"):
             rep.extend(verify_right_bialgebroid(rb), prefix=f"{nm}-")
     elif level == "hopf":
         for nm, h in _collect(spec, spec.hopf_algebroids, args.name,
@@ -266,7 +265,12 @@ def cmd_dualize(spec, args):
 
 def cmd_wha_decide(spec, args):
     nm, h = spec.hopf(args.name)
-    out = wha_decide(h)
+    try:
+        sep = diagonal_separability(h.lb.base)
+    except ValueError as exc:
+        # the command is defined only over a split diagonal base
+        raise SpecError(str(exc)) from exc
+    out = wha_decide(h, sep=sep)
     rep = Report(f"weak Hopf decision for {nm}")
     rep.add("wha-verdict", f"decision: {out['verdict']}",
             out["verdict"] != "not-weak-hopf")

@@ -169,17 +169,16 @@ def _mixed_coassociativity(lb, rb, llr, rrl):
     return bad_lr, bad_rl
 
 
-def verify_hopf(h, title=None, include_bialgebroids=True):
+def verify_hopf(h, title=None):
     """Verify the full Hopf algebroid axiom set for ``h``."""
     rep = Report(title or f"hopf algebroid {h.name}")
     lb, rb = h.lb, h.rb
     A = h.total
     d = A.dim
 
-    if include_bialgebroids:
-        with sharing_total_checks():
-            rep.extend(verify_left_bialgebroid(lb), prefix="lb-")
-            rep.extend(verify_right_bialgebroid(rb), prefix="rb-")
+    with sharing_total_checks():
+        rep.extend(verify_left_bialgebroid(lb), prefix="lb-")
+        rep.extend(verify_right_bialgebroid(rb), prefix="rb-")
 
     ok = lb.total == rb.total
     rep.add("same-total", "both bialgebroids live on one algebra", ok,
@@ -350,12 +349,12 @@ def verify_sisom(h, title=None):
 # reconstruction of one side from the other
 
 
-def reconstruct_right(lb, antipode, antipode_inv=None, nu=None):
-    """Rebuild the right bialgebroid of a Hopf algebroid from (lb, S).
+def reconstruct_right(lb, antipode, antipode_inv=None):
+    """Rebuild the right bialgebroid of a Hopf algebroid from (lb, S),
+    over the opposite of the left base.
 
-    ``nu`` identifies the new base with the opposite of the left base
-    (a multiplicative isomorphism from L^op; identity by default).  Returns
-    the assembled HopfAlgebroid; run verify_hopf on it to certify the input.
+    Returns the assembled HopfAlgebroid; run verify_hopf on it to certify
+    the input.
     """
     A = lb.total
     d = A.dim
@@ -364,42 +363,34 @@ def reconstruct_right(lb, antipode, antipode_inv=None, nu=None):
     S_inv = antipode_inv if antipode_inv is not None else S.inverse()
     if S_inv is None:
         raise ValueError("antipode must be invertible to reconstruct")
-    if nu is None:
-        R = opposite(lb.base)
-        nu = AlgebraMap(R, R, Matrix.identity(field, R.dim), HOM, "ν")
-        nu_inv_mat = nu.matrix
-    else:
-        R = nu.target
-        nu_inv_mat = nu.matrix.inverse()
-        if nu_inv_mat is None:
-            raise ValueError("base identification must be invertible")
-    # maps out of R (νinv lands in L, read through s_L / S∘s_L)
-    s_r = AlgebraMap(R, A, S @ lb.s.matrix @ nu_inv_mat, HOM, "s_R")
-    t_r = AlgebraMap(R, A, lb.s.matrix @ nu_inv_mat, ANTI, "t_R")
+    R = opposite(lb.base)
+    # maps out of R = L^op, read through s_L / S∘s_L
+    s_r = AlgebraMap(R, A, S @ lb.s.matrix, HOM, "s_R")
+    t_r = AlgebraMap(R, A, lb.s.matrix, ANTI, "t_R")
     gamma_cols = [flip_tensor(d, d, tensor_apply(
         S, S, lb.coproduct_lift(S_inv.cols[j]))) for j in range(d)]
     gamma_r = Matrix.from_sparse_cols(field, gamma_cols, d * d)
-    counit_r = nu.matrix @ lb.counit @ S_inv
+    counit_r = lb.counit @ S_inv
     rb = RightBialgebroid(A, R, s_r, t_r, gamma_r, counit_r,
                           name=f"{lb.name}_right")
-    chi = AlgebraMap(R, lb.base, nu_inv_mat, ANTI, "χ")
+    chi = AlgebraMap(R, lb.base, Matrix.identity(field, R.dim), ANTI, "χ")
     return HopfAlgebroid(lb, rb, S, S_inv, base_antiiso=chi,
                          name=f"{lb.name}_hopf")
 
 
-def reconstruct_left(rb, antipode, antipode_inv=None, mu=None):
+def reconstruct_left(rb, antipode, antipode_inv=None):
     """Rebuild the left bialgebroid of a Hopf algebroid from (rb, S).
 
     The opposite of rb is a left bialgebroid on A^op with antipode S⁻¹, so
     reconstruct_right builds the opposite of the wanted Hopf algebroid; read
-    back through op it gives, over the opposite of the right base (via
-    ``mu`` when supplied), the source t_R, the target S⁻¹∘t_R, the
-    coproduct flip(S⁻¹⊗S⁻¹)∘γ_R∘S and the counit π_R∘S.
+    back through op it gives, over the opposite of the right base, the
+    source t_R, the target S⁻¹∘t_R, the coproduct flip(S⁻¹⊗S⁻¹)∘γ_R∘S and
+    the counit π_R∘S.
     """
     S_inv = antipode_inv if antipode_inv is not None else antipode.inverse()
     if S_inv is None:
         raise ValueError("antipode must be invertible to reconstruct")
-    mirror = reconstruct_right(rb.shared_op(), S_inv, antipode, nu=mu)
+    mirror = reconstruct_right(rb.shared_op(), S_inv, antipode)
     return from_opposite(mirror, rb)
 
 
@@ -452,7 +443,7 @@ def _left_antipode_identities(rep, lb, S, notation):
     rep.add(second, label, not bad, bad)
 
 
-def check_luiiv(lb, antipode, antipode_inv=None, title=None):
+def check_luiiv(lb, antipode, title=None):
     """Decide from (lb, S) alone whether reconstruction yields a Hopf algebroid.
 
     The four conditions: (lui) S∘t_L = s_L with S an anti-automorphism;
@@ -466,7 +457,7 @@ def check_luiiv(lb, antipode, antipode_inv=None, title=None):
     A = lb.total
     d = A.dim
     S = antipode
-    S_inv = antipode_inv if antipode_inv is not None else S.inverse()
+    S_inv = S.inverse()
 
     rep.extend(verify_map(AlgebraMap(A, A, S, ANTI, "S")), prefix="lui-")
     ok = S_inv is not None

@@ -58,9 +58,9 @@ class Check:
 class Report:
     """An ordered bundle of checks with an overall verdict."""
 
-    def __init__(self, title, checks=None):
+    def __init__(self, title):
         self.title = title
-        self.checks = list(checks) if checks else []
+        self.checks = []
 
     def add(self, check_id, label, ok, certificates=None, skipped=False, note=""):
         chk = Check(check_id, label, bool(ok), list(certificates or []), skipped, note)

@@ -119,19 +119,10 @@ class SpecFile:
         return self._pick(self.hopf_algebroids, "hopf_algebroid", name)
 
     def right_bialgebroid(self, name=None):
-        """A right bialgebroid: declared directly, or a Hopf assembly's."""
-        if self.right_bialgebroids or not self.hopf_algebroids:
-            return self._pick(self.right_bialgebroids, "right_bialgebroid",
-                              name)
-        nm, h = self.hopf(name)
-        return nm, h.rb
+        return self._pick(self.right_bialgebroids, "right_bialgebroid", name)
 
     def left_bialgebroid(self, name=None):
-        if self.left_bialgebroids or not self.hopf_algebroids:
-            return self._pick(self.left_bialgebroids, "left_bialgebroid",
-                              name)
-        nm, h = self.hopf(name)
-        return nm, h.lb
+        return self._pick(self.left_bialgebroids, "left_bialgebroid", name)
 
     def weak(self, name=None):
         return self._pick(self.weak_hopf, "weak_hopf", name)

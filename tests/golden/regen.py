@@ -371,7 +371,7 @@ def _library_cases():
             lambda side=side, at=at: render(verify_hopf(shifted_hopf(side, at)))
     # fails luiv-lr and luiv-rl
     cases["luiiv-corrupt-m2-gamma-lb-01"] = lambda: render(check_luiiv(
-        shifted_hopf("lb", (0, 1)).lb, m2().S, m2().S_inv))
+        shifted_hopf("lb", (0, 1)).lb, m2().S))
 
     # alpha-wd and beta-wd; schinvun-alpha and schinvun-beta
     for at in ((0, 1), (0, 0)):

@@ -351,6 +351,27 @@ def test_wha_decide_kz2(capsys):
     assert "decision: exact" in out
 
 
+def test_wha_decide_base_not_split_diagonal_is_a_usage_error(capsys,
+                                                            tmp_path):
+    # kZ2 over k' = <u>, u² = 2u, s(u) = 2·1, counits halved: a Hopf
+    # algebroid whose base is not split diagonal in its basis
+    doc = json.loads(Path(KZ2).read_text(encoding="utf-8"))
+    doc["algebras"]["k"].update(struct=[[0, 0, 0, "2"]], unit=["1/2"])
+    for amap in doc["maps"].values():
+        amap["matrix"] = [["2"], ["0"]]
+    for table in ("left_bialgebroids", "right_bialgebroids"):
+        for bgd in doc[table].values():
+            bgd["counit"] = [["1/2", "1/2"]]
+    p = tmp_path / "rescaled.spec"
+    p.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "check", "--level", "hopf", str(p))
+    assert code == 0
+    code, out, err = run(capsys, "wha-decide", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "error: base is not split diagonal in this basis\n"
+
+
 def test_diagram_kz2(capsys):
     code, out, _ = run(capsys, "diagram", KZ2)
     assert code == 0

@@ -165,7 +165,7 @@ def test_reconstruct_left_roundtrip(kz2_twisted):
 def test_negated_antipode_fails_exactly_defiv(m2):
     bad = HopfAlgebroid(m2.lb, m2.rb, (-m2.S),
                         base_antiiso=m2.chi)
-    rep = verify_hopf(bad, include_bialgebroids=False)
+    rep = verify_hopf(bad)
     assert {c.check_id for c in rep.failures()} == {"defiv-left",
                                                     "defiv-right"}
     assert rep.find("defiv-left").certificates
