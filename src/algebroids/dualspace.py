@@ -228,24 +228,16 @@ def _act(bgd, kind, phi, lifts):
     return [contract_leg(bgd.total, m, w, leg, side) for w in lifts]
 
 
-def act_lower_star(lb, avec, phi):
-    """a ↼ φ = s_L(φ(a_(1))) a_(2), for φ in the lower-star dual."""
-    return _act(lb, LOWER_STAR, phi, [lb.coproduct_lift(avec)])[0]
+def act(bgd, kind, phi, avec):
+    """The action of a functional φ of the ``kind`` dual on the element
+    ``avec``, read from its coproduct lift:
 
-
-def act_star_lower(lb, avec, phi):
-    """a ⇂ φ = t_L(φ(a_(2))) a_(1), for φ in the star-lower dual."""
-    return _act(lb, STAR_LOWER, phi, [lb.coproduct_lift(avec)])[0]
-
-
-def act_upper_star(rb, phi, avec):
-    """φ ⇀ a = a^(2) t_R(φ(a^(1))), for φ in the upper-star dual."""
-    return _act(rb, UPPER_STAR, phi, [rb.coproduct_lift(avec)])[0]
-
-
-def act_star_upper(rb, phi, avec):
-    """φ ⇁ a = a^(1) s_R(φ(a^(2))), for φ in the star-upper dual."""
-    return _act(rb, STAR_UPPER, phi, [rb.coproduct_lift(avec)])[0]
+        lower-star  a ↼ φ = s_L(φ(a_(1))) a_(2)
+        star-lower  a ⇂ φ = t_L(φ(a_(2))) a_(1)
+        upper-star  φ ⇀ a = a^(2) t_R(φ(a^(1)))
+        star-upper  φ ⇁ a = a^(1) s_R(φ(a^(2)))
+    """
+    return _act(bgd, kind, phi, [bgd.coproduct_lift(avec)])[0]
 
 
 def transpose_left(phi, algebra, avec):

@@ -52,23 +52,17 @@ RIGHT = "right"
 
 def _side_bialgebroid(parent, side):
     """Resolve ``parent`` (a bialgebroid or a Hopf algebroid) to one side."""
-    if side == LEFT:
-        if isinstance(parent, LeftBialgebroid):
-            return parent
-        lb = getattr(parent, "lb", None)
-        if lb is not None:
-            return lb
-        raise TypeError("left integrals need a left bialgebroid "
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
+    cls, attr = ((LeftBialgebroid, "lb") if side == LEFT
+                 else (RightBialgebroid, "rb"))
+    if isinstance(parent, cls):
+        return parent
+    bgd = getattr(parent, attr, None)
+    if bgd is None:
+        raise TypeError(f"{side} integrals need a {side} bialgebroid "
                         f"(got {parent!r})")
-    if side == RIGHT:
-        if isinstance(parent, RightBialgebroid):
-            return parent
-        rb = getattr(parent, "rb", None)
-        if rb is not None:
-            return rb
-        raise TypeError("right integrals need a right bialgebroid "
-                        f"(got {parent!r})")
-    raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
+    return bgd
 
 
 class PreconditionError(ArithmeticError):
@@ -80,11 +74,15 @@ def _require(ok, message):
         raise PreconditionError(message)
 
 
-def _fail_lines(report, limit=3):
-    lines = []
-    for chk in report.failures()[:limit]:
-        lines.append(f"{chk.check_id}: {chk.label}")
-    return "; ".join(lines)
+def _fail_lines(report):
+    """The first three failing checks of ``report``, as one line."""
+    return "; ".join(f"{chk.check_id}: {chk.label}"
+                     for chk in report.failures()[:3])
+
+
+def _times(algebra, u, x, side):
+    """u·x (``pre``) or x·u (``post``)."""
+    return algebra.mul_vec(u, x) if side == PRE else algebra.mul_vec(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -161,34 +159,27 @@ def intpr_equivalences(h, ell, title=None):
     ell = A.from_dense(ell)
     d = A.dim
 
-    def one_sided(bgd, vec, through_t, mirrored):
+    # i)-iv): a multiplies vec as the structure map's image of π(a) does,
+    # from the left on ℓ and from the right on S(ℓ) and S⁻¹(ℓ); ``side``
+    # puts vec before (pre) or after (post) the other factor
+    values = []
+    for cid, label, bgd, vec, amap, side in (
+            ("intpr-i", "aℓ = s_Lπ_L(a)ℓ (left integral)", lb, ell, lb.s,
+             POST),
+            ("intpr-ii", "aℓ = t_Lπ_L(a)ℓ", lb, ell, lb.t, POST),
+            ("intpr-iii", "S(ℓ) is a right integral", rb, h.S.apply(ell),
+             rb.s, PRE),
+            ("intpr-iv", "S⁻¹(ℓ) is a right integral", rb,
+             h.S_inv.apply(ell), rb.s, PRE)):
         bad = []
         for i in range(d):
-            factor = (bgd.t if through_t else bgd.s).apply(bgd.counit.cols[i])
-            if mirrored:
-                lhs = side_product(A, vec, i, PRE)
-                rhs = A.mul_vec(vec, factor)
-            else:
-                lhs = side_product(A, vec, i, POST)
-                rhs = A.mul_vec(factor, vec)
+            lhs = side_product(A, vec, i, side)
+            rhs = _times(A, vec, amap.apply(bgd.counit.cols[i]), side)
             if lhs != rhs:
                 bad.append(f"a = {A.basis_names[i]}: "
                            f"{A.fmt_vec(lhs)} ≠ {A.fmt_vec(rhs)}")
-        return bad
-
-    bad_i = one_sided(lb, ell, False, False)
-    rep.add("intpr-i", "aℓ = s_Lπ_L(a)ℓ (left integral)", not bad_i, bad_i)
-
-    bad_ii = one_sided(lb, ell, True, False)
-    rep.add("intpr-ii", "aℓ = t_Lπ_L(a)ℓ", not bad_ii, bad_ii)
-
-    s_ell = h.S.apply(ell)
-    bad_iii = one_sided(rb, s_ell, False, True)
-    rep.add("intpr-iii", "S(ℓ) is a right integral", not bad_iii, bad_iii)
-
-    si_ell = h.S_inv.apply(ell)
-    bad_iv = one_sided(rb, si_ell, False, True)
-    rep.add("intpr-iv", "S⁻¹(ℓ) is a right integral", not bad_iv, bad_iv)
+        rep.add(cid, label, not bad, bad)
+        values.append(not bad)
 
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
@@ -204,7 +195,7 @@ def intpr_equivalences(h, ell, title=None):
     rep.add("intpr-v", "S(a)ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ ≡ ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ in A ⊗_R A",
             not bad_v, bad_v)
 
-    values = [not bad_i, not bad_ii, not bad_iii, not bad_iv, not bad_v]
+    values.append(not bad_v)
     agree = all(values) or not any(values)
     rep.add("intpr-agree", "the five characterisations agree", agree,
             [] if agree else [f"truth vector {values}"])
@@ -338,21 +329,19 @@ def _nondegeneracy(h, ell, data, title=None):
         rep.add(cid, f"{text}⁻¹(a) = {' '.join(formula)}", not bad, bad)
 
     rint = integral_space(h, RIGHT)
-    lower = DualModule(lb, LOWER_STAR)
-    star_lower = DualModule(lb, STAR_LOWER)
+    # Υ_L and ₗΥ: (the left-sided dual, the map's name, how it acts)
+    lefts = ((DualModule(lb, LOWER_STAR), "Υ_L", "↼"),
+             (DualModule(lb, STAR_LOWER), "_LΥ", "⇂"))
     for tag, label, vec in (("nd-s-ell", "S(ℓ)", h.S.apply(ell)),
                             ("nd-s-inv-ell", "S⁻¹(ℓ)", h.S_inv.apply(ell))):
         bad = []
         if not rint.space.contains(vec):
             bad.append(f"{label} = {A.fmt_vec(vec)} is not a right integral")
-        up_l = lower.acting_on(vec)
-        if lower.dim != d or up_l.rank() != d:
-            bad.append(f"Υ_L : φ ↦ {label}↼φ has rank "
-                       f"{up_l.rank()} of {d}")
-        l_up = star_lower.acting_on(vec)
-        if star_lower.dim != d or l_up.rank() != d:
-            bad.append(f"_LΥ : φ ↦ {label}⇂φ has rank "
-                       f"{l_up.rank()} of {d}")
+        for module, text, acts in lefts:
+            m = module.acting_on(vec)
+            if module.dim != d or m.rank() != d:
+                bad.append(f"{text} : φ ↦ {label}{acts}φ has rank "
+                           f"{m.rank()} of {d}")
         rep.add(tag, f"{label} is a non-degenerate right integral",
                 not bad, bad)
 
@@ -402,24 +391,22 @@ def frobenius_check(nd, h=None, title=None):
     d = A.dim
     one = A.field.one
 
+    # the left half moves s_R(r) onto a from the left, the right half from
+    # the right; the right half's certificate names no values
     bad = []
     for ridx in range(R.dim):
         rvec = {ridx: one}
         srv = rb.s.matrix.cols[ridx]
         for i in range(d):
-            lhs = lam.apply(side_product(A, srv, i, PRE))
-            rhs = R.mul_vec(rvec, lam.cols[i])
-            if lhs != rhs:
-                bad.append(f"r = {R.basis_names[ridx]}, "
-                           f"a = {A.basis_names[i]}: "
-                           f"λ*(s_R(r)a) = {R.fmt_vec(lhs)} ≠ "
-                           f"rλ*(a) = {R.fmt_vec(rhs)}")
-            lhs = lam.apply(side_product(A, srv, i, POST))
-            rhs = R.mul_vec(lam.cols[i], rvec)
-            if lhs != rhs:
-                bad.append(f"r = {R.basis_names[ridx]}, "
-                           f"a = {A.basis_names[i]}: "
-                           f"λ*(a s_R(r)) ≠ λ*(a)r")
+            for side, text in (
+                    (PRE, "λ*(s_R(r)a) = {} ≠ rλ*(a) = {}"),
+                    (POST, "λ*(a s_R(r)) ≠ λ*(a)r")):
+                lhs = lam.apply(side_product(A, srv, i, side))
+                rhs = _times(R, rvec, lam.cols[i], side)
+                if lhs != rhs:
+                    bad.append(f"r = {R.basis_names[ridx]}, "
+                               f"a = {A.basis_names[i]}: "
+                               + text.format(R.fmt_vec(lhs), R.fmt_vec(rhs)))
     rep.add("frob-bimodule", "λ* is an R-bimodule map A → R", not bad, bad)
 
     # x ⊗ y runs over e_k ⊗ y_k, y_k the second legs against e_k
@@ -428,24 +415,23 @@ def frobenius_check(nd, h=None, title=None):
         k, j = divmod(idx, d)
         ys[k][j] = c
 
-    bad = []
-    for i in range(d):
-        acc = combine((one, side_product(
-            A, rb.s.apply(lam.apply(side_product(A, y, i, PRE))), k, POST))
-            for k, y in enumerate(ys))
-        if acc != {i: one}:
-            bad.append(f"a = {A.basis_names[i]}: Σ x·s_R(λ*(y a)) = "
-                       f"{A.fmt_vec(acc)}")
-    rep.add("frob-left", "Σ x · s_R(λ*(y a)) = a", not bad, bad)
-
-    bad = []
-    for i in range(d):
-        acc = combine((one, A.mul_vec(rb.s.apply(lam.apply(A.table[i][k])), y))
-                      for k, y in enumerate(ys))
-        if acc != {i: one}:
-            bad.append(f"a = {A.basis_names[i]}: Σ s_R(λ*(a x))·y = "
-                       f"{A.fmt_vec(acc)}")
-    rep.add("frob-right", "Σ s_R(λ*(a x)) · y = a", not bad, bad)
+    # frob-right is frob-left in A^op with x and y swapped: the inner leg
+    # multiplies a and the outer leg s_R(λ*(…)), from the left (pre) in
+    # frob-left and from the right (post) in frob-right
+    for cid, label, text, legs, side in (
+            ("frob-left", "Σ x · s_R(λ*(y a)) = a", "Σ x·s_R(λ*(y a))",
+             [({k: one}, y) for k, y in enumerate(ys)], PRE),
+            ("frob-right", "Σ s_R(λ*(a x)) · y = a", "Σ s_R(λ*(a x))·y",
+             [(y, {k: one}) for k, y in enumerate(ys)], POST)):
+        bad = []
+        for i in range(d):
+            acc = combine((one, _times(A, outer, rb.s.apply(lam.apply(
+                side_product(A, inner, i, side))), side))
+                for outer, inner in legs)
+            if acc != {i: one}:
+                bad.append(f"a = {A.basis_names[i]}: {text} = "
+                           f"{A.fmt_vec(acc)}")
+        rep.add(cid, label, not bad, bad)
     return rep
 
 
@@ -500,16 +486,17 @@ def duality_diagram(h, nd, title=None):
     if bad:
         return rep
 
-    ell_l = d_ls.module.acting_on(nd.ell)
-    ok_l = d_ls.module.dim == d and ell_l.rank() == d
-    rep.add("ell-l-bijective", "ℓ_L : 𝒜_* → A, φ ↦ ℓ↼φ is bijective",
-            ok_l, [] if ok_l else [f"rank {ell_l.rank()} of {d}"])
-    l_ell = d_sl.module.acting_on(nd.ell)
-    ok_r = d_sl.module.dim == d and l_ell.rank() == d
-    rep.add("l-ell-bijective", "ₗℓ : ₍*₎𝒜 → A, φ ↦ ℓ⇂φ is bijective",
-            ok_r, [] if ok_r else [f"rank {l_ell.rank()} of {d}"])
-    if not (ok_l and ok_r):
+    actions = []
+    for cid, label, dual in (
+            ("ell-l-bijective", "ℓ_L : 𝒜_* → A, φ ↦ ℓ↼φ is bijective", d_ls),
+            ("l-ell-bijective", "ₗℓ : ₍*₎𝒜 → A, φ ↦ ℓ⇂φ is bijective", d_sl)):
+        m = dual.module.acting_on(nd.ell)
+        ok = dual.module.dim == d and m.rank() == d
+        rep.add(cid, label, ok, [] if ok else [f"rank {m.rank()} of {d}"])
+        actions.append(m)
+    if not rep.passed:
         return rep
+    ell_l, l_ell = actions
 
     corner_tl = d_ls.bgd.op().cop()
     corner_tr = d_sl.bgd.op().cop()
@@ -586,10 +573,9 @@ def dual_hopf_algebroid(h, nd, name=None):
 
     kc = record["kappa"] = dual.module.coords(kappa)
     _require(kc is not None, "κ is not a member of the dual ring")
-    _require(integral_space(hd, LEFT).space.contains(kc),
-             "κ is not a left integral of the dual")
-    _require(integral_space(hd, RIGHT).space.contains(kc),
-             "κ is not a right integral of the dual")
+    for side in (LEFT, RIGHT):
+        _require(integral_space(hd, side).space.contains(kc),
+                 f"κ is not a {side} integral of the dual")
     nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")

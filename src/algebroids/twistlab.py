@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .bimodtensor import PRE, POST, ActionSpec, BalancedTensorSpace, Junction
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
-from .dualspace import DualModule, LOWER_STAR, act_lower_star, action_matrix
+from .dualspace import DualModule, LOWER_STAR, act, action_matrix
 from .hopfcore import HopfAlgebroid, reconstruct_right
 from .report import Report
 
@@ -121,18 +121,18 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
             [] if auto_ok else ["g∘s_L fails to be an automorphism"])
 
     # (tw1) 1 ↼ g = 1
-    moved = act_lower_star(lb, A.unit, g)
+    moved = act(lb, LOWER_STAR, g, A.unit)
     ok1 = moved == A.unit
     rep.add("tw1", "1 ↼ g = 1", ok1,
             [] if ok1 else [f"1 ↼ g = {A.fmt_vec(moved)}"])
 
     # (tw2) (a ↼ g)(b ↼ g) = ab ↼ g
-    act = action_matrix(lb, LOWER_STAR, g)
+    act_g = action_matrix(lb, LOWER_STAR, g)
     bad = []
-    for i, ai in enumerate(act.cols):
-        for j, aj in enumerate(act.cols):
+    for i, ai in enumerate(act_g.cols):
+        for j, aj in enumerate(act_g.cols):
             lhs = A.mul_vec(ai, aj)
-            rhs = act.apply(A.table[i][j])
+            rhs = act_g.apply(A.table[i][j])
             if lhs != rhs:
                 bad.append(f"a = {A.basis_names[i]}, b = {A.basis_names[j]}")
     rep.add("tw2", "(a ↼ g)(b ↼ g) = ab ↼ g", not bad, bad)
@@ -147,13 +147,13 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
     deformed = AlgebraMap(L, A, lb.s.matrix @ gs_inv, HOM, "s∘(g∘s)⁻¹")
     junction = Junction(ActionSpec(lb.s, POST), ActionSpec(deformed, PRE))
     space = BalancedTensorSpace([A, A], [junction])
-    act_inv = action_matrix(lb, LOWER_STAR, g_inv)
+    act_g_inv = action_matrix(lb, LOWER_STAR, g_inv)
     bad = []
     ident = Matrix.identity(field, d)
     for aidx, w in enumerate(lb.canonical_gamma_lift):
         # S(a_(1)) ↼ g ⊗ a_(2) and S(a_(1)) ⊗ a_(2) ↼ g⁻¹
-        lhs = tensor_apply(act @ antipode, ident, w)
-        rhs = tensor_apply(antipode, act_inv, w)
+        lhs = tensor_apply(act_g @ antipode, ident, w)
+        rhs = tensor_apply(antipode, act_g_inv, w)
         if not space.equal(lhs, rhs):
             bad.append(f"a = {A.basis_names[aidx]}")
     rep.add("tw3", "S(a_(1)) ↼ g ⊗ a_(2) ≡ S(a_(1)) ⊗ a_(2) ↼ g⁻¹",
@@ -264,7 +264,7 @@ class WeakHopfAlgebra:
         return f"WeakHopfAlgebra({self.name}, dim {self.dim})"
 
 
-def verify_weak_hopf(w, title=None, full_antipode_checks=True):
+def verify_weak_hopf(w, title=None):
     """The weak Hopf algebra axioms, each as a named check.
 
     Every law is evaluated on basis elements from the structure constants
@@ -357,9 +357,6 @@ def verify_weak_hopf(w, title=None, full_antipode_checks=True):
             not bad_l, bad_l)
     rep.add("weak-counit-right", "ε(xy_(2))ε(y_(1)z) = ε(xyz)",
             not bad_r, bad_r)
-
-    if not full_antipode_checks:
-        return rep
 
     okb = w.antipode.inverse() is not None
     rep.add("s-bijective", "S is bijective", okb,
@@ -593,10 +590,11 @@ def separability_from_weak(w, lb):
     return SeparabilityStructure(L, delta, w.counit @ lb.s.matrix)
 
 
-def weak_bialgebra_from_sep(lb, sep, antipode=None):
+def weak_bialgebra_from_sep(lb, sep, antipode):
     """The weak bialgebra induced on the total algebra by a separability
     structure of the base:
-    Δ(a) = t_L(e_i) a_(1) ⊗ s_L(f_i) a_(2),  ε = ψ∘π_L."""
+    Δ(a) = t_L(e_i) a_(1) ⊗ s_L(f_i) a_(2),  ε = ψ∘π_L, with ``antipode``
+    as its antipode."""
     A = lb.total
     field = lb.field
     d = A.dim
@@ -608,8 +606,7 @@ def weak_bialgebra_from_sep(lb, sep, antipode=None):
             for w in lb.canonical_gamma_lift]
     delta = Matrix.from_sparse_cols(field, cols, d * d)
     counit = sep.psi @ lb.counit
-    s = antipode if antipode is not None else Matrix.identity(field, d)
-    return WeakHopfAlgebra(A, delta, counit, s,
+    return WeakHopfAlgebra(A, delta, counit, antipode,
                            name=f"wba({lb.name})")
 
 

@@ -27,10 +27,7 @@ from algebroids.dualspace import (
     STAR_UPPER,
     UPPER_STAR,
     DualModule,
-    act_lower_star,
-    act_star_lower,
-    act_star_upper,
-    act_upper_star,
+    act,
     acting_on,
     action_matrix,
     flatten,
@@ -52,13 +49,6 @@ FIXTURES = {
 }
 # the fixtures whose coproduct lifts are also drawn corrupted
 CORRUPTIBLE = ("kz3", "pair2")
-
-ACTS = {
-    LOWER_STAR: lambda bgd, phi, a: act_lower_star(bgd, a, phi),
-    STAR_LOWER: lambda bgd, phi, a: act_star_lower(bgd, a, phi),
-    UPPER_STAR: act_upper_star,
-    STAR_UPPER: act_star_upper,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +200,15 @@ def test_action_matrix_columns_are_the_actions(data):
     module = DualModule(bgd, kind)
     phi = functional(data.draw, module)
     A = bgd.total
-    act = action_matrix(bgd, kind, phi)
+    matrix = action_matrix(bgd, kind, phi)
     field = bgd.field
     for a in range(A.dim):
-        assert act.cols[a] == ACTS[kind](bgd, phi, {a: field.one})
+        assert matrix.cols[a] == act(bgd, kind, phi, {a: field.one})
     # the same action with the element fixed and the functional running
     avec = sparse(field.of(data.draw(st.sampled_from((0, 0, 1, -1, 2))))
                   for _ in range(A.dim))
     assert (acting_on(bgd, kind, avec).apply(flatten(phi))
-            == ACTS[kind](bgd, phi, avec))
+            == act(bgd, kind, phi, avec))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -17,10 +17,7 @@ from algebroids.dualspace import (
     STAR_UPPER,
     UPPER_STAR,
     DualModule,
-    act_lower_star,
-    act_star_lower,
-    act_star_upper,
-    act_upper_star,
+    act,
     dual_lower_star,
     dual_star_lower,
     dual_star_upper,
@@ -174,17 +171,17 @@ def test_actions_on_kz2(kz2):
     g = {1: QQ.one}
     e = {0: QQ.one}
     # a ↼ φ = s_L(φ(a_(1))) a_(2)
-    assert act_lower_star(lb, g, gstar) == g
-    assert act_lower_star(lb, e, gstar) == {}
+    assert act(lb, LOWER_STAR, gstar, g) == g
+    assert act(lb, LOWER_STAR, gstar, e) == {}
     # a ⇂ φ via the star-lower dual
     Dsl = DualModule(lb, STAR_LOWER)
-    assert act_star_lower(lb, g, Dsl.basis[1]) == g
+    assert act(lb, STAR_LOWER, Dsl.basis[1], g) == g
     # φ ⇀ a and φ ⇁ a on the right-handed side
     Dus = DualModule(rb, UPPER_STAR)
-    assert act_upper_star(rb, Dus.basis[1], g) == g
-    assert act_upper_star(rb, Dus.basis[1], e) == {}
+    assert act(rb, UPPER_STAR, Dus.basis[1], g) == g
+    assert act(rb, UPPER_STAR, Dus.basis[1], e) == {}
     Dsu = DualModule(rb, STAR_UPPER)
-    assert act_star_upper(rb, Dsu.basis[1], g) == g
+    assert act(rb, STAR_UPPER, Dsu.basis[1], g) == g
 
 
 def test_transpose_actions_preserve_membership(m2):

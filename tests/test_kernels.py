@@ -11,7 +11,9 @@ sparse tensor-vector kernels of the bialgebroid verifiers, (γ⊗id),
 with dense definitions on pair-groupoid and group bialgebroids whose
 coproduct lifts are shifted by relation-span vectors.  The weakened counit
 and unit laws and the antipode-l/r laws of ``verify_weak_hopf`` are
-compared with brute-force sums on corrupted weak Hopf algebras.  A passing
+compared with brute-force sums on corrupted weak Hopf algebras, and the
+checks of ``frobenius_check`` with dense sums on the catalog witnesses and
+on witnesses whose λ* is raised at one entry.  A passing
 ``verify_algebra`` is held to one ``combine`` per basis pair, so a
 per-triple loop cannot come back unseen.
 """
@@ -35,6 +37,7 @@ from algebroids.algebra import (
 from algebroids.bimodtensor import POST, PRE, mult_at_factor
 from algebroids.catalog import (
     FiniteGroup,
+    all_fixtures,
     group_algebra,
     group_hopf_algebroid,
     function_algebra_hopf,
@@ -49,6 +52,7 @@ from algebroids.exactfield import (
     combine,
     unit_vector,
 )
+from algebroids.integrallab import frobenius_check, nondegeneracy
 from algebroids.report import Report
 from algebroids.twistlab import (
     WeakHopfAlgebra,
@@ -636,3 +640,99 @@ def test_weak_hopf_fixtures_pass_the_brute_force_counit_law():
             assert brute_force_weak_unit(w) == (True, True)
             assert brute_force_antipode_lr(w) == ([], [])
             assert verify_weak_hopf(w).passed
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius system of a non-degenerate integral
+
+
+def brute_force_frobenius(nd):
+    """Certificates of frob-bimodule (both halves, and the two in the
+    check's order), frob-left and frob-right, with every product a dense
+    product of unit vectors and x ⊗ y = ℓ⁽¹⁾ ⊗ S(ℓ⁽²⁾) summed term by term
+    over the coproduct lift of ℓ."""
+    h = nd.parent
+    rb, A, R = h.rb, h.total, h.rb.base
+    d, field = A.dim, A.field
+    e = [unit_vector(field, d, i) for i in range(d)]
+    er = [unit_vector(field, R.dim, r) for r in range(R.dim)]
+
+    def lam(vec):
+        return dense_matrix_apply(nd.lambda_star, vec)
+
+    def s_r(vec):
+        return dense_matrix_apply(rb.s.matrix, vec)
+
+    def fmt(algebra, vec):
+        return algebra.fmt_vec(sparse(vec))
+
+    pre, post, both = [], [], []
+    for r in range(R.dim):
+        for i in range(d):
+            at = f"r = {R.basis_names[r]}, a = {A.basis_names[i]}: "
+            lhs = lam(dense_mul(A, s_r(er[r]), e[i]))
+            rhs = dense_mul(R, er[r], lam(e[i]))
+            if lhs != rhs:
+                pre.append(at + f"λ*(s_R(r)a) = {fmt(R, lhs)} ≠ "
+                                f"rλ*(a) = {fmt(R, rhs)}")
+                both.append(pre[-1])
+            if lam(dense_mul(A, e[i], s_r(er[r]))) != \
+                    dense_mul(R, lam(e[i]), er[r]):
+                post.append(at + "λ*(a s_R(r)) ≠ λ*(a)r")
+                both.append(post[-1])
+
+    # x ⊗ y = Σ c e_k ⊗ S(e_j) over the terms c e_k ⊗ e_j of the lift
+    legs = [(c, e[idx // d], h.S.col(idx % d))
+            for idx, c in rb.coproduct_lift(nd.ell).items()]
+    left, right = [], []
+    for i in range(d):
+        acc_l, acc_r = [field.zero] * d, [field.zero] * d
+        for c, x, y in legs:
+            terms = (dense_mul(A, x, s_r(lam(dense_mul(A, y, e[i])))),
+                     dense_mul(A, s_r(lam(dense_mul(A, e[i], x))), y))
+            for acc, term in zip((acc_l, acc_r), terms):
+                for k, t in enumerate(term):
+                    acc[k] += c * t
+        name = A.basis_names[i]
+        if tuple(acc_l) != e[i]:
+            left.append(f"a = {name}: Σ x·s_R(λ*(y a)) = {fmt(A, acc_l)}")
+        if tuple(acc_r) != e[i]:
+            right.append(f"a = {name}: Σ s_R(λ*(a x))·y = {fmt(A, acc_r)}")
+    return pre, post, both, left, right
+
+
+def m2_witness_raised_at(row, col):
+    """The M2 witness at ℓ = Σ e_ij with λ* entry (row, col) raised by 1."""
+    h = pair_groupoid_hopf_algebroid(2, QQ)
+    nd = nondegeneracy(h, (QQ.one,) * 4)
+    rows = [list(r) for r in nd.lambda_star.rows]
+    rows[row][col] += QQ.one
+    nd.lambda_star = Matrix(QQ, len(rows), 4, rows)
+    return nd
+
+
+def assert_frobenius_matches(nd):
+    rep = frobenius_check(nd)
+    pre, post, both, left, right = brute_force_frobenius(nd)
+    for cid, certificates in (("frob-bimodule", both), ("frob-left", left),
+                              ("frob-right", right)):
+        assert rep.find(cid).certificates == certificates, cid
+        assert rep.find(cid).ok == (not certificates), cid
+    return pre, post, left, right
+
+
+def test_frobenius_check_matches_the_dense_sums_on_raised_witnesses():
+    # λ*(d1, e12) breaks the right half and frob-left, λ*(d2, e12) the left
+    # half and frob-right
+    pre, post, left, right = assert_frobenius_matches(
+        m2_witness_raised_at(0, 1))
+    assert not pre and post and left and not right
+    pre, post, left, right = assert_frobenius_matches(
+        m2_witness_raised_at(1, 1))
+    assert pre and not post and not left and right
+
+
+def test_frobenius_check_matches_the_dense_sums_on_the_catalog():
+    for fx in all_fixtures():
+        nd = nondegeneracy(fx["hopf"], fx["integral"])
+        assert assert_frobenius_matches(nd) == ([], [], [], []), fx["name"]
