@@ -487,3 +487,129 @@ def fmt_tensor_multi(algebras, vec):
 
     return fmt_terms(algebras[0].field,
                      ((name(idx), vec[idx]) for idx in sorted(vec)))
+
+
+# ---------------------------------------------------------------------------
+# separability structures of a base: the projection P of ``bimodtensor`` and
+# the weak Hopf bridge of ``twistlab`` read the same one
+
+
+class SeparabilityStructure:
+    """(L, k, δ, ψ): δ an L-bimodule splitting of the multiplication,
+    ψ its counit.  δ is a matrix L → L⊗L, ψ a row vector."""
+
+    def __init__(self, base, delta, psi):
+        self.base = base
+        self.field = base.field
+        dl = base.dim
+        if delta.nrows != dl * dl or delta.ncols != dl:
+            raise ValueError("δ has the wrong shape")
+        if psi.nrows != 1 or psi.ncols != dl:
+            raise ValueError("ψ has the wrong shape")
+        self.delta = delta
+        self.psi = psi
+
+    def idempotent(self):
+        """δ(1) = Σ e_i ⊗ f_i grouped by its left leg, as (i, f_i) pairs
+        in ascending i with each f_i sparse."""
+        dl = self.base.dim
+        legs = {}
+        for idx, c in self.delta.apply(self.base.unit).items():
+            i, j = divmod(idx, dl)
+            legs.setdefault(i, {})[j] = c
+        return sorted(legs.items())
+
+
+def separability_structure(base):
+    """The separability structure of ``base`` read from its regular trace
+    ψ(x) = Tr(y ↦ xy), or None when it has none.
+
+    With the Gram matrix G_ab = ψ(e_a e_b) and the dual basis
+    f_a = Σ_b (G⁻¹)_ab e_b, e = Σ_a e_a ⊗ f_a and δ(l) = l·e.  None when G
+    is singular (T₂ and k[x]/x², which are not separable, but also M₂ over
+    GF(2), which is) or when Σ_a e_a f_a ≠ 1.  The structure does not
+    depend on the basis: in another basis it is the same (δ, ψ)
+    transported.
+    """
+    n = base.dim
+    field = base.field
+    table = base.table
+    zero, one = field.zero, field.one
+    # ψ(e_a) is the trace of left multiplication by e_a
+    psi = [sum((table[a][j].get(j, zero) for j in range(n)), zero)
+           for a in range(n)]
+
+    def trace(u):
+        return sum((c * psi[k] for k, c in u.items()), zero)
+
+    gram = Matrix.from_sparse_cols(
+        field, [nonzero({a: trace(table[a][b]) for a in range(n)})
+                for b in range(n)], n)
+    inv = gram.inverse()
+    if inv is None:
+        return None
+    # G is symmetric, so column a of G⁻¹ holds the coordinates of f_a
+    duals = inv.cols
+    if combine((one, side_product(base, f, a, POST))
+               for a, f in enumerate(duals)) != base.unit:
+        return None
+    cols = [combine((one, tensor_vec(n, table[c][a], f))
+                    for a, f in enumerate(duals)) for c in range(n)]
+    return SeparabilityStructure(
+        base, Matrix.from_sparse_cols(field, cols, n * n),
+        Matrix.from_rows(field, [tuple(psi)], n))
+
+
+def verify_separability(sep, title=None):
+    rep = Report(title or f"separability structure on {sep.base.name}")
+    L = sep.base
+    dl = L.dim
+    field = sep.field
+
+    # splitting: m∘δ = id
+    one = field.one
+    bad = []
+    for j, col in enumerate(sep.delta.cols):
+        acc = combine((c, L.table[idx // dl][idx % dl])
+                      for idx, c in col.items())
+        if acc != {j: one}:
+            bad.append(L.basis_names[j])
+    rep.add("sep-splitting", "m∘δ = id", not bad, bad)
+
+    # bimodule property: δ(l l') = l·δ(l') = δ(l)·l'
+    bad = []
+    for i in range(dl):
+        for j in range(dl):
+            target = sep.delta.apply(L.table[i][j])
+            left = tensor_apply(L.left_mult_matrix({i: one}),
+                                Matrix.identity(field, dl),
+                                sep.delta.cols[j])
+            right = tensor_apply(Matrix.identity(field, dl),
+                                 L.right_mult_matrix({j: one}),
+                                 sep.delta.cols[i])
+            if left != target or right != target:
+                bad.append(f"l = {L.basis_names[i]}, "
+                           f"l' = {L.basis_names[j]}")
+    rep.add("sep-bimodule", "δ(l l') = l·δ(l') = δ(l)·l'", not bad, bad)
+
+    bad = _counit_failures(L, sep.delta, sep.psi)
+    rep.add("sep-counit", "(ψ⊗id)δ = id = (id⊗ψ)δ", not bad, bad)
+    return rep
+
+
+def _counit_failures(algebra, delta, counit):
+    """The names of the basis elements b on which the counit law
+    (id⊗ε)Δ = id = (ε⊗id)Δ fails, for a coproduct ``delta`` (d² × d) and a
+    counit row ``counit`` (1 × d) on ``algebra``."""
+    d = algebra.dim
+    eps = counit.sparse_rows()[0]
+    zero, one = algebra.field.zero, algebra.field.one
+    bad = []
+    for b, col in enumerate(delta.cols):
+        terms = [divmod(idx, d) + (c,) for idx, c in col.items()]
+        # keep the leg ``keep`` and apply ε to the other one
+        if any(combine((c * eps.get(legs[1 - keep], zero), {legs[keep]: one})
+                       for *legs, c in terms) != {b: one}
+               for keep in (0, 1)):
+            bad.append(algebra.basis_names[b])
+    return bad

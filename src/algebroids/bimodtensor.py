@@ -9,7 +9,8 @@ coordinate system (values at non-pivot columns), and a canonical linear
 section of the projection.
 
 Over a separable base equality needs no elimination.  Let e = Σ e¹ ⊗ e² be
-a separability idempotent of the base L (l·e = e·l and Σ e¹e² = 1) and set
+the separability idempotent of the base L read from its trace form
+(``algebra.separability_structure``: l·e = e·l and Σ e¹e² = 1) and set
 P(x ⊗ y) = Σ x·e¹ ⊗ e²·y at a junction.  When both actions are unital
 module actions, P kills every relation and x − P(x) is a relation, so ker P
 is exactly the relation span.  A space of two or more junctions applies P
@@ -36,8 +37,8 @@ from math import prod
 
 from .exactfield import Matrix, SparseEchelon
 from .algebra import (HOM, ANTI, POST, PRE, combine, fmt_tensor_multi,
-                      is_algebra_map, map_at_factor, nonzero, side_product,
-                      tensor_vec)
+                      is_algebra_map, map_at_factor, nonzero,
+                      separability_structure, side_product, tensor_vec)
 
 
 class ActionSpec:
@@ -119,18 +120,18 @@ class Junction:
     def projection_step(self):
         """P at this junction, x ⊗ y ↦ Σ x·e¹ ⊗ e²·y, as a function of the
         index of e_i ⊗ e_j, or None where P is not valid: the base has no
-        separability idempotent, or an action map is not unital and
-        multiplicative, or anti-multiplicative, as its kind says, so the
-        action is no module action.  The algebras are taken to be
-        associative, as the relations of a balanced tensor product presume
-        (cached)."""
+        ``separability_structure`` (its trace form is degenerate), or an
+        action map is not unital and multiplicative, or anti-multiplicative,
+        as its kind says, so the action is no module action.  The algebras
+        are taken to be associative, as the relations of a balanced tensor
+        product presume (cached)."""
         if self._step is None:
-            idempotent = None
+            sep = None
             if is_algebra_map(self.right.amap) and \
                     is_algebra_map(self.left.amap):
-                idempotent = separability_idempotent(self.base)
-            self._step = (idempotent is not None
-                          and _junction_step(self, idempotent))
+                sep = separability_structure(self.base)
+            self._step = (sep is not None
+                          and _junction_step(self, sep.idempotent()))
         return self._step or None
 
     def same_actions(self, other):
@@ -153,44 +154,6 @@ def mult_at_factor(algebra, dims, p, vec, elem, side):
         raise ValueError("algebra does not fit factor dimension")
     return map_at_factor(dims, p, vec, algebra.dim,
                          lambda i: side_product(algebra, elem, i, side))
-
-
-def separability_idempotent(base):
-    """A separability idempotent of ``base``, or None when it has none.
-
-    e = Σ c_ij e_i ⊗ e_j with l·e = e·l for every basis element l and
-    Σ c_ij e_i e_j = 1, found by one solve in (dim L)² unknowns whose
-    equations are read from ``table``.  It is returned grouped by its left
-    leg, as (i, f_i) pairs with e = Σ e_i ⊗ f_i and each f_i sparse.
-    """
-    n = base.dim
-    table = base.table
-    zero = base.field.zero
-    unit_row = n ** 3
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            # row (k·n + a)·n + b: the coefficient of e_a ⊗ e_b in
-            # l_k·(e_i ⊗ e_j) − (e_i ⊗ e_j)·l_k; row n³ + c: that of e_c
-            # in e_i e_j
-            col = {unit_row + c: x for c, x in table[i][j].items()}
-            for k in range(n):
-                for a, c in table[k][i].items():
-                    at = (k * n + a) * n + j
-                    col[at] = col.get(at, zero) + c
-                for b, c in table[j][k].items():
-                    at = (k * n + i) * n + b
-                    col[at] = col.get(at, zero) - c
-            cols.append(nonzero(col))
-    sol = Matrix.from_sparse_cols(base.field, cols, unit_row + n).solve(
-        {unit_row + c: x for c, x in base.unit.items()})
-    if sol is None:
-        return None
-    legs = {}
-    for idx, c in sol.items():
-        i, j = divmod(idx, n)
-        legs.setdefault(i, {})[j] = c
-    return sorted(legs.items())
 
 
 def _junction_step(junc, idempotent):

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import specfile
-from .algebra import verify_algebra
+from .algebra import separability_structure, verify_algebra
 from .bialgebroid import verify_left_bialgebroid, verify_right_bialgebroid
 from .hopfcore import check_lu_axioms, verify_hopf
 from .integrallab import (
@@ -35,7 +35,6 @@ from .report import DEFAULT_CERTIFICATE_LIMIT, Report
 from .specfile import SpecBuilder, SpecError, parse_field
 from .twistlab import (
     apply_twist,
-    diagonal_separability,
     recover_twist,
     twisted_antipode,
     verify_twist,
@@ -265,11 +264,10 @@ def cmd_dualize(spec, args):
 
 def cmd_wha_decide(spec, args):
     nm, h = spec.hopf(args.name)
-    try:
-        sep = diagonal_separability(h.lb.base)
-    except ValueError as exc:
-        # the command is defined only over a split diagonal base
-        raise SpecError(str(exc)) from exc
+    sep = separability_structure(h.lb.base)
+    if sep is None:
+        raise SpecError(f"the base {h.lb.base.name} has a degenerate "
+                        "trace form")
     out = wha_decide(h, sep=sep)
     rep = Report(f"weak Hopf decision for {nm}")
     rep.add("wha-verdict", f"decision: {out['verdict']}",
@@ -363,8 +361,8 @@ def build_parser():
     p.set_defaults(func=cmd_dualize)
 
     p = sub.add_parser("wha-decide", parents=[common],
-                       help="decide weak-Hopf-ness over the base's "
-                            "diagonal separability structure")
+                       help="decide weak-Hopf-ness over the separability "
+                            "structure of the base's trace form")
     add_path(p)
     p.set_defaults(func=cmd_wha_decide)
 

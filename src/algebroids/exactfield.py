@@ -198,16 +198,6 @@ class PrimeField:
         return str(x.v)
 
 
-def field_from_name(name):
-    """Build a field from its config string: "rational" or "gf:<p>"."""
-    name = name.strip().lower()
-    if name in ("rational", "qq", "q"):
-        return RationalField()
-    if name.startswith("gf:"):
-        return PrimeField(int(name[3:]))
-    raise ValueError(f"unknown field {name!r} (expected 'rational' or 'gf:p')")
-
-
 # ---------------------------------------------------------------------------
 # vectors are sparse dicts {index: scalar}, and the kernels keep them free of
 # zero entries; a dense tuple is converted once, where it enters

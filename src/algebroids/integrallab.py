@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
-from .algebra import (ANTI, PRE, POST, AlgebraMap, combine, flip_tensor,
-                      fmt_terms, side_product, tensor_apply, verify_map)
+from .algebra import (ANTI, PRE, POST, AlgebraMap, SeparabilityStructure,
+                      combine, flip_tensor, fmt_terms, side_product,
+                      tensor_apply, verify_map, verify_separability)
 from .report import Report, column_certificates
 from .bialgebroid import (
     LeftBialgebroid,
@@ -630,8 +631,7 @@ def weak_dual_iso(w, h, nd, title=None):
     (via its canonical separability structure) is carried onto Ĥ by Φ as a
     weak Hopf algebra isomorphism.
     """
-    from .twistlab import (SeparabilityStructure, separability_from_weak,
-                           verify_separability, verify_weak_hopf,
+    from .twistlab import (separability_from_weak, verify_weak_hopf,
                            weak_hopf_to_hopf_algebroid, wha_decide)
     rep = Report(title or f"dual of {w.name} against the dual of {h.name}")
     lb, A = h.lb, h.total

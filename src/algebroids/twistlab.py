@@ -17,14 +17,19 @@ from .algebra import (
     ANTI,
     Algebra,
     AlgebraMap,
+    SeparabilityStructure,
+    _counit_failures,
     combine,
     map_at_factor,
     nonzero,
+    separability_structure,
     side_product,
     tensor_apply,
     tensor_square_product,
+    tensor_vec,
     verify_algebra,
     verify_map,
+    verify_separability,
 )
 from .bimodtensor import PRE, POST, ActionSpec, BalancedTensorSpace, Junction
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
@@ -388,24 +393,6 @@ def verify_weak_hopf(w, title=None):
     return rep
 
 
-def _counit_failures(algebra, delta, counit):
-    """The names of the basis elements b on which the counit law
-    (id⊗ε)Δ = id = (ε⊗id)Δ fails, for a coproduct ``delta`` (d² × d) and a
-    counit row ``counit`` (1 × d) on ``algebra``."""
-    d = algebra.dim
-    eps = counit.sparse_rows()[0]
-    zero, one = algebra.field.zero, algebra.field.one
-    bad = []
-    for b, col in enumerate(delta.cols):
-        terms = [divmod(idx, d) + (c,) for idx, c in col.items()]
-        # keep the leg ``keep`` and apply ε to the other one
-        if any(combine((c * eps.get(legs[1 - keep], zero), {legs[keep]: one})
-                       for *legs, c in terms) != {b: one}
-               for keep in (0, 1)):
-            bad.append(algebra.basis_names[b])
-    return bad
-
-
 def _subalgebra(A, vectors, names_prefix, name):
     """The unital subalgebra spanned by the given elements, as a standalone
     algebra together with the inclusion matrix and the coordinates of each
@@ -478,115 +465,36 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
 
 
 # ---------------------------------------------------------------------------
-# separability structures on the base, and the weak bialgebra they induce
-
-
-class SeparabilityStructure:
-    """(L, k, δ, ψ): δ an L-bimodule splitting of the multiplication,
-    ψ its counit.  δ is a matrix L → L⊗L, ψ a row vector."""
-
-    def __init__(self, base, delta, psi):
-        self.base = base
-        self.field = base.field
-        dl = base.dim
-        if delta.nrows != dl * dl or delta.ncols != dl:
-            raise ValueError("δ has the wrong shape")
-        if psi.nrows != 1 or psi.ncols != dl:
-            raise ValueError("ψ has the wrong shape")
-        self.delta = delta
-        self.psi = psi
-
-    def idempotent(self):
-        """δ(1) = Σ e_i ⊗ f_i as a list of (e, f) pairs of elements: one
-        pair c e_i ⊗ e_j for each term of the separability idempotent."""
-        dl = self.base.dim
-        one = self.field.one
-        u = self.delta.apply(self.base.unit)
-        return [({idx // dl: u[idx]}, {idx % dl: one}) for idx in sorted(u)]
-
-
-def verify_separability(sep, title=None):
-    rep = Report(title or f"separability structure on {sep.base.name}")
-    L = sep.base
-    dl = L.dim
-    field = sep.field
-
-    # splitting: m∘δ = id
-    one = field.one
-    bad = []
-    for j, col in enumerate(sep.delta.cols):
-        acc = combine((c, L.table[idx // dl][idx % dl])
-                      for idx, c in col.items())
-        if acc != {j: one}:
-            bad.append(L.basis_names[j])
-    rep.add("sep-splitting", "m∘δ = id", not bad, bad)
-
-    # bimodule property: δ(l l') = l·δ(l') = δ(l)·l'
-    bad = []
-    for i in range(dl):
-        for j in range(dl):
-            target = sep.delta.apply(L.table[i][j])
-            left = tensor_apply(L.left_mult_matrix({i: one}),
-                                Matrix.identity(field, dl),
-                                sep.delta.cols[j])
-            right = tensor_apply(Matrix.identity(field, dl),
-                                 L.right_mult_matrix({j: one}),
-                                 sep.delta.cols[i])
-            if left != target or right != target:
-                bad.append(f"l = {L.basis_names[i]}, "
-                           f"l' = {L.basis_names[j]}")
-    rep.add("sep-bimodule", "δ(l l') = l·δ(l') = δ(l)·l'", not bad, bad)
-
-    bad = _counit_failures(L, sep.delta, sep.psi)
-    rep.add("sep-counit", "(ψ⊗id)δ = id = (id⊗ψ)δ", not bad, bad)
-    return rep
-
-
-def diagonal_separability(base):
-    """The standard separability structure of a split commutative base
-    (a product of field factors in its idempotent basis):
-    δ(d_i) = d_i ⊗ d_i, ψ(d_i) = 1."""
-    L = base
-    dl = L.dim
-    field = L.field
-    for i in range(dl):
-        for j in range(dl):
-            expect = {i: field.one} if i == j else {}
-            got = {k: v for k, v in L.table[i][j].items() if v}
-            if got != expect:
-                raise ValueError("base is not split diagonal in this basis")
-    delta = Matrix.from_sparse_cols(
-        field, [{i * dl + i: field.one} for i in range(dl)], dl * dl)
-    psi = Matrix.from_rows(field, [tuple(field.one for _ in range(dl))], dl)
-    return SeparabilityStructure(L, delta, psi)
+# the separability structure a weak Hopf algebra induces on its base, and
+# the weak bialgebra a separability structure induces
 
 
 def separability_from_weak(w, lb):
-    """The canonical separability structure δ(l) = l ⊓^L(1_[1]) ⊗ 1_[2],
+    """The canonical separability structure δ(l) = l ⊓^L(1_(1)) ⊗ 1_(2),
     ψ = ε|_L on the base of the left bialgebroid extracted from a weak
     Hopf algebra.  ``lb`` must be the left side built by
-    weak_hopf_to_hopf_algebroid(w)."""
-    A = w.algebra
+    weak_hopf_to_hopf_algebroid(w).
+
+    Δ(1) lies in H ⊗ L, so each of its slices Σ_k c_ik e_k by the first
+    leg e_i lies in L, though the e_k need not.  Its base coordinates are
+    π_L of it, as ⊓^L is the identity on L; ⊓^L(e_i) is π_L(e_i)."""
+    d = w.algebra.dim
     L = lb.base
-    field = w.field
     dl = L.dim
-    d = A.dim
-    sub = Subspace.from_vectors(field, d, lb.s.matrix.cols)
-    u = sorted(w.delta1().items())
-    capl = w.cap_l()
-    cols = []
-    for lvec_total in lb.s.matrix.cols:
-        terms = []
-        for idx, c in u:
-            i, k = divmod(idx, d)
-            first = sub.coords_of(A.mul_vec(lvec_total, capl.cols[i]))
-            second = sub.coords_of({k: field.one})
-            if first is None or second is None:
-                raise ValueError("separability data leaves the base")
-            terms.append((c, {p * dl + q: x * y for p, x in first.items()
-                              for q, y in second.items()}))
-        cols.append(combine(terms))
-    delta = Matrix.from_sparse_cols(field, cols, dl * dl)
+    slices = {}
+    for idx, c in w.delta1().items():
+        i, k = divmod(idx, d)
+        slices.setdefault(i, {})[k] = c
+    terms = []
+    for i, piece in sorted(slices.items()):
+        coords = lb.counit.apply(piece)
+        if lb.s.apply(coords) != piece:
+            raise ValueError("separability data leaves the base")
+        terms.append((w.field.one, tensor_vec(dl, lb.counit.cols[i], coords)))
+    unit = combine(terms)
+    cols = [map_at_factor((dl, dl), 0, unit, dl, row.__getitem__)
+            for row in L.table]
+    delta = Matrix.from_sparse_cols(w.field, cols, dl * dl)
     return SeparabilityStructure(L, delta, w.counit @ lb.s.matrix)
 
 
@@ -598,9 +506,9 @@ def weak_bialgebra_from_sep(lb, sep, antipode):
     A = lb.total
     field = lb.field
     d = A.dim
-    pairs = sep.idempotent()
-    moves = [(A.left_mult_matrix(lb.t.apply(e)),
-              A.left_mult_matrix(lb.s.apply(f))) for e, f in pairs]
+    moves = [(A.left_mult_matrix(lb.t.matrix.cols[i]),
+              A.left_mult_matrix(lb.s.apply(f)))
+             for i, f in sep.idempotent()]
     cols = [combine((field.one, tensor_apply(te, sf, w))
                     for te, sf in moves)
             for w in lb.canonical_gamma_lift]
@@ -641,8 +549,8 @@ def kappa_map(lb, sep, phi_row):
     L = lb.base
     field = lb.field
     acc = Matrix.zeros(field, L.dim, A.dim)
-    for (e, f) in sep.idempotent():
-        row = phi_row @ A.left_mult_matrix(lb.t.apply(e))
+    for i, f in sep.idempotent():
+        row = phi_row @ A.left_mult_matrix(lb.t.matrix.cols[i])
         acc = acc + Matrix.from_sparse_cols(field, [f], L.dim) @ row
     return acc
 
@@ -654,7 +562,9 @@ def kappa_inverse_map(sep, phi_matrix):
 
 def wha_decide(h, sep=None, title=None):
     """Decide whether the Hopf algebroid is a weak Hopf algebra for the
-    given separability structure on its left base.
+    given separability structure on its left base, by default the one of
+    the base's trace form (``separability_structure``; a ValueError when
+    that form is degenerate).
 
     Returns a dict: verdict is "exact" when ψ∘π_L∘S = ψ∘π_L (S itself is
     the weak Hopf antipode), "twistable" when ψ∘π_L∘S is merely invertible
@@ -665,7 +575,10 @@ def wha_decide(h, sep=None, title=None):
     rep = Report(title or f"weak Hopf decision for {h.name}")
     lb = h.lb
     if sep is None:
-        sep = diagonal_separability(lb.base)
+        sep = separability_structure(lb.base)
+        if sep is None:
+            raise ValueError(f"the base {lb.base.name} has a degenerate "
+                             "trace form")
     sep_rep = verify_separability(sep)
     rep.extend(sep_rep, prefix="input-")
     if not sep_rep.passed:

@@ -12,7 +12,13 @@ import time
 import pytest
 
 from algebroids.exactfield import Matrix, PrimeField, RationalField
-from algebroids.algebra import Algebra, verify_algebra
+from algebroids.algebra import (
+    Algebra,
+    SeparabilityStructure,
+    separability_structure,
+    verify_algebra,
+    verify_separability,
+)
 from algebroids.bialgebroid import (
     LeftBialgebroid,
     RightBialgebroid,
@@ -50,13 +56,10 @@ from algebroids.integrallab import (
     weak_dual_iso,
 )
 from algebroids.twistlab import (
-    SeparabilityStructure,
     WeakHopfAlgebra,
-    diagonal_separability,
     recover_twist,
     separability_from_weak,
     twisted_antipode,
-    verify_separability,
     verify_twist,
     verify_weak_hopf,
     weak_bialgebra_from_sep,
@@ -433,7 +436,7 @@ def _corruptions():
     # 10. separability idempotent: one entry of δ
     def corrupt_separability():
         base = group_hopf_algebroid(z2, QQ).lb.base
-        sep = diagonal_separability(base)
+        sep = separability_structure(base)
         bad = SeparabilityStructure(base, _perturb(sep.delta, 0, 0, one),
                                     sep.psi)
         return verify_separability(bad), \

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from algebroids.exactfield import Matrix, PrimeField, RationalField
 from algebroids.algebra import (
@@ -13,14 +14,16 @@ from algebroids.algebra import (
     AlgebraMap,
     flip_tensor,
     opposite,
+    separability_structure,
     sparse,
     tensor_apply,
     tensor_square_product,
     tensor_vec,
     verify_algebra,
     verify_map,
+    verify_separability,
 )
-from algebroids.catalog import FiniteGroup, group_algebra
+from algebroids.catalog import FiniteGroup, group_algebra, matrix_algebra
 
 QQ = RationalField()
 one = QQ.one
@@ -210,3 +213,89 @@ def test_into_opposite_and_back(m2):
     assert sop.matrix.rows == s.matrix.rows
     back = sop.from_opposite_source(opposite(s.source))
     assert back.kind == HOM
+
+
+# ---------------------------------------------------------------------------
+# the separability structure of the trace form
+
+F7 = PrimeField(7)
+
+
+def split_diagonal(n, field):
+    """kⁿ in its basis of orthogonal idempotents."""
+    return Algebra.from_struct(field, [f"d{i}" for i in range(n)],
+                               {(i, i, i): 1 for i in range(n)},
+                               name=f"k^{n}")
+
+
+def transported(A, Q):
+    """A in the basis e'_a = Σ_b Q_ba e_b, for an invertible Q."""
+    Q_inv = Q.inverse()
+    struct = {(a, b, k): c
+              for a, u in enumerate(Q.cols) for b, v in enumerate(Q.cols)
+              for k, c in Q_inv.apply(A.mul_vec(u, v)).items()}
+    return Algebra.from_struct(A.field, A.basis_names, struct,
+                               unit=Q_inv.apply(A.unit), name=A.name + "'")
+
+
+SEPARABLE = {
+    "k3": lambda f: split_diagonal(3, f),
+    "M2": lambda f: matrix_algebra(2, f),
+    "kS3": lambda f: group_algebra(FiniteGroup.symmetric(3), f),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("name", sorted(SEPARABLE))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_separability_structure_is_carried_along_a_change_of_basis(
+        field, name, data):
+    """ψ' = ψ∘Q and δ' = (Q⁻¹⊗Q⁻¹)δQ: the trace form does not see the
+    basis, so the structure of the transported base is the transported
+    structure, and it verifies."""
+    A = SEPARABLE[name](field)
+    n = A.dim
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    Q = Matrix.from_rows(field, [[field.of(x) for x in r] for r in rows], n)
+    assume(Q.inverse() is not None)
+    sep = separability_structure(A)
+    moved = separability_structure(transported(A, Q))
+    assert moved is not None
+    assert verify_separability(moved).passed
+    assert moved.psi == sep.psi @ Q
+    Q_inv = Q.inverse()
+    assert moved.delta.cols == tuple(
+        tensor_apply(Q_inv, Q_inv, sep.delta.apply(c)) for c in Q.cols)
+
+
+def test_separability_structure_of_split_diagonal_base_is_diagonal():
+    sep = separability_structure(split_diagonal(3, QQ))
+    assert sep.psi.rows == ((one, one, one),)
+    assert sep.delta.cols == tuple({4 * i: one} for i in range(3))
+    assert sep.idempotent() == [(i, {i: one}) for i in range(3)]
+
+
+def test_separability_structure_refuses_a_degenerate_trace_form():
+    upper = Algebra.from_struct(QQ, ("e11", "e12", "e22"),
+                                {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1,
+                                 (2, 2, 2): 1}, name="T2")
+    dual_numbers = Algebra.from_struct(QQ, ("1", "x"),
+                                       {(0, 0, 0): 1, (0, 1, 1): 1,
+                                        (1, 0, 1): 1}, name="k[x]/x^2")
+    assert separability_structure(upper) is None
+    assert separability_structure(dual_numbers) is None
+    # M₂ is separable over GF(2), but its trace form 2·tr vanishes there
+    assert separability_structure(matrix_algebra(2, PrimeField(2))) is None
+
+
+def test_separability_structure_refuses_a_casimir_other_than_one():
+    # on an associative base an invertible G forces Σ e_a f_a = 1; a spec
+    # can declare a non-associative table (x² = 0, xy = yx = 1, y² = y),
+    # where G is invertible and Σ e_a f_a is not 1
+    struct = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+              (2, 0, 2): 1, (1, 2, 0): 1, (2, 1, 0): 1, (2, 2, 2): 1}
+    A = Algebra.from_struct(QQ, ("1", "x", "y"), struct, unit=(1, 0, 0))
+    assert not verify_algebra(A).passed
+    assert separability_structure(A) is None

@@ -19,9 +19,8 @@ from algebroids.bimodtensor import (
     ActionSpec,
     BalancedTensorSpace,
     Junction,
-    separability_idempotent,
 )
-from algebroids.algebra import tensor_vec
+from algebroids.algebra import separability_structure, tensor_vec
 from algebroids.hopfcore import HopfAlgebroid, verify_hopf
 from dense_reference import dense_matrix_apply, dense_mul_vec
 
@@ -320,7 +319,7 @@ def sparse_vectors(field, n):
     """Sparse vectors of length ``n`` with a few small entries."""
     return st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3),
                            max_size=6).map(
-        lambda v: {i: field.of(a) for i, a in v.items() if a})
+        lambda v: {i: field.of(a) for i, a in v.items() if field.of(a)})
 
 
 def check_against_reference(data, field, sp, ref):
@@ -334,7 +333,8 @@ def check_against_reference(data, field, sp, ref):
         picks = data.draw(st.lists(st.tuples(
             st.sampled_from(pivots), st.integers(1, 3)),
             max_size=4)) if pivots else []
-        rel = combine((field.of(c), ref.rows[p]) for p, c in picks)
+        rel = combine((field.of(c), ref.rows[p]) for p, c in picks
+                      if field.of(c))
         w = combine(((field.one, v), (field.one, rel)))
         nf = ref.reduce(v)
         assert sp.is_zero_class(rel)
@@ -403,7 +403,9 @@ def fallback_triples(field):
       multiplicative;
     - ``non-commuting``: that junction with s(dᵢ) = eᵢᵢ and
       t(d1) = e11 + e12, t(d2) = e22 − e12, both algebra maps, whose
-      images do not commute."""
+      images do not commute;
+    - ``M2``, over a field of characteristic 2 only: A ⊗_A A ⊗_A A over
+      M₂, which is separable but has a degenerate trace form (2·tr)."""
     T = upper_triangular(field)
     ident = AlgebraMap(T, T, Matrix.identity(field, 3), HOM)
     tj = Junction(ActionSpec(ident, POST), ActionSpec(ident, PRE))
@@ -415,21 +417,34 @@ def fallback_triples(field):
                      ActionSpec(s_bad, PRE))
     bad_t = Junction(ActionSpec(t_bad, PRE),
                      ActionSpec(images(field, L, A, diag, HOM), PRE))
+    cases = [("T2", T, tj), ("non-multiplicative", A, bad_s),
+             ("non-commuting", A, bad_t)]
+    if field.characteristic == 2:
+        ident = AlgebraMap(A, A, Matrix.identity(field, 4), HOM)
+        cases.append(("M2", A, Junction(ActionSpec(ident, POST),
+                                        ActionSpec(ident, PRE))))
     return {name: (BalancedTensorSpace([B, B, B], [j, j]), [j, j])
-            for name, B, j in (("T2", T, tj), ("non-multiplicative", A, bad_s),
-                               ("non-commuting", A, bad_t))}
+            for name, B, j in cases}
+
+
+F2 = PrimeField(2)
 
 
 def test_fallback_inputs_fail_the_guard():
-    assert separability_idempotent(upper_triangular(QQ)) is None
-    assert separability_idempotent(matrix_algebra(QQ)[1]) is not None
+    assert separability_structure(upper_triangular(QQ)) is None
+    assert separability_structure(matrix_algebra(QQ)[1]) is not None
+    assert separability_structure(matrix_algebra(F2)[0]) is None
     for name, (space, _) in fallback_triples(QQ).items():
         assert space.separability_projection({0: QQ.one}) is None, name
+    space, _ = fallback_triples(F2)["M2"]
+    assert space.separability_projection({0: F2.one}) is None
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
-@pytest.mark.parametrize("name", ["T2", "non-multiplicative",
-                                  "non-commuting"])
+@pytest.mark.parametrize("name,field", [
+    pytest.param(name, field, id=f"{name}-{fid}")
+    for name in ("T2", "non-multiplicative", "non-commuting")
+    for field, fid in ((QQ, "QQ"), (F7, "GF7"))]
+    + [pytest.param("M2", F2, id="M2-GF2")])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fallback_decides_by_the_echelon(field, name, data):

@@ -17,7 +17,7 @@ from algebroids.catalog import (
     pair_groupoid_weak_hopf,
 )
 from algebroids.hopfcore import HopfAlgebroid, verify_hopf
-from algebroids.twistlab import apply_twist
+from algebroids.twistlab import apply_twist, wha_decide
 
 QQ = RationalField()
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -62,6 +62,36 @@ def test_check_lu_twisted_fails_at_lu3(capsys):
 def test_check_lu_untwisted_passes(capsys):
     code, out, _ = run(capsys, "check", "--level", "lu", KZ2)
     assert code == 0
+
+
+def test_check_lu_reads_the_named_section(capsys, tmp_path, m2):
+    # the canonical section of M2's tensor square decides as no section
+    # does; the zero map is no section; an unknown name is a usage error
+    b = SpecBuilder(QQ)
+    b.add_hopf(m2)
+    lb_name, = b.data["left_bialgebroids"]
+    space = m2.lb.tensor_space
+    b.add_section("xi", lb_name, space.section_matrix())
+    b.add_section("zero", lb_name,
+                  Matrix.zeros(QQ, space.total_dim, space.dim))
+    p = tmp_path / "m2-sections.spec"
+    p.write_text(b.emit())
+    code, plain, _ = run(capsys, "check", "--level", "lu", str(p))
+    assert code == 0
+    code, out, _ = run(capsys, "check", "--level", "lu", str(p),
+                       "--section", "xi")
+    assert code == 0
+    assert out == plain
+    code, out, _ = run(capsys, "check", "--level", "lu", str(p),
+                       "--section", "zero")
+    assert code == 1
+    assert [l.split(":")[0] for l in out.splitlines() if "[FAIL]" in l] \
+        == ["  [FAIL] M2-lu3-section", "  [FAIL] M2-lu3"]
+    code, out, err = run(capsys, "check", "--level", "lu", str(p),
+                         "--section", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no section named 'nope'\n"
 
 
 @pytest.mark.parametrize("level,path", [
@@ -351,10 +381,10 @@ def test_wha_decide_kz2(capsys):
     assert "decision: exact" in out
 
 
-def test_wha_decide_base_not_split_diagonal_is_a_usage_error(capsys,
-                                                            tmp_path):
-    # kZ2 over k' = <u>, u² = 2u, s(u) = 2·1, counits halved: a Hopf
-    # algebroid whose base is not split diagonal in its basis
+def test_wha_decide_rescaled_base_decides_like_kz2(capsys, tmp_path):
+    # kZ2 over k' = <u>, u² = 2u, s(u) = 2·1, counits halved: the base is
+    # not split diagonal in its basis, and its trace form still gives
+    # δ(u) = ½ u⊗u, ψ(u) = 2
     doc = json.loads(Path(KZ2).read_text(encoding="utf-8"))
     doc["algebras"]["k"].update(struct=[[0, 0, 0, "2"]], unit=["1/2"])
     for amap in doc["maps"].values():
@@ -366,10 +396,34 @@ def test_wha_decide_base_not_split_diagonal_is_a_usage_error(capsys,
     p.write_text(json.dumps(doc))
     code, _, _ = run(capsys, "check", "--level", "hopf", str(p))
     assert code == 0
+    code, out, _ = run(capsys, "wha-decide", str(p))
+    assert code == 0
+    assert "decision: exact" in out
+    assert "FAIL" not in out
+
+
+def test_wha_decide_degenerate_trace_form_is_a_usage_error(capsys,
+                                                         tmp_path):
+    # kZ2 over k[x]/x², whose trace form vanishes at x: no separability
+    # structure to decide over
+    doc = json.loads(Path(KZ2).read_text(encoding="utf-8"))
+    doc["algebras"]["k"] = {
+        "basis": ["1", "x"], "dim": 2, "unit": ["1", "0"],
+        "struct": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]}
+    for amap in doc["maps"].values():
+        amap["matrix"] = [["1", "0"], ["0", "0"]]
+    for table in ("left_bialgebroids", "right_bialgebroids"):
+        for bgd in doc[table].values():
+            bgd["counit"] = [["1", "1"], ["0", "0"]]
+    p = tmp_path / "dual-numbers.spec"
+    p.write_text(json.dumps(doc))
     code, out, err = run(capsys, "wha-decide", str(p))
     assert code == 2
     assert out == ""
-    assert err == "error: base is not split diagonal in this basis\n"
+    assert err == "error: the base k has a degenerate trace form\n"
+    _, h = parse(str(p)).hopf(None)
+    with pytest.raises(ValueError, match="degenerate trace form"):
+        wha_decide(h)
 
 
 def test_diagram_kz2(capsys):

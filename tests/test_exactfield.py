@@ -22,7 +22,6 @@ from algebroids.exactfield import (
     Subspace,
     SparseEchelon,
     combine,
-    field_from_name,
     sparse,
 )
 from dense_reference import (
@@ -79,15 +78,6 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
-
-
-def test_field_from_name():
-    assert field_from_name("rational") is not None
-    assert field_from_name("gf:11").characteristic == 11
-    with pytest.raises(ValueError):
-        field_from_name("gf:8")
-    with pytest.raises(ValueError):
-        field_from_name("real")
 
 
 def test_gf_field_arithmetic_laws_random():

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from algebroids.exactfield import Matrix, RationalField, PrimeField
-from algebroids.algebra import AlgebraMap, HOM, sparse, tensor_apply
+from algebroids.algebra import (AlgebraMap, HOM, separability_structure,
+                                sparse, tensor_apply)
 from algebroids.catalog import (
     FiniteGroup,
     group_hopf_algebroid,
@@ -43,7 +44,8 @@ from algebroids.integrallab import (
     verify_bgdnd_right,
     weak_dual_iso,
 )
-from algebroids.twistlab import weak_hopf_to_hopf_algebroid
+from algebroids.twistlab import (weak_bialgebra_from_sep,
+                                weak_hopf_to_hopf_algebroid)
 from dense_reference import dense_matrix_apply, dense_mul_vec
 
 QQ = RationalField()
@@ -505,6 +507,23 @@ def test_weak_dual_iso(make, qq):
     by_id = checks_by_id(out)
     assert by_id["dualiso-bijective"].verdict == "PASS"
     assert by_id["dualiso-wha"].verdict == "PASS"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_weak_dual_iso_on_functions_on_s3(field):
+    # Δ(1) = Σ δ_g ⊗ δ_h: no δ_h lies in the base k·1, only the slice
+    # Σ_h δ_h = 1 by the first leg does
+    fn = function_algebra_hopf(FiniteGroup.symmetric(3), field)
+    W = weak_bialgebra_from_sep(fn.lb, separability_structure(fn.lb.base),
+                                antipode=fn.S)
+    h, rep = weak_hopf_to_hopf_algebroid(W)
+    assert h is not None, rep.render_text()
+    ell = integral_space(h, LEFT).space.sparse_basis()[0]
+    nd = nondegeneracy(h, tuple(ell.get(i, field.zero)
+                                for i in range(h.total.dim)))
+    assert isinstance(nd, NondegenerateIntegral)
+    out = weak_dual_iso(W, h, nd)
+    assert out.passed, [c.check_id for c in out.failures()]
 
 
 def test_weak_dual_iso_counit_certificate_names_the_functionals(

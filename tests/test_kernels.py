@@ -29,6 +29,7 @@ from algebroids.algebra import (
     HOM,
     Algebra,
     AlgebraMap,
+    separability_structure,
     sparse,
     tensor_square_product,
     verify_algebra,
@@ -56,7 +57,6 @@ from algebroids.integrallab import frobenius_check, nondegeneracy
 from algebroids.report import Report
 from algebroids.twistlab import (
     WeakHopfAlgebra,
-    diagonal_separability,
     verify_weak_hopf,
     weak_bialgebra_from_sep,
 )
@@ -482,7 +482,7 @@ def function_weak_hopf(field):
     """k^S₃ as the weak bialgebra of its scalar base, with its antipode:
     every column of Δ has six terms."""
     h = function_algebra_hopf(FiniteGroup.symmetric(3), field)
-    return weak_bialgebra_from_sep(h.lb, diagonal_separability(h.lb.base),
+    return weak_bialgebra_from_sep(h.lb, separability_structure(h.lb.base),
                                    antipode=h.S)
 
 

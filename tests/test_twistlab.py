@@ -3,7 +3,12 @@
 import pytest
 
 from algebroids.exactfield import RationalField, Matrix
-from algebroids.algebra import verify_algebra
+from algebroids.algebra import (
+    SeparabilityStructure,
+    separability_structure,
+    verify_algebra,
+    verify_separability,
+)
 from algebroids.catalog import (
     FiniteGroup,
     Character,
@@ -16,19 +21,16 @@ from algebroids.catalog import (
 from algebroids.dualspace import DualModule, LOWER_STAR
 from algebroids.hopfcore import verify_hopf, check_lu_axioms
 from algebroids.twistlab import (
-    SeparabilityStructure,
     WeakHopfAlgebra,
     ahat_algebra,
     apply_twist,
     convolution_inverse,
-    diagonal_separability,
     hopf_algebra_criterion,
     kappa_inverse_map,
     kappa_map,
     recover_twist,
     separability_from_weak,
     twisted_antipode,
-    verify_separability,
     verify_twist,
     verify_weak_hopf,
     weak_bialgebra_from_sep,
@@ -182,24 +184,45 @@ class TestWeakHopf:
 
 class TestSeparability:
     def test_diagonal_separability_verifies(self, m2):
-        sep = diagonal_separability(m2.lb.base)
+        sep = separability_structure(m2.lb.base)
         assert verify_separability(sep).passed
 
-    def test_non_diagonal_base_is_rejected(self, kz2):
-        # the group algebra base of kZ2 is not diagonal in the group basis
+    def test_group_basis_base_gets_the_trace_form_idempotent(self):
+        # kZ2 in its group basis is not diagonal, and its trace form still
+        # gives e = ½(1⊗1 + g⊗g)
         from algebroids.catalog import group_algebra
-        z2 = FiniteGroup.cyclic(2)
-        with pytest.raises(ValueError):
-            diagonal_separability(group_algebra(z2, QQ))
+        sep = separability_structure(group_algebra(FiniteGroup.cyclic(2), QQ))
+        half = QQ.of(1) / 2
+        assert sep.idempotent() == [(0, {0: half}), (1, {1: half})]
+        assert verify_separability(sep).passed
 
     def test_separability_from_weak_matches_diagonal(self):
         w = pair_groupoid_weak_hopf(2, QQ)
         h, _ = weak_hopf_to_hopf_algebroid(w)
         sep = separability_from_weak(w, h.lb)
         assert verify_separability(sep).passed
-        ref = diagonal_separability(h.lb.base)
+        ref = separability_structure(h.lb.base)
         assert sep.delta.rows == ref.delta.rows
         assert sep.psi.rows == ref.psi.rows
+
+    def test_weak_side_and_separability_eliminate_each_base_once(
+            self, monkeypatch):
+        # one Subspace per base, both in weak_hopf_to_hopf_algebroid; the
+        # separability structure reads its base coordinates through π_L
+        from algebroids.exactfield import Subspace
+        calls = []
+        build = Subspace.from_vectors.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Subspace, "from_vectors", classmethod(counted))
+        w = pair_groupoid_weak_hopf(3, QQ)
+        h, _ = weak_hopf_to_hopf_algebroid(w)
+        sep = separability_from_weak(w, h.lb)
+        assert len(calls) == 2
+        assert verify_separability(sep).passed
 
     def test_weak_bialgebra_roundtrip(self):
         w = pair_groupoid_weak_hopf(2, QQ)
@@ -211,7 +234,7 @@ class TestSeparability:
         assert verify_weak_hopf(back).passed
 
     def test_broken_splitting_is_caught(self, m2):
-        sep = diagonal_separability(m2.lb.base)
+        sep = separability_structure(m2.lb.base)
         bad = SeparabilityStructure(sep.base, sep.delta.scale(QQ.of(2)),
                                     sep.psi)
         rep = verify_separability(bad)
@@ -235,7 +258,7 @@ class TestKappa:
 
     def test_kappa_is_an_algebra_isomorphism(self, fn_s3):
         lb = fn_s3.lb
-        sep = diagonal_separability(lb.base)
+        sep = separability_structure(lb.base)
         wb = weak_bialgebra_from_sep(lb, sep, antipode=fn_s3.S)
         ahat = ahat_algebra(lb.total, wb.delta, wb.counit)
         assert not ahat.is_commutative()
@@ -258,7 +281,7 @@ class TestKappa:
                 assert got.rows == expect.rows
 
     def test_kappa_sends_the_counit_to_the_left_counit(self, m2):
-        sep = diagonal_separability(m2.lb.base)
+        sep = separability_structure(m2.lb.base)
         wb = weak_bialgebra_from_sep(m2.lb, sep, antipode=m2.S)
         assert kappa_map(m2.lb, sep, wb.counit).rows == m2.lb.counit.rows
 
@@ -304,7 +327,7 @@ class TestWhaDecide:
         assert not out["report"].find("decide-invertible").ok
 
     def test_bad_separability_input_short_circuits(self, m2):
-        sep = diagonal_separability(m2.lb.base)
+        sep = separability_structure(m2.lb.base)
         bad = SeparabilityStructure(sep.base, sep.delta.scale(QQ.of(2)),
                                     sep.psi)
         out = wha_decide(m2, sep=bad)
