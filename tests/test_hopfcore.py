@@ -111,6 +111,30 @@ def test_luiiv_builds_the_candidate_square_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_verify_hopf_checks_the_shared_total_once(monkeypatch):
+    # both sides live on one total algebra: its algebra checks run once and
+    # serve both side reports, each base is checked once
+    import algebroids.algebra as algebra_module
+    import algebroids.bialgebroid as bialgebroid
+    import algebroids.hopfcore as hopfcore
+    h = pair_groupoid_hopf_algebroid(2, QQ)
+    checked = []
+    original = algebra_module.verify_algebra
+
+    def counting(algebra):
+        checked.append(algebra)
+        return original(algebra)
+
+    for module in (algebra_module, bialgebroid, hopfcore):
+        if getattr(module, "verify_algebra", None) is original:
+            monkeypatch.setattr(module, "verify_algebra", counting)
+    rep = verify_hopf(h)
+    assert rep.passed, [c.check_id for c in rep.failures()]
+    assert rep.find("lb-total-assoc").ok and rep.find("rb-total-assoc").ok
+    assert [id(a) for a in checked] == [
+        id(h.total), id(h.lb.base), id(h.rb.base)]
+
+
 def test_lu_axioms_default_and_explicit_section(m2):
     rep = check_lu_axioms(m2.lb, m2.S)
     assert rep.passed, [c.check_id for c in rep.failures()]
