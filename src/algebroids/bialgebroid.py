@@ -35,8 +35,6 @@ verdicts never depend on the stored representative whenever the relevant
 well-definedness checks pass.
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import NamedTuple
 
 from .exactfield import Matrix, require_field
@@ -315,35 +313,10 @@ def _juxt(x, y, side):
     return f"{y} {x}" if len(y) == 1 else f"{y}{x}"
 
 
-# verify_hopf checks two bialgebroids on one total algebra; inside
-# ``sharing_total_checks()`` the second verifier reuses the first one's
-# algebra checks instead of running them again.
-_TOTAL_CHECKS = ContextVar("total_checks", default=None)
-
-
-@contextmanager
-def sharing_total_checks():
-    token = _TOTAL_CHECKS.set([])
-    try:
-        yield
-    finally:
-        _TOTAL_CHECKS.reset(token)
-
-
-def _total_checks(algebra):
-    seen = _TOTAL_CHECKS.get()
-    if seen is None:
-        return verify_algebra(algebra)
-    for other, rep in seen:
-        if other == algebra and other.basis_names == algebra.basis_names:
-            return rep
-    rep = verify_algebra(algebra)
-    seen.append((algebra, rep))
-    return rep
-
-
-def _verify_bialgebroid(bgd, ch, title):
-    """Run every axiom of chirality ``ch`` on the basis; report per identity."""
+def _verify_bialgebroid(bgd, ch, title, total_checks):
+    """Run every axiom of chirality ``ch`` on the basis; report per identity.
+    ``total_checks`` is the ``verify_algebra`` report of the total algebra,
+    so that ``verify_hopf`` checks a total shared by both sides once."""
     rep = Report(title or f"{ch.name} bialgebroid {bgd.name}")
     A, B = bgd.total, bgd.base
     d, db = A.dim, B.dim
@@ -355,7 +328,7 @@ def _verify_bialgebroid(bgd, ch, title):
     def at_leg(k, text):
         return "⊗".join(text if n == k else legs[n] for n in (0, 1))
 
-    rep.extend(_total_checks(A), prefix="total-")
+    rep.extend(total_checks, prefix="total-")
     rep.extend(verify_algebra(B), prefix="base-")
     rep.extend(verify_map(bgd.s), prefix="src-")
     rep.extend(verify_map(bgd.t), prefix="tgt-")
@@ -547,7 +520,7 @@ def _verify_bialgebroid(bgd, ch, title):
 
 def verify_left_bialgebroid(lb, title=None):
     """Run every left-bialgebroid axiom on the basis; report per identity."""
-    return _verify_bialgebroid(lb, _LEFT, title)
+    return _verify_bialgebroid(lb, _LEFT, title, verify_algebra(lb.total))
 
 
 def verify_right_bialgebroid(rb, title=None):
@@ -556,7 +529,7 @@ def verify_right_bialgebroid(rb, title=None):
     The axioms are the left ones read through the opposite algebra, stated
     on ``rb`` itself in right-handed notation (see ``_RIGHT``).
     """
-    return _verify_bialgebroid(rb, _RIGHT, title)
+    return _verify_bialgebroid(rb, _RIGHT, title, verify_algebra(rb.total))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ expected to pass its full verification report.
 
 import itertools
 
-from .exactfield import Matrix
+from .exactfield import Matrix, PrimeField, RationalField
 from .algebra import HOM, ANTI, Algebra, AlgebraMap
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
 from .hopfcore import HopfAlgebroid, reconstruct_right
+from .twistlab import WeakHopfAlgebra
 
 
 class FiniteGroup:
@@ -281,7 +282,6 @@ def function_algebra_hopf(group, field, name=None):
 def group_weak_hopf(group, field, name=None):
     """The group algebra as a (trivially weak) Hopf algebra over k:
     Δ(g) = g ⊗ g, ε = 1, S(g) = g⁻¹."""
-    from .twistlab import WeakHopfAlgebra
     A = group_algebra(group, field, name=name)
     n = group.order
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
@@ -293,7 +293,6 @@ def pair_groupoid_weak_hopf(n, field, name=None):
     """The full matrix algebra as a genuinely weak Hopf algebra:
     Δ(e_ij) = e_ij ⊗ e_ij, ε ≡ 1, S = transpose.  Δ(1) ≠ 1 ⊗ 1 for
     n > 1, so this is not a Hopf algebra."""
-    from .twistlab import WeakHopfAlgebra
     A = matrix_algebra(n, field, name)
     d = n * n
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(d))], d)
@@ -330,7 +329,6 @@ def delta_identity_integral(group, h):
 def all_fixtures(field=None):
     """The standing catalog: name, Hopf algebroid, and — where the canonical
     one is on file — a nondegenerate left integral."""
-    from .exactfield import RationalField, PrimeField
     field = field or RationalField()
     out = []
     z2 = FiniteGroup.cyclic(2)

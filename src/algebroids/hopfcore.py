@@ -35,6 +35,7 @@ from .algebra import (
     side_product,
     tensor_apply,
     flip_tensor,
+    verify_algebra,
     verify_map,
 )
 from .bimodtensor import (
@@ -50,11 +51,9 @@ from .bialgebroid import (
     _RIGHT,
     RightBialgebroid,
     _juxt,
+    _verify_bialgebroid,
     contract_leg,
     rebased,
-    sharing_total_checks,
-    verify_left_bialgebroid,
-    verify_right_bialgebroid,
     verify_left_morphism,
 )
 from .report import Report, column_certificates
@@ -176,11 +175,14 @@ def verify_hopf(h, title=None):
     A = h.total
     d = A.dim
 
-    with sharing_total_checks():
-        rep.extend(verify_left_bialgebroid(lb), prefix="lb-")
-        rep.extend(verify_right_bialgebroid(rb), prefix="rb-")
-
+    # a total algebra both sides share is checked once
     ok = lb.total == rb.total
+    lb_total = verify_algebra(lb.total)
+    rb_total = (lb_total if ok and lb.total.basis_names == rb.total.basis_names
+                else verify_algebra(rb.total))
+    rep.extend(_verify_bialgebroid(lb, _LEFT, None, lb_total), prefix="lb-")
+    rep.extend(_verify_bialgebroid(rb, _RIGHT, None, rb_total), prefix="rb-")
+
     rep.add("same-total", "both bialgebroids live on one algebra", ok,
             [] if ok else ["the two total algebras differ"])
     if not ok:

@@ -13,8 +13,6 @@ lift of ℓ (``dualspace.acting_on``), inverted when possible, and every
 claimed identity is replayed on a full basis.
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +44,14 @@ from .dualspace import (
     transpose_right,
 )
 from .hopfcore import from_opposite, reconstruct_left, verify_hopf
+from .twistlab import (
+    WeakHopfAlgebra,
+    ahat_algebra,
+    separability_from_weak,
+    verify_weak_hopf,
+    weak_hopf_to_hopf_algebroid,
+    wha_decide,
+)
 
 LEFT = "left"
 RIGHT = "right"
@@ -551,6 +557,12 @@ def dual_hopf_algebroid(h, nd, name=None):
     on ℓ.  The result is verified, and κ is confirmed to be a two-sided
     non-degenerate integral in it.
     """
+    return _dual_hopf(h, nd, name)[0]
+
+
+def _dual_hopf(h, nd, name):
+    """The construction of ``dual_hopf_algebroid``: returns the dual, its
+    ``verify_hopf`` report and the coordinates of κ in its ring."""
     lb, A = h.lb, h.total
     dual = dual_lower_star(lb, name=name or f"{h.name}_*")
     _require(dual.ok, "the lower-star dual did not assemble: "
@@ -567,12 +579,11 @@ def dual_hopf_algebroid(h, nd, name=None):
     hd = reconstruct_left(dual.bgd, s_star)
     hd.name = name or f"{h.name}_*"
 
-    record = _DECIDED.get({})
-    rep = record["hopf"] = verify_hopf(hd)
+    rep = verify_hopf(hd)
     _require(rep.passed, "the dual Hopf algebroid failed verification: "
              + _fail_lines(rep))
 
-    kc = record["kappa"] = dual.module.coords(kappa)
+    kc = dual.module.coords(kappa)
     _require(kc is not None, "κ is not a member of the dual ring")
     for side in (LEFT, RIGHT):
         _require(integral_space(hd, side).space.contains(kc),
@@ -580,7 +591,7 @@ def dual_hopf_algebroid(h, nd, name=None):
     nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")
-    return hd
+    return hd, rep, kc
 
 
 def transport_integral(h, h2, iso, nd):
@@ -602,7 +613,6 @@ def dual_weak_hopf(w, name=None):
     """The k-linear dual of a weak Hopf algebra: multiplication is the
     transpose of Δ, comultiplication the transpose of multiplication, the
     counit is evaluation at 1, and the antipode is the transpose of S."""
-    from .twistlab import WeakHopfAlgebra, ahat_algebra
     A = w.algebra
     d = A.dim
     field = w.field
@@ -631,8 +641,6 @@ def weak_dual_iso(w, h, nd, title=None):
     (via its canonical separability structure) is carried onto Ĥ by Φ as a
     weak Hopf algebra isomorphism.
     """
-    from .twistlab import (separability_from_weak, verify_weak_hopf,
-                           weak_hopf_to_hopf_algebroid, wha_decide)
     rep = Report(title or f"dual of {w.name} against the dual of {h.name}")
     lb, A = h.lb, h.total
     d = A.dim
@@ -915,40 +923,22 @@ def ls_antipode(rb, ell, name=None):
     γ_R(S⁻¹(a)) = (λ*↼a)⇀ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ are asserted along the way, the result
     passes the full verifier, and ℓ stays non-degenerate in the result.
     """
-    h = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
+    pre, h, _ = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
+    if h is None:
+        raise ValueError(_ON_RIGHT.refusal + _fail_lines(pre))
     if name:
         h.name = name
     return h
 
 
-# unset outside ``recording_reports``: ``_DECIDED.get({})`` is a throwaway
-_DECIDED = ContextVar("decided")
-
-
-@contextmanager
-def recording_reports():
-    """Inside this context the constructions leave what they decided on in
-    the yielded dict, so a caller that prints it does not decide it again:
-    ``ls_antipode`` leaves ``pre``, its precondition (the checks of
-    ``verify_bgdnd``), and ``hopf``, the ``verify_hopf`` report of the
-    result; ``dual_hopf_algebroid`` leaves ``hopf``, the ``verify_hopf``
-    report of the dual, and ``kappa``, the coordinates of κ in its ring."""
-    record = {}
-    token = _DECIDED.set(record)
-    try:
-        yield record
-    finally:
-        _DECIDED.reset(token)
-
-
 def _ls(rb, ell, notation):
-    """The construction of ``ls_antipode``; its precondition is reported
-    and refused in ``notation``."""
-    record = _DECIDED.get({})
+    """The construction of ``ls_antipode``: returns its precondition (the
+    checks of ``verify_bgdnd``, reported in ``notation``), the Hopf
+    algebroid and its ``verify_hopf`` report; the last two are None when
+    the precondition fails."""
     pre, data = _verify_bgdnd(rb, ell, "", notation)
-    record["pre"] = pre
     if not pre.passed:
-        raise ValueError(notation.refusal + _fail_lines(pre))
+        return pre, None, None
     A = rb.total
     d = A.dim
     lam, slam = data["lambda_star"], data["star_lambda"]
@@ -984,14 +974,13 @@ def _ls(rb, ell, notation):
                  f"left coproduct mismatch at a = {A.basis_names[i]}")
 
     rep = verify_hopf(h)
-    record["hopf"] = rep
     _require(rep.passed, "the reconstructed Hopf algebroid failed "
              "verification: " + _fail_lines(rep))
     # h.rb is rb itself, so the precondition's dual data is h's
     nd = _nondegeneracy(h, ell, data)
     _require(isinstance(nd, NondegenerateIntegral) and nd.ok,
              f"ℓ is not a non-degenerate integral of the result: {nd!r}")
-    return h
+    return pre, h, rep
 
 
 def verify_bgdnd_right(lb, upsilon, title=None):
@@ -1020,8 +1009,10 @@ def ls_right(lb, upsilon, name=None):
     bialgebroid by reconstruction.  This is ``ls_antipode`` on the opposite
     right bialgebroid (whose antipode is S⁻¹), read back onto ``lb``.
     """
-    h = from_opposite(_ls(lb.shared_op(), lb.total.from_dense(upsilon),
-                          _ON_LEFT), lb)
+    pre, h, _ = _ls(lb.shared_op(), lb.total.from_dense(upsilon), _ON_LEFT)
+    if h is None:
+        raise ValueError(_ON_LEFT.refusal + _fail_lines(pre))
+    h = from_opposite(h, lb)
     if name:
         h.name = name
     return h

@@ -102,18 +102,25 @@ class SpecFile:
 
     # -- lookup helpers ---------------------------------------------------
 
-    def _pick(self, table, what, name=None):
+    def select(self, table, what, name):
+        """The (name, entry) pairs of ``table``: the one named ``name``, or
+        all of them in name order when ``name`` is None.  A name not in the
+        table, or an empty table, is a SpecError naming ``what``."""
         if name is not None:
             if name not in table:
                 raise SpecError(f"no {what} named {name!r} in {self.source}")
-            return name, table[name]
-        if len(table) == 1:
-            return next(iter(table.items()))
+            return [(name, table[name])]
         if not table:
             raise SpecError(f"{self.source} declares no {what}")
-        raise SpecError(
-            f"{self.source} declares {len(table)} {what}s "
-            f"({', '.join(sorted(table))}); pick one with --name")
+        return sorted(table.items())
+
+    def _pick(self, table, what, name=None):
+        pairs = self.select(table, what, name)
+        if len(pairs) > 1:
+            raise SpecError(
+                f"{self.source} declares {len(pairs)} {what}s "
+                f"({', '.join(nm for nm, _ in pairs)}); pick one with --name")
+        return pairs[0]
 
     def hopf(self, name=None):
         return self._pick(self.hopf_algebroids, "hopf_algebroid", name)

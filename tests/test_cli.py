@@ -94,6 +94,54 @@ def test_check_lu_reads_the_named_section(capsys, tmp_path, m2):
     assert err == "error: no section named 'nope'\n"
 
 
+@pytest.fixture()
+def m2_kz2_sections(tmp_path, m2, kz2):
+    # M2 and kZ2 in one spec, with M2's canonical section and a 16 × 7 zero
+    # map (M2's tensor square has quotient dimension 8) on M2's left side
+    b = SpecBuilder(QQ)
+    m2_name = b.add_hopf(m2, name="m2")
+    b.add_hopf(kz2, name="kz2")
+    lb_name = b.data["hopf_algebroids"][m2_name]["left"]
+    space = m2.lb.tensor_space
+    assert (space.total_dim, space.dim) == (16, 8)
+    b.add_section("xi", lb_name, space.section_matrix())
+    b.add_section("short", lb_name, Matrix.zeros(QQ, 16, 7))
+    p = tmp_path / "m2-kz2-sections.spec"
+    p.write_text(b.emit())
+    return str(p), lb_name
+
+
+def test_check_lu_section_checks_only_its_own_side(capsys, m2_kz2_sections):
+    path, _ = m2_kz2_sections
+    code, plain, _ = run(capsys, "check", "--level", "lu", path,
+                         "--name", "m2")
+    assert code == 0
+    code, out, err = run(capsys, "check", "--level", "lu", path,
+                         "--section", "xi")
+    assert (code, err) == (0, "")
+    assert out == plain
+    assert "] kz2-" not in out and "] m2-lu3:" in out
+
+
+def test_check_lu_section_refuses_another_side(capsys, m2_kz2_sections):
+    path, lb_name = m2_kz2_sections
+    code, out, err = run(capsys, "check", "--level", "lu", path,
+                         "--section", "xi", "--name", "kz2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: section 'xi' is declared on {lb_name!r}, which "
+                   "is not the left side of 'kz2'\n")
+
+
+def test_check_lu_section_of_the_wrong_shape_exits_two(capsys,
+                                                      m2_kz2_sections):
+    path, lb_name = m2_kz2_sections
+    code, out, err = run(capsys, "check", "--level", "lu", path,
+                         "--section", "short", "--name", "m2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: section 'short' is 16 x 7, but the tensor "
+                   f"square of {lb_name!r} needs 16 x 8\n")
+
+
 @pytest.mark.parametrize("level,path", [
     ("algebra", KZ2),
     ("left-bialgebroid", KZ2),
@@ -521,7 +569,7 @@ def test_failed_construction_exits_one(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise PreconditionError("~S is not bijective")
 
-    monkeypatch.setattr(cli, "dual_hopf_algebroid", refuse)
+    monkeypatch.setattr(cli, "_dual_hopf", refuse)
     code, out, err = run(capsys, "dualize", M2)
     assert code == 1
     assert out == ""
@@ -530,7 +578,7 @@ def test_failed_construction_exits_one(capsys, monkeypatch):
     def divide(*args, **kwargs):
         raise ZeroDivisionError("division by zero in GF(7)")
 
-    monkeypatch.setattr(cli, "dual_hopf_algebroid", divide)
+    monkeypatch.setattr(cli, "_dual_hopf", divide)
     with pytest.raises(ZeroDivisionError):
         cli.main(["dualize", M2])
 

@@ -530,6 +530,7 @@ def test_weak_dual_iso_counit_certificate_names_the_functionals(
         monkeypatch):
     # the decided weak Hopf algebra with its counit doubled: only the counit
     # square fails, and both functionals are printed in the dual basis
+    import algebroids.integrallab as integrallab
     import algebroids.twistlab as twistlab
     decide = twistlab.wha_decide
 
@@ -540,7 +541,7 @@ def test_weak_dual_iso_counit_certificate_names_the_functionals(
             w.algebra, w.delta, w.counit.scale(QQ.of(2)), w.antipode)
         return out
 
-    monkeypatch.setattr(twistlab, "wha_decide", doubled_counit)
+    monkeypatch.setattr(integrallab, "wha_decide", doubled_counit)
     W = group_weak_hopf(FiniteGroup.cyclic(2), QQ)
     h, _ = weak_hopf_to_hopf_algebroid(W)
     nd = nondegeneracy(h, (QQ.one, QQ.one))
@@ -617,9 +618,10 @@ def test_ls_antipode_rejects_degenerate_input(kz2):
 
 def test_ls_antipode_output_is_verified_hopf(m2):
     from algebroids.hopfcore import verify_hopf
-    out = ls_antipode(m2.rb, matrix_sum_integral(m2))
+    out = ls_antipode(m2.rb, matrix_sum_integral(m2), name="m2-ls")
     assert verify_hopf(out).passed
     assert out.rb.gamma_lift == m2.rb.gamma_lift
+    assert out.name == "m2-ls"
 
 
 def test_ls_antipode_builds_each_right_dual_once(monkeypatch):
@@ -652,8 +654,8 @@ def test_ls_right_mirrors_ls_antipode(kz2, kz3, m2):
     for h, ups in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
                    (m2, matrix_sum_integral(m2))):
-        out = ls_right(h.lb, ups)
-        assert out.S == h.S
+        out = ls_right(h.lb, ups, name="ls-right")
+        assert out.S == h.S and out.name == "ls-right"
         mirror = ls_antipode(h.lb.op(), ups)
         assert out.S == mirror.S
         assert out.S_inv == mirror.S_inv

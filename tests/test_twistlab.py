@@ -205,6 +205,14 @@ class TestSeparability:
         assert sep.delta.rows == ref.delta.rows
         assert sep.psi.rows == ref.psi.rows
 
+    def test_separability_from_weak_refuses_a_foreign_base(self):
+        # kZ4's base is k·1, which holds no slice of W(M2)'s Δ(1)
+        w = pair_groupoid_weak_hopf(2, QQ)
+        lb = group_hopf_algebroid(FiniteGroup.cyclic(4), QQ).lb
+        with pytest.raises(ValueError,
+                           match="separability data leaves the base"):
+            separability_from_weak(w, lb)
+
     def test_weak_side_and_separability_eliminate_each_base_once(
             self, monkeypatch):
         # one Subspace per base, both in weak_hopf_to_hopf_algebroid; the
