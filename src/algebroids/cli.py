@@ -20,15 +20,14 @@ from .hopfcore import check_lu_axioms, verify_hopf
 from .integrallab import (
     LEFT,
     RIGHT,
-    _ON_RIGHT,
     Degenerate,
     NondegenerateIntegral,
     PreconditionError,
-    _dual_hopf,
-    _ls,
+    dual_hopf_algebroid,
     duality_diagram,
     integral_space,
     intpr_equivalences,
+    ls_antipode,
     nondegeneracy,
 )
 from .report import DEFAULT_CERTIFICATE_LIMIT, Report
@@ -153,15 +152,18 @@ def cmd_ls_antipode(spec, args):
     nm, rb = spec.right_bialgebroid(args.name)
     el, ell = spec.element_for(rb.total, args.integral)
     rep = Report(f"antipode construction on {nm} from {el}")
-    # a refused precondition is reported, not raised
-    pre, h, hopf = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
-    rep.extend(pre, prefix="pre-")
-    if h is None:
+    try:
+        h = ls_antipode(rb, ell, name=f"{nm}-hopf")
+    except ValueError as exc:
+        # a refused precondition is reported, not raised
+        pre = getattr(exc, "report", None)
+        if pre is None:
+            raise
+        rep.extend(pre, prefix="pre-")
         return rep, None
-    h.name = f"{nm}-hopf"
-    rep.extend(hopf, prefix="hopf-")
-    text = specfile.spec_from_hopf(h, name=f"{nm}-hopf",
-                                   integral=rb.total.from_dense(ell),
+    rep.extend(h.decided["pre"], prefix="pre-")
+    rep.extend(h.decided["hopf"], prefix="hopf-")
+    text = specfile.spec_from_hopf(h, integral=rb.total.from_dense(ell),
                                    integral_name=el)
     return rep, text
 
@@ -255,9 +257,9 @@ def cmd_dualize(spec, args):
     if nd is None:
         return rep, None
     rep.extend(nd.report, prefix="nd-")
-    hd, dual_rep, kappa = _dual_hopf(h, nd, f"{nm}-dual")
-    rep.extend(dual_rep, prefix="dual-")
-    text = specfile.spec_from_hopf(hd, name=f"{nm}-dual", integral=kappa,
+    hd = dual_hopf_algebroid(h, nd, name=f"{nm}-dual")
+    rep.extend(hd.decided["hopf"], prefix="dual-")
+    text = specfile.spec_from_hopf(hd, integral=hd.decided["kappa"],
                                    integral_name="kappa")
     return rep, text
 

@@ -65,6 +65,11 @@ class HopfAlgebroid:
     ``base_antiiso`` is the anti-isomorphism χ from the right base to the
     left base satisfying s_L ∘ χ = t_R; when omitted it is solved for
     linearly (and its absence is reported by the verifier).
+
+    ``decided`` holds what a construction decided while building it, by
+    name (``ls_antipode`` and ``dual_hopf_algebroid`` fill it), so a caller
+    that prints those reports does not decide them again; it is empty for
+    an assembly made directly.
     """
 
     def __init__(self, lb, rb, antipode, antipode_inv=None, base_antiiso=None,
@@ -82,6 +87,7 @@ class HopfAlgebroid:
             base_antiiso = solve_base_antiiso(lb, rb)
         self.chi = base_antiiso
         self.name = name
+        self.decided = {}
         self._llr = None
         self._rrl = None
 

@@ -555,14 +555,10 @@ def dual_hopf_algebroid(h, nd, name=None):
 
     i.e. S₍*₎ = ℓ_L⁻¹ ∘ ~S ∘ ℓ_L transported through the action of the dual
     on ℓ.  The result is verified, and κ is confirmed to be a two-sided
-    non-degenerate integral in it.
+    non-degenerate integral in it; its ``decided`` keeps the
+    ``verify_hopf`` report under ``hopf`` and κ's coordinates in its ring
+    under ``kappa``.
     """
-    return _dual_hopf(h, nd, name)[0]
-
-
-def _dual_hopf(h, nd, name):
-    """The construction of ``dual_hopf_algebroid``: returns the dual, its
-    ``verify_hopf`` report and the coordinates of κ in its ring."""
     lb, A = h.lb, h.total
     dual = dual_lower_star(lb, name=name or f"{h.name}_*")
     _require(dual.ok, "the lower-star dual did not assemble: "
@@ -591,7 +587,8 @@ def _dual_hopf(h, nd, name):
     nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")
-    return hd, rep, kc
+    hd.decided.update(hopf=rep, kappa=kc)
+    return hd
 
 
 def transport_integral(h, h2, iso, nd):
@@ -922,23 +919,24 @@ def ls_antipode(rb, ell, name=None):
     proof identities (grs): γ_R(S(a)) = ℓ⁽¹⁾ ⊗ (*λ⇂a)⇁ℓ⁽²⁾ and (grsi):
     γ_R(S⁻¹(a)) = (λ*↼a)⇀ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ are asserted along the way, the result
     passes the full verifier, and ℓ stays non-degenerate in the result.
+    A failed precondition raises a ``ValueError`` whose ``report`` is that
+    precondition; the result's ``decided`` keeps the precondition under
+    ``pre`` and its ``verify_hopf`` report under ``hopf``.
     """
-    pre, h, _ = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
-    if h is None:
-        raise ValueError(_ON_RIGHT.refusal + _fail_lines(pre))
+    h = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
     if name:
         h.name = name
     return h
 
 
 def _ls(rb, ell, notation):
-    """The construction of ``ls_antipode``: returns its precondition (the
-    checks of ``verify_bgdnd``, reported in ``notation``), the Hopf
-    algebroid and its ``verify_hopf`` report; the last two are None when
-    the precondition fails."""
+    """The construction of ``ls_antipode``; its precondition is reported
+    and refused in ``notation``."""
     pre, data = _verify_bgdnd(rb, ell, "", notation)
     if not pre.passed:
-        return pre, None, None
+        refused = ValueError(notation.refusal + _fail_lines(pre))
+        refused.report = pre
+        raise refused
     A = rb.total
     d = A.dim
     lam, slam = data["lambda_star"], data["star_lambda"]
@@ -980,7 +978,8 @@ def _ls(rb, ell, notation):
     nd = _nondegeneracy(h, ell, data)
     _require(isinstance(nd, NondegenerateIntegral) and nd.ok,
              f"ℓ is not a non-degenerate integral of the result: {nd!r}")
-    return pre, h, rep
+    h.decided.update(pre=pre, hopf=rep)
+    return h
 
 
 def verify_bgdnd_right(lb, upsilon, title=None):
@@ -1009,10 +1008,8 @@ def ls_right(lb, upsilon, name=None):
     bialgebroid by reconstruction.  This is ``ls_antipode`` on the opposite
     right bialgebroid (whose antipode is S⁻¹), read back onto ``lb``.
     """
-    pre, h, _ = _ls(lb.shared_op(), lb.total.from_dense(upsilon), _ON_LEFT)
-    if h is None:
-        raise ValueError(_ON_LEFT.refusal + _fail_lines(pre))
-    h = from_opposite(h, lb)
+    h = from_opposite(_ls(lb.shared_op(), lb.total.from_dense(upsilon),
+                          _ON_LEFT), lb)
     if name:
         h.name = name
     return h

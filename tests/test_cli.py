@@ -569,7 +569,7 @@ def test_failed_construction_exits_one(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise PreconditionError("~S is not bijective")
 
-    monkeypatch.setattr(cli, "_dual_hopf", refuse)
+    monkeypatch.setattr(cli, "dual_hopf_algebroid", refuse)
     code, out, err = run(capsys, "dualize", M2)
     assert code == 1
     assert out == ""
@@ -578,9 +578,21 @@ def test_failed_construction_exits_one(capsys, monkeypatch):
     def divide(*args, **kwargs):
         raise ZeroDivisionError("division by zero in GF(7)")
 
-    monkeypatch.setattr(cli, "_dual_hopf", divide)
+    monkeypatch.setattr(cli, "dual_hopf_algebroid", divide)
     with pytest.raises(ZeroDivisionError):
         cli.main(["dualize", M2])
+
+
+def test_ls_antipode_reports_only_a_refused_precondition(capsys,
+                                                         monkeypatch):
+    # a ValueError without a precondition report is an error, not a verdict
+    def broken(*args, **kwargs):
+        raise ValueError("the integral has the wrong length")
+
+    monkeypatch.setattr(cli, "ls_antipode", broken)
+    code, out, err = run(capsys, "ls-antipode", M2)
+    assert (code, out) == (1, "")
+    assert err == "error: the integral has the wrong length\n"
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,13 @@ def test_lu_axioms_default_and_explicit_section(m2):
     assert rep2.passed
 
 
+def test_lu_axioms_refuse_a_section_of_the_wrong_shape(m2):
+    # M2's tensor square has quotient dimension 8, so a 16 x 7 map is no
+    # candidate section
+    with pytest.raises(ValueError, match="section matrix must map"):
+        check_lu_axioms(m2.lb, m2.S, section=Matrix.zeros(QQ, 16, 7))
+
+
 def test_galois_maps(m2, kz2_twisted, ks3):
     for h in (m2, kz2_twisted, ks3):
         rep = verify_galois(h)

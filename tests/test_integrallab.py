@@ -616,12 +616,35 @@ def test_ls_antipode_rejects_degenerate_input(kz2):
         ls_antipode(kz2.rb, (QQ.one, QQ.zero))
 
 
+def test_ls_antipode_refusal_carries_its_precondition(kz2):
+    with pytest.raises(ValueError) as caught:
+        ls_antipode(kz2.rb, (QQ.one, QQ.zero))
+    assert type(caught.value) is ValueError
+    pre = caught.value.report
+    assert not pre.passed
+    assert str(caught.value).startswith(
+        "not a non-degenerate integral for the right bialgebroid: "
+        + pre.failures()[0].check_id)
+
+
+def test_constructions_keep_what_they_decided(m2):
+    out = ls_antipode(m2.rb, matrix_sum_integral(m2))
+    assert sorted(out.decided) == ["hopf", "pre"]
+    assert out.decided["pre"].passed and out.decided["hopf"].passed
+    assert out.decided["pre"].find("sf").ok
+    nd = nondegeneracy(m2, matrix_sum_integral(m2))
+    hd = dual_hopf_algebroid(m2, nd)
+    assert sorted(hd.decided) == ["hopf", "kappa"]
+    assert hd.decided["hopf"].passed
+    assert integral_space(hd, LEFT).space.contains(hd.decided["kappa"])
+    assert m2.decided == {}
+
+
 def test_ls_antipode_output_is_verified_hopf(m2):
     from algebroids.hopfcore import verify_hopf
-    out = ls_antipode(m2.rb, matrix_sum_integral(m2), name="m2-ls")
+    out = ls_antipode(m2.rb, matrix_sum_integral(m2))
     assert verify_hopf(out).passed
     assert out.rb.gamma_lift == m2.rb.gamma_lift
-    assert out.name == "m2-ls"
 
 
 def test_ls_antipode_builds_each_right_dual_once(monkeypatch):
