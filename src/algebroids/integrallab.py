@@ -399,7 +399,7 @@ def frobenius_check(nd, h=None, title=None):
     one = A.field.one
 
     # the left half moves s_R(r) onto a from the left, the right half from
-    # the right; the right half's certificate names no values
+    # the right
     bad = []
     for ridx in range(R.dim):
         rvec = {ridx: one}
@@ -407,7 +407,7 @@ def frobenius_check(nd, h=None, title=None):
         for i in range(d):
             for side, text in (
                     (PRE, "λ*(s_R(r)a) = {} ≠ rλ*(a) = {}"),
-                    (POST, "λ*(a s_R(r)) ≠ λ*(a)r")):
+                    (POST, "λ*(a s_R(r)) = {} ≠ λ*(a)r = {}")):
                 lhs = lam.apply(side_product(A, srv, i, side))
                 rhs = _times(R, rvec, lam.cols[i], side)
                 if lhs != rhs:

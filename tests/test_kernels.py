@@ -676,9 +676,11 @@ def brute_force_frobenius(nd):
                 pre.append(at + f"λ*(s_R(r)a) = {fmt(R, lhs)} ≠ "
                                 f"rλ*(a) = {fmt(R, rhs)}")
                 both.append(pre[-1])
-            if lam(dense_mul(A, e[i], s_r(er[r]))) != \
-                    dense_mul(R, lam(e[i]), er[r]):
-                post.append(at + "λ*(a s_R(r)) ≠ λ*(a)r")
+            lhs = lam(dense_mul(A, e[i], s_r(er[r])))
+            rhs = dense_mul(R, lam(e[i]), er[r])
+            if lhs != rhs:
+                post.append(at + f"λ*(a s_R(r)) = {fmt(R, lhs)} ≠ "
+                                 f"λ*(a)r = {fmt(R, rhs)}")
                 both.append(post[-1])
 
     # x ⊗ y = Σ c e_k ⊗ S(e_j) over the terms c e_k ⊗ e_j of the lift
