@@ -184,7 +184,7 @@ def side_product(algebra, u, i, side):
     return combine(terms)
 
 
-def verify_algebra(algebra, report_title=None):
+def verify_algebra(algebra):
     """Check unit laws and associativity on all basis triples.
 
     Both laws are read from the structure constants ``table``.  Associativity
@@ -195,7 +195,7 @@ def verify_algebra(algebra, report_title=None):
     ``rows[j]`` with e_i multiplied onto its second factor.  Only a failing
     pair is cut into its k-slices for the certificates, in (i, j, k) order.
     """
-    rep = Report(report_title or f"algebra {algebra.name}")
+    rep = Report(f"algebra {algebra.name}")
     d = algebra.dim
     table = algebra.table
     names = algebra.basis_names
@@ -329,9 +329,9 @@ class AlgebraMap:
         return f"{self.name}: {self.source.name} {arrow} {self.target.name}"
 
 
-def verify_map(f, report_title=None):
+def verify_map(f):
     """Check that f preserves the unit and is (anti)multiplicative on basis pairs."""
-    rep = Report(report_title or f"map {f.name}")
+    rep = Report(f"map {f.name}")
     src, tgt = f.source, f.target
 
     img_one = f.apply(src.unit)
@@ -560,8 +560,8 @@ def separability_structure(base):
         Matrix.from_rows(field, [tuple(psi)], n))
 
 
-def verify_separability(sep, title=None):
-    rep = Report(title or f"separability structure on {sep.base.name}")
+def verify_separability(sep):
+    rep = Report(f"separability structure on {sep.base.name}")
     L = sep.base
     dl = L.dim
     field = sep.field

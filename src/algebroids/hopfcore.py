@@ -152,31 +152,23 @@ def _column_span(matrix):
     return Subspace.from_vectors(matrix.field, matrix.nrows, matrix.cols)
 
 
-# the two mixed coassociativity identities, (γ_X⊗id)γ_Y = (id⊗γ_Y)γ_X for
-# (X, Y) = (L, R) in the left-right triple and (R, L) in the right-left one
-_MIXED = (("L", "R"), ("R", "L"))
+def _mixed_coassociativity(h):
+    """The two mixed coassociativity identities (γ_X⊗id)γ_Y = (id⊗γ_Y)γ_X
+    of ``h``, for (X, Y) = (L, R) in the left-right triple and then (R, L)
+    in the right-left one.  Yields (X, Y), the triple, and the two sides
+    on the basis as generators of sparse vectors of the triple."""
+    sides = {"L": h.lb, "R": h.rb}
+    for (first, then), space in ((("L", "R"), h.llr_space),
+                                 (("R", "L"), h.rrl_space)):
+        x, y = sides[first], sides[then]
+        yield ((first, then), space,
+               (x.coproduct_on_leg(w, 0) for w in y.canonical_gamma_lift),
+               (y.coproduct_on_leg(w, 1) for w in x.canonical_gamma_lift))
 
 
-def _mixed_coassociativity(lb, rb, llr, rrl):
-    """Where the two mixed coassociativity identities fail on the basis:
-    (γ_L⊗id)γ_R = (id⊗γ_R)γ_L in ``llr`` and (γ_R⊗id)γ_L = (id⊗γ_L)γ_R in
-    ``rrl``.  Returns one list per identity of (index, lhs, rhs) for each
-    failing basis element, both sides sparse vectors of the triple."""
-    bad_lr, bad_rl = [], []
-    for i, (wl, wr) in enumerate(zip(lb.canonical_gamma_lift,
-                                     rb.canonical_gamma_lift)):
-        lhs, rhs = lb.coproduct_on_leg(wr, 0), rb.coproduct_on_leg(wl, 1)
-        if not llr.equal(lhs, rhs):
-            bad_lr.append((i, lhs, rhs))
-        lhs, rhs = rb.coproduct_on_leg(wl, 0), lb.coproduct_on_leg(wr, 1)
-        if not rrl.equal(lhs, rhs):
-            bad_rl.append((i, lhs, rhs))
-    return bad_lr, bad_rl
-
-
-def verify_hopf(h, title=None):
+def verify_hopf(h):
     """Verify the full Hopf algebroid axiom set for ``h``."""
-    rep = Report(title or f"hopf algebroid {h.name}")
+    rep = Report(f"hopf algebroid {h.name}")
     lb, rb = h.lb, h.rb
     A = h.total
     d = A.dim
@@ -186,8 +178,8 @@ def verify_hopf(h, title=None):
     lb_total = verify_algebra(lb.total)
     rb_total = (lb_total if ok and lb.total.basis_names == rb.total.basis_names
                 else verify_algebra(rb.total))
-    rep.extend(_verify_bialgebroid(lb, _LEFT, None, lb_total), prefix="lb-")
-    rep.extend(_verify_bialgebroid(rb, _RIGHT, None, rb_total), prefix="rb-")
+    rep.extend(_verify_bialgebroid(lb, _LEFT, lb_total), prefix="lb-")
+    rep.extend(_verify_bialgebroid(rb, _RIGHT, rb_total), prefix="rb-")
 
     rep.add("same-total", "both bialgebroids live on one algebra", ok,
             [] if ok else ["the two total algebras differ"])
@@ -225,14 +217,13 @@ def verify_hopf(h, title=None):
                 [] if ok else ["matrix identity s_L∘χ = t_R fails"])
 
     # (defii): mixed coassociativity in both mixed triple quotients
-    for (first, then), space, failures in zip(
-            _MIXED, (h.llr_space, h.rrl_space),
-            _mixed_coassociativity(lb, rb, h.llr_space, h.rrl_space)):
+    for (first, then), space, lhs, rhs in _mixed_coassociativity(h):
         lhs_text = f"(γ_{first}⊗id)γ_{then}"
         rhs_text = f"(id⊗γ_{then})γ_{first}"
-        bad = [f"a = {A.basis_names[i]}: {lhs_text}(a) = {space.fmt(lhs)} "
-               f"but {rhs_text}(a) = {space.fmt(rhs)}"
-               for i, lhs, rhs in failures]
+        bad = column_certificates(
+            lhs, rhs, A.basis_names, space.fmt,
+            f"a = {{}}: {lhs_text}(a) = {{}} but {rhs_text}(a) = {{}}",
+            space.equal)
         rep.add(f"defii-{first.lower()}{then.lower()}",
                 f"{lhs_text} = {rhs_text}", not bad, bad)
 
@@ -280,8 +271,8 @@ def verify_hopf(h, title=None):
         text = _juxt(f"S({ch.legs[leg]})", ch.legs[1 - leg], ch.side)
         Y = "R" if ch is _LEFT else "L"
         want = f"s_{Y}(π_{Y}(a))"
-        got = [contract_leg(A, h.S, w, leg, ch.side)
-               for w in own.canonical_gamma_lift]
+        got = (contract_leg(A, h.S, w, leg, ch.side)
+               for w in own.canonical_gamma_lift)
         bad = column_certificates(
             got, (other.s.matrix @ other.counit).cols, A.basis_names,
             A.fmt_vec, f"a = {{}}: {text} = {{}} but {want} = {{}}")
@@ -294,11 +285,11 @@ def verify_hopf(h, title=None):
 # structure identities relating the antipode to both counits
 
 
-def verify_sisom(h, title=None):
+def verify_sisom(h):
     """Verify the eight closed-form identities tying S and S^{-1} to the
     right-handed structure maps, plus the two induced bialgebroid morphisms
     into the op-cop transform of the right bialgebroid."""
-    rep = Report(title or f"antipode structure identities for {h.name}")
+    rep = Report(f"antipode structure identities for {h.name}")
     lb, rb = h.lb, h.rb
     A = h.total
     d = A.dim
@@ -335,14 +326,12 @@ def verify_sisom(h, title=None):
     antipodes = (("S", h.S, sl, "π_R∘s_L", "sisom-4", "mor-S-"),
                  ("S⁻¹", h.S_inv, tl, "π_R∘t_L", "sisom-8", "mor-Sinv-"))
     for name, m, _, _, cid, _ in antipodes:
-        bad = []
-        for i, w in enumerate(lb.canonical_gamma_lift):
-            lhs = flip_tensor(d, d, tensor_apply(m, m, w))
-            rhs = rb.coproduct_lift(m.cols[i])
-            if not space.equal(lhs, rhs):
-                bad.append(
-                    f"a = {A.basis_names[i]}: flip({name}⊗{name})γ_L(a) = "
-                    f"{space.fmt(lhs)} but γ_R({name}(a)) = {space.fmt(rhs)}")
+        bad = column_certificates(
+            (flip_tensor(d, d, tensor_apply(m, m, w))
+             for w in lb.canonical_gamma_lift),
+            (rb.coproduct_lift(col) for col in m.cols), A.basis_names,
+            space.fmt, f"a = {{}}: flip({name}⊗{name})γ_L(a) = {{}} but "
+            f"γ_R({name}(a)) = {{}}", space.equal)
         rep.add(cid, f"flip∘({name}⊗{name})∘γ_L = γ_R∘{name}", not bad, bad)
     for name, m, base, base_name, _, prefix in antipodes:
         phi = AlgebraMap(A, target.total, m, HOM, name)
@@ -444,14 +433,14 @@ def _left_antipode_identities(rep, lb, S, notation):
         (S @ lb.t.matrix).cols, lb.s.matrix.cols, lb.base.basis_names,
         A.fmt_vec, "l = {}: S(t_L(l)) = {} but s_L(l) = {}")
     rep.add(first, "S∘t_L = s_L", not bad, bad)
-    got = [contract_leg(A, S, w, 0, PRE) for w in lb.canonical_gamma_lift]
+    got = (contract_leg(A, S, w, 0, PRE) for w in lb.canonical_gamma_lift)
     bad = column_certificates(
         got, (lb.t.matrix @ lb.counit @ S).cols, A.basis_names, A.fmt_vec,
         f"a = {{}}: {lhs} = {{}} but t_L(π_L(S(a))) = {{}}")
     rep.add(second, label, not bad, bad)
 
 
-def check_luiiv(lb, antipode, title=None):
+def check_luiiv(lb, antipode):
     """Decide from (lb, S) alone whether reconstruction yields a Hopf algebroid.
 
     The four conditions: (lui) S∘t_L = s_L with S an anti-automorphism;
@@ -461,7 +450,7 @@ def check_luiiv(lb, antipode, title=None):
     right coproduct (its junction's crosswise base-image equality is checked
     first, as the well-definedness premise).
     """
-    rep = Report(title or f"antipode conditions for {lb.name}")
+    rep = Report(f"antipode conditions for {lb.name}")
     A = lb.total
     d = A.dim
     S = antipode
@@ -481,15 +470,12 @@ def check_luiiv(lb, antipode, title=None):
     # (luiii) is stated in the candidate's balanced square, whose coproduct
     # is flip(S⊗S)γ_L(S⁻¹(a))
     space = rb.tensor_space
-    bad = []
-    for i, lhs in enumerate(rb.gamma_lift.cols):
-        rhs = flip_tensor(d, d, tensor_apply(
-            S_inv, S_inv, lb.coproduct_lift(S.cols[i])))
-        if not space.equal(lhs, rhs):
-            bad.append(
-                f"a = {A.basis_names[i]}: flip(S⊗S)γ_L(S⁻¹(a)) = "
-                f"{space.fmt(lhs)} but flip(S⁻¹⊗S⁻¹)γ_L(S(a)) = "
-                f"{space.fmt(rhs)}")
+    bad = column_certificates(
+        rb.gamma_lift.cols,
+        (flip_tensor(d, d, tensor_apply(S_inv, S_inv, lb.coproduct_lift(col)))
+         for col in S.cols), A.basis_names, space.fmt,
+        "a = {}: flip(S⊗S)γ_L(S⁻¹(a)) = {} but "
+        "flip(S⁻¹⊗S⁻¹)γ_L(S(a)) = {}", space.equal)
     rep.add("luiii", "the S- and S⁻¹-conjugate coproducts agree", not bad, bad)
 
     # (luiv) premise: candidate crosswise base-image equality
@@ -498,17 +484,18 @@ def check_luiiv(lb, antipode, title=None):
             ok, [] if ok else ["t_L(L) differs from S(s_L(L))"])
 
     names = {"L": "left", "R": "right"}
-    for (first, then), failures in zip(_MIXED, _mixed_coassociativity(
-            lb, rb, h.llr_space, h.rrl_space)):
-        bad = [f"a = {A.basis_names[i]}: the two composites differ in the "
-               f"{names[first]}-{names[then]} triple" for i, _, _ in failures]
+    for (first, then), space, lhs, rhs in _mixed_coassociativity(h):
+        bad = column_certificates(
+            lhs, rhs, A.basis_names, space.fmt,
+            "a = {}: the two composites differ in the "
+            f"{names[first]}-{names[then]} triple", space.equal)
         rep.add(f"luiv-{first.lower()}{then.lower()}",
                 f"(γ_{first}⊗id)γ_{then} = (id⊗γ_{then})γ_{first} for the "
                 "candidate", not bad, bad)
     return rep
 
 
-def check_lu_axioms(lb, antipode, section=None, title=None):
+def check_lu_axioms(lb, antipode, section=None):
     """The three convolution-style antipode axioms on (lb, S).
 
     The third axiom multiplies S against a chosen linear section ξ of the
@@ -516,7 +503,7 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     echelon section.  Its verdict genuinely depends on that choice, which is
     why ξ is a parameter.
     """
-    rep = Report(title or f"convolution antipode axioms for {lb.name}")
+    rep = Report(f"convolution antipode axioms for {lb.name}")
     A = lb.total
     d = A.dim
     S = antipode
@@ -539,25 +526,21 @@ def check_lu_axioms(lb, antipode, section=None, title=None):
     rep.add("lu3-section", "ξ is a section of the projection", ok,
             [] if ok else ["proj∘ξ differs from the identity"])
 
-    s_pi = lb.s.matrix @ lb.counit
-    bad = []
-    for i, q in enumerate(lb.gamma_q.cols):
-        got = contract_leg(A, S, section.apply(q), 1, POST)
-        want = s_pi.cols[i]
-        if got != want:
-            bad.append(
-                f"a = {A.basis_names[i]}: m(id⊗S)ξγ(a) = {A.fmt_vec(got)} "
-                f"but s_L(π_L(a)) = {A.fmt_vec(want)}")
+    bad = column_certificates(
+        (contract_leg(A, S, section.apply(q), 1, POST)
+         for q in lb.gamma_q.cols), (lb.s.matrix @ lb.counit).cols,
+        A.basis_names, A.fmt_vec,
+        "a = {}: m(id⊗S)ξγ(a) = {} but s_L(π_L(a)) = {}")
     rep.add("lu3", "m(id⊗S)ξγ = s_L∘π_L for the chosen section ξ",
             not bad, bad)
     return rep
 
 
-def antipode_uniqueness(h1, h2, title=None):
+def antipode_uniqueness(h1, h2):
     """Check that two Hopf structures over one left bialgebroid must share
     their antipode: the second is recovered from the first by the closed
     formula S'(a) = S(a_(1)) s_L(π_L(a_(2)))."""
-    rep = Report(title or "antipode uniqueness")
+    rep = Report("antipode uniqueness")
     ok = h1.lb.same_structure(h2.lb)
     rep.add("same-left-structure", "both share one left bialgebroid", ok,
             [] if ok else ["left bialgebroid data differ"])
@@ -570,14 +553,11 @@ def antipode_uniqueness(h1, h2, title=None):
     A = lb.total
     s_pi = lb.s.matrix @ lb.counit
     ident = Matrix.identity(lb.field, A.dim)
-    bad = []
-    for i, w in enumerate(lb.canonical_gamma_lift):
-        # S(a_(1)) s_L(π_L(a_(2)))
-        acc = contract_leg(A, h1.S, tensor_apply(ident, s_pi, w), 0, PRE)
-        if acc != h2.S.cols[i]:
-            bad.append(
-                f"a = {A.basis_names[i]}: S(a_(1))s_L(π_L(a_(2))) = "
-                f"{A.fmt_vec(acc)} but S'(a) = {A.fmt_vec(h2.S.cols[i])}")
+    # S(a_(1)) s_L(π_L(a_(2)))
+    bad = column_certificates(
+        (contract_leg(A, h1.S, tensor_apply(ident, s_pi, w), 0, PRE)
+         for w in lb.canonical_gamma_lift), h2.S.cols, A.basis_names,
+        A.fmt_vec, "a = {}: S(a_(1))s_L(π_L(a_(2))) = {} but S'(a) = {}")
     rep.add("unique", "S'(a) = S(a_(1))s_L(π_L(a_(2)))", not bad, bad)
     ok = h1.S == h2.S
     rep.add("antipodes-equal", "the two antipodes coincide", ok,
@@ -659,10 +639,10 @@ class GaloisMaps:
         self.beta, self.beta_inv = beta.forward, beta.inverse
 
 
-def verify_galois(h, title=None):
+def verify_galois(h):
     """Build the Galois maps and certify well-definedness, bijectivity, and
     that the closed antipode formulas invert them."""
-    rep = Report(title or f"galois maps for {h.name}")
+    rep = Report(f"galois maps for {h.name}")
     maps = GaloisMaps(h).maps
 
     # well-definedness: the total-space maps must send domain relations into

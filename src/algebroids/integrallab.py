@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
 from .algebra import (ANTI, PRE, POST, AlgebraMap, SeparabilityStructure,
-                      combine, flip_tensor, fmt_terms, side_product,
-                      tensor_apply, verify_map, verify_separability)
+                      combine, flip_tensor, fmt_terms, map_at_factor,
+                      side_product, tensor_apply, verify_map,
+                      verify_separability)
 from .report import Report, column_certificates
 from .bialgebroid import (
     LeftBialgebroid,
@@ -92,6 +93,13 @@ def _times(algebra, u, x, side):
     return algebra.mul_vec(u, x) if side == PRE else algebra.mul_vec(x, u)
 
 
+def _on_leg(m, leg, w):
+    """The square matrix ``m`` applied to leg ``leg`` of the sparse
+    tensor-square vector ``w``, the other leg kept."""
+    d = m.ncols
+    return map_at_factor((d, d), leg, w, d, m.cols.__getitem__)
+
+
 # ---------------------------------------------------------------------------
 # integral spaces
 
@@ -147,7 +155,7 @@ def integral_space(parent, side):
     return IntegralSpace(bgd, side, space)
 
 
-def intpr_equivalences(h, ell, title=None):
+def intpr_equivalences(h, ell):
     """Evaluate the five equivalent characterisations of a left integral
     independently and report whether they agree.
 
@@ -161,7 +169,7 @@ def intpr_equivalences(h, ell, title=None):
     the final check ``intpr-agree`` asserts the five booleans coincide, which
     holds for every element — integral or not.
     """
-    rep = Report(title or f"integral characterisations in {h.name}")
+    rep = Report(f"integral characterisations in {h.name}")
     lb, rb, A = h.lb, h.rb, h.total
     ell = A.from_dense(ell)
     d = A.dim
@@ -178,31 +186,26 @@ def intpr_equivalences(h, ell, title=None):
              rb.s, PRE),
             ("intpr-iv", "S⁻¹(ℓ) is a right integral", rb,
              h.S_inv.apply(ell), rb.s, PRE)):
-        bad = []
-        for i in range(d):
-            lhs = side_product(A, vec, i, side)
-            rhs = _times(A, vec, amap.apply(bgd.counit.cols[i]), side)
-            if lhs != rhs:
-                bad.append(f"a = {A.basis_names[i]}: "
-                           f"{A.fmt_vec(lhs)} ≠ {A.fmt_vec(rhs)}")
+        bad = column_certificates(
+            (side_product(A, vec, i, side) for i in range(d)),
+            (_times(A, vec, amap.apply(col), side)
+             for col in bgd.counit.cols),
+            A.basis_names, A.fmt_vec, "a = {}: {} ≠ {}")
         rep.add(cid, label, not bad, bad)
         values.append(not bad)
 
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
-    ident = Matrix.identity(h.field, d)
-    bad_v = []
-    for i in range(d):
-        lhs = tensor_apply(A.left_mult_matrix(h.S.cols[i]), ident, lift)
-        rhs = tensor_apply(ident, A.left_mult_matrix({i: h.field.one}), lift)
-        if not space.equal(lhs, rhs):
-            bad_v.append(f"a = {A.basis_names[i]}: "
-                         f"S(a)ℓ⁽¹⁾⊗ℓ⁽²⁾ = {space.fmt(lhs)} but "
-                         f"ℓ⁽¹⁾⊗aℓ⁽²⁾ = {space.fmt(rhs)}")
+    bad = column_certificates(
+        (_on_leg(A.left_mult_matrix(col), 0, lift) for col in h.S.cols),
+        (_on_leg(A.left_mult_matrix({i: h.field.one}), 1, lift)
+         for i in range(d)),
+        A.basis_names, space.fmt,
+        "a = {}: S(a)ℓ⁽¹⁾⊗ℓ⁽²⁾ = {} but ℓ⁽¹⁾⊗aℓ⁽²⁾ = {}", space.equal)
     rep.add("intpr-v", "S(a)ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ ≡ ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ in A ⊗_R A",
-            not bad_v, bad_v)
+            not bad, bad)
 
-    values.append(not bad_v)
+    values.append(not bad)
     agree = all(values) or not any(values)
     rep.add("intpr-agree", "the five characterisations agree", agree,
             [] if agree else [f"truth vector {values}"])
@@ -230,6 +233,30 @@ class Degenerate:
         return f"Degenerate({self.reason!r})"
 
 
+class _Action(NamedTuple):
+    """One action map of ℓ from a right-sided dual: ℓ_R : φ ↦ φ⇀ℓ on
+    ``module`` 𝒜* or ᵣℓ : φ ↦ φ⇁ℓ on *𝒜, its ``matrix`` over the module's
+    basis and, when it is invertible, its ``inverse`` and the dual
+    ``element`` λ* = ℓ_R⁻¹(1) or *λ = ᵣℓ⁻¹(1) (both None otherwise)."""
+
+    module: DualModule
+    matrix: Matrix
+    inverse: Matrix
+    element: Matrix
+
+
+def _right_bgdnd_data(rb, ell):
+    """ℓ_R on 𝒜* and ᵣℓ on *𝒜, in that order, as ``_Action``s."""
+    actions = []
+    for kind in (UPPER_STAR, STAR_UPPER):
+        module = DualModule(rb, kind)
+        m = module.acting_on(ell)
+        inv = m.inverse()
+        actions.append(_Action(module, m, inv, None if inv is None
+                               else module.element(inv.apply(rb.total.unit))))
+    return tuple(actions)
+
+
 class NondegenerateIntegral:
     """A left integral ℓ whose two action maps from the right-sided duals,
 
@@ -238,21 +265,16 @@ class NondegenerateIntegral:
     are bijective.  Stores both matrices and their inverses, the dual
     elements λ* = ℓ_R⁻¹(1) and *λ = ᵣℓ⁻¹(1), and the verification report
     (inverse formulas (fsrinv), and non-degeneracy of S(ℓ) and S⁻¹(ℓ) as
-    right integrals).
+    right integrals).  ``actions`` holds ℓ_R and ᵣℓ as
+    ``_right_bgdnd_data`` gives them.
     """
 
-    def __init__(self, parent, ell, upper, star_upper, ellR, Rell,
-                 ellR_inv, Rell_inv, lambda_star, star_lambda, report):
+    def __init__(self, parent, ell, actions, report):
         self.parent = parent
         self.ell = ell
-        self.upper = upper
-        self.star_upper = star_upper
-        self.ellR = ellR
-        self.Rell = Rell
-        self.ellR_inv = ellR_inv
-        self.Rell_inv = Rell_inv
-        self.lambda_star = lambda_star
-        self.star_lambda = star_lambda
+        upper, star = actions
+        self.upper, self.ellR, self.ellR_inv, self.lambda_star = upper
+        self.star_upper, self.Rell, self.Rell_inv, self.star_lambda = star
         self.report = report
         self._kappa = None
 
@@ -281,7 +303,7 @@ def _transposes(transpose, phi, A):
                   for i in range(A.dim)], phi.nrows * A.dim)
 
 
-def nondegeneracy(h, ell, title=None):
+def nondegeneracy(h, ell):
     """Decide non-degeneracy of a left integral ℓ in a Hopf algebroid.
 
     Builds ℓ_R and ᵣℓ as matrices over the right-sided dual bases and
@@ -291,48 +313,47 @@ def nondegeneracy(h, ell, title=None):
     S(ℓ) and S⁻¹(ℓ) are non-degenerate right integrals (their action maps
     from the left-sided duals are bijective).
     """
-    return _nondegeneracy(h, h.total.from_dense(ell), None, title)
+    return _nondegeneracy(h, h.total.from_dense(ell), None)
 
 
-def _nondegeneracy(h, ell, data, title=None):
-    """The body of ``nondegeneracy``.  ``data`` is
+def _nondegeneracy(h, ell, actions):
+    """The body of ``nondegeneracy``.  ``actions`` is
     ``_right_bgdnd_data(h.rb, ell)`` when the caller holds it already, so
     the two right duals and the action maps are not built again; ``None``
-    builds it once ℓ is known to be a left integral."""
+    builds them once ℓ is known to be a left integral."""
     lb, A = h.lb, h.total
     if not integral_space(h, LEFT).space.contains(ell):
         raise ValueError(f"{A.fmt_vec(ell)} is not a left integral of "
                          f"{h.name}")
     d = A.dim
-    if data is None:
-        data = _right_bgdnd_data(h.rb, ell)
+    if actions is None:
+        actions = _right_bgdnd_data(h.rb, ell)
 
-    # ℓ_R and ᵣℓ: (the data key of the dual, of the action map and of the
-    # dual element; how the dual and the map are written and how the map
+    # ℓ_R and ᵣℓ: (how the dual and the map are written and how the map
     # acts; the inverse formula's check id, antipode and notation)
-    maps = (("upper", "ellR", "lambda_star", "𝒜*", "ℓ_R", "⇀",
-             "fsrinv-upper", h.S, ("λ*", "↼", "S(a)")),
-            ("star_upper", "Rell", "star_lambda", "*𝒜", "ᵣℓ", "⇁",
-             "fsrinv-star", h.S_inv, ("*λ", "⇂", "S⁻¹(a)")))
-    for dual, action, _, dual_text, text, acts, *_ in maps:
-        if data[dual].dim != d:
-            return Degenerate(f"dim {dual_text} = {data[dual].dim} ≠ dim A = "
-                              f"{d}; {text} cannot be bijective")
-        if data[action + "_inv"] is None:
-            r = data[action].rank()
+    maps = (("𝒜*", "ℓ_R", "⇀", "fsrinv-upper", h.S, ("λ*", "↼", "S(a)")),
+            ("*𝒜", "ᵣℓ", "⇁", "fsrinv-star", h.S_inv,
+             ("*λ", "⇂", "S⁻¹(a)")))
+    for act, (dual_text, text, acts, *_) in zip(actions, maps):
+        if act.module.dim != d:
+            return Degenerate(f"dim {dual_text} = {act.module.dim} ≠ dim A "
+                              f"= {d}; {text} cannot be bijective")
+        if act.inverse is None:
+            r = act.matrix.rank()
             return Degenerate(f"{text} : φ ↦ φ{acts}ℓ has rank {r} of {d}",
-                              matrix=data[action], rank=r)
+                              matrix=act.matrix, rank=r)
 
-    rep = Report(title or f"non-degenerate integral in {h.name}")
+    rep = Report(f"non-degenerate integral in {h.name}")
     rep.add("nd-ell-r", "ℓ_R : 𝒜* → A is bijective", True, [])
     rep.add("nd-r-ell", "ᵣℓ : *𝒜 → A is bijective", True, [])
 
     # (fsrinv): ℓ_R⁻¹(a) = λ*↼S(a) and ᵣℓ⁻¹(a) = *λ⇂S⁻¹(a)
-    for dual, action, elem, _, text, _, cid, m, formula in maps:
+    for act, (_, text, _, cid, m, formula) in zip(actions, maps):
         bad = [f"a = {name}: {text}⁻¹(a) ≠ {''.join(formula)}"
-               for name, col, a in zip(A.basis_names,
-                                       data[action + "_inv"].cols, m.cols)
-               if data[dual].element(col) != transpose_right(data[elem], A, a)]
+               for name, col, a in zip(A.basis_names, act.inverse.cols,
+                                       m.cols)
+               if act.module.element(col)
+               != transpose_right(act.element, A, a)]
         rep.add(cid, f"{text}⁻¹(a) = {' '.join(formula)}", not bad, bad)
 
     rint = integral_space(h, RIGHT)
@@ -352,10 +373,7 @@ def _nondegeneracy(h, ell, data, title=None):
         rep.add(tag, f"{label} is a non-degenerate right integral",
                 not bad, bad)
 
-    return NondegenerateIntegral(
-        h, ell, *(data[key] for key in (
-            "upper", "star_upper", "ellR", "Rell", "ellR_inv", "Rell_inv",
-            "lambda_star", "star_lambda")), rep)
+    return NondegenerateIntegral(h, ell, actions, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +395,11 @@ def frobenius_system(nd, h=None):
     """The Frobenius system induced by a non-degenerate integral."""
     h = h or nd.parent
     lift = h.rb.coproduct_lift(nd.ell)
-    quasi = tensor_apply(Matrix.identity(h.field, h.total.dim), h.S, lift)
+    quasi = _on_leg(h.S, 1, lift)
     return FrobeniusSystem(nd.lambda_star, quasi)
 
 
-def frobenius_check(nd, h=None, title=None):
+def frobenius_check(nd, h=None):
     """Verify that (λ*, ℓ⁽¹⁾ ⊗ S(ℓ⁽²⁾)) is a Frobenius system for
     s_R : R → A.
 
@@ -392,7 +410,7 @@ def frobenius_check(nd, h=None, title=None):
         Σ x · s_R(λ*(y a)) = a     and     Σ s_R(λ*(a x)) · y = a.
     """
     h = h or nd.parent
-    rep = Report(title or f"Frobenius system for s_R in {h.name}")
+    rep = Report(f"Frobenius system for s_R in {h.name}")
     rb, A, R = h.rb, h.total, h.rb.base
     lam = nd.lambda_star
     d = A.dim
@@ -464,7 +482,7 @@ def twap(h, nd):
     return amap
 
 
-def duality_diagram(h, nd, title=None):
+def duality_diagram(h, nd):
     """Verify the square of left-bialgebroid isomorphisms between the four
     duals of a Hopf algebroid with non-degenerate integral ℓ:
 
@@ -478,7 +496,7 @@ def duality_diagram(h, nd, title=None):
     each arrow as a left-bialgebroid morphism with the stated base map, and
     that the square commutes.
     """
-    rep = Report(title or f"duality square for {h.name}")
+    rep = Report(f"duality square for {h.name}")
     lb, rb, A = h.lb, h.rb, h.total
     d = A.dim
 
@@ -587,7 +605,7 @@ def dual_hopf_algebroid(h, nd, name=None):
     nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")
-    hd.decided.update(hopf=rep, kappa=kc)
+    hd.decided.update(hopf=rep, kappa=kc, kappa_nd=nd_dual)
     return hd
 
 
@@ -626,7 +644,7 @@ def dual_weak_hopf(w, name=None):
                            name=name or f"{A.name}^")
 
 
-def weak_dual_iso(w, h, nd, title=None):
+def weak_dual_iso(w, h, nd):
     """For a weak Hopf algebra W with induced Hopf algebroid h and
     non-degenerate integral ℓ: verify that pairing against the counit,
 
@@ -638,7 +656,7 @@ def weak_dual_iso(w, h, nd, title=None):
     (via its canonical separability structure) is carried onto Ĥ by Φ as a
     weak Hopf algebra isomorphism.
     """
-    rep = Report(title or f"dual of {w.name} against the dual of {h.name}")
+    rep = Report(f"dual of {w.name} against the dual of {h.name}")
     lb, A = h.lb, h.total
     d = A.dim
     field = h.field
@@ -752,22 +770,6 @@ def weak_dual_iso(w, h, nd, title=None):
 # the antipode from a non-degenerate integral on a plain right bialgebroid
 
 
-def _right_bgdnd_data(rb, ell):
-    """The two right duals, the action matrices ℓ_R and ᵣℓ of ℓ and their
-    inverses and, when invertible, the dual elements λ* and *λ."""
-    A = rb.total
-    data = {}
-    for module, action, elem, kind in (
-            ("upper", "ellR", "lambda_star", UPPER_STAR),
-            ("star_upper", "Rell", "star_lambda", STAR_UPPER)):
-        dual = data[module] = DualModule(rb, kind)
-        m = data[action] = dual.acting_on(ell)
-        inv = data[action + "_inv"] = m.inverse()
-        data[elem] = None if inv is None else dual.element(
-            inv.apply(A.unit))
-    return data
-
-
 class _IntegralNotation(NamedTuple):
     """How one side states the non-degeneracy of an integral.
 
@@ -814,57 +816,50 @@ _ON_LEFT = _IntegralNotation(
     "Υ↼(a⇀ρ*) and Υ⇂(a⇁*ρ) are not mutually inverse")
 
 # (sf) moves a from the second leg with *λ, (sb) from the first with λ*:
-# (dual element, the dual kind it acts as, the leg a multiplies)
-_EXCHANGES = {"sf": ("star_lambda", STAR_UPPER, 1),
-              "sb": ("lambda_star", UPPER_STAR, 0)}
+# the index in ``_right_bgdnd_data`` of the action whose dual element moves
+# a, which is also the leg a multiplies
+_EXCHANGES = {"sf": 1, "sb": 0}
 
 
 def _verify_bgdnd(rb, ell, title, notation):
-    """The checks of ``verify_bgdnd``, reported in ``notation``, and the
-    dual data they were decided on: ``_right_bgdnd_data`` and, for each
+    """The checks of ``verify_bgdnd``, reported in ``notation``, with what
+    they were decided on: the ``_right_bgdnd_data`` actions and, for each
     exchange law that was stated, the matrix of the elements it moves a to,
     under the law's name (columns (*λ⇂a)⇁ℓ under ``sf`` and (λ*↼a)⇀ℓ under
     ``sb``)."""
     rep = Report(title)
     A = rb.total
     d = A.dim
-    data = _right_bgdnd_data(rb, ell)
+    actions = _right_bgdnd_data(rb, ell)
 
-    for (cid, label, failure), key, module, action in zip(
-            notation.bijective, ("lambda_star", "star_lambda"),
-            ("upper", "star_upper"), ("ellR", "Rell")):
-        ok = data[key] is not None
+    for (cid, label, failure), act in zip(notation.bijective, actions):
+        ok = act.element is not None
         rep.add(cid, label, ok,
-                [] if ok else [failure.format(dim=data[module].dim,
-                                              rank=data[action].rank(), d=d)])
+                [] if ok else [failure.format(dim=act.module.dim,
+                                              rank=act.matrix.rank(), d=d)])
 
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
-    ident = Matrix.identity(rb.field, d)
+    moved = {}
     for law, (cid, label, skip, certificate) in notation.exchange:
-        key, kind, leg = _EXCHANGES[law]
-        lam = data[key]
-        if lam is None:
+        leg = _EXCHANGES[law]
+        act = actions[leg]
+        if act.element is None:
             rep.add_skip(cid, label, note=skip)
             continue
-        moved = data[law] = (acting_on(rb, kind, ell)
-                             @ _transposes(transpose_right, lam, A))
-        bad = []
-        for i in range(d):
-            here = [ident, ident]
-            here[leg] = A.left_mult_matrix({i: A.field.one})
-            there = [ident, ident]
-            there[1 - leg] = A.left_mult_matrix(moved.cols[i])
-            lhs = tensor_apply(*here, lift)
-            rhs = tensor_apply(*there, lift)
-            if not space.equal(lhs, rhs):
-                bad.append(f"a = {A.basis_names[i]}: "
-                           + certificate.format(space.fmt(lhs), space.fmt(rhs)))
+        m = moved[law] = (acting_on(rb, act.module.kind, ell)
+                          @ _transposes(transpose_right, act.element, A))
+        bad = column_certificates(
+            (_on_leg(A.left_mult_matrix({i: A.field.one}), leg, lift)
+             for i in range(d)),
+            (_on_leg(A.left_mult_matrix(col), 1 - leg, lift)
+             for col in m.cols),
+            A.basis_names, space.fmt, "a = {}: " + certificate, space.equal)
         rep.add(cid, label, not bad, bad)
-    return rep, data
+    return rep, actions, moved
 
 
-def verify_bgdnd(rb, ell, title=None):
+def verify_bgdnd(rb, ell):
     """Decide whether ℓ is a non-degenerate integral for a right
     bialgebroid (no antipode assumed):
 
@@ -874,11 +869,11 @@ def verify_bgdnd(rb, ell, title=None):
         (sb)  aℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ [(λ*↼a)⇀ℓ]ℓ⁽²⁾
     """
     return _verify_bgdnd(rb, rb.total.from_dense(ell),
-                         title or f"integral non-degeneracy in {rb.name}",
+                         f"integral non-degeneracy in {rb.name}",
                          _ON_RIGHT)[0]
 
 
-def lac_check(rb, k_elem, title=None):
+def lac_check(rb, k_elem):
     """The auxiliary action identities: whenever the respective action map
     of k is bijective,
 
@@ -887,21 +882,20 @@ def lac_check(rb, k_elem, title=None):
 
     A side whose action map is singular is reported as skipped.
     """
-    rep = Report(title or f"integral action identities in {rb.name}")
+    rep = Report(f"integral action identities in {rb.name}")
     A = rb.total
-    data = _right_bgdnd_data(rb, A.from_dense(k_elem))
-    for cid, key, kind, amap, acts, lands, skip in (
-            ("lac-s", "lambda_star", UPPER_STAR, rb.s, "κ*⇀a", "s_R(κ*(a))",
-             "k_R is not bijective"),
-            ("lac-t", "star_lambda", STAR_UPPER, rb.t, "*κ⇁a", "t_R(*κ(a))",
-             "ᵣk is not bijective")):
+    for act, (cid, amap, acts, lands, skip) in zip(
+            _right_bgdnd_data(rb, A.from_dense(k_elem)),
+            (("lac-s", rb.s, "κ*⇀a", "s_R(κ*(a))", "k_R is not bijective"),
+             ("lac-t", rb.t, "*κ⇁a", "t_R(*κ(a))", "ᵣk is not bijective"))):
         label = f"{acts} = {lands}"
-        kap = data[key]
+        kap = act.element
         if kap is None:
             rep.add_skip(cid, label, note=skip)
             continue
         bad = column_certificates(
-            action_matrix(rb, kind, kap).cols, (amap.matrix @ kap).cols,
+            action_matrix(rb, act.module.kind, kap).cols,
+            (amap.matrix @ kap).cols,
             A.basis_names, A.fmt_vec,
             f"a = {{}}: {acts} = {{}} ≠ {lands} = {{}}")
         rep.add(cid, label, not bad, bad)
@@ -932,33 +926,35 @@ def ls_antipode(rb, ell, name=None):
 def _ls(rb, ell, notation):
     """The construction of ``ls_antipode``; its precondition is reported
     and refused in ``notation``."""
-    pre, data = _verify_bgdnd(rb, ell, "", notation)
+    pre, actions, moved = _verify_bgdnd(rb, ell, "", notation)
     if not pre.passed:
         refused = ValueError(notation.refusal + _fail_lines(pre))
         refused.report = pre
         raise refused
     A = rb.total
     d = A.dim
-    lam, slam = data["lambda_star"], data["star_lambda"]
     # S(a) = (*λ⇂a)⇁ℓ and S⁻¹(a) = (λ*↼a)⇀ℓ, as (sf) and (sb) moved a
-    antipode, antipode_inv = data["sf"], data["sb"]
+    antipode, antipode_inv = moved["sf"], moved["sb"]
     ident = Matrix.identity(rb.field, d)
     _require(antipode @ antipode_inv == ident
              and antipode_inv @ antipode == ident,
              notation.not_inverse)
 
+    # (grs) γ_R(S(a)) = ℓ⁽¹⁾ ⊗ (*λ⇂a)⇁ℓ⁽²⁾ and (grsi) γ_R(S⁻¹(a)) =
+    # (λ*↼a)⇀ℓ⁽¹⁾ ⊗ ℓ⁽²⁾: the functional that moved a acts on the leg a
+    # multiplied
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
     for i in range(d):
         avec = {i: rb.field.one}
-        act = action_matrix(rb, STAR_UPPER, transpose_right(slam, A, avec))
-        _require(space.equal(rb.coproduct_lift(antipode.cols[i]),
-                             tensor_apply(ident, act, lift)),
-                 f"(grs) fails at a = {A.basis_names[i]}")
-        act = action_matrix(rb, UPPER_STAR, transpose_right(lam, A, avec))
-        _require(space.equal(rb.coproduct_lift(antipode_inv.cols[i]),
-                             tensor_apply(act, ident, lift)),
-                 f"(grsi) fails at a = {A.basis_names[i]}")
+        for law, tag in (("sf", "grs"), ("sb", "grsi")):
+            leg = _EXCHANGES[law]
+            act = actions[leg]
+            acting = action_matrix(rb, act.module.kind,
+                                   transpose_right(act.element, A, avec))
+            _require(space.equal(rb.coproduct_lift(moved[law].cols[i]),
+                                 _on_leg(acting, leg, lift)),
+                     f"({tag}) fails at a = {A.basis_names[i]}")
 
     h = reconstruct_left(rb, antipode, antipode_inv)
 
@@ -975,14 +971,14 @@ def _ls(rb, ell, notation):
     _require(rep.passed, "the reconstructed Hopf algebroid failed "
              "verification: " + _fail_lines(rep))
     # h.rb is rb itself, so the precondition's dual data is h's
-    nd = _nondegeneracy(h, ell, data)
+    nd = _nondegeneracy(h, ell, actions)
     _require(isinstance(nd, NondegenerateIntegral) and nd.ok,
              f"ℓ is not a non-degenerate integral of the result: {nd!r}")
     h.decided.update(pre=pre, hopf=rep)
     return h
 
 
-def verify_bgdnd_right(lb, upsilon, title=None):
+def verify_bgdnd_right(lb, upsilon):
     """Decide whether Υ is a non-degenerate right integral for a left
     bialgebroid: Υ_L : 𝒜_* → A, φ ↦ Υ↼φ and ₗΥ : ₍*₎𝒜 → A, φ ↦ Υ⇂φ must be
     bijective, and the exchange identities hold in A ⊗_L A:
@@ -994,8 +990,8 @@ def verify_bgdnd_right(lb, upsilon, title=None):
     and ᵣℓ are Υ_L and ₗΥ and its (sb) and (sf) are these (sf) and (sb).
     """
     return _verify_bgdnd(lb.shared_op(), lb.total.from_dense(upsilon),
-                         title or f"right-integral non-degeneracy in "
-                         f"{lb.name}", _ON_LEFT)[0]
+                         f"right-integral non-degeneracy in {lb.name}",
+                         _ON_LEFT)[0]
 
 
 def ls_right(lb, upsilon, name=None):
@@ -1019,7 +1015,7 @@ def ls_right(lb, upsilon, name=None):
 # the double dual
 
 
-def double_dual_evaluation(h, nd, title=None):
+def double_dual_evaluation(h, nd):
     """Exhibit the isomorphism between a Hopf algebroid and the dual of its
     dual: the antipode-twisted evaluation
 
@@ -1030,23 +1026,19 @@ def double_dual_evaluation(h, nd, title=None):
     constraint equations already for the 2×2 matrix groupoid; composing
     with both antipodes is what makes the three chirality reversals cancel.)
     """
-    rep = Report(title or f"double dual of {h.name}")
+    rep = Report(f"double dual of {h.name}")
     A = h.total
     d = A.dim
     field = h.field
 
+    # the dual is refused unless κ is a non-degenerate integral of it
     hd = dual_hopf_algebroid(h, nd)
-    module = DualModule(h.lb, LOWER_STAR)
-    kc = module.coords(nd.kappa)
-    nd_dual = _nondegeneracy(hd, kc, None)
-    ok = isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok
     rep.add("dd-dual-integral", "κ is a non-degenerate integral of the "
-            "dual", ok, [] if ok else [repr(nd_dual)])
-    if not ok:
-        return rep
-    hdd = dual_hopf_algebroid(hd, nd_dual)
+            "dual", True, [])
+    hdd = dual_hopf_algebroid(hd, hd.decided["kappa_nd"])
     rep.add("dd-assembles", "the double dual assembles and verifies",
             True, [])
+    module = DualModule(h.lb, LOWER_STAR)
     module2 = DualModule(hd.lb, LOWER_STAR)
 
     s_star = hd.S

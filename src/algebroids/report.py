@@ -8,17 +8,21 @@ namespace their parts.
 """
 
 from dataclasses import dataclass, field
+from operator import eq
 
 
 DEFAULT_CERTIFICATE_LIMIT = 10
 
 
-def column_certificates(lhs, rhs, names, fmt, template):
+def column_certificates(lhs, rhs, names, fmt, template, equal=eq):
     """Compare two sequences of columns (sparse vectors) position by
-    position: for each position where they differ, ``template`` filled with
-    the basis name of that position and both columns written by ``fmt``."""
+    position: for each position where ``equal`` says they differ,
+    ``template`` filled with the basis name of that position and both
+    columns written by ``fmt``.  A quotient-valued identity passes its
+    space's ``equal`` and ``fmt``; a template may leave out the two
+    values.  The sequences may be generators."""
     return [template.format(name, fmt(u), fmt(v))
-            for name, u, v in zip(names, lhs, rhs) if u != v]
+            for name, u, v in zip(names, lhs, rhs) if not equal(u, v)]
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .bimodtensor import PRE, POST, ActionSpec, BalancedTensorSpace, Junction
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
 from .dualspace import DualModule, LOWER_STAR, act, action_matrix
 from .hopfcore import HopfAlgebroid, reconstruct_right
-from .report import Report
+from .report import Report, column_certificates
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def base_twist_map(lb, g):
     return g @ lb.s.matrix
 
 
-def verify_twist(lb, antipode, g, g_inv=None, title=None):
+def verify_twist(lb, antipode, g, g_inv=None):
     """Check that g is a twist of (A_L, S).
 
     Checks: membership of g (and its convolution inverse) in the lower-star
@@ -90,7 +90,7 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
     multiplicative, (tw3) the antipode exchange relation in the deformed
     module tensor product.
     """
-    rep = Report(title or "twist verification")
+    rep = Report("twist verification")
     A = lb.total
     L = lb.base
     field = lb.field
@@ -153,14 +153,13 @@ def verify_twist(lb, antipode, g, g_inv=None, title=None):
     junction = Junction(ActionSpec(lb.s, POST), ActionSpec(deformed, PRE))
     space = BalancedTensorSpace([A, A], [junction])
     act_g_inv = action_matrix(lb, LOWER_STAR, g_inv)
-    bad = []
     ident = Matrix.identity(field, d)
-    for aidx, w in enumerate(lb.canonical_gamma_lift):
-        # S(a_(1)) ↼ g ⊗ a_(2) and S(a_(1)) ⊗ a_(2) ↼ g⁻¹
-        lhs = tensor_apply(act_g @ antipode, ident, w)
-        rhs = tensor_apply(antipode, act_g_inv, w)
-        if not space.equal(lhs, rhs):
-            bad.append(f"a = {A.basis_names[aidx]}")
+    # S(a_(1)) ↼ g ⊗ a_(2) and S(a_(1)) ⊗ a_(2) ↼ g⁻¹
+    lifts, s_then_g = lb.canonical_gamma_lift, act_g @ antipode
+    bad = column_certificates(
+        (tensor_apply(s_then_g, ident, w) for w in lifts),
+        (tensor_apply(antipode, act_g_inv, w) for w in lifts),
+        A.basis_names, space.fmt, "a = {}", space.equal)
     rep.add("tw3", "S(a_(1)) ↼ g ⊗ a_(2) ≡ S(a_(1)) ⊗ a_(2) ↼ g⁻¹",
             not bad, bad)
     return rep
@@ -269,7 +268,7 @@ class WeakHopfAlgebra:
         return f"WeakHopfAlgebra({self.name}, dim {self.dim})"
 
 
-def verify_weak_hopf(w, title=None):
+def verify_weak_hopf(w):
     """The weak Hopf algebra axioms, each as a named check.
 
     Every law is evaluated on basis elements from the structure constants
@@ -282,7 +281,7 @@ def verify_weak_hopf(w, title=None):
     counit laws, antipode-l/r) is one loop body over its two sides, and the
     counit law is the one ``verify_separability`` checks for (δ, ψ).
     """
-    rep = Report(title or f"weak Hopf algebra {w.name}")
+    rep = Report(f"weak Hopf algebra {w.name}")
     A = w.algebra
     d = A.dim
     zero = w.field.zero
@@ -560,7 +559,7 @@ def kappa_inverse_map(sep, phi_matrix):
     return sep.psi @ phi_matrix
 
 
-def wha_decide(h, sep=None, title=None):
+def wha_decide(h, sep=None):
     """Decide whether the Hopf algebroid is a weak Hopf algebra for the
     given separability structure on its left base, by default the one of
     the base's trace form (``separability_structure``; a ValueError when
@@ -572,7 +571,7 @@ def wha_decide(h, sep=None, title=None):
     and "not-weak-hopf" otherwise.  The produced weak Hopf algebra is
     re-verified and its report embedded.
     """
-    rep = Report(title or f"weak Hopf decision for {h.name}")
+    rep = Report(f"weak Hopf decision for {h.name}")
     lb = h.lb
     if sep is None:
         sep = separability_structure(lb.base)
@@ -622,12 +621,12 @@ def wha_decide(h, sep=None, title=None):
             "twist": (g, g_inv)}
 
 
-def hopf_algebra_criterion(h, title=None):
+def hopf_algebra_criterion(h):
     """When is the Hopf algebroid a (twist of a) Hopf algebra over the
     ground field?  Requires one-dimensional bases; then π_L∘S must be
     invertible in the dual convolution algebra, and equality π_L∘S = π_L
     characterizes the honest Hopf algebras."""
-    rep = Report(title or f"Hopf algebra criterion for {h.name}")
+    rep = Report(f"Hopf algebra criterion for {h.name}")
     lb = h.lb
     dims_ok = lb.base.dim == 1 and h.rb.base.dim == 1
     rep.add("scalar-base", "both bases are one-dimensional", dims_ok,

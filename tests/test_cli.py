@@ -9,7 +9,7 @@ from algebroids import cli
 from algebroids.cli import emit_report, main
 from algebroids.exactfield import Matrix, RationalField
 from algebroids.integrallab import PreconditionError
-from algebroids.report import Report
+from algebroids.report import Report, column_certificates
 from algebroids.specfile import SpecBuilder, parse, parse_text, spec_from_hopf
 from algebroids.bialgebroid import LeftBialgebroid
 from algebroids.catalog import (
@@ -561,6 +561,31 @@ def test_emit_report_matches_to_dict():
     assert [c["id"] for c in doc["checks"]] == ["a", "b"]
     text = emit_report(rep, "text")
     assert "demo: FAIL" in text
+
+
+def test_column_certificates_compare_classes_in_a_quotient(m2):
+    # in A ⊗_L A for M2 over k², e11⊗e21 is balanced to zero, so e11⊗e11
+    # and e11⊗e11 + e11⊗e21 are two representatives of one class
+    space = m2.lb.tensor_space
+    one = QQ.one
+    e11e11, also_e11e11 = {0: one}, {0: one, 2: one}
+    e12e12 = {5: one, 2: one}
+    template = "a = {}: {} but {}"
+
+    def columns(*vectors):
+        return (v for v in vectors)
+
+    # the default comparison tells the two representatives apart
+    assert column_certificates(
+        columns(e11e11), columns(also_e11e11), ["x"], space.fmt,
+        template) == ["a = x: e11⊗e11 but e11⊗e11"]
+    assert column_certificates(
+        columns(e11e11), columns(also_e11e11), ["x"], space.fmt, template,
+        space.equal) == []
+    # a certificate writes both classes by their normal forms
+    assert column_certificates(
+        columns(e11e11, e11e11), columns(also_e11e11, e12e12), ["x", "y"],
+        space.fmt, template, space.equal) == ["a = y: e11⊗e11 but e12⊗e12"]
 
 
 def test_failed_construction_exits_one(capsys, monkeypatch):

@@ -634,9 +634,11 @@ def test_constructions_keep_what_they_decided(m2):
     assert out.decided["pre"].find("sf").ok
     nd = nondegeneracy(m2, matrix_sum_integral(m2))
     hd = dual_hopf_algebroid(m2, nd)
-    assert sorted(hd.decided) == ["hopf", "kappa"]
+    assert sorted(hd.decided) == ["hopf", "kappa", "kappa_nd"]
     assert hd.decided["hopf"].passed
     assert integral_space(hd, LEFT).space.contains(hd.decided["kappa"])
+    assert hd.decided["kappa_nd"].ok
+    assert hd.decided["kappa_nd"].ell == hd.decided["kappa"]
     assert m2.decided == {}
 
 
