@@ -30,6 +30,11 @@ weak-unit-right but not both; and skewed right structure maps leave
 at e11 keeps ℓ_R and ᵣℓ bijective but fails (fsrinv), nd-s-ell,
 nd-s-inv-ell and intpr-iii, iv and v; the pair-groupoid λ* raised at one
 entry fails one half of frob-bimodule and one of frob-left, frob-right.
+The twist verifier fails at each of its early stops (a g outside the
+lower-star dual, the zero functional, twice the counit), and the
+constructions that need an invertible antipode or twist refuse; so do
+``check_luiiv`` on the zero antipode, ``antipode_uniqueness`` across two
+fixtures and ``verify_hopf`` on sides over different total algebras.
 
 ``tests/test_golden.py`` compares every file byte for byte.  This script is
 the only way to rewrite them; run it from the repository root after a change
@@ -204,9 +209,11 @@ def _library_cases():
     from algebroids.dualspace import dual_lower_star
     from algebroids.hopfcore import (
         HopfAlgebroid,
+        antipode_uniqueness,
         check_lu_axioms,
         check_luiiv,
         reconstruct_left,
+        reconstruct_right,
         verify_galois,
         verify_hopf,
         verify_sisom,
@@ -226,6 +233,9 @@ def _library_cases():
     )
     from algebroids.twistlab import (
         WeakHopfAlgebra,
+        apply_twist,
+        recover_twist,
+        verify_twist,
         verify_weak_hopf,
         weak_hopf_to_hopf_algebroid,
     )
@@ -549,6 +559,42 @@ def _library_cases():
     # and mor-tgt
     cases["morphism-right-kz3-cycle"] = lambda: render(verify_right_morphism(
         kz3().rb, kz3().rb, cycle()))
+
+    def kz2():
+        return group_hopf_algebroid(FiniteGroup.cyclic(2), QQ)
+
+    def nonmember():
+        # g(e11) = d2 violates the lower-star constraint of M2
+        return Matrix.from_sparse_cols(QQ, [{1: one}, {}, {}, {}], 2)
+
+    def zero_antipode():
+        return Matrix.zeros(QQ, 4, 4)
+
+    # fails twist-member; twist-invertible (no convolution inverse);
+    # twist-base-auto, tw1 and tw2, with tw3 skipped
+    cases["twist-verify-m2-nonmember"] = lambda: render(verify_twist(
+        m2().lb, m2().S, nonmember()))
+    cases["twist-verify-m2-zero"] = lambda: render(verify_twist(
+        m2().lb, m2().S, Matrix.zeros(QQ, 2, 4)))
+    cases["twist-verify-kz2-double-counit"] = lambda: render(verify_twist(
+        kz2().lb, kz2().S, kz2().lb.counit.scale(QQ.of(2))))
+    cases["twist-apply-m2-nonmember"] = lambda: _raises(
+        lambda: apply_twist(m2().lb, m2().S, nonmember()))
+    cases["twist-recover-m2-zero-antipode"] = lambda: _raises(
+        lambda: recover_twist(m2().lb, zero_antipode(), m2().S))
+    cases["reconstruct-right-m2-zero-antipode"] = lambda: _raises(
+        lambda: reconstruct_right(m2().lb, zero_antipode()))
+    cases["reconstruct-left-m2-zero-antipode"] = lambda: _raises(
+        lambda: reconstruct_left(m2().rb, zero_antipode()))
+    # fails lui-map-unit and lui-bijective, and stops
+    cases["luiiv-m2-zero-antipode"] = lambda: render(check_luiiv(
+        m2().lb, zero_antipode()))
+    cases["uniqueness-kz2-m2"] = lambda: render(antipode_uniqueness(
+        kz2(), m2()))
+    # both sides pass and same-total fails
+    cases["hopf-mixed-totals-kz2-kz3"] = lambda: render(verify_hopf(
+        HopfAlgebroid(kz2().lb, kz3().rb, kz2().S, base_antiiso=kz2().chi,
+                      name="bad")))
     return cases
 
 
