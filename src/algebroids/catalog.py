@@ -305,13 +305,8 @@ def pair_groupoid_weak_hopf(n, field, name=None):
 
 
 def group_sum_integral(h):
-    """ℓ = Σ_g g, the canonical two-sided integral of a group algebra."""
-    A = h.total
-    return tuple(h.field.one for _ in range(A.dim))
-
-
-def matrix_sum_integral(h):
-    """ℓ = Σ_ij e_ij for the pair-groupoid fixture."""
+    """ℓ = Σ_g g, the canonical two-sided integral of a group algebra; for
+    the pair groupoid, whose basis is its arrows, this is ℓ = Σ_ij e_ij."""
     A = h.total
     return tuple(h.field.one for _ in range(A.dim))
 
@@ -349,10 +344,10 @@ def all_fixtures(field=None):
                 "integral": group_sum_integral(h)})
     h = pair_groupoid_hopf_algebroid(2, field)
     out.append({"name": "m2-groupoid", "hopf": h,
-                "integral": matrix_sum_integral(h)})
+                "integral": group_sum_integral(h)})
     h = pair_groupoid_hopf_algebroid(3, field)
     out.append({"name": "m3-groupoid", "hopf": h,
-                "integral": matrix_sum_integral(h)})
+                "integral": group_sum_integral(h)})
     h = function_algebra_hopf(s3, field)
     out.append({"name": "fn-s3", "hopf": h,
                 "integral": delta_identity_integral(s3, h)})

@@ -84,12 +84,6 @@ class GFElement:
             return NotImplemented
         return GFElement(self.v - w, self.p)
 
-    def __rsub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GFElement(w - self.v, self.p)
-
     def __mul__(self, other):
         w = self._lift(other)
         if w is NotImplemented:
@@ -106,21 +100,9 @@ class GFElement:
             raise ZeroDivisionError("division by zero in GF(p)")
         return GFElement(self.v * pow(w, self.p - 2, self.p), self.p)
 
-    def __rtruediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(w * pow(self.v, self.p - 2, self.p), self.p)
-
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            if self.v == 0:
-                raise ZeroDivisionError("division by zero in GF(p)")
-            return GFElement(pow(self.v, -n * (self.p - 2), self.p), self.p)
         return GFElement(pow(self.v, n, self.p), self.p)
 
     def __neg__(self):

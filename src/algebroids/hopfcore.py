@@ -143,8 +143,6 @@ def solve_base_antiiso(lb, rb):
     sol = lb.s.matrix.solve_matrix(rb.t.matrix)
     if sol is None:
         return None
-    if lb.s.matrix @ sol != rb.t.matrix:
-        return None
     return AlgebraMap(rb.base, lb.base, sol, ANTI, "χ")
 
 

@@ -574,8 +574,9 @@ def dual_hopf_algebroid(h, nd, name=None):
     i.e. S₍*₎ = ℓ_L⁻¹ ∘ ~S ∘ ℓ_L transported through the action of the dual
     on ℓ.  The result is verified, and κ is confirmed to be a two-sided
     non-degenerate integral in it; its ``decided`` keeps the
-    ``verify_hopf`` report under ``hopf`` and κ's coordinates in its ring
-    under ``kappa``.
+    ``verify_hopf`` report under ``hopf``, κ's coordinates in its ring
+    under ``kappa``, κ's witness under ``kappa_nd`` and the lower-star
+    dual, in whose basis S₍*₎ is written, under ``dual``.
     """
     lb, A = h.lb, h.total
     dual = dual_lower_star(lb, name=name or f"{h.name}_*")
@@ -605,7 +606,7 @@ def dual_hopf_algebroid(h, nd, name=None):
     nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")
-    hd.decided.update(hopf=rep, kappa=kc, kappa_nd=nd_dual)
+    hd.decided.update(hopf=rep, kappa=kc, kappa_nd=nd_dual, dual=dual)
     return hd
 
 
@@ -1038,8 +1039,9 @@ def double_dual_evaluation(h, nd):
     hdd = dual_hopf_algebroid(hd, hd.decided["kappa_nd"])
     rep.add("dd-assembles", "the double dual assembles and verifies",
             True, [])
-    module = DualModule(h.lb, LOWER_STAR)
-    module2 = DualModule(hd.lb, LOWER_STAR)
+    # the lower-star duals whose bases S₍*₎ and the double dual are written in
+    module = hd.decided["dual"].module
+    module2 = hdd.decided["dual"].module
 
     s_star = hd.S
     bad = []

@@ -76,11 +76,6 @@ def convolution_inverse(module, phi):
     return inv
 
 
-def base_twist_map(lb, g):
-    """g∘s_L as an endomorphism of the base."""
-    return g @ lb.s.matrix
-
-
 def verify_twist(lb, antipode, g, g_inv=None):
     """Check that g is a twist of (A_L, S).
 
@@ -115,8 +110,9 @@ def verify_twist(lb, antipode, g, g_inv=None):
     if not inv_ok:
         return rep
 
-    gs = base_twist_map(lb, g)
-    gs_inv = base_twist_map(lb, g_inv)
+    # g∘s_L and g⁻¹∘s_L as endomorphisms of the base
+    gs = g @ lb.s.matrix
+    gs_inv = g_inv @ lb.s.matrix
     auto_ok = (gs @ gs_inv).is_identity() and (gs_inv @ gs).is_identity()
     if auto_ok:
         auto_ok = verify_map(
@@ -620,30 +616,3 @@ def wha_decide(h, sep=None):
     return {"verdict": "twistable", "report": rep, "weak_hopf": w,
             "twist": (g, g_inv)}
 
-
-def hopf_algebra_criterion(h):
-    """When is the Hopf algebroid a (twist of a) Hopf algebra over the
-    ground field?  Requires one-dimensional bases; then π_L∘S must be
-    invertible in the dual convolution algebra, and equality π_L∘S = π_L
-    characterizes the honest Hopf algebras."""
-    rep = Report(f"Hopf algebra criterion for {h.name}")
-    lb = h.lb
-    dims_ok = lb.base.dim == 1 and h.rb.base.dim == 1
-    rep.add("scalar-base", "both bases are one-dimensional", dims_ok,
-            [] if dims_ok else
-            [f"dim L = {lb.base.dim}, dim R = {h.rb.base.dim}"])
-    if not dims_ok:
-        return {"is_hopf_algebra": False, "is_twist_of_hopf_algebra": False,
-                "report": rep}
-    A = lb.total
-    u_row = lb.counit @ h.S
-    # base k: the lift is the honest coproduct
-    invertible = _ahat_inverse(A, lb.gamma_lift, lb.counit, u_row) is not None
-    rep.add("pils-invertible", "π_L∘S is invertible in Â", invertible,
-            [] if invertible else ["π_L∘S has no convolution inverse"])
-    equal = u_row == lb.counit
-    rep.add("pils-counit", "π_L∘S = π_L", equal,
-            [] if equal else ["the antipode twists the counit"])
-    return {"is_hopf_algebra": dims_ok and invertible and equal,
-            "is_twist_of_hopf_algebra": dims_ok and invertible,
-            "report": rep}

@@ -202,7 +202,6 @@ def _library_cases():
         all_fixtures,
         group_hopf_algebroid,
         group_sum_integral,
-        matrix_sum_integral,
         pair_groupoid_hopf_algebroid,
         pair_groupoid_weak_hopf,
     )
@@ -312,8 +311,6 @@ def _library_cases():
     def upsilon(h, given):
         if given is not None:
             return given
-        if h.total.dim == 4:
-            return matrix_sum_integral(h)
         return group_sum_integral(h)
 
     for name, (fx, given) in candidates.items():

@@ -113,7 +113,7 @@ def test_the_element_kernels_read_calls(bench_modules):
     ``Algebra.mul_vec`` and ``Matrix.apply`` through the tracer."""
     import algebroids
     from algebroids import cli
-    from algebroids.catalog import (matrix_sum_integral,
+    from algebroids.catalog import (group_sum_integral,
                                     pair_groupoid_hopf_algebroid)
 
     layers, _ = bench_modules
@@ -123,7 +123,7 @@ def test_the_element_kernels_read_calls(bench_modules):
 
     def nondegeneracy():
         h = pair2()
-        return algebroids.nondegeneracy(h, matrix_sum_integral(h))
+        return algebroids.nondegeneracy(h, group_sum_integral(h))
 
     def check():
         with redirect_stdout(io.StringIO()):

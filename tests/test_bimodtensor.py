@@ -58,6 +58,11 @@ def test_m2_triple_dimension(m2):
     assert space.dim == 16
 
 
+def test_one_factor_space_is_the_factor(m2):
+    # no junction and no relations: the quotient is the algebra itself
+    assert BalancedTensorSpace([m2.total], []).dim == m2.total.dim
+
+
 def test_coords_section_roundtrip(m2):
     space = m2.lb.tensor_space
     section = space.section_matrix()

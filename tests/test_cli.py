@@ -389,6 +389,47 @@ def test_twist_recover_compares_coproducts_in_the_quotient(capsys, tmp_path):
         ["1", "1", "0", "0"], ["0", "0", "1", "1"]]
 
 
+# where the spec path goes in a parametrized argv
+SPEC = object()
+
+
+@pytest.fixture()
+def kz2_and_kz3(tmp_path, kz2, kz3):
+    # two assemblies on different left bialgebroids, the unit of kZ₂ (no
+    # left integral), twice the counit of kZ₂ (no twist: g∘s_L = 2 is no
+    # base automorphism) and a functional declared on kZ₃'s left side
+    b = SpecBuilder(QQ)
+    b.add_hopf(kz2, name="kz2")
+    b.add_hopf(kz3, name="kz3")
+    b.add_element("unit", kz2.total, {0: 1})
+    lb2, lb3 = b.data["left_bialgebroids"]
+    b.add_functional("double", lb2, kz2.lb.counit.scale(QQ.of(2)))
+    b.add_functional("foreign", lb3, kz3.lb.counit)
+    p = tmp_path / "kz2-kz3.spec"
+    p.write_text(b.emit())
+    return str(p)
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (["twist", "verify", SPEC, "--name", "kz2", "--functional", "foreign"], 2,
+     "functional 'foreign' is declared on"),
+    (["twist", "apply", SPEC, "--name", "kz2", "--functional", "double"], 1,
+     "[FAIL] twist-twist-base-auto"),
+    (["twist", "recover", SPEC, "--name", "kz2", "--second", "kz5"], 2,
+     "unknown Hopf assembly among 'kz2', 'kz5'"),
+    (["twist", "recover", SPEC, "--name", "kz2", "--second", "kz3"], 1,
+     "[FAIL] recover-shared-left"),
+    (["diagram", SPEC, "--name", "kz2", "--integral", "unit"], 1,
+     "[FAIL] diagram-integral"),
+])
+def test_twist_and_integral_commands_refuse_unfit_input(
+        capsys, kz2_and_kz3, argv, code, shown):
+    got, out, err = run(capsys, *(kz2_and_kz3 if a is SPEC else a
+                                  for a in argv))
+    assert got == code, err
+    assert shown in out + err
+
+
 def test_twist_recover_needs_two(capsys, tmp_path, kz2):
     p = tmp_path / "one.spec"
     p.write_text(spec_from_hopf(kz2, name="solo"))

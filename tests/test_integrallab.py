@@ -16,7 +16,6 @@ from algebroids.catalog import (
     group_weak_hopf,
     pair_groupoid_weak_hopf,
     group_sum_integral,
-    matrix_sum_integral,
     pair_groupoid_hopf_algebroid,
 )
 from algebroids.dualspace import DualModule, UPPER_STAR, STAR_UPPER
@@ -26,6 +25,7 @@ from algebroids.integrallab import (
     Degenerate,
     IntegralSpace,
     NondegenerateIntegral,
+    PreconditionError,
     double_dual_evaluation,
     dual_hopf_algebroid,
     dual_weak_hopf,
@@ -84,7 +84,7 @@ def test_integral_space_contains_and_membership(kz2, m2):
     assert sp.contains((QQ.one, QQ.one))
     assert not sp.contains((QQ.one, QQ.zero))
     spm = integral_space(m2, LEFT)
-    assert spm.contains(matrix_sum_integral(m2))
+    assert spm.contains(group_sum_integral(m2))
     assert spm.contains((QQ.one, QQ.zero, QQ.one, QQ.zero))
     assert not spm.contains((QQ.one, QQ.zero, QQ.zero, QQ.zero))
 
@@ -183,7 +183,7 @@ def test_integral_space_prime_field():
 def test_intpr_all_pass_on_integrals(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         rep = intpr_equivalences(h, ell)
         assert rep.passed, [c.check_id for c in rep.failures()]
         ids = [c.check_id for c in rep.checks]
@@ -248,7 +248,7 @@ def test_nondegeneracy_kz3_dual_basis(kz3):
 
 
 def test_nondegeneracy_m2(m2):
-    nd = nondegeneracy(m2, matrix_sum_integral(m2))
+    nd = nondegeneracy(m2, group_sum_integral(m2))
     assert nd.ok
     one, zero = QQ.one, QQ.zero
     assert nd.lambda_star.rows == ((one, zero, zero, zero),
@@ -291,6 +291,23 @@ def test_degenerate_m2_partial_integral(m2):
     assert "rank" in out.reason
 
 
+def test_nondegeneracy_certifies_a_degenerate_right_integral(m2):
+    # S(e11) = e11 - e21 and S(e12) = e12 - e22, the identity on e21 and
+    # e22: bijective, and S(ℓ) = e11 + e12 is a right integral whose
+    # left-sided action maps have rank 2, while S⁻¹(ℓ) = ℓ stays good
+    from algebroids.hopfcore import HopfAlgebroid
+    one = QQ.one
+    S = Matrix.from_sparse_cols(
+        QQ, [{0: one, 2: -one}, {1: one, 3: -one}, {2: one}, {3: one}], 4)
+    h = HopfAlgebroid(m2.lb, m2.rb, S, base_antiiso=m2.chi, name="bad")
+    rep = nondegeneracy(h, (one,) * 4).report
+    assert [c.check_id for c in rep.failures()] == [
+        "fsrinv-upper", "fsrinv-star", "nd-s-ell"]
+    assert rep.find("nd-s-ell").certificates == [
+        "Υ_L : φ ↦ S(ℓ)↼φ has rank 2 of 4",
+        "_LΥ : φ ↦ S(ℓ)⇂φ has rank 2 of 4"]
+
+
 def test_nondegeneracy_rejects_non_integral(kz2):
     with pytest.raises(ValueError):
         nondegeneracy(kz2, (QQ.zero, QQ.one))
@@ -300,7 +317,7 @@ def test_fsrinv_by_hand(m2):
     # ℓ_R^{-1}(a) = λ* ↼ S(a): check the inverse column-by-column against
     # the transpose action, independently of the report
     from algebroids.dualspace import transpose_right
-    nd = nondegeneracy(m2, matrix_sum_integral(m2))
+    nd = nondegeneracy(m2, group_sum_integral(m2))
     A = m2.total
     for aidx in range(A.dim):
         via_inverse = nd.upper.element(nd.ellR_inv.cols[aidx])
@@ -310,7 +327,7 @@ def test_fsrinv_by_hand(m2):
 
 def test_antipode_images_are_right_integrals(kz3, m2):
     for h, ell in ((kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         right = integral_space(h, RIGHT)
         assert right.contains(dense_matrix_apply(h.S, ell))
         assert right.contains(dense_matrix_apply(h.S_inv, ell))
@@ -323,7 +340,7 @@ def test_antipode_images_are_right_integrals(kz3, m2):
 def test_frobenius_check_passes(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         nd = nondegeneracy(h, ell)
         rep = frobenius_check(nd)
         assert rep.passed, [c.check_id for c in rep.failures()]
@@ -350,7 +367,7 @@ def test_frobenius_system_kz3(kz3):
 def test_frobenius_identity_by_hand(kz3, m2):
     # Σ_k x_k · s_R(λ*(y_k · a)) = a, evaluated with raw algebra ops
     for h, ell in ((kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         nd = nondegeneracy(h, ell)
         fs = frobenius_system(nd)
         A = h.total
@@ -377,7 +394,7 @@ def test_frobenius_identity_by_hand(kz3, m2):
 def test_twap_recovers_antipode(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         nd = nondegeneracy(h, ell)
         ts = twap(h, nd)
         assert ts.matrix == h.S
@@ -387,7 +404,7 @@ def test_twap_recovers_antipode(kz2, kz3, m2):
 def test_duality_diagram_passes(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         nd = nondegeneracy(h, ell)
         rep = duality_diagram(h, nd)
         assert rep.passed, [c.check_id for c in rep.failures()]
@@ -402,6 +419,36 @@ def test_duality_diagram_function_algebra(fn_s3):
     nd = nondegeneracy(fn_s3, ell)
     rep = duality_diagram(fn_s3, nd)
     assert rep.passed, [c.check_id for c in rep.failures()]
+
+
+def test_duality_diagram_stops_where_its_premises_fail(m2):
+    # γ_L raised at (0, 2): neither left-sided dual ring closes, so the
+    # square stops there and the dual Hopf algebroid is refused; the zero
+    # element moves nothing, so both ℓ_L and ₗℓ are singular and the square
+    # stops before its corners
+    import copy
+    from algebroids.bialgebroid import LeftBialgebroid
+    from algebroids.hopfcore import HopfAlgebroid
+    from test_acceptance import _perturb
+    nd = nondegeneracy(m2, group_sum_integral(m2))
+    lb = m2.lb
+    bad_lb = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
+                             _perturb(lb.gamma_lift, 0, 2, QQ.one), lb.counit)
+    bad = HopfAlgebroid(bad_lb, m2.rb, m2.S, m2.S_inv, base_antiiso=m2.chi)
+    rep = duality_diagram(bad, nd)
+    assert [c.check_id for c in rep.checks] == ["diagram-duals"]
+    assert [c.split(":")[0] for c in rep.checks[0].certificates] == [
+        "lower-star dual failed", "star-lower dual failed"]
+    with pytest.raises(PreconditionError,
+                       match="^the lower-star dual did not assemble: "
+                             "dual-closed"):
+        dual_hopf_algebroid(bad, nd)
+    zero = copy.copy(nd)
+    zero.ell = {}
+    rep = duality_diagram(m2, zero)
+    assert [c.check_id for c in rep.failures()] == [
+        "ell-l-bijective", "l-ell-bijective"]
+    assert rep.checks[-1].certificates == ["rank 0 of 4"]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +474,7 @@ def test_dual_hopf_algebroid_kz3(kz3):
 
 
 def test_dual_hopf_algebroid_m2(m2):
-    nd = nondegeneracy(m2, matrix_sum_integral(m2))
+    nd = nondegeneracy(m2, group_sum_integral(m2))
     hd = dual_hopf_algebroid(m2, nd)
     one, zero = QQ.one, QQ.zero
     assert hd.S.rows == ((one, zero, zero, zero),
@@ -440,7 +487,7 @@ def test_dual_integral_is_two_sided(kz3, m2):
     # κ = π_L ∘ s_R ∘ λ* is a two-sided nondegenerate integral in the dual
     from algebroids.dualspace import dual_lower_star
     for h, ell in ((kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         nd = nondegeneracy(h, ell)
         hd = dual_hopf_algebroid(h, nd)
         dual = dual_lower_star(h.lb)
@@ -526,6 +573,39 @@ def test_weak_dual_iso_on_functions_on_s3(field):
     assert out.passed, [c.check_id for c in out.failures()]
 
 
+def test_weak_dual_iso_stops_where_its_premises_fail():
+    # Δ of W(M2) raised at (1, 3) spoils the dual weak Hopf algebra; γ_L
+    # raised at (0, 2) leaves no lower-star dual ring; a weak Hopf algebra
+    # that is not h's fails the morphism checks; each stops the check
+    from algebroids.bialgebroid import LeftBialgebroid
+    from algebroids.hopfcore import HopfAlgebroid
+    from algebroids.twistlab import WeakHopfAlgebra
+    from test_acceptance import _perturb
+    W = pair_groupoid_weak_hopf(2, QQ)
+    h, _ = weak_hopf_to_hopf_algebroid(W)
+    nd = nondegeneracy(h, group_sum_integral(h))
+    shifted = WeakHopfAlgebra(W.algebra, _perturb(W.delta, 1, 3, QQ.one),
+                              W.counit, W.antipode)
+    rep = weak_dual_iso(shifted, h, nd)
+    assert rep.checks[-1].check_id == "dual-algebroid"
+    assert not rep.checks[-1].ok
+    lb = h.lb
+    bad_lb = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
+                             _perturb(lb.gamma_lift, 0, 2, QQ.one), lb.counit)
+    bad = HopfAlgebroid(bad_lb, h.rb, h.S, h.S_inv, base_antiiso=h.chi)
+    rep = weak_dual_iso(W, bad, nd)
+    assert [c.check_id for c in rep.failures()] == ["dual-assembles"]
+    assert rep.checks[-1].check_id == "dual-assembles"
+    # kS₃'s weak Hopf algebra against the functions on S₃: Φ is bijective
+    # and lands in the base, but is no morphism
+    s3 = FiniteGroup.symmetric(3)
+    fn = function_algebra_hopf(s3, QQ)
+    ell = tuple(integral_space(fn, LEFT).space.basis.rows[0])
+    rep = weak_dual_iso(group_weak_hopf(s3, QQ), fn, nondegeneracy(fn, ell))
+    assert rep.checks[-1].check_id == "dualiso-mor-coproduct"
+    assert not rep.find("dualiso-mor-src").ok
+
+
 def test_weak_dual_iso_counit_certificate_names_the_functionals(
         monkeypatch):
     # the decided weak Hopf algebra with its counit doubled: only the counit
@@ -557,7 +637,7 @@ def test_weak_dual_iso_counit_certificate_names_the_functionals(
 
 def test_verify_bgdnd_passes(kz2, m2):
     assert verify_bgdnd(kz2.rb, group_sum_integral(kz2)).passed
-    assert verify_bgdnd(m2.rb, matrix_sum_integral(m2)).passed
+    assert verify_bgdnd(m2.rb, group_sum_integral(m2)).passed
 
 
 def test_verify_bgdnd_detects_rank_defect(kz2):
@@ -583,7 +663,7 @@ def test_verify_bgdnd_m2_degenerate_row(m2):
 def test_lac_identities(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         rep = lac_check(h.rb, ell)
         assert rep.passed, [c.check_id for c in rep.failures()]
         ids = [c.check_id for c in rep.checks]
@@ -597,7 +677,7 @@ def test_lac_identities(kz2, kz3, m2):
 def test_ls_antipode_recovers_catalog_antipodes(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         out = ls_antipode(h.rb, ell)
         assert out.S == h.S
         assert out.S_inv == h.S_inv
@@ -628,13 +708,14 @@ def test_ls_antipode_refusal_carries_its_precondition(kz2):
 
 
 def test_constructions_keep_what_they_decided(m2):
-    out = ls_antipode(m2.rb, matrix_sum_integral(m2))
+    out = ls_antipode(m2.rb, group_sum_integral(m2))
     assert sorted(out.decided) == ["hopf", "pre"]
     assert out.decided["pre"].passed and out.decided["hopf"].passed
     assert out.decided["pre"].find("sf").ok
-    nd = nondegeneracy(m2, matrix_sum_integral(m2))
+    nd = nondegeneracy(m2, group_sum_integral(m2))
     hd = dual_hopf_algebroid(m2, nd)
-    assert sorted(hd.decided) == ["hopf", "kappa", "kappa_nd"]
+    assert sorted(hd.decided) == ["dual", "hopf", "kappa", "kappa_nd"]
+    assert hd.decided["dual"].bgd is hd.rb
     assert hd.decided["hopf"].passed
     assert integral_space(hd, LEFT).space.contains(hd.decided["kappa"])
     assert hd.decided["kappa_nd"].ok
@@ -644,7 +725,7 @@ def test_constructions_keep_what_they_decided(m2):
 
 def test_ls_antipode_output_is_verified_hopf(m2):
     from algebroids.hopfcore import verify_hopf
-    out = ls_antipode(m2.rb, matrix_sum_integral(m2))
+    out = ls_antipode(m2.rb, group_sum_integral(m2))
     assert verify_hopf(out).passed
     assert out.rb.gamma_lift == m2.rb.gamma_lift
 
@@ -661,7 +742,7 @@ def test_ls_antipode_builds_each_right_dual_once(monkeypatch):
         init(self, bgd, kind, *args, **kwargs)
 
     monkeypatch.setattr(DualModule, "__init__", counting)
-    out = ls_antipode(h.rb, matrix_sum_integral(h))
+    out = ls_antipode(h.rb, group_sum_integral(h))
     assert out.S == h.S
     assert builds.count(UPPER_STAR) == 1
     assert builds.count(STAR_UPPER) == 1
@@ -670,7 +751,7 @@ def test_ls_antipode_builds_each_right_dual_once(monkeypatch):
 def test_verify_bgdnd_right_passes(kz2, kz3, m2):
     for h, ups in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         rep = verify_bgdnd_right(h.lb, ups)
         assert rep.passed, [c.check_id for c in rep.failures()]
 
@@ -678,7 +759,7 @@ def test_verify_bgdnd_right_passes(kz2, kz3, m2):
 def test_ls_right_mirrors_ls_antipode(kz2, kz3, m2):
     for h, ups in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         out = ls_right(h.lb, ups, name="ls-right")
         assert out.S == h.S and out.name == "ls-right"
         mirror = ls_antipode(h.lb.op(), ups)
@@ -693,13 +774,32 @@ def test_ls_right_mirrors_ls_antipode(kz2, kz3, m2):
 def test_double_dual_evaluation(kz2, kz3, m2):
     for h, ell in ((kz2, group_sum_integral(kz2)),
                    (kz3, group_sum_integral(kz3)),
-                   (m2, matrix_sum_integral(m2))):
+                   (m2, group_sum_integral(m2))):
         nd = nondegeneracy(h, ell)
         rep = double_dual_evaluation(h, nd)
         assert rep.passed, [c.check_id for c in rep.failures()]
         by_id = checks_by_id(rep)
         assert by_id["dd-member"].verdict == "PASS"
         assert by_id["dd-bijective"].verdict == "PASS"
+
+
+def test_double_dual_solves_each_dual_constraint_space_once(monkeypatch,
+                                                            m2):
+    # both dual constructions hand their lower-star duals back on
+    # ``decided``, so the evaluation solves no dual module of its own
+    import algebroids.dualspace as dualspace
+    nd = nondegeneracy(m2, group_sum_integral(m2))
+    solved = []
+    original = dualspace.DualModule._solve_constraints
+
+    def counting(module):
+        solved.append(module.kind)
+        return original(module)
+
+    monkeypatch.setattr(dualspace.DualModule, "_solve_constraints", counting)
+    rep = double_dual_evaluation(m2, nd)
+    assert rep.passed
+    assert len(solved) == 10
 
 
 def test_double_dual_function_algebra(fn_s3):

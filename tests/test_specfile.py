@@ -313,6 +313,21 @@ def test_bialgebroid_gamma_shape(kz2):
         parse_text(json.dumps(data), "x.spec")
 
 
+def test_bialgebroid_constructor_refusal_becomes_spec_error(kz2):
+    # a base that is not where s and t start: the constructor's ValueError
+    # is reported at the bialgebroid's path
+    b = SpecBuilder(QQ)
+    b.add_bialgebroid(kz2.lb)
+    data = json.loads(b.emit())
+    nm = next(iter(data["left_bialgebroids"]))
+    body = data["left_bialgebroids"][nm]
+    body["base"] = body["total"]
+    body["counit"] = [["1", "0"], ["0", "1"]]
+    with pytest.raises(SpecError,
+                       match="source/target maps must start at the base"):
+        parse_text(json.dumps(data), "x.spec")
+
+
 def test_hopf_unknown_bialgebroid(kz2):
     b = SpecBuilder(QQ)
     b.add_hopf(kz2)
