@@ -337,37 +337,54 @@ class TestKappa:
 # the decision procedures
 
 
-class TestWhaDecide:
+class TestHopfAlgebraCriterion:
     # over a one-dimensional base the verdict "exact" says the Hopf
     # algebroid is a Hopf algebra, "twistable" that it is a twist of one
 
-    def test_group_algebra_is_exactly_weak_hopf(self, kz2):
+    def test_group_algebra_is_a_hopf_algebra(self, kz2):
         out = wha_decide(kz2)
         assert kz2.lb.base.dim == 1
+        assert out["verdict"] == "exact"
+
+    def test_character_twist_is_a_twist_but_not_hopf(self, kz2_twisted):
+        out = wha_decide(kz2_twisted)
+        assert kz2_twisted.lb.base.dim == 1
+        assert out["verdict"] == "twistable"
+        # π_L∘S ≠ π_L: a twist of a Hopf algebra, not one
+        assert out["report"].find("decide-exact").skipped
+
+    def test_function_algebra_is_a_hopf_algebra(self, fn_s3):
+        out = wha_decide(fn_s3)
+        assert fn_s3.lb.base.dim == 1
+        assert out["verdict"] == "exact"
+
+    def test_matrix_algebra_has_no_scalar_base(self, m2):
+        # exact, but over a base of dimension 2: no Hopf algebra
+        assert m2.lb.base.dim == 2
+        assert wha_decide(m2)["verdict"] == "exact"
+
+
+class TestWhaDecide:
+    def test_group_algebra_is_exactly_weak_hopf(self, kz2):
+        out = wha_decide(kz2)
         assert out["verdict"] == "exact"
         assert out["report"].passed
         assert verify_weak_hopf(out["weak_hopf"]).passed
 
     def test_pair_groupoid_is_exactly_weak_hopf(self, m2):
-        # exact, but over a base of dimension 2: no Hopf algebra
-        assert m2.lb.base.dim == 2
         out = wha_decide(m2)
         assert out["verdict"] == "exact"
         assert out["report"].passed
 
     def test_function_algebra_is_exactly_weak_hopf(self, fn_s3):
         out = wha_decide(fn_s3)
-        assert fn_s3.lb.base.dim == 1
         assert out["verdict"] == "exact"
         assert out["report"].passed
 
     def test_character_twist_is_twistable_not_exact(self, kz2, kz2_twisted):
         out = wha_decide(kz2_twisted)
-        assert kz2_twisted.lb.base.dim == 1
         assert out["verdict"] == "twistable"
         assert out["report"].passed
-        # π_L∘S ≠ π_L: a twist of a Hopf algebra, not one
-        assert out["report"].find("decide-exact").skipped
         g, g_inv = out["twist"]
         assert g.rows == ((QQ.one, -QQ.one),)
         # the repairing twist brings back the standard antipode
