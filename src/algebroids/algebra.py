@@ -18,6 +18,7 @@ from .exactfield import (
     combine,
     nonzero,
     require_field,
+    scaled,
     sparse,
     unit_vector,
 )
@@ -126,8 +127,13 @@ class Algebra:
         return sparse(vec)
 
     def mul_vec(self, u, v):
-        """Product of two elements, read from ``table``."""
+        """Product of two elements, read from ``table``: the ``scaled``
+        table entry when both have one entry."""
         table = self.table
+        if len(u) == 1 and len(v) == 1:
+            (i, a), = u.items()
+            (j, b), = v.items()
+            return scaled(a * b, table[i][j])
         return combine((a * b, table[i][j])
                        for i, a in u.items() for j, b in v.items())
 
@@ -175,8 +181,12 @@ def opposite(algebra):
 
 def side_product(algebra, u, i, side):
     """The sparse element u times e_i (``pre``) or e_i times u (``post``),
-    combined from the ``table`` entries of the coefficients of u."""
+    combined from the ``table`` entries of the coefficients of u: the one
+    ``scaled`` entry when u has one entry."""
     table = algebra.table
+    if len(u) == 1:
+        (a, c), = u.items()
+        return scaled(c, table[a][i] if side == PRE else table[i][a])
     if side == PRE:
         terms = ((c, table[a][i]) for a, c in u.items())
     else:
@@ -390,13 +400,18 @@ def map_at_factor(dims, p, vec, out_dim, image):
     ``out_dim``-dimensional factor.
 
     Only the entries of ``vec`` are visited, and ``image`` is called once
-    for each i that occurs among them.
+    for each i that occurs among them; an image, like every sparse vector,
+    holds no zero entry.  Each entry x adds its image ``scaled`` by x: an
+    entry 1 without a product, an explicit zero not at all.  As in
+    ``combine``, the sum tracks cancellation and filters zeros out only
+    when a sum has cancelled.
     """
     stride = prod(dims[p + 1:], start=1)
     block_in = dims[p] * stride
     block_out = out_dim * stride
     out = {}
     images = {}
+    cancelled = False
     for pos, x in vec.items():
         blk, r = divmod(pos, block_in)
         i, t = divmod(r, stride)
@@ -404,35 +419,56 @@ def map_at_factor(dims, p, vec, out_dim, image):
         if img is None:
             img = images[i] = image(i)
         base = blk * block_out + t
-        for k, c in img.items():
+        for k, c in (img.items() if x == 1 else scaled(x, img).items()):
             at = base + k * stride
             old = out.get(at)
-            out[at] = c * x if old is None else old + c * x
-    return nonzero(out)
+            if old is None:
+                out[at] = c
+            else:
+                old += c
+                out[at] = old
+                if not old:
+                    cancelled = True
+    return nonzero(out) if cancelled else out
 
 
 def tensor_square_product(alg_a, alg_b, w1, w2):
     """Componentwise product on A ⊗ B: (a⊗b)(a'⊗b') = aa' ⊗ bb', of sparse
-    vectors, read from both tables."""
+    vectors, read from both tables.
+
+    Each pair of terms scales A's table entry by c1·c2 and each entry of
+    that row scales B's, both by ``scaled``: a coefficient 1 costs no
+    product, and an explicit zero entry of w1 or w2 adds nothing.  As in
+    ``combine``, the sum tracks cancellation and filters zeros out only
+    when a sum has cancelled.
+    """
     db = alg_b.dim
     table_a, table_b = alg_a.table, alg_b.table
     terms2 = [divmod(idx, db) + (c,) for idx, c in w2.items()]
     out = {}
+    cancelled = False
     for idx1, c1 in w1.items():
         i1, j1 = divmod(idx1, db)
         row_a = table_a[i1]
         row_b = table_b[j1]
         for i2, j2, c2 in terms2:
             c = c1 * c2
-            prod_b = row_b[j2].items()
-            for ka, ca in row_a[i2].items():
-                cca = c * ca
+            prod_b = row_b[j2]
+            prod_a = row_a[i2] if c == 1 else scaled(c, row_a[i2])
+            for ka, ca in prod_a.items():
                 base = ka * db
-                for kb, cb in prod_b:
+                for kb, cb in (prod_b.items() if ca == 1
+                               else scaled(ca, prod_b).items()):
                     at = base + kb
                     old = out.get(at)
-                    out[at] = cca * cb if old is None else old + cca * cb
-    return nonzero(out)
+                    if old is None:
+                        out[at] = cb
+                    else:
+                        old += cb
+                        out[at] = old
+                        if not old:
+                            cancelled = True
+    return nonzero(out) if cancelled else out
 
 
 def tensor_apply(m1, m2, vec):

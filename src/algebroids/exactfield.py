@@ -4,6 +4,12 @@ Everything downstream (axiom checks, quotient constructions, certificates)
 depends on this arithmetic being exact, so floating point is never used.
 Vectors, algebra elements among them, are sparse: dicts ``{index: scalar}``
 without zero entries, and ``combine`` is the one kernel that sums them.
+The sparse kernels here and in ``algebra`` keep one contract: rows come in
+zero-free and results go out zero-free; a zero coefficient is skipped, a
+coefficient equal to 1 copies its row without a product, and a result is
+always a new dict, so no input row or table entry is shared or changed.
+Sums on the paper's examples mostly have one term with coefficient 1, so
+``scaled`` answers a one-term sum without setting up a merge.
 Dense tuples of scalars appear only where data enters or leaves: ``sparse``
 converts one, and ``Matrix`` takes and gives dense rows and columns through
 its constructors, ``rows`` and ``col``; ``solve`` and ``Subspace.coords_of``
@@ -70,7 +76,12 @@ class GFElement:
             return other % self.p
         return NotImplemented
 
+    # an operand of this class and modulus skips ``_lift``; any other takes
+    # it, so mixed moduli still raise
+
     def __add__(self, other):
+        if type(other) is GFElement and other.p == self.p:
+            return GFElement(self.v + other.v, self.p)
         w = self._lift(other)
         if w is NotImplemented:
             return NotImplemented
@@ -79,12 +90,16 @@ class GFElement:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is GFElement and other.p == self.p:
+            return GFElement(self.v - other.v, self.p)
         w = self._lift(other)
         if w is NotImplemented:
             return NotImplemented
         return GFElement(self.v - w, self.p)
 
     def __mul__(self, other):
+        if type(other) is GFElement and other.p == self.p:
+            return GFElement(self.v * other.v, self.p)
         w = self._lift(other)
         if w is NotImplemented:
             return NotImplemented
@@ -112,7 +127,7 @@ class GFElement:
         return self.v != 0
 
     def __eq__(self, other):
-        if isinstance(other, GFElement):
+        if type(other) is GFElement:
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
             return self.v == other % self.p
@@ -195,24 +210,40 @@ def nonzero(vec):
     return {k: x for k, x in vec.items() if x}
 
 
+def scaled(c, row):
+    """``c * row`` for a sparse vector ``row``, as a new dict: a copy of
+    ``row`` when c is 1, without a product, and ``{}`` when c is 0."""
+    if c == 1:
+        return dict(row)
+    if not c:
+        return {}
+    return {k: c * x for k, x in row.items()}
+
+
 def combine(terms):
     """The nonzero entries of the sum of ``c * row`` over ``(c, row)`` pairs
-    of sparse vectors ``{index: coefficient}``.
+    of sparse vectors ``{index: coefficient}``, as a new dict.
 
-    A new index stores its product as it is, so no entry is ever added to
-    a zero.  A row holds no zero entry, so with c nonzero only a cancelled
-    sum can leave a zero, and only then are zeros filtered out.  A row
-    whose coefficient is 1 is added as it is, without a product; the
-    result is always a new dict, so no input row is shared or changed.
+    Rows come in without zero entries.  A zero coefficient is skipped, and
+    the first other term starts the sum as its ``scaled`` copy, so a
+    one-term sum is that copy.  The remaining terms are merged: a row whose
+    coefficient is 1 is added as it is, without a product, and a new index
+    stores its value as it is, so no entry is ever added to a zero.  With c
+    nonzero only a cancelled sum can leave a zero, and only then are zeros
+    filtered out.  No input row is shared or changed.
     """
-    out = {}
+    terms = iter(terms)
+    for c, row in terms:
+        if c:
+            out = scaled(c, row)
+            break
+    else:
+        return {}
     cancelled = False
     for c, row in terms:
         if not c:
             continue
-        if c != 1:
-            row = {k: c * x for k, x in row.items()}
-        for k, x in row.items():
+        for k, x in (row.items() if c == 1 else scaled(c, row).items()):
             old = out.get(k)
             if old is None:
                 out[k] = x
@@ -244,6 +275,18 @@ def _add_sparse(u, v):
             else:
                 del out[k]
     return out
+
+
+def _apply_cols(cols, vec):
+    """The combination of the sparse columns ``cols`` named by the sparse
+    vector ``vec`` ``{column: scalar}``: no column for an empty ``vec``, one
+    ``scaled`` column for a single entry."""
+    if len(vec) == 1:
+        (j, x), = vec.items()
+        return scaled(x, cols[j])
+    if not vec:
+        return {}
+    return combine((x, cols[j]) for j, x in vec.items())
 
 
 def require_field(field, x, what):
@@ -389,8 +432,7 @@ class Matrix:
     def apply(self, vec):
         """Matrix-vector product of a sparse vector ``{column: scalar}``, as
         a sparse vector: the combination of the columns it names."""
-        cols = self.cols
-        return combine((x, cols[j]) for j, x in vec.items())
+        return _apply_cols(self.cols, vec)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -398,9 +440,8 @@ class Matrix:
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("matrix composition shape/field mismatch")
         cols = self.cols
-        return Matrix._of_cols(
-            self.field, self.nrows,
-            [combine((x, cols[j]) for j, x in c.items()) for c in other.cols])
+        return Matrix._of_cols(self.field, self.nrows,
+                               [_apply_cols(cols, c) for c in other.cols])
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -416,11 +457,8 @@ class Matrix:
         return self.scale(-self.field.one)
 
     def scale(self, c):
-        if not c:
-            return Matrix.zeros(self.field, self.nrows, self.ncols)
         return Matrix._of_cols(self.field, self.nrows,
-                               [{i: c * x for i, x in col.items()}
-                                for col in self.cols])
+                               [scaled(c, col) for col in self.cols])
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -633,6 +671,7 @@ class SparseEchelon:
         for p in [p for p in v if p in rows]:
             c = v[p]
             if not c:
+                del v[p]
                 continue
             c = -c
             for col, a in rows[p].items():
@@ -650,15 +689,23 @@ class SparseEchelon:
     def insert(self, vec):
         """Add a vector to the span; True iff the rank grew."""
         r = self.reduce(vec)
+        # a zero entry of ``vec`` off the pivots survives ``reduce``: the
+        # pivot is the first nonzero column, and no zero is stored
         if not r:
             return False
         p = min(r)
-        one = self.field.one
-        if r[p] == one:
+        c = r[p]
+        if c == 1 and all(r.values()):
             row = r
         else:
-            inv = one / r[p]
-            row = {c: inv * a for c, a in r.items()}
+            if not c:
+                r = nonzero(r)
+                if not r:
+                    return False
+                p = min(r)
+                c = r[p]
+            inv = self.field.one / c
+            row = {k: inv * a for k, a in r.items() if a}
         cols = self.cols
         for q in cols.pop(p, ()):
             other = self.rows[q]

@@ -180,3 +180,15 @@ def dense_matrix_apply(matrix, vec):
                 acc[i] = a * x if old is None else old + a * x
     zero = matrix.field.zero
     return tuple(acc.get(i, zero) for i in range(matrix.nrows))
+
+
+# ---------------------------------------------------------------------------
+# the coefficients the unit-aware kernels tell apart
+
+
+def kernel_scalars(field):
+    """0, 1, -1, 2 and 1/2 in ``field``: a skipped zero, a unit copied
+    without a product, and three coefficients that need one."""
+    one = field.one
+    two = one + one
+    return (field.zero, one, -one, two, one / two)

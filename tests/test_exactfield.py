@@ -5,9 +5,13 @@ rank of a matrix over GF(7) recomputed by brute-force search for the largest
 non-vanishing minor (Laplace expansion), never touching the row-reduction
 code under test.  ``SparseEchelon`` and everything ``Matrix`` and
 ``Subspace`` read from it are compared with the dense Gauss–Jordan loop of
-``dense_reference``, which shares no code with the engine.
+``dense_reference``, which shares no code with the engine.  ``combine``,
+``scaled``, ``Matrix.apply`` and ``@`` meet the dense sums on zero-term,
+one-term and longer sums, with coefficients 0, 1, -1, 2 and 1/2, and each
+result must be a new, zero-free dict.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -22,18 +26,22 @@ from algebroids.exactfield import (
     Subspace,
     SparseEchelon,
     combine,
+    scaled,
     sparse,
 )
 from dense_reference import (
     coords_in_span,
+    dense,
     dense_apply,
     dense_combine,
     dense_matmul,
+    dense_matrix_apply,
     dense_rref,
     dense_sum,
     dense_transpose,
     inverse,
     kernel_basis,
+    kernel_scalars,
     solve_with_kernel,
     span_basis,
 )
@@ -71,6 +79,23 @@ def test_gf_arithmetic():
 def test_gf_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         F7.one / F7.zero
+
+
+def test_gf_operands_of_another_modulus_still_raise():
+    # same-modulus operands skip the lift; any other operand still takes it
+    F11 = PrimeField(11)
+    a, b = F7.of(3), F11.of(3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed moduli 7 and 11"):
+            op(a, b)
+        with pytest.raises(ValueError, match="mixed moduli 11 and 7"):
+            op(b, a)
+    assert not a == b and a != b and not b == a
+    x = F7.of(3)
+    assert 2 * x == x * 2 == F7.of(6)
+    assert x + 1 == 1 + x == F7.of(4)
+    assert x - 1 == F7.of(2)
+    assert x == 3 and x == 10 and not x == 1 and F7.one == 1
 
 
 def test_prime_field_rejects_composite():
@@ -421,12 +446,10 @@ def test_sparse_column_matrix_matches_dense_rows(case):
 @st.composite
 def combine_cases(draw):
     """(c, row) terms over QQ or GF(7) on a few shared indices, so that
-    sums cancel: coefficients are 0, 1, -1, 2 and, over QQ, 1/2; a drawn
-    term is sometimes followed by its negative."""
+    sums cancel: coefficients are 0, 1, -1, 2 and 1/2; a drawn term is
+    sometimes followed by its negative."""
     field = draw(st.sampled_from((QQ, F7)))
-    scalars = [field.of(x) for x in (0, 1, -1, 2)]
-    if field == QQ:
-        scalars.append(Fraction(1, 2))
+    scalars = kernel_scalars(field)
     entries = st.sampled_from([x for x in scalars if x])
     terms = []
     for _ in range(draw(st.integers(0, 4))):
@@ -443,8 +466,94 @@ def combine_cases(draw):
 def test_combine_matches_the_dense_sum(case):
     field, terms = case
     before = [dict(row) for _, row in terms]
-    got = combine(iter(terms))
-    assert got == sparse(dense_sum(field, 4, terms))
-    assert all(got.values())
-    assert all(got is not row for _, row in terms)
-    assert [row for _, row in terms] == before
+    # the whole sum, and the zero-term and one-term sums it starts with
+    for part in (terms, terms[:1], []):
+        got = combine(iter(part))
+        assert got == sparse(dense_sum(field, 4, part))
+        assert all(got.values())
+        assert all(got is not row for _, row in terms)
+        got[4] = field.one
+        assert [row for _, row in terms] == before
+    for c, row in terms:
+        got = scaled(c, row)
+        assert got == sparse(dense_sum(field, 4, [(c, row)]))
+        assert all(got.values()) and got is not row
+        got[4] = field.one
+        assert [row for _, row in terms] == before
+
+
+@st.composite
+def unit_apply_cases(draw):
+    """An n × m matrix over QQ or GF(7) with entries 0, 1, -1, 2 and 1/2,
+    an m × k matrix whose columns have 0, 1 or several entries, and sparse
+    vectors of length m with 0, 1 or several entries, explicit zero
+    coefficients among them."""
+    field = draw(st.sampled_from((QQ, F7)))
+    entry = st.sampled_from(kernel_scalars(field))
+    n, m, k = draw(st.integers(0, 3)), draw(st.integers(1, 4)), \
+        draw(st.integers(0, 3))
+
+    def vector():
+        size = draw(st.sampled_from((0, 1, 1, m)))
+        return draw(st.dictionaries(st.integers(0, m - 1), entry,
+                                    min_size=size, max_size=size))
+
+    mat = Matrix(field, n, m, [[draw(entry) for _ in range(m)]
+                               for _ in range(n)])
+    right = Matrix.from_sparse_cols(field, [vector() for _ in range(k)], m)
+    return field, mat, right, [vector() for _ in range(3)]
+
+
+def _cols_of(mat):
+    return [dict(col) for col in mat.cols]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(unit_apply_cases())
+def test_unit_fast_paths_of_apply_match_the_dense_reference(case):
+    # each result is zero-free and a new dict: writing into it changes no
+    # column of either operand
+    field, mat, right, vecs = case
+    n, m = mat.nrows, mat.ncols
+    cols, right_cols = _cols_of(mat), _cols_of(right)
+    for vec in vecs:
+        before = dict(vec)
+        got = mat.apply(vec)
+        assert got == sparse(dense_matrix_apply(mat, dense(field, m, vec)))
+        assert all(got.values())
+        got[n] = field.one
+        assert _cols_of(mat) == cols and vec == before
+    product = mat @ right
+    assert _is_clean(product)
+    assert product.rows == dense_matmul(field, mat.rows, right.rows, m,
+                                        right.ncols)
+    for col in product.cols:
+        col[n] = field.one
+    assert _cols_of(mat) == cols and _cols_of(right) == right_cols
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("QQ", "GF7"))
+def test_echelon_skips_explicit_zero_entries(field):
+    zero, one = field.zero, field.one
+    ech = SparseEchelon(field, 3)
+    assert ech.insert({0: zero, 1: one})
+    assert ech.rows == {1: {1: one}} and ech.cols == {}
+    assert not ech.insert({0: zero, 2: zero})
+    assert ech.rank == 1
+    ech = SparseEchelon(field, 3)
+    ech.insert({0: one})
+    assert ech.reduce({0: zero, 2: one}) == {2: one}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(insert_sequences(), st.data())
+def test_explicit_zero_padding_changes_no_echelon(case, data):
+    field, ncols, vecs = case
+    plain, padded = SparseEchelon(field, ncols), SparseEchelon(field, ncols)
+    for vec in vecs:
+        pad = data.draw(st.sets(st.integers(0, ncols - 1)))
+        grew = padded.insert({**{j: field.zero for j in pad}, **vec})
+        assert grew == plain.insert(vec)
+        assert padded.rows == plain.rows and padded.cols == plain.cols
+        assert padded.rank == plain.rank
+        assert all(all(row.values()) for row in padded.rows.values())

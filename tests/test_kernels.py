@@ -15,7 +15,11 @@ compared with brute-force sums on corrupted weak Hopf algebras, and the
 checks of ``frobenius_check`` with dense sums on the catalog witnesses and
 on witnesses whose λ* is raised at one entry.  A passing
 ``verify_algebra`` is held to one ``combine`` per basis pair, so a
-per-triple loop cannot come back unseen.
+per-triple loop cannot come back unseen.  The unit-aware paths of
+``mul_vec``, ``side_product``, ``map_at_factor`` and
+``tensor_square_product`` meet the dense references on one-entry operands,
+on coefficients 0, 1, -1, 2 and 1/2 and on sums built to cancel, and each
+result must be a new, zero-free dict.
 """
 
 from itertools import product
@@ -29,7 +33,9 @@ from algebroids.algebra import (
     HOM,
     Algebra,
     AlgebraMap,
+    map_at_factor,
     separability_structure,
+    side_product,
     sparse,
     tensor_square_product,
     verify_algebra,
@@ -60,7 +66,12 @@ from algebroids.twistlab import (
     verify_weak_hopf,
     weak_bialgebra_from_sep,
 )
-from dense_reference import dense, dense_matrix_apply, dense_rref
+from dense_reference import (
+    dense,
+    dense_matrix_apply,
+    dense_rref,
+    kernel_scalars,
+)
 
 QQ = RationalField()
 F7 = PrimeField(7)
@@ -318,6 +329,107 @@ def test_mult_at_factor_matches_the_multiplication_matrices(data):
             == sparse(dense_at_factor(dims, p, left, vec)))
     assert (mult_at_factor(A, dims, p, sparse(vec), sparse(u), POST)
             == sparse(dense_at_factor(dims, p, right, vec)))
+
+
+# ---------------------------------------------------------------------------
+# the unit-aware fast paths: one-entry operands, coefficients 0 (explicit),
+# 1, -1, 2 and 1/2, and sums that cancel; every result is zero-free and a
+# new dict, so writing into it changes no input vector and no table entry
+
+
+def snapshot(A):
+    return [[dict(entry) for entry in row] for row in A.table]
+
+
+def sparse_vectors(field, size, count, max_entries, min_entries=0):
+    """Sparse vectors of length ``size`` with ``min_entries`` to
+    ``max_entries`` entries drawn from 0 (kept as an explicit entry), 1,
+    -1, 2 and 1/2."""
+    return st.lists(st.dictionaries(st.integers(0, size - 1),
+                                    st.sampled_from(kernel_scalars(field)),
+                                    min_size=min_entries,
+                                    max_size=max_entries),
+                    min_size=count, max_size=count)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_entry_products_match_the_dense_double_loop(data):
+    A = data.draw(algebras())
+    field, d = A.field, A.dim
+    u, v = ({k: x} for k, x in data.draw(st.lists(
+        st.tuples(st.integers(0, d - 1),
+                  st.sampled_from(kernel_scalars(field))),
+        min_size=2, max_size=2)))
+    du, dv = dense(field, d, u), dense(field, d, v)
+    table = snapshot(A)
+    pairs = [(A.mul_vec(u, v), dense_mul(A, du, dv))]
+    for i in range(d):
+        e = unit_vector(field, d, i)
+        pairs += [(side_product(A, u, i, PRE), dense_mul(A, du, e)),
+                  (side_product(A, u, i, POST), dense_mul(A, e, du))]
+    for got, want in pairs:
+        assert got == sparse(want) and all(got.values())
+        got[d] = field.one
+    assert snapshot(A) == table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_map_at_factor_matches_the_dense_factor_map(data):
+    # the images repeat, so entries of ``vec`` that differ only at factor p
+    # cancel
+    field = data.draw(st.sampled_from((QQ, F7)))
+    n = data.draw(st.sampled_from((2, 3)))
+    p = data.draw(st.integers(0, n - 1))
+    dims = [data.draw(st.integers(2 if q == p else 1, 3)) for q in range(n)]
+    out_dim = data.draw(st.integers(1, 3))
+    images = data.draw(sparse_vectors(field, out_dim, 2, out_dim))
+    which = [data.draw(st.integers(0, 1)) for _ in range(dims[p])]
+    m = Matrix.from_sparse_cols(field, [images[w] for w in which], out_dim)
+    cols = [dict(col) for col in m.cols]
+    size, stride = prod(dims), prod(dims[p + 1:])
+    (vec,) = data.draw(sparse_vectors(field, size, 1, size, 1))
+    # some entries are followed by their negative at an index of factor p
+    # with the same image
+    for pos, x in list(vec.items()):
+        i = pos // stride % dims[p]
+        twins = [j for j in range(dims[p]) if j != i and which[j] == which[i]]
+        if twins and data.draw(st.booleans()):
+            vec[pos + (data.draw(st.sampled_from(twins)) - i) * stride] = -x
+    before = dict(vec)
+    got = map_at_factor(dims, p, vec, out_dim, m.cols.__getitem__)
+    assert got == sparse(dense_at_factor(dims, p, m, dense(field, size,
+                                                           vec)))
+    assert all(got.values())
+    got[-1] = field.one
+    assert [dict(col) for col in m.cols] == cols and vec == before
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_tensor_square_product_matches_the_dense_product(data):
+    A = data.draw(algebras())
+    field, d = A.field, A.dim
+    w1, w2 = data.draw(sparse_vectors(field, d * d, 2, 4, 1))
+    if d > 1 and data.draw(st.booleans()):
+        # a w2 of two terms whose products with w1 cancel at a shared index
+        r, s = data.draw(st.lists(st.integers(0, d * d - 1), min_size=2,
+                                  max_size=2, unique=True))
+        pr, ps = (dense_product(A, dense(field, d * d, w1),
+                                dense(field, d * d, {q: field.one}))
+                  for q in (r, s))
+        shared = [k for k, (a, b) in enumerate(zip(pr, ps)) if a and b]
+        if shared:
+            k = data.draw(st.sampled_from(shared))
+            w2 = {r: field.one, s: -pr[k] / ps[k]}
+    before, table = (dict(w1), dict(w2)), snapshot(A)
+    got = tensor_square_product(A, A, w1, w2)
+    assert got == sparse(dense_product(A, dense(field, d * d, w1),
+                                       dense(field, d * d, w2)))
+    assert all(got.values())
+    got[-1] = field.one
+    assert (w1, w2) == before and snapshot(A) == table
 
 
 # ---------------------------------------------------------------------------
