@@ -37,7 +37,7 @@ from math import prod
 
 from .exactfield import Matrix, SparseEchelon
 from .algebra import (HOM, ANTI, POST, PRE, combine, fmt_tensor_multi,
-                      is_algebra_map, map_at_factor, nonzero,
+                      is_algebra_map, map_at_factor,
                       separability_structure, side_product, tensor_vec)
 
 
@@ -177,6 +177,14 @@ def _junction_step(junc, idempotent):
         return img
 
     return step
+
+
+def _diagonal(images, zero):
+    """For each basis image e_i·l of one base element's action: its scalar
+    c where it is c·e_i (``zero`` where it is 0), None where it is not a
+    multiple of e_i."""
+    return [img.get(i) if len(img) == 1 else None if img else zero
+            for i, img in enumerate(images)]
 
 
 def _images_commute(f, g):
@@ -330,17 +338,43 @@ class BalancedTensorSpace:
     @staticmethod
     def _insert_pair_relations(pair, junc, dl, dr):
         """Insert the relations of ``junc`` between factors of dimensions
-        ``dl`` and ``dr`` into the echelon ``pair``."""
+        ``dl`` and ``dr`` into the echelon ``pair``.
+
+        The relation of l, i, j is (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j), and no
+        relation that is zero by construction is built: a base element l
+        whose two actions are the same multiple c of the identity (for a
+        unital action on a scalar base, every l) is skipped; for e_i·l = 0
+        only the j with l·e_j ≠ 0 are visited; and a pair with e_i·l = c·e_i
+        and l·e_j = c·e_j is skipped.  The vectors inserted are the nonzero
+        relations, in the same order, so the span and its reduced echelon
+        form are the same as when every relation is built.  Images are
+        zero-free, so only the entry at e_i ⊗ e_j can cancel.
+        """
+        zero = pair.field.zero
         for b in range(junc.base.dim):
             acted_l = junc.right.basis_images(b)
             acted_r = junc.left.basis_images(b)
+            diag_l = _diagonal(acted_l, zero)
+            diag_r = _diagonal(acted_r, zero)
+            if None not in diag_l and len(set(diag_l + diag_r)) == 1:
+                continue
+            acting_r = [j for j in range(dr) if acted_r[j]]
             for i in range(dl):
-                for j in range(dr):
-                    rel = {k * dr + j: c for k, c in acted_l[i].items()}
+                img = acted_l[i]
+                c_i = diag_l[i]
+                for j in (range(dr) if img else acting_r):
+                    if c_i is not None and c_i == diag_r[j]:
+                        continue
+                    rel = {k * dr + j: c for k, c in img.items()}
                     for k, c in acted_r[j].items():
-                        old = rel.get(i * dr + k)
-                        rel[i * dr + k] = -c if old is None else old - c
-                    rel = nonzero(rel)
+                        key = i * dr + k
+                        old = rel.get(key)
+                        if old is None:
+                            rel[key] = -c
+                        elif old == c:
+                            del rel[key]
+                        else:
+                            rel[key] = old - c
                     if rel:
                         pair.insert(rel)
 

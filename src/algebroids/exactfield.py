@@ -18,10 +18,21 @@ immutable and holds only its nonzero columns, each a sparse vector, so
 products compose columns and the elimination reads sparse rows by
 transposing them.  ``SparseEchelon`` is the
 one elimination engine: reduced echelon forms, ranks, kernels, solutions,
-inverses and ``Subspace`` membership are all read from it.
+inverses and ``Subspace`` membership are all read from it.  It keeps the
+same contract: its rows are zero-free, each 1 at its pivot, and it never
+changes a vector it is given.  The relations of the paper's balanced
+tensor products are mostly monomial, so most of its rows are a single
+entry ``{p: 1}``: ``reduce`` cancels an entry at such a pivot by deleting
+it, and ``insert`` stores a single-entry vector as ``{p: 1}``, each with
+no product, sum or division.  An explicit zero entry in a vector is
+allowed: ``insert`` never stores it, ``reduce`` drops it at a pivot and
+may keep it elsewhere, and ``Subspace`` reads it as absent.
 """
 
+import re
 from fractions import Fraction
+
+_ASCII_INT = re.compile(r"[+-]?[0-9]+\Z").match
 
 
 class RationalField:
@@ -52,7 +63,13 @@ class RationalField:
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     def parse(self, text):
-        return Fraction(text.strip())
+        # an ASCII integer is read by ``int``, faster than ``Fraction``'s
+        # own parser; any other text goes to ``Fraction``, which accepts
+        # and refuses exactly what it always did
+        text = text.strip()
+        if _ASCII_INT(text):
+            return Fraction(int(text))
+        return Fraction(text)
 
     def fmt(self, x):
         return str(x)
@@ -623,17 +640,19 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def contains(self, vec):
-        """Whether the sparse vector ``{index: scalar}`` lies in the span."""
-        return not self.echelon.reduce(vec)
+        """Whether the sparse vector ``{index: scalar}`` lies in the span;
+        an explicit zero entry of ``vec`` counts as absent."""
+        return not any(self.echelon.reduce(vec).values())
 
     def coords_of(self, vec):
         """Coordinates of the sparse vector ``vec`` in the echelon basis, as
-        a sparse vector ``{basis index: scalar}``, or None if outside: each
-        basis row is 1 at its pivot and 0 at the others."""
+        a sparse vector ``{basis index: scalar}`` without zero entries, or
+        None if outside: each basis row is 1 at its pivot and 0 at the
+        others."""
         if not self.contains(vec):
             return None
         return {k: vec[p] for k, p in enumerate(self.echelon.pivot_columns())
-                if p in vec}
+                if vec.get(p)}
 
 
 class SparseEchelon:
@@ -665,16 +684,22 @@ class SparseEchelon:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Return vec minus its projection onto the row span (sparse dict)."""
+        """Return vec minus its projection onto the row span (sparse dict).
+
+        A pivot row of one entry is ``{p: 1}``: it cancels ``v[p]`` whatever
+        its value, so that entry is deleted with no product and no sum, as
+        is an explicit zero at a pivot.  An explicit zero off the pivots is
+        kept; ``Subspace`` drops it at its boundary."""
         v = dict(vec)
         rows = self.rows
         for p in [p for p in v if p in rows]:
+            row = rows[p]
             c = v[p]
-            if not c:
+            if len(row) == 1 or not c:
                 del v[p]
                 continue
             c = -c
-            for col, a in rows[p].items():
+            for col, a in row.items():
                 old = v.get(col)
                 if old is None:
                     v[col] = c * a
@@ -687,25 +712,34 @@ class SparseEchelon:
         return v
 
     def insert(self, vec):
-        """Add a vector to the span; True iff the rank grew."""
+        """Add a vector to the span; True iff the rank grew.
+
+        A reduced vector of one entry c at p is stored as ``{p: 1}`` with
+        no division and no scaled copy, unless c is an explicit zero."""
         r = self.reduce(vec)
         # a zero entry of ``vec`` off the pivots survives ``reduce``: the
         # pivot is the first nonzero column, and no zero is stored
         if not r:
             return False
-        p = min(r)
-        c = r[p]
-        if c == 1 and all(r.values()):
-            row = r
-        else:
+        if len(r) == 1:
+            (p, c), = r.items()
             if not c:
-                r = nonzero(r)
-                if not r:
-                    return False
-                p = min(r)
-                c = r[p]
-            inv = self.field.one / c
-            row = {k: inv * a for k, a in r.items() if a}
+                return False
+            row = {p: self.field.one}
+        else:
+            p = min(r)
+            c = r[p]
+            if c == 1 and all(r.values()):
+                row = r
+            else:
+                if not c:
+                    r = nonzero(r)
+                    if not r:
+                        return False
+                    p = min(r)
+                    c = r[p]
+                inv = self.field.one / c
+                row = {k: inv * a for k, a in r.items() if a}
         cols = self.cols
         for q in cols.pop(p, ()):
             other = self.rows[q]

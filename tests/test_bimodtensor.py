@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from algebroids.algebra import (ANTI, HOM, Algebra, AlgebraMap, combine,
                                 opposite, sparse)
 from algebroids.bialgebroid import LeftBialgebroid, verify_left_bialgebroid
-from algebroids.catalog import (FiniteGroup, all_fixtures,
+from algebroids.catalog import (FiniteGroup, all_fixtures, group_algebra,
                                 group_hopf_algebroid,
                                 pair_groupoid_hopf_algebroid)
 from algebroids.exactfield import Matrix, PrimeField, RationalField, SparseEchelon
@@ -22,7 +22,7 @@ from algebroids.bimodtensor import (
 )
 from algebroids.algebra import separability_structure, tensor_vec
 from algebroids.hopfcore import HopfAlgebroid, verify_hopf
-from dense_reference import dense_matrix_apply, dense_mul_vec
+from dense_reference import dense_matrix_apply, dense_mul_vec, span_basis
 
 import pytest
 
@@ -146,6 +146,102 @@ def test_permuted_basis_same_dimension(qq):
     junction = Junction(ActionSpec(t2, PRE), ActionSpec(s2, PRE))
     space = BalancedTensorSpace([A2, A2], [junction])
     assert space.dim == base_dim
+
+
+# ---------------------------------------------------------------------------
+# the pair relation builder skips relations that are zero by construction;
+# its echelon must still be the reduced basis of every relation's span
+
+
+def pair_relation_algebras(field):
+    """M₂, the diagonal algebra k³ and the group algebra k[Z₃]."""
+    diagonal = Algebra.from_struct(field, ("f0", "f1", "f2"),
+                                   {(i, i, i): 1 for i in range(3)},
+                                   name="k3")
+    return [matrix_algebra(field)[0], diagonal,
+            group_algebra(FiniteGroup.cyclic(3), field)]
+
+
+# (right image, left image) of each fixed base basis element, by name:
+# ``diag`` is a drawn a·e_0 + b·e_last, both sides sharing one draw;
+# ``2e0``, ``e1-e0`` and ``e1`` make a unital base act through a map that
+# is not multiplicative, and ``e1`` (g in k[Z₃], e12 in M₂) sends some
+# basis vectors to a single entry at another index
+PAIR_RELATION_CASES = {
+    "zero-columns": [("zero", "zero"), ("zero", "rand"), ("rand", "zero")],
+    "identity": [("unit", "unit"), ("2unit", "2unit"), ("unit", "rand")],
+    "equal-diagonal": [("diag", "diag"), ("diag", "rand"), ("diag", "2unit")],
+    "non-multiplicative": [("diag", "2e0"), ("rand", "e1-e0"),
+                           ("e1", "e1")],
+}
+
+
+def pair_relation_column(data, field, A, name, diag):
+    """The image of one base basis element, named as in
+    ``PAIR_RELATION_CASES``, as a dense column of A."""
+    d = A.dim
+    if name == "rand":
+        return tuple(field.of(x) for x in data.draw(st.lists(
+            st.sampled_from((0, 0, 1, -1, 2)), min_size=d, max_size=d)))
+    unit = tuple(A.unit.get(k, field.zero) for k in range(d))
+    named = {"zero": (0,) * d, "unit": unit, "2unit": [2 * x for x in unit],
+             "diag": diag, "2e0": (2,) + (0,) * (d - 1),
+             "e1-e0": (-1, 1) + (0,) * (d - 2), "e1": (0, 1) + (0,) * (d - 2)}
+    return tuple(field.of(x) for x in named[name])
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_RELATION_CASES))
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_relation_builder_spans_every_relation(field, case, data):
+    """The echelon rows of a two-factor space are the reduced basis of the
+    span of (e_i·e_b) ⊗ e_j − e_i ⊗ (e_b·e_j) over every base basis
+    element b and every i, j, computed densely."""
+    A = data.draw(st.sampled_from(pair_relation_algebras(field)))
+    d = A.dim
+    a, b = data.draw(st.tuples(st.sampled_from((0, 1, 2, 3)),
+                               st.sampled_from((0, 1, 2, 3))))
+    diag = (a,) + (0,) * (d - 2) + (b,)
+    names = PAIR_RELATION_CASES[case] + data.draw(st.lists(st.tuples(
+        st.sampled_from(("zero", "unit", "diag", "rand")),
+        st.sampled_from(("zero", "unit", "diag", "rand"))), max_size=2))
+    cols = [[pair_relation_column(data, field, A, name, diag)
+             for name in pair] for pair in names]
+    L = Algebra.from_struct(field, [f"d{k}" for k in range(len(cols))],
+                            {(k, k, k): 1 for k in range(len(cols))},
+                            name="base")
+    right_side, left_side = data.draw(st.tuples(st.sampled_from((PRE, POST)),
+                                                st.sampled_from((PRE, POST))))
+    right = ActionSpec(AlgebraMap(L, A, Matrix.from_cols(
+        field, [c[0] for c in cols], d), ANTI if right_side == PRE else HOM),
+        right_side)
+    left = ActionSpec(AlgebraMap(L, A, Matrix.from_cols(
+        field, [c[1] for c in cols], d), HOM if left_side == PRE else ANTI),
+        left_side)
+
+    def act(action, u, i):
+        if action.side == PRE:
+            return dense_mul_vec(A, u, A.basis_vec(i))
+        return dense_mul_vec(A, A.basis_vec(i), u)
+
+    zero = field.zero
+    relations = []
+    for u_l, u_r in cols:
+        for i in range(d):
+            acted_l = act(right, u_l, i)
+            for j in range(d):
+                acted_r = act(left, u_r, j)
+                rel = [zero] * (d * d)
+                for k in range(d):
+                    rel[k * d + j] += acted_l[k]
+                    rel[i * d + k] -= acted_r[k]
+                relations.append(rel)
+    ech = BalancedTensorSpace([A, A], [Junction(right, left)]).echelon
+    assert tuple(tuple(ech.rows[p].get(c, zero) for c in range(d * d))
+                 for p in ech.pivot_columns()) == \
+        span_basis(field, d * d, relations)
+    assert all(all(row.values()) for row in ech.rows.values())
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from algebroids.exactfield import (
     scaled,
     sparse,
 )
+from algebroids.specfile import SpecError, _scalar
 from dense_reference import (
     coords_in_span,
     dense,
@@ -256,11 +257,17 @@ def test_sparse_echelon_matches_subspace():
 
 @st.composite
 def insert_sequences(draw):
+    """Sparse vectors over QQ or GF(7), a third of them single entries
+    whose coefficient is seldom 1, so monomial pivot rows are stored and
+    single-entry vectors land on them."""
     field = draw(st.sampled_from((QQ, F7)))
     ncols = draw(st.integers(1, 7))
     entries = st.lists(st.tuples(st.integers(0, ncols - 1),
                                  st.integers(-3, 3)), max_size=4)
-    vecs = draw(st.lists(entries, max_size=10))
+    monomials = st.tuples(st.integers(0, ncols - 1),
+                          st.sampled_from((1, -1, 2, 3))).map(lambda e: [e])
+    vecs = draw(st.lists(st.one_of(entries, monomials, monomials),
+                         max_size=10))
     return field, ncols, [{j: field.of(c) for j, c in vec if c}
                           for vec in vecs]
 
@@ -294,7 +301,9 @@ def test_indexed_echelon_is_the_reduced_echelon_form(case):
 @st.composite
 def linear_systems(draw):
     """A matrix over QQ or GF(7), zero-row, wide, tall or square, with a
-    right-hand side of up to three columns."""
+    right-hand side of up to three columns.  About half the rows hold a
+    single entry, seldom 1, so eliminations store and reduce by monomial
+    pivot rows."""
     field = draw(st.sampled_from((QQ, F7)))
     nrows = draw(st.integers(0, 5))
     ncols = draw(st.integers(1, 5))
@@ -302,11 +311,17 @@ def linear_systems(draw):
     # mostly small entries with many zeros, so ranks and kernels vary
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3))
 
+    def row(m):
+        if draw(st.booleans()):
+            out = [0] * m
+            out[draw(st.integers(0, m - 1))] = draw(
+                st.sampled_from((1, -1, 2, 3)))
+            return out
+        return draw(st.lists(entry, min_size=m, max_size=m))
+
     def matrix(n, m):
-        return Matrix(field, n, m, [
-            tuple(field.of(x) for x in draw(st.lists(entry, min_size=m,
-                                                       max_size=m)))
-            for _ in range(n)])
+        return Matrix(field, n, m, [tuple(field.of(x) for x in row(m))
+                                    for _ in range(n)])
 
     return field, matrix(nrows, ncols), matrix(nrows, width)
 
@@ -541,8 +556,42 @@ def test_echelon_skips_explicit_zero_entries(field):
     assert not ech.insert({0: zero, 2: zero})
     assert ech.rank == 1
     ech = SparseEchelon(field, 3)
+    assert not ech.insert({2: zero}) and ech.rank == 0
     ech.insert({0: one})
     assert ech.reduce({0: zero, 2: one}) == {2: one}
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("QQ", "GF7"))
+def test_subspace_reads_explicit_zero_entries_as_absent(field):
+    zero, one = field.zero, field.one
+    u = Subspace.from_vectors(field, 3, [{0: one}])
+    assert u.contains({2: zero}) and u.contains({})
+    assert u.coords_of({0: one, 2: zero}) == {0: one}
+    # a zero at a pivot column gives no zero coordinate
+    assert u.coords_of({0: zero}) == {} == u.coords_of({0: zero, 1: zero})
+    assert not u.contains({0: zero, 1: one})
+    assert u.coords_of({0: zero, 1: one}) is None
+
+
+# the integer fast path of ``RationalField.parse`` against ``Fraction``
+PARSE_TEXTS = ("0", " 1 ", "+1", "-0", "007", "1/2", "1.5", "1_0", "1__0",
+               "_1", "+-1", "", "\u0661")
+
+
+@pytest.mark.parametrize("text", PARSE_TEXTS)
+def test_rational_parse_reads_what_fraction_reads(text):
+    try:
+        want = Fraction(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            QQ.parse(text)
+        assert str(got.value) == str(exc)
+        with pytest.raises(SpecError) as refused:
+            _scalar(QQ, text, "x")
+        assert str(refused.value) == f"x: bad scalar {text!r} ({exc})"
+    else:
+        got = QQ.parse(text)
+        assert type(got) is Fraction and got == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
