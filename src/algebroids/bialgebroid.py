@@ -18,7 +18,8 @@ verifier body serves both chiralities.  A small table (``_LEFT``,
 ``_RIGHT``) says how each side states the axioms: the side the structure
 maps multiply on (s(l)a versus a s(r)), the coproduct leg the source acts
 on, the base letter and leg notation of the certificates, and the id of the
-commuting-images check (``elbim``/``erbim``).  The emit order of the two
+commuting-images check (``elbim``/``erbim``); ``_templates`` writes each
+side's certificate templates from it once.  The emit order of the two
 counit laws follows from the leg table: the law acting on the first leg
 comes first.  The two classes likewise differ only in ``side`` and
 ``mirror``; the junction, ``op``, ``cop`` and ``repr`` are written once.
@@ -35,6 +36,8 @@ verdicts never depend on the stored representative whenever the relevant
 well-definedness checks pass.
 """
 
+from functools import cache
+from itertools import product
 from typing import NamedTuple
 
 from .exactfield import Matrix, require_field
@@ -60,7 +63,7 @@ from .bimodtensor import (
     BalancedTensorSpace,
     mult_at_factor,
 )
-from .report import Report, column_certificates
+from .report import PairNames, Report, column_certificates
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,50 @@ def _juxt(x, y, side):
     return f"{y} {x}" if len(y) == 1 else f"{y}{x}"
 
 
+@cache
+def _templates(ch):
+    """The certificate template of each check of chirality ``ch`` that
+    compares one basis element or pair at a time, by check id, and the
+    counit law of each structure map.  They depend on the side's notation
+    alone, so each is written once per side, not once per verification."""
+    x, legs, side = ch.letter, ch.legs, ch.side
+    other = POST if side == PRE else PRE
+
+    def at_leg(k, text):
+        return "⊗".join(text if n == k else legs[n] for n in (0, 1))
+
+    # (cros) lets each map act from the other side, on the leg the other
+    # map acts on in gamma-*-linear
+    on_leg = {ch.s_leg: "s", 1 - ch.s_leg: "t"}
+    m0, m1 = on_leg[1], on_leg[0]
+    # in pi-mult, c indexes the element of (a, b) whose counit is taken
+    c = 1 if side == PRE else 0
+    acted, counited = "ab"[1 - c], "ab"[c]
+    out = {
+        ch.bim_id:
+            f"{x} = {{}}: s({x})t({x}') = {{}} but t({x}')s({x}) = {{}}",
+        "cros":
+            f"a = {{}}: {at_leg(0, _juxt(f'{m0}({x})', legs[0], other))} "
+            f"= {{}} but {at_leg(1, _juxt(f'{m1}({x})', legs[1], other))} "
+            "= {}",
+    }
+    laws = {}
+    for m, leg in (("s", ch.s_leg), ("t", 1 - ch.s_leg)):
+        act = f"{m}({x})"
+        on = side if m == "s" else other
+        laws[m] = _juxt(f"{m}(π({legs[leg]}))", legs[1 - leg], side)
+        rule = f"π({_juxt(f'{m}(π({counited}))', acted, other)})"
+        out[f"gamma-{m}-linear"] = (
+            f"a = {{}}: γ({_juxt(act, 'a', side)}) = {{}} but "
+            f"{at_leg(leg, _juxt(act, legs[leg], side))} = {{}}")
+        out[f"pi-{m}-linear"] = (
+            f"a = {{}}: π({_juxt(act, 'a', side)}) = {{}} but "
+            f"{_juxt(x, 'π(a)', on)} = {{}}")
+        out[f"counit-{m}"] = f"a = {{}}: {laws[m]} = {{}}"
+        out[f"pi-mult-{m}"] = f"a = {{}}: {rule} = {{}} but π(ab) = {{}}"
+    return out, laws
+
+
 def _verify_bialgebroid(bgd, ch, total_checks):
     """Run every axiom of chirality ``ch`` on the basis; report per identity.
     ``total_checks`` is the ``verify_algebra`` report of the total algebra,
@@ -320,13 +367,12 @@ def _verify_bialgebroid(bgd, ch, total_checks):
     rep = Report(f"{ch.name} bialgebroid {bgd.name}")
     A, B = bgd.total, bgd.base
     d, db = A.dim, B.dim
-    x, legs, side = ch.letter, ch.legs, ch.side
+    side = ch.side
     other = POST if side == PRE else PRE
-    # (name, map, the coproduct leg it acts on in gamma-*-linear)
-    maps = (("s", bgd.s, ch.s_leg), ("t", bgd.t, 1 - ch.s_leg))
-
-    def at_leg(k, text):
-        return "⊗".join(text if n == k else legs[n] for n in (0, 1))
+    templates, laws = _templates(ch)
+    # (name, map, the coproduct leg it acts on in gamma-*-linear, role)
+    maps = (("s", bgd.s, ch.s_leg, "source"),
+            ("t", bgd.t, 1 - ch.s_leg, "target"))
 
     rep.extend(total_checks, prefix="total-")
     rep.extend(verify_algebra(B), prefix="base-")
@@ -334,22 +380,25 @@ def _verify_bialgebroid(bgd, ch, total_checks):
     rep.extend(verify_map(bgd.t), prefix="tgt-")
 
     # the structure maps' columns: the images of the base basis, and the
-    # counit's columns
-    images = {m: amap.matrix.cols for m, amap, _ in maps}
+    # counit's columns; each check runs over the basis pairs of A × L (or
+    # A × R) or of A × A, the second index running fastest
+    images = {m: amap.matrix.cols for m, amap, _, _ in maps}
     counits = bgd.counit.cols
     one = A.field.one
+    by_base = list(product(range(d), range(db)))
+    by_total = list(product(range(d), repeat=2))
+    base_pairs = PairNames(A.basis_names, B.basis_names, ch.letter)
+    total_pairs = PairNames(A.basis_names, A.basis_names, "b")
 
     # (elbim)/(erbim): the images of s and t commute, so the two base
     # actions make A a bimodule.
-    bad = []
-    for i, si in enumerate(images["s"]):
-        for j, tj in enumerate(images["t"]):
-            if A.mul_vec(si, tj) != A.mul_vec(tj, si):
-                bad.append(
-                    f"{x} = {B.basis_names[i]}, {x}' = {B.basis_names[j]}: "
-                    f"s({x})t({x}') = {A.fmt_vec(A.mul_vec(si, tj))} but "
-                    f"t({x}')s({x}) = {A.fmt_vec(A.mul_vec(tj, si))}")
-    rep.add(ch.bim_id, "source and target images commute", not bad, bad)
+    commuting = list(product(images["s"], images["t"]))
+    rep.add(ch.bim_id, "source and target images commute",
+            column_certificates(
+                (A.mul_vec(si, tj) for si, tj in commuting),
+                (A.mul_vec(tj, si) for si, tj in commuting),
+                PairNames(B.basis_names, B.basis_names, f"{ch.letter}'"),
+                A.fmt_vec, templates[ch.bim_id]))
 
     # quotient-valued identities compare canonical representatives: the
     # coproduct of an element is a combination of the canonical columns,
@@ -365,153 +414,102 @@ def _verify_bialgebroid(bgd, ch, total_checks):
 
     # bimodule-map conditions on the coproduct: γ(s(l)a) = s(l)a_(1)⊗a_(2)
     # and γ(t(l)a) = a_(1)⊗t(l)a_(2) on the left, mirrored on the right
-    bad = {"s": [], "t": []}
-    for i in range(d):
-        for j in range(db):
-            for m, _, leg in maps:
-                img = images[m][j]
-                lhs = gamma(side_product(A, img, i, side))
-                rhs = space.normal_form(
-                    mult_at_factor(A, dims, leg, lifts[i], img, side))
-                if lhs != rhs:
-                    act = f"{m}({x})"
-                    bad[m].append(
-                        f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
-                        f"γ({_juxt(act, 'a', side)}) = "
-                        f"{space.fmt(lhs)} but "
-                        f"{at_leg(leg, _juxt(act, legs[leg], side))} = "
-                        f"{space.fmt(rhs)}")
-    rep.add("gamma-s-linear", "coproduct intertwines the source action",
-            not bad["s"], bad["s"])
-    rep.add("gamma-t-linear", "coproduct intertwines the target action",
-            not bad["t"], bad["t"])
+    for m, _, leg, role in maps:
+        img = images[m]
+        cid = f"gamma-{m}-linear"
+        rep.add(cid, f"coproduct intertwines the {role} action",
+                column_certificates(
+                    (gamma(side_product(A, img[j], i, side))
+                     for i, j in by_base),
+                    (space.normal_form(
+                        mult_at_factor(A, dims, leg, lifts[i], img[j], side))
+                     for i, j in by_base),
+                    base_pairs, space.fmt, templates[cid]))
 
-    # (cros): a_(1)t(l)⊗a_(2) = a_(1)⊗a_(2)s(l) on the left: each map acts
-    # from the other side, on the leg the other map acted on above.  The
-    # image of the coproduct commutes across the junction, which is what
-    # makes the multiplicativity test below meaningful on the quotient.
-    on_leg = {leg: m for m, _, leg in maps}
+    # (cros): a_(1)t(l)⊗a_(2) = a_(1)⊗a_(2)s(l) on the left.  The image of
+    # the coproduct commutes across the junction, which is what makes the
+    # multiplicativity test below meaningful on the quotient.
+    on_leg = {leg: m for m, _, leg, _ in maps}
     m0, m1 = on_leg[1], on_leg[0]
-    bad = []
-    for i in range(d):
-        for j in range(db):
-            u = mult_at_factor(A, dims, 0, lifts[i], images[m0][j], other)
-            v = mult_at_factor(A, dims, 1, lifts[i], images[m1][j], other)
-            if not space.equal(u, v):
-                bad.append(
-                    f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
-                    f"{at_leg(0, _juxt(f'{m0}({x})', legs[0], other))} = "
-                    f"{space.fmt(u)} but "
-                    f"{at_leg(1, _juxt(f'{m1}({x})', legs[1], other))} = "
-                    f"{space.fmt(v)}")
-    cros_ok = not bad
-    rep.add("cros", "coproduct image commutes across the junction",
-            cros_ok, bad)
+    bad = column_certificates(
+        (mult_at_factor(A, dims, 0, lifts[i], images[m0][j], other)
+         for i, j in by_base),
+        (mult_at_factor(A, dims, 1, lifts[i], images[m1][j], other)
+         for i, j in by_base),
+        base_pairs, space.fmt, templates["cros"], space.equal)
+    rep.add("cros", "coproduct image commutes across the junction", bad)
 
     # (gmp): multiplicativity of the coproduct, evaluated on canonical
     # representatives (meaningful as a quotient statement when cros holds).
-    note = "" if cros_ok else "evaluated on canonical representatives; cros failed"
-    bad = []
+    note = "evaluated on canonical representatives; cros failed" if bad \
+        else ""
     unit = A.unit
     g1 = gamma(unit)
     u11 = space.normal_form({i * d + j: a * b for i, a in unit.items()
                              for j, b in unit.items()})
-    if g1 != u11:
-        bad.append(f"γ(1) = {space.fmt(g1)} but 1⊗1 = {space.fmt(u11)}")
-    rep.add("gmp-unit", "coproduct preserves the unit", not bad, bad, note=note)
-
-    bad = []
-    for i in range(d):
-        for j in range(d):
-            lhs = gamma(table[i][j])
-            rhs = space.normal_form(
-                tensor_square_product(A, A, lifts[i], lifts[j]))
-            if lhs != rhs:
-                bad.append(
-                    f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                    f"γ(ab) = {space.fmt(lhs)} but γ(a)γ(b) = "
-                    f"{space.fmt(rhs)}")
-    rep.add("gmp", "coproduct is multiplicative", not bad, bad, note=note)
+    rep.add("gmp-unit", "coproduct preserves the unit",
+            [] if g1 == u11
+            else [f"γ(1) = {space.fmt(g1)} but 1⊗1 = {space.fmt(u11)}"],
+            note=note)
+    rep.add("gmp", "coproduct is multiplicative", column_certificates(
+        (gamma(table[i][j]) for i, j in by_total),
+        (space.normal_form(tensor_square_product(A, A, lifts[i], lifts[j]))
+         for i, j in by_total),
+        total_pairs, space.fmt, "a = {}: γ(ab) = {} but γ(a)γ(b) = {}"),
+        note=note)
 
     # coassociativity in the balanced triple power
     triple = bgd.coassoc_space
-    bad = column_certificates(
+    rep.add("coassoc", "coproduct is coassociative", column_certificates(
         (bgd.coproduct_on_leg(w, 0) for w in lifts),
         (bgd.coproduct_on_leg(w, 1) for w in lifts), A.basis_names,
         triple.fmt, "a = {}: (γ⊗id)γ(a) = {} but (id⊗γ)γ(a) = {}",
-        triple.equal)
-    rep.add("coassoc", "coproduct is coassociative", not bad, bad)
+        triple.equal))
 
     # counit bimodule-map conditions: π(s(l)a) = lπ(a) and π(t(l)a) = π(a)l
     # on the left; the base multiplies through s on the structure maps'
     # side and through t on the other
-    bad = {"s": [], "t": []}
-    for i in range(d):
-        pia = counits[i]
-        for j in range(db):
-            bvec = {j: one}
-            for m, _, _ in maps:
-                on = side if m == "s" else other
-                lhs = bgd.counit_apply(side_product(A, images[m][j], i, side))
-                rhs = B.mul_vec(bvec, pia) if on == PRE else B.mul_vec(pia, bvec)
-                if lhs != rhs:
-                    bad[m].append(
-                        f"a = {A.basis_names[i]}, {x} = {B.basis_names[j]}: "
-                        f"π({_juxt(f'{m}({x})', 'a', side)}) = "
-                        f"{B.fmt_vec(lhs)} but {_juxt(x, 'π(a)', on)} = "
-                        f"{B.fmt_vec(rhs)}")
-    rep.add("pi-s-linear", "counit intertwines the source action",
-            not bad["s"], bad["s"])
-    rep.add("pi-t-linear", "counit intertwines the target action",
-            not bad["t"], bad["t"])
+    for m, _, _, role in maps:
+        cid = f"pi-{m}-linear"
+        on = side if m == "s" else other
+        rep.add(cid, f"counit intertwines the {role} action",
+                column_certificates(
+                    (bgd.counit_apply(side_product(A, images[m][j], i, side))
+                     for i, j in by_base),
+                    (B.mul_vec({j: one}, counits[i]) if on == PRE
+                     else B.mul_vec(counits[i], {j: one})
+                     for i, j in by_base),
+                    base_pairs, B.fmt_vec, templates[cid]))
 
     # counit laws: s(π(a_(1)))a_(2) = a = t(π(a_(2)))a_(1) on the left; the
     # law on the first leg is the left counit law and comes first
-    laws = {m: _juxt(f"{m}(π({legs[leg]}))", legs[1 - leg], side)
-            for m, _, leg in maps}
-    through_counit = {m: amap.matrix @ bgd.counit for m, amap, _ in maps}
-    bad = {"s": [], "t": []}
-    for i in range(d):
-        a = {i: one}
-        for m, _, leg in maps:
-            got = contract_leg(A, through_counit[m], lifts[i], leg, side)
-            if got != a:
-                bad[m].append(
-                    f"a = {A.basis_names[i]}: {laws[m]} = {A.fmt_vec(got)}")
-    for m, _, leg in sorted(maps, key=lambda entry: entry[2]):
-        rep.add(f"counit-{m}", f"{('left', 'right')[leg]} counit law "
-                f"{laws[m]} = a", not bad[m], bad[m])
+    for m, amap, leg, _ in sorted(maps, key=lambda entry: entry[2]):
+        through_counit = amap.matrix @ bgd.counit
+        rep.add(f"counit-{m}",
+                f"{('left', 'right')[leg]} counit law {laws[m]} = a",
+                column_certificates(
+                    (contract_leg(A, through_counit, w, leg, side)
+                     for w in lifts),
+                    ({i: one} for i in range(d)), A.basis_names, A.fmt_vec,
+                    templates[f"counit-{m}"]))
 
     # unit/products under the counit
     pi_one = bgd.counit_apply(unit)
-    ok = pi_one == B.unit
-    rep.add("pi-unit", "counit preserves the unit", ok,
-            [] if ok else [f"π(1) = {B.fmt_vec(pi_one)}"])
+    rep.add("pi-unit", "counit preserves the unit",
+            [] if pi_one == B.unit else [f"π(1) = {B.fmt_vec(pi_one)}"])
 
     # π(a s(π(b))) = π(ab) on the left, π(s(π(a))b) = π(ab) on the right;
     # c indexes the element of (a, b) whose counit is taken
     c = 1 if side == PRE else 0
-    acted, counited = "ab"[1 - c], "ab"[c]
-    rules = {m: f"π({_juxt(f'{m}(π({counited}))', acted, other)})"
-             for m, _, _ in maps}
-    bad = {"s": [], "t": []}
-    for i in range(d):
-        for j in range(d):
-            pair = (i, j)
-            pi_c = counits[pair[c]]
-            base_val = bgd.counit_apply(table[i][j])
-            for m, amap, _ in maps:
-                got = bgd.counit_apply(side_product(
-                    A, amap.apply(pi_c), pair[1 - c], other))
-                if got != base_val:
-                    bad[m].append(
-                        f"a = {A.basis_names[i]}, b = {A.basis_names[j]}: "
-                        f"{rules[m]} = {B.fmt_vec(got)} but π(ab) = "
-                        f"{B.fmt_vec(base_val)}")
-    rep.add("pi-mult-s", "counit product rule through the source",
-            not bad["s"], bad["s"])
-    rep.add("pi-mult-t", "counit product rule through the target",
-            not bad["t"], bad["t"])
+    pi_ab = [bgd.counit_apply(table[i][j]) for i, j in by_total]
+    for m, amap, _, role in maps:
+        cid = f"pi-mult-{m}"
+        rep.add(cid, f"counit product rule through the {role}",
+                column_certificates(
+                    (bgd.counit_apply(side_product(
+                        A, amap.apply(counits[pair[c]]), pair[1 - c], other))
+                     for pair in by_total),
+                    pi_ab, total_pairs, B.fmt_vec, templates[cid]))
     return rep
 
 
@@ -572,7 +570,7 @@ def verify_left_morphism(src, tgt, phi_total, phi_base=None):
         bad = column_certificates(
             lhs.cols, rhs.cols, dom.basis_names, cod.fmt_vec,
             f"{x} = {{}}: {ltext} = {{}} but {rtext} = {{}}")
-        rep.add(cid, label, not bad, bad)
+        rep.add(cid, label, bad)
 
     tspace = tgt.tensor_space
     bad = column_certificates(
@@ -581,7 +579,7 @@ def verify_left_morphism(src, tgt, phi_total, phi_base=None):
         A.basis_names, tspace.fmt,
         "a = {}: γ'(Φ(a)) = {} but (Φ⊗Φ)γ(a) = {}", tspace.equal)
     rep.add("mor-coproduct", "γ' ∘ Φ = (Φ⊗Φ) ∘ γ in the target quotient",
-            not bad, bad)
+            bad)
     return rep
 
 

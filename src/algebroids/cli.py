@@ -30,7 +30,7 @@ from .integrallab import (
     ls_antipode,
     nondegeneracy,
 )
-from .report import DEFAULT_CERTIFICATE_LIMIT, Report
+from .report import DEFAULT_CERTIFICATE_LIMIT, Report, column_certificates
 from .specfile import SpecBuilder, SpecError, parse_field
 from .twistlab import (
     apply_twist,
@@ -119,14 +119,14 @@ def cmd_integrals(spec, args):
         spaces[side] = sp
         desc = "; ".join(A.fmt_vec(v) for v in sp.space.sparse_basis()) \
             or "0"
-        rep.add(f"{side}-space", f"{side} integral space", True,
+        rep.add(f"{side}-space", f"{side} integral space",
                 note=f"dimension {sp.dim}: spanned by {desc}")
     declared = sorted(el for el, (alg, _) in spec.elements.items()
                       if spec.algebras[alg] is A)
     for el in declared:
         _, coords = spec.elements[el]
         is_left = spaces[LEFT].contains(coords)
-        rep.add(f"member-{el}", f"{el} is a left integral", is_left,
+        rep.add(f"member-{el}", f"{el} is a left integral",
                 [] if is_left else
                 [f"{A.fmt_vec(A.from_dense(coords))} is not in the left "
                  "integral space"])
@@ -135,7 +135,7 @@ def cmd_integrals(spec, args):
         rep.extend(intpr_equivalences(h, coords), prefix=f"{el}-")
         out = nondegeneracy(h, coords)
         ok = isinstance(out, NondegenerateIntegral)
-        rep.add(f"nd-{el}", f"{el} is nondegenerate", ok,
+        rep.add(f"nd-{el}", f"{el} is nondegenerate",
                 [] if ok else [out.reason])
     if not declared:
         for i, vec in enumerate(spaces[LEFT].basis_vectors()):
@@ -144,7 +144,7 @@ def cmd_integrals(spec, args):
             note = ("nondegenerate" if ok
                     else f"degenerate ({out.reason})")
             rep.add(f"basis-{i}", f"basis integral "
-                    f"{A.fmt_vec(A.from_dense(vec))}", True, note=note)
+                    f"{A.fmt_vec(A.from_dense(vec))}", note=note)
     return rep, None
 
 
@@ -214,15 +214,16 @@ def cmd_twist_recover(spec, args):
     rep = Report(f"twist relating {first} and {second}")
     same_left = h1.lb.same_structure(h2.lb)
     rep.add("recover-shared-left", "both share the left bialgebroid",
-            same_left,
             [] if same_left else ["left structures differ"])
     if not same_left:
         return rep, None
     g, g_inv = recover_twist(h1.lb, h1.S, h2.S)
     rep.extend(verify_twist(h1.lb, h1.S, g, g_inv), prefix="twist-")
-    roundtrip = twisted_antipode(h1.lb, h1.S, g) == h2.S
     rep.add("recover-roundtrip", "S twisted by g equals the second antipode",
-            roundtrip)
+            column_certificates(
+                twisted_antipode(h1.lb, h1.S, g).cols, h2.S.cols,
+                h1.total.basis_names, h1.total.fmt_vec,
+                "a = {}: S_g(a) = {} but S'(a) = {}"))
     b = SpecBuilder(spec.field)
     lb_name = b.add_bialgebroid(h1.lb)
     b.add_functional("recovered-twist", lb_name, g)
@@ -239,13 +240,13 @@ def _integral_prelude(spec, args, command, title):
     el, ell = spec.element_for(h.total, args.integral)
     rep = Report(title.format(nm, el))
     if not integral_space(h, LEFT).contains(ell):
-        rep.add(f"{command}-integral", f"{el} is a left integral", False,
+        rep.add(f"{command}-integral", f"{el} is a left integral",
                 [f"{h.total.fmt_vec(h.total.from_dense(ell))} is not a "
                  "left integral"])
         return nm, h, rep, None
     nd = nondegeneracy(h, ell)
     if isinstance(nd, Degenerate):
-        rep.add(f"{command}-nondegenerate", f"{el} is nondegenerate", False,
+        rep.add(f"{command}-nondegenerate", f"{el} is nondegenerate",
                 [nd.reason])
         return nm, h, rep, None
     return nm, h, rep, nd
@@ -273,7 +274,8 @@ def cmd_wha_decide(spec, args):
     out = wha_decide(h, sep=sep)
     rep = Report(f"weak Hopf decision for {nm}")
     rep.add("wha-verdict", f"decision: {out['verdict']}",
-            out["verdict"] != "not-weak-hopf")
+            [out["report"].failure_line()]
+            if out["verdict"] == "not-weak-hopf" else [])
     rep.extend(out["report"])
     return rep, None
 

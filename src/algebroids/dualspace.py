@@ -303,11 +303,10 @@ def dual_lower_star(lb, name=None):
             for k, c in coords.items():
                 struct[(i, j, k)] = c
     rep.add("dual-closed", "convolution products stay in the dual",
-            not closed_bad, closed_bad)
+            closed_bad)
 
     unit_coords = module.coords(module.unit_matrix())
     rep.add("dual-unit-member", "the counit lies in the dual",
-            unit_coords is not None,
             [] if unit_coords is not None else
             ["π is not a member of the constraint subspace"])
 
@@ -336,8 +335,7 @@ def dual_lower_star(lb, name=None):
         if coords is None:
             member_bad.append(f"t̂({L.basis_names[lidx]}) is not in the dual")
         that_cols.append(coords)
-    rep.add("dual-maps-member", "ŝ and t̂ land in the dual",
-            not member_bad, member_bad)
+    rep.add("dual-maps-member", "ŝ and t̂ land in the dual", member_bad)
     if member_bad:
         return DualBialgebroid(module, ring, None, rep)
 
@@ -353,7 +351,7 @@ def dual_lower_star(lb, name=None):
     pairing, rhs = pairing_system(lb, module)
     sol, kern = pairing.solve_matrix_kernel(rhs)
     rep.add("dual-coproduct-solvable",
-            "the pairing identity for γ̂ has a solution", sol is not None,
+            "the pairing identity for γ̂ has a solution",
             [] if sol is not None else
             ["no γ̂ satisfies ⟨γ̂(φ), a⊗b⟩ = φ(ab)"])
     if sol is None:
@@ -370,7 +368,7 @@ def dual_lower_star(lb, name=None):
             bad.append("a pairing-kernel vector is nonzero in the dual "
                        "tensor square: " + tspace.fmt(row))
     rep.add("dual-coproduct-wd",
-            "γ̂ is unique modulo the dual junction relations", not bad, bad)
+            "γ̂ is unique modulo the dual junction relations", bad)
     return DualBialgebroid(module, ring, rbd, rep)
 
 

@@ -56,7 +56,7 @@ from .bialgebroid import (
     rebased,
     verify_left_morphism,
 )
-from .report import Report, column_certificates
+from .report import PairNames, Report, column_certificates
 
 
 class HopfAlgebroid:
@@ -179,7 +179,7 @@ def verify_hopf(h):
     rep.extend(_verify_bialgebroid(lb, _LEFT, lb_total), prefix="lb-")
     rep.extend(_verify_bialgebroid(rb, _RIGHT, rb_total), prefix="rb-")
 
-    rep.add("same-total", "both bialgebroids live on one algebra", ok,
+    rep.add("same-total", "both bialgebroids live on one algebra",
             [] if ok else ["the two total algebras differ"])
     if not ok:
         return rep
@@ -199,20 +199,20 @@ def verify_hopf(h):
                         for b, v in zip(amap.source.basis_names,
                                         amap.matrix.cols)
                         if not spans[there].contains(v)]
-        rep.add(cid, f"{left[0]}(L) = {right[0]}(R)", not bad, bad)
+        rep.add(cid, f"{left[0]}(L) = {right[0]}(R)", bad)
 
     # the witnessing base anti-isomorphism
     if h.chi is None:
         rep.add("defi-chi", "base anti-isomorphism χ with s_L∘χ = t_R exists",
-                False, ["no linear solution of s_L∘χ = t_R"])
+                ["no linear solution of s_L∘χ = t_R"])
     else:
         rep.extend(verify_map(h.chi), prefix="chi-")
         ok = h.chi.is_bijective()
-        rep.add("chi-bijective", "χ is bijective", ok,
+        rep.add("chi-bijective", "χ is bijective",
                 [] if ok else [f"rank(χ) = {h.chi.matrix.rank()}"])
-        ok = lb.s.matrix @ h.chi.matrix == rb.t.matrix
-        rep.add("defi-chi", "s_L ∘ χ = t_R", ok,
-                [] if ok else ["matrix identity s_L∘χ = t_R fails"])
+        rep.add("defi-chi", "s_L ∘ χ = t_R",
+                [] if lb.s.matrix @ h.chi.matrix == rb.t.matrix
+                else ["matrix identity s_L∘χ = t_R fails"])
 
     # (defii): mixed coassociativity in both mixed triple quotients
     for (first, then), space, lhs, rhs in _mixed_coassociativity(h):
@@ -223,15 +223,15 @@ def verify_hopf(h):
             f"a = {{}}: {lhs_text}(a) = {{}} but {rhs_text}(a) = {{}}",
             space.equal)
         rep.add(f"defii-{first.lower()}{then.lower()}",
-                f"{lhs_text} = {rhs_text}", not bad, bad)
+                f"{lhs_text} = {rhs_text}", bad)
 
     # the antipode is a bijection with the stored inverse
     ok = h.S_inv is not None
-    rep.add("s-bijective", "antipode is bijective", ok,
+    rep.add("s-bijective", "antipode is bijective",
             [] if ok else [f"rank(S) = {h.S.rank()} < {d}"])
     if ok:
         ok = (h.S @ h.S_inv).is_identity() and (h.S_inv @ h.S).is_identity()
-        rep.add("s-inverse", "stored inverse composes to the identity", ok,
+        rep.add("s-inverse", "stored inverse composes to the identity",
                 [] if ok else ["S∘S' or S'∘S is not the identity"])
 
     # (defiii): S(t_L(l) a t_R(r)) = s_R(r) S(a) s_L(l), split in halves.
@@ -245,19 +245,16 @@ def verify_hopf(h):
         away = POST if side == PRE else PRE
         lhs_text = f"S({_juxt(f't_{X}({x})', 'a', side)})"
         rhs_text = _juxt(f"s_{X}({x})", "S(a)", away)
-        bad = []
-        for i in range(d):
-            sa = h.S.cols[i]
-            for name, tx, sx in zip(own.base.basis_names, own.t.matrix.cols,
-                                    own.s.matrix.cols):
-                lhs = h.S.apply(side_product(A, tx, i, side))
-                rhs = A.mul_vec(sx, sa) if away == PRE else A.mul_vec(sa, sx)
-                if lhs != rhs:
-                    bad.append(f"a = {A.basis_names[i]}, {x} = {name}: "
-                               f"{lhs_text} = {A.fmt_vec(lhs)} but "
-                               f"{rhs_text} = {A.fmt_vec(rhs)}")
+        pairs = [(i, tx, sx) for i in range(d)
+                 for tx, sx in zip(own.t.matrix.cols, own.s.matrix.cols)]
+        bad = column_certificates(
+            (h.S.apply(side_product(A, tx, i, side)) for i, tx, _ in pairs),
+            (A.mul_vec(sx, h.S.cols[i]) if away == PRE
+             else A.mul_vec(h.S.cols[i], sx) for i, _, sx in pairs),
+            PairNames(A.basis_names, own.base.basis_names, x), A.fmt_vec,
+            f"a = {{}}: {lhs_text} = {{}} but {rhs_text} = {{}}")
         defiii_ok = defiii_ok and not bad
-        rep.add(f"defiii-{ch.name}", f"{lhs_text} = {rhs_text}", not bad, bad)
+        rep.add(f"defiii-{ch.name}", f"{lhs_text} = {rhs_text}", bad)
 
     # (defiv): S against either coproduct lands on the other counit,
     # S(a_(1))a_(2) = s_R(π_R(a)) and a^(1)S(a^(2)) = s_L(π_L(a)); S acts on
@@ -274,8 +271,7 @@ def verify_hopf(h):
         bad = column_certificates(
             got, (other.s.matrix @ other.counit).cols, A.basis_names,
             A.fmt_vec, f"a = {{}}: {text} = {{}} but {want} = {{}}")
-        rep.add(f"defiv-{ch.name}", f"{text} = {want}", not bad, bad,
-                note=note)
+        rep.add(f"defiv-{ch.name}", f"{text} = {want}", bad, note=note)
     return rep
 
 
@@ -314,7 +310,7 @@ def verify_sisom(h):
     for cid, label, lhs, rhs, dom, x, fmt in identities:
         bad = column_certificates(lhs.cols, rhs.cols, dom.basis_names, fmt,
                                   f"{x} = {{}}: lhs = {{}}, rhs = {{}}")
-        rep.add(cid, label, not bad, bad)
+        rep.add(cid, label, bad)
 
     # the antipode and its inverse, each with the base map and the ids of
     # its coproduct identity (in the right bialgebroid's quotient) and of
@@ -330,7 +326,7 @@ def verify_sisom(h):
             (rb.coproduct_lift(col) for col in m.cols), A.basis_names,
             space.fmt, f"a = {{}}: flip({name}⊗{name})γ_L(a) = {{}} but "
             f"γ_R({name}(a)) = {{}}", space.equal)
-        rep.add(cid, f"flip∘({name}⊗{name})∘γ_L = γ_R∘{name}", not bad, bad)
+        rep.add(cid, f"flip∘({name}⊗{name})∘γ_L = γ_R∘{name}", bad)
     for name, m, base, base_name, _, prefix in antipodes:
         phi = AlgebraMap(A, target.total, m, HOM, name)
         phi_base = AlgebraMap(L, target.base, rb.counit @ base, HOM,
@@ -430,12 +426,12 @@ def _left_antipode_identities(rep, lb, S, notation):
     bad = column_certificates(
         (S @ lb.t.matrix).cols, lb.s.matrix.cols, lb.base.basis_names,
         A.fmt_vec, "l = {}: S(t_L(l)) = {} but s_L(l) = {}")
-    rep.add(first, "S∘t_L = s_L", not bad, bad)
+    rep.add(first, "S∘t_L = s_L", bad)
     got = (contract_leg(A, S, w, 0, PRE) for w in lb.canonical_gamma_lift)
     bad = column_certificates(
         got, (lb.t.matrix @ lb.counit @ S).cols, A.basis_names, A.fmt_vec,
         f"a = {{}}: {lhs} = {{}} but t_L(π_L(S(a))) = {{}}")
-    rep.add(second, label, not bad, bad)
+    rep.add(second, label, bad)
 
 
 def check_luiiv(lb, antipode):
@@ -456,7 +452,7 @@ def check_luiiv(lb, antipode):
 
     rep.extend(verify_map(AlgebraMap(A, A, S, ANTI, "S")), prefix="lui-")
     ok = S_inv is not None
-    rep.add("lui-bijective", "S is bijective", ok,
+    rep.add("lui-bijective", "S is bijective",
             [] if ok else [f"rank(S) = {S.rank()} < {d}"])
     if not ok:
         return rep
@@ -474,12 +470,12 @@ def check_luiiv(lb, antipode):
          for col in S.cols), A.basis_names, space.fmt,
         "a = {}: flip(S⊗S)γ_L(S⁻¹(a)) = {} but "
         "flip(S⁻¹⊗S⁻¹)γ_L(S(a)) = {}", space.equal)
-    rep.add("luiii", "the S- and S⁻¹-conjugate coproducts agree", not bad, bad)
+    rep.add("luiii", "the S- and S⁻¹-conjugate coproducts agree", bad)
 
     # (luiv) premise: candidate crosswise base-image equality
     ok = _column_span(lb.t.matrix) == _column_span(rb.s.matrix)
     rep.add("luiv-wd", "candidate base images match crosswise (t_L(L) = S(s_L(L)))",
-            ok, [] if ok else ["t_L(L) differs from S(s_L(L))"])
+            [] if ok else ["t_L(L) differs from S(s_L(L))"])
 
     names = {"L": "left", "R": "right"}
     for (first, then), space, lhs, rhs in _mixed_coassociativity(h):
@@ -489,7 +485,7 @@ def check_luiiv(lb, antipode):
             f"{names[first]}-{names[then]} triple", space.equal)
         rep.add(f"luiv-{first.lower()}{then.lower()}",
                 f"(γ_{first}⊗id)γ_{then} = (id⊗γ_{then})γ_{first} for the "
-                "candidate", not bad, bad)
+                "candidate", bad)
     return rep
 
 
@@ -508,7 +504,7 @@ def check_lu_axioms(lb, antipode, section=None):
 
     rep.extend(verify_map(AlgebraMap(A, A, S, ANTI, "S")), prefix="lu1-")
     ok = S.inverse() is not None
-    rep.add("lu1-bijective", "S is bijective", ok,
+    rep.add("lu1-bijective", "S is bijective",
             [] if ok else [f"rank(S) = {S.rank()} < {d}"])
     _left_antipode_identities(rep, lb, S, _LU1)
 
@@ -521,7 +517,7 @@ def check_lu_axioms(lb, antipode, section=None):
     # both products compose sparse columns: proj∘ξ column by column, and
     # ξ applied to the quotient coproduct of each basis element
     ok = (space.projection_matrix() @ section).is_identity()
-    rep.add("lu3-section", "ξ is a section of the projection", ok,
+    rep.add("lu3-section", "ξ is a section of the projection",
             [] if ok else ["proj∘ξ differs from the identity"])
 
     bad = column_certificates(
@@ -529,8 +525,7 @@ def check_lu_axioms(lb, antipode, section=None):
          for q in lb.gamma_q.cols), (lb.s.matrix @ lb.counit).cols,
         A.basis_names, A.fmt_vec,
         "a = {}: m(id⊗S)ξγ(a) = {} but s_L(π_L(a)) = {}")
-    rep.add("lu3", "m(id⊗S)ξγ = s_L∘π_L for the chosen section ξ",
-            not bad, bad)
+    rep.add("lu3", "m(id⊗S)ξγ = s_L∘π_L for the chosen section ξ", bad)
     return rep
 
 
@@ -540,10 +535,10 @@ def antipode_uniqueness(h1, h2):
     formula S'(a) = S(a_(1)) s_L(π_L(a_(2)))."""
     rep = Report("antipode uniqueness")
     ok = h1.lb.same_structure(h2.lb)
-    rep.add("same-left-structure", "both share one left bialgebroid", ok,
+    rep.add("same-left-structure", "both share one left bialgebroid",
             [] if ok else ["left bialgebroid data differ"])
     ok2 = h1.rb.same_structure(h2.rb)
-    rep.add("same-right-structure", "both share one right bialgebroid", ok2,
+    rep.add("same-right-structure", "both share one right bialgebroid",
             [] if ok2 else ["right bialgebroid data differ"])
     if not ok:
         return rep
@@ -556,10 +551,9 @@ def antipode_uniqueness(h1, h2):
         (contract_leg(A, h1.S, tensor_apply(ident, s_pi, w), 0, PRE)
          for w in lb.canonical_gamma_lift), h2.S.cols, A.basis_names,
         A.fmt_vec, "a = {}: S(a_(1))s_L(π_L(a_(2))) = {} but S'(a) = {}")
-    rep.add("unique", "S'(a) = S(a_(1))s_L(π_L(a_(2)))", not bad, bad)
-    ok = h1.S == h2.S
-    rep.add("antipodes-equal", "the two antipodes coincide", ok,
-            [] if ok else ["S and S' differ as matrices"])
+    rep.add("unique", "S'(a) = S(a_(1))s_L(π_L(a_(2)))", bad)
+    rep.add("antipodes-equal", "the two antipodes coincide",
+            [] if h1.S == h2.S else ["S and S' differ as matrices"])
     return rep
 
 
@@ -646,19 +640,15 @@ def verify_galois(h):
     # well-definedness: the total-space maps must send domain relations into
     # codomain relations
     for m in maps:
-        bad = []
-        for row in m.dom.echelon.rows.values():
-            img = m.total.apply(row)
-            if not m.cod.is_zero_class(img):
-                bad.append(f"a relation maps to the nonzero class "
-                           f"{m.cod.fmt(img)}")
+        images = (m.total.apply(row) for row in m.dom.echelon.rows.values())
         rep.add(f"{m.name}-wd", f"{m.symbol} kills the domain relations",
-                not bad, bad)
+                [f"a relation maps to the nonzero class {m.cod.fmt(img)}"
+                 for img in images if not m.cod.is_zero_class(img)])
 
     for m in maps:
         rank = m.forward.rank()
         ok = m.dom.dim == m.cod.dim and rank == m.dom.dim
-        rep.add(f"{m.name}-bijective", f"{m.symbol} is bijective", ok,
+        rep.add(f"{m.name}-bijective", f"{m.symbol} is bijective",
                 [] if ok else [f"rank {rank} on domain of dimension "
                                f"{m.dom.dim}, codomain {m.cod.dim}"])
 
@@ -669,7 +659,7 @@ def verify_galois(h):
         ok = ((m.inverse @ m.forward).is_identity()
               and (m.forward @ m.inverse).is_identity())
         rep.add(f"schinvun-{m.name}",
-                f"{formulas[m.name]} is a two-sided inverse of {m.symbol}", ok,
+                f"{formulas[m.name]} is a two-sided inverse of {m.symbol}",
                 [] if ok else [f"composites with {m.symbol} are not both "
                                "the identity"])
     return rep

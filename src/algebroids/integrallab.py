@@ -82,12 +82,6 @@ def _require(ok, message):
         raise PreconditionError(message)
 
 
-def _fail_lines(report):
-    """The first three failing checks of ``report``, as one line."""
-    return "; ".join(f"{chk.check_id}: {chk.label}"
-                     for chk in report.failures()[:3])
-
-
 def _times(algebra, u, x, side):
     """u·x (``pre``) or x·u (``post``)."""
     return algebra.mul_vec(u, x) if side == PRE else algebra.mul_vec(x, u)
@@ -165,8 +159,8 @@ def intpr_equivalences(h, ell):
     iv)  S⁻¹(ℓ) is a right integral;
     v)   S(a)ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ = ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ in A ⊗_R A for all a.
 
-    Each check records its own truth value with counterexample certificates;
-    the final check ``intpr-agree`` asserts the five booleans coincide, which
+    Each check fails exactly when it has counterexample certificates; the
+    final check ``intpr-agree`` asserts the five verdicts coincide, which
     holds for every element — integral or not.
     """
     rep = Report(f"integral characterisations in {h.name}")
@@ -191,7 +185,7 @@ def intpr_equivalences(h, ell):
             (_times(A, vec, amap.apply(col), side)
              for col in bgd.counit.cols),
             A.basis_names, A.fmt_vec, "a = {}: {} ≠ {}")
-        rep.add(cid, label, not bad, bad)
+        rep.add(cid, label, bad)
         values.append(not bad)
 
     space = rb.tensor_space
@@ -202,12 +196,11 @@ def intpr_equivalences(h, ell):
          for i in range(d)),
         A.basis_names, space.fmt,
         "a = {}: S(a)ℓ⁽¹⁾⊗ℓ⁽²⁾ = {} but ℓ⁽¹⁾⊗aℓ⁽²⁾ = {}", space.equal)
-    rep.add("intpr-v", "S(a)ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ ≡ ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ in A ⊗_R A",
-            not bad, bad)
+    rep.add("intpr-v", "S(a)ℓ⁽¹⁾ ⊗ ℓ⁽²⁾ ≡ ℓ⁽¹⁾ ⊗ aℓ⁽²⁾ in A ⊗_R A", bad)
 
     values.append(not bad)
     agree = all(values) or not any(values)
-    rep.add("intpr-agree", "the five characterisations agree", agree,
+    rep.add("intpr-agree", "the five characterisations agree",
             [] if agree else [f"truth vector {values}"])
     return rep
 
@@ -344,17 +337,17 @@ def _nondegeneracy(h, ell, actions):
                               matrix=act.matrix, rank=r)
 
     rep = Report(f"non-degenerate integral in {h.name}")
-    rep.add("nd-ell-r", "ℓ_R : 𝒜* → A is bijective", True, [])
-    rep.add("nd-r-ell", "ᵣℓ : *𝒜 → A is bijective", True, [])
+    rep.add("nd-ell-r", "ℓ_R : 𝒜* → A is bijective")
+    rep.add("nd-r-ell", "ᵣℓ : *𝒜 → A is bijective")
 
     # (fsrinv): ℓ_R⁻¹(a) = λ*↼S(a) and ᵣℓ⁻¹(a) = *λ⇂S⁻¹(a)
     for act, (_, text, _, cid, m, formula) in zip(actions, maps):
-        bad = [f"a = {name}: {text}⁻¹(a) ≠ {''.join(formula)}"
-               for name, col, a in zip(A.basis_names, act.inverse.cols,
-                                       m.cols)
-               if act.module.element(col)
-               != transpose_right(act.element, A, a)]
-        rep.add(cid, f"{text}⁻¹(a) = {' '.join(formula)}", not bad, bad)
+        rep.add(cid, f"{text}⁻¹(a) = {' '.join(formula)}",
+                column_certificates(
+                    (act.module.element(col) for col in act.inverse.cols),
+                    (transpose_right(act.element, A, a) for a in m.cols),
+                    A.basis_names, str,
+                    f"a = {{}}: {text}⁻¹(a) ≠ {''.join(formula)}"))
 
     rint = integral_space(h, RIGHT)
     # Υ_L and ₗΥ: (the left-sided dual, the map's name, how it acts)
@@ -370,8 +363,7 @@ def _nondegeneracy(h, ell, actions):
             if module.dim != d or m.rank() != d:
                 bad.append(f"{text} : φ ↦ {label}{acts}φ has rank "
                            f"{m.rank()} of {d}")
-        rep.add(tag, f"{label} is a non-degenerate right integral",
-                not bad, bad)
+        rep.add(tag, f"{label} is a non-degenerate right integral", bad)
 
     return NondegenerateIntegral(h, ell, actions, rep)
 
@@ -432,7 +424,7 @@ def frobenius_check(nd, h=None):
                     bad.append(f"r = {R.basis_names[ridx]}, "
                                f"a = {A.basis_names[i]}: "
                                + text.format(R.fmt_vec(lhs), R.fmt_vec(rhs)))
-    rep.add("frob-bimodule", "λ* is an R-bimodule map A → R", not bad, bad)
+    rep.add("frob-bimodule", "λ* is an R-bimodule map A → R", bad)
 
     # x ⊗ y runs over e_k ⊗ y_k, y_k the second legs against e_k
     ys = [{} for _ in range(d)]
@@ -448,15 +440,12 @@ def frobenius_check(nd, h=None):
              [({k: one}, y) for k, y in enumerate(ys)], PRE),
             ("frob-right", "Σ s_R(λ*(a x)) · y = a", "Σ s_R(λ*(a x))·y",
              [(y, {k: one}) for k, y in enumerate(ys)], POST)):
-        bad = []
-        for i in range(d):
-            acc = combine((one, _times(A, outer, rb.s.apply(lam.apply(
+        rep.add(cid, label, column_certificates(
+            (combine((one, _times(A, outer, rb.s.apply(lam.apply(
                 side_product(A, inner, i, side))), side))
-                for outer, inner in legs)
-            if acc != {i: one}:
-                bad.append(f"a = {A.basis_names[i]}: {text} = "
-                           f"{A.fmt_vec(acc)}")
-        rep.add(cid, label, not bad, bad)
+                for outer, inner in legs) for i in range(d)),
+            ({i: one} for i in range(d)), A.basis_names, A.fmt_vec,
+            f"a = {{}}: {text} = {{}}"))
     return rep
 
 
@@ -477,7 +466,7 @@ def twap(h, nd):
     amap = AlgebraMap(A, A, m, ANTI, "~S")
     rep = verify_map(amap)
     _require(rep.passed, "~S is not an anti-homomorphism: "
-             + _fail_lines(rep))
+             + rep.failure_line())
     _require(m.rank() == A.dim, "~S is not bijective")
     return amap
 
@@ -504,10 +493,9 @@ def duality_diagram(h, nd):
     d_sl = dual_star_lower(lb)
     d_us = dual_upper_star(rb)
     d_su = dual_star_upper(rb)
-    bad = [f"{dual.module.kind} dual failed: " + _fail_lines(dual.report)
+    bad = [f"{dual.module.kind} dual failed: " + dual.report.failure_line()
            for dual in (d_ls, d_sl, d_us, d_su) if not dual.ok]
-    rep.add("diagram-duals", "all four dual bialgebroids assemble",
-            not bad, bad)
+    rep.add("diagram-duals", "all four dual bialgebroids assemble", bad)
     if bad:
         return rep
 
@@ -517,7 +505,7 @@ def duality_diagram(h, nd):
             ("l-ell-bijective", "ₗℓ : ₍*₎𝒜 → A, φ ↦ ℓ⇂φ is bijective", d_sl)):
         m = dual.module.acting_on(nd.ell)
         ok = dual.module.dim == d and m.rank() == d
-        rep.add(cid, label, ok, [] if ok else [f"rank {m.rank()} of {d}"])
+        rep.add(cid, label, [] if ok else [f"rank {m.rank()} of {d}"])
         actions.append(m)
     if not rep.passed:
         return rep
@@ -550,12 +538,12 @@ def duality_diagram(h, nd):
                    prefix=f"{label}-")
         ok = total.rank() == total.nrows == total.ncols
         rep.add(f"{label}-bijective", f"the {label} arrow is bijective",
-                ok, [] if ok else [f"rank {total.rank()}"])
+                [] if ok else [f"rank {total.rank()}"])
 
     lhs = mats["bottom"] @ mats["left"]
     rhs = mats["right"] @ mats["top"]
     rep.add("diagram-commutes",
-            "bottom ∘ left = right ∘ top as matrices", lhs == rhs,
+            "bottom ∘ left = right ∘ top as matrices",
             [] if lhs == rhs else ["the square does not commute"])
     return rep
 
@@ -581,7 +569,7 @@ def dual_hopf_algebroid(h, nd, name=None):
     lb, A = h.lb, h.total
     dual = dual_lower_star(lb, name=name or f"{h.name}_*")
     _require(dual.ok, "the lower-star dual did not assemble: "
-             + _fail_lines(dual.report))
+             + dual.report.failure_line())
     kappa = nd.kappa
     cols = []
     for moved in dual.module.acting_on(nd.ell).cols:
@@ -596,7 +584,7 @@ def dual_hopf_algebroid(h, nd, name=None):
 
     rep = verify_hopf(hd)
     _require(rep.passed, "the dual Hopf algebroid failed verification: "
-             + _fail_lines(rep))
+             + rep.failure_line())
 
     kc = dual.module.coords(kappa)
     _require(kc is not None, "κ is not a member of the dual ring")
@@ -666,14 +654,13 @@ def weak_dual_iso(w, h, nd):
     rep.extend(verify_weak_hopf(what), prefix="dual-")
     hhat, rep_hat = weak_hopf_to_hopf_algebroid(what)
     rep.add("dual-algebroid", "the dual weak Hopf algebra induces a Hopf "
-            "algebroid", hhat is not None and rep_hat.passed,
-            [] if hhat is not None else [_fail_lines(rep_hat)])
+            "algebroid", [] if rep_hat.passed else [rep_hat.failure_line()])
     if not rep.passed:
         return rep
 
     dual = dual_lower_star(lb)
-    rep.add("dual-assembles", "the lower-star dual assembles", dual.ok,
-            [] if dual.ok else [_fail_lines(dual.report)])
+    rep.add("dual-assembles", "the lower-star dual assembles",
+            [] if dual.ok else [dual.report.failure_line()])
     if not dual.ok:
         return rep
 
@@ -681,7 +668,7 @@ def weak_dual_iso(w, h, nd):
     cols = [(eps_on_l @ phi).sparse_rows()[0] for phi in dual.module.basis]
     phi_total = Matrix.from_sparse_cols(field, cols, d)
     ok = dual.module.dim == d and phi_total.rank() == d
-    rep.add("dualiso-bijective", "Φ(ψ) = ε∘ψ is bijective onto Ĥ", ok,
+    rep.add("dualiso-bijective", "Φ(ψ) = ε∘ψ is bijective onto Ĥ",
             [] if ok else [f"rank {phi_total.rank()} of {d}"])
     if not ok:
         return rep
@@ -701,7 +688,7 @@ def weak_dual_iso(w, h, nd):
             coords = {}
         base_cols.append(coords)
     rep.add("dualiso-base-lands", "φ(l) = ε₍1₎ε₍2₎(l) lands in Ĥ's right "
-            "base", not bad, bad)
+            "base", bad)
     phi_base = Matrix.from_sparse_cols(field, base_cols, hhat.rb.base.dim)
 
     rep.extend(verify_right_morphism(dual.bgd, hhat.rb, phi_total, phi_base),
@@ -724,7 +711,7 @@ def weak_dual_iso(w, h, nd):
             sep = cand
             break
     rep.add("dualiso-separability", "the separability structure transports "
-            "to the dual's base", sep is not None,
+            "to the dual's base",
             [] if sep is not None else
             ["neither orientation verifies on the opposite base"])
     if sep is None:
@@ -734,20 +721,18 @@ def weak_dual_iso(w, h, nd):
     ok = decided["verdict"] in ("exact", "twistable") \
         and decided["report"].passed
     rep.add("dualiso-wha", "a twist of S₍*₎ makes the dual ring a weak "
-            "Hopf algebra", ok,
+            "Hopf algebra",
             [] if ok else [f"verdict {decided['verdict']}"])
     if not ok:
         return rep
     wd = decided["weak_hopf"]
 
-    bad = []
-    for j in range(d):
-        lhs = what.delta.apply(phi_total.cols[j])
-        rhs = tensor_apply(phi_total, phi_total, wd.delta.cols[j])
-        if lhs != rhs:
-            bad.append(f"basis functional {j}: Δ̂(Φ(ψ)) ≠ (Φ⊗Φ)Δ(ψ)")
     rep.add("dualiso-wha-coproduct", "Φ intertwines the coproducts",
-            not bad, bad)
+            column_certificates(
+                (what.delta.apply(col) for col in phi_total.cols),
+                (tensor_apply(phi_total, phi_total, col)
+                 for col in wd.delta.cols),
+                range(d), str, "basis functional {}: Δ̂(Φ(ψ)) ≠ (Φ⊗Φ)Δ(ψ)"))
 
     def functional(row):
         # a functional on wd's algebra, in the dual basis of its basis
@@ -757,13 +742,13 @@ def weak_dual_iso(w, h, nd):
 
     lhs = what.counit @ phi_total
     rep.add("dualiso-wha-counit", "Φ intertwines the counits",
-            lhs == wd.counit, [] if lhs == wd.counit else
+            [] if lhs == wd.counit else
             [f"ε̂∘Φ = {functional(lhs)} but ε = {functional(wd.counit)}"])
 
     lhs = what.antipode @ phi_total
     rhs = phi_total @ wd.antipode
     rep.add("dualiso-wha-antipode", "Φ intertwines the antipodes",
-            lhs == rhs, [] if lhs == rhs else ["Ŝ∘Φ ≠ Φ∘S"])
+            [] if lhs == rhs else ["Ŝ∘Φ ≠ Φ∘S"])
     return rep
 
 
@@ -835,7 +820,7 @@ def _verify_bgdnd(rb, ell, title, notation):
 
     for (cid, label, failure), act in zip(notation.bijective, actions):
         ok = act.element is not None
-        rep.add(cid, label, ok,
+        rep.add(cid, label,
                 [] if ok else [failure.format(dim=act.module.dim,
                                               rank=act.matrix.rank(), d=d)])
 
@@ -856,7 +841,7 @@ def _verify_bgdnd(rb, ell, title, notation):
             (_on_leg(A.left_mult_matrix(col), 1 - leg, lift)
              for col in m.cols),
             A.basis_names, space.fmt, "a = {}: " + certificate, space.equal)
-        rep.add(cid, label, not bad, bad)
+        rep.add(cid, label, bad)
     return rep, actions, moved
 
 
@@ -899,7 +884,7 @@ def lac_check(rb, k_elem):
             (amap.matrix @ kap).cols,
             A.basis_names, A.fmt_vec,
             f"a = {{}}: {acts} = {{}} ≠ {lands} = {{}}")
-        rep.add(cid, label, not bad, bad)
+        rep.add(cid, label, bad)
     return rep
 
 
@@ -929,7 +914,7 @@ def _ls(rb, ell, notation):
     and refused in ``notation``."""
     pre, actions, moved = _verify_bgdnd(rb, ell, "", notation)
     if not pre.passed:
-        refused = ValueError(notation.refusal + _fail_lines(pre))
+        refused = ValueError(notation.refusal + pre.failure_line())
         refused.report = pre
         raise refused
     A = rb.total
@@ -970,7 +955,7 @@ def _ls(rb, ell, notation):
 
     rep = verify_hopf(h)
     _require(rep.passed, "the reconstructed Hopf algebroid failed "
-             "verification: " + _fail_lines(rep))
+             "verification: " + rep.failure_line())
     # h.rb is rb itself, so the precondition's dual data is h's
     nd = _nondegeneracy(h, ell, actions)
     _require(isinstance(nd, NondegenerateIntegral) and nd.ok,
@@ -1035,10 +1020,9 @@ def double_dual_evaluation(h, nd):
     # the dual is refused unless κ is a non-degenerate integral of it
     hd = dual_hopf_algebroid(h, nd)
     rep.add("dd-dual-integral", "κ is a non-degenerate integral of the "
-            "dual", True, [])
+            "dual")
     hdd = dual_hopf_algebroid(hd, hd.decided["kappa_nd"])
-    rep.add("dd-assembles", "the double dual assembles and verifies",
-            True, [])
+    rep.add("dd-assembles", "the double dual assembles and verifies")
     # the lower-star duals whose bases S₍*₎ and the double dual are written in
     module = hd.decided["dual"].module
     module2 = hdd.decided["dual"].module
@@ -1057,13 +1041,13 @@ def double_dual_evaluation(h, nd):
                        "functional leaves the constraint subspace")
         cols.append(coords)
     rep.add("dd-member", "φ ↦ S₍*₎(φ)(S(a)) lies in the double-dual module",
-            not bad, bad)
+            bad)
     if bad:
         return rep
 
     phi_total = Matrix.from_sparse_cols(field, cols, module2.dim)
     ok = module2.dim == d and phi_total.rank() == d
-    rep.add("dd-bijective", "the twisted evaluation is bijective", ok,
+    rep.add("dd-bijective", "the twisted evaluation is bijective",
             [] if ok else [f"rank {phi_total.rank()} of {d}, "
                            f"dim {module2.dim}"])
     if not ok:

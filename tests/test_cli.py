@@ -389,6 +389,27 @@ def test_twist_recover_compares_coproducts_in_the_quotient(capsys, tmp_path):
         ["1", "1", "0", "0"], ["0", "0", "1", "1"]]
 
 
+def test_twist_recover_lists_where_the_antipodes_differ(capsys, tmp_path,
+                                                       kz2):
+    # the second assembly swaps 1 and g: g = π_L∘S⁻¹∘S′ = π_L is the unit
+    # of the lower-star dual, so S_g = S, and both basis elements are
+    # counterexamples to the roundtrip
+    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]], 2)
+    b = SpecBuilder(QQ)
+    b.add_hopf(kz2, name="kz2")
+    b.add_hopf(HopfAlgebroid(kz2.lb, kz2.rb, swap), name="swapped")
+    p = tmp_path / "swapped.spec"
+    p.write_text(b.emit())
+    code, _, err = run(capsys, "twist", "recover", str(p))
+    assert code == 1
+    lines = err.splitlines()
+    at = lines.index("  [FAIL] recover-roundtrip: S twisted by g equals the "
+                     "second antipode")
+    assert lines[at + 1:] == [
+        "         counterexample: a = 1: S_g(a) = 1 but S'(a) = g",
+        "         counterexample: a = g: S_g(a) = g but S'(a) = 1"]
+
+
 # where the spec path goes in a parametrized argv
 SPEC = object()
 
@@ -468,6 +489,21 @@ def test_wha_decide_kz2(capsys):
     code, out, _ = run(capsys, "wha-decide", KZ2)
     assert code == 0
     assert "decision: exact" in out
+
+
+def test_wha_decide_not_weak_hopf_names_the_failing_check(capsys, tmp_path):
+    # a singular antipode, its inverse given explicitly: ψ∘π_L∘S = (1, 0)
+    # is no unit of the dual convolution algebra k × k
+    doc = json.loads(Path(KZ2).read_text(encoding="utf-8"))
+    doc["hopf_algebroids"]["kz2"]["antipode"] = [["1", "0"], ["0", "0"]]
+    p = tmp_path / "singular.spec"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "wha-decide", str(p))
+    assert code == 1
+    assert out.splitlines()[1:3] == [
+        "  [FAIL] wha-verdict: decision: not-weak-hopf",
+        "         counterexample: decide-invertible: ψ∘π_L∘S is invertible "
+        "in Â"]
 
 
 def test_wha_decide_rescaled_base_decides_like_kz2(capsys, tmp_path):
@@ -595,8 +631,8 @@ def test_negative_certificate_limit_is_a_usage_error(capsys, value):
 
 def test_emit_report_matches_to_dict():
     rep = Report("demo")
-    rep.add("a", "first", True)
-    rep.add("b", "second", False, ["bad"])
+    rep.add("a", "first")
+    rep.add("b", "second", ["bad"])
     doc = json.loads(emit_report(rep, "structured"))
     assert doc["schema"] == "algebroid-report/1"
     assert [c["id"] for c in doc["checks"]] == ["a", "b"]

@@ -6,9 +6,10 @@ non-vanishing minor (Laplace expansion), never touching the row-reduction
 code under test.  ``SparseEchelon`` and everything ``Matrix`` and
 ``Subspace`` read from it are compared with the dense Gauss–Jordan loop of
 ``dense_reference``, which shares no code with the engine.  ``combine``,
-``scaled``, ``Matrix.apply`` and ``@`` meet the dense sums on zero-term,
-one-term and longer sums, with coefficients 0, 1, -1, 2 and 1/2, and each
-result must be a new, zero-free dict.
+``scaled``, ``Matrix.apply``, ``@``, ``+`` and ``-`` meet the dense sums
+on zero-term, one-term and longer sums, columns that cancel included, with
+coefficients 0, 1, -1, 2 and 1/2, and each result must be a new, zero-free
+dict.
 """
 
 import operator
@@ -425,6 +426,12 @@ def test_sparse_column_matrix_matches_dense_rows(case):
 
     assert mat.apply(sparse(vec)) == sparse(dense_apply(field, rows, vec))
 
+    # ``against`` cancels every even column of ``mat`` under +, and the
+    # even rows of its odd columns; ``twin`` does the same under -
+    against = tuple(tuple(-a if j % 2 == 0 or i % 2 == 0 else b
+                          for j, (a, b) in enumerate(zip(r, o)))
+                    for i, (r, o) in enumerate(zip(rows, other)))
+    twin = tuple(tuple(-a for a in r) for r in against)
     results = {
         "matmul": (mat @ Matrix(field, m, k, right),
                    dense_matmul(field, rows, right, m, k)),
@@ -433,6 +440,10 @@ def test_sparse_column_matrix_matches_dense_rows(case):
         "sub": (mat - Matrix(field, n, m, other),
                 dense_combine(rows, other, lambda a, b: a - b)),
         "sub-self": (mat - mat, tuple((zero,) * m for _ in range(n))),
+        "add-cancel": (mat + Matrix(field, n, m, against),
+                       dense_combine(rows, against, lambda a, b: a + b)),
+        "sub-cancel": (mat - Matrix(field, n, m, twin),
+                       dense_combine(rows, twin, lambda a, b: a - b)),
         "neg": (-mat, tuple(tuple(-a for a in r) for r in rows)),
         "scale": (mat.scale(c), tuple(tuple(c * a for a in r)
                                       for r in rows)),

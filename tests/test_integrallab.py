@@ -588,7 +588,8 @@ def test_weak_dual_iso_stops_where_its_premises_fail():
                               W.counit, W.antipode)
     rep = weak_dual_iso(shifted, h, nd)
     assert rep.checks[-1].check_id == "dual-algebroid"
-    assert not rep.checks[-1].ok
+    _, rep_hat = weak_hopf_to_hopf_algebroid(dual_weak_hopf(shifted))
+    assert rep.checks[-1].certificates == [rep_hat.failure_line()] != [""]
     lb = h.lb
     bad_lb = LeftBialgebroid(lb.total, lb.base, lb.s, lb.t,
                              _perturb(lb.gamma_lift, 0, 2, QQ.one), lb.counit)
@@ -606,29 +607,46 @@ def test_weak_dual_iso_stops_where_its_premises_fail():
     assert not rep.find("dualiso-mor-src").ok
 
 
-def test_weak_dual_iso_counit_certificate_names_the_functionals(
-        monkeypatch):
-    # the decided weak Hopf algebra with its counit doubled: only the counit
-    # square fails, and both functionals are printed in the dual basis
+def _weak_dual_iso_with_decided(monkeypatch, delta=1, counit=1):
+    """``weak_dual_iso`` on k[Z2] with the coproduct and the counit of the
+    weak Hopf algebra decided on the dual ring scaled by ``delta`` and
+    ``counit``."""
     import algebroids.integrallab as integrallab
     import algebroids.twistlab as twistlab
     decide = twistlab.wha_decide
 
-    def doubled_counit(hd, sep=None):
+    def scaled(hd, sep=None):
         out = decide(hd, sep=sep)
         w = out["weak_hopf"]
         out["weak_hopf"] = twistlab.WeakHopfAlgebra(
-            w.algebra, w.delta, w.counit.scale(QQ.of(2)), w.antipode)
+            w.algebra, w.delta.scale(QQ.of(delta)),
+            w.counit.scale(QQ.of(counit)), w.antipode)
         return out
 
-    monkeypatch.setattr(integrallab, "wha_decide", doubled_counit)
+    monkeypatch.setattr(integrallab, "wha_decide", scaled)
     W = group_weak_hopf(FiniteGroup.cyclic(2), QQ)
     h, _ = weak_hopf_to_hopf_algebroid(W)
-    nd = nondegeneracy(h, (QQ.one, QQ.one))
-    out = weak_dual_iso(W, h, nd)
+    return weak_dual_iso(W, h, nondegeneracy(h, (QQ.one, QQ.one)))
+
+
+def test_weak_dual_iso_counit_certificate_names_the_functionals(
+        monkeypatch):
+    # the decided weak Hopf algebra with its counit doubled: only the counit
+    # square fails, and both functionals are printed in the dual basis
+    out = _weak_dual_iso_with_decided(monkeypatch, counit=2)
     assert [c.check_id for c in out.failures()] == ["dualiso-wha-counit"]
     assert out.find("dualiso-wha-counit").certificates == [
         "ε̂∘Φ = f0^ but ε = 2*f0^"]
+
+
+def test_weak_dual_iso_coproduct_certificate_names_the_functionals(
+        monkeypatch):
+    # the decided weak Hopf algebra with its coproduct doubled: only the
+    # coproduct square fails, on every basis functional
+    out = _weak_dual_iso_with_decided(monkeypatch, delta=2)
+    assert [c.check_id for c in out.failures()] == ["dualiso-wha-coproduct"]
+    assert out.find("dualiso-wha-coproduct").certificates == [
+        f"basis functional {j}: Δ̂(Φ(ψ)) ≠ (Φ⊗Φ)Δ(ψ)" for j in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

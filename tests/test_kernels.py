@@ -116,7 +116,7 @@ def unit_vector_verify_algebra(A):
             bad.append(f"1*{A.basis_names[i]} != {A.basis_names[i]}")
         if dense_mul(A, e[i], unit) != e[i]:
             bad.append(f"{A.basis_names[i]}*1 != {A.basis_names[i]}")
-    rep.add("unit", "two-sided unit law on basis", not bad, bad)
+    rep.add("unit", "two-sided unit law on basis", bad)
     bad = []
     for i in range(d):
         for j in range(d):
@@ -129,7 +129,7 @@ def unit_vector_verify_algebra(A):
                     bad.append(
                         f"({ni}*{nj})*{nk} = {A.fmt_vec(sparse(lhs))} but "
                         f"{ni}*({nj}*{nk}) = {A.fmt_vec(sparse(rhs))}")
-    rep.add("assoc", "associativity on basis triples", not bad, bad)
+    rep.add("assoc", "associativity on basis triples", bad)
     return rep
 
 
@@ -142,7 +142,7 @@ def unit_vector_verify_map(f):
 
     img_one = apply(dense(src.field, src.dim, src.unit))
     ok = img_one == dense(tgt.field, tgt.dim, tgt.unit)
-    rep.add("map-unit", f"{f.name}(1) = 1", ok,
+    rep.add("map-unit", f"{f.name}(1) = 1",
             [] if ok else [f"{f.name}(1) = {tgt.fmt_vec(sparse(img_one))}"])
     e = [unit_vector(src.field, src.dim, i) for i in range(src.dim)]
     bad = []
@@ -157,7 +157,7 @@ def unit_vector_verify_map(f):
                     f"{f.name}({ni}*{nj}) = {tgt.fmt_vec(sparse(lhs))} but "
                     f"expected {tgt.fmt_vec(sparse(rhs))}")
     word = "multiplicative" if f.kind == HOM else "anti-multiplicative"
-    rep.add("map-mult", f"{f.name} is {word} on basis pairs", not bad, bad)
+    rep.add("map-mult", f"{f.name} is {word} on basis pairs", bad)
     return rep
 
 
