@@ -107,6 +107,7 @@ from .catalog import (
     matrix_algebra,
     pair_groupoid_hopf_algebroid,
     pair_groupoid_weak_hopf,
+    sweedler_hopf_algebra,
 )
 from .specfile import (
     SpecBuilder,

@@ -275,6 +275,35 @@ def function_algebra_hopf(group, field, name=None):
     return _scalar_base_hopf(A, gamma, counit, _inversion(group, field))
 
 
+def sweedler_hopf_algebra(field, name="H4"):
+    """Sweedler's 4-dimensional Hopf algebra on the basis 1, g, x, gx:
+    g² = 1, x² = 0, xg = −gx, Δg = g⊗g, Δx = x⊗1 + g⊗x, ε(g) = 1,
+    ε(x) = 0, and the antipode S(x) = −gx, S(gx) = x, which is not an
+    involution.  The right-handed structure is reconstructed from S.
+    A field with −1 = 1 is refused: there x would be central and S
+    involutive."""
+    one, zero = field.one, field.zero
+    if one + one == zero:
+        raise ValueError("Sweedler's Hopf algebra needs a field with -1 != 1")
+    # e_0 = 1, e_1 = g, e_2 = x, e_3 = gx
+    struct = {(0, j, j): one for j in range(4)}
+    struct.update({(1, 0, 1): one, (1, 1, 0): one, (1, 2, 3): one,
+                   (1, 3, 2): one, (2, 0, 2): one, (2, 1, 3): -one,
+                   (3, 0, 3): one, (3, 1, 2): -one})
+    A = Algebra.from_struct(field, ["1", "g", "x", "gx"], struct,
+                            unit={0: one}, name=name)
+    # Δ(gx) = ΔgΔx = gx⊗g + 1⊗gx; the index of e_i ⊗ e_j is 4i + j
+    gamma = Matrix.from_sparse_cols(
+        field, [{0: one}, {5: one}, {8: one, 6: one}, {13: one, 3: one}],
+        16)
+    counit = Matrix.from_rows(field, [(one, one, zero, zero)], 4)
+    S = Matrix.from_sparse_cols(
+        field, [{0: one}, {1: one}, {3: -one}, {2: one}], 4)
+    h = reconstruct_right(_scalar_base_hopf(A, gamma, counit, S).lb, S)
+    h.name = name
+    return h
+
+
 # ---------------------------------------------------------------------------
 # weak Hopf algebras
 
