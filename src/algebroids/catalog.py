@@ -185,7 +185,7 @@ def _scalar_base_hopf(A, gamma, counit, antipode):
     k = scalar_base(field)
     inc = AlgebraMap(k, A, Matrix.from_sparse_cols(field, [A.unit], A.dim),
                      HOM, "s")
-    inct = inc.with_kind(ANTI)
+    inct = inc.with_kind(ANTI, "t")
     lb = LeftBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_L")
     rb = RightBialgebroid(A, k, inc, inct, gamma, counit, name=f"{A.name}_R")
     return HopfAlgebroid(lb, rb, antipode, name=A.name)
@@ -242,7 +242,7 @@ def pair_groupoid_hopf_algebroid(n, field, name=None):
     s_cols = [{n * i + i: field.one} for i in range(n)]
     smap = AlgebraMap(L, A, Matrix.from_sparse_cols(field, s_cols, d), HOM,
                       "s")
-    tmap = smap.with_kind(ANTI)
+    tmap = smap.with_kind(ANTI, "t")
     gamma = _diagonal_coproduct(field, d)
     piL_rows = [tuple(field.one if idx // n == i else field.zero
                       for idx in range(d)) for i in range(n)]

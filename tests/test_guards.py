@@ -182,7 +182,7 @@ def test_guard_refuses_malformed_input(case):
 REPRS = {
     "algebra": (lambda: A, "Algebra('k[Z2]', dim 2 over QQ)"),
     "algebra-map": (lambda: LB.s, "s: k → k[Z2]"),
-    "algebra-map-anti": (lambda: LB.t, "s: k →(anti) k[Z2]"),
+    "algebra-map-anti": (lambda: LB.t, "t: k →(anti) k[Z2]"),
     "bialgebroid": (lambda: LB, "LeftBialgebroid('k[Z2]_L': k[Z2] over k)"),
     "tensor-space": (lambda: LB.tensor_space,
                      "BalancedTensorSpace(2 factors, total 4, quotient dim 4)"),
