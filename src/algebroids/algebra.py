@@ -46,6 +46,7 @@ class Algebra:
         self.table = table
         self.unit = unit
         self.name = name
+        self._op = None
 
     # -- construction -------------------------------------------------------
 
@@ -170,14 +171,15 @@ class Algebra:
 
 
 def opposite(algebra):
-    """The opposite algebra: same space, reversed multiplication."""
-    table = tuple(tuple(algebra.table[j][i] for j in range(algebra.dim))
-                  for i in range(algebra.dim))
-    if algebra.name.endswith("^op"):
-        name = algebra.name[:-3]
-    else:
-        name = algebra.name + "^op"
-    return Algebra(algebra.field, algebra.basis_names, table, algebra.unit, name)
+    """The opposite algebra: same space, reversed multiplication, built
+    once; its opposite is ``algebra``.  Its name drops or appends ``^op``."""
+    if algebra._op is None:
+        name = algebra.name
+        algebra._op = Algebra(
+            algebra.field, algebra.basis_names, tuple(zip(*algebra.table)),
+            algebra.unit, name[:-3] if name.endswith("^op") else name + "^op")
+        algebra._op._op = algebra
+    return algebra._op
 
 
 def side_product(algebra, u, i, side):
@@ -325,11 +327,10 @@ class AlgebraMap:
         return AlgebraMap(self.source, opp_target, self.matrix, kind,
                           self.name)
 
-    def from_opposite_source(self, opp_source=None):
+    def from_opposite_source(self):
         """The same linear map viewed from the opposite source algebra."""
-        src = opp_source if opp_source is not None else opposite(self.source)
-        kind = ANTI if self.kind == HOM else HOM
-        return AlgebraMap(src, self.target, self.matrix, kind, self.name)
+        return AlgebraMap(opposite(self.source), self.target, self.matrix,
+                          ANTI if self.kind == HOM else HOM, self.name)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraMap)

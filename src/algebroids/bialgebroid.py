@@ -123,6 +123,9 @@ class _BialgebroidBase:
         self._gamma_q = None
         self._canon_lift = None
         self._junction = None
+        # op() fills _op; an opposite reads its _source's quotients
+        self._op = None
+        self._source = None
 
     @property
     def field(self):
@@ -132,8 +135,9 @@ class _BialgebroidBase:
     def tensor_space(self):
         """The balanced tensor square the coproduct lands in (cached)."""
         if self._space is None:
-            self._space = BalancedTensorSpace([self.total, self.total],
-                                              [self.junction()])
+            self._space = self._source.tensor_space if self._source else \
+                BalancedTensorSpace([self.total, self.total],
+                                    [self.junction()])
         return self._space
 
     @property
@@ -141,8 +145,9 @@ class _BialgebroidBase:
         """The balanced triple power for the coassociativity check (cached),
         built on ``tensor_space``."""
         if self._triple is None:
-            self._triple = BalancedTensorSpace(
-                [self.tensor_space, self.total], [self.junction()])
+            self._triple = self._source.coassoc_space if self._source else \
+                BalancedTensorSpace([self.tensor_space, self.total],
+                                    [self.junction()])
         return self._triple
 
     @property
@@ -151,9 +156,10 @@ class _BialgebroidBase:
         column reduced from the sparse column of ``gamma_lift``."""
         if self._gamma_q is None:
             space = self.tensor_space
-            self._gamma_q = Matrix.from_sparse_cols(
-                self.field, [space.coords(col)
-                             for col in self.gamma_lift.cols], space.dim)
+            self._gamma_q = self._source.gamma_q if self._source else \
+                Matrix.from_sparse_cols(self.field, [
+                    space.coords(col) for col in self.gamma_lift.cols],
+                    space.dim)
         return self._gamma_q
 
     @property
@@ -163,8 +169,9 @@ class _BialgebroidBase:
         the free columns (cached)."""
         if self._canon_lift is None:
             free = self.tensor_space.free_cols
-            self._canon_lift = tuple({free[f]: q[f] for f in sorted(q)}
-                                     for q in self.gamma_q.cols)
+            self._canon_lift = self._source.canonical_gamma_lift \
+                if self._source else tuple({free[f]: q[f] for f in sorted(q)}
+                                           for q in self.gamma_q.cols)
         return self._canon_lift
 
     def coproduct_lift(self, vec):
@@ -204,21 +211,27 @@ class _BialgebroidBase:
 
     def op(self):
         """The opposite structure: the mirror chirality on A^op over the
-        same base, with source and target exchanged."""
-        aop = opposite(self.total)
-        return self.mirror(
-            aop, self.base,
-            self.t.into_opposite(aop), self.s.into_opposite(aop),
-            self.gamma_lift, self.counit, name=f"{self.name}^op")
+        same base, with source and target exchanged, built once; its
+        opposite is this structure.  Pre-multiplication in A^op is
+        post-multiplication in A, so the junction relations and coproduct
+        lift are the same, and the opposite reads its tensor square, triple,
+        ``gamma_q`` and canonical lift from this structure."""
+        if self._op is None:
+            aop = opposite(self.total)
+            self._op = self.mirror(
+                aop, self.base,
+                self.t.into_opposite(aop), self.s.into_opposite(aop),
+                self.gamma_lift, self.counit, name=f"{self.name}^op")
+            self._op._op = self._op._source = self
+        return self._op
 
     def cop(self):
         """The co-opposite structure: the same chirality on A over the
         opposite base, with source and target exchanged and the coproduct
-        legs swapped."""
-        bop = opposite(self.base)
+        legs swapped.  It builds its own quotients."""
         return type(self)(
-            self.total, bop,
-            self.t.from_opposite_source(bop), self.s.from_opposite_source(bop),
+            self.total, opposite(self.base),
+            self.t.from_opposite_source(), self.s.from_opposite_source(),
             self._flipped_gamma(), self.counit, name=f"{self.name}_cop")
 
     def __repr__(self):
@@ -234,20 +247,6 @@ class _BialgebroidBase:
             and self.base == other.base and self.s == other.s
             and self.t == other.t and self.counit == other.counit
             and self.gamma_q == other.gamma_q)
-
-    def shared_op(self):
-        """``op()``, reusing this structure's quotients.
-
-        Pre-multiplication in A^op is post-multiplication in A, so the
-        opposite has the same junction relations and the same coproduct
-        lift: its balanced tensor powers and canonical coproduct are this
-        structure's, and building them again would repeat the same
-        elimination.
-        """
-        op = self.op()
-        op._space, op._gamma_q = self.tensor_space, self.gamma_q
-        op._canon_lift, op._triple = self.canonical_gamma_lift, self._triple
-        return op
 
 
 class LeftBialgebroid(_BialgebroidBase):
@@ -272,20 +271,13 @@ LeftBialgebroid.mirror = RightBialgebroid
 RightBialgebroid.mirror = LeftBialgebroid
 
 
-def rebased(bgd, base, name, total=None, side=None):
-    """``bgd`` with s and t declared anew as maps from ``base`` into
-    ``total`` (by default its own total algebra).
-
-    The new objects must carry the structure constants of the old ones, as
-    a double opposite does, so only the labels change.  ``side`` renames
-    the maps s_side and t_side; by default they keep their names.
-    """
-    total = bgd.total if total is None else total
-    names = ((bgd.s.name, bgd.t.name) if side is None
-             else (f"s_{side}", f"t_{side}"))
-    s, t = (AlgebraMap(base, total, amap.matrix, amap.kind, label)
-            for amap, label in zip((bgd.s, bgd.t), names))
-    return type(bgd)(total, base, s, t, bgd.gamma_lift, bgd.counit,
+def rebased(bgd, name, side=None):
+    """``bgd`` built anew under ``name``; ``side`` renames its maps s_side
+    and t_side, which by default keep their names."""
+    s, t = ((bgd.s, bgd.t) if side is None
+            else (amap.with_kind(amap.kind, f"{m}_{side}")
+                  for amap, m in ((bgd.s, "s"), (bgd.t, "t"))))
+    return type(bgd)(bgd.total, bgd.base, s, t, bgd.gamma_lift, bgd.counit,
                      name=name)
 
 
@@ -585,7 +577,7 @@ def verify_left_morphism(src, tgt, phi_total, phi_base=None):
 
 def verify_right_morphism(src, tgt, phi_total, phi_base=None):
     """Check a morphism of right bialgebroids by passing to the opposites."""
-    src_op, tgt_op = src.shared_op(), tgt.shared_op()
+    src_op, tgt_op = src.op(), tgt.op()
     if isinstance(phi_total, AlgebraMap):
         phi_mat = phi_total.matrix
     else:

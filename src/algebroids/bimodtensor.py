@@ -200,12 +200,14 @@ def _separability_steps(junctions):
     junction and the right action of the next multiply from the same side
     and their images do not commute (for a bialgebroid's coassociativity
     triple, (elbim)), so a step need not keep the next junction's
-    relations."""
+    relations.  Sides compare in one frame: post-multiplication in A^op is
+    pre-multiplication in A (A^op == A only where A is commutative)."""
     steps = [junc.projection_step() for junc in junctions]
     if None in steps:
         return None
     for before, after in zip(junctions, junctions[1:]):
-        if before.left.side == after.right.side and \
+        same_frame = before.left.total == after.right.total
+        if (before.left.side == after.right.side) == same_frame and \
                 not _images_commute(before.left.amap, after.right.amap):
             return None
     return steps

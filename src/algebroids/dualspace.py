@@ -432,15 +432,15 @@ def dual_star_lower(lb, name=None):
 
     The co-opposite of the parent turns the star-lower constraint and
     convolution into lower-star ones in the same factor order, so the inner
-    construction is reused verbatim; a final co-opposite (relabelled back
-    onto the original base, which the double opposite equals) restores the
+    construction is reused verbatim; a final co-opposite (over the
+    original base, which the double opposite is, and renamed) restores the
     star-lower coproduct orientation.  That orientation is pinned
     operationally: with it, the four arrows of the duality square are
     bialgebroid isomorphisms on every catalog example.
     """
     name = name or f"{lb.name}_{{*}}"
     return _derived(dual_lower_star(lb.cop(), name=name), lb, STAR_LOWER,
-                    lambda inner: rebased(inner.cop(), lb.base, name))
+                    lambda inner: rebased(inner.cop(), name))
 
 
 def dual_upper_star(rb, name=None):
@@ -461,10 +461,10 @@ def dual_star_upper(rb, name=None):
     """The star-upper dual of a right bialgebroid: a left bialgebroid over
     the same base, reached through the opposite co-opposite.
 
-    As with the star-lower dual, a final co-opposite (relabelled onto the
-    original base) fixes the coproduct orientation so the duality square's
-    arrows are honest bialgebroid morphisms.
+    As with the star-lower dual, a final co-opposite (over the original
+    base, and renamed) fixes the coproduct orientation so the duality
+    square's arrows are honest bialgebroid morphisms.
     """
     name = name or f"^*{rb.name}"
     return _derived(dual_lower_star(rb.op().cop(), name=name), rb, STAR_UPPER,
-                    lambda inner: rebased(inner.op().cop(), rb.base, name))
+                    lambda inner: rebased(inner.op().cop(), name))

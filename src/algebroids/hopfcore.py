@@ -381,26 +381,24 @@ def reconstruct_left(rb, antipode, antipode_inv=None):
     S_inv = antipode_inv if antipode_inv is not None else antipode.inverse()
     if S_inv is None:
         raise ValueError("antipode must be invertible to reconstruct")
-    mirror = reconstruct_right(rb.shared_op(), S_inv, antipode)
+    mirror = reconstruct_right(rb.op(), S_inv, antipode)
     return from_opposite(mirror, rb)
 
 
 def from_opposite(mirror, given):
     """The opposite of ``mirror``, a Hopf algebroid built from
-    ``given.op()``, rebuilt around the caller's own bialgebroid.
+    ``given.op()``, around the caller's own bialgebroid.
 
-    ``mirror.op()`` holds a copy of ``given`` on a double-opposite algebra
-    under a suffixed name; keep ``given`` itself instead, move the other
-    side onto ``given``'s total algebra under the names a direct
-    construction gives it, and keep χ pointing from the right base to the
-    left base.
+    ``mirror.op()`` holds ``given`` itself, the opposite of its opposite,
+    and the other side on ``given``'s total algebra; give that side the
+    names a direct construction gives it, and keep χ pointing from the
+    right base to the left base.
     """
     h = mirror.op()
     left = isinstance(given, RightBialgebroid)
     built, side, suffix = ((h.lb, "L", "_left") if left
                            else (h.rb, "R", "_right"))
-    new = rebased(built, built.base, f"{given.name}{suffix}",
-                  total=given.total, side=side)
+    new = rebased(built, f"{given.name}{suffix}", side=side)
     lb, rb = (new, given) if left else (given, new)
     chi = AlgebraMap(rb.base, lb.base, h.chi.matrix, ANTI, "χ")
     return HopfAlgebroid(lb, rb, h.S, h.S_inv, base_antiiso=chi,

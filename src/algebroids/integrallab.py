@@ -975,7 +975,7 @@ def verify_bgdnd_right(lb, upsilon):
     This is ``verify_bgdnd`` on the opposite right bialgebroid, where ℓ_R
     and ᵣℓ are Υ_L and ₗΥ and its (sb) and (sf) are these (sf) and (sb).
     """
-    return _verify_bgdnd(lb.shared_op(), lb.total.from_dense(upsilon),
+    return _verify_bgdnd(lb.op(), lb.total.from_dense(upsilon),
                          f"right-integral non-degeneracy in {lb.name}",
                          _ON_LEFT)[0]
 
@@ -990,8 +990,8 @@ def ls_right(lb, upsilon, name=None):
     bialgebroid by reconstruction.  This is ``ls_antipode`` on the opposite
     right bialgebroid (whose antipode is S⁻¹), read back onto ``lb``.
     """
-    h = from_opposite(_ls(lb.shared_op(), lb.total.from_dense(upsilon),
-                          _ON_LEFT), lb)
+    h = from_opposite(_ls(lb.op(), lb.total.from_dense(upsilon), _ON_LEFT),
+                      lb)
     if name:
         h.name = name
     return h

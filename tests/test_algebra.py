@@ -104,6 +104,17 @@ def test_opposite_involution(m2):
     assert v == {0: one}
 
 
+def test_opposite_is_built_once_and_undoes_itself(m2):
+    A = m2.total
+    aop = opposite(A)
+    assert opposite(A) is aop and opposite(aop) is A
+    assert (aop.name, opposite(aop).name) == ("M2^op", "M2")
+    # a parsed k^op keeps its name: its opposite is k, and back again
+    kop = Algebra.from_struct(QQ, ["1"], {(0, 0, 0): one}, name="k^op")
+    assert opposite(kop).name == "k"
+    assert opposite(opposite(kop)) is kop
+
+
 def test_mult_matrices_agree_with_mul(m2):
     A = m2.total
     rng = random.Random(5)
@@ -211,8 +222,9 @@ def test_into_opposite_and_back(m2):
     sop = s.into_opposite(opposite(A))
     assert sop.kind == ANTI
     assert sop.matrix.rows == s.matrix.rows
-    back = sop.from_opposite_source(opposite(s.source))
+    back = sop.from_opposite_source()
     assert back.kind == HOM
+    assert back.source is opposite(s.source)
 
 
 # ---------------------------------------------------------------------------

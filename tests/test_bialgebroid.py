@@ -75,6 +75,29 @@ def test_op_is_involutive():
         _assert_same_structure(op.op(), bgd)
 
 
+def test_the_opposite_of_the_opposite_is_the_structure_itself():
+    for name, side in CHIRALITIES:
+        bgd = getattr(FIXTURES[name], side)
+        assert bgd.op() is bgd.op(), (name, side)
+        assert bgd.op().op() is bgd, (name, side)
+
+
+def test_an_opposite_reads_its_sources_quotients():
+    """An opposite's tensor square, triple, coproduct coordinates and
+    canonical lift are its source's objects, also when the opposite asks
+    for them first; the co-opposite builds its own."""
+    attrs = ("tensor_space", "coassoc_space", "gamma_q",
+             "canonical_gamma_lift")
+    for name, side in CHIRALITIES:
+        # a co-opposite's co-opposite has nothing built yet
+        bgd = getattr(FIXTURES[name], side).cop().cop()
+        op, cop = bgd.op(), bgd.cop()
+        for attr in attrs:
+            assert getattr(op, attr) is getattr(bgd, attr), (name, attr)
+            assert getattr(cop, attr) is not getattr(bgd, attr), \
+                (name, attr)
+
+
 def test_cop_is_involutive():
     for name, side in CHIRALITIES:
         bgd = getattr(FIXTURES[name], side)

@@ -561,6 +561,39 @@ def test_fallback_decides_by_the_echelon(field, name, data):
                                  if c not in ref.rows)
 
 
+def non_commuting_left(field):
+    """A left bialgebroid's structure maps on M₂ over k², s(dᵢ) = eᵢᵢ,
+    t(d1) = e11 + e12 and t(d2) = e22 − e12, whose images do not commute;
+    the coproduct and counit are zero, since only junctions are read."""
+    A, L = matrix_algebra(field)
+    s = images(field, L, A, [(1, 0, 0, 0), (0, 0, 0, 1)], HOM)
+    t = images(field, L, A, [(1, 1, 0, 0), (0, -1, 0, 1)], ANTI)
+    return LeftBialgebroid(A, L, s, t, Matrix.from_sparse_cols(
+        field, [{}] * 4, 16), Matrix.from_sparse_cols(field, [{}] * 4, 2))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_triple_across_two_frames_decides_like_its_echelon(field, data):
+    """The tensor square of a left bialgebroid on A with its opposite's
+    junction on A^op after it: the two actions that meet on the middle
+    factor both multiply from the front in A, and their images do not
+    commute, so P does not decide.  ``is_zero_class`` agrees with the
+    normal form, which is the one of the same-frame triple."""
+    lb = non_commuting_left(field)
+    mixed = BalancedTensorSpace([lb.tensor_space, opposite(lb.total)],
+                                [lb.op().junction()])
+    assert mixed.separability_projection({0: field.one}) is None
+    for _ in range(3):
+        v = data.draw(sparse_vectors(field, mixed.total_dim))
+        nf = mixed.normal_form(v)
+        assert nf == lb.coassoc_space.normal_form(v)
+        assert mixed.is_zero_class(v) == (not nf)
+        relation = combine(((field.one, v), (-field.one, nf)))
+        assert mixed.is_zero_class(relation)
+
+
 # the echelon of a triple is built only for a certificate
 
 GOLDEN_LIB = Path(__file__).resolve().parent / "golden" / "lib"
