@@ -224,6 +224,8 @@ def cmd_twist_recover(spec, args):
                 twisted_antipode(h1.lb, h1.S, g).cols, h2.S.cols,
                 h1.total.basis_names, h1.total.fmt_vec,
                 "a = {}: S_g(a) = {} but S'(a) = {}"))
+    if not rep.passed:
+        return rep, None
     b = SpecBuilder(spec.field)
     lb_name = b.add_bialgebroid(h1.lb)
     b.add_functional("recovered-twist", lb_name, g)

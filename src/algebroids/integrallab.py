@@ -352,7 +352,7 @@ def _nondegeneracy(h, ell, actions):
     rint = integral_space(h, RIGHT)
     # Υ_L and ₗΥ: (the left-sided dual, the map's name, how it acts)
     lefts = ((DualModule(lb, LOWER_STAR), "Υ_L", "↼"),
-             (DualModule(lb, STAR_LOWER), "_LΥ", "⇂"))
+             (DualModule(lb, STAR_LOWER), "ₗΥ", "⇂"))
     for tag, label, vec in (("nd-s-ell", "S(ℓ)", h.S.apply(ell)),
                             ("nd-s-inv-ell", "S⁻¹(ℓ)", h.S_inv.apply(ell))):
         bad = []

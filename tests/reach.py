@@ -7,6 +7,14 @@ A statement is an AST statement that carries bytecode (a docstring or a
 bare ``else:`` does not); a compound statement counts by its header lines
 alone, so an ``if`` that ran whose body did not is listed by its body.
 
+A comprehension, generator expression or lambda is a unit of its own: its
+line runs whenever the statement around it runs, even when it never
+produces anything.  Its frames are traced opcode by opcode until the
+instruction that produces runs once (``LIST_APPEND``, ``SET_ADD``,
+``MAP_ADD``, ``YIELD_VALUE``, or a lambda's ``RETURN_VALUE``).  A unit
+whose line ran but whose producing instruction never did is listed as
+``path:line: <listcomp> never produced: source``.
+
 pytest does not collect this file.  Run it from the repository root; any
 arguments go to pytest in place of the default ``-q tests``:
 
@@ -17,6 +25,7 @@ may report their runtime ceilings exceeded; their statements still run.
 """
 
 import ast
+import dis
 import os
 import sys
 import threading
@@ -34,6 +43,34 @@ def code_lines(code):
         if hasattr(const, "co_lines"):
             lines |= code_lines(const)
     return lines
+
+
+# the instruction that produces, by the name of a unit's code object
+PRODUCES = {"<listcomp>": "LIST_APPEND", "<setcomp>": "SET_ADD",
+            "<dictcomp>": "MAP_ADD", "<genexpr>": "YIELD_VALUE",
+            "<lambda>": "RETURN_VALUE"}
+
+
+def unit_key(code):
+    """The same key for a unit's code object however often its file is
+    compiled: name, first line and the positions of every instruction."""
+    return code.co_name, code.co_firstlineno, tuple(code.co_positions())
+
+
+def producing_offsets(code):
+    """The offsets of the producing instruction of a unit's code object."""
+    op = PRODUCES[code.co_name]
+    return {ins.offset for ins in dis.get_instructions(code)
+            if ins.opname == op}
+
+
+def units(code):
+    """The keys and first lines of the units nested in ``code``."""
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            if const.co_name in PRODUCES:
+                yield unit_key(const), const.co_firstlineno
+            yield from units(const)
 
 
 def statements(path):
@@ -59,23 +96,35 @@ def statements(path):
 
 
 def run_traced(args):
-    """Run pytest with ``args`` under the tracer; return its exit status and
-    the executed lines of each file under ``SRC``."""
+    """Run pytest with ``args`` under the tracer; return its exit status,
+    the executed lines of each file under ``SRC`` and the keys of the units
+    that produced."""
     import pytest
 
     prefix = str(SRC) + os.sep
     executed = {}
+    produced = set()
+    keys = {}      # id of a unit's code object -> (its key, its offsets)
 
     def tracer(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(prefix):
+        code = frame.f_code
+        if not code.co_filename.startswith(prefix):
             return None
-        lines = executed.setdefault(filename, set())
+        lines = executed.setdefault(code.co_filename, set())
         lines.add(frame.f_lineno)
+        unit = None
+        if code.co_name in PRODUCES:
+            if id(code) not in keys:
+                keys[id(code)] = (unit_key(code), producing_offsets(code))
+            unit = keys[id(code)]
+            frame.f_trace_opcodes = unit[0] not in produced
 
         def local(frame, event, arg):
             if event == "line":
                 lines.add(frame.f_lineno)
+            elif event == "opcode" and frame.f_lasti in unit[1]:
+                produced.add(unit[0])
+                frame.f_trace_opcodes = False
             return local
         return local
 
@@ -86,25 +135,34 @@ def run_traced(args):
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return status, executed
+    return status, executed, produced
 
 
 def main(argv):
     sys.path.insert(0, str(SRC.parent))
     os.chdir(ROOT)
-    status, executed = run_traced(argv or ["-q", "-p", "no:cacheprovider",
-                                           "tests"])
-    missed = 0
+    status, executed, produced = run_traced(
+        argv or ["-q", "-p", "no:cacheprovider", "tests"])
+    missed = idle = 0
     for path in sorted(SRC.rglob("*.py")):
         ran = executed.get(str(path), set())
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for first, header in statements(path):
-            if not header & ran:
-                missed += 1
-                print(f"{path.relative_to(ROOT)}:{first}: "
-                      f"{lines[first - 1].strip()}")
-    print(f"{missed} statements never executed (pytest exit status "
-          f"{int(status)})")
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        found = [(first, "") for first, header in statements(path)
+                 if not header & ran]
+        missed += len(found)
+        # a unit inside a statement that never ran is listed by the statement
+        idle_units = [(first, f"{key[0]} never produced: ")
+                      for key, first in units(compile(source, str(path),
+                                                      "exec"))
+                      if first in ran and key not in produced]
+        idle += len(idle_units)
+        for first, what in sorted(found + idle_units):
+            print(f"{path.relative_to(ROOT)}:{first}: {what}"
+                  f"{lines[first - 1].strip()}")
+    print(f"{missed} statements never executed, {idle} comprehensions, "
+          f"generator expressions and lambdas never produced (pytest exit "
+          f"status {int(status)})")
     return 0
 
 

@@ -393,21 +393,28 @@ def test_twist_recover_lists_where_the_antipodes_differ(capsys, tmp_path,
                                                        kz2):
     # the second assembly swaps 1 and g: g = π_L∘S⁻¹∘S′ = π_L is the unit
     # of the lower-star dual, so S_g = S, and both basis elements are
-    # counterexamples to the roundtrip
+    # counterexamples to the roundtrip; a failed report emits no spec, so
+    # the report goes to stdout and nothing else is written
     swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]], 2)
     b = SpecBuilder(QQ)
     b.add_hopf(kz2, name="kz2")
     b.add_hopf(HopfAlgebroid(kz2.lb, kz2.rb, swap), name="swapped")
     p = tmp_path / "swapped.spec"
     p.write_text(b.emit())
-    code, _, err = run(capsys, "twist", "recover", str(p))
-    assert code == 1
-    lines = err.splitlines()
+    code, out, err = run(capsys, "twist", "recover", str(p))
+    assert code == 1 and err == ""
+    lines = out.splitlines()
     at = lines.index("  [FAIL] recover-roundtrip: S twisted by g equals the "
                      "second antipode")
     assert lines[at + 1:] == [
         "         counterexample: a = 1: S_g(a) = 1 but S'(a) = g",
         "         counterexample: a = g: S_g(a) = g but S'(a) = 1"]
+    assert "recovered-twist" not in out
+    target = tmp_path / "recovered.spec"
+    code, again, _ = run(capsys, "twist", "recover", str(p),
+                         "--out", str(target))
+    assert code == 1 and again == out
+    assert not target.exists()
 
 
 # where the spec path goes in a parametrized argv

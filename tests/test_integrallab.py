@@ -305,7 +305,7 @@ def test_nondegeneracy_certifies_a_degenerate_right_integral(m2):
         "fsrinv-upper", "fsrinv-star", "nd-s-ell"]
     assert rep.find("nd-s-ell").certificates == [
         "Υ_L : φ ↦ S(ℓ)↼φ has rank 2 of 4",
-        "_LΥ : φ ↦ S(ℓ)⇂φ has rank 2 of 4"]
+        "ₗΥ : φ ↦ S(ℓ)⇂φ has rank 2 of 4"]
 
 
 def test_nondegeneracy_rejects_non_integral(kz2):
