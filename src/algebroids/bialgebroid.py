@@ -23,6 +23,8 @@ side's certificate templates from it once.  The emit order of the two
 counit laws follows from the leg table: the law acting on the first leg
 comes first.  The two classes likewise differ only in ``side`` and
 ``mirror``; the junction, ``op``, ``cop`` and ``repr`` are written once.
+``op`` is built once and undoes itself, and an opposite reads its
+quotients from the structure it was taken from.
 
 Coproducts are given as a chosen linear lift into the plain tensor square,
 a d² × d matrix ``gamma_lift`` held by its sparse columns.  From it each
