@@ -317,15 +317,10 @@ class AlgebraMap:
         return AlgebraMap(self.source, self.target, self.matrix, kind,
                           name or self.name)
 
-    def into_opposite(self, opp_target):
-        """The same linear map viewed into ``opp_target``, the opposite of
-        the target algebra.
-
-        Multiplicative maps become anti-multiplicative and vice versa.
-        """
-        kind = ANTI if self.kind == HOM else HOM
-        return AlgebraMap(self.source, opp_target, self.matrix, kind,
-                          self.name)
+    def into_opposite(self):
+        """The same linear map viewed into the opposite target algebra."""
+        return AlgebraMap(self.source, opposite(self.target), self.matrix,
+                          ANTI if self.kind == HOM else HOM, self.name)
 
     def from_opposite_source(self):
         """The same linear map viewed from the opposite source algebra."""

@@ -24,7 +24,7 @@ counit laws follows from the leg table: the law acting on the first leg
 comes first.  The two classes likewise differ only in ``side`` and
 ``mirror``; the junction, ``op``, ``cop`` and ``repr`` are written once.
 ``op`` is built once and undoes itself, and an opposite reads its
-quotients from the structure it was taken from.
+junction and quotients from the structure it was taken from.
 
 Coproducts are given as a chosen linear lift into the plain tensor square,
 a d² × d matrix ``gamma_lift`` held by its sparse columns.  From it each
@@ -202,13 +202,13 @@ class _BialgebroidBase:
 
     def junction(self):
         """The junction of the balanced tensor powers (cached, so that every
-        space built on it shares its projection step).  Both maps act from
-        ``side``: t on the first factor and s on the second on the left,
-        s then t on the right."""
+        space built on it shares its projection step; an opposite's is its
+        source's).  Both maps act from ``side``: t on the first factor and s
+        on the second on the left, s then t on the right."""
         if self._junction is None:
             maps = (self.t, self.s) if self.side == PRE else (self.s, self.t)
-            self._junction = Junction(*(ActionSpec(m, self.side)
-                                        for m in maps))
+            self._junction = self._source.junction() if self._source else \
+                Junction(*(ActionSpec(m, self.side) for m in maps))
         return self._junction
 
     def op(self):
@@ -216,14 +216,13 @@ class _BialgebroidBase:
         same base, with source and target exchanged, built once; its
         opposite is this structure.  Pre-multiplication in A^op is
         post-multiplication in A, so the junction relations and coproduct
-        lift are the same, and the opposite reads its tensor square, triple,
-        ``gamma_q`` and canonical lift from this structure."""
+        lift are the same, and the opposite reads its junction, tensor
+        square, triple, ``gamma_q`` and canonical lift from this one."""
         if self._op is None:
-            aop = opposite(self.total)
             self._op = self.mirror(
-                aop, self.base,
-                self.t.into_opposite(aop), self.s.into_opposite(aop),
-                self.gamma_lift, self.counit, name=f"{self.name}^op")
+                opposite(self.total), self.base, self.t.into_opposite(),
+                self.s.into_opposite(), self.gamma_lift, self.counit,
+                name=f"{self.name}^op")
             self._op._op = self._op._source = self
         return self._op
 
@@ -271,16 +270,6 @@ class RightBialgebroid(_BialgebroidBase):
 
 LeftBialgebroid.mirror = RightBialgebroid
 RightBialgebroid.mirror = LeftBialgebroid
-
-
-def rebased(bgd, name, side=None):
-    """``bgd`` built anew under ``name``; ``side`` renames its maps s_side
-    and t_side, which by default keep their names."""
-    s, t = ((bgd.s, bgd.t) if side is None
-            else (amap.with_kind(amap.kind, f"{m}_{side}")
-                  for amap, m in ((bgd.s, "s"), (bgd.t, "t"))))
-    return type(bgd)(bgd.total, bgd.base, s, t, bgd.gamma_lift, bgd.counit,
-                     name=name)
 
 
 # ---------------------------------------------------------------------------

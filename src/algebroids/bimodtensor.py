@@ -133,13 +133,6 @@ class Junction:
                           and _junction_step(self, sep.idempotent()))
         return self._step or None
 
-    def same_actions(self, other):
-        """True iff ``other`` acts through the same structure maps on the
-        same sides, so that both junctions have the same relations."""
-        return all(a.amap is b.amap and a.side == b.side
-                   for a, b in ((self.right, other.right),
-                                (self.left, other.left)))
-
 
 def mult_at_factor(algebra, dims, p, vec, elem, side):
     """Multiply tensor factor ``p`` of the sparse vector ``vec`` by a fixed
@@ -313,8 +306,9 @@ class BalancedTensorSpace:
         staged space eliminates them once in the coordinates of the last
         two factors, then stages only that echelon basis at each leading
         index: offsetting and staging are linear, so the span is the same.
-        When the head is the two-factor quotient of the same junction, as
-        for a coassociativity triple, its echelon is that pair echelon.
+        When the head is the two-factor quotient of the same junction
+        object, as for a coassociativity triple (an opposite's junction is
+        its source's), its echelon is that pair echelon.
         """
         if not self.junctions:
             return
@@ -322,7 +316,7 @@ class BalancedTensorSpace:
         dl, dr = self.dims[-2:]
         head = self.head
         if head is not None and head.head is None \
-                and head.junctions[0].same_actions(junc):
+                and head.junctions[0] is junc:
             # the head is this junction's own pair quotient
             pair = head.echelon
         else:

@@ -32,8 +32,7 @@ formulas swap their factors.
 from .exactfield import Matrix
 from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, nonzero,
                       side_product, verify_algebra)
-from .bialgebroid import (LeftBialgebroid, RightBialgebroid, contract_leg,
-                          rebased)
+from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
 from .bimodtensor import PRE, POST
 from .report import Report
 
@@ -418,11 +417,12 @@ def pairing_system(lb, module):
 def _derived(inner, bgd, kind, back):
     """The ``kind`` dual of ``bgd`` from ``inner``, the lower-star dual of
     its opposite or co-opposite, whose constraint space it shares;
-    ``back`` carries inner's bialgebroid back."""
+    ``back`` carries inner's bialgebroid back, under inner's name."""
     module = DualModule(bgd, kind, inner.module.space)
     if inner.bgd is None:
         return DualBialgebroid(module, inner.ring, None, inner.report)
     outer = back(inner.bgd)
+    outer.name = inner.bgd.name
     return DualBialgebroid(module, outer.total, outer, inner.report)
 
 
@@ -440,7 +440,7 @@ def dual_star_lower(lb, name=None):
     """
     name = name or f"{lb.name}_{{*}}"
     return _derived(dual_lower_star(lb.cop(), name=name), lb, STAR_LOWER,
-                    lambda inner: rebased(inner.cop(), name))
+                    lambda inner: inner.cop())
 
 
 def dual_upper_star(rb, name=None):
@@ -467,4 +467,4 @@ def dual_star_upper(rb, name=None):
     """
     name = name or f"^*{rb.name}"
     return _derived(dual_lower_star(rb.op().cop(), name=name), rb, STAR_UPPER,
-                    lambda inner: rebased(inner.op().cop(), name))
+                    lambda inner: inner.op().cop())

@@ -53,7 +53,6 @@ from .bialgebroid import (
     _juxt,
     _verify_bialgebroid,
     contract_leg,
-    rebased,
     verify_left_morphism,
 )
 from .report import PairNames, Report, column_certificates
@@ -121,10 +120,13 @@ class HopfAlgebroid:
         return AlgebraMap(self.total, self.total, self.S, ANTI, "S")
 
     def op(self):
-        """Opposite Hopf algebroid on A^op, with the roles of the sides swapped."""
+        """Opposite Hopf algebroid on A^op, with the roles of the sides
+        swapped; it takes over the mixed triples built so far, swapped."""
         chi_op = self.chi.inverse() if self.chi is not None else None
-        return HopfAlgebroid(self.rb.op(), self.lb.op(), self.S_inv, self.S,
-                             base_antiiso=chi_op, name=f"{self.name}^op")
+        h = HopfAlgebroid(self.rb.op(), self.lb.op(), self.S_inv, self.S,
+                          base_antiiso=chi_op, name=f"{self.name}^op")
+        h._llr, h._rrl = self._rrl, self._llr
+        return h
 
     def cop(self):
         """Co-opposite Hopf algebroid: both coproducts flipped, bases opposed."""
@@ -390,19 +392,19 @@ def from_opposite(mirror, given):
     ``given.op()``, around the caller's own bialgebroid.
 
     ``mirror.op()`` holds ``given`` itself, the opposite of its opposite,
-    and the other side on ``given``'s total algebra; give that side the
-    names a direct construction gives it, and keep χ pointing from the
-    right base to the left base.
+    and the other side on ``given``'s total algebra, which reads its
+    quotients from ``mirror``; that side, its maps, χ and the result are
+    renamed in place as a direct construction names them.
     """
     h = mirror.op()
     left = isinstance(given, RightBialgebroid)
     built, side, suffix = ((h.lb, "L", "_left") if left
                            else (h.rb, "R", "_right"))
-    new = rebased(built, f"{given.name}{suffix}", side=side)
-    lb, rb = (new, given) if left else (given, new)
-    chi = AlgebraMap(rb.base, lb.base, h.chi.matrix, ANTI, "χ")
-    return HopfAlgebroid(lb, rb, h.S, h.S_inv, base_antiiso=chi,
-                         name=f"{given.name}_hopf")
+    built.name = f"{given.name}{suffix}"
+    built.s.name, built.t.name = f"s_{side}", f"t_{side}"
+    h.chi.name = "χ"
+    h.name = f"{given.name}_hopf"
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,8 @@ def test_tensor_square_product_componentwise(kz2):
 def test_into_opposite_and_back(m2):
     A = m2.total
     s = m2.lb.s
-    sop = s.into_opposite(opposite(A))
+    sop = s.into_opposite()
+    assert sop.target is opposite(A)
     assert sop.kind == ANTI
     assert sop.matrix.rows == s.matrix.rows
     back = sop.from_opposite_source()

@@ -576,14 +576,16 @@ def non_commuting_left(field):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_triple_across_two_frames_decides_like_its_echelon(field, data):
-    """The tensor square of a left bialgebroid on A with its opposite's
-    junction on A^op after it: the two actions that meet on the middle
+    """The tensor square of a left bialgebroid on A with the junction of
+    its opposite, stated on A^op, after it (``op().junction()`` is A's own
+    junction, so it is built here): the two actions that meet on the middle
     factor both multiply from the front in A, and their images do not
     commute, so P does not decide.  ``is_zero_class`` agrees with the
     normal form, which is the one of the same-frame triple."""
     lb = non_commuting_left(field)
-    mixed = BalancedTensorSpace([lb.tensor_space, opposite(lb.total)],
-                                [lb.op().junction()])
+    op = lb.op()
+    mixed = BalancedTensorSpace([lb.tensor_space, op.total], [Junction(
+        ActionSpec(op.s, POST), ActionSpec(op.t, POST))])
     assert mixed.separability_projection({0: field.one}) is None
     for _ in range(3):
         v = data.draw(sparse_vectors(field, mixed.total_dim))

@@ -10,6 +10,7 @@ bialgebroid must pass or fail each non-degeneracy check exactly as the
 candidate does for the opposite right bialgebroid.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.bialgebroid import (
@@ -17,9 +18,27 @@ from algebroids.bialgebroid import (
     verify_left_bialgebroid,
     verify_right_bialgebroid,
 )
-from algebroids.catalog import all_fixtures
-from algebroids.hopfcore import reconstruct_left
-from algebroids.integrallab import verify_bgdnd, verify_bgdnd_right
+from algebroids.bimodtensor import BalancedTensorSpace
+from algebroids.catalog import (
+    all_fixtures,
+    pair_groupoid_hopf_algebroid,
+    sweedler_hopf_algebra,
+)
+from algebroids.dualspace import (
+    dual_lower_star,
+    dual_star_lower,
+    dual_star_upper,
+    dual_upper_star,
+)
+from algebroids.exactfield import PrimeField, RationalField
+from algebroids.hopfcore import reconstruct_left, verify_hopf
+from algebroids.integrallab import (
+    duality_diagram,
+    ls_right,
+    nondegeneracy,
+    verify_bgdnd,
+    verify_bgdnd_right,
+)
 from test_acceptance import _perturb
 
 FIXTURES = {fx["name"]: fx["hopf"] for fx in all_fixtures()}
@@ -114,3 +133,90 @@ def test_reconstruct_left_keeps_the_callers_objects():
         assert built.rb is h.rb
         assert built.lb.total is h.rb.total
         assert built.total is h.rb.total
+
+
+# ---------------------------------------------------------------------------
+# a structure derived by an opposite is renamed, never rebuilt
+
+# a builder, a left integral and a right integral of each Hopf algebroid
+DERIVED = {
+    "pair3": (lambda field: pair_groupoid_hopf_algebroid(3, field),
+              (1,) * 9, (1,) * 9),
+    "H4": (sweedler_hopf_algebra, (0, 0, 1, 1), (0, 0, 1, -1)),
+}
+FIELDS = {"QQ": RationalField(), "GF7": PrimeField(7)}
+
+
+@pytest.fixture(params=[(n, f) for n in DERIVED for f in FIELDS],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def derived(request):
+    """A fresh Hopf algebroid with a left integral ℓ and a right integral
+    Υ of it."""
+    name, field = request.param
+    build, ell, upsilon = DERIVED[name]
+    field = FIELDS[field]
+    return (build(field), tuple(map(field.of, ell)),
+            tuple(map(field.of, upsilon)))
+
+
+def test_verify_hopf_of_ls_right_builds_no_space(derived, monkeypatch):
+    """``ls_right`` verifies what it builds on the opposite; its result
+    reads every quotient from there, so verifying it again builds no
+    balanced tensor space."""
+    h, _, upsilon = derived
+    out = ls_right(h.lb, upsilon)
+    built = []
+    init = BalancedTensorSpace.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BalancedTensorSpace, "__init__", counted)
+    assert verify_hopf(out).passed
+    assert built == []
+
+
+def test_an_opposite_shares_its_sources_junction(derived):
+    h = derived[0]
+    for bgd in (h.lb, h.rb):
+        op = bgd.op()
+        assert op.junction() is bgd.junction()
+
+
+def test_the_opposite_reads_the_swapped_mixed_triples(derived):
+    h = derived[0]
+    assert verify_hopf(h).passed
+    assert h.op().llr_space is h.rrl_space
+    assert h.op().rrl_space is h.llr_space
+
+
+def _names(bgd):
+    """The names of a bialgebroid, its structure maps and its opposite's."""
+    op = bgd.op()
+    return (bgd.name, bgd.s.name, bgd.t.name, op.name, op.s.name, op.t.name)
+
+
+def test_constructions_name_what_they_build_and_keep_the_callers_names(
+        derived):
+    h, ell, upsilon = derived
+    before = (_names(h.lb), _names(h.rb))
+    built = reconstruct_left(h.rb, h.S)
+    assert (built.name, built.lb.name) == (f"{h.rb.name}_hopf",
+                                           f"{h.rb.name}_left")
+    assert (built.lb.s.name, built.lb.t.name, built.chi.name) == \
+        ("s_L", "t_L", "χ")
+    built = ls_right(h.lb, upsilon)
+    assert (built.name, built.rb.name) == (f"{h.lb.name}_hopf",
+                                           f"{h.lb.name}_right")
+    assert (built.rb.s.name, built.rb.t.name, built.chi.name) == \
+        ("s_R", "t_R", "χ")
+    assert duality_diagram(h, nondegeneracy(h, ell)).passed
+    assert (_names(h.lb), _names(h.rb)) == before
+
+
+def test_every_dual_carries_the_requested_name(derived):
+    h = derived[0]
+    for build, bgd in ((dual_lower_star, h.lb), (dual_star_lower, h.lb),
+                       (dual_upper_star, h.rb), (dual_star_upper, h.rb)):
+        assert build(bgd, name="D").bgd.name == "D", build.__name__
