@@ -179,15 +179,21 @@ def _matrix(field, raw, nrows, ncols, loc):
 
 
 def _parse_algebra(field, name, body, loc):
-    _expect(isinstance(body, dict), "expected an object", loc)
     basis = body.get("basis")
     _expect(isinstance(basis, list) and basis, "missing basis names",
             f"{loc}.basis")
+    _expect(all(isinstance(b, str) for b in basis)
+            and len(set(basis)) == len(basis),
+            "basis names must be distinct strings", f"{loc}.basis")
     dim = body.get("dim", len(basis))
+    _expect(type(dim) is int, f"dim {dim!r} is not an integer", f"{loc}.dim")
     _expect(dim == len(basis),
             f"dim {dim} != {len(basis)} basis names", f"{loc}.dim")
+    quads = body.get("struct", [])
+    _expect(isinstance(quads, list), "expected a list of quadruples",
+            f"{loc}.struct")
     struct = {}
-    for idx, quad in enumerate(body.get("struct", [])):
+    for idx, quad in enumerate(quads):
         qloc = f"{loc}.struct[{idx}]"
         _expect(isinstance(quad, list) and len(quad) == 4,
                 "expected a quadruple [i, j, k, value]", qloc)
@@ -207,8 +213,18 @@ def _parse_algebra(field, name, body, loc):
 
 
 def _ref(table, key, loc, what):
-    _expect(key in table, f"unresolved {what} reference {key!r}", loc)
+    _expect(isinstance(key, str) and key in table,
+            f"unresolved {what} reference {key!r}", loc)
     return table[key]
+
+
+def _table(data, key):
+    """The (name, body) pairs of the top-level object ``key``."""
+    table = data.get(key, {})
+    _expect(isinstance(table, dict), "expected an object", key)
+    for name, body in table.items():
+        _expect(isinstance(body, dict), "expected an object", f"{key}.{name}")
+    return table.items()
 
 
 def parse_data(data, source="<spec>", field=None):
@@ -220,11 +236,11 @@ def parse_data(data, source="<spec>", field=None):
         field = parse_field(data.get("field", "rational"))
     spec = SpecFile(field, source=source)
 
-    for name, body in (data.get("algebras") or {}).items():
+    for name, body in _table(data, "algebras"):
         spec.algebras[name] = _parse_algebra(field, name, body,
                                              f"algebras.{name}")
 
-    for name, body in (data.get("maps") or {}).items():
+    for name, body in _table(data, "maps"):
         loc = f"maps.{name}"
         dom = _ref(spec.algebras, body.get("domain"), f"{loc}.domain",
                    "algebra")
@@ -252,15 +268,15 @@ def parse_data(data, source="<spec>", field=None):
         except ValueError as exc:
             raise SpecError(str(exc), loc)
 
-    for name, body in (data.get("left_bialgebroids") or {}).items():
+    for name, body in _table(data, "left_bialgebroids"):
         spec.left_bialgebroids[name] = parse_bgd(
             LeftBialgebroid, name, body, f"left_bialgebroids.{name}")
 
-    for name, body in (data.get("right_bialgebroids") or {}).items():
+    for name, body in _table(data, "right_bialgebroids"):
         spec.right_bialgebroids[name] = parse_bgd(
             RightBialgebroid, name, body, f"right_bialgebroids.{name}")
 
-    for name, body in (data.get("hopf_algebroids") or {}).items():
+    for name, body in _table(data, "hopf_algebroids"):
         loc = f"hopf_algebroids.{name}"
         lb = _ref(spec.left_bialgebroids, body.get("left"), f"{loc}.left",
                   "left_bialgebroid")
@@ -278,7 +294,7 @@ def parse_data(data, source="<spec>", field=None):
         spec.hopf_algebroids[name] = HopfAlgebroid(
             lb, rb, anti, antipode_inv=anti_inv, name=name)
 
-    for name, body in (data.get("weak_hopf") or {}).items():
+    for name, body in _table(data, "weak_hopf"):
         loc = f"weak_hopf.{name}"
         alg = _ref(spec.algebras, body.get("algebra"), f"{loc}.algebra",
                    "algebra")
@@ -289,7 +305,7 @@ def parse_data(data, source="<spec>", field=None):
         spec.weak_hopf[name] = WeakHopfAlgebra(alg, delta, counit, anti,
                                                name=name)
 
-    for name, body in (data.get("elements") or {}).items():
+    for name, body in _table(data, "elements"):
         loc = f"elements.{name}"
         algname = body.get("algebra")
         alg = _ref(spec.algebras, algname, f"{loc}.algebra", "algebra")
@@ -297,7 +313,7 @@ def parse_data(data, source="<spec>", field=None):
         spec.elements[name] = (algname, coords)
 
     def parse_dual_row(table_name, store):
-        for name, body in (data.get(table_name) or {}).items():
+        for name, body in _table(data, table_name):
             loc = f"{table_name}.{name}"
             lbname = body.get("bialgebroid")
             lb = _ref(spec.left_bialgebroids, lbname, f"{loc}.bialgebroid",
@@ -307,7 +323,8 @@ def parse_data(data, source="<spec>", field=None):
                               lb.total.dim, f"{loc}.matrix")
             else:
                 raw = body.get("matrix")
-                _expect(isinstance(raw, list) and raw, "missing matrix", loc)
+                _expect(isinstance(raw, list) and raw
+                        and isinstance(raw[0], list), "missing matrix", loc)
                 mat = _matrix(field, raw, len(raw), len(raw[0]),
                               f"{loc}.matrix")
             store[name] = (lbname, mat)

@@ -737,6 +737,17 @@ def test_syntax_error_location(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_a_node_of_the_wrong_type_exits_two(capsys, tmp_path):
+    data = json.loads(Path(KZ2).read_text())
+    data["left_bialgebroids"]["k[Z2]_L"]["total"] = ["x"]
+    p = tmp_path / "typed.spec"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--level", "hopf", str(p))
+    assert code == 2 and out == ""
+    assert err == ("error: left_bialgebroids.k[Z2]_L.total: unresolved "
+                   "algebra reference ['x']\n")
+
+
 def test_level_without_structures(capsys, tmp_path):
     p = tmp_path / "empty.spec"
     p.write_text(json.dumps({"format": "algebroid-spec/1",

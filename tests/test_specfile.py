@@ -1,6 +1,7 @@
 """Spec-file layer: parsing, validation errors, emission, round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from algebroids.specfile import (
     SpecBuilder,
     SpecError,
     parse,
+    parse_data,
     parse_field,
     parse_text,
     spec_from_hopf,
@@ -377,6 +379,48 @@ def test_counit_algebra_error_becomes_spec_error():
         parse_text(text, "x.spec")
     except SpecError as exc:
         assert "algebras.A" in str(exc)
+
+
+KZ2_SPEC = Path(__file__).resolve().parent.parent / "specs" / "kz2.spec"
+
+
+def _set(path, value):
+    """The bundled kz2 spec with the node at the key path ``path`` set to
+    ``value``."""
+    data = json.loads(KZ2_SPEC.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("left_bialgebroids", "k[Z2]_L", "total"), ["x"],
+     "left_bialgebroids.k[Z2]_L.total: unresolved algebra reference "
+     "['x']"),
+    (("algebras", "k", "struct"), 5,
+     "algebras.k.struct: expected a list of quadruples"),
+    (("left_bialgebroids", "k[Z2]_L"), 3,
+     "left_bialgebroids.k[Z2]_L: expected an object"),
+    (("maps",), ["s"], "maps: expected an object"),
+    (("algebras", "k", "dim"), "1",
+     "algebras.k.dim: dim '1' is not an integer"),
+    (("algebras", "k", "basis"), [1],
+     "algebras.k.basis: basis names must be distinct strings"),
+    (("algebras", "k[Z2]", "basis"), ["g", "g"],
+     "algebras.k[Z2].basis: basis names must be distinct strings"),
+    (("sections",), {"xi": {"bialgebroid": "k[Z2]_L", "matrix": [5]}},
+     "sections.xi: missing matrix"),
+], ids=["reference", "struct", "body", "table", "dim", "basis-type",
+        "basis-repeat", "section-rows"])
+def test_a_node_of_the_wrong_type_is_a_spec_error(path, value, message):
+    """A spec whose tables, bodies, references, ``struct``, ``dim`` or
+    basis names have the wrong JSON type is refused with its key path, not
+    with a Python error."""
+    with pytest.raises(SpecError) as err:
+        parse_data(_set(path, value), "kz2.spec")
+    assert str(err.value) == message
 
 
 def test_parse_missing_file(tmp_path):
