@@ -21,7 +21,8 @@ whenever these conditions hold (``Junction.projection_step`` and
 ``_separability_steps`` check them), and builds its echelon only when
 something needs it: a normal form or ``fmt`` for a certificate, quotient
 coordinates, dimensions, or ``echelon`` itself.  A two-factor space is
-eliminated when it is built.
+eliminated when it is built.  A junction eliminates its relations once
+(``Junction.relations``), however many spaces end in it.
 
 Tensor vectors are sparse at this interface: a dict ``{index: scalar}``
 holding only nonzero entries, the index of e_i ⊗ e_j ⊗ ... being row-major
@@ -98,23 +99,31 @@ class Junction:
             raise ValueError("junction actions must share one base algebra")
         if right.total != left.total:
             raise ValueError("junction actions must land in one total algebra")
-        want = right.expects_kind("right")
-        if right.amap.kind != want:
-            raise ValueError(
-                f"right action ({right.side}) requires a map of kind {want!r}, "
-                f"got {right.amap.kind!r}")
-        want = left.expects_kind("left")
-        if left.amap.kind != want:
-            raise ValueError(
-                f"left action ({left.side}) requires a map of kind {want!r}, "
-                f"got {left.amap.kind!r}")
+        for role, action in (("right", right), ("left", left)):
+            want = action.expects_kind(role)
+            if action.amap.kind != want:
+                raise ValueError(
+                    f"{role} action ({action.side}) requires a map of kind "
+                    f"{want!r}, got {action.amap.kind!r}")
         self.right = right
         self.left = left
         self._step = None
+        self._relations = None
 
     @property
     def base(self):
         return self.right.base
+
+    def relations(self):
+        """The reduced echelon form of the span of the relations
+        (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j), in the d² coordinates of two factors
+        (cached).  Every space that ends in this junction stages it."""
+        if self._relations is None:
+            d = self.right.total.dim
+            pair = SparseEchelon(self.base.field, d * d)
+            _insert_pair_relations(pair, self)
+            self._relations = pair
+        return self._relations
 
     def projection_step(self):
         """P at this junction, x ⊗ y ↦ Σ x·e¹ ⊗ e²·y, as a function of the
@@ -172,6 +181,50 @@ def _junction_step(junc, idempotent):
     return step
 
 
+def _insert_pair_relations(pair, junc):
+    """Insert the relations of ``junc`` into the echelon ``pair`` of its
+    two factors.
+
+    The relation of l, i, j is (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j), and no
+    relation that is zero by construction is built: a base element l
+    whose two actions are the same multiple c of the identity (for a
+    unital action on a scalar base, every l) is skipped; for e_i·l = 0
+    only the j with l·e_j ≠ 0 are visited; and a pair with e_i·l = c·e_i
+    and l·e_j = c·e_j is skipped.  The vectors inserted are the nonzero
+    relations, in the same order, so the span and its reduced echelon
+    form are the same as when every relation is built.  Images are
+    zero-free, so only the entry at e_i ⊗ e_j can cancel.
+    """
+    zero = pair.field.zero
+    d = junc.right.total.dim
+    for b in range(junc.base.dim):
+        acted_l = junc.right.basis_images(b)
+        acted_r = junc.left.basis_images(b)
+        diag_l = _diagonal(acted_l, zero)
+        diag_r = _diagonal(acted_r, zero)
+        if None not in diag_l and len(set(diag_l + diag_r)) == 1:
+            continue
+        acting_r = [j for j in range(d) if acted_r[j]]
+        for i in range(d):
+            img = acted_l[i]
+            c_i = diag_l[i]
+            for j in (range(d) if img else acting_r):
+                if c_i is not None and c_i == diag_r[j]:
+                    continue
+                rel = {k * d + j: c for k, c in img.items()}
+                for k, c in acted_r[j].items():
+                    key = i * d + k
+                    old = rel.get(key)
+                    if old is None:
+                        rel[key] = -c
+                    elif old == c:
+                        del rel[key]
+                    else:
+                        rel[key] = old - c
+                if rel:
+                    pair.insert(rel)
+
+
 def _diagonal(images, zero):
     """For each basis image e_i·l of one base element's action: its scalar
     c where it is c·e_i (``zero`` where it is 0), None where it is not a
@@ -216,9 +269,12 @@ class BalancedTensorSpace:
 
     A space of three or more factors is built on its *head*, the quotient
     of all factors but the last: it is (head ⊗ A) modulo the last junction's
-    relations, eliminated in the q·d coordinates of that product (q the
-    head's dimension) instead of in the full tensor power.  The first factor
-    may be an existing head space, which is then shared rather than rebuilt:
+    relations, staged in the q·d coordinates of that product (q the head's
+    dimension) instead of in the full tensor power.  The staged rows are
+    the junction's ``relations()``, eliminated once in two factors and
+    shared by every space that ends in that junction; a two-factor space
+    takes them as its own echelon.  The first factor may be an existing
+    head space, which is then shared rather than rebuilt:
     ``BalancedTensorSpace([pair, A], [j])`` is pair ⊗_j A.  Staging changes
     no coordinate.  Free column (f, k) of the staged product sits at column
     ``head.free_cols[f] * d + k`` of the tensor power, a monotone map, so
@@ -264,10 +320,16 @@ class BalancedTensorSpace:
     # -- construction ---------------------------------------------------------
 
     def _eliminate(self):
-        """Build the echelon of the relation span and the free columns."""
+        """Build the echelon of the relation span and the free columns.
+
+        A space with a head stages the last junction's ``relations()`` at
+        every index of the factors before it, whose relations are the
+        head's: offsetting and staging are linear, so the span is the same.
+        """
         head = self.head
         if head is None:
-            self._echelon = SparseEchelon(self.field, self.total_dim)
+            self._echelon = (self.junctions[0].relations() if self.junctions
+                             else SparseEchelon(self.field, self.total_dim))
         else:
             # the head-quotient coordinates of each leading basis tensor
             one = self.field.one
@@ -275,7 +337,11 @@ class BalancedTensorSpace:
                                for c in range(head.total_dim)]
             self._echelon = SparseEchelon(self.field,
                                           head.dim * self.dims[-1])
-        self._build_relations()
+            pair = self.junctions[-1].relations()
+            for off in range(0, self.total_dim, pair.ncols):
+                for row in pair.rows.values():
+                    self._echelon.insert(self._stage(
+                        {off + key: c for key, c in row.items()}))
         rows = self._echelon.rows
         self._free_cols = tuple(self._embed(s)
                                 for s in range(self._echelon.ncols)
@@ -296,83 +362,6 @@ class BalancedTensorSpace:
         if self._echelon is None:
             self._eliminate()
         return self._free_cols
-
-    def _build_relations(self):
-        """Eliminate the last junction's relations at every index of the
-        factors before it; the earlier junctions are the head's.
-
-        The relations are (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j) for every base basis
-        element l, read from the structure maps' columns and ``table``.  A
-        staged space eliminates them once in the coordinates of the last
-        two factors, then stages only that echelon basis at each leading
-        index: offsetting and staging are linear, so the span is the same.
-        When the head is the two-factor quotient of the same junction
-        object, as for a coassociativity triple (an opposite's junction is
-        its source's), its echelon is that pair echelon.
-        """
-        if not self.junctions:
-            return
-        junc = self.junctions[-1]
-        dl, dr = self.dims[-2:]
-        head = self.head
-        if head is not None and head.head is None \
-                and head.junctions[0] is junc:
-            # the head is this junction's own pair quotient
-            pair = head.echelon
-        else:
-            pair = (self.echelon if head is None
-                    else SparseEchelon(self.field, dl * dr))
-            self._insert_pair_relations(pair, junc, dl, dr)
-        if head is None:
-            return
-        block = dl * dr
-        for off in range(0, self.total_dim, block):
-            for row in pair.rows.values():
-                self.echelon.insert(
-                    self._stage({off + key: c for key, c in row.items()}))
-
-    @staticmethod
-    def _insert_pair_relations(pair, junc, dl, dr):
-        """Insert the relations of ``junc`` between factors of dimensions
-        ``dl`` and ``dr`` into the echelon ``pair``.
-
-        The relation of l, i, j is (e_i·l) ⊗ e_j − e_i ⊗ (l·e_j), and no
-        relation that is zero by construction is built: a base element l
-        whose two actions are the same multiple c of the identity (for a
-        unital action on a scalar base, every l) is skipped; for e_i·l = 0
-        only the j with l·e_j ≠ 0 are visited; and a pair with e_i·l = c·e_i
-        and l·e_j = c·e_j is skipped.  The vectors inserted are the nonzero
-        relations, in the same order, so the span and its reduced echelon
-        form are the same as when every relation is built.  Images are
-        zero-free, so only the entry at e_i ⊗ e_j can cancel.
-        """
-        zero = pair.field.zero
-        for b in range(junc.base.dim):
-            acted_l = junc.right.basis_images(b)
-            acted_r = junc.left.basis_images(b)
-            diag_l = _diagonal(acted_l, zero)
-            diag_r = _diagonal(acted_r, zero)
-            if None not in diag_l and len(set(diag_l + diag_r)) == 1:
-                continue
-            acting_r = [j for j in range(dr) if acted_r[j]]
-            for i in range(dl):
-                img = acted_l[i]
-                c_i = diag_l[i]
-                for j in (range(dr) if img else acting_r):
-                    if c_i is not None and c_i == diag_r[j]:
-                        continue
-                    rel = {k * dr + j: c for k, c in img.items()}
-                    for k, c in acted_r[j].items():
-                        key = i * dr + k
-                        old = rel.get(key)
-                        if old is None:
-                            rel[key] = -c
-                        elif old == c:
-                            del rel[key]
-                        else:
-                            rel[key] = old - c
-                    if rel:
-                        pair.insert(rel)
 
     def _stage(self, sparse):
         """Coordinates in head ⊗ A of a sparse tensor-power vector: every
@@ -402,16 +391,9 @@ class BalancedTensorSpace:
         f, k = divmod(s, self.dims[-1])
         return self.head.free_cols[f] * self.dims[-1] + k
 
-    def _reduce(self, sparse):
-        """Normal form of a sparse vector, as a sparse vector."""
-        if self.head is None:
-            return self.echelon.reduce(sparse)
-        red = self.echelon.reduce(self._stage(sparse))
-        return {self._embed(s): a for s, a in red.items()}
-
     def coords(self, sparse):
         """Sparse quotient coordinates of a sparse vector."""
-        red = self._reduce(sparse)
+        red = self.normal_form(sparse)
         index = self._free_index
         return {index[c]: a for c, a in red.items()}
 
@@ -444,14 +426,17 @@ class BalancedTensorSpace:
     def normal_form(self, vec):
         """Canonical representative of the class of a sparse vector, as a
         sparse vector."""
-        return self._reduce(vec)
+        if self.head is None:
+            return self.echelon.reduce(vec)
+        red = self.echelon.reduce(self._stage(vec))
+        return {self._embed(s): a for s, a in red.items()}
 
     def is_zero_class(self, vec):
         if len(self.junctions) > 1:
             image = self.separability_projection(vec)
             if image is not None:
                 return not image
-        return not self._reduce(vec)
+        return not self.normal_form(vec)
 
     def equal(self, v1, v2):
         diff = dict(v1)

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from algebroids.algebra import (ANTI, HOM, Algebra, AlgebraMap, combine,
                                 opposite, sparse)
-from algebroids.bialgebroid import LeftBialgebroid, verify_left_bialgebroid
+from algebroids import bimodtensor
+from algebroids.bialgebroid import (LeftBialgebroid, RightBialgebroid,
+                                    verify_left_bialgebroid)
 from algebroids.catalog import (FiniteGroup, all_fixtures, group_algebra,
                                 group_hopf_algebroid,
                                 pair_groupoid_hopf_algebroid)
@@ -651,3 +653,56 @@ def test_a_failing_coassociativity_builds_its_echelon_for_the_certificate():
     assert rendered(rep).encode() == \
         (GOLDEN_LIB / "corruption-03-corrupt_gamma_left.txt").read_bytes()
     assert bad._triple._echelon is None
+
+
+def with_right_lift_bumped(h, field):
+    """``h`` with entry (0, 1) of the right coproduct lift plus one."""
+    rb = h.rb
+    rows = [list(r) for r in rb.gamma_lift.rows]
+    rows[0][1] += field.one
+    bad = RightBialgebroid(rb.total, rb.base, rb.s, rb.t,
+                           Matrix.from_rows(field, rows, rb.total.dim),
+                           rb.counit, name="bad")
+    return HopfAlgebroid(h.lb, bad, h.S, h.S_inv, base_antiiso=h.chi,
+                         name=h.name)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+def test_each_junction_eliminates_its_relations_once(field, monkeypatch):
+    """A square's echelon is its junction's ``relations()``.  The corrupted
+    right coproduct of the 3×3 pair groupoid fails eight checks, and the
+    mixed triples A ⊗_L A ⊗_R A and A ⊗_R A ⊗_L A eliminate to print
+    them: the two junctions eliminate their relations once each, not once
+    per space, and the report is the one that eliminating every space's
+    relations afresh prints."""
+    h = pair_groupoid_hopf_algebroid(2, field)
+    assert h.lb.tensor_space.echelon is h.lb.junction().relations()
+    assert h.rb.tensor_space.echelon is h.rb.junction().relations()
+
+    built = []
+    insert = bimodtensor._insert_pair_relations
+
+    def counted(pair, junc):
+        built.append(junc)
+        insert(pair, junc)
+
+    monkeypatch.setattr(bimodtensor, "_insert_pair_relations", counted)
+    bad = with_right_lift_bumped(pair_groupoid_hopf_algebroid(3, field),
+                                 field)
+    rep = verify_hopf(bad)
+    assert sum(not c.ok for c in rep.checks) == 8
+    assert bad._llr._echelon is not None and bad._rrl._echelon is not None
+    assert len(built) == 2
+    assert {id(j) for j in built} == {id(bad.lb.junction()),
+                                      id(bad.rb.junction())}
+
+    def afresh(junc):
+        d = junc.right.total.dim
+        pair = SparseEchelon(field, d * d)
+        insert(pair, junc)
+        return pair
+
+    monkeypatch.setattr(Junction, "relations", afresh)
+    again = with_right_lift_bumped(pair_groupoid_hopf_algebroid(3, field),
+                                   field)
+    assert rendered(verify_hopf(again)) == rendered(rep)
