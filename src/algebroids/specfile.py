@@ -7,10 +7,10 @@ representatives ``0 .. p-1``.  Matrices are dense row lists; structure
 constants are sparse quadruples.
 
 Top-level keys (all object-valued maps keyed by name, every key optional
-except ``format`` and ``field``):
+except ``format``):
 
 ``field``
-    ``"rational"`` or ``"gf:p"`` with ``p`` prime.
+    ``"rational"`` (the default) or ``"gf:p"`` with ``p`` prime.
 ``algebras``
     ``{"dim": n, "basis": [names], "struct": [[i, j, k, val], ...],
     "unit": [vals]}`` — ``e_i e_j = Σ_k struct[i][j][k] e_k``; ``unit`` is
@@ -142,8 +142,7 @@ class SpecFile:
         return nm, coords
 
     def functional_for(self, name=None):
-        nm, (lbname, mat) = self._pick(
-            {k: v for k, v in self.functionals.items()}, "functional", name)
+        nm, (lbname, mat) = self._pick(self.functionals, "functional", name)
         return nm, lbname, mat
 
 
@@ -212,10 +211,12 @@ def _parse_algebra(field, name, body, loc):
         raise SpecError(str(exc), loc)
 
 
-def _ref(table, key, loc, what):
-    _expect(isinstance(key, str) and key in table,
-            f"unresolved {what} reference {key!r}", loc)
-    return table[key]
+def _ref(table, body, key, loc, what):
+    """The entry of ``table`` that ``body[key]`` names."""
+    name = body.get(key)
+    _expect(isinstance(name, str) and name in table,
+            f"unresolved {what} reference {name!r}", f"{loc}.{key}")
+    return table[name]
 
 
 def _table(data, key):
@@ -242,10 +243,8 @@ def parse_data(data, source="<spec>", field=None):
 
     for name, body in _table(data, "maps"):
         loc = f"maps.{name}"
-        dom = _ref(spec.algebras, body.get("domain"), f"{loc}.domain",
-                   "algebra")
-        cod = _ref(spec.algebras, body.get("codomain"), f"{loc}.codomain",
-                   "algebra")
+        dom = _ref(spec.algebras, body, "domain", loc, "algebra")
+        cod = _ref(spec.algebras, body, "codomain", loc, "algebra")
         kind = body.get("kind", HOM)
         _expect(kind in (HOM, ANTI), f"kind must be '{HOM}' or '{ANTI}'",
                 f"{loc}.kind")
@@ -254,11 +253,10 @@ def parse_data(data, source="<spec>", field=None):
         spec.maps[name] = AlgebraMap(dom, cod, mat, kind, name)
 
     def parse_bgd(cls, name, body, loc):
-        total = _ref(spec.algebras, body.get("total"), f"{loc}.total",
-                     "algebra")
-        base = _ref(spec.algebras, body.get("base"), f"{loc}.base", "algebra")
-        smap = _ref(spec.maps, body.get("s"), f"{loc}.s", "map")
-        tmap = _ref(spec.maps, body.get("t"), f"{loc}.t", "map")
+        total = _ref(spec.algebras, body, "total", loc, "algebra")
+        base = _ref(spec.algebras, body, "base", loc, "algebra")
+        smap = _ref(spec.maps, body, "s", loc, "map")
+        tmap = _ref(spec.maps, body, "t", loc, "map")
         d = total.dim
         gamma = _matrix(field, body.get("gamma"), d * d, d, f"{loc}.gamma")
         counit = _matrix(field, body.get("counit"), base.dim, d,
@@ -278,9 +276,9 @@ def parse_data(data, source="<spec>", field=None):
 
     for name, body in _table(data, "hopf_algebroids"):
         loc = f"hopf_algebroids.{name}"
-        lb = _ref(spec.left_bialgebroids, body.get("left"), f"{loc}.left",
+        lb = _ref(spec.left_bialgebroids, body, "left", loc,
                   "left_bialgebroid")
-        rb = _ref(spec.right_bialgebroids, body.get("right"), f"{loc}.right",
+        rb = _ref(spec.right_bialgebroids, body, "right", loc,
                   "right_bialgebroid")
         _expect(lb.total is rb.total,
                 "left and right sides must share the total algebra", loc)
@@ -296,8 +294,7 @@ def parse_data(data, source="<spec>", field=None):
 
     for name, body in _table(data, "weak_hopf"):
         loc = f"weak_hopf.{name}"
-        alg = _ref(spec.algebras, body.get("algebra"), f"{loc}.algebra",
-                   "algebra")
+        alg = _ref(spec.algebras, body, "algebra", loc, "algebra")
         d = alg.dim
         delta = _matrix(field, body.get("delta"), d * d, d, f"{loc}.delta")
         counit = _matrix(field, body.get("counit"), 1, d, f"{loc}.counit")
@@ -307,30 +304,29 @@ def parse_data(data, source="<spec>", field=None):
 
     for name, body in _table(data, "elements"):
         loc = f"elements.{name}"
-        algname = body.get("algebra")
-        alg = _ref(spec.algebras, algname, f"{loc}.algebra", "algebra")
+        alg = _ref(spec.algebras, body, "algebra", loc, "algebra")
         coords = _vector(field, body.get("coords"), alg.dim, f"{loc}.coords")
-        spec.elements[name] = (algname, coords)
+        spec.elements[name] = (body["algebra"], coords)
 
-    def parse_dual_row(table_name, store):
+    def parse_dual_row(table_name, store, shape):
+        """Matrices on a left bialgebroid, of the shape that ``shape``
+        reads from the bialgebroid, the raw rows and the location."""
         for name, body in _table(data, table_name):
             loc = f"{table_name}.{name}"
-            lbname = body.get("bialgebroid")
-            lb = _ref(spec.left_bialgebroids, lbname, f"{loc}.bialgebroid",
+            lb = _ref(spec.left_bialgebroids, body, "bialgebroid", loc,
                       "left_bialgebroid")
-            if table_name == "functionals":
-                mat = _matrix(field, body.get("matrix"), lb.base.dim,
-                              lb.total.dim, f"{loc}.matrix")
-            else:
-                raw = body.get("matrix")
-                _expect(isinstance(raw, list) and raw
-                        and isinstance(raw[0], list), "missing matrix", loc)
-                mat = _matrix(field, raw, len(raw), len(raw[0]),
-                              f"{loc}.matrix")
-            store[name] = (lbname, mat)
+            raw = body.get("matrix")
+            mat = _matrix(field, raw, *shape(lb, raw, loc), f"{loc}.matrix")
+            store[name] = (body["bialgebroid"], mat)
 
-    parse_dual_row("functionals", spec.functionals)
-    parse_dual_row("sections", spec.sections)
+    def section_shape(lb, raw, loc):
+        _expect(isinstance(raw, list) and raw and isinstance(raw[0], list),
+                "missing matrix", loc)
+        return len(raw), len(raw[0])
+
+    parse_dual_row("functionals", spec.functionals,
+                   lambda lb, raw, loc: (lb.base.dim, lb.total.dim))
+    parse_dual_row("sections", spec.sections, section_shape)
     return spec
 
 
@@ -359,12 +355,8 @@ def parse(path, field=None):
 # emission
 
 
-def _scalar_str(x):
-    return str(x)
-
-
 def _matrix_json(m):
-    return [[_scalar_str(x) for x in row] for row in m.rows]
+    return [[str(x) for x in row] for row in m.rows]
 
 
 def _element_json(algebra, vec):
@@ -376,7 +368,7 @@ def _element_json(algebra, vec):
                          f"{{index: coefficient}} on its {algebra.dim} "
                          "basis indices")
     zero = algebra.field.zero
-    return [_scalar_str(vec.get(k, zero)) for k in range(algebra.dim)]
+    return [str(vec.get(k, zero)) for k in range(algebra.dim)]
 
 
 def _algebra_json(A):
@@ -384,7 +376,7 @@ def _algebra_json(A):
     for i in range(A.dim):
         for j in range(A.dim):
             for k in sorted(A.table[i][j]):
-                struct.append([i, j, k, _scalar_str(A.table[i][j][k])])
+                struct.append([i, j, k, str(A.table[i][j][k])])
     return {
         "dim": A.dim,
         "basis": list(A.basis_names),
@@ -475,21 +467,19 @@ class SpecBuilder:
         }
         return name
 
-    def add_functional(self, name, lb_name, matrix):
-        name = self._fresh("functionals", name)
-        self.data.setdefault("functionals", {})[name] = {
+    def _add_dual_row(self, table, name, lb_name, matrix):
+        name = self._fresh(table, name)
+        self.data.setdefault(table, {})[name] = {
             "bialgebroid": lb_name,
             "matrix": _matrix_json(matrix),
         }
         return name
 
+    def add_functional(self, name, lb_name, matrix):
+        return self._add_dual_row("functionals", name, lb_name, matrix)
+
     def add_section(self, name, lb_name, matrix):
-        name = self._fresh("sections", name)
-        self.data.setdefault("sections", {})[name] = {
-            "bialgebroid": lb_name,
-            "matrix": _matrix_json(matrix),
-        }
-        return name
+        return self._add_dual_row("sections", name, lb_name, matrix)
 
     def emit(self):
         """Canonical deterministic text (sorted keys, trailing newline)."""

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report formats, emitted documents."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import cli
 from algebroids.cli import emit_report, main
@@ -18,6 +21,7 @@ from algebroids.catalog import (
 )
 from algebroids.hopfcore import HopfAlgebroid, verify_hopf
 from algebroids.twistlab import apply_twist, wha_decide
+from spec_mutations import mutated, spec_mutations
 
 QQ = RationalField()
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -746,6 +750,31 @@ def test_a_node_of_the_wrong_type_exits_two(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("error: left_bialgebroids.k[Z2]_L.total: unresolved "
                    "algebra reference ['x']\n")
+
+
+CHEAP_COMMANDS = (("check", "--level", "algebra"),
+                  ("check", "--level", "left-bialgebroid"),
+                  ("check", "--level", "right-bialgebroid"),
+                  ("check", "--level", "hopf"),
+                  ("check", "--level", "lu"),
+                  ("integrals",),
+                  ("wha-decide",))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutation=spec_mutations(), command=st.sampled_from(CHEAP_COMMANDS))
+def test_a_mutated_node_exits_zero_one_or_two(tmp_path_factory, mutation,
+                                              command):
+    """A bundled spec with one node set to a value of another JSON type, or
+    deleted, through a cheap command: the CLI exits 0, 1 or 2 and prints
+    no traceback, so no exception escapes ``main``."""
+    p = tmp_path_factory.getbasetemp() / "mutated.spec"
+    p.write_text(json.dumps(mutated(*mutation)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, str(p)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_level_without_structures(capsys, tmp_path):

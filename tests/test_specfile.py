@@ -1,9 +1,9 @@
 """Spec-file layer: parsing, validation errors, emission, round trips."""
 
 import json
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from algebroids.algebra import Algebra
 from algebroids.exactfield import Matrix, PrimeField, RationalField
@@ -22,6 +22,7 @@ from algebroids.specfile import (
     FORMAT,
     SpecBuilder,
     SpecError,
+    SpecFile,
     parse,
     parse_data,
     parse_field,
@@ -30,6 +31,7 @@ from algebroids.specfile import (
     spec_from_right_bialgebroid,
 )
 from algebroids.twistlab import verify_weak_hopf
+from spec_mutations import mutated, spec_mutations
 
 QQ = RationalField()
 
@@ -381,20 +383,6 @@ def test_counit_algebra_error_becomes_spec_error():
         assert "algebras.A" in str(exc)
 
 
-KZ2_SPEC = Path(__file__).resolve().parent.parent / "specs" / "kz2.spec"
-
-
-def _set(path, value):
-    """The bundled kz2 spec with the node at the key path ``path`` set to
-    ``value``."""
-    data = json.loads(KZ2_SPEC.read_text())
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return data
-
-
 @pytest.mark.parametrize("path, value, message", [
     (("left_bialgebroids", "k[Z2]_L", "total"), ["x"],
      "left_bialgebroids.k[Z2]_L.total: unresolved algebra reference "
@@ -419,8 +407,21 @@ def test_a_node_of_the_wrong_type_is_a_spec_error(path, value, message):
     basis names have the wrong JSON type is refused with its key path, not
     with a Python error."""
     with pytest.raises(SpecError) as err:
-        parse_data(_set(path, value), "kz2.spec")
+        parse_data(mutated("kz2.spec", path, value), "kz2.spec")
     assert str(err.value) == message
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec_mutations())
+def test_one_mutated_node_parses_or_is_a_spec_error(mutation):
+    """One node of a bundled spec set to a value of another JSON type, or
+    deleted: the parser returns a ``SpecFile`` or raises a ``SpecError``,
+    and no other exception escapes it."""
+    try:
+        spec = parse_data(mutated(*mutation))
+    except SpecError:
+        return
+    assert isinstance(spec, SpecFile)
 
 
 def test_parse_missing_file(tmp_path):
