@@ -598,7 +598,7 @@ def dual_hopf_algebroid(h, nd, name=None):
     return hd
 
 
-def transport_integral(h, h2, iso, nd):
+def transport_integral(h2, iso, nd):
     """Push a non-degeneracy witness through a bialgebroid isomorphism:
     Φ(ℓ) is again a non-degenerate left integral in the target, and this
     reruns the full witness construction there."""

@@ -164,7 +164,7 @@ GUARDS = {
     "integral-parent": (lambda: integral_space(A, LEFT), TypeError,
                         "left integrals need a left bialgebroid (got "
                         "Algebra('k[Z2]', dim 2 over QQ))"),
-    "transport-iso": (lambda: transport_integral(KZ2, KZ2, "id", None),
+    "transport-iso": (lambda: transport_integral(KZ2, "id", None),
                       TypeError,
                       "iso must be a Matrix or AlgebraMap (total part)"),
 }

@@ -507,7 +507,7 @@ def test_dual_integral_is_two_sided(kz3, m2):
 
 def test_transport_identity(kz2):
     nd = nondegeneracy(kz2, group_sum_integral(kz2))
-    out = transport_integral(kz2, kz2, Matrix.identity(QQ, 2), nd)
+    out = transport_integral(kz2, Matrix.identity(QQ, 2), nd)
     assert isinstance(out, NondegenerateIntegral)
     assert out.ell == nd.ell
 
@@ -521,7 +521,7 @@ def test_transport_group_automorphism(kz3):
                                             (zero, zero, one),
                                             (zero, one, zero)], 3),
                       HOM, "inv")
-    out = transport_integral(kz3, kz3, auto, nd)
+    out = transport_integral(kz3, auto, nd)
     assert isinstance(out, NondegenerateIntegral)
     assert out.ell == nd.ell  # the group sum is inversion-invariant
 
