@@ -117,7 +117,6 @@ from .specfile import (
     parse_field,
     parse_text,
     spec_from_hopf,
-    spec_from_right_bialgebroid,
 )
 
 QQ = RationalField()

@@ -278,15 +278,6 @@ class AlgebraMap:
         self.name = name
 
     @classmethod
-    def from_images(cls, source, target, images, kind=HOM, name="f"):
-        """Build from the images of the source basis vectors."""
-        cols = [tuple(target.field.of(c) for c in img) for img in images]
-        if len(cols) != source.dim:
-            raise ValueError("need one image per source basis vector")
-        m = Matrix.from_cols(target.field, cols, target.dim)
-        return cls(source, target, m, kind, name)
-
-    @classmethod
     def identity(cls, algebra, name="id"):
         return cls(algebra, algebra,
                    Matrix.identity(algebra.field, algebra.dim), HOM, name)

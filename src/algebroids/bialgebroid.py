@@ -190,9 +190,6 @@ class _BialgebroidBase:
         return map_at_factor((d, d), leg, w, d * d,
                              self.canonical_gamma_lift.__getitem__)
 
-    def counit_apply(self, vec):
-        return self.counit.apply(vec)
-
     def _flipped_gamma(self):
         """``gamma_lift`` with the two legs of every column swapped."""
         d = self.total.dim
@@ -457,7 +454,7 @@ def _verify_bialgebroid(bgd, ch, total_checks):
         on = side if m == "s" else other
         rep.add(cid, f"counit intertwines the {role} action",
                 column_certificates(
-                    (bgd.counit_apply(side_product(A, images[m][j], i, side))
+                    (bgd.counit.apply(side_product(A, images[m][j], i, side))
                      for i, j in by_base),
                     (B.mul_vec({j: one}, counits[i]) if on == PRE
                      else B.mul_vec(counits[i], {j: one})
@@ -477,19 +474,19 @@ def _verify_bialgebroid(bgd, ch, total_checks):
                     templates[f"counit-{m}"]))
 
     # unit/products under the counit
-    pi_one = bgd.counit_apply(unit)
+    pi_one = bgd.counit.apply(unit)
     rep.add("pi-unit", "counit preserves the unit",
             [] if pi_one == B.unit else [f"π(1) = {B.fmt_vec(pi_one)}"])
 
     # π(a s(π(b))) = π(ab) on the left, π(s(π(a))b) = π(ab) on the right;
     # c indexes the element of (a, b) whose counit is taken
     c = 1 if side == PRE else 0
-    pi_ab = [bgd.counit_apply(table[i][j]) for i, j in by_total]
+    pi_ab = [bgd.counit.apply(table[i][j]) for i, j in by_total]
     for m, amap, _, role in maps:
         cid = f"pi-mult-{m}"
         rep.add(cid, f"counit product rule through the {role}",
                 column_certificates(
-                    (bgd.counit_apply(side_product(
+                    (bgd.counit.apply(side_product(
                         A, amap.apply(counits[pair[c]]), pair[1 - c], other))
                      for pair in by_total),
                     pi_ab, total_pairs, B.fmt_vec, templates[cid]))

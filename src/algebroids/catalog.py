@@ -60,10 +60,6 @@ class FiniteGroup:
         return self.inv[g]
 
     @classmethod
-    def from_table(cls, names, table, name="G"):
-        return cls(names, table, name)
-
-    @classmethod
     def cyclic(cls, n):
         names = ["1"] + [f"g{'' if k == 1 else k}" for k in range(1, n)]
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -155,27 +151,27 @@ class Character:
 # algebras and Hopf algebroids from groups
 
 
-def group_algebra(group, field, name=None):
+def group_algebra(group, field):
     n = group.order
     struct = {(i, j, group.mul(i, j)): field.one
               for i in range(n) for j in range(n)}
     return Algebra.from_struct(field, group.names, struct,
                                unit={group.identity: field.one},
-                               name=name or f"k[{group.name}]")
+                               name=f"k[{group.name}]")
 
 
-def scalar_base(field, name="k"):
+def scalar_base(field):
     """The one-dimensional base ring."""
     return Algebra.from_struct(field, ["1"], {(0, 0, 0): field.one},
-                               name=name)
+                               name="k")
 
 
-def matrix_algebra(n, field, name=None):
+def matrix_algebra(n, field):
     """The full matrix algebra M_n on the matrix units e_ij e_jl = e_il."""
     struct = {(n * i + j, n * j + l, n * i + l): field.one
               for i in range(n) for j in range(n) for l in range(n)}
     names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return Algebra.from_struct(field, names, struct, name=name or f"M{n}")
+    return Algebra.from_struct(field, names, struct, name=f"M{n}")
 
 
 def _scalar_base_hopf(A, gamma, counit, antipode):
@@ -191,10 +187,10 @@ def _scalar_base_hopf(A, gamma, counit, antipode):
     return HopfAlgebroid(lb, rb, antipode, name=A.name)
 
 
-def group_hopf_algebroid(group, field, name=None):
+def group_hopf_algebroid(group, field):
     """The group algebra as a Hopf algebroid over the scalar base:
     grouplike coproduct, augmentation counit, inversion antipode."""
-    A = group_algebra(group, field, name=name)
+    A = group_algebra(group, field)
     n = group.order
     counit = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
     return _scalar_base_hopf(A, _diagonal_coproduct(field, n), counit,
@@ -222,19 +218,19 @@ def _transposition(field, n):
                 for idx in range(n * n)], n * n)
 
 
-def character_twisted_hopf(group, field, chi, name=None):
+def character_twisted_hopf(group, field, chi):
     """The group algebra with the character-deformed antipode
     S(g) = χ(g) g⁻¹; the right-handed structure is reconstructed from it."""
     h0 = group_hopf_algebroid(group, field)
     h = reconstruct_right(h0.lb, _inversion(group, field, chi.values))
-    h.name = name or f"{h0.lb.total.name}_χ"
+    h.name = f"{h0.lb.total.name}_χ"
     return h
 
 
-def pair_groupoid_hopf_algebroid(n, field, name=None):
+def pair_groupoid_hopf_algebroid(n, field):
     """The full matrix algebra as the pair-groupoid Hopf algebroid over the
     diagonal base: γ(e_ij) = e_ij ⊗ e_ij, π_L(e_ij) = d_i, S = transpose."""
-    A = matrix_algebra(n, field, name)
+    A = matrix_algebra(n, field)
     L = Algebra.from_struct(
         field, [f"d{i + 1}" for i in range(n)],
         {(i, i, i): field.one for i in range(n)}, name=f"k^{n}")
@@ -255,7 +251,7 @@ def pair_groupoid_hopf_algebroid(n, field, name=None):
     return HopfAlgebroid(lb, rb, _transposition(field, n), name=A.name)
 
 
-def function_algebra_hopf(group, field, name=None):
+def function_algebra_hopf(group, field):
     """Functions on a finite group: pointwise product, convolution-dual
     coproduct γ(δ_g) = Σ_{hk=g} δ_h ⊗ δ_k, counit = evaluation at the
     identity, antipode δ_g ↦ δ_{g⁻¹}."""
@@ -263,7 +259,7 @@ def function_algebra_hopf(group, field, name=None):
     names = [f"δ_{group.names[g]}" for g in range(n)]
     struct = {(g, g, g): field.one for g in range(n)}
     A = Algebra.from_struct(field, names, struct,
-                            name=name or f"k^{group.name}")
+                            name=f"k^{group.name}")
     cols = [{} for _ in range(n)]
     for h in range(n):
         for k2 in range(n):
@@ -275,7 +271,7 @@ def function_algebra_hopf(group, field, name=None):
     return _scalar_base_hopf(A, gamma, counit, _inversion(group, field))
 
 
-def sweedler_hopf_algebra(field, name="H4"):
+def sweedler_hopf_algebra(field):
     """Sweedler's 4-dimensional Hopf algebra on the basis 1, g, x, gx:
     g² = 1, x² = 0, xg = −gx, Δg = g⊗g, Δx = x⊗1 + g⊗x, ε(g) = 1,
     ε(x) = 0, and the antipode S(x) = −gx, S(gx) = x, which is not an
@@ -291,7 +287,7 @@ def sweedler_hopf_algebra(field, name="H4"):
                    (1, 3, 2): one, (2, 0, 2): one, (2, 1, 3): -one,
                    (3, 0, 3): one, (3, 1, 2): -one})
     A = Algebra.from_struct(field, ["1", "g", "x", "gx"], struct,
-                            unit={0: one}, name=name)
+                            unit={0: one}, name="H4")
     # Δ(gx) = ΔgΔx = gx⊗g + 1⊗gx; the index of e_i ⊗ e_j is 4i + j
     gamma = Matrix.from_sparse_cols(
         field, [{0: one}, {5: one}, {8: one, 6: one}, {13: one, 3: one}],
@@ -300,7 +296,7 @@ def sweedler_hopf_algebra(field, name="H4"):
     S = Matrix.from_sparse_cols(
         field, [{0: one}, {1: one}, {3: -one}, {2: one}], 4)
     h = reconstruct_right(_scalar_base_hopf(A, gamma, counit, S).lb, S)
-    h.name = name
+    h.name = "H4"
     return h
 
 
@@ -308,21 +304,21 @@ def sweedler_hopf_algebra(field, name="H4"):
 # weak Hopf algebras
 
 
-def group_weak_hopf(group, field, name=None):
+def group_weak_hopf(group, field):
     """The group algebra as a (trivially weak) Hopf algebra over k:
     Δ(g) = g ⊗ g, ε = 1, S(g) = g⁻¹."""
-    A = group_algebra(group, field, name=name)
+    A = group_algebra(group, field)
     n = group.order
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(n))], n)
     return WeakHopfAlgebra(A, _diagonal_coproduct(field, n), eps,
                            _inversion(group, field), name=f"W({A.name})")
 
 
-def pair_groupoid_weak_hopf(n, field, name=None):
+def pair_groupoid_weak_hopf(n, field):
     """The full matrix algebra as a genuinely weak Hopf algebra:
     Δ(e_ij) = e_ij ⊗ e_ij, ε ≡ 1, S = transpose.  Δ(1) ≠ 1 ⊗ 1 for
     n > 1, so this is not a Hopf algebra."""
-    A = matrix_algebra(n, field, name)
+    A = matrix_algebra(n, field)
     d = n * n
     eps = Matrix.from_rows(field, [tuple(field.one for _ in range(d))], d)
     return WeakHopfAlgebra(A, _diagonal_coproduct(field, d), eps,

@@ -153,7 +153,7 @@ def cmd_ls_antipode(spec, args):
     el, ell = spec.element_for(rb.total, args.integral)
     rep = Report(f"antipode construction on {nm} from {el}")
     try:
-        h = ls_antipode(rb, ell, name=f"{nm}-hopf")
+        h = ls_antipode(rb, ell)
     except ValueError as exc:
         # a refused precondition is reported, not raised
         pre = getattr(exc, "report", None)
@@ -163,7 +163,8 @@ def cmd_ls_antipode(spec, args):
         return rep, None
     rep.extend(h.decided["pre"], prefix="pre-")
     rep.extend(h.decided["hopf"], prefix="hopf-")
-    text = specfile.spec_from_hopf(h, integral=rb.total.from_dense(ell),
+    text = specfile.spec_from_hopf(h, name=f"{nm}-hopf",
+                                   integral=rb.total.from_dense(ell),
                                    integral_name=el)
     return rep, text
 
@@ -193,7 +194,7 @@ def cmd_twist_apply(spec, args):
     rep.extend(pre, prefix="twist-")
     if not pre.passed:
         return rep, None
-    out = apply_twist(h.lb, h.S, g, name=f"{nm}-{fname}")
+    out = apply_twist(h.lb, h.S, g)
     rep.extend(verify_hopf(out), prefix="hopf-")
     text = specfile.spec_from_hopf(out, name=f"{nm}-{fname}")
     return rep, text

@@ -426,7 +426,7 @@ def _derived(inner, bgd, kind, back):
     return DualBialgebroid(module, outer.total, outer, inner.report)
 
 
-def dual_star_lower(lb, name=None):
+def dual_star_lower(lb):
     """The star-lower dual of a left bialgebroid: a right bialgebroid over
     the same base.
 
@@ -438,12 +438,12 @@ def dual_star_lower(lb, name=None):
     operationally: with it, the four arrows of the duality square are
     bialgebroid isomorphisms on every catalog example.
     """
-    name = name or f"{lb.name}_{{*}}"
+    name = f"{lb.name}_{{*}}"
     return _derived(dual_lower_star(lb.cop(), name=name), lb, STAR_LOWER,
                     lambda inner: inner.cop())
 
 
-def dual_upper_star(rb, name=None):
+def dual_upper_star(rb):
     """The upper-star dual of a right bialgebroid: a left bialgebroid over
     the same base, reached through the opposite.
 
@@ -452,12 +452,12 @@ def dual_upper_star(rb, name=None):
     bialgebroid swaps them back, so the returned total ring multiplies by
     the direct formula.
     """
-    name = name or f"{rb.name}^*"
+    name = f"{rb.name}^*"
     return _derived(dual_lower_star(rb.op(), name=name), rb, UPPER_STAR,
                     lambda inner: inner.op())
 
 
-def dual_star_upper(rb, name=None):
+def dual_star_upper(rb):
     """The star-upper dual of a right bialgebroid: a left bialgebroid over
     the same base, reached through the opposite co-opposite.
 
@@ -465,6 +465,6 @@ def dual_star_upper(rb, name=None):
     base, and renamed) fixes the coproduct orientation so the duality
     square's arrows are honest bialgebroid morphisms.
     """
-    name = name or f"^*{rb.name}"
+    name = f"^*{rb.name}"
     return _derived(dual_lower_star(rb.op().cop(), name=name), rb, STAR_UPPER,
                     lambda inner: inner.op().cop())

@@ -116,9 +116,6 @@ class HopfAlgebroid:
                 [self.rb.tensor_space, self.total], [self.lb.junction()])
         return self._rrl
 
-    def antipode_map(self):
-        return AlgebraMap(self.total, self.total, self.S, ANTI, "S")
-
     def op(self):
         """Opposite Hopf algebroid on A^op, with the roles of the sides
         swapped; it takes over the mixed triples built so far, swapped."""

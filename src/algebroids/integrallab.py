@@ -588,9 +588,9 @@ def dual_hopf_algebroid(h, nd, name=None):
 
     kc = dual.module.coords(kappa)
     _require(kc is not None, "κ is not a member of the dual ring")
-    for side in (LEFT, RIGHT):
-        _require(integral_space(hd, side).space.contains(kc),
-                 f"κ is not a {side} integral of the dual")
+    # _nondegeneracy refuses a κ that is not a left integral
+    _require(integral_space(hd, RIGHT).space.contains(kc),
+             "κ is not a right integral of the dual")
     nd_dual = _nondegeneracy(hd, kc, None)
     _require(isinstance(nd_dual, NondegenerateIntegral) and nd_dual.ok,
              f"κ is not a non-degenerate integral of the dual: {nd_dual!r}")
@@ -613,14 +613,14 @@ def transport_integral(h2, iso, nd):
 # the dual of a weak Hopf algebra, compared with the dual Hopf algebroid
 
 
-def dual_weak_hopf(w, name=None):
+def dual_weak_hopf(w):
     """The k-linear dual of a weak Hopf algebra: multiplication is the
     transpose of Δ, comultiplication the transpose of multiplication, the
     counit is evaluation at 1, and the antipode is the transpose of S."""
     A = w.algebra
     d = A.dim
     field = w.field
-    ahat = ahat_algebra(A, w.delta, w.counit, name=name or f"{A.name}^")
+    ahat = ahat_algebra(A, w.delta, w.counit)
     delta_cols = [{} for _ in range(d)]
     for i in range(d):
         for j in range(d):
@@ -630,7 +630,7 @@ def dual_weak_hopf(w, name=None):
     counit_hat = Matrix.from_sparse_rows(field, [A.unit], d)
     s_hat = w.antipode.transpose()
     return WeakHopfAlgebra(ahat, delta_hat, counit_hat, s_hat,
-                           name=name or f"{A.name}^")
+                           name=f"{A.name}^")
 
 
 def weak_dual_iso(w, h, nd):
@@ -699,22 +699,19 @@ def weak_dual_iso(w, h, nd):
     # the weak Hopf algebra induced on the dual ring by S₍*₎ maps onto Ĥ
     hd = dual_hopf_algebroid(h, nd)
     sep_l = separability_from_weak(w, lb)
-    sep = None
-    for delta in (sep_l.delta,
-                  Matrix.from_sparse_cols(
-                      field,
-                      [flip_tensor(lb.base.dim, lb.base.dim, col)
-                       for col in sep_l.delta.cols],
-                      lb.base.dim ** 2)):
-        cand = SeparabilityStructure(hd.lb.base, delta, sep_l.psi)
-        if verify_separability(cand).passed:
-            sep = cand
-            break
+    # the dual's left base is L^op, separable by flip∘δ and the same ψ
+    dl = lb.base.dim
+    sep = SeparabilityStructure(
+        hd.lb.base,
+        Matrix.from_sparse_cols(
+            field, [flip_tensor(dl, dl, col) for col in sep_l.delta.cols],
+            dl * dl),
+        sep_l.psi)
+    sep_rep = verify_separability(sep)
     rep.add("dualiso-separability", "the separability structure transports "
             "to the dual's base",
-            [] if sep is not None else
-            ["neither orientation verifies on the opposite base"])
-    if sep is None:
+            [] if sep_rep.passed else [sep_rep.failure_line()])
+    if not sep_rep.passed:
         return rep
 
     decided = wha_decide(hd, sep=sep)
@@ -888,7 +885,7 @@ def lac_check(rb, k_elem):
     return rep
 
 
-def ls_antipode(rb, ell, name=None):
+def ls_antipode(rb, ell):
     """Construct the antipode of a right bialgebroid from a non-degenerate
     integral:
 
@@ -903,10 +900,7 @@ def ls_antipode(rb, ell, name=None):
     precondition; the result's ``decided`` keeps the precondition under
     ``pre`` and its ``verify_hopf`` report under ``hopf``.
     """
-    h = _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
-    if name:
-        h.name = name
-    return h
+    return _ls(rb, rb.total.from_dense(ell), _ON_RIGHT)
 
 
 def _ls(rb, ell, notation):
@@ -980,7 +974,7 @@ def verify_bgdnd_right(lb, upsilon):
                          _ON_LEFT)[0]
 
 
-def ls_right(lb, upsilon, name=None):
+def ls_right(lb, upsilon):
     """Construct the antipode of a left bialgebroid from a non-degenerate
     right integral Υ,
 
@@ -990,11 +984,8 @@ def ls_right(lb, upsilon, name=None):
     bialgebroid by reconstruction.  This is ``ls_antipode`` on the opposite
     right bialgebroid (whose antipode is S⁻¹), read back onto ``lb``.
     """
-    h = from_opposite(_ls(lb.op(), lb.total.from_dense(upsilon), _ON_LEFT),
-                      lb)
-    if name:
-        h.name = name
-    return h
+    return from_opposite(_ls(lb.op(), lb.total.from_dense(upsilon),
+                             _ON_LEFT), lb)
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,6 @@ class SpecFile:
     def right_bialgebroid(self, name=None):
         return self._pick(self.right_bialgebroids, "right_bialgebroid", name)
 
-    def left_bialgebroid(self, name=None):
-        return self._pick(self.left_bialgebroids, "left_bialgebroid", name)
-
-    def weak(self, name=None):
-        return self._pick(self.weak_hopf, "weak_hopf", name)
-
     def element_for(self, algebra, name=None):
         """A named element of the given total algebra; sole match default."""
         table = {nm: coords for nm, (alg, coords) in self.elements.items()
@@ -423,10 +417,10 @@ class SpecBuilder:
         self._map_names[id(m)] = name
         return name
 
-    def add_bialgebroid(self, bgd, name=None):
+    def add_bialgebroid(self, bgd):
         table = ("left_bialgebroids" if isinstance(bgd, LeftBialgebroid)
                  else "right_bialgebroids")
-        name = self._fresh(table, name or bgd.name)
+        name = self._fresh(table, bgd.name)
         self.data.setdefault(table, {})[name] = {
             "total": self.add_algebra(bgd.total),
             "base": self.add_algebra(bgd.base),
@@ -493,13 +487,4 @@ def spec_from_hopf(h, name=None, integral=None, integral_name="integral"):
     b.add_hopf(h, name=name)
     if integral is not None:
         b.add_element(integral_name, h.total, integral)
-    return b.emit()
-
-
-def spec_from_right_bialgebroid(rb, name=None, integral=None,
-                                integral_name="integral"):
-    b = SpecBuilder(rb.field)
-    b.add_bialgebroid(rb, name=name)
-    if integral is not None:
-        b.add_element(integral_name, rb.total, integral)
     return b.emit()

@@ -159,25 +159,20 @@ def verify_twist(lb, antipode, g, g_inv=None):
     return rep
 
 
-def apply_twist(lb, antipode, g, g_inv=None, name=None):
+def apply_twist(lb, antipode, g):
     """Assemble the Hopf algebroid with the twisted antipode S_g.
 
     The inverse is S_g⁻¹(a) = S⁻¹(a) ↼ g⁻¹.
     """
-    module = DualModule(lb, LOWER_STAR)
+    g_inv = convolution_inverse(DualModule(lb, LOWER_STAR), g)
     if g_inv is None:
-        g_inv = convolution_inverse(module, g)
-        if g_inv is None:
-            raise ValueError("g has no convolution inverse")
+        raise ValueError("g has no convolution inverse")
     s_g = twisted_antipode(lb, antipode, g)
     s_inv = antipode.inverse()
     if s_inv is None:
         raise ValueError("the reference antipode is not bijective")
     s_g_inv = action_matrix(lb, LOWER_STAR, g_inv) @ s_inv
-    h = reconstruct_right(lb, s_g, antipode_inv=s_g_inv)
-    if name:
-        h.name = name
-    return h
+    return reconstruct_right(lb, s_g, antipode_inv=s_g_inv)
 
 
 def recover_twist(lb, antipode, antipode2):
@@ -402,7 +397,7 @@ def _subalgebra(A, vectors, names_prefix, name):
     return alg, inclusion, [sub.coords_of(vec) for vec in vectors]
 
 
-def weak_hopf_to_hopf_algebroid(w, name=None):
+def weak_hopf_to_hopf_algebroid(w):
     """The Hopf algebroid carried by a weak Hopf algebra:
 
     left side  (H, L = ⊓^L(H), s = incl, t = S⁻¹|_L, Δ, ⊓^L)
@@ -440,7 +435,7 @@ def weak_hopf_to_hopf_algebroid(w, name=None):
     lb, rb = bgds
 
     h = HopfAlgebroid(lb, rb, w.antipode, antipode_inv=s_inv,
-                      name=name or w.name)
+                      name=w.name)
     rep.add("assembled", "Hopf algebroid data assembled")
     return h, rep
 
@@ -499,7 +494,7 @@ def weak_bialgebra_from_sep(lb, sep, antipode):
                            name=f"wba({lb.name})")
 
 
-def ahat_algebra(algebra, delta, counit, name=None):
+def ahat_algebra(algebra, delta, counit):
     """The convolution algebra on the plain linear dual of a (weak)
     bialgebra: φφ' = (φ⊗φ')∘Δ, unit ε."""
     d = algebra.dim
@@ -508,7 +503,7 @@ def ahat_algebra(algebra, delta, counit, name=None):
     names = [f"{nm}^" for nm in algebra.basis_names]
     return Algebra.from_struct(algebra.field, names, struct,
                                unit=counit.sparse_rows()[0],
-                               name=name or f"{algebra.name}^")
+                               name=f"{algebra.name}^")
 
 
 def _ahat_inverse(algebra, delta, counit, row):
@@ -534,11 +529,6 @@ def kappa_map(lb, sep, phi_row):
         row = phi_row @ A.left_mult_matrix(lb.t.matrix.cols[i])
         acc = acc + Matrix.from_sparse_cols(field, [f], L.dim) @ row
     return acc
-
-
-def kappa_inverse_map(sep, phi_matrix):
-    """κ⁻¹(φ_*) = ψ∘φ_* — a row vector."""
-    return sep.psi @ phi_matrix
 
 
 def wha_decide(h, sep=None):
@@ -569,18 +559,18 @@ def wha_decide(h, sep=None):
     field = lb.field
     u_row = sep.psi @ lb.counit @ h.S       # ψ∘π_L∘S
     eps_row = sep.psi @ lb.counit           # ψ∘π_L
+    # Δ and ε do not depend on the antipode, so a twist keeps them
+    wb = weak_bialgebra_from_sep(lb, sep, antipode=h.S)
     if u_row == eps_row:
         rep.add("decide-exact", "ψ∘π_L∘S = ψ∘π_L")
-        w = weak_bialgebra_from_sep(lb, sep, antipode=h.S)
-        wrep = verify_weak_hopf(w)
+        wrep = verify_weak_hopf(wb)
         rep.extend(wrep, prefix="wha-")
-        return {"verdict": "exact", "report": rep, "weak_hopf": w,
+        return {"verdict": "exact", "report": rep, "weak_hopf": wb,
                 "twist": None}
     rep.add_skip("decide-exact", "ψ∘π_L∘S = ψ∘π_L",
                  note="not exact; falling back to invertibility")
 
     # invertibility of ψ∘π_L∘S in the dual convolution algebra
-    wb = weak_bialgebra_from_sep(lb, sep, antipode=h.S)
     sol = _ahat_inverse(lb.total, wb.delta, wb.counit, u_row)
     invertible = sol is not None
     rep.add("decide-invertible", "ψ∘π_L∘S is invertible in Â",
@@ -596,7 +586,7 @@ def wha_decide(h, sep=None):
     trep = verify_twist(lb, h.S, g, g_inv)
     rep.extend(trep, prefix="twist-")
     s_g = twisted_antipode(lb, h.S, g)
-    w = weak_bialgebra_from_sep(lb, sep, antipode=s_g)
+    w = WeakHopfAlgebra(lb.total, wb.delta, wb.counit, s_g, name=wb.name)
     wrep = verify_weak_hopf(w)
     rep.extend(wrep, prefix="wha-")
     return {"verdict": "twistable", "report": rep, "weak_hopf": w,

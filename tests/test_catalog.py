@@ -44,7 +44,7 @@ def test_from_table_validates():
     table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     table[1][1] = 3  # break it
     with pytest.raises(ValueError):
-        FiniteGroup.from_table(names, table)
+        FiniteGroup(names, table)
 
 
 def test_character_validation():

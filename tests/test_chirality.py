@@ -217,6 +217,9 @@ def test_constructions_name_what_they_build_and_keep_the_callers_names(
 
 def test_every_dual_carries_the_requested_name(derived):
     h = derived[0]
-    for build, bgd in ((dual_lower_star, h.lb), (dual_star_lower, h.lb),
-                       (dual_upper_star, h.rb), (dual_star_upper, h.rb)):
-        assert build(bgd, name="D").bgd.name == "D", build.__name__
+    assert dual_lower_star(h.lb, name="D").bgd.name == "D"
+    for build, bgd, name in (
+            (dual_star_lower, h.lb, f"{h.lb.name}_{{*}}"),
+            (dual_upper_star, h.rb, f"{h.rb.name}^*"),
+            (dual_star_upper, h.rb, f"^*{h.rb.name}")):
+        assert build(bgd).bgd.name == name, build.__name__

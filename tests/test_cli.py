@@ -328,7 +328,8 @@ def twist_pair(tmp_path, kz2):
     g = Matrix.from_rows(QQ, [[QQ.one, -QQ.one]])
     b = SpecBuilder(QQ)
     b.add_hopf(kz2)
-    twisted = apply_twist(kz2.lb, kz2.S, g, name="kz2-signed")
+    twisted = apply_twist(kz2.lb, kz2.S, g)
+    twisted.name = "kz2-signed"
     b.add_hopf(twisted)
     lb_name = next(iter(b.data["left_bialgebroids"]))
     b.add_functional("sign", lb_name, g)

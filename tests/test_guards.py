@@ -97,8 +97,6 @@ GUARDS = {
                  "map kind must be 'hom' or 'anti'"),
     "map-shape": (lambda: AlgebraMap(A, A, I3), ValueError,
                   "map matrix shape mismatch"),
-    "map-images": (lambda: AlgebraMap.from_images(A, A, [(1, 0)]), ValueError,
-                   "need one image per source basis vector"),
     "map-compose": (lambda: AlgebraMap.identity(A).compose(
         AlgebraMap.identity(KZ3.total)), ValueError,
         "composition shape mismatch"),

@@ -41,7 +41,7 @@ def test_kz2_twisted_right_coproduct_sign(kz2_twisted):
     lift = rb.coproduct_lift({1: QQ.one})
     assert rb.tensor_space.equal(lift, {1 * 2 + 1: -QQ.one})
     # and the right counit sends g to -1
-    assert rb.counit_apply({1: QQ.one}) == {0: -QQ.one}
+    assert rb.counit.apply({1: QQ.one}) == {0: -QQ.one}
 
 
 def test_m2_full_pass(m2):
@@ -54,7 +54,7 @@ def test_m2_right_counit_is_column_projection(m2):
     # π_R(e_ij) = d_j
     for i in range(2):
         for j in range(2):
-            assert rb.counit_apply({2 * i + j: QQ.one}) == {j: QQ.one}
+            assert rb.counit.apply({2 * i + j: QQ.one}) == {j: QQ.one}
 
 
 def test_fixture_stock_passes():

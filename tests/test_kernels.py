@@ -306,7 +306,7 @@ def test_verify_map_renders_the_unit_vector_report(data):
         B = data.draw(algebras(A.field))
         cols = data.draw(vectors(B, A.dim))
     kind = data.draw(st.sampled_from((HOM, ANTI)))
-    f = AlgebraMap.from_images(A, B, cols, kind, "f")
+    f = AlgebraMap(A, B, Matrix.from_cols(B.field, cols, B.dim), kind, "f")
     assert (verify_map(f).render_text(ALL)
             == unit_vector_verify_map(f).render_text(ALL))
 

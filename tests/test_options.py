@@ -1,0 +1,81 @@
+"""Every option of the package has a caller.
+
+An option is a defaulted parameter of a public function or method under
+``src/algebroids`` (``__init__`` counts for its class).  A call in ``src/``
+or ``bench/`` sets it by keyword, or by position; ``f(*args)`` and
+``f(**kwargs)`` count as setting every option of ``f``.  Calls are matched
+by name alone: ``x.f(…)`` and ``f(…)`` are calls of every ``f``, ``C(…)``
+and ``cls(…)`` inside ``C`` are calls of ``C.__init__``.  Tests do not
+count as callers: an option only a test sets is a constant.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# options kept without a caller in src/ or bench/, with the reason
+KEPT = {
+    ("catalog", "all_fixtures", "field"):
+        "the tests run the whole catalog over GF(7)",
+}
+
+
+def _options():
+    """(module, function, parameter, position or None) of every option;
+    the position does not count the bound self or cls."""
+    for path in sorted((ROOT / "src" / "algebroids").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if not isinstance(fn, ast.FunctionDef) or \
+                        fn.name.startswith("_") and fn.name != "__init__":
+                    continue
+                owner = node.name if fn is not node else None
+                bound = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list)
+                called = owner if fn.name == "__init__" else fn.name
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                for i in range(first, len(args)):
+                    yield path.stem, called, args[i].arg, i - bound
+                for arg, default in zip(fn.args.kwonlyargs,
+                                        fn.args.kw_defaults):
+                    if default is not None:
+                        yield path.stem, called, arg.arg, None
+
+
+def _calls(node, owner=None):
+    """(called name, call) of every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            yield (owner if name == "cls" and owner else name), child
+        yield from _calls(child, owner)
+
+
+def _sets(call, param, position):
+    return any(k.arg in (param, None) for k in call.keywords) or \
+        any(isinstance(a, ast.Starred) for a in call.args) or \
+        position is not None and position < len(call.args)
+
+
+def test_every_option_has_a_caller():
+    calls = {}
+    for top in ("src", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for name, call in _calls(ast.parse(path.read_text())):
+                calls.setdefault(name, []).append(call)
+    uncalled = {(module, called, param)
+                for module, called, param, position in _options()
+                if not any(_sets(call, param, position)
+                           for call in calls.get(called, ()))}
+    unset = sorted(uncalled - KEPT.keys())
+    assert not unset, f"options no caller sets, to make constants: {unset}"
+    stale = sorted(KEPT.keys() - uncalled)
+    assert not stale, f"kept options that have a caller or are gone: {stale}"

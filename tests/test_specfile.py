@@ -28,7 +28,6 @@ from algebroids.specfile import (
     parse_field,
     parse_text,
     spec_from_hopf,
-    spec_from_right_bialgebroid,
 )
 from algebroids.twistlab import verify_weak_hopf
 from spec_mutations import mutated, spec_mutations
@@ -93,9 +92,10 @@ def test_round_trip_preserves_element(kz3):
 
 
 def test_right_bialgebroid_round_trip(kz3):
-    text = spec_from_right_bialgebroid(kz3.rb, name="kz3",
-                                       integral={0: 1, 1: 1, 2: 1})
-    spec = parse_text(text, "kz3-rb.spec")
+    b = SpecBuilder(QQ)
+    b.add_bialgebroid(kz3.rb)
+    b.add_element("integral", kz3.total, {0: 1, 1: 1, 2: 1})
+    spec = parse_text(b.emit(), "kz3-rb.spec")
     nm, rb = spec.right_bialgebroid(None)
     assert verify_right_bialgebroid(rb).passed
     assert rb.gamma_lift == kz3.rb.gamma_lift
@@ -129,7 +129,8 @@ def test_left_bialgebroid_round_trip(m2):
     b = SpecBuilder(QQ)
     b.add_bialgebroid(m2.lb)
     spec = parse_text(b.emit(), "m2-lb.spec")
-    _, lb = spec.left_bialgebroid(None)
+    [(_, lb)] = spec.select(spec.left_bialgebroids, "left_bialgebroid",
+                            None)
     assert verify_left_bialgebroid(lb).passed
     assert lb.s.matrix == m2.lb.s.matrix
     assert lb.t.matrix == m2.lb.t.matrix
@@ -140,7 +141,7 @@ def test_weak_hopf_round_trip(qq):
     b = SpecBuilder(qq)
     b.add_weak_hopf(w)
     spec = parse_text(b.emit(), "w.spec")
-    nm, w2 = spec.weak(None)
+    [(nm, w2)] = spec.select(spec.weak_hopf, "weak_hopf", None)
     assert verify_weak_hopf(w2).passed
     assert w2.delta == w.delta
     assert w2.antipode == w.antipode
@@ -192,12 +193,12 @@ def test_builder_dedupes_by_identity(kz2):
 
 def test_builder_freshens_name_collisions(qq):
     z2 = FiniteGroup.cyclic(2)
-    a1 = group_algebra(z2, qq, name="A")
-    a2 = group_algebra(z2, qq, name="A")
+    a1 = group_algebra(z2, qq)
+    a2 = group_algebra(z2, qq)
     b = SpecBuilder(qq)
     n1 = b.add_algebra(a1)
     n2 = b.add_algebra(a2)
-    assert n1 == "A" and n2 == "A.2"
+    assert n1 == "k[Z2]" and n2 == "k[Z2].2"
 
 
 def test_builder_shares_structure_between_assemblies(kz2):
