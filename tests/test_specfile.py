@@ -30,7 +30,7 @@ from algebroids.specfile import (
     spec_from_hopf,
 )
 from algebroids.twistlab import verify_weak_hopf
-from spec_mutations import mutated, spec_mutations
+from spec_mutations import DELETE, mutated, spec_mutations
 
 QQ = RationalField()
 
@@ -410,6 +410,75 @@ def test_a_node_of_the_wrong_type_is_a_spec_error(path, value, message):
     with pytest.raises(SpecError) as err:
         parse_data(mutated("kz2.spec", path, value), "kz2.spec")
     assert str(err.value) == message
+
+
+GAMMA = ("left_bialgebroids", "M2_L", "gamma")
+STRUCT = ("algebras", "M2", "struct")
+HOPF = ("hopf_algebroids", "m2-groupoid")
+GF7 = PrimeField(7)
+
+
+@pytest.mark.parametrize("changes, over_qq, over_gf7", [
+    ([(GAMMA + (5, 2), "x")],
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar 'x' "
+     "(Invalid literal for Fraction: 'x')",
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar 'x' "
+     "(invalid literal for int() with base 10: 'x')"),
+    ([(GAMMA + (5, 2), "1/0")],
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar '1/0' (Fraction(1, 0))",
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar '1/0' "
+     "(division by zero in GF(p))"),
+    ([(GAMMA + (5, 2), 1.5)],
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar 1.5 "
+     "(cannot coerce 1.5 into QQ)",
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar 1.5 "
+     "(cannot coerce 1.5 into GF(7))"),
+    ([(GAMMA + (5,), "1")],
+     "left_bialgebroids.M2_L.gamma[5]: expected a list of scalars", None),
+    ([(GAMMA + (5,), ["1"])],
+     "left_bialgebroids.M2_L.gamma[5]: expected 4 entries, got 1", None),
+    ([(GAMMA + (15,), DELETE)],
+     "left_bialgebroids.M2_L.gamma: expected 16 rows, got 15", None),
+    ([(GAMMA + (6, 0), "y"), (GAMMA + (5, 3), "x")],
+     "left_bialgebroids.M2_L.gamma[5][3]: bad scalar 'x' "
+     "(Invalid literal for Fraction: 'x')",
+     "left_bialgebroids.M2_L.gamma[5][3]: bad scalar 'x' "
+     "(invalid literal for int() with base 10: 'x')"),
+    ([(GAMMA + (5, 0), "x"), (GAMMA + (4,), ["1"])],
+     "left_bialgebroids.M2_L.gamma[4]: expected 4 entries, got 1", None),
+    ([(STRUCT + (7, 3), "1/0")],
+     "algebras.M2.struct[7]: bad scalar '1/0' (Fraction(1, 0))",
+     "algebras.M2.struct[7]: bad scalar '1/0' (division by zero in GF(p))"),
+    ([(STRUCT + (7, 3), "x"), (STRUCT + (7, 2), 9)],
+     "algebras.M2.struct[7]: index k=9 out of range 0..3", None),
+    ([(HOPF + ("antipode",), [["0"] * 4] * 4),
+      (HOPF + ("antipode_inv",), DELETE)],
+     "hopf_algebroids.m2-groupoid.antipode: antipode matrix is singular",
+     None),
+], ids=["scalar-text", "scalar-zero-division", "scalar-float", "row-type",
+        "row-short", "rows-few", "first-bad-scalar", "first-bad-row",
+        "struct-value", "struct-index-first", "singular-antipode"])
+@pytest.mark.parametrize("field", [None, GF7], ids=["QQ", "GF7"])
+def test_a_parse_error_names_its_first_fault(changes, over_qq, over_gf7,
+                                             field):
+    """A bad scalar, a row that is not a list or is short, too few rows, a
+    bad ``struct`` value and a singular antipode are refused with this exact
+    message and key path, over the spec's own field and under a GF(7)
+    override; with two faults, the first in row-major order is named."""
+    (path, value), *more = changes
+    data = mutated("m2-groupoid.spec", path, value)
+    for path, value in more:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with pytest.raises(SpecError) as err:
+        parse_data(data, "m2-groupoid.spec", field=field)
+    want = over_gf7 if field is GF7 and over_gf7 is not None else over_qq
+    assert str(err.value) == want
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
