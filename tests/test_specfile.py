@@ -1,12 +1,14 @@
 """Spec-file layer: parsing, validation errors, emission, round trips."""
 
+import copy
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from algebroids.algebra import Algebra
-from algebroids.exactfield import Matrix, PrimeField, RationalField
+from algebroids.exactfield import GFElement, Matrix, PrimeField, RationalField
 from algebroids.bialgebroid import (
     verify_left_bialgebroid,
     verify_right_bialgebroid,
@@ -30,7 +32,7 @@ from algebroids.specfile import (
     spec_from_hopf,
 )
 from algebroids.twistlab import verify_weak_hopf
-from spec_mutations import DELETE, mutated, spec_mutations
+from spec_mutations import BUNDLED, DELETE, mutated, spec_mutations
 
 QQ = RationalField()
 
@@ -492,6 +494,89 @@ def test_one_mutated_node_parses_or_is_a_spec_error(mutation):
     except SpecError:
         return
     assert isinstance(spec, SpecFile)
+
+
+def _weak_hopf_document():
+    """A document with a weak Hopf algebra, a functional and a section,
+    which no bundled spec declares.  The builder names algebras by
+    identity, so both structures stay alive until it emits."""
+    w = pair_groupoid_weak_hopf(2, QQ)
+    h = group_hopf_algebroid(FiniteGroup.cyclic(2), QQ)
+    b = SpecBuilder(QQ)
+    b.add_weak_hopf(w)
+    lb_name = b.add_bialgebroid(h.lb)
+    b.add_functional("sign", lb_name, Matrix.from_rows(
+        QQ, [[QQ.one, -QQ.one]]))
+    b.add_section("xi", lb_name, Matrix.from_rows(
+        QQ, [[QQ.of("1/2"), QQ.zero], [QQ.zero] * 2, [QQ.zero] * 2,
+             [QQ.zero, QQ.of(-3)]]))
+    return json.loads(b.emit())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["weak-hopf"])
+@pytest.mark.parametrize("field", [None, GF7], ids=["own", "GF7"])
+@pytest.mark.parametrize("inverse", ["given", "computed"])
+def test_a_parse_equals_an_entrywise_reference_read(name, field, inverse):
+    """Every map, coproduct, counit, antipode, weak-Hopf matrix, algebra
+    table, unit, element, functional and section equals a read of one
+    ``field.of`` per JSON entry, each entry is a scalar of the parse's
+    field, and an antipode given without its inverse is inverted."""
+    data = (_weak_hopf_document() if name == "weak-hopf"
+            else copy.deepcopy(BUNDLED[name]))
+    if inverse == "computed":
+        for body in data.get("hopf_algebroids", {}).values():
+            del body["antipode_inv"]
+    spec = parse_data(data, name, field=field)
+    f = spec.field
+    assert f == (field or parse_field(data["field"]))
+    scalar = GFElement if f == GF7 else Fraction
+
+    def ref(rows):
+        """One ``field.of`` per JSON entry, through dense rows."""
+        return Matrix.from_rows(f, [[f.of(x) for x in row] for row in rows],
+                                len(rows[0]))
+
+    def same(got, want):
+        assert got == want
+        if isinstance(got, Matrix):
+            assert got.field == f
+            got = [x for col in got.cols for x in col.values()]
+        elif isinstance(got, dict):
+            got = got.values()
+        assert all(type(x) is scalar for x in got)
+
+    for nm, body in data.get("algebras", {}).items():
+        A = spec.algebras[nm]
+        want = Algebra.from_struct(
+            f, body["basis"], {(i, j, k): f.of(v)
+                               for i, j, k, v in body["struct"]},
+            unit=tuple(f.of(x) for x in body["unit"]))
+        same(A.unit, want.unit)
+        for i in range(A.dim):
+            for j in range(A.dim):
+                same(A.table[i][j], want.table[i][j])
+    for nm, body in data.get("maps", {}).items():
+        same(spec.maps[nm].matrix, ref(body["matrix"]))
+    for table in ("left_bialgebroids", "right_bialgebroids"):
+        for nm, body in data.get(table, {}).items():
+            bgd = getattr(spec, table)[nm]
+            same(bgd.gamma_lift, ref(body["gamma"]))
+            same(bgd.counit, ref(body["counit"]))
+    for nm, body in data.get("hopf_algebroids", {}).items():
+        h = spec.hopf_algebroids[nm]
+        same(h.S, ref(body["antipode"]))
+        same(h.S_inv, ref(body["antipode_inv"]) if "antipode_inv" in body
+             else ref(body["antipode"]).inverse())
+    for nm, body in data.get("weak_hopf", {}).items():
+        w = spec.weak_hopf[nm]
+        same(w.delta, ref(body["delta"]))
+        same(w.counit, ref(body["counit"]))
+        same(w.antipode, ref(body["antipode"]))
+    for nm, body in data.get("elements", {}).items():
+        same(spec.elements[nm][1], tuple(f.of(x) for x in body["coords"]))
+    for table in ("functionals", "sections"):
+        for nm, body in data.get(table, {}).items():
+            same(getattr(spec, table)[nm][1], ref(body["matrix"]))
 
 
 def test_parse_missing_file(tmp_path):
