@@ -41,9 +41,13 @@ except ``format``):
     (``d^2 x q`` where ``q`` is the quotient dimension).
 
 Parse errors carry a location: JSON syntax errors report line/column,
-semantic errors report the offending key path.  The emitters take algebra
-elements (units and named elements) sparse, as the package holds them, and
-write them densely.
+semantic errors report the offending key path.  A parse reads each
+distinct scalar text once and shares its value, builds every matrix as
+sparse columns in one row-major pass over its rows (so the first bad row or
+entry in that order is the one refused), formats a key path only for a
+refusal, and inverts an antipode given without ``antipode_inv`` once.
+The emitters take algebra elements (units and named elements) sparse, as
+the package holds them, and write them densely.
 """
 
 import json
@@ -149,29 +153,67 @@ def _expect(cond, message, loc):
         raise SpecError(message, loc)
 
 
+class _Scalars:
+    """The scalars of one parse over its field.  A JSON string is read
+    once per distinct text and its value shared (values are immutable);
+    any other JSON value goes to ``field.of`` every time.  Every zero read
+    is ``field.zero`` itself, so a matrix drops zeros by identity.  A key
+    path is built only for a scalar the field refuses: ``loc`` followed by
+    ``[k]`` for each index."""
+
+    def __init__(self, field):
+        self.field = field
+        self.memo = {}
+
+    def read(self, raw, loc, *index):
+        value = self.memo.get(raw) if type(raw) is str else None
+        if value is not None:
+            return value
+        try:
+            value = self.field.of(raw)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            path = loc + "".join(f"[{k}]" for k in index)
+            raise SpecError(f"bad scalar {raw!r} ({exc})", path)
+        if not value:
+            value = self.field.zero
+        if type(raw) is str:
+            self.memo[raw] = value
+        return value
+
+
 def _scalar(field, raw, loc):
-    try:
-        return field.of(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SpecError(f"bad scalar {raw!r} ({exc})", loc)
+    """One scalar read outside a parse."""
+    return _Scalars(field).read(raw, loc)
 
 
-def _vector(field, raw, length, loc):
+def _vector(scalars, raw, length, loc):
     _expect(isinstance(raw, list), "expected a list of scalars", loc)
     _expect(len(raw) == length,
             f"expected {length} entries, got {len(raw)}", loc)
-    return tuple(_scalar(field, x, f"{loc}[{i}]") for i, x in enumerate(raw))
+    return tuple(scalars.read(x, loc, i) for i, x in enumerate(raw))
 
 
-def _matrix(field, raw, nrows, ncols, loc):
+def _matrix(scalars, raw, nrows, ncols, loc):
+    """The ``nrows x ncols`` matrix of the JSON rows ``raw``, filled into
+    sparse columns in one row-major pass, so the first bad row or entry in
+    that order is the one refused."""
     _expect(isinstance(raw, list), "expected a list of rows", loc)
     _expect(len(raw) == nrows, f"expected {nrows} rows, got {len(raw)}", loc)
-    rows = [_vector(field, row, ncols, f"{loc}[{i}]")
-            for i, row in enumerate(raw)]
-    return Matrix.from_rows(field, rows, ncols)
+    memo, read, zero = scalars.memo, scalars.read, scalars.field.zero
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != ncols:
+            _vector(scalars, row, ncols, f"{loc}[{i}]")  # refuses the row
+        for j, x in enumerate(row):
+            value = memo.get(x) if type(x) is str else None
+            if value is None:
+                value = read(x, loc, i, j)
+            if value is not zero:
+                cols[j][i] = value
+    return Matrix.from_sparse_cols(scalars.field, cols, nrows)
 
 
-def _parse_algebra(field, name, body, loc):
+def _parse_algebra(scalars, name, body, loc):
     basis = body.get("basis")
     _expect(isinstance(basis, list) and basis, "missing basis names",
             f"{loc}.basis")
@@ -183,24 +225,30 @@ def _parse_algebra(field, name, body, loc):
     _expect(dim == len(basis),
             f"dim {dim} != {len(basis)} basis names", f"{loc}.dim")
     quads = body.get("struct", [])
-    _expect(isinstance(quads, list), "expected a list of quadruples",
-            f"{loc}.struct")
+    sloc = f"{loc}.struct"
+    _expect(isinstance(quads, list), "expected a list of quadruples", sloc)
+    memo, read = scalars.memo, scalars.read
     struct = {}
     for idx, quad in enumerate(quads):
-        qloc = f"{loc}.struct[{idx}]"
-        _expect(isinstance(quad, list) and len(quad) == 4,
-                "expected a quadruple [i, j, k, value]", qloc)
+        if not (isinstance(quad, list) and len(quad) == 4):
+            raise SpecError("expected a quadruple [i, j, k, value]",
+                            f"{sloc}[{idx}]")
         i, j, k, val = quad
-        for pos, ix in (("i", i), ("j", j), ("k", k)):
-            _expect(isinstance(ix, int) and 0 <= ix < dim,
-                    f"index {pos}={ix} out of range 0..{dim - 1}", qloc)
-        struct[(i, j, k)] = _scalar(field, val, qloc)
+        if not (isinstance(i, int) and isinstance(j, int)
+                and isinstance(k, int)
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            for pos, ix in (("i", i), ("j", j), ("k", k)):
+                _expect(isinstance(ix, int) and 0 <= ix < dim,
+                        f"index {pos}={ix} out of range 0..{dim - 1}",
+                        f"{sloc}[{idx}]")
+        value = memo.get(val) if type(val) is str else None
+        struct[(i, j, k)] = read(val, sloc, idx) if value is None else value
     unit = body.get("unit")
     if unit is not None:
-        unit = _vector(field, unit, dim, f"{loc}.unit")
+        unit = _vector(scalars, unit, dim, f"{loc}.unit")
     try:
-        return Algebra.from_struct(field, list(basis), struct, unit=unit,
-                                   name=name)
+        return Algebra.from_struct(scalars.field, list(basis), struct,
+                                   unit=unit, name=name)
     except ValueError as exc:
         raise SpecError(str(exc), loc)
 
@@ -230,9 +278,10 @@ def parse_data(data, source="<spec>", field=None):
     if field is None:
         field = parse_field(data.get("field", "rational"))
     spec = SpecFile(field, source=source)
+    scalars = _Scalars(field)
 
     for name, body in _table(data, "algebras"):
-        spec.algebras[name] = _parse_algebra(field, name, body,
+        spec.algebras[name] = _parse_algebra(scalars, name, body,
                                              f"algebras.{name}")
 
     for name, body in _table(data, "maps"):
@@ -242,7 +291,7 @@ def parse_data(data, source="<spec>", field=None):
         kind = body.get("kind", HOM)
         _expect(kind in (HOM, ANTI), f"kind must be '{HOM}' or '{ANTI}'",
                 f"{loc}.kind")
-        mat = _matrix(field, body.get("matrix"), cod.dim, dom.dim,
+        mat = _matrix(scalars, body.get("matrix"), cod.dim, dom.dim,
                       f"{loc}.matrix")
         spec.maps[name] = AlgebraMap(dom, cod, mat, kind, name)
 
@@ -252,8 +301,8 @@ def parse_data(data, source="<spec>", field=None):
         smap = _ref(spec.maps, body, "s", loc, "map")
         tmap = _ref(spec.maps, body, "t", loc, "map")
         d = total.dim
-        gamma = _matrix(field, body.get("gamma"), d * d, d, f"{loc}.gamma")
-        counit = _matrix(field, body.get("counit"), base.dim, d,
+        gamma = _matrix(scalars, body.get("gamma"), d * d, d, f"{loc}.gamma")
+        counit = _matrix(scalars, body.get("counit"), base.dim, d,
                          f"{loc}.counit")
         try:
             return cls(total, base, smap, tmap, gamma, counit, name=name)
@@ -277,12 +326,15 @@ def parse_data(data, source="<spec>", field=None):
         _expect(lb.total is rb.total,
                 "left and right sides must share the total algebra", loc)
         d = lb.total.dim
-        anti = _matrix(field, body.get("antipode"), d, d, f"{loc}.antipode")
+        anti = _matrix(scalars, body.get("antipode"), d, d, f"{loc}.antipode")
         anti_inv = body.get("antipode_inv")
         if anti_inv is not None:
-            anti_inv = _matrix(field, anti_inv, d, d, f"{loc}.antipode_inv")
-        elif anti.inverse() is None:
-            raise SpecError("antipode matrix is singular", f"{loc}.antipode")
+            anti_inv = _matrix(scalars, anti_inv, d, d, f"{loc}.antipode_inv")
+        else:
+            # the one inversion of S: HopfAlgebroid takes it as given
+            anti_inv = anti.inverse()
+            _expect(anti_inv is not None, "antipode matrix is singular",
+                    f"{loc}.antipode")
         spec.hopf_algebroids[name] = HopfAlgebroid(
             lb, rb, anti, antipode_inv=anti_inv, name=name)
 
@@ -290,16 +342,16 @@ def parse_data(data, source="<spec>", field=None):
         loc = f"weak_hopf.{name}"
         alg = _ref(spec.algebras, body, "algebra", loc, "algebra")
         d = alg.dim
-        delta = _matrix(field, body.get("delta"), d * d, d, f"{loc}.delta")
-        counit = _matrix(field, body.get("counit"), 1, d, f"{loc}.counit")
-        anti = _matrix(field, body.get("antipode"), d, d, f"{loc}.antipode")
+        delta = _matrix(scalars, body.get("delta"), d * d, d, f"{loc}.delta")
+        counit = _matrix(scalars, body.get("counit"), 1, d, f"{loc}.counit")
+        anti = _matrix(scalars, body.get("antipode"), d, d, f"{loc}.antipode")
         spec.weak_hopf[name] = WeakHopfAlgebra(alg, delta, counit, anti,
                                                name=name)
 
     for name, body in _table(data, "elements"):
         loc = f"elements.{name}"
         alg = _ref(spec.algebras, body, "algebra", loc, "algebra")
-        coords = _vector(field, body.get("coords"), alg.dim, f"{loc}.coords")
+        coords = _vector(scalars, body.get("coords"), alg.dim, f"{loc}.coords")
         spec.elements[name] = (body["algebra"], coords)
 
     def parse_dual_row(table_name, store, shape):
@@ -310,7 +362,7 @@ def parse_data(data, source="<spec>", field=None):
             lb = _ref(spec.left_bialgebroids, body, "bialgebroid", loc,
                       "left_bialgebroid")
             raw = body.get("matrix")
-            mat = _matrix(field, raw, *shape(lb, raw, loc), f"{loc}.matrix")
+            mat = _matrix(scalars, raw, *shape(lb, raw, loc), f"{loc}.matrix")
             store[name] = (body["bialgebroid"], mat)
 
     def section_shape(lb, raw, loc):
