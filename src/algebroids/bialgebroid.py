@@ -479,15 +479,17 @@ def _verify_bialgebroid(bgd, ch, total_checks):
             [] if pi_one == B.unit else [f"π(1) = {B.fmt_vec(pi_one)}"])
 
     # π(a s(π(b))) = π(ab) on the left, π(s(π(a))b) = π(ab) on the right;
-    # c indexes the element of (a, b) whose counit is taken
+    # c indexes the element of (a, b) whose counit is taken, and the image
+    # of each basis counit under the map is taken once
     c = 1 if side == PRE else 0
     pi_ab = [bgd.counit.apply(table[i][j]) for i, j in by_total]
     for m, amap, _, role in maps:
         cid = f"pi-mult-{m}"
+        through = [amap.apply(col) for col in counits]
         rep.add(cid, f"counit product rule through the {role}",
                 column_certificates(
                     (bgd.counit.apply(side_product(
-                        A, amap.apply(counits[pair[c]]), pair[1 - c], other))
+                        A, through[pair[c]], pair[1 - c], other))
                      for pair in by_total),
                     pi_ab, total_pairs, B.fmt_vec, templates[cid]))
     return rep
