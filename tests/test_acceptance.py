@@ -9,8 +9,6 @@ summary.
 import random
 import time
 
-import pytest
-
 from algebroids.exactfield import Matrix, PrimeField, RationalField
 from algebroids.algebra import (
     Algebra,

@@ -1,7 +1,6 @@
 """Algebras, algebra maps, and tensor plumbing."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st

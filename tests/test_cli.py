@@ -13,7 +13,7 @@ from algebroids.cli import emit_report, main
 from algebroids.exactfield import Matrix, RationalField
 from algebroids.integrallab import PreconditionError
 from algebroids.report import Report, column_certificates
-from algebroids.specfile import SpecBuilder, parse, parse_text, spec_from_hopf
+from algebroids.specfile import SpecBuilder, parse, spec_from_hopf
 from algebroids.bialgebroid import LeftBialgebroid
 from algebroids.catalog import (
     pair_groupoid_hopf_algebroid,

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.exactfield import (
-    GFElement,
     Matrix,
     PrimeField,
     RationalField,

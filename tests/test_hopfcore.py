@@ -15,7 +15,6 @@ from algebroids.hopfcore import (
     check_luiiv,
     reconstruct_left,
     reconstruct_right,
-    solve_base_antiiso,
     verify_galois,
     verify_hopf,
     verify_sisom,
