@@ -199,15 +199,13 @@ def _matrix(scalars, raw, nrows, ncols, loc):
     that order is the one refused."""
     _expect(isinstance(raw, list), "expected a list of rows", loc)
     _expect(len(raw) == nrows, f"expected {nrows} rows, got {len(raw)}", loc)
-    memo, read, zero = scalars.memo, scalars.read, scalars.field.zero
+    read, zero = scalars.read, scalars.field.zero
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != ncols:
             _vector(scalars, row, ncols, f"{loc}[{i}]")  # refuses the row
         for j, x in enumerate(row):
-            value = memo.get(x) if type(x) is str else None
-            if value is None:
-                value = read(x, loc, i, j)
+            value = read(x, loc, i, j)
             if value is not zero:
                 cols[j][i] = value
     return Matrix.from_sparse_cols(scalars.field, cols, nrows)
@@ -227,22 +225,17 @@ def _parse_algebra(scalars, name, body, loc):
     quads = body.get("struct", [])
     sloc = f"{loc}.struct"
     _expect(isinstance(quads, list), "expected a list of quadruples", sloc)
-    memo, read = scalars.memo, scalars.read
     struct = {}
     for idx, quad in enumerate(quads):
         if not (isinstance(quad, list) and len(quad) == 4):
             raise SpecError("expected a quadruple [i, j, k, value]",
                             f"{sloc}[{idx}]")
         i, j, k, val = quad
-        if not (isinstance(i, int) and isinstance(j, int)
-                and isinstance(k, int)
-                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            for pos, ix in (("i", i), ("j", j), ("k", k)):
-                _expect(isinstance(ix, int) and 0 <= ix < dim,
-                        f"index {pos}={ix} out of range 0..{dim - 1}",
-                        f"{sloc}[{idx}]")
-        value = memo.get(val) if type(val) is str else None
-        struct[(i, j, k)] = read(val, sloc, idx) if value is None else value
+        for pos, ix in (("i", i), ("j", j), ("k", k)):
+            if not (isinstance(ix, int) and 0 <= ix < dim):
+                raise SpecError(f"index {pos}={ix} out of range "
+                                f"0..{dim - 1}", f"{sloc}[{idx}]")
+        struct[(i, j, k)] = scalars.read(val, sloc, idx)
     unit = body.get("unit")
     if unit is not None:
         unit = _vector(scalars, unit, dim, f"{loc}.unit")

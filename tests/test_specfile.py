@@ -467,16 +467,15 @@ def test_a_parse_error_names_its_first_fault(changes, over_qq, over_gf7,
     bad ``struct`` value and a singular antipode are refused with this exact
     message and key path, over the spec's own field and under a GF(7)
     override; with two faults, the first in row-major order is named."""
-    (path, value), *more = changes
-    data = mutated("m2-groupoid.spec", path, value)
-    for path, value in more:
+    data = copy.deepcopy(BUNDLED["m2-groupoid.spec"])
+    for (*keys, last), value in changes:
         parent = data
-        for key in path[:-1]:
+        for key in keys:
             parent = parent[key]
         if value is DELETE:
-            del parent[path[-1]]
+            del parent[last]
         else:
-            parent[path[-1]] = value
+            parent[last] = value
     with pytest.raises(SpecError) as err:
         parse_data(data, "m2-groupoid.spec", field=field)
     want = over_gf7 if field is GF7 and over_gf7 is not None else over_qq
