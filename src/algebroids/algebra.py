@@ -198,6 +198,12 @@ def side_product(algebra, u, i, side):
     return combine(terms)
 
 
+def times(algebra, u, x, side):
+    """The product of two elements with u on ``side``: u·x (``pre``) or
+    x·u (``post``)."""
+    return algebra.mul_vec(u, x) if side == PRE else algebra.mul_vec(x, u)
+
+
 def verify_algebra(algebra):
     """Check unit laws and associativity on all basis triples.
 
@@ -421,6 +427,27 @@ def map_at_factor(dims, p, vec, out_dim, image):
     return nonzero(out) if cancelled else out
 
 
+def on_leg(m, leg, w):
+    """The square matrix ``m`` applied to leg ``leg`` of the sparse
+    tensor-square vector ``w``, the other leg kept."""
+    d = m.ncols
+    return map_at_factor((d, d), leg, w, d, m.cols.__getitem__)
+
+
+def mult_at_factor(algebra, dims, p, vec, elem, side):
+    """Multiply tensor factor ``p`` of the sparse vector ``vec`` by a fixed
+    algebra element u, given as a sparse vector ``elem``, on one side:
+    e_i at factor ``p`` becomes u e_i (``pre``) or e_i u (``post``), for
+    each i that occurs in ``vec``.  The result is sparse.
+    """
+    if side not in (PRE, POST):
+        raise ValueError(f"side must be {PRE!r} or {POST!r}")
+    if algebra.dim != dims[p]:
+        raise ValueError("algebra does not fit factor dimension")
+    return map_at_factor(dims, p, vec, algebra.dim,
+                         lambda i: side_product(algebra, elem, i, side))
+
+
 def tensor_square_product(alg_a, alg_b, w1, w2):
     """Componentwise product on A ⊗ B: (a⊗b)(a'⊗b') = aa' ⊗ bb', of sparse
     vectors, read from both tables.
@@ -589,26 +616,24 @@ def verify_separability(sep):
     rep = Report(f"separability structure on {sep.base.name}")
     L = sep.base
     dl = L.dim
-    field = sep.field
+    one = sep.field.one
 
     # splitting: m∘δ = id
-    one = field.one
     rep.add("sep-splitting", "m∘δ = id", column_certificates(
         (combine((c, L.table[idx // dl][idx % dl]) for idx, c in col.items())
          for col in sep.delta.cols),
         ({j: one} for j in range(dl)), L.basis_names, L.fmt_vec, "{}"))
 
     # bimodule property: δ(l l') = l·δ(l') = δ(l)·l'
+    dims = (dl, dl)
     bad = []
     for i in range(dl):
         for j in range(dl):
             target = sep.delta.apply(L.table[i][j])
-            left = tensor_apply(L.left_mult_matrix({i: one}),
-                                Matrix.identity(field, dl),
-                                sep.delta.cols[j])
-            right = tensor_apply(Matrix.identity(field, dl),
-                                 L.right_mult_matrix({j: one}),
-                                 sep.delta.cols[i])
+            left = mult_at_factor(L, dims, 0, sep.delta.cols[j], {i: one},
+                                  PRE)
+            right = mult_at_factor(L, dims, 1, sep.delta.cols[i], {j: one},
+                                   POST)
             if left != target or right != target:
                 bad.append(f"l = {L.basis_names[i]}, "
                            f"l' = {L.basis_names[j]}")

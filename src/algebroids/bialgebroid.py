@@ -49,6 +49,7 @@ from .algebra import (
     AlgebraMap,
     combine,
     map_at_factor,
+    mult_at_factor,
     opposite,
     side_product,
     tensor_apply,
@@ -63,7 +64,6 @@ from .bimodtensor import (
     ActionSpec,
     Junction,
     BalancedTensorSpace,
-    mult_at_factor,
 )
 from .report import PairNames, Report, column_certificates
 
@@ -451,13 +451,14 @@ def _verify_bialgebroid(bgd, ch, total_checks):
     # side and through t on the other
     for m, _, _, role in maps:
         cid = f"pi-{m}-linear"
-        on = side if m == "s" else other
+        # the base element stands on ``side`` for s and on ``other`` for t,
+        # and π(a) on the far side of it
+        away = other if m == "s" else side
         rep.add(cid, f"counit intertwines the {role} action",
                 column_certificates(
                     (bgd.counit.apply(side_product(A, images[m][j], i, side))
                      for i, j in by_base),
-                    (B.mul_vec({j: one}, counits[i]) if on == PRE
-                     else B.mul_vec(counits[i], {j: one})
+                    (side_product(B, counits[i], j, away)
                      for i, j in by_base),
                     base_pairs, B.fmt_vec, templates[cid]))
 

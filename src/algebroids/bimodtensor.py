@@ -28,8 +28,8 @@ Tensor vectors are sparse at this interface: a dict ``{index: scalar}``
 holding only nonzero entries, the index of e_i ⊗ e_j ⊗ ... being row-major
 over the factors.  ``coords``, ``equal``, ``normal_form``,
 ``is_zero_class`` and ``fmt`` take such vectors, ``normal_form`` returns
-them, and the relation build, the reductions and the factor kernels below
-touch only nonzero entries.  Quotient coordinates are sparse too:
+them, and the relation build and the reductions touch only nonzero
+entries.  Quotient coordinates are sparse too:
 ``coords`` gives them, ``projection_matrix`` is its matrix, and
 ``section_matrix`` places them back at the free columns.
 """
@@ -141,20 +141,6 @@ class Junction:
             self._step = (sep is not None
                           and _junction_step(self, sep.idempotent()))
         return self._step or None
-
-
-def mult_at_factor(algebra, dims, p, vec, elem, side):
-    """Multiply tensor factor ``p`` of the sparse vector ``vec`` by a fixed
-    algebra element u, given as a sparse vector ``elem``, on one side:
-    e_i at factor ``p`` becomes u e_i (``pre``) or e_i u (``post``), for
-    each i that occurs in ``vec``.  The result is sparse.
-    """
-    if side not in (PRE, POST):
-        raise ValueError(f"side must be {PRE!r} or {POST!r}")
-    if algebra.dim != dims[p]:
-        raise ValueError("algebra does not fit factor dimension")
-    return map_at_factor(dims, p, vec, algebra.dim,
-                         lambda i: side_product(algebra, elem, i, side))
 
 
 def _junction_step(junc, idempotent):

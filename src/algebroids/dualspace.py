@@ -31,7 +31,7 @@ formulas swap their factors.
 
 from .exactfield import Matrix
 from .algebra import (HOM, ANTI, Algebra, AlgebraMap, combine, nonzero,
-                      side_product, verify_algebra)
+                      side_product, times, verify_algebra)
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, contract_leg
 from .bimodtensor import PRE, POST
 from .report import Report
@@ -215,8 +215,7 @@ def acting_on(bgd, kind, vec):
             parts[j][i] = c
     cols = []
     for x in getattr(bgd, amap).matrix.cols:
-        cols.extend(A.mul_vec(x, part) if side == PRE
-                    else A.mul_vec(part, x) for part in parts)
+        cols.extend(times(A, x, part, side) for part in parts)
     return Matrix.from_sparse_cols(bgd.field, cols, d)
 
 

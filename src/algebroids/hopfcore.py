@@ -31,9 +31,12 @@ from .algebra import (
     HOM,
     ANTI,
     AlgebraMap,
+    mult_at_factor,
+    on_leg,
     opposite,
     side_product,
     tensor_apply,
+    times,
     flip_tensor,
     verify_algebra,
     verify_map,
@@ -44,7 +47,6 @@ from .bimodtensor import (
     ActionSpec,
     Junction,
     BalancedTensorSpace,
-    mult_at_factor,
 )
 from .bialgebroid import (
     _LEFT,
@@ -248,8 +250,7 @@ def verify_hopf(h):
                  for tx, sx in zip(own.t.matrix.cols, own.s.matrix.cols)]
         bad = column_certificates(
             (h.S.apply(side_product(A, tx, i, side)) for i, tx, _ in pairs),
-            (A.mul_vec(sx, h.S.cols[i]) if away == PRE
-             else A.mul_vec(h.S.cols[i], sx) for i, _, sx in pairs),
+            (times(A, sx, h.S.cols[i], away) for i, _, sx in pairs),
             PairNames(A.basis_names, own.base.basis_names, x), A.fmt_vec,
             f"a = {{}}: {lhs_text} = {{}} but {rhs_text} = {{}}")
         defiii_ok = defiii_ok and not bad
@@ -542,10 +543,9 @@ def antipode_uniqueness(h1, h2):
     lb = h1.lb
     A = lb.total
     s_pi = lb.s.matrix @ lb.counit
-    ident = Matrix.identity(lb.field, A.dim)
     # S(a_(1)) s_L(π_L(a_(2)))
     bad = column_certificates(
-        (contract_leg(A, h1.S, tensor_apply(ident, s_pi, w), 0, PRE)
+        (contract_leg(A, h1.S, on_leg(s_pi, 1, w), 0, PRE)
          for w in lb.canonical_gamma_lift), h2.S.cols, A.basis_names,
         A.fmt_vec, "a = {}: S(a_(1))s_L(π_L(a_(2))) = {} but S'(a) = {}")
     rep.add("unique", "S'(a) = S(a_(1))s_L(π_L(a_(2)))", bad)
@@ -604,13 +604,12 @@ class GaloisMaps:
 
         # total-space matrices of the four maps: e_i ⊗ e_j goes to a
         # coproduct of e_i, legs optionally swapped and moved, times e_j
-        ident = Matrix.identity(field, d)
         cols = ([], [], [], [])
         for w, wr in zip(lb.canonical_gamma_lift, h.rb.canonical_gamma_lift):
             # e_i_(1) ⊗ e_i_(2), e_i^(1) ⊗ S(e_i^(2)), e_i_(2) ⊗ e_i_(1)
             # and e_i^(2) ⊗ S⁻¹(e_i^(1))
-            images = (w, tensor_apply(ident, h.S, wr), flip_tensor(d, d, w),
-                      tensor_apply(ident, h.S_inv, flip_tensor(d, d, wr)))
+            images = (w, on_leg(h.S, 1, wr), flip_tensor(d, d, w),
+                      on_leg(h.S_inv, 1, flip_tensor(d, d, wr)))
             for j in range(d):
                 ej = {j: field.one}
                 for col, img in zip(cols, images):

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .exactfield import Matrix, Subspace
 from .algebra import (ANTI, PRE, POST, AlgebraMap, SeparabilityStructure,
-                      combine, flip_tensor, fmt_terms, map_at_factor,
-                      side_product, tensor_apply, verify_map,
+                      combine, flip_tensor, fmt_terms, mult_at_factor, on_leg,
+                      side_product, tensor_apply, times, verify_map,
                       verify_separability)
 from .report import Report, column_certificates
 from .bialgebroid import (
@@ -80,18 +80,6 @@ class PreconditionError(ArithmeticError):
 def _require(ok, message):
     if not ok:
         raise PreconditionError(message)
-
-
-def _times(algebra, u, x, side):
-    """u·x (``pre``) or x·u (``post``)."""
-    return algebra.mul_vec(u, x) if side == PRE else algebra.mul_vec(x, u)
-
-
-def _on_leg(m, leg, w):
-    """The square matrix ``m`` applied to leg ``leg`` of the sparse
-    tensor-square vector ``w``, the other leg kept."""
-    d = m.ncols
-    return map_at_factor((d, d), leg, w, d, m.cols.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +170,7 @@ def intpr_equivalences(h, ell):
              h.S_inv.apply(ell), rb.s, PRE)):
         bad = column_certificates(
             (side_product(A, vec, i, side) for i in range(d)),
-            (_times(A, vec, amap.apply(col), side)
+            (times(A, vec, amap.apply(col), side)
              for col in bgd.counit.cols),
             A.basis_names, A.fmt_vec, "a = {}: {} ≠ {}")
         rep.add(cid, label, bad)
@@ -190,9 +178,10 @@ def intpr_equivalences(h, ell):
 
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
+    dims = (d, d)
     bad = column_certificates(
-        (_on_leg(A.left_mult_matrix(col), 0, lift) for col in h.S.cols),
-        (_on_leg(A.left_mult_matrix({i: h.field.one}), 1, lift)
+        (mult_at_factor(A, dims, 0, lift, col, PRE) for col in h.S.cols),
+        (mult_at_factor(A, dims, 1, lift, {i: h.field.one}, PRE)
          for i in range(d)),
         A.basis_names, space.fmt,
         "a = {}: S(a)ℓ⁽¹⁾⊗ℓ⁽²⁾ = {} but ℓ⁽¹⁾⊗aℓ⁽²⁾ = {}", space.equal)
@@ -387,7 +376,7 @@ def frobenius_system(nd, h=None):
     """The Frobenius system induced by a non-degenerate integral."""
     h = h or nd.parent
     lift = h.rb.coproduct_lift(nd.ell)
-    quasi = _on_leg(h.S, 1, lift)
+    quasi = on_leg(h.S, 1, lift)
     return FrobeniusSystem(nd.lambda_star, quasi)
 
 
@@ -412,14 +401,13 @@ def frobenius_check(nd, h=None):
     # the right
     bad = []
     for ridx in range(R.dim):
-        rvec = {ridx: one}
         srv = rb.s.matrix.cols[ridx]
         for i in range(d):
-            for side, text in (
-                    (PRE, "λ*(s_R(r)a) = {} ≠ rλ*(a) = {}"),
-                    (POST, "λ*(a s_R(r)) = {} ≠ λ*(a)r = {}")):
+            for side, away, text in (
+                    (PRE, POST, "λ*(s_R(r)a) = {} ≠ rλ*(a) = {}"),
+                    (POST, PRE, "λ*(a s_R(r)) = {} ≠ λ*(a)r = {}")):
                 lhs = lam.apply(side_product(A, srv, i, side))
-                rhs = _times(R, rvec, lam.cols[i], side)
+                rhs = side_product(R, lam.cols[i], ridx, away)
                 if lhs != rhs:
                     bad.append(f"r = {R.basis_names[ridx]}, "
                                f"a = {A.basis_names[i]}: "
@@ -441,7 +429,7 @@ def frobenius_check(nd, h=None):
             ("frob-right", "Σ s_R(λ*(a x)) · y = a", "Σ s_R(λ*(a x))·y",
              [(y, {k: one}) for k, y in enumerate(ys)], POST)):
         rep.add(cid, label, column_certificates(
-            (combine((one, _times(A, outer, rb.s.apply(lam.apply(
+            (combine((one, times(A, outer, rb.s.apply(lam.apply(
                 side_product(A, inner, i, side))), side))
                 for outer, inner in legs) for i in range(d)),
             ({i: one} for i in range(d)), A.basis_names, A.fmt_vec,
@@ -823,6 +811,7 @@ def _verify_bgdnd(rb, ell, title, notation):
 
     space = rb.tensor_space
     lift = rb.coproduct_lift(ell)
+    dims = (d, d)
     moved = {}
     for law, (cid, label, skip, certificate) in notation.exchange:
         leg = _EXCHANGES[law]
@@ -833,9 +822,9 @@ def _verify_bgdnd(rb, ell, title, notation):
         m = moved[law] = (acting_on(rb, act.module.kind, ell)
                           @ _transposes(transpose_right, act.element, A))
         bad = column_certificates(
-            (_on_leg(A.left_mult_matrix({i: A.field.one}), leg, lift)
+            (mult_at_factor(A, dims, leg, lift, {i: A.field.one}, PRE)
              for i in range(d)),
-            (_on_leg(A.left_mult_matrix(col), 1 - leg, lift)
+            (mult_at_factor(A, dims, 1 - leg, lift, col, PRE)
              for col in m.cols),
             A.basis_names, space.fmt, "a = {}: " + certificate, space.equal)
         rep.add(cid, label, bad)
@@ -915,9 +904,8 @@ def _ls(rb, ell, notation):
     d = A.dim
     # S(a) = (*λ⇂a)⇁ℓ and S⁻¹(a) = (λ*↼a)⇀ℓ, as (sf) and (sb) moved a
     antipode, antipode_inv = moved["sf"], moved["sb"]
-    ident = Matrix.identity(rb.field, d)
-    _require(antipode @ antipode_inv == ident
-             and antipode_inv @ antipode == ident,
+    _require((antipode @ antipode_inv).is_identity()
+             and (antipode_inv @ antipode).is_identity(),
              notation.not_inverse)
 
     # (grs) γ_R(S(a)) = ℓ⁽¹⁾ ⊗ (*λ⇂a)⇁ℓ⁽²⁾ and (grsi) γ_R(S⁻¹(a)) =
@@ -933,7 +921,7 @@ def _ls(rb, ell, notation):
             acting = action_matrix(rb, act.module.kind,
                                    transpose_right(act.element, A, avec))
             _require(space.equal(rb.coproduct_lift(moved[law].cols[i]),
-                                 _on_leg(acting, leg, lift)),
+                                 on_leg(acting, leg, lift)),
                      f"({tag}) fails at a = {A.basis_names[i]}")
 
     h = reconstruct_left(rb, antipode, antipode_inv)

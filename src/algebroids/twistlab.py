@@ -24,6 +24,7 @@ from .algebra import (
     combine,
     map_at_factor,
     nonzero,
+    on_leg,
     separability_structure,
     side_product,
     tensor_apply,
@@ -90,8 +91,6 @@ def verify_twist(lb, antipode, g, g_inv=None):
     rep = Report("twist verification")
     A = lb.total
     L = lb.base
-    field = lb.field
-    d = A.dim
     module = DualModule(lb, LOWER_STAR)
 
     member = module.coords(g) is not None
@@ -148,11 +147,10 @@ def verify_twist(lb, antipode, g, g_inv=None):
     junction = Junction(ActionSpec(lb.s, POST), ActionSpec(deformed, PRE))
     space = BalancedTensorSpace([A, A], [junction])
     act_g_inv = action_matrix(lb, LOWER_STAR, g_inv)
-    ident = Matrix.identity(field, d)
     # S(a_(1)) ↼ g ⊗ a_(2) and S(a_(1)) ⊗ a_(2) ↼ g⁻¹
     lifts, s_then_g = lb.canonical_gamma_lift, act_g @ antipode
     bad = column_certificates(
-        (tensor_apply(s_then_g, ident, w) for w in lifts),
+        (on_leg(s_then_g, 0, w) for w in lifts),
         (tensor_apply(antipode, act_g_inv, w) for w in lifts),
         A.basis_names, space.fmt, "a = {}", space.equal)
     rep.add("tw3", "S(a_(1)) ↼ g ⊗ a_(2) ≡ S(a_(1)) ⊗ a_(2) ↼ g⁻¹", bad)
@@ -482,11 +480,10 @@ def weak_bialgebra_from_sep(lb, sep, antipode):
     A = lb.total
     field = lb.field
     d = A.dim
-    moves = [(A.left_mult_matrix(lb.t.matrix.cols[i]),
-              A.left_mult_matrix(lb.s.apply(f)))
+    moves = [tensor_vec(d, lb.t.matrix.cols[i], lb.s.apply(f))
              for i, f in sep.idempotent()]
-    cols = [combine((field.one, tensor_apply(te, sf, w))
-                    for te, sf in moves)
+    cols = [combine((field.one, tensor_square_product(A, A, move, w))
+                    for move in moves)
             for w in lb.canonical_gamma_lift]
     delta = Matrix.from_sparse_cols(field, cols, d * d)
     counit = sep.psi @ lb.counit

@@ -3,12 +3,12 @@ boundary.
 
 Inside the package an element is a sparse vector ``{index: scalar}``
 without zero entries.  The kernels that compute with them,
-``Algebra.mul_vec``, ``Matrix.apply`` and ``Subspace.contains`` /
-``coords_of``, are compared here with the dense loops of
-``dense_reference`` on the catalog algebras over ℚ and GF(7).  A caller
-hands an element in as a dense coefficient tuple, and every public entry
-point converts it once through ``Algebra.from_dense``, which rejects a
-tuple of the wrong length.
+``Algebra.mul_vec`` and ``times`` on both sides, ``Matrix.apply`` and
+``Subspace.contains`` / ``coords_of``, are compared here with the dense
+loops of ``dense_reference`` on the catalog algebras over ℚ and GF(7).  A
+caller hands an element in as a dense coefficient tuple, and every public
+entry point converts it once through ``Algebra.from_dense``, which rejects
+a tuple of the wrong length.
 """
 
 from functools import cache
@@ -16,6 +16,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids.algebra import POST, PRE, times
 from algebroids.catalog import all_fixtures
 from algebroids.exactfield import (Matrix, PrimeField, RationalField,
                                    Subspace, sparse)
@@ -65,6 +66,9 @@ def test_element_kernels_match_the_dense_reference(data):
     got = A.mul_vec(sparse(u), sparse(v))
     assert got == sparse(dense_mul_vec(A, u, v))
     assert all(got.values())
+    assert times(A, sparse(u), sparse(v), PRE) == got
+    assert times(A, sparse(u), sparse(v), POST) == \
+        sparse(dense_mul_vec(A, v, u))
 
     nrows = data.draw(st.integers(0, 4))
     m = Matrix(field, nrows, A.dim, [dense(A.dim) for _ in range(nrows)])

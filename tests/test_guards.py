@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from algebroids.algebra import HOM, PRE, POST, AlgebraMap, \
-    SeparabilityStructure, nonzero
+    SeparabilityStructure, mult_at_factor, nonzero
 from algebroids.bialgebroid import LeftBialgebroid
 from algebroids.bimodtensor import ActionSpec, BalancedTensorSpace, \
-    Junction, mult_at_factor
+    Junction
 from algebroids.catalog import (
     Character,
     FiniteGroup,

@@ -1,8 +1,8 @@
 """The structure-constant kernels against dense unit-vector references.
 
 ``verify_algebra``, ``verify_map``, ``Algebra.mul_vec``, the multiplication
-matrices, ``is_commutative`` and ``mult_at_factor`` read ``Algebra.table``
-directly.  Each is compared here with a dense evaluation that builds unit
+matrices, ``is_commutative``, ``mult_at_factor`` and ``on_leg`` read
+``Algebra.table`` directly.  Each is compared here with a dense evaluation that builds unit
 vectors and multiplies coefficient by coefficient, on random structure
 constants over ℚ and GF(7): associative algebras in a random basis, the
 same with a corrupted structure constant, and arbitrary constants.  The
@@ -15,7 +15,9 @@ compared with brute-force sums on corrupted weak Hopf algebras, and the
 checks of ``frobenius_check`` with dense sums on the catalog witnesses and
 on witnesses whose λ* is raised at one entry.  A passing
 ``verify_algebra`` is held to one ``combine`` per basis pair, so a
-per-triple loop cannot come back unseen.  The unit-aware paths of
+per-triple loop cannot come back unseen, and the leg products of the
+integral, separability, twist, uniqueness and Galois checks to no
+multiplication or identity matrix.  The unit-aware paths of
 ``mul_vec``, ``side_product``, ``map_at_factor`` and
 ``tensor_square_product`` meet the dense references on one-entry operands,
 on coefficients 0, 1, -1, 2 and 1/2 and on sums built to cancel, and each
@@ -31,17 +33,21 @@ from algebroids import algebra
 from algebroids.algebra import (
     ANTI,
     HOM,
+    POST,
+    PRE,
     Algebra,
     AlgebraMap,
     map_at_factor,
+    mult_at_factor,
+    on_leg,
     separability_structure,
     side_product,
     sparse,
     tensor_square_product,
     verify_algebra,
     verify_map,
+    verify_separability,
 )
-from algebroids.bimodtensor import POST, PRE, mult_at_factor
 from algebroids.catalog import (
     FiniteGroup,
     all_fixtures,
@@ -59,10 +65,13 @@ from algebroids.exactfield import (
     combine,
     unit_vector,
 )
-from algebroids.integrallab import frobenius_check, nondegeneracy
+from algebroids.hopfcore import GaloisMaps, antipode_uniqueness
+from algebroids.integrallab import (frobenius_check, intpr_equivalences,
+                                    nondegeneracy)
 from algebroids.report import Report
 from algebroids.twistlab import (
     WeakHopfAlgebra,
+    verify_twist,
     verify_weak_hopf,
     weak_bialgebra_from_sep,
 )
@@ -278,6 +287,36 @@ def test_verify_algebra_combines_once_per_basis_pair(monkeypatch):
     assert len(calls) <= A.dim ** 2 + 2 * A.dim == 288
 
 
+def test_leg_products_build_no_throwaway_matrix(monkeypatch):
+    # a product on one leg or from one side goes through its kernel: no
+    # multiplication or identity matrix is built only to be applied once
+    m2 = pair_groupoid_hopf_algebroid(2, QQ)
+    kz3 = group_hopf_algebroid(FiniteGroup.cyclic(3), QQ)
+    sep = separability_structure(pair_groupoid_hopf_algebroid(3, QQ).lb.base)
+    built = []
+    mult_matrix = Algebra._mult_matrix
+    identity = Matrix.identity.__func__
+
+    def counting_mult(self, u, side):
+        built.append("multiplication")
+        return mult_matrix(self, u, side)
+
+    def counting_identity(cls, field, n):
+        built.append("identity")
+        return identity(cls, field, n)
+
+    monkeypatch.setattr(Algebra, "_mult_matrix", counting_mult)
+    monkeypatch.setattr(Matrix, "identity", classmethod(counting_identity))
+    assert intpr_equivalences(m2, (QQ.one,) * m2.total.dim).passed
+    assert verify_separability(sep).passed
+    assert "multiplication" not in built
+    counit = kz3.lb.counit
+    assert verify_twist(kz3.lb, kz3.S, counit, counit).passed
+    assert antipode_uniqueness(m2, m2).passed
+    GaloisMaps(m2)
+    assert "identity" not in built
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_products_match_the_dense_double_loop(data):
@@ -329,6 +368,15 @@ def test_mult_at_factor_matches_the_multiplication_matrices(data):
             == sparse(dense_at_factor(dims, p, left, vec)))
     assert (mult_at_factor(A, dims, p, sparse(vec), sparse(u), POST)
             == sparse(dense_at_factor(dims, p, right, vec)))
+    # n = 2: the same matrices on one leg of a tensor square
+    square = (A.dim, A.dim)
+    vec = data.draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)),
+                             min_size=A.dim ** 2, max_size=A.dim ** 2))
+    vec = tuple(A.field.of(x) for x in vec)
+    leg = data.draw(st.integers(0, 1))
+    for m in (left, right):
+        assert (on_leg(m, leg, sparse(vec))
+                == sparse(dense_at_factor(square, leg, m, vec)))
 
 
 # ---------------------------------------------------------------------------
