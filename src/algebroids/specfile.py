@@ -181,11 +181,6 @@ class _Scalars:
         return value
 
 
-def _scalar(field, raw, loc):
-    """One scalar read outside a parse."""
-    return _Scalars(field).read(raw, loc)
-
-
 def _vector(scalars, raw, length, loc):
     _expect(isinstance(raw, list), "expected a list of scalars", loc)
     _expect(len(raw) == length,
@@ -426,7 +421,9 @@ def _algebra_json(A):
 
 class SpecBuilder:
     """Accumulates objects into a serializable spec document, deduplicating
-    shared algebras and maps by identity."""
+    shared algebras and maps by identity.  Each named algebra and map is
+    kept with its name, so its ``id`` cannot pass to another object while
+    the builder lives."""
 
     def __init__(self, field):
         self.data = {"format": FORMAT, "field": field.name}
@@ -443,15 +440,15 @@ class SpecBuilder:
 
     def add_algebra(self, A):
         if id(A) in self._algebra_names:
-            return self._algebra_names[id(A)]
+            return self._algebra_names[id(A)][1]
         name = self._fresh("algebras", A.name)
         self.data.setdefault("algebras", {})[name] = _algebra_json(A)
-        self._algebra_names[id(A)] = name
+        self._algebra_names[id(A)] = A, name
         return name
 
     def add_map(self, m):
         if id(m) in self._map_names:
-            return self._map_names[id(m)]
+            return self._map_names[id(m)][1]
         name = self._fresh("maps", m.name)
         self.data.setdefault("maps", {})[name] = {
             "domain": self.add_algebra(m.source),
@@ -459,7 +456,7 @@ class SpecBuilder:
             "kind": m.kind,
             "matrix": _matrix_json(m.matrix),
         }
-        self._map_names[id(m)] = name
+        self._map_names[id(m)] = m, name
         return name
 
     def add_bialgebroid(self, bgd):

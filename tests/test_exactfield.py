@@ -29,7 +29,7 @@ from algebroids.exactfield import (
     scaled,
     sparse,
 )
-from algebroids.specfile import SpecError, _scalar
+from algebroids.specfile import SpecError, _Scalars
 from dense_reference import (
     coords_in_span,
     dense,
@@ -597,7 +597,7 @@ def test_rational_parse_reads_what_fraction_reads(text):
             QQ.parse(text)
         assert str(got.value) == str(exc)
         with pytest.raises(SpecError) as refused:
-            _scalar(QQ, text, "x")
+            _Scalars(QQ).read(text, "x")
         assert str(refused.value) == f"x: bad scalar {text!r} ({exc})"
     else:
         got = QQ.parse(text)

@@ -1,4 +1,4 @@
-"""Every option of the package has a caller.
+"""Every option and every private helper of the package has a caller.
 
 An option is a defaulted parameter of a public function or method under
 ``src/algebroids`` (``__init__`` counts for its class).  A call in ``src/``
@@ -7,9 +7,14 @@ or ``bench/`` sets it by keyword, or by position; ``f(*args)`` and
 by name alone: ``x.f(…)`` and ``f(…)`` are calls of every ``f``, ``C(…)``
 and ``cls(…)`` inside ``C`` are calls of ``C.__init__``.  Tests do not
 count as callers: an option only a test sets is a constant.
+
+Every private helper has a caller too: a module-level function or method
+whose name starts with one underscore is referred to by name somewhere in
+``src/`` outside its own def.  Tests and ``bench/`` do not count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,3 +84,35 @@ def test_every_option_has_a_caller():
     assert not unset, f"options no caller sets, to make constants: {unset}"
     stale = sorted(KEPT.keys() - uncalled)
     assert not stale, f"kept options that have a caller or are gone: {stale}"
+
+
+def _private_defs():
+    """(module, name, def node) of every module-level function and method
+    under ``src/algebroids`` whose name starts with one underscore."""
+    for path in sorted((ROOT / "src" / "algebroids").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if isinstance(fn, ast.FunctionDef) and \
+                        fn.name.startswith("_") and \
+                        not fn.name.startswith("__"):
+                    yield path.stem, fn.name, fn
+
+
+def _references(node):
+    """How often each name is read, or taken as an attribute, under
+    ``node``."""
+    return Counter(child.id if isinstance(child, ast.Name) else child.attr
+                   for child in ast.walk(node)
+                   if isinstance(child, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_is_referenced():
+    # a reference inside the helper's own def (recursion) does not count
+    everywhere = Counter()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        everywhere += _references(ast.parse(path.read_text()))
+    unreferenced = [(module, name) for module, name, fn in _private_defs()
+                    if everywhere[name] == _references(fn)[name]]
+    assert not unreferenced, \
+        f"private helpers nothing else in src/ refers to: {unreferenced}"

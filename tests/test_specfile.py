@@ -1,7 +1,9 @@
 """Spec-file layer: parsing, validation errors, emission, round trips."""
 
 import copy
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -201,6 +203,29 @@ def test_builder_freshens_name_collisions(qq):
     n1 = b.add_algebra(a1)
     n2 = b.add_algebra(a2)
     assert n1 == "k[Z2]" and n2 == "k[Z2].2"
+
+
+def test_builder_keeps_what_it_names(qq):
+    # a named algebra stays alive with the builder, so no later object
+    # can take its id and be emitted under its name
+    b = SpecBuilder(qq)
+    algebra = group_algebra(FiniteGroup.cyclic(2), qq)
+    b.add_algebra(algebra)
+    alive = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert alive() is not None
+
+
+def test_builder_emits_a_parsable_spec_after_a_temporary():
+    # the weak Hopf algebra is a temporary: its M2 is freed once added,
+    # and the left bialgebroid's algebras and maps are built after it
+    z2 = FiniteGroup.cyclic(2)
+    for _ in range(50):
+        b = SpecBuilder(QQ)
+        b.add_weak_hopf(pair_groupoid_weak_hopf(2, QQ))
+        b.add_bialgebroid(group_hopf_algebroid(z2, QQ).lb)
+        parse_text(b.emit())
 
 
 def test_builder_shares_structure_between_assemblies(kz2):
