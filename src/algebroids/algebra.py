@@ -284,9 +284,9 @@ class AlgebraMap:
         self.name = name
 
     @classmethod
-    def identity(cls, algebra, name="id"):
+    def identity(cls, algebra):
         return cls(algebra, algebra,
-                   Matrix.identity(algebra.field, algebra.dim), HOM, name)
+                   Matrix.identity(algebra.field, algebra.dim), HOM, "id")
 
     def apply(self, vec):
         return self.matrix.apply(vec)

@@ -304,86 +304,85 @@ def _certificate_limit(text):
     return int(text)
 
 
-def build_parser():
+# the options every command takes, ahead of its own arguments
+_COMMON = (
+    ("--report", dict(choices=("text", "structured"), default="text",
+                      help="report rendering")),
+    ("--certificate-limit", dict(
+        type=_certificate_limit, default=DEFAULT_CERTIFICATE_LIMIT,
+        metavar="N", help="max counterexamples listed per failing check")),
+    ("--field", dict(default=None, metavar="F",
+                     help="override the file's field (rational or gf:p)")),
+    ("--name", dict(default=None, help="which named assembly to use")),
+)
+_PATH = ("path", dict(help="spec file (algebroid-spec/1 JSON)"))
+_OUT = ("--out", dict(default=None, help="write the emitted spec here"))
+
+# command -> (help, function, its own arguments in order); twist's function
+# is picked by its action in main
+COMMANDS = {
+    "check": ("run an axiom verifier", cmd_check, (
+        _PATH,
+        ("--level", dict(required=True,
+                         choices=("algebra", "left-bialgebroid",
+                                  "right-bialgebroid", "hopf", "weak-hopf",
+                                  "lu"))),
+        ("--section", dict(default=None, help="named section for the "
+                                              "convolution axioms")))),
+    "integrals": ("integral spaces and nondegeneracy", cmd_integrals,
+                  (_PATH,)),
+    "ls-antipode": ("build the antipode from a nondegenerate integral on a "
+                    "right bialgebroid", cmd_ls_antipode, (
+                        _PATH,
+                        ("--integral", dict(default=None,
+                                            help="named element to use as "
+                                                 "the integral")),
+                        _OUT)),
+    "twist": ("verify, apply, or recover antipode twists", None, (
+        ("action", dict(choices=("verify", "apply", "recover"))),
+        _PATH,
+        ("--functional", dict(default=None, help="named twist functional")),
+        ("--second", dict(default=None,
+                          help="second Hopf assembly (twist recover)")),
+        _OUT)),
+    "dualize": ("emit the dual Hopf algebroid", cmd_dualize, (
+        _PATH, ("--integral", dict(default=None)), _OUT)),
+    "wha-decide": ("decide weak-Hopf-ness over the separability structure "
+                   "of the base's trace form", cmd_wha_decide, (_PATH,)),
+    "diagram": ("verify the four-isomorphism duality square", cmd_diagram, (
+        _PATH, ("--integral", dict(default=None)))),
+}
+
+
+def build_parser(command=None):
+    """The ``algebroids`` parser.  When ``command`` names a command, only
+    its subparser is built, and the usage line still spells every command;
+    otherwise (``--help``, a missing or an unknown command) all of them
+    are."""
     parser = argparse.ArgumentParser(
         prog="algebroids",
         description="Exact verification and construction for bialgebroids, "
                     "Hopf algebroids, and weak Hopf algebras.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", choices=("text", "structured"),
-                        default="text", help="report rendering")
-    common.add_argument("--certificate-limit", type=_certificate_limit,
-                        default=DEFAULT_CERTIFICATE_LIMIT, metavar="N",
-                        help="max counterexamples listed per failing check")
-    common.add_argument("--field", default=None, metavar="F",
-                        help="override the file's field (rational or gf:p)")
-    common.add_argument("--name", default=None,
-                        help="which named assembly to use")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_path(p):
-        p.add_argument("path", help="spec file (algebroid-spec/1 JSON)")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="run an axiom verifier")
-    add_path(p)
-    p.add_argument("--level", required=True,
-                   choices=("algebra", "left-bialgebroid",
-                            "right-bialgebroid", "hopf", "weak-hopf", "lu"))
-    p.add_argument("--section", default=None,
-                   help="named section for the convolution axioms")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("integrals", parents=[common],
-                       help="integral spaces and nondegeneracy")
-    add_path(p)
-    p.set_defaults(func=cmd_integrals)
-
-    p = sub.add_parser("ls-antipode", parents=[common],
-                       help="build the antipode from a nondegenerate "
-                            "integral on a right bialgebroid")
-    add_path(p)
-    p.add_argument("--integral", default=None,
-                   help="named element to use as the integral")
-    p.add_argument("--out", default=None, help="write the emitted spec here")
-    p.set_defaults(func=cmd_ls_antipode)
-
-    p = sub.add_parser("twist", parents=[common],
-                       help="verify, apply, or recover antipode twists")
-    p.add_argument("action", choices=("verify", "apply", "recover"))
-    add_path(p)
-    p.add_argument("--functional", default=None,
-                   help="named twist functional")
-    p.add_argument("--second", default=None,
-                   help="second Hopf assembly (twist recover)")
-    p.add_argument("--out", default=None, help="write the emitted spec here")
-    p.set_defaults(func=None)
-
-    p = sub.add_parser("dualize", parents=[common],
-                       help="emit the dual Hopf algebroid")
-    add_path(p)
-    p.add_argument("--integral", default=None)
-    p.add_argument("--out", default=None, help="write the emitted spec here")
-    p.set_defaults(func=cmd_dualize)
-
-    p = sub.add_parser("wha-decide", parents=[common],
-                       help="decide weak-Hopf-ness over the separability "
-                            "structure of the base's trace form")
-    add_path(p)
-    p.set_defaults(func=cmd_wha_decide)
-
-    p = sub.add_parser("diagram", parents=[common],
-                       help="verify the four-isomorphism duality square")
-    add_path(p)
-    p.add_argument("--integral", default=None)
-    p.set_defaults(func=cmd_diagram)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # one subparser spells the usage line's list of commands itself; with
+    # all of them argparse spells it, and an error about the command
+    # argument (which only they can meet) names it ``command``
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, options in _COMMON + arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

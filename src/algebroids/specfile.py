@@ -191,7 +191,8 @@ def _vector(scalars, raw, length, loc):
 def _matrix(scalars, raw, nrows, ncols, loc):
     """The ``nrows x ncols`` matrix of the JSON rows ``raw``, filled into
     sparse columns in one row-major pass, so the first bad row or entry in
-    that order is the one refused."""
+    that order is the one refused.  Every zero read is ``field.zero``, so
+    the columns are zero-free and the matrix takes them as they are."""
     _expect(isinstance(raw, list), "expected a list of rows", loc)
     _expect(len(raw) == nrows, f"expected {nrows} rows, got {len(raw)}", loc)
     read, zero = scalars.read, scalars.field.zero
@@ -203,7 +204,7 @@ def _matrix(scalars, raw, nrows, ncols, loc):
             value = read(x, loc, i, j)
             if value is not zero:
                 cols[j][i] = value
-    return Matrix.from_sparse_cols(scalars.field, cols, nrows)
+    return Matrix._of_cols(scalars.field, nrows, cols)
 
 
 def _parse_algebra(scalars, name, body, loc):

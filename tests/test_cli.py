@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, emitted documents."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -789,6 +790,70 @@ def test_level_without_structures(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+COMMANDS = ("check", "integrals", "ls-antipode", "twist", "dualize",
+            "wha-decide", "diagram")
+USAGE_CASES = (
+    *((command, flag) for command in COMMANDS for flag in ("--help",
+                                                           "--bogus")),
+    *((command,) for command in COMMANDS),
+    ("--help",), ("-h",), (), ("-x",), ("frobnicate", KZ2),
+    ("check", KZ2),
+    ("check", "--level", "hopeful", KZ2),
+    ("check", "--level", "hopf", KZ2, "--report", "yaml"),
+    ("twist", "twirl", KZ2),
+    ("check", "--level", "hopf", KZ2, "--certificate-limit", "-1"),
+    # an error printed under the top-level usage line, which spells every
+    # command however many subparsers were built
+    ("check", "--level", "hopf", KZ2, "--frobnicate"),
+    ("check", "--level", "hopf", KZ2, "extra"),
+    ("check", "--level", "hopf", KZ2, "--rep", "structured"),
+)
+
+
+@pytest.mark.parametrize("columns", ["60", "100", "200"])
+def test_the_one_command_parser_prints_what_the_full_one_does(
+        capsys, monkeypatch, columns):
+    """``main`` builds the parser of the command it runs only; exit code,
+    stdout and stderr are those of the parser with every command, at any
+    terminal width argparse wraps to."""
+    monkeypatch.setenv("COLUMNS", columns)
+    one = [run(capsys, *argv) for argv in USAGE_CASES]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for argv, got in zip(USAGE_CASES, one):
+        assert got == run(capsys, *argv), argv
+
+
+def test_a_missing_or_unknown_command_is_named_command(capsys):
+    # the full parser leaves the brace list of commands to its usage line
+    _, _, err = run(capsys)
+    assert err.endswith(
+        "error: the following arguments are required: command\n")
+    _, _, err = run(capsys, "frobnicate", KZ2)
+    assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+
+def test_each_call_builds_its_own_command_parser_only(capsys, monkeypatch):
+    # every call builds its parser anew, so two runs build one each; help
+    # and a missing or unknown command build them all
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    check = ("check", KZ2, "--level", "algebra")
+    for argv, names in ((check, ["check"]), (check, ["check"]),
+                        (("--help",), list(COMMANDS)),
+                        (("frobnicate",), list(COMMANDS)),
+                        ((), list(COMMANDS))):
+        built.clear()
+        run(capsys, *argv)
+        assert built == names, argv
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 An option is a defaulted parameter of a public function or method under
 ``src/algebroids`` (``__init__`` counts for its class).  A call in ``src/``
 or ``bench/`` sets it by keyword, or by position; ``f(*args)`` and
-``f(**kwargs)`` count as setting every option of ``f``.  Calls are matched
-by name alone: ``x.f(…)`` and ``f(…)`` are calls of every ``f``, ``C(…)``
-and ``cls(…)`` inside ``C`` are calls of ``C.__init__``.  Tests do not
-count as callers: an option only a test sets is a constant.
+``f(**kwargs)`` count as setting every option of ``f``.  A call through a
+class of the package is resolved to it: ``C.f(…)``, and ``cls.f(…)`` inside
+``C``, are calls of ``C.f`` only; ``C(…)``, and ``cls(…)`` inside ``C``, are
+calls of ``C.__init__``.  Any other call is matched by name: ``x.f(…)`` and
+``f(…)`` are calls of every ``f``.  Tests do not count as callers: an
+option only a test sets is a constant.
 
 Every private helper has a caller too: a module-level function or method
 whose name starts with one underscore is referred to by name somewhere in
@@ -27,8 +29,8 @@ KEPT = {
 
 
 def _options():
-    """(module, function, parameter, position or None) of every option;
-    the position does not count the bound self or cls."""
+    """(module, class or None, called name, parameter, position or None) of
+    every option; the position does not count the bound self or cls."""
     for path in sorted((ROOT / "src" / "algebroids").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -44,24 +46,37 @@ def _options():
                 args = fn.args.posonlyargs + fn.args.args
                 first = len(args) - len(fn.args.defaults)
                 for i in range(first, len(args)):
-                    yield path.stem, called, args[i].arg, i - bound
+                    yield path.stem, owner, called, args[i].arg, i - bound
                 for arg, default in zip(fn.args.kwonlyargs,
                                         fn.args.kw_defaults):
                     if default is not None:
-                        yield path.stem, called, arg.arg, None
+                        yield path.stem, owner, called, arg.arg, None
 
 
-def _calls(node, owner=None):
-    """(called name, call) of every call under ``node``."""
+def _package_classes():
+    return {node.name
+            for path in (ROOT / "src" / "algebroids").glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def _calls(node, classes, owner=None):
+    """(receiver class or None, called name, call) of every call under
+    ``node``; the receiver is the package class ``C`` of ``C.f(…)``, or the
+    enclosing class of ``cls.f(…)``, and None for any other call."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            yield from _calls(child, child.name)
+            yield from _calls(child, classes, child.name)
             continue
         if isinstance(child, ast.Call):
             func = child.func
             name = getattr(func, "id", getattr(func, "attr", None))
-            yield (owner if name == "cls" and owner else name), child
-        yield from _calls(child, owner)
+            receiver = getattr(getattr(func, "value", None), "id", None)
+            if receiver == "cls":
+                receiver = owner
+            yield (receiver if receiver in classes else None,
+                   owner if name == "cls" and owner else name, child)
+        yield from _calls(child, classes, owner)
 
 
 def _sets(call, param, position):
@@ -71,15 +86,18 @@ def _sets(call, param, position):
 
 
 def test_every_option_has_a_caller():
+    classes = _package_classes()
     calls = {}
     for top in ("src", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            for name, call in _calls(ast.parse(path.read_text())):
-                calls.setdefault(name, []).append(call)
+            for receiver, name, call in _calls(ast.parse(path.read_text()),
+                                               classes):
+                calls.setdefault(name, []).append((receiver, call))
     uncalled = {(module, called, param)
-                for module, called, param, position in _options()
-                if not any(_sets(call, param, position)
-                           for call in calls.get(called, ()))}
+                for module, owner, called, param, position in _options()
+                if not any(receiver in (None, owner)
+                           and _sets(call, param, position)
+                           for receiver, call in calls.get(called, ()))}
     unset = sorted(uncalled - KEPT.keys())
     assert not unset, f"options no caller sets, to make constants: {unset}"
     stale = sorted(KEPT.keys() - uncalled)
