@@ -89,7 +89,6 @@ from .integrallab import (
     ls_antipode,
     ls_right,
     nondegeneracy,
-    transport_integral,
     twap,
     verify_bgdnd,
     verify_bgdnd_right,

@@ -153,14 +153,6 @@ class Algebra:
             self.field, [side_product(self, u, j, side)
                          for j in range(self.dim)], self.dim)
 
-    def is_commutative(self):
-        table = self.table
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if nonzero(table[i][j]) != nonzero(table[j][i]):
-                    return False
-        return True
-
     # -- formatting -----------------------------------------------------------
 
     def fmt_vec(self, vec):
@@ -283,21 +275,8 @@ class AlgebraMap:
         self.kind = kind
         self.name = name
 
-    @classmethod
-    def identity(cls, algebra):
-        return cls(algebra, algebra,
-                   Matrix.identity(algebra.field, algebra.dim), HOM, "id")
-
     def apply(self, vec):
         return self.matrix.apply(vec)
-
-    def compose(self, other):
-        """self after other (so ``other`` runs first)."""
-        if other.target.dim != self.source.dim:
-            raise ValueError("composition shape mismatch")
-        kind = HOM if self.kind == other.kind else ANTI
-        return AlgebraMap(other.source, self.target, self.matrix @ other.matrix,
-                          kind, f"{self.name}∘{other.name}")
 
     def is_bijective(self):
         return (self.source.dim == self.target.dim

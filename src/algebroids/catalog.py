@@ -114,10 +114,6 @@ class Character:
             raise ValueError("character vanishes at the identity")
 
     @classmethod
-    def trivial(cls, group, field):
-        return cls(group, field, [field.one] * group.order)
-
-    @classmethod
     def sign(cls, group, field):
         """The parity character of a symmetric group built by
         ``FiniteGroup.symmetric`` (order of an element decides nothing; we

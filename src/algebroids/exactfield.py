@@ -463,14 +463,6 @@ class Matrix:
         return Matrix._of_cols(self.field, self.nrows,
                                [scaled(c, col) for col in self.cols])
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("hstack row mismatch")
-        return Matrix._of_cols(self.field, self.nrows, self.cols + other.cols)
-
-    def is_zero(self):
-        return not any(self.cols)
-
     def is_identity(self):
         if self.nrows != self.ncols:
             return False
@@ -556,7 +548,7 @@ class Matrix:
 
     def solve_matrix(self, rhs):
         """Solve M X = rhs column by column in one elimination; None if any fails."""
-        return self.solve_matrix_kernel(rhs)[0]
+        return self._solve_rows(rhs.sparse_rows(), rhs.ncols)[0]
 
     def solve_matrix_kernel(self, rhs):
         """``(solve_matrix(rhs), kernel())`` from the one elimination of

@@ -129,11 +129,8 @@ class HopfAlgebroid:
 
     def cop(self):
         """Co-opposite Hopf algebroid: both coproducts flipped, bases opposed."""
-        lbc = self.lb.cop()
-        rbc = self.rb.cop()
-        chi_c = solve_base_antiiso(lbc, rbc)
-        return HopfAlgebroid(lbc, rbc, self.S_inv, self.S,
-                             base_antiiso=chi_c, name=f"{self.name}_cop")
+        return HopfAlgebroid(self.lb.cop(), self.rb.cop(), self.S_inv, self.S,
+                             name=f"{self.name}_cop")
 
     def __repr__(self):
         return f"HopfAlgebroid({self.name!r} on {self.total.name})"

@@ -586,17 +586,6 @@ def dual_hopf_algebroid(h, nd, name=None):
     return hd
 
 
-def transport_integral(h2, iso, nd):
-    """Push a non-degeneracy witness through a bialgebroid isomorphism:
-    Φ(ℓ) is again a non-degenerate left integral in the target, and this
-    reruns the full witness construction there."""
-    if isinstance(iso, AlgebraMap):
-        iso = iso.matrix
-    if not isinstance(iso, Matrix):
-        raise TypeError("iso must be a Matrix or AlgebraMap (total part)")
-    return _nondegeneracy(h2, iso.apply(nd.ell), None)
-
-
 # ---------------------------------------------------------------------------
 # the dual of a weak Hopf algebra, compared with the dual Hopf algebroid
 

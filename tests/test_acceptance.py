@@ -104,7 +104,8 @@ def test_criterion_1():
     cert = " ".join(lu3.certificates)
     assert "g" in cert and "-1" in cert and "1" in cert
 
-    trivial = character_twisted_hopf(z2, QQ, Character.trivial(z2, QQ))
+    trivial = character_twisted_hopf(
+        z2, QQ, Character(z2, QQ, [QQ.one] * z2.order))
     assert verify_hopf(trivial).passed
     assert check_lu_axioms(trivial.lb, trivial.S).passed
     assert trivial.S == group_hopf_algebroid(z2, QQ).S

@@ -4,12 +4,13 @@
 ``bench/run.py`` demands calls on named layers per workload.  A renamed or
 removed kernel would only show when a traced benchmark run fails; here it
 fails the suite.  The two modules are imported; only the last test runs
-ops, one cheap op per workload under the tracer, to see that the element
-kernels are still called.
+ops: one traced pass of each workload, to see that every layer the
+workload expects is still called.
 """
 
 import importlib
 import io
+import random
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -105,39 +106,31 @@ def test_copy_matrix_keeps_the_matrix_and_drops_its_cache(bench_modules):
         assert copy.rref_pivots() == m.rref_pivots()
 
 
-def test_the_element_kernels_read_calls(bench_modules):
+@pytest.mark.parametrize("workload", ["verify-ladder", "duality",
+                                      "cli-specs"])
+def test_every_expected_layer_reads_calls(bench_modules, workload, tmp_path):
     """A kernel that still exists but is no longer called passes the path
-    checks above, yet reads zero calls in a traced run and fails it.  One
-    cheap op per workload (``verify_hopf`` and ``nondegeneracy`` on the
-    2×2 pair groupoid, ``check`` on a bundled spec) must call both
-    ``Algebra.mul_vec`` and ``Matrix.apply`` through the tracer."""
+    checks above, yet reads zero calls in a traced run, and that run is then
+    not ``correct``.  One traced pass of the workload at seed 1, every op
+    checked against its answer, must call every layer ``run.py`` expects
+    on it."""
     import algebroids
-    from algebroids import cli
-    from algebroids.catalog import (group_sum_integral,
-                                    pair_groupoid_hopf_algebroid)
+    import algebroids.cli  # noqa: F401  (the tracer wraps ``cli.main``)
 
-    layers, _ = bench_modules
-
-    def pair2():
-        return pair_groupoid_hopf_algebroid(2, algebroids.QQ)
-
-    def nondegeneracy():
-        h = pair2()
-        return algebroids.nondegeneracy(h, group_sum_integral(h))
-
-    def check():
-        with redirect_stdout(io.StringIO()):
-            return cli.main(["check", str(ROOT / "specs" / "kz2.spec"),
-                             "--level", "hopf"])
-
-    ops = {"verify-ladder": lambda: algebroids.verify_hopf(pair2()),
-           "duality": nondegeneracy, "cli-specs": check}
-    for workload, op in ops.items():
-        tracer = layers.Tracer()
-        tracer.install()
-        try:
-            tracer.run(op, ())
-        finally:
-            tracer.uninstall()
-        for name in ("algebra.mul_vec", "exactfield.matrix_apply"):
-            assert tracer.stats[name].calls, (workload, name)
+    layers, run = bench_modules
+    ops = run.build_workload(workload, algebroids, random.Random(1),
+                             tmp_path).ops
+    memo = {}
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        for op in ops:
+            args = op.prepare()
+            with redirect_stdout(io.StringIO()):
+                outcome = tracer.run(op.run, args)
+            op.check(outcome, memo)
+    finally:
+        tracer.uninstall()
+    silent = [name for name in run.EXPECTED_LAYERS[workload]
+              if not tracer.stats[name].calls]
+    assert not silent, f"layers that read zero calls: {silent}"

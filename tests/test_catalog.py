@@ -3,6 +3,7 @@
 import pytest
 
 from algebroids.exactfield import PrimeField, RationalField
+from algebroids.algebra import opposite
 from algebroids.catalog import (
     Character,
     FiniteGroup,
@@ -79,7 +80,7 @@ def test_group_algebra_structure():
     s3 = FiniteGroup.symmetric(3)
     A = group_algebra(s3, QQ)
     assert A.dim == 6
-    assert not A.is_commutative()
+    assert opposite(A) != A
     assert A.unit == {s3.identity: QQ.one}
 
 

@@ -224,7 +224,9 @@ def test_pairing_system_is_the_unit_vector_pairing(lb):
     twin = Matrix(pairing.field, pairing.nrows, pairing.ncols, pairing.rows)
     if sol is None:
         assert kern is None
-        assert pairing.hstack(rhs).rank() > twin.rank()
+        joined = Matrix.from_sparse_cols(pairing.field, pairing.cols + rhs.cols,
+                                         pairing.nrows)
+        assert joined.rank() > twin.rank()
     else:
         assert twin @ sol == rhs
         assert kern == twin.kernel()
@@ -255,8 +257,30 @@ def test_solve_matrix_kernel_matches_solve_and_kernel(data):
     twin = Matrix(field, m.nrows, m.ncols, m.rows)
     if sol is None:
         assert kern is None
-        assert m.hstack(rhs).rank() > twin.rank()
+        joined = Matrix.from_sparse_cols(m.field, m.cols + rhs.cols,
+                                         m.nrows)
+        assert joined.rank() > twin.rank()
     else:
         assert m @ sol == rhs
         assert kern == twin.kernel()
         assert_null_space(twin, kern)
+
+
+def test_solve_matrix_builds_no_kernel(monkeypatch):
+    """``solve_matrix`` reads X from the elimination of [M | rhs] and leaves
+    the kernel unbuilt; only ``solve_matrix_kernel`` builds it."""
+    built = []
+    kernel_from = Matrix._kernel_from
+
+    def counted(self, ech):
+        built.append(ech)
+        return kernel_from(self, ech)
+
+    monkeypatch.setattr(Matrix, "_kernel_from", counted)
+    m = Matrix.from_rows(QQ, [[QQ.one, QQ.of(2)], [QQ.zero, QQ.zero]], 2)
+    rhs = Matrix.from_rows(QQ, [[QQ.of(3)], [QQ.zero]], 1)
+    assert m @ m.solve_matrix(rhs) == rhs
+    assert not built
+    sol, kern = m.solve_matrix_kernel(rhs)
+    assert sol == m.solve_matrix(rhs) and kern.dim == 1
+    assert len(built) == 1

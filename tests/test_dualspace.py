@@ -4,7 +4,7 @@ bialgebroids, and the action calculus."""
 import pytest
 
 from algebroids.exactfield import Matrix, RationalField
-from algebroids.algebra import sparse
+from algebroids.algebra import opposite, sparse
 from dense_reference import dense_matrix_apply, dense_mul_vec
 from algebroids.bialgebroid import (
     LeftBialgebroid,
@@ -42,11 +42,11 @@ def test_kz2_dual_is_function_algebra(kz2):
     D = dual_lower_star(kz2.lb)
     assert D.report.passed, [c.check_id for c in D.report.failures()]
     assert D.module.dim == 2
-    assert D.ring.is_commutative()
+    assert opposite(D.ring) == D.ring
     # the echelon basis is the delta basis; products are pointwise
     f0, f1 = D.module.basis
     assert D.module.product(f0, f0).rows == f0.rows
-    assert D.module.product(f0, f1).is_zero()
+    assert not any(D.module.product(f0, f1).cols)
     # γ̂ dualizes the group multiplication
     assert D.bgd.gamma_lift.col(0) == (QQ.one, QQ.zero, QQ.zero, QQ.one)
     assert D.bgd.gamma_lift.col(1) == (QQ.zero, QQ.one, QQ.one, QQ.zero)
@@ -57,7 +57,7 @@ def test_m2_dual_is_groupoid_function_algebra(m2):
     D = dual_lower_star(m2.lb)
     assert D.report.passed, [c.check_id for c in D.report.failures()]
     assert D.module.dim == 4
-    assert D.ring.is_commutative()
+    assert opposite(D.ring) == D.ring
     assert verify_right_bialgebroid(D.bgd).passed
     # dual tensor square = functions on composable arrow pairs
     assert D.bgd.tensor_space.dim == 8
@@ -244,5 +244,5 @@ def test_fn_s3_dual_recovers_group_algebra(fn_s3):
     D = dual_lower_star(fn_s3.lb)
     assert D.report.passed
     assert D.module.dim == 6
-    assert not D.ring.is_commutative()
+    assert opposite(D.ring) != D.ring
     assert verify_right_bialgebroid(D.bgd).passed

@@ -447,8 +447,9 @@ def test_sparse_column_matrix_matches_dense_rows(case):
         "scale": (mat.scale(c), tuple(tuple(c * a for a in r)
                                       for r in rows)),
         "transpose": (mat.transpose(), cols),
-        "hstack": (mat.hstack(Matrix(field, n, w, wide)),
-                   tuple(r + s for r, s in zip(rows, wide))),
+        "stack-cols": (Matrix.from_sparse_cols(
+            field, mat.cols + Matrix(field, n, w, wide).cols, n),
+            tuple(r + s for r, s in zip(rows, wide))),
     }
     for name, (got, want) in results.items():
         assert _is_clean(got), name
@@ -456,14 +457,14 @@ def test_sparse_column_matrix_matches_dense_rows(case):
         assert got == Matrix.from_rows(field, want, got.ncols), name
         assert hash(got) == hash(Matrix.from_rows(field, want, got.ncols))
 
-    assert mat.is_zero() == all(not a for r in rows for a in r)
+    assert (not any(mat.cols)) == all(not a for r in rows for a in r)
     ident = tuple(tuple(one if i == j else zero for j in range(m))
                   for i in range(n))
     assert mat.is_identity() == (n == m and rows == ident)
     assert Matrix.identity(field, n).is_identity()
     assert Matrix.identity(field, n).rows == tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    assert Matrix.zeros(field, n, m).is_zero()
+    assert not any(Matrix.zeros(field, n, m).cols)
     assert Matrix.zeros(field, n, m).rows == tuple((zero,) * m
                                                    for _ in range(n))
 

@@ -27,8 +27,7 @@ from algebroids.exactfield import (
     SparseEchelon,
     Subspace,
 )
-from algebroids.integrallab import LEFT, Degenerate, integral_space, \
-    transport_integral
+from algebroids.integrallab import LEFT, Degenerate, integral_space
 from algebroids.report import Report
 from algebroids.twistlab import WeakHopfAlgebra
 
@@ -97,9 +96,6 @@ GUARDS = {
                  "map kind must be 'hom' or 'anti'"),
     "map-shape": (lambda: AlgebraMap(A, A, I3), ValueError,
                   "map matrix shape mismatch"),
-    "map-compose": (lambda: AlgebraMap.identity(A).compose(
-        AlgebraMap.identity(KZ3.total)), ValueError,
-        "composition shape mismatch"),
     "sep-delta": (lambda: SeparabilityStructure(M2.lb.base, I2, I2),
                   ValueError, "δ has the wrong shape"),
     "sep-psi": (lambda: SeparabilityStructure(
@@ -145,8 +141,6 @@ GUARDS = {
                       "matrix composition shape/field mismatch"),
     "matrix-add": (lambda: I2 + I3, ValueError,
                    "matrix addition shape mismatch"),
-    "matrix-hstack": (lambda: I2.hstack(I3), ValueError,
-                      "hstack row mismatch"),
     "matrix-solve": (lambda: I2.solve({5: QQ.one}), ValueError,
                      "rhs index out of range"),
     "matrix-solve-matrix": (lambda: I2.solve_matrix(I3), ValueError,
@@ -162,9 +156,6 @@ GUARDS = {
     "integral-parent": (lambda: integral_space(A, LEFT), TypeError,
                         "left integrals need a left bialgebroid (got "
                         "Algebra('k[Z2]', dim 2 over QQ))"),
-    "transport-iso": (lambda: transport_integral(KZ2, "id", None),
-                      TypeError,
-                      "iso must be a Matrix or AlgebraMap (total part)"),
 }
 
 
