@@ -42,8 +42,7 @@ from .dualspace import (
     dual_star_lower,
     dual_upper_star,
     dual_star_upper,
-    transpose_left,
-    transpose_right,
+    transpose_action,
 )
 from .hopfcore import (
     GaloisMaps,

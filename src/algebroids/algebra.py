@@ -139,20 +139,6 @@ class Algebra:
         return combine((a * b, table[i][j])
                        for i, a in u.items() for j, b in v.items())
 
-    def left_mult_matrix(self, u):
-        """Matrix of x -> u * x in the fixed basis, read from ``table``."""
-        return self._mult_matrix(u, PRE)
-
-    def right_mult_matrix(self, u):
-        """Matrix of x -> x * u in the fixed basis, read from ``table``."""
-        return self._mult_matrix(u, POST)
-
-    def _mult_matrix(self, u, side):
-        # column j is u * e_j (pre) or e_j * u (post)
-        return Matrix.from_sparse_cols(
-            self.field, [side_product(self, u, j, side)
-                         for j in range(self.dim)], self.dim)
-
     # -- formatting -----------------------------------------------------------
 
     def fmt_vec(self, vec):

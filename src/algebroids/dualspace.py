@@ -238,14 +238,14 @@ def act(bgd, kind, phi, avec):
     return _act(bgd, kind, phi, [bgd.coproduct_lift(avec)])[0]
 
 
-def transpose_left(phi, algebra, avec):
-    """a ⇀ φ: the functional b ↦ φ(b a)."""
-    return phi @ algebra.right_mult_matrix(avec)
-
-
-def transpose_right(phi, algebra, avec):
-    """φ ↼ a: the functional b ↦ φ(a b)."""
-    return phi @ algebra.left_mult_matrix(avec)
+def transpose_action(phi, algebra, avec, side):
+    """The transpose action of the element ``avec`` on the functional φ:
+    φ ↼ a, the functional b ↦ φ(ab), from the ``pre`` side, and a ⇀ φ,
+    b ↦ φ(ba), from the ``post`` side.  Column b is φ applied to one
+    ``side_product``."""
+    return Matrix._of_cols(phi.field, phi.nrows,
+                           [phi.apply(side_product(algebra, avec, b, side))
+                            for b in range(algebra.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +322,13 @@ def dual_lower_star(lb, name=None):
     shat_cols, that_cols = [], []
     member_bad = []
     for lidx in range(dl):
-        lvec = {lidx: field.one}
-        cand = lb.counit @ A.right_mult_matrix(lb.s.matrix.cols[lidx])
+        cand = transpose_action(lb.counit, A, lb.s.matrix.cols[lidx], POST)
         coords = module.coords(cand)
         if coords is None:
             member_bad.append(f"ŝ({L.basis_names[lidx]}) is not in the dual")
         shat_cols.append(coords)
-        cand = L.left_mult_matrix(lvec) @ lb.counit
+        cand = Matrix._of_cols(field, dl, [side_product(L, pi, lidx, POST)
+                                           for pi in lb.counit.cols])
         coords = module.coords(cand)
         if coords is None:
             member_bad.append(f"t̂({L.basis_names[lidx]}) is not in the dual")

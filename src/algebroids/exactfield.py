@@ -56,7 +56,7 @@ class RationalField:
     def of(self, x):
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, str):
             return self.parse(x)
@@ -195,7 +195,7 @@ class PrimeField:
             if x.p != self.p:
                 raise ValueError(f"mixed moduli {x.p} and {self.p}")
             return x
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return GFElement(x, self.p)
         if isinstance(x, str):
             return self.parse(x)
@@ -352,10 +352,6 @@ class Matrix:
         return cls._of_cols(field, n, [{i: one} for i in range(n)])
 
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls._of_cols(field, nrows, [{} for _ in range(ncols)])
-
-    @classmethod
     def from_cols(cls, field, cols, nrows=None):
         cols = [tuple(c) for c in cols]
         if nrows is None:
@@ -444,24 +440,6 @@ class Matrix:
         cols = self.cols
         return Matrix._of_cols(self.field, self.nrows,
                                [_apply_cols(cols, c) for c in other.cols])
-
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix addition shape mismatch")
-        one = self.field.one
-        return Matrix._of_cols(self.field, self.nrows,
-                               [combine(((one, a), (one, b)))
-                                for a, b in zip(self.cols, other.cols)])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self.scale(-self.field.one)
-
-    def scale(self, c):
-        return Matrix._of_cols(self.field, self.nrows,
-                               [scaled(c, col) for col in self.cols])
 
     def is_identity(self):
         if self.nrows != self.ncols:

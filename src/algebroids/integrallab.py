@@ -41,8 +41,7 @@ from .dualspace import (
     dual_star_upper,
     dual_upper_star,
     flatten,
-    transpose_left,
-    transpose_right,
+    transpose_action,
 )
 from .hopfcore import from_opposite, reconstruct_left, verify_hopf
 from .twistlab import (
@@ -278,10 +277,11 @@ class NondegenerateIntegral:
                 f"ℓ = {self.parent.total.fmt_vec(self.ell)})")
 
 
-def _transposes(transpose, phi, A):
-    """The matrix of a ↦ transpose(φ, A, a) on flattened functionals."""
+def _transposes(phi, A, side):
+    """The matrix of a ↦ ``transpose_action(φ, A, a, side)`` on flattened
+    functionals."""
     return Matrix.from_sparse_cols(
-        A.field, [flatten(transpose(phi, A, {i: A.field.one}))
+        A.field, [flatten(transpose_action(phi, A, {i: A.field.one}, side))
                   for i in range(A.dim)], phi.nrows * A.dim)
 
 
@@ -334,7 +334,7 @@ def _nondegeneracy(h, ell, actions):
         rep.add(cid, f"{text}⁻¹(a) = {' '.join(formula)}",
                 column_certificates(
                     (act.module.element(col) for col in act.inverse.cols),
-                    (transpose_right(act.element, A, a) for a in m.cols),
+                    (transpose_action(act.element, A, a, PRE) for a in m.cols),
                     A.basis_names, str,
                     f"a = {{}}: {text}⁻¹(a) ≠ {''.join(formula)}"))
 
@@ -450,7 +450,7 @@ def twap(h, nd):
     """
     A = h.total
     m = (acting_on(h.lb, LOWER_STAR, nd.ell)
-         @ _transposes(transpose_left, nd.kappa, A))
+         @ _transposes(nd.kappa, A, POST))
     amap = AlgebraMap(A, A, m, ANTI, "~S")
     rep = verify_map(amap)
     _require(rep.passed, "~S is not an anti-homomorphism: "
@@ -561,7 +561,7 @@ def dual_hopf_algebroid(h, nd, name=None):
     kappa = nd.kappa
     cols = []
     for moved in dual.module.acting_on(nd.ell).cols:
-        func = transpose_left(kappa, A, moved)
+        func = transpose_action(kappa, A, moved, POST)
         coords = dual.module.coords(func)
         _require(coords is not None,
                  "S₍*₎ left the dual constraint subspace")
@@ -809,7 +809,7 @@ def _verify_bgdnd(rb, ell, title, notation):
             rep.add_skip(cid, label, note=skip)
             continue
         m = moved[law] = (acting_on(rb, act.module.kind, ell)
-                          @ _transposes(transpose_right, act.element, A))
+                          @ _transposes(act.element, A, PRE))
         bad = column_certificates(
             (mult_at_factor(A, dims, leg, lift, {i: A.field.one}, PRE)
              for i in range(d)),
@@ -907,8 +907,8 @@ def _ls(rb, ell, notation):
         for law, tag in (("sf", "grs"), ("sb", "grsi")):
             leg = _EXCHANGES[law]
             act = actions[leg]
-            acting = action_matrix(rb, act.module.kind,
-                                   transpose_right(act.element, A, avec))
+            func = transpose_action(act.element, A, avec, PRE)
+            acting = action_matrix(rb, act.module.kind, func)
             _require(space.equal(rb.coproduct_lift(moved[law].cols[i]),
                                  on_leg(acting, leg, lift)),
                      f"({tag}) fails at a = {A.basis_names[i]}")

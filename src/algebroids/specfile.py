@@ -228,7 +228,7 @@ def _parse_algebra(scalars, name, body, loc):
                             f"{sloc}[{idx}]")
         i, j, k, val = quad
         for pos, ix in (("i", i), ("j", j), ("k", k)):
-            if not (isinstance(ix, int) and 0 <= ix < dim):
+            if not (type(ix) is int and 0 <= ix < dim):
                 raise SpecError(f"index {pos}={ix} out of range "
                                 f"0..{dim - 1}", f"{sloc}[{idx}]")
         struct[(i, j, k)] = scalars.read(val, sloc, idx)

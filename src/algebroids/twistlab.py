@@ -509,7 +509,11 @@ def _ahat_inverse(algebra, delta, counit, row):
     none."""
     ahat = ahat_algebra(algebra, delta, counit)
     u = row.sparse_rows()[0]
-    sol = ahat.left_mult_matrix(u).solve(ahat.unit)
+    # the matrix of x ↦ ux in Â, column j its product with e_j
+    mult = Matrix._of_cols(ahat.field, ahat.dim,
+                           [side_product(ahat, u, j, PRE)
+                            for j in range(ahat.dim)])
+    sol = mult.solve(ahat.unit)
     if sol is None or ahat.mul_vec(sol, u) != ahat.unit:
         return None
     return sol
@@ -517,15 +521,15 @@ def _ahat_inverse(algebra, delta, counit, row):
 
 def kappa_map(lb, sep, phi_row):
     """κ(φ)(a) = Σ_i φ(t_L(e_i) a) f_i — from the plain dual into the
-    lower-star dual; φ is a row vector."""
+    lower-star dual; φ is a row vector.  Column a sums the legs f_i of the
+    idempotent, each scaled by φ of one side product t_L(e_i)·e_a."""
     A = lb.total
-    L = lb.base
-    field = lb.field
-    acc = Matrix.zeros(field, L.dim, A.dim)
-    for i, f in sep.idempotent():
-        row = phi_row @ A.left_mult_matrix(lb.t.matrix.cols[i])
-        acc = acc + Matrix.from_sparse_cols(field, [f], L.dim) @ row
-    return acc
+    zero = lb.field.zero
+    legs = [(lb.t.matrix.cols[i], f) for i, f in sep.idempotent()]
+    return Matrix._of_cols(lb.field, lb.base.dim, [
+        combine((phi_row.apply(side_product(A, t, a, PRE)).get(0, zero), f)
+                for t, f in legs)
+        for a in range(A.dim)])
 
 
 def wha_decide(h, sep=None):

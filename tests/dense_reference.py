@@ -5,9 +5,12 @@ that engine compare it with the plain dense pivot loop below, which shares
 no code with it: ``dense_rref`` works on a row-major copy of a ``Matrix``
 and returns its reduced row echelon form and pivot columns.  The other
 helpers read kernel bases, solutions, inverses and coordinates from that
-form.
+form.  Multiplication matrices, transpose actions and the integral spaces
+cut out by them are built here from ``dense_mul_vec``, so they share no
+code with ``side_product``.
 """
 
+from algebroids.algebra import PRE
 from algebroids.exactfield import Matrix
 
 
@@ -192,3 +195,61 @@ def kernel_scalars(field):
     one = field.one
     two = one + one
     return (field.zero, one, -one, two, one / two)
+
+
+# ---------------------------------------------------------------------------
+# multiplication matrices and what is read from them, one dense product per
+# basis element
+
+
+def dense_mult_matrix(algebra, u, side):
+    """The rows of x ↦ ux (``pre``) or x ↦ xu (``post``) for the dense
+    coefficient tuple u: column j is u·e_j or e_j·u."""
+    d = algebra.dim
+    field = algebra.field
+    cols = []
+    for j in range(d):
+        e = tuple(field.one if i == j else field.zero for i in range(d))
+        cols.append(dense_mul_vec(algebra, u, e) if side == PRE
+                    else dense_mul_vec(algebra, e, u))
+    return dense_transpose(cols, d)
+
+
+def dense_transpose_action(phi, algebra, u, side):
+    """The rows of φ ↼ u, b ↦ φ(ub) (``pre``), or u ⇀ φ, b ↦ φ(bu)
+    (``post``): the functional φ times the multiplication matrix of u."""
+    d = algebra.dim
+    return dense_matmul(algebra.field, phi.rows,
+                        dense_mult_matrix(algebra, u, side), d, d)
+
+
+def stacked_integral_kernel(bgd, side):
+    """The reduced-echelon basis rows of the integrals of ``bgd``: the
+    kernel of one tall matrix stacking a·(-) − s(π(a))·(-) (``pre``) or
+    (-)·a − (-)·s(π(a)) (``post``) over every basis element a."""
+    A = bgd.total
+    field = A.field
+    rows = []
+    for i in range(A.dim):
+        e = tuple(field.one if k == i else field.zero for k in range(A.dim))
+        base = dense_matrix_apply(bgd.s.matrix,
+                                  dense_matrix_apply(bgd.counit, e))
+        rows.extend(dense_combine(dense_mult_matrix(A, e, side),
+                                  dense_mult_matrix(A, base, side),
+                                  lambda a, b: a - b))
+    return kernel_basis(Matrix.from_rows(field, rows, A.dim))
+
+
+# ---------------------------------------------------------------------------
+# matrices handed to the package as test inputs
+
+
+def zero_matrix(field, nrows, ncols):
+    return Matrix.from_sparse_cols(field, [{}] * ncols, nrows)
+
+
+def scaled_matrix(matrix, c):
+    """``matrix`` with every entry multiplied by the scalar c."""
+    return Matrix.from_sparse_cols(
+        matrix.field, [{i: c * x for i, x in col.items()}
+                       for col in matrix.cols], matrix.nrows)

@@ -565,16 +565,18 @@ def _library_cases():
         return Matrix.from_sparse_cols(QQ, [{1: one}, {}, {}, {}], 2)
 
     def zero_antipode():
-        return Matrix.zeros(QQ, 4, 4)
+        return Matrix.from_sparse_cols(QQ, [{}] * 4, 4)
 
     # fails twist-member; twist-invertible (no convolution inverse);
     # twist-base-auto, tw1 and tw2, with tw3 skipped
     cases["twist-verify-m2-nonmember"] = lambda: render(verify_twist(
         m2().lb, m2().S, nonmember()))
     cases["twist-verify-m2-zero"] = lambda: render(verify_twist(
-        m2().lb, m2().S, Matrix.zeros(QQ, 2, 4)))
+        m2().lb, m2().S, Matrix.from_sparse_cols(QQ, [{}] * 4, 2)))
     cases["twist-verify-kz2-double-counit"] = lambda: render(verify_twist(
-        kz2().lb, kz2().S, kz2().lb.counit.scale(QQ.of(2))))
+        kz2().lb, kz2().S, Matrix.from_sparse_cols(
+            QQ, [{i: 2 * x for i, x in col.items()}
+                 for col in kz2().lb.counit.cols], 1)))
     cases["twist-apply-m2-nonmember"] = lambda: _raises(
         lambda: apply_twist(m2().lb, m2().S, nonmember()))
     cases["twist-recover-m2-zero-antipode"] = lambda: _raises(

@@ -11,6 +11,8 @@ import time
 
 from algebroids.exactfield import Matrix, PrimeField, RationalField
 from algebroids.algebra import (
+    POST,
+    PRE,
     Algebra,
     SeparabilityStructure,
     separability_structure,
@@ -64,6 +66,7 @@ from algebroids.twistlab import (
     weak_hopf_to_hopf_algebroid,
     wha_decide,
 )
+from dense_reference import dense_transpose_action, stacked_integral_kernel
 
 QQ = RationalField()
 
@@ -215,18 +218,6 @@ def test_criterion_3():
 #    the Frobenius quasi-basis identities exactly.
 
 
-def _stacked_kernel(h, side):
-    bgd = h.lb if side == LEFT else h.rb
-    A = bgd.total
-    mult = A.left_mult_matrix if side == LEFT else A.right_mult_matrix
-    rows = []
-    for aidx in range(A.dim):
-        avec = {aidx: A.field.one}
-        block = mult(avec) - mult(bgd.s.apply(bgd.counit.apply(avec)))
-        rows.extend(block.rows)
-    return Matrix.from_rows(A.field, rows, A.dim).kernel()
-
-
 def test_criterion_4():
     watch = Stopwatch(10.0)
     cases = [
@@ -236,12 +227,13 @@ def test_criterion_4():
         pair_groupoid_hopf_algebroid(2, QQ),
     ]
     for h in cases:
-        for side in (LEFT, RIGHT):
+        # the oracle stacks a·(-) - s_L(π_L(a))·(-), or (-)·a -
+        # (-)·s_R(π_R(a)), over every a, from dense products
+        for side, bgd, mult in ((LEFT, h.lb, PRE), (RIGHT, h.rb, POST)):
             space = integral_space(h, side)
-            oracle = _stacked_kernel(h, side)
-            assert space.dim == oracle.dim
-            assert space.basis_vectors() == \
-                [tuple(r) for r in oracle.basis.rows]
+            oracle = stacked_integral_kernel(bgd, mult)
+            assert space.dim == len(oracle)
+            assert space.basis_vectors() == list(oracle)
 
         for vec in integral_space(h, LEFT).basis_vectors():
             rep = intpr_equivalences(h, vec)
@@ -257,8 +249,9 @@ def test_criterion_4():
         A = h.total
         for j in range(A.dim):
             via_inverse = nd.upper.element(nd.ellR_inv.cols[j])
-            via_formula = nd.lambda_star @ A.left_mult_matrix(h.S.cols[j])
-            assert via_inverse.rows == via_formula.rows
+            via_formula = dense_transpose_action(nd.lambda_star, A,
+                                                 h.S.col(j), PRE)
+            assert via_inverse.rows == via_formula
         frob = frobenius_check(nd, h)
         assert frob.passed, (h.name, _failing_ids(frob))
     watch.check()

@@ -114,16 +114,6 @@ def test_opposite_is_built_once_and_undoes_itself(m2):
     assert opposite(opposite(kop)) is kop
 
 
-def test_mult_matrices_agree_with_mul(m2):
-    A = m2.total
-    rng = random.Random(5)
-    for _ in range(10):
-        u = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(A.dim))
-        v = sparse(QQ.of(rng.randrange(-2, 3)) for _ in range(A.dim))
-        assert A.left_mult_matrix(u).apply(v) == A.mul_vec(u, v)
-        assert A.right_mult_matrix(v).apply(u) == A.mul_vec(u, v)
-
-
 def test_is_commutative(m2, kz3):
     # an algebra is commutative when it equals its opposite
     assert opposite(m2.total) != m2.total

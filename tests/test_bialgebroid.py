@@ -10,6 +10,7 @@ from algebroids.bialgebroid import (
     verify_right_morphism,
 )
 from algebroids.catalog import all_fixtures
+from dense_reference import scaled_matrix
 
 QQ = RationalField()
 
@@ -160,6 +161,7 @@ def test_same_structure_reads_the_coproduct_in_the_quotient(m2):
                             Matrix.from_sparse_cols(QQ, cols, 16), lb.counit)
     assert not lb.same_structure(moved)
     assert not lb.same_structure(LeftBialgebroid(
-        lb.total, lb.base, lb.s, lb.t, lb.gamma_lift, lb.counit + lb.counit))
+        lb.total, lb.base, lb.s, lb.t, lb.gamma_lift,
+        scaled_matrix(lb.counit, QQ.of(2))))
     # the right side of M2 has the same data but the other chirality
     assert not lb.same_structure(m2.rb)

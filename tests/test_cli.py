@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from algebroids.catalog import (
 )
 from algebroids.hopfcore import HopfAlgebroid, verify_hopf
 from algebroids.twistlab import apply_twist, wha_decide
+from dense_reference import scaled_matrix, zero_matrix
 from spec_mutations import mutated, spec_mutations
 
 QQ = RationalField()
@@ -78,7 +81,7 @@ def test_check_lu_reads_the_named_section(capsys, tmp_path, m2):
     space = m2.lb.tensor_space
     b.add_section("xi", lb_name, space.section_matrix())
     b.add_section("zero", lb_name,
-                  Matrix.zeros(QQ, space.total_dim, space.dim))
+                  zero_matrix(QQ, space.total_dim, space.dim))
     p = tmp_path / "m2-sections.spec"
     p.write_text(b.emit())
     code, plain, _ = run(capsys, "check", "--level", "lu", str(p))
@@ -110,7 +113,7 @@ def m2_kz2_sections(tmp_path, m2, kz2):
     space = m2.lb.tensor_space
     assert (space.total_dim, space.dim) == (16, 8)
     b.add_section("xi", lb_name, space.section_matrix())
-    b.add_section("short", lb_name, Matrix.zeros(QQ, 16, 7))
+    b.add_section("short", lb_name, zero_matrix(QQ, 16, 7))
     p = tmp_path / "m2-kz2-sections.spec"
     p.write_text(b.emit())
     return str(p), lb_name
@@ -437,7 +440,7 @@ def kz2_and_kz3(tmp_path, kz2, kz3):
     b.add_hopf(kz3, name="kz3")
     b.add_element("unit", kz2.total, {0: 1})
     lb2, lb3 = b.data["left_bialgebroids"]
-    b.add_functional("double", lb2, kz2.lb.counit.scale(QQ.of(2)))
+    b.add_functional("double", lb2, scaled_matrix(kz2.lb.counit, QQ.of(2)))
     b.add_functional("foreign", lb3, kz3.lb.counit)
     p = tmp_path / "kz2-kz3.spec"
     p.write_text(b.emit())
@@ -752,6 +755,42 @@ def test_a_node_of_the_wrong_type_exits_two(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("error: left_bialgebroids.k[Z2]_L.total: unresolved "
                    "algebra reference ['x']\n")
+
+
+@pytest.mark.parametrize("keys, message", [
+    (("k", "unit", 0),
+     "algebras.k.unit[0]: bad scalar True (cannot coerce True into QQ)"),
+    (("k[Z2]", "struct", 0, 0),
+     "algebras.k[Z2].struct[0]: index i=True out of range 0..1"),
+], ids=["scalar", "struct-index"])
+def test_a_json_boolean_exits_two(capsys, tmp_path, keys, message):
+    # true is no scalar and no index, though Python's bool is an int
+    data = json.loads(Path(KZ2).read_text())
+    *path, last = keys
+    node = data["algebras"]
+    for key in path:
+        node = node[key]
+    node[last] = True
+    p = tmp_path / "boolean.spec"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--level", "hopf", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_module_runs_as_a_script(capsys, monkeypatch):
+    # ``python -m algebroids.cli`` exits with the status ``main`` returns
+    # and prints its report; runpy warns that the package already imported
+    # the module
+    argv = ["check", "--level", "hopf", KZ2]
+    _, plain, _ = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["algebroids.cli", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("algebroids.cli", run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == plain and "PASS" in out and "FAIL" not in out
 
 
 CHEAP_COMMANDS = (("check", "--level", "algebra"),

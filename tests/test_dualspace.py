@@ -4,8 +4,9 @@ bialgebroids, and the action calculus."""
 import pytest
 
 from algebroids.exactfield import Matrix, RationalField
-from algebroids.algebra import opposite, sparse
-from dense_reference import dense_matrix_apply, dense_mul_vec
+from algebroids.algebra import POST, PRE, opposite, sparse
+from dense_reference import (dense, dense_matrix_apply, dense_mul_vec,
+                             dense_transpose_action)
 from algebroids.bialgebroid import (
     LeftBialgebroid,
     verify_left_bialgebroid,
@@ -22,8 +23,7 @@ from algebroids.dualspace import (
     dual_star_lower,
     dual_star_upper,
     dual_upper_star,
-    transpose_left,
-    transpose_right,
+    transpose_action,
 )
 
 QQ = RationalField()
@@ -191,13 +191,13 @@ def test_transpose_actions_preserve_membership(m2):
     D = DualModule(lb, LOWER_STAR)
     for aidx in range(A.dim):
         for phi in D.basis:
-            moved = transpose_left(phi, A, {aidx: QQ.one})
+            moved = transpose_action(phi, A, {aidx: QQ.one}, POST)
             assert D.contains(moved)
     # (φ ↼ a)(b) = φ(ab) keeps upper-star functionals upper-star
     Du = DualModule(m2.rb, UPPER_STAR)
     for aidx in range(A.dim):
         for phi in Du.basis:
-            moved = transpose_right(phi, A, {aidx: QQ.one})
+            moved = transpose_action(phi, A, {aidx: QQ.one}, PRE)
             assert Du.contains(moved)
 
 
@@ -215,7 +215,8 @@ def test_derived_unit_identities_m2(m2):
         for p in range(D.module.dim):
             phi = D.module.basis[p]
             left = D.module.element(ring.mul_vec(sl_dual, {p: QQ.one}))
-            assert left.rows == (phi @ A.right_mult_matrix(sL)).rows
+            assert left.rows == dense_transpose_action(
+                phi, A, dense(QQ, A.dim, sL), POST)
             right = D.module.element(ring.mul_vec({p: QQ.one}, tl_dual))
             expect = Matrix.from_rows(
                 QQ, [phi.rows[m] if m == lidx

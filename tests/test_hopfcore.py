@@ -6,7 +6,7 @@ import pytest
 from algebroids.algebra import sparse
 from algebroids.bimodtensor import BalancedTensorSpace
 from algebroids.catalog import pair_groupoid_hopf_algebroid
-from algebroids.exactfield import Matrix, RationalField
+from algebroids.exactfield import RationalField
 from algebroids.hopfcore import (
     GaloisMaps,
     HopfAlgebroid,
@@ -19,6 +19,7 @@ from algebroids.hopfcore import (
     verify_hopf,
     verify_sisom,
 )
+from dense_reference import scaled_matrix, zero_matrix
 
 QQ = RationalField()
 
@@ -146,7 +147,7 @@ def test_lu_axioms_refuse_a_section_of_the_wrong_shape(m2):
     # M2's tensor square has quotient dimension 8, so a 16 x 7 map is no
     # candidate section
     with pytest.raises(ValueError, match="section matrix must map"):
-        check_lu_axioms(m2.lb, m2.S, section=Matrix.zeros(QQ, 16, 7))
+        check_lu_axioms(m2.lb, m2.S, section=zero_matrix(QQ, 16, 7))
 
 
 def test_galois_maps(m2, kz2_twisted, ks3):
@@ -193,7 +194,7 @@ def test_reconstruct_left_roundtrip(kz2_twisted):
 
 
 def test_negated_antipode_fails_exactly_defiv(m2):
-    bad = HopfAlgebroid(m2.lb, m2.rb, (-m2.S),
+    bad = HopfAlgebroid(m2.lb, m2.rb, scaled_matrix(m2.S, -QQ.one),
                         base_antiiso=m2.chi)
     rep = verify_hopf(bad)
     assert {c.check_id for c in rep.failures()} == {"defiv-left",
@@ -204,7 +205,7 @@ def test_negated_antipode_fails_exactly_defiv(m2):
 def test_antipode_uniqueness(m2):
     rep = antipode_uniqueness(m2, m2)
     assert rep.passed
-    bad = HopfAlgebroid(m2.lb, m2.rb, (-m2.S),
+    bad = HopfAlgebroid(m2.lb, m2.rb, scaled_matrix(m2.S, -QQ.one),
                         base_antiiso=m2.chi)
     rep2 = antipode_uniqueness(m2, bad)
     failed = {c.check_id for c in rep2.failures()}

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from algebroids.exactfield import Matrix, RationalField, PrimeField
-from algebroids.algebra import (AlgebraMap, HOM, separability_structure,
-                                sparse, tensor_apply)
+from algebroids.algebra import (PRE, POST, AlgebraMap, HOM,
+                                separability_structure, sparse, tensor_apply)
 from algebroids.catalog import (
     FiniteGroup,
     group_hopf_algebroid,
@@ -45,7 +45,15 @@ from algebroids.integrallab import (
 )
 from algebroids.twistlab import (weak_bialgebra_from_sep,
                                 weak_hopf_to_hopf_algebroid)
-from dense_reference import dense, dense_matrix_apply, dense_mul_vec
+from dense_reference import (
+    dense,
+    dense_matrix_apply,
+    dense_mul_vec,
+    dense_mult_matrix,
+    dense_transpose_action,
+    scaled_matrix,
+    stacked_integral_kernel,
+)
 
 QQ = RationalField()
 
@@ -88,38 +96,15 @@ def test_integral_space_contains_and_membership(kz2, m2):
     assert not spm.contains((QQ.one, QQ.zero, QQ.zero, QQ.zero))
 
 
-def _stacked_left_kernel(h):
-    # independent oracle: one tall matrix whose kernel is the left integral
-    # space, stacking a·(-) - s_L(π_L(a))·(-) over every basis element a
-    lb = h.lb
-    A = lb.total
-    rows = []
-    for aidx in range(A.dim):
-        avec = {aidx: QQ.one}
-        block = (A.left_mult_matrix(avec)
-                 - A.left_mult_matrix(lb.s.apply(lb.counit.apply(avec))))
-        rows.extend(block.rows)
-    return Matrix.from_rows(A.field, rows, A.dim).kernel()
-
-
-def _stacked_right_kernel(h):
-    rb = h.rb
-    A = rb.total
-    rows = []
-    for aidx in range(A.dim):
-        avec = {aidx: QQ.one}
-        block = (A.right_mult_matrix(avec)
-                 - A.right_mult_matrix(rb.s.apply(rb.counit.apply(avec))))
-        rows.extend(block.rows)
-    return Matrix.from_rows(A.field, rows, A.dim).kernel()
-
-
 def test_integral_space_matches_stacked_kernel(kz2, kz3, m2, ks3):
+    # independent oracle: one tall dense matrix whose kernel is the left
+    # (right) integral space, stacking a·(-) - s_L(π_L(a))·(-) (and
+    # (-)·a - (-)·s_R(π_R(a))) over every basis element a
     for h in (kz2, kz3, m2, ks3):
         assert (integral_space(h, LEFT).space.basis.rows
-                == _stacked_left_kernel(h).basis.rows)
+                == stacked_integral_kernel(h.lb, PRE))
         assert (integral_space(h, RIGHT).space.basis.rows
-                == _stacked_right_kernel(h).basis.rows)
+                == stacked_integral_kernel(h.rb, POST))
 
 
 def test_integral_space_law_directly(kz3, m2):
@@ -208,6 +193,12 @@ def test_intpr_all_fail_together_on_non_integral(kz2, m2):
         assert by_id["intpr-agree"].verdict == "PASS"
 
 
+def _left_mult(A, vec):
+    # x ↦ vec·x, read from the dense products
+    rows = dense_mult_matrix(A, dense(A.field, A.dim, vec), PRE)
+    return Matrix.from_rows(A.field, rows, A.dim)
+
+
 def test_intpr_condition_v_matches_hand_computation(kz3):
     # S(a)ℓ_(1) ⊗ ℓ_(2) = ℓ_(1) ⊗ aℓ_(2) in the right tensor square
     rb = kz3.rb
@@ -217,10 +208,10 @@ def test_intpr_condition_v_matches_hand_computation(kz3):
     space = rb.tensor_space
     for aidx in range(A.dim):
         avec = {aidx: QQ.one}
-        lhs = tensor_apply(A.left_mult_matrix(kz3.S.apply(avec)),
+        lhs = tensor_apply(_left_mult(A, kz3.S.apply(avec)),
                            Matrix.identity(QQ, A.dim), lift)
         rhs = tensor_apply(Matrix.identity(QQ, A.dim),
-                           A.left_mult_matrix(avec), lift)
+                           _left_mult(A, avec), lift)
         assert space.equal(lhs, rhs)
 
 
@@ -314,14 +305,14 @@ def test_nondegeneracy_rejects_non_integral(kz2):
 
 def test_fsrinv_by_hand(m2):
     # ℓ_R^{-1}(a) = λ* ↼ S(a): check the inverse column-by-column against
-    # the transpose action, independently of the report
-    from algebroids.dualspace import transpose_right
+    # the dense transpose action, independently of the report
     nd = nondegeneracy(m2, group_sum_integral(m2))
     A = m2.total
     for aidx in range(A.dim):
         via_inverse = nd.upper.element(nd.ellR_inv.cols[aidx])
-        via_formula = transpose_right(nd.lambda_star, A, m2.S.cols[aidx])
-        assert via_inverse.rows == via_formula.rows
+        via_formula = dense_transpose_action(
+            nd.lambda_star, A, m2.S.col(aidx), PRE)
+        assert via_inverse.rows == via_formula
 
 
 def test_antipode_images_are_right_integrals(kz3, m2):
@@ -620,8 +611,8 @@ def _weak_dual_iso_with_decided(monkeypatch, delta=1, counit=1):
         out = decide(hd, sep=sep)
         w = out["weak_hopf"]
         out["weak_hopf"] = twistlab.WeakHopfAlgebra(
-            w.algebra, w.delta.scale(QQ.of(delta)),
-            w.counit.scale(QQ.of(counit)), w.antipode)
+            w.algebra, scaled_matrix(w.delta, QQ.of(delta)),
+            scaled_matrix(w.counit, QQ.of(counit)), w.antipode)
         return out
 
     monkeypatch.setattr(integrallab, "wha_decide", scaled)

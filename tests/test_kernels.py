@@ -1,11 +1,12 @@
 """The structure-constant kernels against dense unit-vector references.
 
-``verify_algebra``, ``verify_map``, ``Algebra.mul_vec``, the multiplication
-matrices, ``opposite``, ``mult_at_factor`` and ``on_leg`` read
-``Algebra.table`` directly.  Each is compared here with a dense evaluation that builds unit
-vectors and multiplies coefficient by coefficient, on random structure
-constants over ℚ and GF(7): associative algebras in a random basis, the
-same with a corrupted structure constant, and arbitrary constants.  The
+``verify_algebra``, ``verify_map``, ``Algebra.mul_vec``, ``side_product``,
+``opposite``, ``mult_at_factor``, ``on_leg`` and ``transpose_action`` read
+``Algebra.table`` directly.  Each is compared here with a dense evaluation
+that builds unit vectors and multiplies coefficient by coefficient, on
+random structure constants over ℚ and GF(7): associative algebras in a
+random basis, the same with a corrupted structure constant, and arbitrary
+constants.  The
 sparse tensor-vector kernels of the bialgebroid verifiers, (γ⊗id),
 (id⊗γ), ``tensor_square_product``, ``project`` and ``equal``, are compared
 with dense definitions on pair-groupoid and group bialgebroids whose
@@ -17,11 +18,10 @@ on witnesses whose λ* is raised at one entry.  A passing
 ``verify_algebra`` is held to one ``combine`` per basis pair, so a
 per-triple loop cannot come back unseen, and the leg products of the
 integral, separability, twist, uniqueness and Galois checks to no
-multiplication or identity matrix.  The unit-aware paths of
-``mul_vec``, ``side_product``, ``map_at_factor`` and
-``tensor_square_product`` meet the dense references on one-entry operands,
-on coefficients 0, 1, -1, 2 and 1/2 and on sums built to cancel, and each
-result must be a new, zero-free dict.
+identity matrix.  The unit-aware paths of ``mul_vec``, ``side_product``,
+``map_at_factor`` and ``tensor_square_product`` meet the dense references
+on one-entry operands, on coefficients 0, 1, -1, 2 and 1/2 and on sums
+built to cancel, and each result must be a new, zero-free dict.
 """
 
 from itertools import product
@@ -76,10 +76,13 @@ from algebroids.twistlab import (
     verify_weak_hopf,
     weak_bialgebra_from_sep,
 )
+from algebroids.dualspace import transpose_action
 from dense_reference import (
     dense,
     dense_matrix_apply,
+    dense_mult_matrix,
     dense_rref,
+    dense_transpose_action,
     kernel_scalars,
 )
 
@@ -290,32 +293,25 @@ def test_verify_algebra_combines_once_per_basis_pair(monkeypatch):
 
 def test_leg_products_build_no_throwaway_matrix(monkeypatch):
     # a product on one leg or from one side goes through its kernel: no
-    # multiplication or identity matrix is built only to be applied once
+    # identity matrix is built only to be applied once
     m2 = pair_groupoid_hopf_algebroid(2, QQ)
     kz3 = group_hopf_algebroid(FiniteGroup.cyclic(3), QQ)
     sep = separability_structure(pair_groupoid_hopf_algebroid(3, QQ).lb.base)
     built = []
-    mult_matrix = Algebra._mult_matrix
     identity = Matrix.identity.__func__
 
-    def counting_mult(self, u, side):
-        built.append("multiplication")
-        return mult_matrix(self, u, side)
-
     def counting_identity(cls, field, n):
-        built.append("identity")
+        built.append(n)
         return identity(cls, field, n)
 
-    monkeypatch.setattr(Algebra, "_mult_matrix", counting_mult)
     monkeypatch.setattr(Matrix, "identity", classmethod(counting_identity))
     assert intpr_equivalences(m2, (QQ.one,) * m2.total.dim).passed
     assert verify_separability(sep).passed
-    assert "multiplication" not in built
     counit = kz3.lb.counit
     assert verify_twist(kz3.lb, kz3.S, counit, counit).passed
     assert antipode_uniqueness(m2, m2).passed
     GaloisMaps(m2)
-    assert "identity" not in built
+    assert not built
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -324,12 +320,11 @@ def test_products_match_the_dense_double_loop(data):
     A = data.draw(algebras())
     u, v = data.draw(vectors(A, 2))
     assert A.mul_vec(sparse(u), sparse(v)) == sparse(dense_mul(A, u, v))
-    left, right = (A.left_mult_matrix(sparse(u)),
-                   A.right_mult_matrix(sparse(u)))
     for j in range(A.dim):
         e = unit_vector(A.field, A.dim, j)
-        assert left.col(j) == dense_mul(A, u, e)
-        assert right.col(j) == dense_mul(A, e, u)
+        assert side_product(A, sparse(u), j, PRE) == sparse(dense_mul(A, u, e))
+        assert (side_product(A, sparse(u), j, POST)
+                == sparse(dense_mul(A, e, u)))
     basis = [unit_vector(A.field, A.dim, i) for i in range(A.dim)]
     commutative = all(dense_mul(A, x, y) == dense_mul(A, y, x)
                       for x in basis for y in basis)
@@ -363,8 +358,8 @@ def test_mult_at_factor_matches_the_multiplication_matrices(data):
     vec = data.draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)),
                              min_size=prod(dims), max_size=prod(dims)))
     vec = tuple(A.field.of(x) for x in vec)
-    left, right = (A.left_mult_matrix(sparse(u)),
-                   A.right_mult_matrix(sparse(u)))
+    left, right = (Matrix.from_rows(A.field, dense_mult_matrix(A, u, side),
+                                    A.dim) for side in (PRE, POST))
     assert (mult_at_factor(A, dims, p, sparse(vec), sparse(u), PRE)
             == sparse(dense_at_factor(dims, p, left, vec)))
     assert (mult_at_factor(A, dims, p, sparse(vec), sparse(u), POST)
@@ -378,6 +373,22 @@ def test_mult_at_factor_matches_the_multiplication_matrices(data):
     for m in (left, right):
         assert (on_leg(m, leg, sparse(vec))
                 == sparse(dense_at_factor(square, leg, m, vec)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_transpose_action_matches_the_dense_product(data):
+    # φ ↼ a and a ⇀ φ are φ times the dense multiplication matrix of a,
+    # held as zero-free columns, for functionals with one or two rows
+    A = data.draw(algebras())
+    (u,) = data.draw(vectors(A, 1))
+    phi = Matrix.from_rows(A.field, data.draw(vectors(
+        A, data.draw(st.integers(1, 2)))), A.dim)
+    for side in (PRE, POST):
+        got = transpose_action(phi, A, sparse(u), side)
+        assert (got.nrows, got.ncols) == (phi.nrows, A.dim)
+        assert all(all(col.values()) for col in got.cols)
+        assert got.rows == dense_transpose_action(phi, A, u, side)
 
 
 # ---------------------------------------------------------------------------

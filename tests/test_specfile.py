@@ -478,18 +478,27 @@ GF7 = PrimeField(7)
      "algebras.M2.struct[7]: bad scalar '1/0' (division by zero in GF(p))"),
     ([(STRUCT + (7, 3), "x"), (STRUCT + (7, 2), 9)],
      "algebras.M2.struct[7]: index k=9 out of range 0..3", None),
+    ([(GAMMA + (5, 2), True)],
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar True "
+     "(cannot coerce True into QQ)",
+     "left_bialgebroids.M2_L.gamma[5][2]: bad scalar True "
+     "(cannot coerce True into GF(7))"),
+    ([(STRUCT + (7, 2), True)],
+     "algebras.M2.struct[7]: index k=True out of range 0..3", None),
     ([(HOPF + ("antipode",), [["0"] * 4] * 4),
       (HOPF + ("antipode_inv",), DELETE)],
      "hopf_algebroids.m2-groupoid.antipode: antipode matrix is singular",
      None),
 ], ids=["scalar-text", "scalar-zero-division", "scalar-float", "row-type",
         "row-short", "rows-few", "first-bad-scalar", "first-bad-row",
-        "struct-value", "struct-index-first", "singular-antipode"])
+        "struct-value", "struct-index-first", "scalar-bool",
+        "struct-index-bool", "singular-antipode"])
 @pytest.mark.parametrize("field", [None, GF7], ids=["QQ", "GF7"])
 def test_a_parse_error_names_its_first_fault(changes, over_qq, over_gf7,
                                              field):
-    """A bad scalar, a row that is not a list or is short, too few rows, a
-    bad ``struct`` value and a singular antipode are refused with this exact
+    """A bad scalar (a JSON boolean among them), a row that is not a list
+    or is short, too few rows, a bad ``struct`` value, a boolean ``struct``
+    index and a singular antipode are refused with this exact
     message and key path, over the spec's own field and under a GF(7)
     override; with two faults, the first in row-major order is named."""
     data = copy.deepcopy(BUNDLED["m2-groupoid.spec"])

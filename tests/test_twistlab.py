@@ -37,7 +37,8 @@ from algebroids.twistlab import (
     weak_hopf_to_hopf_algebroid,
     wha_decide,
 )
-from dense_reference import dense_mul_vec
+from dense_reference import (dense_mul_vec, scaled_matrix,
+                             zero_matrix)
 from test_acceptance import _perturb
 
 QQ = RationalField()
@@ -106,7 +107,7 @@ class TestTwist:
     def test_apply_twist_refuses_a_singular_reference_antipode(self, kz2):
         with pytest.raises(ValueError,
                            match="^the reference antipode is not bijective$"):
-            apply_twist(kz2.lb, Matrix.zeros(QQ, 2, 2), kz2.lb.counit)
+            apply_twist(kz2.lb, zero_matrix(QQ, 2, 2), kz2.lb.counit)
 
     def test_non_multiplicative_functional_is_rejected(self, kz2):
         two = QQ.of(2)
@@ -191,7 +192,7 @@ class TestWeakHopf:
     def test_singular_antipode_is_refused_before_the_bases(self):
         w = pair_groupoid_weak_hopf(2, QQ)
         bad = WeakHopfAlgebra(w.algebra, w.delta, w.counit,
-                              Matrix.zeros(QQ, 4, 4))
+                              zero_matrix(QQ, 4, 4))
         h, rep = weak_hopf_to_hopf_algebroid(bad)
         assert h is None
         assert [c.check_id for c in rep.checks] == ["s-bijective"]
@@ -271,8 +272,8 @@ class TestSeparability:
 
     def test_broken_splitting_is_caught(self, m2):
         sep = separability_structure(m2.lb.base)
-        bad = SeparabilityStructure(sep.base, sep.delta.scale(QQ.of(2)),
-                                    sep.psi)
+        bad = SeparabilityStructure(
+            sep.base, scaled_matrix(sep.delta, QQ.of(2)), sep.psi)
         rep = verify_separability(bad)
         failed = {c.check_id for c in rep.checks if not c.ok}
         assert "sep-splitting" in failed
@@ -402,8 +403,8 @@ class TestWhaDecide:
 
     def test_bad_separability_input_short_circuits(self, m2):
         sep = separability_structure(m2.lb.base)
-        bad = SeparabilityStructure(sep.base, sep.delta.scale(QQ.of(2)),
-                                    sep.psi)
+        bad = SeparabilityStructure(
+            sep.base, scaled_matrix(sep.delta, QQ.of(2)), sep.psi)
         out = wha_decide(m2, sep=bad)
         assert out["verdict"] == "not-weak-hopf"
         assert not out["report"].passed
